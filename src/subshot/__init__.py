@@ -28,13 +28,21 @@ from subshot.sources import (
     herald_click_probability,
     heralded_pair_pmf,
     make_multiplexed,
+    mux_click_probability,
     mux_output_pmf,
+    source_click_probability,
     source_mean,
+    source_moments,
     source_pmf,
     sync_probability,
     tune_pair_mean,
 )
-from subshot.detection import Channel, click_probability, nr_detected_pmf
+from subshot.detection import (
+    Channel,
+    click_probability,
+    nr_detected_moments,
+    nr_detected_pmf,
+)
 from subshot.estimators import (
     Detector,
     EstimatorReport,

@@ -4,7 +4,9 @@ A measurement channel is the sample transmission followed by the detector
 efficiency; both act as independent per-photon survival, so they enter as a
 single thinning by t * eta.  Number-resolving detectors report the full
 thinned photon-count distribution, threshold detectors only whether at least
-one photon was detected.
+one photon was detected.  Thinning maps the source moments to detected-count
+moments in closed form (`nr_detected_moments`); the distribution maps act on a
+full `Pmf`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from subshot.pmf import Pmf, apply_loss
+from subshot.pmf import Moments, Pmf, apply_loss
 
 
 @dataclass(frozen=True)
@@ -37,6 +39,18 @@ class Channel:
 def nr_detected_pmf(source_pmf: Pmf, channel: Channel) -> Pmf:
     """Detected photon-count distribution for a number-resolving detector."""
     return apply_loss(source_pmf, channel.survival)
+
+
+def nr_detected_moments(source_moments: Moments, channel: Channel) -> Moments:
+    """Detected-count moments for a number-resolving detector.
+
+    Binomial thinning by s = t * eta: mean s * n, variance
+    s^2 * Var(n) + s (1 - s) * mean(n).
+    """
+    s = channel.survival
+    mean = s * source_moments.mean
+    variance = s * s * source_moments.variance + s * (1.0 - s) * source_moments.mean
+    return Moments(mean=mean, variance=variance, fano=variance / mean if mean > 0.0 else None)
 
 
 def click_probability(source_pmf: Pmf, channel: Channel) -> float:

@@ -12,8 +12,9 @@ the sample removed (t = 1), computed analytically rather than measured.  The
 aggregate-over-nu convention equals the mean of per-repetition estimates, so
 variances shrink exactly as 1/nu.
 
-Reports are exact: the expectation, bias, variance and MSE follow from the
-detected-count distribution in closed form, with no sampling involved.
+Reports are exact: the expectation, bias, variance and MSE follow in closed
+form from the source mean and variance (number-resolving) or the click
+probability (threshold), with no distribution built and no sampling involved.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
-from subshot.detection import Channel, click_probability, nr_detected_pmf
-from subshot.pmf import moments
-from subshot.sources import Fock, Source, source_pmf
+from subshot.detection import Channel, nr_detected_moments
+from subshot.sources import Fock, Source, source_click_probability, source_moments
 
 
 class Detector(enum.Enum):
@@ -80,10 +80,10 @@ def reference_mean(source: Source, detector: Detector, detector_eff: float) -> f
     source where the photon-number normalization eta * N is kept.
     """
     if detector is Detector.NUMBER_RESOLVING:
-        return detector_eff * moments(source_pmf(source)).mean
+        return detector_eff * source_moments(source).mean
     if isinstance(source, Fock):
         return detector_eff * source.photons
-    return click_probability(source_pmf(source), Channel(1.0, detector_eff))
+    return source_click_probability(source, detector_eff)
 
 
 def make_estimator_spec(
@@ -137,7 +137,7 @@ def exact_report_nr(source: Source, channel: Channel, nu: int) -> EstimatorRepor
     by nu * reference^2.
     """
     ref = reference_mean(source, Detector.NUMBER_RESOLVING, channel.detector_eff)
-    detected = moments(nr_detected_pmf(source_pmf(source), channel))
+    detected = nr_detected_moments(source_moments(source), channel)
     expectation = detected.mean / ref
     bias = expectation - channel.transmission
     variance = detected.variance / (nu * ref**2)
@@ -162,7 +162,7 @@ def exact_report_threshold(source: Source, channel: Channel, nu: int) -> Estimat
     shrink with nu.
     """
     ref = reference_mean(source, Detector.THRESHOLD, channel.detector_eff)
-    p_click = click_probability(source_pmf(source), channel)
+    p_click = source_click_probability(source, channel.survival)
     expectation = p_click / ref
     bias = expectation - channel.transmission
     variance = p_click * (1.0 - p_click) / (nu * ref**2)

@@ -10,6 +10,7 @@ and deterministic.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, fields
 from typing import Iterable
@@ -107,6 +108,13 @@ class SweepConfig:
             value = getattr(self, field)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(field, "must lie in [0, 1]")
+        # Every experiment tunes a multiplexed source, whose output is vacuum
+        # at every pump strength once one of these transmissions is zero.
+        for field in ("herald_eff", "stage_transmission", "optics_transmission"):
+            if getattr(self, field) == 0.0:
+                raise ConfigError(
+                    field, "must be > 0: the multiplexed source emits no photons at 0"
+                )
         if self.nu < 1:
             raise ConfigError("nu", "must be >= 1")
         if self.rounds < 2:
@@ -125,6 +133,11 @@ class SweepConfig:
         return "\n".join(pairs)
 
     def digest(self) -> str:
+        return self._digest
+
+    @functools.cached_property
+    def _digest(self) -> str:
+        # Every output row carries the digest; hash the (immutable) config once.
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:12]
 
 
@@ -257,11 +270,9 @@ def _run_nr_ratio(cfg: SweepConfig):
     return _ratio_sweep(cfg, Detector.NUMBER_RESOLVING)
 
 
-def _run_threshold_bias(cfg: SweepConfig):
-    return _ratio_sweep(cfg, Detector.THRESHOLD)
-
-
-def _run_threshold_ratio(cfg: SweepConfig):
+def _run_threshold(cfg: SweepConfig):
+    """Threshold reports over the t-grid; each row carries both the bias and
+    the MSE ratio, so `threshold-bias` and `threshold-ratio` share it."""
     return _ratio_sweep(cfg, Detector.THRESHOLD)
 
 
@@ -401,8 +412,8 @@ def _run_mc_validate(cfg: SweepConfig):
 
 _RUNNERS = {
     "nr-ratio": _run_nr_ratio,
-    "threshold-bias": _run_threshold_bias,
-    "threshold-ratio": _run_threshold_ratio,
+    "threshold-bias": _run_threshold,
+    "threshold-ratio": _run_threshold,
     "intensity-sweep": _run_intensity_sweep,
     "asymptotic": _run_asymptotic,
     "fluctuations": _run_fluctuations,

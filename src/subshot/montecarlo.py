@@ -4,13 +4,15 @@ Two jobs: validate the exact estimator reports by sampling full experiments,
 and study what pump-power fluctuations do to the measurement error.
 
 In the fluctuation study the pump strength becomes a Gaussian random variable
-(sigma = a * mean, truncated at zero), the source distribution is rebuilt for
-every draw, and the estimator keeps its fluctuation-free reference
-normalization.  Each round yields one transmission estimate and one squared
-error; rounds are summarized by their mean and 16th/84th percentiles.  By
-default the pump is redrawn once per round (slow drift relative to a round)
-and negative draws clamp to zero; redrawing per repetition and
-rejection-resampling are available as configuration.
+(sigma = a * mean, truncated at zero), the source is re-evaluated for every
+draw (closed-form click probability for threshold detection, detected-count
+distribution for number-resolving sampling), and the estimator keeps its
+fluctuation-free reference normalization.  Each round yields one transmission
+estimate and one squared error; rounds are summarized by their mean, its
+standard error and the 16th/84th percentiles.  By default the pump is redrawn
+once per round (slow drift relative to a round) and negative draws clamp to
+zero; redrawing per repetition and rejection-resampling are available as
+configuration.
 
 Reproducibility: every (round) unit derives its generator stream from
 (seed, round index), so results are independent of execution schedule, and the
@@ -27,10 +29,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import stats
 
-from subshot.detection import Channel, click_probability, nr_detected_pmf
+from subshot.detection import Channel, nr_detected_pmf
 from subshot.estimators import Detector, EstimatorSpec, reference_mean
 from subshot.pmf import loss_matrix, poisson_support
-from subshot.sources import Coherent, Multiplexed, MuxParams, Source, source_pmf, tune_pair_mean
+from subshot.sources import (
+    Coherent,
+    Multiplexed,
+    MuxParams,
+    Source,
+    mux_click_probability,
+    source_click_probability,
+    source_pmf,
+    tune_pair_mean,
+)
 
 
 @dataclass(frozen=True)
@@ -64,7 +75,7 @@ def mc_estimate(
     estimates = np.empty(trials)
 
     if spec.detector is Detector.THRESHOLD:
-        p = click_probability(source_pmf(spec.source), channel)
+        p = source_click_probability(spec.source, channel.survival)
         clicks = rng.binomial(nu, p, size=trials)
         estimates[:] = clicks / (nu * ref)
     else:
@@ -139,10 +150,12 @@ class FluctuationConfig:
 
 @dataclass(frozen=True)
 class McSummary:
-    """Per-grid-point summary: mean MSE and 68% band across rounds."""
+    """Per-grid-point summary: mean MSE, its standard error across rounds
+    (std(ddof=1) / sqrt(rounds)) and the 68% band of the rounds."""
 
     fluctuation: float
     mean_mse: float
+    mse_se: float
     ci_low: float
     ci_high: float
     n_rounds: int
@@ -152,8 +165,8 @@ class McSummary:
 def _heralded_rows(mu_vec: np.ndarray, herald_eff: float, n_max: int):
     """Heralded pair-number distribution, one row per pump value.
 
-    Returns (rows, p_w): rows[i, n] is P(n | click) at pump mu_vec[i] and p_w
-    the per-window click probabilities; rows of a zero-click pump stay zero.
+    rows[i, n] is P(n | click) at pump mu_vec[i]; rows of a zero-click pump
+    stay zero.
     """
     ns = np.arange(n_max + 1)
     pois = stats.poisson.pmf(ns[None, :], mu_vec[:, None])
@@ -166,7 +179,7 @@ def _heralded_rows(mu_vec: np.ndarray, herald_eff: float, n_max: int):
     live = p_w > 0.0
     rows[live] /= p_w[live, None]
     rows[~live] = 0.0
-    return rows, p_w
+    return rows
 
 
 def _mux_detected_rows(params: MuxParams, mu_vec: np.ndarray, survival: float):
@@ -177,24 +190,13 @@ def _mux_detected_rows(params: MuxParams, mu_vec: np.ndarray, survival: float):
     """
     mu_max = float(mu_vec.max())
     n_max = poisson_support(mu_max, 1e-18) if mu_max > 0 else 1
-    rows, p_w = _heralded_rows(mu_vec, params.herald_eff, n_max)
+    rows = _heralded_rows(mu_vec, params.herald_eff, n_max)
     q_total = params.network_transmission * params.optics_transmission * survival
     detected = rows @ loss_matrix(q_total, n_max)
-    p_sync = np.where(p_w > 0, -np.expm1(params.window_count * np.log1p(-p_w)), 0.0)
+    p_sync = -np.expm1(-params.window_count * params.herald_eff * mu_vec)
     detected *= p_sync[:, None]
     detected[:, 0] += 1.0 - p_sync
     return detected
-
-
-def _mux_click_probabilities(params: MuxParams, mu_vec: np.ndarray, survival: float):
-    """Per-repetition click probabilities for a batch of pump values."""
-    mu_max = float(mu_vec.max())
-    n_max = poisson_support(mu_max, 1e-18) if mu_max > 0 else 1
-    rows, p_w = _heralded_rows(mu_vec, params.herald_eff, n_max)
-    q_total = params.network_transmission * params.optics_transmission * survival
-    no_click_given_n = (1.0 - q_total) ** np.arange(n_max + 1)
-    p_sync = np.where(p_w > 0, -np.expm1(params.window_count * np.log1p(-p_w)), 0.0)
-    return p_sync * (1.0 - rows @ no_click_given_n)
 
 
 def _sample_counts_by_rows(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -276,7 +278,7 @@ def _round_estimate(
             else:
                 total = _sample_counts_by_rows(rows, u).sum()
         else:
-            p_click = _mux_click_probabilities(params, batch, channel.survival)
+            p_click = mux_click_probability(params, channel.survival, batch)
             total = (u < (p_click[0] if shared_pump else p_click)).sum()
     return float(total) / (nu * ref0)
 
@@ -319,6 +321,7 @@ def fluctuation_study(
             McSummary(
                 fluctuation=a,
                 mean_mse=float(sq_err[ai].mean()),
+                mse_se=float(sq_err[ai].std(ddof=1) / math.sqrt(cfg.rounds)),
                 ci_low=float(lo),
                 ci_high=float(hi),
                 n_rounds=cfg.rounds,

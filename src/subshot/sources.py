@@ -11,6 +11,11 @@ delays the signal so it leaves on the clock tick.  Raising the pump increases
 the herald rate but also the multi-photon contamination, so the pump strength
 that realizes a wanted mean photon number at the sample is found numerically
 (`tune_pair_mean`).
+
+The mean, variance and threshold click probability at the sample plane have
+closed forms (`source_moments`, `source_click_probability`); the full
+photon-number distribution (`source_pmf`) is built only where a distribution
+is needed, such as sampling.
 """
 
 from __future__ import annotations
@@ -23,10 +28,10 @@ from scipy import stats
 
 from subshot.pmf import (
     DEFAULT_TRUNCATION_EPS,
+    Moments,
     Pmf,
     apply_loss,
     fock_pmf,
-    moments,
     poisson_pmf,
     poisson_support,
     vacuum_pmf,
@@ -120,11 +125,55 @@ def herald_click_probability(params: MuxParams) -> float:
 
 
 def sync_probability(params: MuxParams) -> float:
-    """Probability that any of the 2**stages windows heralds in a period."""
-    p_w = herald_click_probability(params)
+    """Probability that any of the 2**stages windows heralds in a period.
+
+    1 - (1 - p_w)^(2**stages) with 1 - p_w = exp(-mu * herald_eff), written so
+    that it stays finite when p_w rounds to 1 under a strong pump.
+    """
+    return -math.expm1(-params.window_count * params.pair_mean * params.herald_eff)
+
+
+def _mux_factorial_moments(params: MuxParams, mu: float) -> tuple[float, float]:
+    """First and second factorial moments of the output at pump `mu`.
+
+    Derivatives at s = 1 of the output generating function
+    G(s) = 1 - P_sync + (P_sync/p_w) [e^{mu Q (s-1)} - e^{mu ((1-h)(1-Q+Qs) - 1)}]
+    with h the herald efficiency and Q the network times optics transmission.
+    The brackets 1 - (1-h)^k e^{-mu h} are expanded as p_w + (1 - (1-h)^k) e^{-mu h}
+    so that no cancellation occurs at weak pump.
+    """
+    h = params.herald_eff
+    p_w = -math.expm1(-mu * h)
     if p_w == 0.0:
-        return 0.0
-    return -math.expm1(params.window_count * math.log1p(-p_w))
+        return 0.0, 0.0
+    gain = -math.expm1(-params.window_count * mu * h) / p_w
+    mq = mu * params.network_transmission * params.optics_transmission
+    no_click = math.exp(-mu * h)
+    return (
+        gain * mq * (p_w + h * no_click),
+        gain * mq * mq * (p_w + h * (2.0 - h) * no_click),
+    )
+
+
+def mux_click_probability(params: MuxParams, survival: float, pair_mean=None):
+    """Probability that at least one output photon survives thinning by `survival`.
+
+    1 - G(1 - survival) of the output generating function:
+    (P_sync/p_w) [1 - e^{-mu Q s} + e^{-mu h} (e^{-mu (1-h) Q s} - 1)], exactly 0
+    at survival 0.  `pair_mean` (default `params.pair_mean`) may be an array of
+    pump values; the result is an array of the same shape.
+    """
+    mu = np.asarray(params.pair_mean if pair_mean is None else pair_mean, dtype=np.float64)
+    h = params.herald_eff
+    p_w = -np.expm1(-mu * h)
+    gain = np.divide(
+        -np.expm1(-params.window_count * mu * h),
+        p_w,
+        out=np.zeros_like(p_w),
+        where=p_w > 0.0,
+    )
+    q = mu * (params.network_transmission * params.optics_transmission * survival)
+    return gain * (-np.expm1(-q) + np.exp(-mu * h) * np.expm1(-(1.0 - h) * q))
 
 
 def heralded_pair_pmf(params: MuxParams, eps: float = DEFAULT_TRUNCATION_EPS) -> Pmf:
@@ -175,15 +224,24 @@ def tune_pair_mean(
 ) -> float:
     """Pump strength whose output mean at the sample equals `target_mean`.
 
-    The output mean is continuous and strictly increasing in the pair mean, so
-    plain bisection converges; it stops once the mean residual drops below
-    `tol`.  The `pair_mean` field of `params` is ignored.
+    The closed-form output mean is continuous and strictly increasing in the
+    pair mean and grows like pair_mean * Q without bound, so plain bisection
+    converges; it stops once the mean residual drops below `tol`.  Every
+    target is reachable unless the herald efficiency, the stage transmission
+    or the optics transmission is zero.  The `pair_mean` field of `params` is
+    ignored.
     """
     if target_mean <= 0:
         raise ValueError(f"target mean must be > 0, got {target_mean}")
+    for name in ("herald_eff", "stage_transmission", "optics_transmission"):
+        if getattr(params, name) == 0.0:
+            raise ValueError(
+                f"{name} is 0, so the output is vacuum at every pump strength: "
+                f"target mean {target_mean} is unreachable"
+            )
 
     def mean_at(mu: float) -> float:
-        return moments(mux_output_pmf(replace(params, pair_mean=mu))).mean
+        return _mux_factorial_moments(params, mu)[0]
 
     lo, hi = 0.0, max(1.0, target_mean)
     for _ in range(200):
@@ -241,6 +299,34 @@ def source_pmf(source: Source, eps: float = DEFAULT_TRUNCATION_EPS) -> Pmf:
     raise TypeError(f"unknown source kind: {source!r}")
 
 
+def source_moments(source: Source) -> Moments:
+    """Mean, variance and Fano factor at the sample plane, in closed form."""
+    if isinstance(source, Coherent):
+        mean = variance = float(source.mean)
+    elif isinstance(source, Fock):
+        mean, variance = float(source.photons), 0.0
+    elif isinstance(source, Multiplexed):
+        mean, pairs = _mux_factorial_moments(source.params, source.params.pair_mean)
+        variance = pairs + mean - mean * mean
+    else:
+        raise TypeError(f"unknown source kind: {source!r}")
+    return Moments(mean=mean, variance=variance, fano=variance / mean if mean > 0.0 else None)
+
+
 def source_mean(source: Source) -> float:
     """Mean photon number at the sample plane."""
-    return moments(source_pmf(source)).mean
+    return source_moments(source).mean
+
+
+def source_click_probability(source: Source, survival: float) -> float:
+    """Probability that at least one photon at the sample plane survives an
+    independent per-photon thinning by `survival`, in closed form."""
+    if isinstance(source, Coherent):
+        return -math.expm1(-source.mean * survival)
+    if isinstance(source, Fock):
+        if source.photons == 0:
+            return 0.0
+        return 1.0 if survival == 1.0 else -math.expm1(source.photons * math.log1p(-survival))
+    if isinstance(source, Multiplexed):
+        return float(mux_click_probability(source.params, survival))
+    raise TypeError(f"unknown source kind: {source!r}")

@@ -1,6 +1,8 @@
 """Command line front end: flag handling, config layering, outputs, exit codes."""
 
+import csv
 import json
+import math
 
 import pytest
 
@@ -70,6 +72,36 @@ class TestMain:
         code = main(["nr-ratio", "--eta", "1.7", "--out", str(tmp_path / "x.csv")])
         assert code == 1
         assert "detector_eff" in capsys.readouterr().err
+
+    def test_strong_pump_writes_finite_rows(self, tmp_path):
+        """A target of 50 photons at one stage drives mu * eta_herald past 37,
+        where the per-window herald probability rounds to 1."""
+        out = tmp_path / "r.csv"
+        code = main(["nr-ratio", "--mean-n", "50", "--t-grid", "0.5", "--m", "1", "--out", str(out)])
+        assert code == 0
+        rows = list(csv.DictReader(out.open()))
+        assert len(rows) == 3
+        for row in rows:
+            for column in ("expectation", "variance", "mse", "ratio_to_snl"):
+                assert math.isfinite(float(row[column]))
+
+    @pytest.mark.parametrize(
+        "flag, field",
+        [
+            ("--eta-stage", "stage_transmission"),
+            ("--optics", "optics_transmission"),
+            ("--eta-herald", "herald_eff"),
+        ],
+    )
+    def test_zero_source_transmission_names_field(self, tmp_path, capsys, flag, field):
+        """The multiplexed source cannot reach any target mean; the run must
+        say which field makes it so instead of failing inside the tuning."""
+        code = main(["nr-ratio", flag, "0", "--t-grid", "0.5", "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert field in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as err:

@@ -1,0 +1,147 @@
+"""Closed-form source moments and click probabilities, cross-checked over
+randomized parameters against the PMF pipeline and the window-by-window
+enumeration oracle.
+
+Both references build the full photon-number distribution and sum over it;
+the closed forms must agree with them to 1e-12 relative (absolute floor
+1e-15) everywhere in the sampled region, edges included: perfect heralding,
+survival 0 and 1, and up to 10 delay stages (1024 windows).
+"""
+
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from _oracles import enumerate_click_probability, enumerate_mux_output
+from subshot.detection import Channel, click_probability, nr_detected_moments, nr_detected_pmf
+from subshot.pmf import moments
+from subshot.sources import (
+    Coherent,
+    Fock,
+    Multiplexed,
+    MuxParams,
+    mux_output_pmf,
+    source_click_probability,
+    source_moments,
+    source_pmf,
+    tune_pair_mean,
+)
+
+RTOL, ATOL = 1e-12, 1e-15
+
+# Fixed example sequence: the suite stays deterministic and writes no
+# example database.
+CHECKS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+ORACLE_CHECKS = settings(CHECKS, max_examples=40)
+
+survivals = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+herald_effs = st.one_of(st.just(1.0), st.floats(0.05, 1.0))
+
+
+@st.composite
+def mux_params(draw, max_pump=3.0):
+    return MuxParams(
+        stages=draw(st.integers(1, 10)),
+        pair_mean=draw(st.floats(1e-3, max_pump)),
+        herald_eff=draw(herald_effs),
+        stage_transmission=draw(st.floats(0.5, 1.0)),
+        optics_transmission=draw(st.floats(0.05, 1.0)),
+    )
+
+
+def close(got, expected):
+    return got == pytest.approx(expected, rel=RTOL, abs=ATOL)
+
+
+def enumerated(params: MuxParams) -> list[float]:
+    # A cut 20 + 6 mu photons leaves a Poisson tail below 1e-25 for mu <= 2.
+    return enumerate_mux_output(
+        params.stages,
+        params.pair_mean,
+        params.herald_eff,
+        params.stage_transmission,
+        params.optics_transmission,
+        n_cut=20 + int(6 * params.pair_mean),
+    )
+
+
+class TestAgainstPmfPipeline:
+    @CHECKS
+    @given(mux_params(), survivals)
+    def test_multiplexed(self, params, survival):
+        src = Multiplexed(params)
+        pmf = mux_output_pmf(params)
+        expected = moments(pmf)
+        got = source_moments(src)
+        assert close(got.mean, expected.mean)
+        assert close(got.variance, expected.variance)
+        channel = Channel(survival, 1.0)
+        assert close(source_click_probability(src, survival), click_probability(pmf, channel))
+        detected = moments(nr_detected_pmf(pmf, channel))
+        got_detected = nr_detected_moments(got, channel)
+        assert close(got_detected.mean, detected.mean)
+        assert close(got_detected.variance, detected.variance)
+
+    @CHECKS
+    @given(st.floats(1e-3, 20.0), survivals)
+    def test_coherent(self, mean, survival):
+        src = Coherent(mean)
+        expected = moments(source_pmf(src))
+        got = source_moments(src)
+        assert close(got.mean, expected.mean)
+        assert close(got.variance, expected.variance)
+        expected_click = click_probability(source_pmf(src), Channel(survival, 1.0))
+        assert close(source_click_probability(src, survival), expected_click)
+
+    @CHECKS
+    @given(st.integers(0, 30), survivals)
+    def test_fock(self, photons, survival):
+        src = Fock(photons)
+        got = source_moments(src)
+        assert got.mean == photons and got.variance == 0.0
+        expected_click = click_probability(source_pmf(src), Channel(survival, 1.0))
+        assert close(source_click_probability(src, survival), expected_click)
+
+
+class TestAgainstEnumeration:
+    @ORACLE_CHECKS
+    @given(mux_params(max_pump=2.0), survivals)
+    def test_multiplexed(self, params, survival):
+        probs = enumerated(params)
+        mean = sum(n * p for n, p in enumerate(probs))
+        variance = sum((n - mean) ** 2 * p for n, p in enumerate(probs))
+        src = Multiplexed(params)
+        got = source_moments(src)
+        assert close(got.mean, mean)
+        assert close(got.variance, variance)
+        expected_click = enumerate_click_probability(probs, survival)
+        assert close(source_click_probability(src, survival), expected_click)
+
+
+class TestEdges:
+    def test_click_probability_exactly_zero_without_survival(self):
+        for src in (Coherent(0.7), Fock(3), Multiplexed(MuxParams(stages=4, pair_mean=0.3))):
+            assert source_click_probability(src, 0.0) == 0.0
+
+    def test_vacuum_sources(self):
+        for src in (
+            Coherent(0.0),
+            Fock(0),
+            Multiplexed(MuxParams(stages=2, pair_mean=0.0)),
+            Multiplexed(MuxParams(stages=2, pair_mean=0.5, herald_eff=0.0)),
+        ):
+            got = source_moments(src)
+            assert got.mean == 0.0 and got.variance == 0.0 and got.fano is None
+            assert source_click_probability(src, 1.0) == 0.0
+
+
+class TestTuning:
+    @CHECKS
+    @given(mux_params(), st.floats(1e-4, 20.0))
+    def test_residual_below_tolerance(self, params, target):
+        tol = 1e-10
+        mu = tune_pair_mean(params, target, tol=tol)
+        achieved = source_moments(Multiplexed(replace(params, pair_mean=mu))).mean
+        assert abs(achieved - target) < tol

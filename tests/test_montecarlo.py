@@ -1,6 +1,8 @@
 """Monte Carlo engine: exact-report validation, reproducibility, and the
 pump-fluctuation study machinery."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,12 +17,19 @@ from subshot.montecarlo import (
     FluctuationConfig,
     NegativeDraws,
     PumpRedraw,
-    _mux_click_probabilities,
     _mux_detected_rows,
     fluctuation_study,
     mc_estimate,
 )
-from subshot.sources import Coherent, Fock, Multiplexed, MuxParams, make_multiplexed, source_pmf
+from subshot.sources import (
+    Coherent,
+    Fock,
+    Multiplexed,
+    MuxParams,
+    make_multiplexed,
+    mux_click_probability,
+    source_pmf,
+)
 
 CH = Channel(0.8, 0.9)
 
@@ -79,7 +88,7 @@ class TestBatchBuilders:
 
     def test_click_probabilities_match_scalar_pipeline(self):
         params = MuxParams(stages=2, pair_mean=0.4, herald_eff=0.7)
-        got = _mux_click_probabilities(params, np.array([0.4, 0.1]), survival=CH.survival)
+        got = mux_click_probability(params, CH.survival, np.array([0.4, 0.1]))
         for mu, value in zip((0.4, 0.1), got):
             p = source_pmf(Multiplexed(MuxParams(stages=2, pair_mean=mu, herald_eff=0.7)))
             assert value == pytest.approx(click_probability(p, CH), abs=1e-12)
@@ -121,6 +130,22 @@ class TestFluctuationStudy:
             res = fluctuation_study(cfg, src, Detector.NUMBER_RESOLVING, CH, seed=8)
             infl[name] = res[-1].mean_mse / res[0].mean_mse
         assert infl["mux"] < infl["coh"]
+
+    def test_mse_standard_error(self):
+        """mse_se is std(ddof=1)/sqrt(rounds) of the rounds' squared errors.
+
+        At a = 0 the coherent round total K is Poisson with mean M = nu * t *
+        eta * n, so the squared error (K - M)^2 / (nu * eta * n)^2 has
+        standard deviation sqrt(M + 2 M^2) / (nu * eta * n)^2 exactly.  Over
+        2000 rounds the sample standard deviation is within ~4% of it.
+        """
+        cfg = FluctuationConfig(a_grid=(0.0, 0.4), rounds=2000, nu=200)
+        res = fluctuation_study(cfg, Coherent(0.5), Detector.NUMBER_RESOLVING, CH, seed=4)
+        m = cfg.nu * CH.survival * 0.5
+        sd = math.sqrt(m + 2.0 * m * m) / (cfg.nu * CH.detector_eff * 0.5) ** 2
+        assert res[0].mse_se == pytest.approx(sd / math.sqrt(cfg.rounds), rel=0.2)
+        for s in res:
+            assert 0.0 < s.mse_se < s.mean_mse
 
     def test_reproducible_per_seed(self):
         cfg = FluctuationConfig(rounds=40)

@@ -12,6 +12,7 @@ from subshot.pmf import moments, poisson_pmf
 from subshot.sources import (
     Coherent,
     Fock,
+    Multiplexed,
     MuxParams,
     herald_click_probability,
     heralded_pair_pmf,
@@ -74,6 +75,16 @@ class TestHeraldModel:
         p = params(m=1, mu=0.5, herald=0.5)
         p_w = herald_click_probability(p)
         assert sync_probability(p) == pytest.approx(1 - (1 - p_w) ** 2, abs=1e-15)
+
+    def test_strong_pump_stays_finite(self):
+        """At mu * herald_eff = 40 the per-window herald probability rounds to
+        1.0; synchronization is then certain and the output PMF still valid."""
+        p = params(m=1, mu=50.0, herald=0.8)
+        assert herald_click_probability(p) == 1.0
+        assert sync_probability(p) == 1.0
+        out = mux_output_pmf(p)
+        assert out.prob(0) < 1e-12
+        assert moments(out).mean == pytest.approx(source_mean(Multiplexed(p)), rel=1e-12)
 
 
 class TestMuxOutput:
@@ -166,6 +177,18 @@ class TestTunePairMean:
 
     def test_small_target_forces_small_pump(self):
         assert tune_pair_mean(params(), 1e-4) < 1e-3
+
+    @pytest.mark.parametrize("field", ["herald", "stage", "optics"])
+    def test_zero_transmission_target_unreachable(self, field):
+        name = {"herald": "herald_eff", "stage": "stage_transmission", "optics": "optics_transmission"}[field]
+        with pytest.raises(ValueError, match=name):
+            tune_pair_mean(params(**{field: 0.0}), 0.5)
+
+    def test_strong_pump_target_reachable(self):
+        p = params(m=1, herald=0.9, stage=0.88, optics=0.9)
+        mu = tune_pair_mean(p, 50.0)
+        assert mu * 0.9 > 37.0
+        assert source_mean(Multiplexed(replace(p, pair_mean=mu))) == pytest.approx(50.0, abs=1e-9)
 
 
 class TestSourcePmf:
