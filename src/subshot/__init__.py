@@ -35,7 +35,9 @@ from subshot.sources import (
     source_moments,
     source_pmf,
     sync_probability,
+    sync_probability_at,
     tune_pair_mean,
+    unreachable_field,
 )
 from subshot.detection import (
     Channel,

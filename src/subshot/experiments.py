@@ -34,7 +34,15 @@ from subshot.montecarlo import (
     fluctuation_study,
     mc_estimate,
 )
-from subshot.sources import Coherent, Fock, Multiplexed, Source, make_multiplexed
+from subshot.sources import (
+    Coherent,
+    Fock,
+    Multiplexed,
+    MuxParams,
+    Source,
+    make_multiplexed,
+    unreachable_field,
+)
 
 EXPERIMENTS = (
     "nr-ratio",
@@ -108,13 +116,17 @@ class SweepConfig:
             value = getattr(self, field)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(field, "must lie in [0, 1]")
-        # Every experiment tunes a multiplexed source, whose output is vacuum
-        # at every pump strength once one of these transmissions is zero.
-        for field in ("herald_eff", "stage_transmission", "optics_transmission"):
-            if getattr(self, field) == 0.0:
-                raise ConfigError(
-                    field, "must be > 0: the multiplexed source emits no photons at 0"
-                )
+        unreachable = unreachable_field(
+            MuxParams(
+                stages=1,
+                pair_mean=0.0,
+                herald_eff=self.herald_eff,
+                stage_transmission=self.stage_transmission,
+                optics_transmission=self.optics_transmission,
+            )
+        )
+        if unreachable is not None:
+            raise ConfigError(unreachable, "must be > 0: the multiplexed source emits no photons at 0")
         if self.nu < 1:
             raise ConfigError("nu", "must be >= 1")
         if self.rounds < 2:

@@ -40,6 +40,7 @@ from subshot.sources import (
     mux_click_probability,
     source_click_probability,
     source_pmf,
+    sync_probability_at,
     tune_pair_mean,
 )
 
@@ -193,7 +194,7 @@ def _mux_detected_rows(params: MuxParams, mu_vec: np.ndarray, survival: float):
     rows = _heralded_rows(mu_vec, params.herald_eff, n_max)
     q_total = params.network_transmission * params.optics_transmission * survival
     detected = rows @ loss_matrix(q_total, n_max)
-    p_sync = -np.expm1(-params.window_count * params.herald_eff * mu_vec)
+    p_sync = sync_probability_at(params, mu_vec)
     detected *= p_sync[:, None]
     detected[:, 0] += 1.0 - p_sync
     return detected
@@ -278,7 +279,7 @@ def _round_estimate(
             else:
                 total = _sample_counts_by_rows(rows, u).sum()
         else:
-            p_click = mux_click_probability(params, channel.survival, batch)
+            p_click = mux_click_probability(params, batch, channel.survival)
             total = (u < (p_click[0] if shared_pump else p_click)).sum()
     return float(total) / (nu * ref0)
 

@@ -125,12 +125,17 @@ def herald_click_probability(params: MuxParams) -> float:
 
 
 def sync_probability(params: MuxParams) -> float:
-    """Probability that any of the 2**stages windows heralds in a period.
+    """Probability that any of the 2**stages windows heralds in a period."""
+    return float(sync_probability_at(params, params.pair_mean))
+
+
+def sync_probability_at(params: MuxParams, mu):
+    """`sync_probability` at pump `mu`, a float or an array of pump values.
 
     1 - (1 - p_w)^(2**stages) with 1 - p_w = exp(-mu * herald_eff), written so
     that it stays finite when p_w rounds to 1 under a strong pump.
     """
-    return -math.expm1(-params.window_count * params.pair_mean * params.herald_eff)
+    return -np.expm1(-params.window_count * params.herald_eff * np.asarray(mu, dtype=np.float64))
 
 
 def _mux_factorial_moments(params: MuxParams, mu: float) -> tuple[float, float]:
@@ -146,7 +151,7 @@ def _mux_factorial_moments(params: MuxParams, mu: float) -> tuple[float, float]:
     p_w = -math.expm1(-mu * h)
     if p_w == 0.0:
         return 0.0, 0.0
-    gain = -math.expm1(-params.window_count * mu * h) / p_w
+    gain = float(sync_probability_at(params, mu)) / p_w
     mq = mu * params.network_transmission * params.optics_transmission
     no_click = math.exp(-mu * h)
     return (
@@ -155,23 +160,18 @@ def _mux_factorial_moments(params: MuxParams, mu: float) -> tuple[float, float]:
     )
 
 
-def mux_click_probability(params: MuxParams, survival: float, pair_mean=None):
+def mux_click_probability(params: MuxParams, mu, survival: float):
     """Probability that at least one output photon survives thinning by `survival`.
 
-    1 - G(1 - survival) of the output generating function:
+    1 - G(1 - survival) of the output generating function at pump `mu`:
     (P_sync/p_w) [1 - e^{-mu Q s} + e^{-mu h} (e^{-mu (1-h) Q s} - 1)], exactly 0
-    at survival 0.  `pair_mean` (default `params.pair_mean`) may be an array of
-    pump values; the result is an array of the same shape.
+    at survival 0.  `mu` may be an array of pump values; the result has its
+    shape.  The `pair_mean` field of `params` is ignored.
     """
-    mu = np.asarray(params.pair_mean if pair_mean is None else pair_mean, dtype=np.float64)
+    mu = np.asarray(mu, dtype=np.float64)
     h = params.herald_eff
     p_w = -np.expm1(-mu * h)
-    gain = np.divide(
-        -np.expm1(-params.window_count * mu * h),
-        p_w,
-        out=np.zeros_like(p_w),
-        where=p_w > 0.0,
-    )
+    gain = np.divide(sync_probability_at(params, mu), p_w, out=np.zeros_like(p_w), where=p_w > 0.0)
     q = mu * (params.network_transmission * params.optics_transmission * survival)
     return gain * (-np.expm1(-q) + np.exp(-mu * h) * np.expm1(-(1.0 - h) * q))
 
@@ -216,6 +216,20 @@ def mux_output_pmf(params: MuxParams, eps: float = DEFAULT_TRUNCATION_EPS) -> Pm
     return apply_loss(synchronized, params.optics_transmission)
 
 
+def unreachable_field(params: MuxParams) -> str | None:
+    """Name of a zero herald efficiency, stage transmission or optics
+    transmission, or None.
+
+    The output mean grows without bound with the pump unless one of these is
+    zero, in which case the output is vacuum at every pump strength and no
+    positive target mean can be reached.
+    """
+    for name in ("herald_eff", "stage_transmission", "optics_transmission"):
+        if getattr(params, name) == 0.0:
+            return name
+    return None
+
+
 def tune_pair_mean(
     params: MuxParams,
     target_mean: float,
@@ -227,18 +241,17 @@ def tune_pair_mean(
     The closed-form output mean is continuous and strictly increasing in the
     pair mean and grows like pair_mean * Q without bound, so plain bisection
     converges; it stops once the mean residual drops below `tol`.  Every
-    target is reachable unless the herald efficiency, the stage transmission
-    or the optics transmission is zero.  The `pair_mean` field of `params` is
-    ignored.
+    target is reachable unless `unreachable_field` names a zero field.  The
+    `pair_mean` field of `params` is ignored.
     """
     if target_mean <= 0:
         raise ValueError(f"target mean must be > 0, got {target_mean}")
-    for name in ("herald_eff", "stage_transmission", "optics_transmission"):
-        if getattr(params, name) == 0.0:
-            raise ValueError(
-                f"{name} is 0, so the output is vacuum at every pump strength: "
-                f"target mean {target_mean} is unreachable"
-            )
+    name = unreachable_field(params)
+    if name is not None:
+        raise ValueError(
+            f"{name} is 0, so the output is vacuum at every pump strength: "
+            f"target mean {target_mean} is unreachable"
+        )
 
     def mean_at(mu: float) -> float:
         return _mux_factorial_moments(params, mu)[0]
@@ -328,5 +341,5 @@ def source_click_probability(source: Source, survival: float) -> float:
             return 0.0
         return 1.0 if survival == 1.0 else -math.expm1(source.photons * math.log1p(-survival))
     if isinstance(source, Multiplexed):
-        return float(mux_click_probability(source.params, survival))
+        return float(mux_click_probability(source.params, source.params.pair_mean, survival))
     raise TypeError(f"unknown source kind: {source!r}")

@@ -88,7 +88,7 @@ class TestBatchBuilders:
 
     def test_click_probabilities_match_scalar_pipeline(self):
         params = MuxParams(stages=2, pair_mean=0.4, herald_eff=0.7)
-        got = mux_click_probability(params, CH.survival, np.array([0.4, 0.1]))
+        got = mux_click_probability(params, np.array([0.4, 0.1]), CH.survival)
         for mu, value in zip((0.4, 0.1), got):
             p = source_pmf(Multiplexed(MuxParams(stages=2, pair_mean=mu, herald_eff=0.7)))
             assert value == pytest.approx(click_probability(p, CH), abs=1e-12)

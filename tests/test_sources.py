@@ -21,7 +21,9 @@ from subshot.sources import (
     source_mean,
     source_pmf,
     sync_probability,
+    sync_probability_at,
     tune_pair_mean,
+    unreachable_field,
 )
 
 
@@ -75,6 +77,12 @@ class TestHeraldModel:
         p = params(m=1, mu=0.5, herald=0.5)
         p_w = herald_click_probability(p)
         assert sync_probability(p) == pytest.approx(1 - (1 - p_w) ** 2, abs=1e-15)
+
+    def test_sync_probability_at_pump_values(self):
+        p = params(m=3, mu=0.0, herald=0.6)
+        pumps = np.array([0.0, 0.05, 0.7])
+        expected = [sync_probability(replace(p, pair_mean=mu)) for mu in pumps]
+        np.testing.assert_array_equal(sync_probability_at(p, pumps), expected)
 
     def test_strong_pump_stays_finite(self):
         """At mu * herald_eff = 40 the per-window herald probability rounds to
@@ -183,6 +191,11 @@ class TestTunePairMean:
         name = {"herald": "herald_eff", "stage": "stage_transmission", "optics": "optics_transmission"}[field]
         with pytest.raises(ValueError, match=name):
             tune_pair_mean(params(**{field: 0.0}), 0.5)
+
+    def test_unreachable_field_names_the_zero_field(self):
+        assert unreachable_field(params()) is None
+        assert unreachable_field(params(stage=0.0, optics=0.0)) == "stage_transmission"
+        assert unreachable_field(params(optics=0.0)) == "optics_transmission"
 
     def test_strong_pump_target_reachable(self):
         p = params(m=1, herald=0.9, stage=0.88, optics=0.9)
