@@ -116,6 +116,8 @@ class SweepConfig:
             value = getattr(self, field)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(field, "must lie in [0, 1]")
+        # The rule reads only the three transmissions; stages and pump are
+        # placeholders.
         unreachable = unreachable_field(
             MuxParams(
                 stages=1,
