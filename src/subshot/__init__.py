@@ -11,12 +11,10 @@ from subshot.pmf import (
     Moments,
     Pmf,
     apply_loss,
-    convolve,
     fock_pmf,
-    iid_sum,
     moments,
     poisson_pmf,
-    sample,
+    poisson_rows,
     vacuum_pmf,
 )
 from subshot.sources import (
@@ -26,12 +24,11 @@ from subshot.sources import (
     MuxParams,
     Source,
     herald_click_probability,
-    heralded_pair_pmf,
     make_multiplexed,
     mux_click_probability,
     mux_output_pmf,
+    mux_output_rows,
     source_click_probability,
-    source_mean,
     source_moments,
     source_pmf,
     sync_probability,
@@ -49,10 +46,7 @@ from subshot.estimators import (
     Detector,
     EstimatorReport,
     EstimatorSpec,
-    RelativeMseConvention,
     asymptotic_relative_mse_floor,
-    estimate_nr,
-    estimate_threshold,
     exact_report,
     exact_report_nr,
     exact_report_threshold,

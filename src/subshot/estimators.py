@@ -32,27 +32,12 @@ class Detector(enum.Enum):
     THRESHOLD = "threshold"
 
 
-class RelativeMseConvention(enum.Enum):
-    """How the dimensionless 'relative MSE [%]' of a report is formed."""
-
-    ROOT_MSE_OVER_T = "root_mse_over_t"  # 100 * sqrt(MSE) / t  (default)
-    MSE_OVER_T_SQUARED = "mse_over_t_squared"  # 100 * MSE / t^2
-    MSE_OVER_T = "mse_over_t"  # 100 * MSE / t
-
-
-def relative_mse_percent(
-    mse: float,
-    transmission: float,
-    convention: RelativeMseConvention = RelativeMseConvention.ROOT_MSE_OVER_T,
-) -> float | None:
-    """Relative MSE in percent; None at t = 0 where it is undefined."""
+def relative_mse_percent(mse: float, transmission: float) -> float | None:
+    """Relative MSE in percent, 100 * sqrt(MSE) / t; None at t = 0 where it
+    is undefined."""
     if transmission == 0.0:
         return None
-    if convention is RelativeMseConvention.ROOT_MSE_OVER_T:
-        return 100.0 * math.sqrt(mse) / transmission
-    if convention is RelativeMseConvention.MSE_OVER_T_SQUARED:
-        return 100.0 * mse / transmission**2
-    return 100.0 * mse / transmission
+    return 100.0 * math.sqrt(mse) / transmission
 
 
 @dataclass(frozen=True)
@@ -95,20 +80,6 @@ def make_estimator_spec(
         nu=nu,
         reference_mean=reference_mean(source, detector, detector_eff),
     )
-
-
-def estimate_nr(total_counts: int, spec: EstimatorSpec) -> float:
-    """Transmission estimate from total detected photons over nu repetitions."""
-    if total_counts < 0:
-        raise ValueError("counts must be >= 0")
-    return total_counts / (spec.nu * spec.reference_mean)
-
-
-def estimate_threshold(total_clicks: int, spec: EstimatorSpec) -> float:
-    """Transmission estimate from total clicks over nu repetitions."""
-    if not 0 <= total_clicks <= spec.nu:
-        raise ValueError(f"clicks must lie in [0, nu={spec.nu}]")
-    return total_clicks / (spec.nu * spec.reference_mean)
 
 
 @dataclass(frozen=True)

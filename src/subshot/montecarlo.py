@@ -5,8 +5,9 @@ and study what pump-power fluctuations do to the measurement error.
 
 In the fluctuation study the pump strength becomes a Gaussian random variable
 (sigma = a * mean, truncated at zero), the source is re-evaluated for every
-draw (closed-form click probability for threshold detection, detected-count
-distribution for number-resolving sampling), and the estimator keeps its
+draw (closed-form click probability for threshold detection, closed-form
+detected-count distribution for number-resolving sampling; for the
+multiplexed source both come from `sources`), and the estimator keeps its
 fluctuation-free reference normalization.  Each round yields one transmission
 estimate and one squared error; rounds are summarized by their mean, its
 standard error and the 16th/84th percentiles.  By default the pump is redrawn
@@ -27,22 +28,24 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
 
 from subshot.detection import Channel, nr_detected_pmf
 from subshot.estimators import Detector, EstimatorSpec, reference_mean
-from subshot.pmf import loss_matrix, poisson_support
+from subshot.pmf import poisson_rows, poisson_support
 from subshot.sources import (
     Coherent,
     Multiplexed,
-    MuxParams,
     Source,
     mux_click_probability,
+    mux_output_rows,
     source_click_probability,
     source_pmf,
-    sync_probability_at,
     tune_pair_mean,
 )
+
+# Rows for the fluctuation rounds discard less than this beyond their last
+# photon number, far below the spacing of the uniforms they are sampled with.
+_ROW_TAIL = 1e-18
 
 
 @dataclass(frozen=True)
@@ -163,48 +166,12 @@ class McSummary:
     seed: int
 
 
-def _heralded_rows(mu_vec: np.ndarray, herald_eff: float, n_max: int):
-    """Heralded pair-number distribution, one row per pump value.
-
-    rows[i, n] is P(n | click) at pump mu_vec[i]; rows of a zero-click pump
-    stay zero.
-    """
-    ns = np.arange(n_max + 1)
-    pois = stats.poisson.pmf(ns[None, :], mu_vec[:, None])
-    if herald_eff < 1.0:
-        weights = -np.expm1(ns * math.log1p(-herald_eff))
-    else:
-        weights = (ns > 0).astype(float)
-    p_w = -np.expm1(-herald_eff * mu_vec)
-    rows = pois * weights[None, :]
-    live = p_w > 0.0
-    rows[live] /= p_w[live, None]
-    rows[~live] = 0.0
-    return rows
-
-
-def _mux_detected_rows(params: MuxParams, mu_vec: np.ndarray, survival: float):
-    """Detected-count pmf rows for a batch of pump values.
-
-    Network, optics and the measurement channel are all thinning, so they
-    compose into a single loss before the vacuum mixture is added back.
-    """
-    mu_max = float(mu_vec.max())
-    n_max = poisson_support(mu_max, 1e-18) if mu_max > 0 else 1
-    rows = _heralded_rows(mu_vec, params.herald_eff, n_max)
-    q_total = params.network_transmission * params.optics_transmission * survival
-    detected = rows @ loss_matrix(q_total, n_max)
-    p_sync = sync_probability_at(params, mu_vec)
-    detected *= p_sync[:, None]
-    detected[:, 0] += 1.0 - p_sync
-    return detected
-
-
 def _sample_counts_by_rows(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw per row using one uniform per row."""
-    cdf = np.cumsum(rows, axis=1)
-    counts = (cdf < u[:, None]).sum(axis=1)
-    return np.minimum(counts, rows.shape[1] - 1)
+    """Inverse-CDF draw per uniform; `rows` is one row per uniform or a
+    single row shared by all of them."""
+    cdf = np.cumsum(rows, axis=-1)
+    counts = (cdf < u[:, None]).sum(axis=-1)
+    return np.minimum(counts, rows.shape[-1] - 1)
 
 
 def _resolve_base(source: Source, target_mean: float) -> tuple[Source, float]:
@@ -224,12 +191,12 @@ def _pumps_from_noise(
     mu0: float,
     a: float,
     z: np.ndarray,
-    nu: int,
-    redraw: PumpRedraw,
     negatives: NegativeDraws,
 ) -> np.ndarray:
     """Pump strengths mu0 * (1 + a*z), truncated at zero.
 
+    `z` holds one normal per round (per-round redraw) or one per repetition,
+    so the result broadcasts against the repetitions' uniforms either way.
     Resampling draws its replacement normals after the shared noise blocks, so
     different `a` values on the same stream still see identical base noise.
     """
@@ -242,45 +209,34 @@ def _pumps_from_noise(
             while bad.any():
                 mu[bad] = mu0 * (1.0 + a * rng.standard_normal(int(bad.sum())))
                 bad = mu < 0
-    if redraw is PumpRedraw.PER_ROUND:
-        mu = np.full(nu, mu[0])
     return mu
 
 
 def _round_estimate(
     base: Source,
-    mu_vec: np.ndarray,
+    mu: np.ndarray,
     u: np.ndarray,
     detector: Detector,
     channel: Channel,
     ref0: float,
     nu: int,
 ) -> float:
-    """One nu-repetition experiment under fluctuating pump."""
-    shared_pump = mu_vec[0] == mu_vec.max() and mu_vec[0] == mu_vec.min()
-    if isinstance(base, Coherent):
-        # Coherent output mean scales linearly with pump strength.
-        lam = channel.survival * mu_vec
-        if detector is Detector.NUMBER_RESOLVING:
-            counts = np.where(lam > 0, stats.poisson.ppf(u, np.maximum(lam, 1e-300)), 0.0)
-            total = counts.sum()
+    """One nu-repetition experiment under fluctuating pump `mu`."""
+    s = channel.survival
+    if detector is Detector.NUMBER_RESOLVING:
+        if isinstance(base, Coherent):
+            # Coherent output mean scales linearly with pump strength.
+            lam = s * mu
+            rows = poisson_rows(lam, poisson_support(float(lam.max()), _ROW_TAIL))
         else:
-            total = (u < -np.expm1(-lam)).sum()
+            rows = mux_output_rows(base.params, mu, s, _ROW_TAIL)
+        total = _sample_counts_by_rows(rows, u).sum()
     else:
-        params = base.params
-        # All repetitions share one pump value in per-round mode, so a single
-        # distribution row serves the whole batch.
-        batch = mu_vec[:1] if shared_pump else mu_vec
-        if detector is Detector.NUMBER_RESOLVING:
-            rows = _mux_detected_rows(params, batch, channel.survival)
-            if shared_pump:
-                cdf = np.cumsum(rows[0])
-                total = np.minimum((cdf[None, :] < u[:, None]).sum(axis=1), len(cdf) - 1).sum()
-            else:
-                total = _sample_counts_by_rows(rows, u).sum()
+        if isinstance(base, Coherent):
+            p_click = -np.expm1(-s * mu)
         else:
-            p_click = mux_click_probability(params, batch, channel.survival)
-            total = (u < (p_click[0] if shared_pump else p_click)).sum()
+            p_click = mux_click_probability(base.params, mu, s)
+        total = (u < p_click).sum()
     return float(total) / (nu * ref0)
 
 
@@ -311,8 +267,8 @@ def fluctuation_study(
             rng = np.random.default_rng([seed, r])
             z = rng.standard_normal(n_noise)
             u = rng.random(cfg.nu)
-            mu_vec = _pumps_from_noise(rng, mu0, a, z, cfg.nu, cfg.redraw, cfg.negatives)
-            estimate = _round_estimate(base, mu_vec, u, detector, channel, ref0, cfg.nu)
+            mu = _pumps_from_noise(rng, mu0, a, z, cfg.negatives)
+            estimate = _round_estimate(base, mu, u, detector, channel, ref0, cfg.nu)
             sq_err[ai, r] = (estimate - t) ** 2
 
     summaries = []

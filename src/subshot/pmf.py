@@ -1,8 +1,9 @@
 """Finite photon-number distributions.
 
-Construction (Poisson, Fock), binomial-thinning loss channels, convolution,
-moments and seeded sampling.  A `Pmf` is the common currency of the whole
-package: every source model and detector map consumes and produces one.
+Construction (Poisson, Fock), binomial-thinning loss channels and moments.  A
+`Pmf` is the common currency of the whole package: every source model and
+detector map consumes and produces one.  Poisson and binomial weights are
+evaluated in log space from a table of log-factorials.
 
 All values are immutable after construction and all operations are pure, so
 they can be shared freely across threads and sweep workers.
@@ -14,14 +15,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 # Constructors truncate at this tail mass unless told otherwise.
 DEFAULT_TRUNCATION_EPS = 1e-12
 
 # Loosest truncation a constructor accepts.  Also the hard cap on the cutoff
-# mass a Pmf may accumulate through repeated transforms (a deep self
-# convolution adds up the cutoffs of its inputs).
+# mass a Pmf may accumulate through repeated transforms.
 MAX_CUTOFF_MASS = 1e-9
 
 _SLACK = 1e-13
@@ -101,8 +100,8 @@ def poisson_support(mu: float, tail_target: float) -> int:
     """Smallest n with P(Poisson(mu) > n) <= tail_target.
 
     Works in log space on the term recurrence with a geometric tail bound, so
-    it stays exact for tail targets far below float epsilon (where the
-    survival-function inverses of scipy degenerate).
+    it stays exact for tail targets far below float epsilon (where inverting a
+    survival function in floating point degenerates).
     """
     if mu < 0:
         raise ValueError(f"mean must be >= 0, got {mu}")
@@ -124,6 +123,25 @@ def poisson_support(mu: float, tail_target: float) -> int:
             raise RuntimeError("Poisson support search did not terminate")
 
 
+def _log_factorials(n_max: int) -> np.ndarray:
+    """log(n!) for n = 0..n_max."""
+    return np.array([math.lgamma(n + 1.0) for n in range(n_max + 1)])
+
+
+def poisson_rows(mu, n_max: int) -> np.ndarray:
+    """Poisson probabilities P(n; mu) for n = 0..n_max, one row per mean.
+
+    `mu` is a float or an array of means >= 0; the result has shape
+    `np.shape(mu) + (n_max + 1,)`.  A zero mean gives the vacuum row.
+    """
+    mu = np.asarray(mu, dtype=np.float64)[..., None]
+    ns = np.arange(n_max + 1)
+    live = mu > 0.0
+    log_mu = np.log(np.where(live, mu, 1.0))
+    rows = np.exp(ns * log_mu - mu - _log_factorials(n_max))
+    return np.where(live, rows, ns == 0)
+
+
 def poisson_pmf(mu: float, eps: float = DEFAULT_TRUNCATION_EPS) -> Pmf:
     """Poisson photon-number distribution with mean `mu`.
 
@@ -137,9 +155,7 @@ def poisson_pmf(mu: float, eps: float = DEFAULT_TRUNCATION_EPS) -> Pmf:
         raise ValueError(f"truncation tolerance must be in (0, 1e-9], got {eps}")
     if mu == 0.0:
         return vacuum_pmf()
-    n_max = poisson_support(mu, eps * 1e-4)
-    probs = stats.poisson.pmf(np.arange(n_max + 1), mu)
-    return Pmf.from_probs(probs)
+    return Pmf.from_probs(poisson_rows(mu, poisson_support(mu, eps * 1e-4)))
 
 
 def fock_pmf(n: int) -> Pmf:
@@ -153,8 +169,16 @@ def fock_pmf(n: int) -> Pmf:
 
 def loss_matrix(transmission: float, n_max: int) -> np.ndarray:
     """Row-stochastic binomial thinning matrix M[n, k] = B(k | n, transmission)."""
-    ns = np.arange(n_max + 1)
-    return stats.binom.pmf(ns[None, :], ns[:, None], transmission)
+    n = np.arange(n_max + 1)[:, None]
+    k = n.T
+    if transmission in (0.0, 1.0):
+        return (k == n * transmission).astype(np.float64)
+    lf = _log_factorials(n_max)
+    log_m = (
+        lf[n] - lf[k] - lf[np.abs(n - k)]
+        + k * math.log(transmission) + (n - k) * math.log1p(-transmission)
+    )
+    return np.exp(np.where(k <= n, log_m, -np.inf))
 
 
 def apply_loss(pmf: Pmf, transmission: float) -> Pmf:
@@ -170,30 +194,6 @@ def apply_loss(pmf: Pmf, transmission: float) -> Pmf:
     return Pmf.from_probs(out)
 
 
-def convolve(a: Pmf, b: Pmf) -> Pmf:
-    """Distribution of the sum of independent draws from `a` and `b`."""
-    return Pmf.from_probs(np.convolve(a.probs, b.probs))
-
-
-def iid_sum(pmf: Pmf, nu: int) -> Pmf:
-    """`nu`-fold self-convolution by repeated squaring.
-
-    nu = 0 is rejected: a zero-repetition experiment is never meaningful here.
-    """
-    if nu != int(nu) or nu < 1:
-        raise ValueError(f"repetition count must be an integer >= 1, got {nu}")
-    nu = int(nu)
-    acc = None
-    base = pmf
-    while nu:
-        if nu & 1:
-            acc = base if acc is None else convolve(acc, base)
-        nu >>= 1
-        if nu:
-            base = convolve(base, base)
-    return acc
-
-
 def moments(pmf: Pmf) -> Moments:
     """Mean and variance by direct summation over the support."""
     ns = np.arange(pmf.probs.size, dtype=np.float64)
@@ -202,15 +202,3 @@ def moments(pmf: Pmf) -> Moments:
     fano = variance / mean if mean > 0.0 else None
     return Moments(mean=mean, variance=variance, fano=fano)
 
-
-def sample(pmf: Pmf, rng: np.random.Generator, size: int | None = None):
-    """Draw photon counts by inverse-CDF lookup.
-
-    The residual truncation tail is assigned to n_max (bias below the cutoff
-    mass, i.e. negligible).  Returns an int scalar when `size` is None,
-    otherwise an int64 array.
-    """
-    cdf = np.cumsum(pmf.probs)
-    u = rng.random(size)
-    idx = np.minimum(np.searchsorted(cdf, u, side="right"), pmf.n_max)
-    return int(idx) if size is None else idx.astype(np.int64)

@@ -13,9 +13,10 @@ that realizes a wanted mean photon number at the sample is found numerically
 (`tune_pair_mean`).
 
 The mean, variance and threshold click probability at the sample plane have
-closed forms (`source_moments`, `source_click_probability`); the full
-photon-number distribution (`source_pmf`) is built only where a distribution
-is needed, such as sampling.
+closed forms (`source_moments`, `source_click_probability`), and so does the
+full photon-number distribution of the multiplexed source (`mux_output_rows`):
+a vacuum term plus two Poissons.  The distribution (`source_pmf`) is built
+only where one is needed, such as sampling.
 """
 
 from __future__ import annotations
@@ -24,15 +25,14 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
 
 from subshot.pmf import (
     DEFAULT_TRUNCATION_EPS,
     Moments,
     Pmf,
-    apply_loss,
     fock_pmf,
     poisson_pmf,
+    poisson_rows,
     poisson_support,
     vacuum_pmf,
 )
@@ -160,6 +160,12 @@ def _mux_factorial_moments(params: MuxParams, mu: float) -> tuple[float, float]:
     )
 
 
+def _sync_gain(params: MuxParams, mu: np.ndarray) -> np.ndarray:
+    """P_sync / p_w at an array of pump values, 0 where p_w is 0."""
+    p_w = -np.expm1(-mu * params.herald_eff)
+    return np.divide(sync_probability_at(params, mu), p_w, out=np.zeros_like(p_w), where=p_w > 0.0)
+
+
 def mux_click_probability(params: MuxParams, mu, survival: float):
     """Probability that at least one output photon survives thinning by `survival`.
 
@@ -170,50 +176,49 @@ def mux_click_probability(params: MuxParams, mu, survival: float):
     """
     mu = np.asarray(mu, dtype=np.float64)
     h = params.herald_eff
-    p_w = -np.expm1(-mu * h)
-    gain = np.divide(sync_probability_at(params, mu), p_w, out=np.zeros_like(p_w), where=p_w > 0.0)
     q = mu * (params.network_transmission * params.optics_transmission * survival)
-    return gain * (-np.expm1(-q) + np.exp(-mu * h) * np.expm1(-(1.0 - h) * q))
+    return _sync_gain(params, mu) * (-np.expm1(-q) + np.exp(-mu * h) * np.expm1(-(1.0 - h) * q))
 
 
-def heralded_pair_pmf(params: MuxParams, eps: float = DEFAULT_TRUNCATION_EPS) -> Pmf:
-    """Pair-number distribution in the selected window, given a herald click.
+def mux_output_rows(params: MuxParams, mu, survival: float, tail: float):
+    """Output photon-number distribution after a further thinning by `survival`.
 
-    P(n | click) = Poisson(n; mu) * (1 - (1 - herald_eff)^n) / p_click for
-    n >= 1.  Windows are identical and independent, so the conditional law does
-    not depend on which window clicked.
+    With q = network * optics * survival, h the herald efficiency and
+    g = P_sync/p_w, the heralded window emits Poisson(mu) pairs weighted by the
+    herald probability and is thinned by q, which leaves two Poissons:
+
+        P(n) = (1 - P_sync) [n = 0] + g Pois(n; mu q) [1 - (1-h)^n e^{-mu h (1-q)}]
+
+    `mu` is a float or an array of pump values; the result has shape
+    `np.shape(mu) + (n_max + 1,)`, with one n_max for all rows chosen so that
+    no row discards more than `tail` beyond it.  The `pair_mean` field of
+    `params` is ignored.
     """
-    p_w = herald_click_probability(params)
-    if p_w == 0.0:
-        raise ValueError("no herald clicks: pair_mean and herald_eff must be > 0")
-    mu, h = params.pair_mean, params.herald_eff
-    # Conditional tail <= Poisson tail / p_w, so aim the Poisson cut below
-    # eps * p_w with the usual headroom factor.
-    n_max = poisson_support(mu, max(eps * p_w * 1e-4, 1e-280))
+    mu = np.asarray(mu, dtype=np.float64)
+    h = params.herald_eff
+    q = params.network_transmission * params.optics_transmission * survival
+    p_sync = sync_probability_at(params, mu)
+    # A row's tail is g <= 2**stages times the Poisson(mu q) tail.
+    n_max = poisson_support(float(np.max(mu)) * q, max(tail / params.window_count, 1e-300))
     ns = np.arange(n_max + 1)
-    weights = -np.expm1(ns * math.log1p(-h)) if h < 1.0 else (ns > 0).astype(float)
-    probs = stats.poisson.pmf(ns, mu) * weights / p_w
-    return Pmf.from_probs(probs)
+    if h < 1.0:
+        log_miss = ns * math.log1p(-h)
+    else:
+        log_miss = np.where(ns == 0, 0.0, -np.inf)
+    # 1 - (1-h)^n e^{-mu h (1-q)} without cancellation: >= 0 and finite at h = 1.
+    herald = -np.expm1(log_miss - (mu * (h * (1.0 - q)))[..., None])
+    rows = _sync_gain(params, mu)[..., None] * poisson_rows(mu * q, n_max) * herald
+    rows[..., 0] += 1.0 - p_sync
+    return rows
 
 
 def mux_output_pmf(params: MuxParams, eps: float = DEFAULT_TRUNCATION_EPS) -> Pmf:
     """Photon-number distribution delivered to the sample plane.
 
-    Pipeline: in each period the source either synchronizes (some window
-    heralded) and emits the heralded-window pair distribution thinned by the
-    delay network, or it emits vacuum; the mixture is finally thinned by the
-    source-to-sample optics.
+    The single row of `mux_output_rows` at survival 1, truncated once the
+    discarded tail is below `eps` (with the headroom of `poisson_pmf`).
     """
-    if params.pair_mean == 0.0 or params.herald_eff == 0.0:
-        return vacuum_pmf()
-    p_sync = sync_probability(params)
-    conditional = heralded_pair_pmf(params, eps)
-    through_network = apply_loss(conditional, params.network_transmission)
-    mixed = np.array(through_network.probs, copy=True)
-    mixed *= p_sync
-    mixed[0] += 1.0 - p_sync
-    synchronized = Pmf(mixed, p_sync * through_network.cutoff_mass)
-    return apply_loss(synchronized, params.optics_transmission)
+    return Pmf.from_probs(mux_output_rows(params, params.pair_mean, 1.0, eps * 1e-4))
 
 
 def unreachable_field(params: MuxParams) -> str | None:
@@ -324,11 +329,6 @@ def source_moments(source: Source) -> Moments:
     else:
         raise TypeError(f"unknown source kind: {source!r}")
     return Moments(mean=mean, variance=variance, fano=variance / mean if mean > 0.0 else None)
-
-
-def source_mean(source: Source) -> float:
-    """Mean photon number at the sample plane."""
-    return source_moments(source).mean
 
 
 def source_click_probability(source: Source, survival: float) -> float:

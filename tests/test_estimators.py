@@ -9,10 +9,7 @@ import pytest
 from subshot.detection import Channel
 from subshot.estimators import (
     Detector,
-    RelativeMseConvention,
     asymptotic_relative_mse_floor,
-    estimate_nr,
-    estimate_threshold,
     exact_report,
     exact_report_nr,
     exact_report_threshold,
@@ -27,34 +24,10 @@ T_GRID = np.linspace(0.0, 1.0, 101)
 
 
 class TestEstimateArithmetic:
-    def test_zero_counts(self):
-        spec = make_estimator_spec(Fock(1), Detector.NUMBER_RESOLVING, 0.9, 200)
-        assert estimate_nr(0, spec) == 0.0
-
-    def test_plug_in_consistency(self):
-        """Counts at their mean value recover the transmission exactly."""
-        spec = make_estimator_spec(Fock(1), Detector.NUMBER_RESOLVING, 0.9, 200)
-        assert estimate_nr(144, spec) == pytest.approx(144 / 180, abs=1e-15)
-        assert estimate_nr(144, spec) == pytest.approx(0.8, abs=1e-12)
-
     def test_threshold_normalization_uses_reference_click_probability(self):
         spec = make_estimator_spec(Coherent(1.0), Detector.THRESHOLD, 0.9, 200)
         p0 = -math.expm1(-0.9)
         assert spec.reference_mean == pytest.approx(p0, abs=1e-12)
-        assert estimate_threshold(int(round(200 * p0)), spec) == pytest.approx(
-            1.0, abs=1e-2
-        )
-        assert estimate_threshold(0, spec) == 0.0
-
-    def test_threshold_clicks_bounded_by_nu(self):
-        spec = make_estimator_spec(Coherent(1.0), Detector.THRESHOLD, 0.9, 200)
-        with pytest.raises(ValueError):
-            estimate_threshold(201, spec)
-
-    def test_negative_counts_rejected(self):
-        spec = make_estimator_spec(Fock(1), Detector.NUMBER_RESOLVING, 0.9, 200)
-        with pytest.raises(ValueError):
-            estimate_nr(-1, spec)
 
 
 class TestExactNrReport:
@@ -226,15 +199,6 @@ class TestRelativeMse:
         assert rep.relative_mse_percent == pytest.approx(
             100.0 * math.sqrt(rep.mse) / 0.8, abs=1e-12
         )
-
-    def test_alternative_conventions(self):
-        assert relative_mse_percent(0.04, 0.5) == pytest.approx(40.0)
-        assert relative_mse_percent(
-            0.04, 0.5, RelativeMseConvention.MSE_OVER_T_SQUARED
-        ) == pytest.approx(16.0)
-        assert relative_mse_percent(
-            0.04, 0.5, RelativeMseConvention.MSE_OVER_T
-        ) == pytest.approx(8.0)
 
     def test_undefined_at_zero(self):
         assert relative_mse_percent(0.1, 0.0) is None

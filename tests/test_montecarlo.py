@@ -17,7 +17,6 @@ from subshot.montecarlo import (
     FluctuationConfig,
     NegativeDraws,
     PumpRedraw,
-    _mux_detected_rows,
     fluctuation_study,
     mc_estimate,
 )
@@ -28,6 +27,7 @@ from subshot.sources import (
     MuxParams,
     make_multiplexed,
     mux_click_probability,
+    mux_output_rows,
     source_pmf,
 )
 
@@ -76,12 +76,12 @@ class TestMcEstimate:
 
 
 class TestBatchBuilders:
-    """The vectorized per-pump-batch paths must agree with the scalar
-    pipeline they shortcut."""
+    """The per-pump-batch source functions the fluctuation rounds sample from
+    must agree with the scalar pipeline (the PMF thinned by a loss matrix)."""
 
     def test_detected_rows_match_scalar_pipeline(self):
         params = MuxParams(stages=3, pair_mean=0.27, herald_eff=0.8)
-        rows = _mux_detected_rows(params, np.array([0.27]), survival=CH.survival)
+        rows = mux_output_rows(params, np.array([0.27]), CH.survival, 1e-18)
         scalar = nr_detected_pmf(source_pmf(Multiplexed(params)), CH)
         n = min(rows.shape[1], scalar.n_max + 1)
         np.testing.assert_allclose(rows[0, :n], scalar.probs[:n], rtol=0, atol=1e-12)
@@ -95,7 +95,7 @@ class TestBatchBuilders:
 
     def test_zero_pump_rows_are_vacuum(self):
         params = MuxParams(stages=2, pair_mean=0.0, herald_eff=0.7)
-        rows = _mux_detected_rows(params, np.array([0.0]), survival=0.72)
+        rows = mux_output_rows(params, np.array([0.0]), 0.72, 1e-18)
         assert rows[0, 0] == pytest.approx(1.0, abs=1e-15)
         assert rows[0, 1:].sum() == pytest.approx(0.0, abs=1e-15)
 

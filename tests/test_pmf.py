@@ -1,5 +1,5 @@
-"""Photon-number distribution algebra: constructors, loss, convolution,
-moments and sampling, each checked against independent closed forms."""
+"""Photon-number distribution algebra: constructors, loss and moments, each
+checked against independent closed forms (textbook formulas and scipy)."""
 
 import math
 
@@ -7,17 +7,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from _oracles import poisson_probs
 from subshot.pmf import (
     DEFAULT_TRUNCATION_EPS,
     Pmf,
     apply_loss,
-    convolve,
     fock_pmf,
-    iid_sum,
+    loss_matrix,
     moments,
     poisson_pmf,
+    poisson_rows,
     poisson_support,
-    sample,
     vacuum_pmf,
 )
 
@@ -77,6 +77,43 @@ class TestPoisson:
     def test_support_bound_is_tight_enough(self, mu):
         n = poisson_support(mu, 1e-20)
         assert stats.poisson.sf(n, mu) <= 1e-20 * 1.01
+
+
+class TestPoissonRows:
+    MEANS = (0.0, 1e-3, 0.5, 7.0, 60.0)
+
+    @pytest.mark.parametrize("mu", MEANS)
+    def test_matches_textbook_formula(self, mu):
+        n_max = 150
+        expected = poisson_probs(mu, n_max)
+        np.testing.assert_allclose(poisson_rows(mu, n_max), expected, rtol=1e-12, atol=1e-300)
+        p = poisson_pmf(mu)
+        np.testing.assert_allclose(p.probs, expected[: p.n_max + 1], rtol=1e-12, atol=1e-300)
+
+    def test_one_row_per_mean(self):
+        rows = poisson_rows(np.array(self.MEANS), 150)
+        assert rows.shape == (len(self.MEANS), 151)
+        for mu, row in zip(self.MEANS, rows):
+            np.testing.assert_array_equal(row, poisson_rows(mu, 150))
+        np.testing.assert_array_equal(rows[0], np.arange(151) == 0)
+
+
+class TestLossMatrix:
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
+    def test_matches_binomial_formula(self, t):
+        n_max = 60
+        m = loss_matrix(t, n_max)
+        expected = np.zeros((n_max + 1, n_max + 1))
+        for n in range(n_max + 1):
+            for k in range(n + 1):
+                expected[n, k] = math.comb(n, k) * t**k * (1.0 - t) ** (n - k)
+        np.testing.assert_allclose(m, expected, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(m.sum(axis=1), 1.0, rtol=0, atol=1e-13)
+
+    def test_matches_scipy(self):
+        ns = np.arange(201)
+        expected = stats.binom.pmf(ns[None, :], ns[:, None], 0.72)
+        np.testing.assert_allclose(loss_matrix(0.72, 200), expected, rtol=0, atol=1e-13)
 
 
 class TestFock:
@@ -149,61 +186,6 @@ class TestApplyLoss:
         assert out.total_mass() == pytest.approx(p.total_mass(), abs=1e-13)
 
 
-class TestConvolve:
-    def test_vacuum_is_neutral(self):
-        p = poisson_pmf(1.7)
-        assert_pmf_close(convolve(vacuum_pmf(), p), p, atol=1e-15)
-
-    def test_fock_addition(self):
-        assert_pmf_close(convolve(fock_pmf(1), fock_pmf(2)), fock_pmf(3), atol=0)
-
-    def test_poisson_additivity(self):
-        out = convolve(poisson_pmf(0.6), poisson_pmf(1.1))
-        direct = poisson_pmf(1.7)
-        n = min(out.n_max, direct.n_max)
-        np.testing.assert_allclose(
-            out.probs[: n + 1], direct.probs[: n + 1], rtol=0, atol=1e-10
-        )
-
-    def test_mean_adds(self):
-        a, b = poisson_pmf(0.4), poisson_pmf(2.2)
-        assert moments(convolve(a, b)).mean == pytest.approx(
-            moments(a).mean + moments(b).mean, abs=1e-9
-        )
-
-    def test_commutative_and_associative(self):
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            a, b, c = (random_pmf(rng, 5) for _ in range(3))
-            assert_pmf_close(convolve(a, b), convolve(b, a), atol=1e-12)
-            assert_pmf_close(
-                convolve(convolve(a, b), c), convolve(a, convolve(b, c)), atol=1e-12
-            )
-
-
-class TestIidSum:
-    def test_single_repetition_is_identity(self):
-        p = poisson_pmf(0.8)
-        assert_pmf_close(iid_sum(p, 1), p, atol=0)
-
-    def test_fock_scaling(self):
-        assert_pmf_close(iid_sum(fock_pmf(1), 200), fock_pmf(200), atol=0)
-
-    def test_poisson_scaling(self):
-        """200-fold sum of Poisson(0.9) is Poisson(180)."""
-        out = iid_sum(poisson_pmf(0.9), 200)
-        direct = poisson_pmf(180.0)
-        assert moments(out).mean == pytest.approx(180.0, rel=1e-6)
-        n = min(out.n_max, direct.n_max)
-        np.testing.assert_allclose(
-            out.probs[: n + 1], direct.probs[: n + 1], rtol=0, atol=1e-9
-        )
-
-    def test_zero_repetitions_rejected(self):
-        with pytest.raises(ValueError):
-            iid_sum(vacuum_pmf(), 0)
-
-
 class TestMoments:
     def test_fock(self):
         m = moments(fock_pmf(1))
@@ -218,42 +200,6 @@ class TestMoments:
         assert moments(vacuum_pmf()).fano is None
 
 
-class TestSample:
-    def test_fock_always_exact(self):
-        rng = np.random.default_rng(0)
-        draws = sample(fock_pmf(1), rng, size=1000)
-        assert np.all(draws == 1)
-
-    def test_vacuum_always_zero(self):
-        rng = np.random.default_rng(1)
-        assert np.all(sample(vacuum_pmf(), rng, size=1000) == 0)
-
-    def test_scalar_draw(self):
-        assert sample(fock_pmf(2), np.random.default_rng(2)) == 2
-
-    def test_poisson_empirical_mean(self):
-        """Empirical mean within 4 sigma of 1 at one million draws."""
-        rng = np.random.default_rng(12345)
-        draws = sample(poisson_pmf(1.0), rng, size=10**6)
-        assert abs(draws.mean() - 1.0) < 4.0 / math.sqrt(10**6)
-
-    def test_poisson_chi_square_consistency(self):
-        rng = np.random.default_rng(4242)
-        n = 10**6
-        draws = sample(poisson_pmf(1.0), rng, size=n)
-        k_top = 9
-        observed = np.bincount(np.minimum(draws, k_top), minlength=k_top + 1)
-        expected = stats.poisson.pmf(np.arange(k_top), 1.0)
-        expected = np.append(expected, 1.0 - expected.sum()) * n
-        _, p_value = stats.chisquare(observed, expected)
-        assert p_value > 1e-6
-
-    def test_reproducible(self):
-        a = sample(poisson_pmf(2.0), np.random.default_rng(5), size=100)
-        b = sample(poisson_pmf(2.0), np.random.default_rng(5), size=100)
-        np.testing.assert_array_equal(a, b)
-
-
 class TestInvariants:
     def test_constructors_keep_mass(self):
         for p in (poisson_pmf(0.3), poisson_pmf(5.0), fock_pmf(4), vacuum_pmf()):
@@ -265,8 +211,6 @@ class TestInvariants:
             p = random_pmf(rng)
             q = apply_loss(p, rng.random())
             assert q.total_mass() == pytest.approx(p.total_mass(), abs=1e-12)
-            r = convolve(p, q)
-            assert r.total_mass() >= 1.0 - 1e-11
 
     def test_invalid_entries_rejected(self):
         with pytest.raises(ValueError):

@@ -15,10 +15,9 @@ from subshot.sources import (
     Multiplexed,
     MuxParams,
     herald_click_probability,
-    heralded_pair_pmf,
     make_multiplexed,
     mux_output_pmf,
-    source_mean,
+    source_moments,
     source_pmf,
     sync_probability,
     sync_probability_at,
@@ -68,11 +67,6 @@ class TestHeraldModel:
         )
         assert herald_click_probability(p) == pytest.approx(series, abs=1e-12)
 
-    def test_conditional_pmf_normalized_and_zero_at_vacuum(self):
-        cond = heralded_pair_pmf(params(mu=0.8, herald=0.6))
-        assert cond.prob(0) == 0.0
-        assert cond.total_mass() == pytest.approx(1.0, abs=1e-12)
-
     def test_sync_probability_two_windows(self):
         p = params(m=1, mu=0.5, herald=0.5)
         p_w = herald_click_probability(p)
@@ -92,7 +86,7 @@ class TestHeraldModel:
         assert sync_probability(p) == 1.0
         out = mux_output_pmf(p)
         assert out.prob(0) < 1e-12
-        assert moments(out).mean == pytest.approx(source_mean(Multiplexed(p)), rel=1e-12)
+        assert moments(out).mean == pytest.approx(source_moments(Multiplexed(p)).mean, rel=1e-12)
 
 
 class TestMuxOutput:
@@ -201,7 +195,7 @@ class TestTunePairMean:
         p = params(m=1, herald=0.9, stage=0.88, optics=0.9)
         mu = tune_pair_mean(p, 50.0)
         assert mu * 0.9 > 37.0
-        assert source_mean(Multiplexed(replace(p, pair_mean=mu))) == pytest.approx(50.0, abs=1e-9)
+        assert source_moments(Multiplexed(replace(p, pair_mean=mu))).mean == pytest.approx(50.0, abs=1e-9)
 
 
 class TestSourcePmf:
@@ -215,7 +209,7 @@ class TestSourcePmf:
 
     def test_multiplexed_tuned_mean(self):
         src = make_multiplexed(3, 0.5)
-        assert source_mean(src) == pytest.approx(0.5, abs=1e-9)
+        assert source_moments(src).mean == pytest.approx(0.5, abs=1e-9)
 
     def test_negative_coherent_rejected(self):
         with pytest.raises(ValueError):
