@@ -6,42 +6,23 @@ detection (exactly and by Monte Carlo), and runs the benchmark sweeps behind
 the `subshot` command line tool.
 """
 
-from subshot.pmf import (
-    DEFAULT_TRUNCATION_EPS,
-    Moments,
-    Pmf,
-    apply_loss,
-    fock_pmf,
-    moments,
-    poisson_pmf,
-    poisson_rows,
-    vacuum_pmf,
-)
+from subshot.pmf import Moments, poisson_rows
 from subshot.sources import (
     Coherent,
     Fock,
     Multiplexed,
     MuxParams,
     Source,
-    herald_click_probability,
     make_multiplexed,
     mux_click_probability,
-    mux_output_pmf,
     mux_output_rows,
     source_click_probability,
     source_moments,
-    source_pmf,
-    sync_probability,
     sync_probability_at,
     tune_pair_mean,
     unreachable_field,
 )
-from subshot.detection import (
-    Channel,
-    click_probability,
-    nr_detected_moments,
-    nr_detected_pmf,
-)
+from subshot.detection import Channel, nr_detected_moments
 from subshot.estimators import (
     Detector,
     EstimatorReport,

@@ -3,19 +3,17 @@
 A measurement channel is the sample transmission followed by the detector
 efficiency; both act as independent per-photon survival, so they enter as a
 single thinning by t * eta.  Number-resolving detectors report the full
-thinned photon-count distribution, threshold detectors only whether at least
-one photon was detected.  Thinning maps the source moments to detected-count
-moments in closed form (`nr_detected_moments`); the distribution maps act on a
-full `Pmf`.
+thinned photon count, threshold detectors only whether at least one photon
+was detected.  Thinning maps the source moments to detected-count moments in
+closed form (`nr_detected_moments`); the click probability is
+`sources.source_click_probability` at survival t * eta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from subshot.pmf import Moments, Pmf, apply_loss
+from subshot.pmf import Moments
 
 
 @dataclass(frozen=True)
@@ -36,11 +34,6 @@ class Channel:
         return self.transmission * self.detector_eff
 
 
-def nr_detected_pmf(source_pmf: Pmf, channel: Channel) -> Pmf:
-    """Detected photon-count distribution for a number-resolving detector."""
-    return apply_loss(source_pmf, channel.survival)
-
-
 def nr_detected_moments(source_moments: Moments, channel: Channel) -> Moments:
     """Detected-count moments for a number-resolving detector.
 
@@ -51,18 +44,3 @@ def nr_detected_moments(source_moments: Moments, channel: Channel) -> Moments:
     mean = s * source_moments.mean
     variance = s * s * source_moments.variance + s * (1.0 - s) * source_moments.mean
     return Moments(mean=mean, variance=variance, fano=variance / mean if mean > 0.0 else None)
-
-
-def click_probability(source_pmf: Pmf, channel: Channel) -> float:
-    """Probability that a threshold detector clicks on one trial.
-
-    p = sum_{i>=1} [1 - (1 - t*eta)^i] * P(i): the source emits i photons and
-    at least one of them is detected.
-    """
-    miss = 1.0 - channel.survival
-    ns = np.arange(source_pmf.probs.size)
-    if miss == 0.0:
-        at_least_one = (ns > 0).astype(float)
-    else:
-        at_least_one = -np.expm1(ns * np.log(miss)) if miss < 1.0 else np.zeros_like(ns, dtype=float)
-    return float(at_least_one @ source_pmf.probs)

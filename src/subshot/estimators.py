@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, replace
 
 from subshot.detection import Channel, nr_detected_moments
-from subshot.sources import Fock, Source, source_click_probability, source_moments
+from subshot.sources import Coherent, Fock, Source, source_click_probability, source_moments
 
 
 class Detector(enum.Enum):
@@ -160,8 +160,6 @@ def exact_report(
 
 def snl_report(mean: float, channel: Channel, nu: int) -> EstimatorReport:
     """Shot-noise-limit reference: coherent source with number resolution."""
-    from subshot.sources import Coherent
-
     return exact_report_nr(Coherent(mean), channel, nu)
 
 

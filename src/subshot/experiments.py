@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from dataclasses import dataclass, fields
 from typing import Iterable
 
@@ -103,13 +104,13 @@ class SweepConfig:
             if m < 1:
                 raise ConfigError("stage_counts", f"stage count {m} must be >= 1")
         for n in self.mean_grid:
-            if n <= 0:
-                raise ConfigError("mean_grid", f"mean photon number {n} must be > 0")
+            if not (math.isfinite(n) and n > 0):
+                raise ConfigError("mean_grid", f"mean photon number {n} must be finite and > 0")
         for a in self.a_grid:
             if not 0.0 <= a <= 0.6:
                 raise ConfigError("a_grid", f"fluctuation {a} outside [0, 0.6]")
-        if self.mean_photons <= 0:
-            raise ConfigError("mean_photons", "must be > 0")
+        if not (math.isfinite(self.mean_photons) and self.mean_photons > 0):
+            raise ConfigError("mean_photons", f"{self.mean_photons} must be finite and > 0")
         if not 0.0 <= self.transmission <= 1.0:
             raise ConfigError("transmission", "must lie in [0, 1]")
         for field in ("detector_eff", "optics_transmission", "stage_transmission", "herald_eff"):
@@ -341,7 +342,6 @@ def _fluctuation_config(cfg: SweepConfig) -> FluctuationConfig:
         a_grid=cfg.a_grid,
         rounds=cfg.rounds,
         nu=cfg.nu,
-        target_mean=cfg.mean_photons,
         redraw=PumpRedraw(cfg.redraw),
         negatives=NegativeDraws(cfg.negatives),
     )

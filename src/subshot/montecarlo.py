@@ -3,11 +3,14 @@
 Two jobs: validate the exact estimator reports by sampling full experiments,
 and study what pump-power fluctuations do to the measurement error.
 
+Both jobs sample number-resolving counts from the same closed-form
+detected-count rows (`_count_rows`: a Poisson row for coherent light, a
+Binomial row for a Fock state, `sources.mux_output_rows` for the multiplexed
+source) and threshold clicks from the closed-form click probability.
+
 In the fluctuation study the pump strength becomes a Gaussian random variable
-(sigma = a * mean, truncated at zero), the source is re-evaluated for every
-draw (closed-form click probability for threshold detection, closed-form
-detected-count distribution for number-resolving sampling; for the
-multiplexed source both come from `sources`), and the estimator keeps its
+(sigma = a * mean around the source's own pump, truncated at zero), the
+source is re-evaluated for every draw, and the estimator keeps its
 fluctuation-free reference normalization.  Each round yields one transmission
 estimate and one squared error; rounds are summarized by their mean, its
 standard error and the 16th/84th percentiles.  By default the pump is redrawn
@@ -25,27 +28,58 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from subshot.detection import Channel, nr_detected_pmf
-from subshot.estimators import Detector, EstimatorSpec, reference_mean
-from subshot.pmf import poisson_rows, poisson_support
+from subshot.detection import Channel
+from subshot.estimators import Detector, EstimatorSpec, make_estimator_spec
+from subshot.pmf import binomial_row, poisson_rows, poisson_support
 from subshot.sources import (
     Coherent,
+    Fock,
     Multiplexed,
     Source,
     mux_click_probability,
     mux_output_rows,
     source_click_probability,
-    source_pmf,
-    tune_pair_mean,
 )
 
-# Rows for the fluctuation rounds discard less than this beyond their last
-# photon number, far below the spacing of the uniforms they are sampled with.
+# Detected-count rows discard less than this beyond their last photon number,
+# far below the spacing of the uniforms they are sampled with.
 _ROW_TAIL = 1e-18
+
+# Experiments per block of uniforms in `mc_estimate`; bounds the memory held
+# at once without changing the stream.
+_CHUNK_TRIALS = 20_000
+
+
+def _pump(source: Source) -> float:
+    """Pump strength `source` runs at: the coherent mean or the multiplexed
+    pair mean."""
+    if isinstance(source, Coherent):
+        return source.mean
+    if isinstance(source, Multiplexed):
+        return source.params.pair_mean
+    raise TypeError(f"not a pump-driven source (coherent or multiplexed): {source!r}")
+
+
+def _count_rows(source: Source, survival: float, mu=None) -> np.ndarray:
+    """Detected-count distribution of `source` after per-photon survival
+    `survival`, in closed form.
+
+    `mu` is a pump value or an array of them (default: the source's own
+    pump); the result has shape `np.shape(mu) + (n_max + 1,)`.  A Fock state
+    has no pump and gives its single Binomial(N, survival) row.
+    """
+    if isinstance(source, Fock):
+        return binomial_row(source.photons, survival)
+    mu = np.asarray(_pump(source) if mu is None else mu, dtype=np.float64)
+    if isinstance(source, Coherent):
+        # Coherent output mean scales linearly with pump strength.
+        lam = survival * mu
+        return poisson_rows(lam, poisson_support(float(lam.max()), _ROW_TAIL))
+    return mux_output_rows(source.params, mu, survival, _ROW_TAIL)
 
 
 @dataclass(frozen=True)
@@ -65,7 +99,6 @@ def mc_estimate(
     channel: Channel,
     trials: int,
     seed: int,
-    chunk_size: int = 20_000,
 ) -> McEstimate:
     """Sample `trials` independent nu-repetition experiments.
 
@@ -83,14 +116,13 @@ def mc_estimate(
         clicks = rng.binomial(nu, p, size=trials)
         estimates[:] = clicks / (nu * ref)
     else:
-        detected = nr_detected_pmf(source_pmf(spec.source), channel)
-        cdf = np.cumsum(detected.probs)
+        cdf = np.cumsum(_count_rows(spec.source, channel.survival))
         done = 0
         while done < trials:
-            n = min(chunk_size, trials - done)
+            n = min(_CHUNK_TRIALS, trials - done)
             u = rng.random((n, nu))
             counts = np.minimum(
-                np.searchsorted(cdf, u.ravel(), side="right"), detected.n_max
+                np.searchsorted(cdf, u.ravel(), side="right"), cdf.size - 1
             ).reshape(n, nu)
             estimates[done : done + n] = counts.sum(axis=1) / (nu * ref)
             done += n
@@ -127,14 +159,12 @@ class FluctuationConfig:
 
     `a_grid` holds the fluctuation fractions (sigma = a * mean); rounds is the
     number of MSE-evaluation rounds per grid point and nu the repetitions per
-    round.  `target_mean` is the fluctuation-free mean photon number at the
-    sample.
+    round.
     """
 
     a_grid: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
     rounds: int = 50
     nu: int = 200
-    target_mean: float = 0.5
     redraw: PumpRedraw = PumpRedraw.PER_ROUND
     negatives: NegativeDraws = NegativeDraws.CLAMP
 
@@ -148,8 +178,6 @@ class FluctuationConfig:
             raise ValueError(f"rounds must be >= 2, got {self.rounds}")
         if self.nu < 1:
             raise ValueError(f"nu must be >= 1, got {self.nu}")
-        if self.target_mean <= 0:
-            raise ValueError(f"target_mean must be > 0, got {self.target_mean}")
 
 
 @dataclass(frozen=True)
@@ -172,18 +200,6 @@ def _sample_counts_by_rows(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     cdf = np.cumsum(rows, axis=-1)
     counts = (cdf < u[:, None]).sum(axis=-1)
     return np.minimum(counts, rows.shape[-1] - 1)
-
-
-def _resolve_base(source: Source, target_mean: float) -> tuple[Source, float]:
-    """Source retuned to `target_mean`, plus its nominal pump strength."""
-    if isinstance(source, Coherent):
-        return Coherent(target_mean), target_mean
-    if isinstance(source, Multiplexed):
-        mu0 = tune_pair_mean(source.params, target_mean)
-        return Multiplexed(replace(source.params, pair_mean=mu0)), mu0
-    raise TypeError(
-        "fluctuation study needs a pump-driven source (coherent or multiplexed)"
-    )
 
 
 def _pumps_from_noise(
@@ -213,7 +229,7 @@ def _pumps_from_noise(
 
 
 def _round_estimate(
-    base: Source,
+    source: Source,
     mu: np.ndarray,
     u: np.ndarray,
     detector: Detector,
@@ -224,18 +240,12 @@ def _round_estimate(
     """One nu-repetition experiment under fluctuating pump `mu`."""
     s = channel.survival
     if detector is Detector.NUMBER_RESOLVING:
-        if isinstance(base, Coherent):
-            # Coherent output mean scales linearly with pump strength.
-            lam = s * mu
-            rows = poisson_rows(lam, poisson_support(float(lam.max()), _ROW_TAIL))
-        else:
-            rows = mux_output_rows(base.params, mu, s, _ROW_TAIL)
-        total = _sample_counts_by_rows(rows, u).sum()
+        total = _sample_counts_by_rows(_count_rows(source, s, mu), u).sum()
     else:
-        if isinstance(base, Coherent):
+        if isinstance(source, Coherent):
             p_click = -np.expm1(-s * mu)
         else:
-            p_click = mux_click_probability(base.params, mu, s)
+            p_click = mux_click_probability(source.params, mu, s)
         total = (u < p_click).sum()
     return float(total) / (nu * ref0)
 
@@ -249,14 +259,16 @@ def fluctuation_study(
 ) -> list[McSummary]:
     """MSE versus pump-fluctuation size for one source/detector combination.
 
-    For each fluctuation fraction `a`, runs cfg.rounds rounds; each round
-    redraws the pump (once per round by default, per repetition if
-    configured), samples the detection outcomes, forms the transmission
-    estimate with the fluctuation-free reference, and records the squared
-    error against the true transmission.
+    The nominal pump is the one `source` carries (the coherent mean or the
+    multiplexed pair mean).  For each fluctuation fraction `a`, runs
+    cfg.rounds rounds; each round redraws the pump (once per round by
+    default, per repetition if configured), samples the detection outcomes,
+    forms the transmission estimate with the fluctuation-free reference, and
+    records the squared error against the true transmission.
     """
-    base, mu0 = _resolve_base(source, cfg.target_mean)
-    ref0 = reference_mean(base, detector, channel.detector_eff)
+    mu0 = _pump(source)
+    # The spec rejects a vacuum source, whose zero reference would divide by 0.
+    ref0 = make_estimator_spec(source, detector, channel.detector_eff, cfg.nu).reference_mean
     t = channel.transmission
 
     n_noise = cfg.nu if cfg.redraw is PumpRedraw.PER_REPETITION else 1
@@ -268,7 +280,7 @@ def fluctuation_study(
             z = rng.standard_normal(n_noise)
             u = rng.random(cfg.nu)
             mu = _pumps_from_noise(rng, mu0, a, z, cfg.negatives)
-            estimate = _round_estimate(base, mu, u, detector, channel, ref0, cfg.nu)
+            estimate = _round_estimate(source, mu, u, detector, channel, ref0, cfg.nu)
             sq_err[ai, r] = (estimate - t) ** 2
 
     summaries = []

@@ -15,8 +15,8 @@ that realizes a wanted mean photon number at the sample is found numerically
 The mean, variance and threshold click probability at the sample plane have
 closed forms (`source_moments`, `source_click_probability`), and so does the
 full photon-number distribution of the multiplexed source (`mux_output_rows`):
-a vacuum term plus two Poissons.  The distribution (`source_pmf`) is built
-only where one is needed, such as sampling.
+a vacuum term plus two Poissons.  Its rows are built only where a
+distribution is sampled, by the Monte Carlo engine.
 """
 
 from __future__ import annotations
@@ -26,16 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from subshot.pmf import (
-    DEFAULT_TRUNCATION_EPS,
-    Moments,
-    Pmf,
-    fock_pmf,
-    poisson_pmf,
-    poisson_rows,
-    poisson_support,
-    vacuum_pmf,
-)
+from subshot.pmf import Moments, poisson_rows, poisson_support
 
 # Calibrated defaults: herald-arm detection probability per idler photon and
 # signal transmission per delay stage.  Both are plain configuration values;
@@ -116,21 +107,9 @@ class Multiplexed:
 Source = Coherent | Fock | Multiplexed
 
 
-def herald_click_probability(params: MuxParams) -> float:
-    """Per-window probability that at least one idler is detected.
-
-    Closed form of sum_{n>=1} Poisson(n; mu) * (1 - (1 - herald_eff)^n).
-    """
-    return -math.expm1(-params.pair_mean * params.herald_eff)
-
-
-def sync_probability(params: MuxParams) -> float:
-    """Probability that any of the 2**stages windows heralds in a period."""
-    return float(sync_probability_at(params, params.pair_mean))
-
-
 def sync_probability_at(params: MuxParams, mu):
-    """`sync_probability` at pump `mu`, a float or an array of pump values.
+    """Probability that any of the 2**stages windows heralds in a period, at
+    pump `mu`, a float or an array of pump values.
 
     1 - (1 - p_w)^(2**stages) with 1 - p_w = exp(-mu * herald_eff), written so
     that it stays finite when p_w rounds to 1 under a strong pump.
@@ -151,6 +130,8 @@ def _mux_factorial_moments(params: MuxParams, mu: float) -> tuple[float, float]:
     p_w = -math.expm1(-mu * h)
     if p_w == 0.0:
         return 0.0, 0.0
+    # Scalar copy of `_sync_gain`: pump tuning evaluates the mean ~40 times
+    # per tuning, and the array version costs ~3x as much per call.
     gain = float(sync_probability_at(params, mu)) / p_w
     mq = mu * params.network_transmission * params.optics_transmission
     no_click = math.exp(-mu * h)
@@ -210,15 +191,6 @@ def mux_output_rows(params: MuxParams, mu, survival: float, tail: float):
     rows = _sync_gain(params, mu)[..., None] * poisson_rows(mu * q, n_max) * herald
     rows[..., 0] += 1.0 - p_sync
     return rows
-
-
-def mux_output_pmf(params: MuxParams, eps: float = DEFAULT_TRUNCATION_EPS) -> Pmf:
-    """Photon-number distribution delivered to the sample plane.
-
-    The single row of `mux_output_rows` at survival 1, truncated once the
-    discarded tail is below `eps` (with the headroom of `poisson_pmf`).
-    """
-    return Pmf.from_probs(mux_output_rows(params, params.pair_mean, 1.0, eps * 1e-4))
 
 
 def unreachable_field(params: MuxParams) -> str | None:
@@ -299,22 +271,6 @@ def make_multiplexed(
         optics_transmission=optics_transmission,
     )
     return Multiplexed(replace(params, pair_mean=tune_pair_mean(params, target_mean)))
-
-
-def source_pmf(source: Source, eps: float = DEFAULT_TRUNCATION_EPS) -> Pmf:
-    """Photon-number distribution at the sample plane.
-
-    For the coherent source, upstream optical loss only rescales a Poisson
-    distribution, so its mean is specified at the sample directly.  The Fock
-    source is delivered lossless by convention.
-    """
-    if isinstance(source, Coherent):
-        return poisson_pmf(source.mean, eps) if source.mean > 0 else vacuum_pmf()
-    if isinstance(source, Fock):
-        return fock_pmf(source.photons)
-    if isinstance(source, Multiplexed):
-        return mux_output_pmf(source.params, eps)
-    raise TypeError(f"unknown source kind: {source!r}")
 
 
 def source_moments(source: Source) -> Moments:

@@ -103,6 +103,23 @@ class TestMain:
         assert field in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            (["nr-ratio", "--mean-n", "nan"], "mean_photons"),
+            (["nr-ratio", "--mean-n", "inf"], "mean_photons"),
+            (["asymptotic", "--mean-grid", "inf"], "mean_grid"),
+            (["intensity-sweep", "--mean-grid", "0.5,nan"], "mean_grid"),
+        ],
+    )
+    def test_non_finite_mean_names_field(self, tmp_path, capsys, args, field):
+        """A NaN or infinite mean must be rejected by name, not fail inside
+        the pump tuning."""
+        code = main([*args, "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"configuration error: {field}: ")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as err:
             main(["nr-ratio", "--frobnicate", "1"])

@@ -1,8 +1,10 @@
 """Closed-form source moments, click probabilities and photon-number
-distributions, cross-checked over randomized parameters against the PMF
-pipeline and the window-by-window enumeration oracle.
+distributions, cross-checked over randomized parameters against sums over
+photon-number distributions: the closed-form rows, the textbook Poisson and
+the window-by-window enumeration oracle.
 
-Both references build the full photon-number distribution and sum over it;
+The references sum over the full distribution with the oracle's thinning and
+click formulas;
 the closed-form moments must agree with them to 1e-12 relative (absolute
 floor 1e-15) everywhere in the sampled region, edges included: perfect
 heralding, survival 0 and 1, and up to 10 delay stages (1024 windows).  The
@@ -10,6 +12,7 @@ closed-form distribution rows must match the enumeration entry by entry to
 1e-12 absolute.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -17,19 +20,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import enumerate_click_probability, enumerate_mux_output
-from subshot.detection import Channel, click_probability, nr_detected_moments, nr_detected_pmf
-from subshot.pmf import moments
+from _oracles import (
+    enumerate_click_probability,
+    enumerate_mux_output,
+    poisson_probs,
+    thinned_count_moments,
+)
+from subshot.detection import Channel, nr_detected_moments
 from subshot.sources import (
     Coherent,
     Fock,
     Multiplexed,
     MuxParams,
-    mux_output_pmf,
     mux_output_rows,
     source_click_probability,
     source_moments,
-    source_pmf,
     tune_pair_mean,
 )
 
@@ -71,6 +76,11 @@ def enumerated(params: MuxParams, survival: float = 1.0) -> list[float]:
     )
 
 
+def mean_and_variance(probs, survival: float = 1.0) -> tuple[float, float]:
+    mean, second = thinned_count_moments(probs, survival)
+    return mean, second - mean * mean
+
+
 def assert_rows_close(got, expected):
     n = max(len(got), len(expected))
     padded = np.zeros((2, n))
@@ -84,27 +94,28 @@ class TestAgainstPmfPipeline:
     @given(mux_params(), survivals)
     def test_multiplexed(self, params, survival):
         src = Multiplexed(params)
-        pmf = mux_output_pmf(params)
-        expected = moments(pmf)
+        row = mux_output_rows(params, params.pair_mean, 1.0, 1e-18)
+        mean, variance = mean_and_variance(row)
         got = source_moments(src)
-        assert close(got.mean, expected.mean)
-        assert close(got.variance, expected.variance)
-        channel = Channel(survival, 1.0)
-        assert close(source_click_probability(src, survival), click_probability(pmf, channel))
-        detected = moments(nr_detected_pmf(pmf, channel))
-        got_detected = nr_detected_moments(got, channel)
-        assert close(got_detected.mean, detected.mean)
-        assert close(got_detected.variance, detected.variance)
+        assert close(got.mean, mean)
+        assert close(got.variance, variance)
+        expected_click = enumerate_click_probability(row, survival)
+        assert close(source_click_probability(src, survival), expected_click)
+        detected_mean, detected_variance = mean_and_variance(row, survival)
+        got_detected = nr_detected_moments(got, Channel(survival, 1.0))
+        assert close(got_detected.mean, detected_mean)
+        assert close(got_detected.variance, detected_variance)
 
     @CHECKS
     @given(st.floats(1e-3, 20.0), survivals)
     def test_coherent(self, mean, survival):
         src = Coherent(mean)
-        expected = moments(source_pmf(src))
+        probs = poisson_probs(mean, 120)
+        expected_mean, expected_variance = mean_and_variance(probs)
         got = source_moments(src)
-        assert close(got.mean, expected.mean)
-        assert close(got.variance, expected.variance)
-        expected_click = click_probability(source_pmf(src), Channel(survival, 1.0))
+        assert close(got.mean, expected_mean)
+        assert close(got.variance, expected_variance)
+        expected_click = enumerate_click_probability(probs, survival)
         assert close(source_click_probability(src, survival), expected_click)
 
     @CHECKS
@@ -113,7 +124,12 @@ class TestAgainstPmfPipeline:
         src = Fock(photons)
         got = source_moments(src)
         assert got.mean == photons and got.variance == 0.0
-        expected_click = click_probability(source_pmf(src), Channel(survival, 1.0))
+        # At least one of the photons survives; a sum of positive terms, exact
+        # also where 1 - (1 - survival)**photons would cancel.
+        expected_click = sum(
+            math.comb(photons, k) * survival**k * (1.0 - survival) ** (photons - k)
+            for k in range(1, photons + 1)
+        )
         assert close(source_click_probability(src, survival), expected_click)
 
 
@@ -134,7 +150,7 @@ class TestAgainstEnumeration:
     @ORACLE_CHECKS
     @given(mux_params(max_pump=2.0, max_stages=4), survivals)
     def test_multiplexed_rows(self, params, survival):
-        assert_rows_close(mux_output_pmf(params).probs, enumerated(params))
+        assert_rows_close(mux_output_rows(params, params.pair_mean, 1.0, 1e-18), enumerated(params))
         rows = mux_output_rows(params, params.pair_mean, survival, 1e-18)
         assert_rows_close(rows, enumerated(params, survival))
 

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from subshot.detection import Channel, click_probability, nr_detected_pmf
+import subshot.montecarlo
+from _oracles import enumerate_click_probability, enumerate_mux_output
+from subshot.detection import Channel
 from subshot.estimators import (
     Detector,
     exact_report_nr,
@@ -17,6 +19,7 @@ from subshot.montecarlo import (
     FluctuationConfig,
     NegativeDraws,
     PumpRedraw,
+    _count_rows,
     fluctuation_study,
     mc_estimate,
 )
@@ -28,7 +31,6 @@ from subshot.sources import (
     make_multiplexed,
     mux_click_probability,
     mux_output_rows,
-    source_pmf,
 )
 
 CH = Channel(0.8, 0.9)
@@ -63,10 +65,12 @@ class TestMcEstimate:
         b = mc_estimate(spec, CH, trials=5000, seed=9)
         assert a == b
 
-    def test_chunking_does_not_change_the_stream(self):
+    def test_chunking_does_not_change_the_stream(self, monkeypatch):
         spec = make_estimator_spec(Coherent(0.5), Detector.NUMBER_RESOLVING, 0.9, 50)
-        a = mc_estimate(spec, CH, trials=5000, seed=9, chunk_size=512)
-        b = mc_estimate(spec, CH, trials=5000, seed=9, chunk_size=5000)
+        monkeypatch.setattr(subshot.montecarlo, "_CHUNK_TRIALS", 512)
+        a = mc_estimate(spec, CH, trials=5000, seed=9)
+        monkeypatch.setattr(subshot.montecarlo, "_CHUNK_TRIALS", 5000)
+        b = mc_estimate(spec, CH, trials=5000, seed=9)
         assert a == b
 
     def test_invalid_trials_rejected(self):
@@ -77,21 +81,23 @@ class TestMcEstimate:
 
 class TestBatchBuilders:
     """The per-pump-batch source functions the fluctuation rounds sample from
-    must agree with the scalar pipeline (the PMF thinned by a loss matrix)."""
+    must agree with the single-pump rows `mc_estimate` samples and with the
+    window-by-window enumeration."""
 
     def test_detected_rows_match_scalar_pipeline(self):
         params = MuxParams(stages=3, pair_mean=0.27, herald_eff=0.8)
         rows = mux_output_rows(params, np.array([0.27]), CH.survival, 1e-18)
-        scalar = nr_detected_pmf(source_pmf(Multiplexed(params)), CH)
-        n = min(rows.shape[1], scalar.n_max + 1)
-        np.testing.assert_allclose(rows[0, :n], scalar.probs[:n], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(rows[0], _count_rows(Multiplexed(params), CH.survival))
+        expected = enumerate_mux_output(3, 0.27, 0.8, 0.88, 0.9 * CH.survival)
+        n = min(rows.shape[1], len(expected))
+        np.testing.assert_allclose(rows[0, :n], expected[:n], rtol=0, atol=1e-12)
 
     def test_click_probabilities_match_scalar_pipeline(self):
         params = MuxParams(stages=2, pair_mean=0.4, herald_eff=0.7)
         got = mux_click_probability(params, np.array([0.4, 0.1]), CH.survival)
         for mu, value in zip((0.4, 0.1), got):
-            p = source_pmf(Multiplexed(MuxParams(stages=2, pair_mean=mu, herald_eff=0.7)))
-            assert value == pytest.approx(click_probability(p, CH), abs=1e-12)
+            probs = enumerate_mux_output(2, mu, 0.7, 0.88, 0.9)
+            assert value == pytest.approx(enumerate_click_probability(probs, CH.survival), abs=1e-12)
 
     def test_zero_pump_rows_are_vacuum(self):
         params = MuxParams(stages=2, pair_mean=0.0, herald_eff=0.7)
@@ -102,7 +108,7 @@ class TestBatchBuilders:
 
 class TestFluctuationStudy:
     def test_zero_fluctuation_matches_exact_mse(self):
-        cfg = FluctuationConfig(a_grid=(0.0,), rounds=800, nu=200, target_mean=0.5)
+        cfg = FluctuationConfig(a_grid=(0.0,), rounds=800, nu=200)
         res = fluctuation_study(cfg, Coherent(0.5), Detector.NUMBER_RESOLVING, CH, seed=5)
         exact = exact_report_nr(Coherent(0.5), CH, 200).mse
         # mean of 800 squared errors: relative standard error ~ sqrt(2/800)
@@ -110,14 +116,27 @@ class TestFluctuationStudy:
 
     def test_zero_fluctuation_matches_exact_mse_multiplexed(self):
         src = make_multiplexed(5, 0.5)
-        cfg = FluctuationConfig(a_grid=(0.0,), rounds=800, nu=200, target_mean=0.5)
+        cfg = FluctuationConfig(a_grid=(0.0,), rounds=800, nu=200)
         res = fluctuation_study(cfg, src, Detector.THRESHOLD, CH, seed=6)
         exact = exact_report_threshold(src, CH, 200).mse
         assert res[0].mean_mse == pytest.approx(exact, rel=0.25)
 
+    def test_runs_at_the_source_pump(self):
+        """The study keeps the pump the source was tuned to (here 1 photon,
+        not the 0.5 of the other tests)."""
+        src = make_multiplexed(3, 1.0)
+        cfg = FluctuationConfig(a_grid=(0.0,), rounds=800, nu=200)
+        res = fluctuation_study(cfg, src, Detector.NUMBER_RESOLVING, CH, seed=12)
+        exact = exact_report_nr(src, CH, 200).mse
+        assert res[0].mean_mse == pytest.approx(exact, rel=0.25)
+
+    def test_vacuum_source_rejected(self):
+        with pytest.raises(ValueError):
+            fluctuation_study(FluctuationConfig(), Coherent(0.0), Detector.THRESHOLD, CH, 0)
+
     def test_fluctuations_inflate_mse(self):
         cfg = FluctuationConfig(a_grid=(0.0, 0.6), rounds=50)
-        for src in (Coherent(0.5), Multiplexed(MuxParams(stages=5, pair_mean=0.1))):
+        for src in (Coherent(0.5), make_multiplexed(5, 0.5)):
             for det in (Detector.NUMBER_RESOLVING, Detector.THRESHOLD):
                 res = fluctuation_study(cfg, src, det, CH, seed=7)
                 assert res[-1].mean_mse > res[0].mean_mse
@@ -126,7 +145,7 @@ class TestFluctuationStudy:
         """The saturating pump-to-output map damps fluctuations."""
         cfg = FluctuationConfig(a_grid=(0.0, 0.6), rounds=200)
         infl = {}
-        for name, src in [("coh", Coherent(0.5)), ("mux", Multiplexed(MuxParams(stages=5, pair_mean=0.1)))]:
+        for name, src in [("coh", Coherent(0.5)), ("mux", make_multiplexed(5, 0.5))]:
             res = fluctuation_study(cfg, src, Detector.NUMBER_RESOLVING, CH, seed=8)
             infl[name] = res[-1].mean_mse / res[0].mean_mse
         assert infl["mux"] < infl["coh"]
@@ -192,7 +211,6 @@ class TestFluctuationStudy:
             {"a_grid": ()},
             {"rounds": 1},
             {"nu": 0},
-            {"target_mean": 0.0},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):

@@ -4,7 +4,7 @@ For coherent light the NR estimator MSE under a Gaussian pump has a closed
 form in the moments of the relative pump x (clamped at zero, or conditioned
 on x > 0 when negative draws are resampled).  For the multiplexed source the
 oracle's event enumeration is compared with the same quadrature run over the
-`subshot` PMF path.
+`subshot` detected-count rows.
 """
 
 import functools
@@ -20,10 +20,8 @@ from _oracles import (
     thinned_count_moments,
     tune_pump,
 )
-from subshot.detection import Channel, nr_detected_pmf
 from subshot.estimators import Detector, reference_mean
-from subshot.pmf import moments
-from subshot.sources import Multiplexed, MuxParams, mux_output_pmf, tune_pair_mean
+from subshot.sources import Multiplexed, MuxParams, mux_output_rows, tune_pair_mean
 
 T, ETA, NU, MEAN = 0.8, 0.9, 200, 0.5
 REDRAWS = ("per-round", "per-repetition")
@@ -97,10 +95,7 @@ def test_pump_oracle_matches_subshot_pmf_path_mux5():
 
     @functools.cache
     def pmf_path_moments(x):
-        detected = moments(
-            nr_detected_pmf(mux_output_pmf(replace(params, pair_mean=pump * x)), Channel(T, ETA))
-        )
-        return detected.mean, detected.variance + detected.mean**2
+        return thinned_count_moments(mux_output_rows(params, pump * x, T * ETA, 1e-18), 1.0)
 
     expected = {
         ("per-round", "clamp"): 9.4606,

@@ -1,5 +1,5 @@
-"""Photon-number distribution algebra: constructors, loss and moments, each
-checked against independent closed forms (textbook formulas and scipy)."""
+"""Photon-number rows: Poisson and binomial weights and Poisson truncation,
+each checked against independent closed forms (textbook formulas and scipy)."""
 
 import math
 
@@ -7,71 +7,66 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from _oracles import poisson_probs
-from subshot.pmf import (
-    DEFAULT_TRUNCATION_EPS,
-    Pmf,
-    apply_loss,
-    fock_pmf,
-    loss_matrix,
-    moments,
-    poisson_pmf,
-    poisson_rows,
-    poisson_support,
-    vacuum_pmf,
-)
+from _oracles import poisson_probs, thinned_count_moments
+from subshot.pmf import binomial_row, poisson_rows, poisson_support
+from subshot.sources import Coherent, Fock, source_moments
 
 
-def random_pmf(rng, n_max=8):
-    """Arbitrary normalized pmf for property checks."""
+def random_probs(rng, n_max=8):
+    """Arbitrary normalized distribution for property checks."""
     probs = rng.random(rng.integers(1, n_max + 1))
-    return Pmf.from_probs(probs / probs.sum())
+    return probs / probs.sum()
 
 
-def assert_pmf_close(a: Pmf, b: Pmf, atol=1e-12):
-    n = max(a.n_max, b.n_max) + 1
-    pa = np.zeros(n)
-    pb = np.zeros(n)
-    pa[: a.n_max + 1] = a.probs
-    pb[: b.n_max + 1] = b.probs
-    np.testing.assert_allclose(pa, pb, rtol=0, atol=atol)
+def thin(probs, tau):
+    """Loss channel built from `binomial_row`: each photon survives with
+    probability `tau`."""
+    out = np.zeros(len(probs))
+    for n, p in enumerate(probs):
+        out[: n + 1] += p * binomial_row(n, tau)
+    return out
+
+
+def moments_of(probs):
+    mean, second = thinned_count_moments(probs, 1.0)
+    return mean, second - mean * mean
 
 
 class TestPoisson:
     def test_vacuum_at_zero_mean(self):
-        p = poisson_pmf(0.0)
-        assert p.n_max == 0
-        assert p.prob(0) == 1.0
+        assert poisson_support(0.0, 1e-16) == 0
+        np.testing.assert_array_equal(poisson_rows(0.0, 0), [1.0])
 
     def test_closed_form_entries(self):
         """Entries must match e^-mu mu^n / n! evaluated directly."""
-        p = poisson_pmf(0.5)
-        assert p.prob(0) == pytest.approx(math.exp(-0.5), abs=1e-15)
+        row = poisson_rows(0.5, 5)
+        assert row[0] == pytest.approx(math.exp(-0.5), abs=1e-15)
         for n in range(6):
             expected = math.exp(-0.5) * 0.5**n / math.factorial(n)
-            assert p.prob(n) == pytest.approx(expected, abs=1e-15)
+            assert row[n] == pytest.approx(expected, abs=1e-15)
 
     def test_poisson_identities(self):
-        m = moments(poisson_pmf(1.0))
-        assert m.mean == pytest.approx(1.0, abs=1e-9)
-        assert m.fano == pytest.approx(1.0, abs=1e-9)
+        mean, variance = moments_of(poisson_rows(1.0, poisson_support(1.0, 1e-16)))
+        assert mean == pytest.approx(1.0, abs=1e-9)
+        assert variance / mean == pytest.approx(1.0, abs=1e-9)
 
     def test_negative_mean_rejected(self):
         with pytest.raises(ValueError):
-            poisson_pmf(-0.1)
+            poisson_support(-0.1, 1e-16)
 
     def test_eps_bounds(self):
         with pytest.raises(ValueError):
-            poisson_pmf(1.0, eps=1e-8)
+            poisson_support(1.0, 1.0)
         with pytest.raises(ValueError):
-            poisson_pmf(1.0, eps=0.0)
+            poisson_support(1.0, 0.0)
 
     @pytest.mark.parametrize("mu", [1e-6, 0.3, 1.0, 7.5, 40.0, 180.0])
     def test_truncation_below_tolerance(self, mu):
-        p = poisson_pmf(mu)
-        assert p.cutoff_mass <= DEFAULT_TRUNCATION_EPS
-        # recorded cutoff agrees with the scipy survival function
-        assert p.cutoff_mass == pytest.approx(stats.poisson.sf(p.n_max, mu), abs=1e-13)
+        n_max = poisson_support(mu, 1e-16)
+        cutoff = 1.0 - float(poisson_rows(mu, n_max).sum())
+        assert cutoff <= 1e-12
+        # the discarded mass agrees with the scipy survival function
+        assert cutoff == pytest.approx(stats.poisson.sf(n_max, mu), abs=1e-13)
 
     @pytest.mark.parametrize("mu", [0.05, 1.0, 12.0])
     def test_support_bound_is_tight_enough(self, mu):
@@ -87,8 +82,6 @@ class TestPoissonRows:
         n_max = 150
         expected = poisson_probs(mu, n_max)
         np.testing.assert_allclose(poisson_rows(mu, n_max), expected, rtol=1e-12, atol=1e-300)
-        p = poisson_pmf(mu)
-        np.testing.assert_allclose(p.probs, expected[: p.n_max + 1], rtol=1e-12, atol=1e-300)
 
     def test_one_row_per_mean(self):
         rows = poisson_rows(np.array(self.MEANS), 150)
@@ -99,125 +92,104 @@ class TestPoissonRows:
 
 
 class TestLossMatrix:
+    """The binomial loss channel, one `binomial_row` per photon number."""
+
     @pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
     def test_matches_binomial_formula(self, t):
-        n_max = 60
-        m = loss_matrix(t, n_max)
-        expected = np.zeros((n_max + 1, n_max + 1))
-        for n in range(n_max + 1):
-            for k in range(n + 1):
-                expected[n, k] = math.comb(n, k) * t**k * (1.0 - t) ** (n - k)
-        np.testing.assert_allclose(m, expected, rtol=1e-12, atol=1e-300)
-        np.testing.assert_allclose(m.sum(axis=1), 1.0, rtol=0, atol=1e-13)
+        for n in range(61):
+            expected = [math.comb(n, k) * t**k * (1.0 - t) ** (n - k) for k in range(n + 1)]
+            row = binomial_row(n, t)
+            np.testing.assert_allclose(row, expected, rtol=1e-12, atol=1e-300)
+            assert row.sum() == pytest.approx(1.0, abs=1e-13)
 
     def test_matches_scipy(self):
-        ns = np.arange(201)
-        expected = stats.binom.pmf(ns[None, :], ns[:, None], 0.72)
-        np.testing.assert_allclose(loss_matrix(0.72, 200), expected, rtol=0, atol=1e-13)
+        for n in range(201):
+            expected = stats.binom.pmf(np.arange(n + 1), n, 0.72)
+            np.testing.assert_allclose(binomial_row(n, 0.72), expected, rtol=0, atol=1e-13)
 
 
 class TestFock:
+    """A number state delivered whole: its row at survival 1."""
+
     def test_single_photon(self):
-        np.testing.assert_array_equal(fock_pmf(1).probs, [0.0, 1.0])
+        np.testing.assert_array_equal(binomial_row(1, 1.0), [0.0, 1.0])
 
     def test_vacuum(self):
-        np.testing.assert_array_equal(fock_pmf(0).probs, [1.0])
+        np.testing.assert_array_equal(binomial_row(0, 1.0), [1.0])
 
     def test_mean_and_zero_variance(self):
-        m = moments(fock_pmf(3))
-        assert m.mean == 3.0
-        assert m.variance == 0.0
+        assert moments_of(binomial_row(3, 1.0)) == (3.0, 0.0)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            fock_pmf(-1)
+            Fock(-1)
 
 
 class TestApplyLoss:
+    """Binomial thinning of a whole distribution (`thin`, built on
+    `binomial_row`)."""
+
     def test_identity_channel(self):
-        p = poisson_pmf(1.3)
-        assert_pmf_close(apply_loss(p, 1.0), p, atol=0)
+        p = poisson_rows(1.3, 30)
+        np.testing.assert_array_equal(thin(p, 1.0), p)
 
     def test_opaque_channel(self):
-        out = apply_loss(poisson_pmf(2.0), 0.0)
-        assert out.n_max == 0
-        assert out.prob(0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            apply_loss(vacuum_pmf(), 1.5)
+        out = thin(poisson_rows(2.0, 40), 0.0)
+        assert out[0] == pytest.approx(1.0, abs=1e-12)
+        assert not out[1:].any()
 
     @pytest.mark.parametrize("mu,tau", [(0.5, 0.3), (1.0, 0.72), (3.0, 0.9)])
     def test_thinned_poisson_closure(self, mu, tau):
-        """Thinning a Poisson(mu) gives Poisson(mu * tau), entrywise."""
-        thinned = apply_loss(poisson_pmf(mu), tau)
-        direct = poisson_pmf(mu * tau)
-        n = min(thinned.n_max, direct.n_max)
-        np.testing.assert_allclose(
-            thinned.probs[: n + 1], direct.probs[: n + 1], rtol=0, atol=1e-10
-        )
+        """Thinning a Poisson(mu) gives Poisson(mu * tau), entrywise: the
+        identity the coherent detected-count rows rely on."""
+        thinned = thin(poisson_rows(mu, 60), tau)
+        np.testing.assert_allclose(thinned, poisson_rows(mu * tau, 60), rtol=0, atol=1e-10)
 
     def test_single_photon_becomes_bernoulli(self):
-        out = apply_loss(fock_pmf(1), 0.72)
-        np.testing.assert_allclose(out.probs, [0.28, 0.72], atol=1e-15)
+        np.testing.assert_allclose(binomial_row(1, 0.72), [0.28, 0.72], atol=1e-15)
 
     def test_thinning_composition(self):
         """Two cascaded losses equal one loss with the product transmission."""
         rng = np.random.default_rng(7)
         for _ in range(20):
-            p = random_pmf(rng)
+            p = random_probs(rng)
             a, b = rng.random(2)
-            assert_pmf_close(
-                apply_loss(apply_loss(p, a), b), apply_loss(p, a * b), atol=1e-10
-            )
+            np.testing.assert_allclose(thin(thin(p, a), b), thin(p, a * b), rtol=0, atol=1e-10)
 
     def test_mean_linearity(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
-            p = random_pmf(rng)
+            p = random_probs(rng)
             tau = rng.random()
-            assert moments(apply_loss(p, tau)).mean == pytest.approx(
-                tau * moments(p).mean, abs=1e-9
-            )
+            assert moments_of(thin(p, tau))[0] == pytest.approx(tau * moments_of(p)[0], abs=1e-9)
 
     def test_mass_preserved(self):
-        p = poisson_pmf(2.5)
-        out = apply_loss(p, 0.4)
-        assert out.total_mass() == pytest.approx(p.total_mass(), abs=1e-13)
+        p = poisson_rows(2.5, 40)
+        assert thin(p, 0.4).sum() == pytest.approx(p.sum(), abs=1e-13)
 
 
 class TestMoments:
     def test_fock(self):
-        m = moments(fock_pmf(1))
+        m = source_moments(Fock(1))
         assert (m.mean, m.variance) == (1.0, 0.0)
 
     def test_poisson(self):
-        m = moments(poisson_pmf(2.0))
+        m = source_moments(Coherent(2.0))
         assert m.mean == pytest.approx(2.0, abs=1e-9)
         assert m.variance == pytest.approx(2.0, abs=1e-9)
 
     def test_vacuum_fano_undefined(self):
-        assert moments(vacuum_pmf()).fano is None
+        assert source_moments(Coherent(0.0)).fano is None
 
 
 class TestInvariants:
     def test_constructors_keep_mass(self):
-        for p in (poisson_pmf(0.3), poisson_pmf(5.0), fock_pmf(4), vacuum_pmf()):
-            assert 1.0 - 1e-12 <= p.total_mass() <= 1.0 + 1e-13
+        rows = [poisson_rows(mu, poisson_support(mu, 1e-16)) for mu in (0.3, 5.0, 0.0)]
+        for row in rows + [binomial_row(4, 1.0), binomial_row(4, 0.3)]:
+            assert 1.0 - 1e-12 <= row.sum() <= 1.0 + 1e-13
 
     def test_transforms_keep_mass(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
-            p = random_pmf(rng)
-            q = apply_loss(p, rng.random())
-            assert q.total_mass() == pytest.approx(p.total_mass(), abs=1e-12)
-
-    def test_invalid_entries_rejected(self):
-        with pytest.raises(ValueError):
-            Pmf(np.array([0.5, -0.1]))
-        with pytest.raises(ValueError):
-            Pmf(np.array([0.9, 0.9]))
-
-    def test_cutoff_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            Pmf(np.array([0.5, 0.25]), cutoff_mass=0.0)
+            p = random_probs(rng)
+            assert thin(p, rng.random()).sum() == pytest.approx(p.sum(), abs=1e-12)

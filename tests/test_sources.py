@@ -7,19 +7,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _oracles import enumerate_mux_output
-from subshot.pmf import moments, poisson_pmf
+from _oracles import enumerate_mux_output, poisson_probs, thinned_count_moments
+from subshot.montecarlo import _count_rows
+from subshot.pmf import Moments, poisson_rows
 from subshot.sources import (
     Coherent,
     Fock,
     Multiplexed,
     MuxParams,
-    herald_click_probability,
     make_multiplexed,
-    mux_output_pmf,
+    mux_output_rows,
     source_moments,
-    source_pmf,
-    sync_probability,
     sync_probability_at,
     tune_pair_mean,
     unreachable_field,
@@ -34,6 +32,18 @@ def params(m=2, mu=0.2, herald=0.5, stage=0.95, optics=0.9):
         stage_transmission=stage,
         optics_transmission=optics,
     )
+
+
+def output_row(p: MuxParams) -> np.ndarray:
+    """Photon-number distribution at the sample plane at the pump `p` carries."""
+    return mux_output_rows(p, p.pair_mean, 1.0, 1e-18)
+
+
+def moments(row) -> Moments:
+    """Mean, variance and Fano factor by summation over a row."""
+    mean, second = thinned_count_moments(row, 1.0)
+    variance = second - mean * mean
+    return Moments(mean, variance, variance / mean if mean > 0 else None)
 
 
 class TestMuxParams:
@@ -59,73 +69,64 @@ class TestMuxParams:
 
 
 class TestHeraldModel:
-    def test_click_probability_closed_form_matches_series(self):
-        p = params(mu=0.7, herald=0.4)
-        pois = poisson_pmf(0.7)
-        series = sum(
-            pois.prob(n) * (1.0 - 0.6**n) for n in range(1, pois.n_max + 1)
-        )
-        assert herald_click_probability(p) == pytest.approx(series, abs=1e-12)
-
     def test_sync_probability_two_windows(self):
         p = params(m=1, mu=0.5, herald=0.5)
-        p_w = herald_click_probability(p)
-        assert sync_probability(p) == pytest.approx(1 - (1 - p_w) ** 2, abs=1e-15)
+        # per-window herald probability: sum_n Poisson(n; mu) (1 - (1 - h)^n)
+        p_w = sum(q * (1.0 - 0.5**n) for n, q in enumerate(poisson_probs(0.5)))
+        assert sync_probability_at(p, p.pair_mean) == pytest.approx(1 - (1 - p_w) ** 2, abs=1e-15)
 
     def test_sync_probability_at_pump_values(self):
         p = params(m=3, mu=0.0, herald=0.6)
         pumps = np.array([0.0, 0.05, 0.7])
-        expected = [sync_probability(replace(p, pair_mean=mu)) for mu in pumps]
+        expected = [sync_probability_at(p, float(mu)) for mu in pumps]
         np.testing.assert_array_equal(sync_probability_at(p, pumps), expected)
 
     def test_strong_pump_stays_finite(self):
         """At mu * herald_eff = 40 the per-window herald probability rounds to
-        1.0; synchronization is then certain and the output PMF still valid."""
+        1.0; synchronization is then certain and the output row still valid."""
         p = params(m=1, mu=50.0, herald=0.8)
-        assert herald_click_probability(p) == 1.0
-        assert sync_probability(p) == 1.0
-        out = mux_output_pmf(p)
-        assert out.prob(0) < 1e-12
+        assert -math.expm1(-p.pair_mean * p.herald_eff) == 1.0
+        assert sync_probability_at(p, p.pair_mean) == 1.0
+        out = output_row(p)
+        assert out[0] < 1e-12
         assert moments(out).mean == pytest.approx(source_moments(Multiplexed(p)).mean, rel=1e-12)
 
 
 class TestMuxOutput:
     def test_no_pump_gives_vacuum(self):
-        out = mux_output_pmf(params(mu=0.0))
-        assert out.n_max == 0 and out.prob(0) == 1.0
+        out = output_row(params(mu=0.0))
+        assert out.size == 1 and out[0] == 1.0
 
     def test_no_heralds_gives_vacuum(self):
-        out = mux_output_pmf(params(herald=0.0))
-        assert out.n_max == 0 and out.prob(0) == 1.0
+        out = output_row(params(herald=0.0))
+        assert out[0] == 1.0 and not out[1:].any()
 
     def test_ideal_limit_is_zero_truncated_poisson(self):
         """With lossless optics, perfect heralding and a strong pump the
         output collapses to a Poisson conditioned on n >= 1."""
-        out = mux_output_pmf(params(m=2, mu=8.0, herald=1.0, stage=1.0, optics=1.0))
-        pois = poisson_pmf(8.0)
-        expected = np.array(pois.probs, copy=True)
+        out = output_row(params(m=2, mu=8.0, herald=1.0, stage=1.0, optics=1.0))
+        expected = np.array(poisson_probs(8.0, out.size - 1))
         expected[0] = 0.0
         expected /= -math.expm1(-8.0)
-        n = min(out.n_max, len(expected) - 1)
-        np.testing.assert_allclose(out.probs[1 : n + 1], expected[1 : n + 1], atol=1e-9)
-        assert out.prob(0) == pytest.approx(math.exp(-8.0) ** 4, rel=1e-6)
+        np.testing.assert_allclose(out[1:], expected[1:], atol=1e-9)
+        assert out[0] == pytest.approx(math.exp(-8.0) ** 4, rel=1e-6)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("mu", [0.05, 0.2, 0.5])
     def test_matches_event_level_enumeration(self, m, mu):
-        """Closed-form pipeline equals the brute-force window walk."""
+        """Closed-form rows equal the brute-force window walk."""
         p = params(m=m, mu=mu, herald=0.5, stage=0.95, optics=0.9)
         expected = enumerate_mux_output(m, mu, 0.5, 0.95, 0.9)
-        out = mux_output_pmf(p)
+        out = output_row(p)
         got = np.zeros(len(expected))
-        got[: out.n_max + 1] = out.probs[: len(expected)]
+        got[: min(out.size, len(expected))] = out[: len(expected)]
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("m", [1, 3, 5])
     @pytest.mark.parametrize("mu", [0.05, 0.3, 1.0])
     @pytest.mark.parametrize("herald", [0.75, 0.9])
     def test_sub_poissonian(self, m, mu, herald):
-        out = moments(mux_output_pmf(params(m=m, mu=mu, herald=herald)))
+        out = moments(output_row(params(m=m, mu=mu, herald=herald)))
         assert out.fano < 1.0
 
     def test_poor_heralding_turns_bunched(self):
@@ -134,20 +135,20 @@ class TestMuxOutput:
         stage and small pump the sub-Poissonian property needs a herald
         efficiency above 2/3 (herald gain 2h must beat the multi-photon
         slope 2 - h)."""
-        out = moments(mux_output_pmf(params(m=1, mu=1.0, herald=0.25)))
+        out = moments(output_row(params(m=1, mu=1.0, herald=0.25)))
         assert out.fano > 1.0
-        small_pump = moments(mux_output_pmf(params(m=1, mu=0.02, herald=0.65)))
+        small_pump = moments(output_row(params(m=1, mu=0.02, herald=0.65)))
         assert small_pump.fano > 1.0
 
     def test_mean_strictly_increasing_in_pump(self):
         mus = np.linspace(0.01, 2.0, 15)
-        means = [moments(mux_output_pmf(params(mu=m))).mean for m in mus]
+        means = [moments(output_row(params(mu=m))).mean for m in mus]
         assert np.all(np.diff(means) > 0)
 
     def test_mean_and_fano_monotone_in_stage_transmission(self):
         """More per-stage loss never raises the mean or lowers the Fano factor."""
         stages = np.linspace(0.5, 1.0, 8)
-        outs = [moments(mux_output_pmf(params(stage=s))) for s in stages]
+        outs = [moments(output_row(params(stage=s))) for s in stages]
         means = [o.mean for o in outs]
         fanos = [o.fano for o in outs]
         assert np.all(np.diff(means) > 0)
@@ -174,7 +175,7 @@ class TestTunePairMean:
     def test_residuals(self, target, m):
         p = params(m=m, herald=0.9, stage=0.88)
         mu = tune_pair_mean(p, target)
-        achieved = moments(mux_output_pmf(replace(p, pair_mean=mu))).mean
+        achieved = moments(output_row(replace(p, pair_mean=mu))).mean
         assert abs(achieved - target) < 1e-9
 
     def test_small_target_forces_small_pump(self):
@@ -200,12 +201,11 @@ class TestTunePairMean:
 
 class TestSourcePmf:
     def test_coherent_is_poisson_at_sample(self):
-        got = source_pmf(Coherent(1.0))
-        expected = poisson_pmf(1.0)
-        np.testing.assert_allclose(got.probs, expected.probs, atol=0)
+        got = _count_rows(Coherent(1.0), 1.0)
+        np.testing.assert_array_equal(got, poisson_rows(1.0, got.size - 1))
 
     def test_fock_single_photon(self):
-        np.testing.assert_array_equal(source_pmf(Fock(1)).probs, [0.0, 1.0])
+        np.testing.assert_array_equal(_count_rows(Fock(1), 1.0), [0.0, 1.0])
 
     def test_multiplexed_tuned_mean(self):
         src = make_multiplexed(3, 0.5)
@@ -221,4 +221,6 @@ class TestSourcePmf:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(TypeError):
-            source_pmf(object())
+            source_moments(object())
+        with pytest.raises(TypeError):
+            _count_rows(object(), 1.0)
