@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
         "threshold-ratio": "MSE ratios vs the shot-noise reference, threshold detectors",
         "intensity-sweep": "MSE ratios vs input mean photon number at fixed transmission",
         "asymptotic": "infinite-repetition relative MSE floor of threshold estimators",
-        "fluctuations": "MSE vs Gaussian pump-fluctuation size, with 68% bands",
+        "fluctuations": "MSE vs Gaussian pump-fluctuation size, with 68%% bands",
         "mc-validate": "Monte Carlo cross-check of the exact estimator reports",
     }
     for name in EXPERIMENTS:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from subshot.detection import Channel, nr_detected_moments
 from subshot.sources import Coherent, Fock, Source, source_click_probability, source_moments
@@ -94,10 +94,6 @@ class EstimatorReport:
     variance: float
     mse: float
     relative_mse_percent: float | None
-    ratio_to_snl: float | None = None
-
-    def with_ratio(self, snl: "EstimatorReport") -> "EstimatorReport":
-        return replace(self, ratio_to_snl=snl_ratio(self, snl))
 
 
 def exact_report_nr(source: Source, channel: Channel, nu: int) -> EstimatorReport:

@@ -156,32 +156,6 @@ class SweepConfig:
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:12]
 
 
-ROW_COLUMNS = (
-    "experiment",
-    "source",
-    "detector",
-    "stages",
-    "t",
-    "mean_photons",
-    "fluctuation",
-    "nu",
-    "expectation",
-    "bias",
-    "variance",
-    "mse",
-    "relative_mse_percent",
-    "ratio_to_snl",
-    "asymptotic_floor_percent",
-    "ci_low",
-    "ci_high",
-    "mse_exact",
-    "z_expectation",
-    "z_mse",
-    "seed",
-    "config_hash",
-)
-
-
 @dataclass(frozen=True)
 class SweepRow:
     """One output record; unused coordinates/outputs stay None."""
@@ -211,6 +185,10 @@ class SweepRow:
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in ROW_COLUMNS}
+
+
+# Output column order: the field order of `SweepRow`.
+ROW_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 def _source_label(source: Source) -> str:

@@ -7,6 +7,9 @@ Both jobs sample number-resolving counts from the same closed-form
 detected-count rows (`_count_rows`: a Poisson row for coherent light, a
 Binomial row for a Fock state, `sources.mux_output_rows` for the multiplexed
 source) and threshold clicks from the closed-form click probability.
+`mc_estimate` draws only the total count over the nu repetitions, which is all
+the estimators read: Binomial(nu, p) clicks, or one inverse-CDF lookup in the
+nu-fold convolution power of the detected-count row (`_total_count_row`).
 
 In the fluctuation study the pump strength becomes a Gaussian random variable
 (sigma = a * mean around the source's own pump, truncated at zero), the
@@ -45,13 +48,9 @@ from subshot.sources import (
     source_click_probability,
 )
 
-# Detected-count rows discard less than this beyond their last photon number,
-# far below the spacing of the uniforms they are sampled with.
+# Count rows discard less than this mass per trimmed tail, far below the
+# spacing of the uniforms they are sampled with.
 _ROW_TAIL = 1e-18
-
-# Experiments per block of uniforms in `mc_estimate`; bounds the memory held
-# at once without changing the stream.
-_CHUNK_TRIALS = 20_000
 
 
 def _pump(source: Source) -> float:
@@ -82,6 +81,36 @@ def _count_rows(source: Source, survival: float, mu=None) -> np.ndarray:
     return mux_output_rows(source.params, mu, survival, _ROW_TAIL)
 
 
+def _trim_tails(offset: int, row: np.ndarray) -> tuple[int, np.ndarray]:
+    """Drop the entries at each end of `row` holding at most `_ROW_TAIL` in
+    total, and normalize the rest; `offset` is the count of the first entry."""
+    lo = int(np.searchsorted(np.cumsum(row), _ROW_TAIL, side="right"))
+    hi = row.size - int(np.searchsorted(np.cumsum(row[::-1]), _ROW_TAIL, side="right"))
+    kept = row[lo:hi]
+    return offset + lo, kept / kept.sum()
+
+
+def _total_count_row(row: np.ndarray, nu: int) -> tuple[int, np.ndarray]:
+    """Distribution of the sum of `nu` independent counts distributed as `row`.
+
+    Returns `(offset, probs)` with P(K = offset + i) = probs[i].  The power is
+    formed by repeated squaring with direct convolution, which keeps every
+    entry non-negative.  Both tails are trimmed after each product, so the
+    row spans a few standard deviations of K and grows like sqrt(nu).  Each
+    product is renormalized, since the power would otherwise raise the
+    rounding error in the row's sum to the nu-th power.
+    """
+    offset, total = 0, np.ones(1)
+    base_offset, base = _trim_tails(0, row)
+    while True:
+        if nu & 1:
+            offset, total = _trim_tails(offset + base_offset, np.convolve(total, base))
+        nu >>= 1
+        if not nu:
+            return offset, total
+        base_offset, base = _trim_tails(2 * base_offset, np.convolve(base, base))
+
+
 @dataclass(frozen=True)
 class McEstimate:
     """Empirical estimator moments with standard errors."""
@@ -102,31 +131,25 @@ def mc_estimate(
 ) -> McEstimate:
     """Sample `trials` independent nu-repetition experiments.
 
-    Each experiment applies the estimator matching `spec.detector` and is
-    compared against the true transmission; deterministic per seed.
+    Each experiment draws its total count over the nu repetitions, applies
+    the estimator matching `spec.detector` and is compared against the true
+    transmission; deterministic per seed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    nu, ref = spec.nu, spec.reference_mean
-    estimates = np.empty(trials)
+    nu = spec.nu
 
     if spec.detector is Detector.THRESHOLD:
         p = source_click_probability(spec.source, channel.survival)
-        clicks = rng.binomial(nu, p, size=trials)
-        estimates[:] = clicks / (nu * ref)
+        totals = rng.binomial(nu, p, size=trials)
     else:
-        cdf = np.cumsum(_count_rows(spec.source, channel.survival))
-        done = 0
-        while done < trials:
-            n = min(_CHUNK_TRIALS, trials - done)
-            u = rng.random((n, nu))
-            counts = np.minimum(
-                np.searchsorted(cdf, u.ravel(), side="right"), cdf.size - 1
-            ).reshape(n, nu)
-            estimates[done : done + n] = counts.sum(axis=1) / (nu * ref)
-            done += n
+        offset, row = _total_count_row(_count_rows(spec.source, channel.survival), nu)
+        cdf = np.cumsum(row)
+        u = rng.random(trials)
+        totals = offset + np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
 
+    estimates = totals / (nu * spec.reference_mean)
     sq_err = (estimates - channel.transmission) ** 2
     ddof = 1 if trials > 1 else 0
     return McEstimate(

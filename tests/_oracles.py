@@ -55,8 +55,13 @@ def enumerate_mux_output(
 
 
 def enumerate_click_probability(probs, survival: float) -> float:
-    """Threshold click probability by direct summation over photon numbers."""
-    return sum(p * (1.0 - (1.0 - survival) ** n) for n, p in enumerate(probs) if n >= 1)
+    """Threshold click probability by direct summation over photon numbers.
+
+    The per-n click probability 1 - (1 - s)^n is evaluated as
+    -expm1(n log1p(-s)), which does not cancel at small survival.
+    """
+    log_loss = math.log1p(-survival) if survival < 1.0 else -math.inf
+    return sum(-p * math.expm1(n * log_loss) for n, p in enumerate(probs) if n >= 1)
 
 
 def thinned_count_moments(probs, survival: float) -> tuple[float, float]:

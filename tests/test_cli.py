@@ -7,6 +7,7 @@ import math
 import pytest
 
 from subshot.cli import main, parse_float_grid, parse_int_list
+from subshot.experiments import EXPERIMENTS
 
 
 class TestGridParsing:
@@ -124,6 +125,14 @@ class TestMain:
         with pytest.raises(SystemExit) as err:
             main(["nr-ratio", "--frobnicate", "1"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["--help"], *([name, "--help"] for name in EXPERIMENTS)])
+    def test_help_exits_zero(self, argv, capsys):
+        """argparse %-formats every help string, so a stray % crashes --help."""
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 0
+        assert "usage: subshot" in capsys.readouterr().out
 
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as err:

@@ -156,11 +156,6 @@ class TestSnlRatio:
         with pytest.raises(ValueError):
             snl_ratio(a, b)
 
-    def test_with_ratio_attaches_value(self):
-        ch = Channel(0.5, 0.9)
-        rep = exact_report_nr(Fock(1), ch, 200).with_ratio(snl_report(1.0, ch, 200))
-        assert rep.ratio_to_snl == pytest.approx(1.0 / (1.0 - 0.45), rel=1e-10)
-
 
 class TestAsymptoticFloor:
     def test_zero_at_transparent_sample(self):

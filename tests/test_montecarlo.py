@@ -1,16 +1,21 @@
-"""Monte Carlo engine: exact-report validation, reproducibility, and the
-pump-fluctuation study machinery."""
+"""Monte Carlo engine: exact-report validation, reproducibility, the
+total-count distribution it samples, and the pump-fluctuation study
+machinery."""
 
 import math
+import time
+from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import subshot.montecarlo
 from _oracles import enumerate_click_probability, enumerate_mux_output
 from subshot.detection import Channel
 from subshot.estimators import (
     Detector,
+    exact_report,
     exact_report_nr,
     exact_report_threshold,
     make_estimator_spec,
@@ -20,6 +25,7 @@ from subshot.montecarlo import (
     NegativeDraws,
     PumpRedraw,
     _count_rows,
+    _total_count_row,
     fluctuation_study,
     mc_estimate,
 )
@@ -34,6 +40,28 @@ from subshot.sources import (
 )
 
 CH = Channel(0.8, 0.9)
+
+# Fixed example sequence: the suite stays deterministic and writes no
+# example database.
+CHECKS = settings(derandomize=True, database=None, deadline=None)
+SOURCE_KINDS = ("coherent", "fock", "multiplexed")
+
+
+@st.composite
+def sources(draw, kinds=SOURCE_KINDS, fock_max=25, mean_max=5.0):
+    kind = draw(st.sampled_from(kinds))
+    if kind == "fock":
+        return Fock(draw(st.integers(1, fock_max)))
+    mean = draw(st.floats(0.1, mean_max))
+    if kind == "coherent":
+        return Coherent(mean)
+    return make_multiplexed(draw(st.integers(1, 6)), mean)
+
+
+def row_moments(offset, row):
+    counts = offset + np.arange(row.size)
+    mean = float((counts * row).sum() / row.sum())
+    return mean, float(((counts - mean) ** 2 * row).sum() / row.sum())
 
 
 class TestMcEstimate:
@@ -65,18 +93,95 @@ class TestMcEstimate:
         b = mc_estimate(spec, CH, trials=5000, seed=9)
         assert a == b
 
-    def test_chunking_does_not_change_the_stream(self, monkeypatch):
-        spec = make_estimator_spec(Coherent(0.5), Detector.NUMBER_RESOLVING, 0.9, 50)
-        monkeypatch.setattr(subshot.montecarlo, "_CHUNK_TRIALS", 512)
-        a = mc_estimate(spec, CH, trials=5000, seed=9)
-        monkeypatch.setattr(subshot.montecarlo, "_CHUNK_TRIALS", 5000)
-        b = mc_estimate(spec, CH, trials=5000, seed=9)
-        assert a == b
-
     def test_invalid_trials_rejected(self):
         spec = make_estimator_spec(Coherent(0.5), Detector.NUMBER_RESOLVING, 0.9, 50)
         with pytest.raises(ValueError):
             mc_estimate(spec, CH, trials=0, seed=0)
+
+
+class TestTotalCountRow:
+    """`mc_estimate` samples the total count over nu repetitions from the
+    nu-fold convolution power of the detected-count row."""
+
+    @CHECKS
+    @given(
+        source=sources(),
+        survival=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+        nu=st.integers(1, 1000),
+    )
+    def test_moments_add_over_repetitions(self, source, survival, nu):
+        row = _count_rows(source, survival)
+        offset, total = _total_count_row(row, nu)
+        assert (total >= 0.0).all()
+        assert total.sum() == pytest.approx(1.0, abs=1e-12)
+        mean, variance = row_moments(0, row)
+        got_mean, got_variance = row_moments(offset, total)
+        assert got_mean == pytest.approx(nu * mean, rel=1e-12, abs=1e-15)
+        assert got_variance == pytest.approx(nu * variance, rel=1e-12, abs=1e-15)
+
+    def test_single_repetition_is_the_row(self):
+        row = _count_rows(Coherent(1.0), 0.72)
+        offset, total = _total_count_row(row, 1)
+        assert offset == 0
+        np.testing.assert_allclose(total, row / row.sum(), rtol=1e-15, atol=0.0)
+
+    def test_degenerate_row_stays_a_point(self):
+        offset, total = _total_count_row(_count_rows(Fock(3), 1.0), 200)
+        assert (offset, total.tolist()) == (600, [1.0])
+
+    @pytest.mark.parametrize("source", [Coherent(1.0), make_multiplexed(2, 1.0)])
+    def test_million_repetitions_build_quickly(self, source):
+        """Both tails are trimmed, so the row spans ~sqrt(nu) counts, not
+        nu * mean, and its cost does not grow like nu^2."""
+        row = _count_rows(source, 0.72)
+        start = time.perf_counter()
+        offset, total = _total_count_row(row, 10**6)
+        assert time.perf_counter() - start < 2.0
+        mean, variance = row_moments(0, row)
+        assert total.size < 20 * math.sqrt(10**6 * variance)
+        assert row_moments(offset, total)[0] == pytest.approx(10**6 * mean, rel=1e-12)
+
+
+# Examples per (source kind, detector) pair of the randomized Monte Carlo check.
+MC_EXAMPLES = 10
+# Two z-scores per example, Bonferroni-corrected to a family-wise error of
+# 1e-3 over every example of every pair: |z| < 4.46.
+MC_Z_BOUND = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * 2 * MC_EXAMPLES * 2 * len(SOURCE_KINDS)))
+
+
+@pytest.mark.parametrize("detector", list(Detector))
+@pytest.mark.parametrize("kind", SOURCE_KINDS)
+@settings(CHECKS, max_examples=MC_EXAMPLES)
+@given(
+    data=st.data(),
+    transmission=st.floats(0.05, 1.0),
+    detector_eff=st.floats(0.5, 0.95),
+    nu=st.integers(1, 500),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_reports_match_monte_carlo(
+    kind, detector, data, transmission, detector_eff, nu, seed
+):
+    """Randomized cross-check of `exact_report` against `mc_estimate`.
+
+    The rule for the bound was fixed before any example ran: a family-wise
+    false-alarm rate of 1e-3, split by Bonferroni over every z-score the test
+    computes (expectation and MSE, MC_EXAMPLES examples, each source kind
+    with each detector).  The region keeps both count tails populated at 1e5 trials,
+    so the z-scores are close to normal: at least ~250 expected non-zero
+    totals (nu * mean * s >= 0.0025), no survival above 0.95, and Fock
+    states of at most two photons, whose threshold detectors miss with
+    probability >= 0.05^2.
+    """
+    source = data.draw(sources(kinds=(kind,), fock_max=2, mean_max=3.0))
+    channel = Channel(transmission, detector_eff)
+    spec = make_estimator_spec(source, detector, detector_eff, nu)
+    mc = mc_estimate(spec, channel, trials=100_000, seed=seed)
+    exact = exact_report(source, detector, channel, nu)
+    z_expectation = (mc.expectation - exact.expectation) / mc.expectation_se
+    z_mse = (mc.mse - exact.mse) / mc.mse_se
+    assert abs(z_expectation) < MC_Z_BOUND
+    assert abs(z_mse) < MC_Z_BOUND
 
 
 class TestBatchBuilders:

@@ -1,4 +1,6 @@
-"""Checks of the pump-fluctuation oracle in `_oracles.py`.
+"""Checks of the oracles in `_oracles.py`.
+
+The click-probability oracle is compared with exact rational arithmetic.
 
 For coherent light the NR estimator MSE under a Gaussian pump has a closed
 form in the moments of the relative pump x (clamped at zero, or conditioned
@@ -10,10 +12,12 @@ oracle's event enumeration is compared with the same quadrature run over the
 import functools
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from _oracles import (
+    enumerate_click_probability,
     enumerate_mux_output,
     nr_mse_fluctuating_pump,
     poisson_probs,
@@ -26,6 +30,16 @@ from subshot.sources import Multiplexed, MuxParams, mux_output_rows, tune_pair_m
 T, ETA, NU, MEAN = 0.8, 0.9, 200, 0.5
 REDRAWS = ("per-round", "per-repetition")
 NEGATIVES = ("clamp", "resample")
+
+
+@pytest.mark.parametrize("survival", [1.19e-7, 0.3, 1.0])
+def test_click_oracle_is_exact_at_small_survival(survival):
+    """Fock(21): 1 - (1 - s)^21 cancels at small s when evaluated directly
+    (~1e-9 relative at s = 1.19e-7); the oracle must stay at rounding level."""
+    probs = [0.0] * 21 + [1.0]
+    exact = 1 - (1 - Fraction(survival)) ** 21
+    got = enumerate_click_probability(probs, survival)
+    assert got == pytest.approx(float(exact), rel=1e-14, abs=0.0)
 
 
 def _inflation(count_moments, reference, a, redraw, negatives):
