@@ -31,13 +31,8 @@ CONFIG_ENV_VAR = "SUBSHOT_CONFIG"
 
 # Experiment-specific defaults layered over the SweepConfig ones.
 PER_EXPERIMENT_DEFAULTS: dict[str, dict] = {
-    "nr-ratio": {},
-    "threshold-bias": {},
-    "threshold-ratio": {},
-    "intensity-sweep": {},
     "asymptotic": {"stage_counts": (3,)},
     "fluctuations": {"mean_photons": 0.5, "stage_counts": (3, 5)},
-    "mc-validate": {},
 }
 
 
@@ -109,7 +104,7 @@ def load_config_file(cfg: SweepConfig, path: str) -> SweepConfig:
 
 def resolve_config(experiment: str, args: argparse.Namespace) -> SweepConfig:
     cfg = SweepConfig(experiment=experiment)
-    cfg = replace(cfg, **PER_EXPERIMENT_DEFAULTS[experiment])
+    cfg = replace(cfg, **PER_EXPERIMENT_DEFAULTS.get(experiment, {}))
     config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
     if config_path:
         cfg = load_config_file(cfg, config_path)
@@ -157,18 +152,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _show_config(args: argparse.Namespace) -> int:
     names = [args.experiment] if args.experiment else list(EXPERIMENTS)
-    for name in names:
-        cfg = resolve_config(name, args)
-        print(f"[{name}]")
+    configs = [resolve_config(name, args) for name in names]
+    for cfg in configs:
+        cfg.validate()
+    for cfg in configs:
+        print(f"[{cfg.experiment}]")
         print(f"  eta={cfg.detector_eff} optics={cfg.optics_transmission} "
               f"eta-stage={cfg.stage_transmission} eta-herald={cfg.herald_eff}")
         print(f"  nu={cfg.nu} seed={cfg.seed} mean-n={cfg.mean_photons} t={cfg.transmission}")
         print(f"  t-grid: {len(cfg.t_grid)} points in "
               f"[{cfg.t_grid[0]:g}, {cfg.t_grid[-1]:g}]  m={list(cfg.stage_counts)}")
-        if name == "fluctuations":
+        if cfg.experiment == "fluctuations":
             print(f"  a-grid={list(cfg.a_grid)} rounds={cfg.rounds} "
                   f"redraw={cfg.redraw} negatives={cfg.negatives}")
-        if name == "mc-validate":
+        if cfg.experiment == "mc-validate":
             print(f"  trials={cfg.trials}")
         print(f"  config-hash={cfg.digest()}")
     return 0
@@ -191,9 +188,9 @@ def _write_outputs(rows, experiment: str, out: str | None, fmt: str) -> list[str
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "show-config":
-        return _show_config(args)
     try:
+        if args.command == "show-config":
+            return _show_config(args)
         cfg = resolve_config(args.command, args)
         rows = run_experiment(cfg)
     except ConfigError as err:

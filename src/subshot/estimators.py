@@ -96,6 +96,25 @@ class EstimatorReport:
     relative_mse_percent: float | None
 
 
+def _report(
+    detector: Detector, channel: Channel, nu: int, expectation: float, variance: float
+) -> EstimatorReport:
+    """Report from the estimator's expectation and variance; the bias is
+    measured against the true transmission."""
+    bias = expectation - channel.transmission
+    mse = variance + bias**2
+    return EstimatorReport(
+        detector=detector,
+        transmission=channel.transmission,
+        nu=nu,
+        expectation=expectation,
+        bias=bias,
+        variance=variance,
+        mse=mse,
+        relative_mse_percent=relative_mse_percent(mse, channel.transmission),
+    )
+
+
 def exact_report_nr(source: Source, channel: Channel, nu: int) -> EstimatorReport:
     """Exact report for a number-resolving detector.
 
@@ -105,20 +124,8 @@ def exact_report_nr(source: Source, channel: Channel, nu: int) -> EstimatorRepor
     """
     ref = reference_mean(source, Detector.NUMBER_RESOLVING, channel.detector_eff)
     detected = nr_detected_moments(source_moments(source), channel)
-    expectation = detected.mean / ref
-    bias = expectation - channel.transmission
     variance = detected.variance / (nu * ref**2)
-    mse = variance + bias**2
-    return EstimatorReport(
-        detector=Detector.NUMBER_RESOLVING,
-        transmission=channel.transmission,
-        nu=nu,
-        expectation=expectation,
-        bias=bias,
-        variance=variance,
-        mse=mse,
-        relative_mse_percent=relative_mse_percent(mse, channel.transmission),
-    )
+    return _report(Detector.NUMBER_RESOLVING, channel, nu, detected.mean / ref, variance)
 
 
 def exact_report_threshold(source: Source, channel: Channel, nu: int) -> EstimatorReport:
@@ -130,20 +137,8 @@ def exact_report_threshold(source: Source, channel: Channel, nu: int) -> Estimat
     """
     ref = reference_mean(source, Detector.THRESHOLD, channel.detector_eff)
     p_click = source_click_probability(source, channel.survival)
-    expectation = p_click / ref
-    bias = expectation - channel.transmission
     variance = p_click * (1.0 - p_click) / (nu * ref**2)
-    mse = variance + bias**2
-    return EstimatorReport(
-        detector=Detector.THRESHOLD,
-        transmission=channel.transmission,
-        nu=nu,
-        expectation=expectation,
-        bias=bias,
-        variance=variance,
-        mse=mse,
-        relative_mse_percent=relative_mse_percent(mse, channel.transmission),
-    )
+    return _report(Detector.THRESHOLD, channel, nu, p_click / ref, variance)
 
 
 def exact_report(

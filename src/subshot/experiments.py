@@ -5,7 +5,8 @@ self-describing rows (every row carries its coordinates, the seed and a hash
 of the full configuration), ready to be written as CSV or JSON for external
 plotting.  All grid points are computed with the exact estimator reports
 except the fluctuation study and the Monte Carlo validation, which are seeded
-and deterministic.
+and deterministic.  `_row` is the only place rows are built, and `_sources`
+the only place the sources of a grid point are made.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Iterable
 
 import numpy as np
@@ -21,7 +22,6 @@ import numpy as np
 from subshot.detection import Channel
 from subshot.estimators import (
     Detector,
-    EstimatorReport,
     asymptotic_relative_mse_floor,
     exact_report,
     make_estimator_spec,
@@ -45,15 +45,12 @@ from subshot.sources import (
     unreachable_field,
 )
 
-EXPERIMENTS = (
-    "nr-ratio",
-    "threshold-bias",
-    "threshold-ratio",
-    "intensity-sweep",
-    "asymptotic",
-    "fluctuations",
-    "mc-validate",
-)
+# Largest accepted stage count.  Built multiplexing networks have at most a
+# few tens of stages, and the cap keeps the window count 2**stages and the
+# tuned pump times it far inside the float range: from 1024 stages the count
+# does not convert to a float, and from 865 stages the pump tuning overflows
+# at mean 1.
+MAX_STAGES = 64
 
 
 class ConfigError(ValueError):
@@ -101,11 +98,13 @@ class SweepConfig:
         if not self.stage_counts:
             raise ConfigError("stage_counts", "must be non-empty")
         for m in self.stage_counts:
-            if m < 1:
-                raise ConfigError("stage_counts", f"stage count {m} must be >= 1")
+            if not 1 <= m <= MAX_STAGES:
+                raise ConfigError("stage_counts", f"stage count {m} outside [1, {MAX_STAGES}]")
         for n in self.mean_grid:
             if not (math.isfinite(n) and n > 0):
                 raise ConfigError("mean_grid", f"mean photon number {n} must be finite and > 0")
+        if not self.a_grid:
+            raise ConfigError("a_grid", "must be non-empty")
         for a in self.a_grid:
             if not 0.0 <= a <= 0.6:
                 raise ConfigError("a_grid", f"fluctuation {a} outside [0, 0.6]")
@@ -191,6 +190,10 @@ class SweepRow:
 ROW_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
+# Report fields copied into the output column of the same name.
+_REPORT_COLUMNS = ("expectation", "bias", "variance", "mse", "relative_mse_percent")
+
+
 def _source_label(source: Source) -> str:
     if isinstance(source, Coherent):
         return "coherent"
@@ -199,74 +202,64 @@ def _source_label(source: Source) -> str:
     return "multiplexed"
 
 
-def _stages_of(source: Source) -> int | None:
-    return source.params.stages if isinstance(source, Multiplexed) else None
-
-
-def _mux(cfg: SweepConfig, stages: int, mean: float) -> Multiplexed:
-    return make_multiplexed(
-        stages,
-        mean,
-        herald_eff=cfg.herald_eff,
-        stage_transmission=cfg.stage_transmission,
-        optics_transmission=cfg.optics_transmission,
-    )
-
-
-def _report_row(
+def _row(
     cfg: SweepConfig,
     source: Source,
     detector: Detector,
-    report: EstimatorReport,
-    snl: EstimatorReport,
+    t: float,
     mean: float,
+    fluctuation: float | None = None,
+    seed: int | None = None,
+    **outputs,
 ) -> SweepRow:
+    """The one place rows are built: coordinates and provenance from `cfg`
+    and `source`, the experiment's output columns from `outputs`."""
     return SweepRow(
         experiment=cfg.experiment,
         source=_source_label(source),
         detector=detector.value,
-        stages=_stages_of(source),
-        t=report.transmission,
+        stages=source.params.stages if isinstance(source, Multiplexed) else None,
+        t=t,
         mean_photons=mean,
-        fluctuation=None,
-        nu=report.nu,
-        expectation=report.expectation,
-        bias=report.bias,
-        variance=report.variance,
-        mse=report.mse,
-        relative_mse_percent=report.relative_mse_percent,
-        ratio_to_snl=snl_ratio(report, snl),
-        seed=cfg.seed,
+        fluctuation=fluctuation,
+        nu=cfg.nu,
+        seed=cfg.seed if seed is None else seed,
         config_hash=cfg.digest(),
+        **outputs,
     )
 
 
-def _ratio_sweep(cfg: SweepConfig, detector: Detector, include_fock: bool = True):
-    """Exact reports over the t-grid for coherent, multiplexed and Fock
-    sources, each row carrying its MSE ratio to the shot-noise reference."""
-    mean = cfg.mean_photons
-    sources: list[Source] = [Coherent(mean)]
-    sources += [_mux(cfg, m, mean) for m in cfg.stage_counts]
-    if include_fock:
-        sources.append(Fock(1))
+def _sources(cfg: SweepConfig, mean: float) -> list[Source]:
+    """The coherent source and one multiplexed source per stage count of
+    `cfg`, each delivering `mean` photons to the sample."""
+    calibration = (cfg.herald_eff, cfg.stage_transmission, cfg.optics_transmission)
+    return [Coherent(mean)] + [make_multiplexed(m, mean, *calibration) for m in cfg.stage_counts]
+
+
+def _exact_rows(cfg: SweepConfig, sources: list[Source], detectors, channel: Channel, mean: float):
+    """Exact reports for each detector and source, each row carrying its MSE
+    ratio to the shot-noise reference at `mean` photons."""
+    snl = snl_report(mean, channel, cfg.nu)
     rows = []
-    for t in cfg.t_grid:
-        ch = Channel(t, cfg.detector_eff)
-        snl = snl_report(mean, ch, cfg.nu)
+    for detector in detectors:
         for source in sources:
-            report = exact_report(source, detector, ch, cfg.nu)
-            rows.append(_report_row(cfg, source, detector, report, snl, mean))
+            report = exact_report(source, detector, channel, cfg.nu)
+            outputs = {name: getattr(report, name) for name in _REPORT_COLUMNS}
+            outputs["ratio_to_snl"] = snl_ratio(report, snl)
+            rows.append(_row(cfg, source, detector, channel.transmission, mean, **outputs))
     return rows
 
 
-def _run_nr_ratio(cfg: SweepConfig):
-    return _ratio_sweep(cfg, Detector.NUMBER_RESOLVING)
-
-
-def _run_threshold(cfg: SweepConfig):
-    """Threshold reports over the t-grid; each row carries both the bias and
-    the MSE ratio, so `threshold-bias` and `threshold-ratio` share it."""
-    return _ratio_sweep(cfg, Detector.THRESHOLD)
+def _ratio_sweep(cfg: SweepConfig, detector: Detector):
+    """Exact reports over the t-grid for coherent, multiplexed and Fock
+    sources.  Threshold rows carry both the bias and the MSE ratio, so
+    `threshold-bias` and `threshold-ratio` share this sweep."""
+    mean = cfg.mean_photons
+    sources = _sources(cfg, mean) + [Fock(1)]
+    rows = []
+    for t in cfg.t_grid:
+        rows += _exact_rows(cfg, sources, (detector,), Channel(t, cfg.detector_eff), mean)
+    return rows
 
 
 def _run_intensity_sweep(cfg: SweepConfig):
@@ -276,13 +269,7 @@ def _run_intensity_sweep(cfg: SweepConfig):
     ch = Channel(cfg.transmission, cfg.detector_eff)
     rows = []
     for mean in mean_grid:
-        snl = snl_report(mean, ch, cfg.nu)
-        sources: list[Source] = [Coherent(mean)]
-        sources += [_mux(cfg, m, mean) for m in cfg.stage_counts]
-        for detector in (Detector.NUMBER_RESOLVING, Detector.THRESHOLD):
-            for source in sources:
-                report = exact_report(source, detector, ch, cfg.nu)
-                rows.append(_report_row(cfg, source, detector, report, snl, mean))
+        rows += _exact_rows(cfg, _sources(cfg, mean), Detector, ch, mean)
     return rows
 
 
@@ -291,126 +278,86 @@ def _run_asymptotic(cfg: SweepConfig):
     mean_grid = cfg.mean_grid or (0.2, 0.5, 1.0)
     rows = []
     for mean in mean_grid:
-        sources: list[Source] = [Coherent(mean)]
-        sources += [_mux(cfg, m, mean) for m in cfg.stage_counts]
+        sources = _sources(cfg, mean)
         for t in cfg.t_grid:
             ch = Channel(t, cfg.detector_eff)
             for source in sources:
                 floor = asymptotic_relative_mse_floor(source, ch)
                 rows.append(
-                    SweepRow(
-                        experiment=cfg.experiment,
-                        source=_source_label(source),
-                        detector=Detector.THRESHOLD.value,
-                        stages=_stages_of(source),
-                        t=t,
-                        mean_photons=mean,
-                        fluctuation=None,
-                        nu=cfg.nu,
-                        asymptotic_floor_percent=floor,
-                        seed=cfg.seed,
-                        config_hash=cfg.digest(),
-                    )
+                    _row(cfg, source, Detector.THRESHOLD, t, mean, asymptotic_floor_percent=floor)
                 )
     return rows
 
 
-def _fluctuation_config(cfg: SweepConfig) -> FluctuationConfig:
-    return FluctuationConfig(
+def _run_fluctuations(cfg: SweepConfig):
+    """Seeded pump-fluctuation study over the a-grid."""
+    mc_cfg = FluctuationConfig(
         a_grid=cfg.a_grid,
         rounds=cfg.rounds,
         nu=cfg.nu,
         redraw=PumpRedraw(cfg.redraw),
         negatives=NegativeDraws(cfg.negatives),
     )
-
-
-def _run_fluctuations(cfg: SweepConfig):
-    """Seeded pump-fluctuation study over the a-grid."""
-    mc_cfg = _fluctuation_config(cfg)
-    ch = Channel(cfg.transmission, cfg.detector_eff)
-    sources: list[Source] = [Coherent(cfg.mean_photons)]
-    sources += [_mux(cfg, m, cfg.mean_photons) for m in cfg.stage_counts]
+    t, mean = cfg.transmission, cfg.mean_photons
+    ch = Channel(t, cfg.detector_eff)
+    sources = _sources(cfg, mean)
     rows = []
-    for detector in (Detector.NUMBER_RESOLVING, Detector.THRESHOLD):
+    for detector in Detector:
         for source in sources:
-            summaries = fluctuation_study(mc_cfg, source, detector, ch, cfg.seed)
-            for summary in summaries:
-                rows.append(
-                    SweepRow(
-                        experiment=cfg.experiment,
-                        source=_source_label(source),
-                        detector=detector.value,
-                        stages=_stages_of(source),
-                        t=cfg.transmission,
-                        mean_photons=cfg.mean_photons,
-                        fluctuation=summary.fluctuation,
-                        nu=cfg.nu,
-                        mse=summary.mean_mse,
-                        ci_low=summary.ci_low,
-                        ci_high=summary.ci_high,
-                        seed=cfg.seed,
-                        config_hash=cfg.digest(),
-                    )
-                )
+            rows += [
+                _row(cfg, source, detector, t, mean, s.fluctuation,
+                     mse=s.mean_mse, ci_low=s.ci_low, ci_high=s.ci_high)
+                for s in fluctuation_study(mc_cfg, source, detector, ch, cfg.seed)
+            ]
     return rows
+
+
+def _z_score(sampled: float, exact: float, se: float) -> float:
+    """Deviation of a sampled moment from its exact value in standard errors,
+    0 when the samples do not spread."""
+    return (sampled - exact) / se if se > 0 else 0.0
 
 
 def _run_mc_validate(cfg: SweepConfig):
     """Monte Carlo versus exact reports for a canned configuration set
-    spanning both detectors and all three sources."""
-    ch = Channel(cfg.transmission, cfg.detector_eff)
-    mean = cfg.mean_photons
+    spanning both detectors and all three sources; configuration i is
+    sampled with seed + i."""
+    t, mean = cfg.transmission, cfg.mean_photons
+    ch = Channel(t, cfg.detector_eff)
+    coherent, mux2, mux5 = _sources(replace(cfg, stage_counts=(2, 5)), mean)
     canned: list[tuple[Source, Detector]] = [
-        (Coherent(mean), Detector.NUMBER_RESOLVING),
-        (Coherent(mean), Detector.THRESHOLD),
+        (coherent, Detector.NUMBER_RESOLVING),
+        (coherent, Detector.THRESHOLD),
         (Fock(1), Detector.NUMBER_RESOLVING),
         (Fock(1), Detector.THRESHOLD),
-        (_mux(cfg, 2, mean), Detector.NUMBER_RESOLVING),
-        (_mux(cfg, 5, mean), Detector.THRESHOLD),
+        (mux2, Detector.NUMBER_RESOLVING),
+        (mux5, Detector.THRESHOLD),
     ]
     rows = []
     for index, (source, detector) in enumerate(canned):
         exact = exact_report(source, detector, ch, cfg.nu)
         spec = make_estimator_spec(source, detector, cfg.detector_eff, cfg.nu)
         mc = mc_estimate(spec, ch, cfg.trials, seed=cfg.seed + index)
-        z_e = (
-            (mc.expectation - exact.expectation) / mc.expectation_se
-            if mc.expectation_se > 0
-            else 0.0
-        )
-        z_m = (mc.mse - exact.mse) / mc.mse_se if mc.mse_se > 0 else 0.0
         rows.append(
-            SweepRow(
-                experiment=cfg.experiment,
-                source=_source_label(source),
-                detector=detector.value,
-                stages=_stages_of(source),
-                t=cfg.transmission,
-                mean_photons=mean,
-                fluctuation=None,
-                nu=cfg.nu,
-                expectation=mc.expectation,
-                mse=mc.mse,
-                mse_exact=exact.mse,
-                z_expectation=z_e,
-                z_mse=z_m,
-                seed=cfg.seed + index,
-                config_hash=cfg.digest(),
-            )
+            _row(cfg, source, detector, t, mean, seed=cfg.seed + index,
+                 expectation=mc.expectation, mse=mc.mse, mse_exact=exact.mse,
+                 z_expectation=_z_score(mc.expectation, exact.expectation, mc.expectation_se),
+                 z_mse=_z_score(mc.mse, exact.mse, mc.mse_se))
         )
     return rows
 
 
 _RUNNERS = {
-    "nr-ratio": _run_nr_ratio,
-    "threshold-bias": _run_threshold,
-    "threshold-ratio": _run_threshold,
+    "nr-ratio": functools.partial(_ratio_sweep, detector=Detector.NUMBER_RESOLVING),
+    "threshold-bias": functools.partial(_ratio_sweep, detector=Detector.THRESHOLD),
+    "threshold-ratio": functools.partial(_ratio_sweep, detector=Detector.THRESHOLD),
     "intensity-sweep": _run_intensity_sweep,
     "asymptotic": _run_asymptotic,
     "fluctuations": _run_fluctuations,
     "mc-validate": _run_mc_validate,
 }
+
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run_experiment(cfg: SweepConfig) -> list[SweepRow]:

@@ -119,8 +119,6 @@ class McEstimate:
     expectation_se: float
     mse: float
     mse_se: float
-    trials: int
-    seed: int
 
 
 def mc_estimate(
@@ -157,8 +155,6 @@ def mc_estimate(
         expectation_se=float(estimates.std(ddof=ddof) / math.sqrt(trials)),
         mse=float(sq_err.mean()),
         mse_se=float(sq_err.std(ddof=ddof) / math.sqrt(trials)),
-        trials=trials,
-        seed=seed,
     )
 
 
@@ -213,8 +209,6 @@ class McSummary:
     mse_se: float
     ci_low: float
     ci_high: float
-    n_rounds: int
-    seed: int
 
 
 def _sample_counts_by_rows(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -316,8 +310,6 @@ def fluctuation_study(
                 mse_se=float(sq_err[ai].std(ddof=1) / math.sqrt(cfg.rounds)),
                 ci_low=float(lo),
                 ci_high=float(hi),
-                n_rounds=cfg.rounds,
-                seed=seed,
             )
         )
     return summaries

@@ -35,6 +35,9 @@ DEFAULT_HERALD_EFF = 0.9
 DEFAULT_STAGE_TRANSMISSION = 0.88
 DEFAULT_OPTICS_TRANSMISSION = 0.9
 
+# Step limit of the pump tuning's bracket doubling and of its bisection.
+_TUNING_STEPS = 200
+
 
 @dataclass(frozen=True)
 class MuxParams:
@@ -207,12 +210,7 @@ def unreachable_field(params: MuxParams) -> str | None:
     return None
 
 
-def tune_pair_mean(
-    params: MuxParams,
-    target_mean: float,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> float:
+def tune_pair_mean(params: MuxParams, target_mean: float, tol: float = 1e-10) -> float:
     """Pump strength whose output mean at the sample equals `target_mean`.
 
     The closed-form output mean is continuous and strictly increasing in the
@@ -234,14 +232,14 @@ def tune_pair_mean(
         return _mux_factorial_moments(params, mu)[0]
 
     lo, hi = 0.0, max(1.0, target_mean)
-    for _ in range(200):
+    for _ in range(_TUNING_STEPS):
         if mean_at(hi) >= target_mean:
             break
         lo, hi = hi, 2.0 * hi
     else:
         raise RuntimeError(f"could not bracket target mean {target_mean}")
 
-    for _ in range(max_iter):
+    for _ in range(_TUNING_STEPS):
         mid = 0.5 * (lo + hi)
         residual = mean_at(mid) - target_mean
         if abs(residual) < tol:
@@ -251,7 +249,7 @@ def tune_pair_mean(
         else:
             hi = mid
     raise RuntimeError(
-        f"pump tuning did not reach residual {tol} within {max_iter} bisection steps"
+        f"pump tuning did not reach residual {tol} within {_TUNING_STEPS} bisection steps"
     )
 
 

@@ -121,6 +121,28 @@ class TestMain:
         assert capsys.readouterr().err.startswith(f"configuration error: {field}: ")
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            (["show-config", "--nu", "abc"], "nu"),
+            (["show-config", "--config", "{tmp}/nope.ini"], "config"),
+            (["show-config", "nr-ratio", "--t-grid", ","], "t_grid"),
+            (["show-config", "nr-ratio", "--t-grid", "2"], "t_grid"),
+            (["nr-ratio", "--m", "1024", "--t-grid", "0.5"], "stage_counts"),
+            (["fluctuations", "--a-grid", ","], "a_grid"),
+        ],
+    )
+    def test_bad_config_names_field(self, tmp_path, capsys, args, field):
+        """Unparsable, unreadable and invalid settings exit 1 with the field
+        named, for show-config as for a run, and print no configuration."""
+        argv = [arg.format(tmp=tmp_path) for arg in args]
+        code = main([*argv, "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert err.startswith(f"configuration error: {field}: ")
+        assert out == ""
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as err:
             main(["nr-ratio", "--frobnicate", "1"])

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from subshot.experiments import (
+    EXPERIMENTS,
+    MAX_STAGES,
     ConfigError,
     ROW_COLUMNS,
     SweepConfig,
@@ -16,6 +18,51 @@ from subshot.experiments import (
 
 def small_grid(n=11):
     return tuple(float(t) for t in np.linspace(0.0, 1.0, n))
+
+
+# Columns every row fills, whatever the experiment.
+_ALWAYS_FILLED = ("experiment", "source", "detector", "t", "mean_photons", "nu", "seed", "config_hash")
+_EXACT_REPORT = ("expectation", "bias", "variance", "mse", "relative_mse_percent", "ratio_to_snl")
+# The other columns each experiment fills (at t > 0); the rest stay empty.
+# `stages` is filled exactly on multiplexed rows.
+_FILLED = {
+    "nr-ratio": _EXACT_REPORT,
+    "threshold-bias": _EXACT_REPORT,
+    "threshold-ratio": _EXACT_REPORT,
+    "intensity-sweep": _EXACT_REPORT,
+    "asymptotic": ("asymptotic_floor_percent",),
+    "fluctuations": ("fluctuation", "mse", "ci_low", "ci_high"),
+    "mc-validate": ("expectation", "mse", "mse_exact", "z_expectation", "z_mse"),
+}
+
+
+class TestRowLayout:
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_filled_columns_and_provenance(self, experiment):
+        cfg = SweepConfig(
+            experiment=experiment,
+            t_grid=(0.3, 0.7),
+            stage_counts=(1, 2),
+            mean_grid=(0.5,),
+            a_grid=(0.0, 0.3),
+            nu=20,
+            rounds=3,
+            trials=50,
+            seed=11,
+        )
+        rows = run_experiment(cfg)
+        assert rows
+        optional = set(ROW_COLUMNS) - set(_ALWAYS_FILLED) - {"stages"}
+        for index, row in enumerate(rows):
+            values = row.as_dict()
+            assert row.experiment == experiment
+            assert row.nu == cfg.nu
+            assert row.config_hash == cfg.digest()
+            # mc-validate seeds its i-th configuration with seed + i.
+            assert row.seed == cfg.seed + (index if experiment == "mc-validate" else 0)
+            assert all(values[c] is not None for c in _ALWAYS_FILLED)
+            assert (row.stages is not None) == (row.source == "multiplexed")
+            assert {c for c in optional if values[c] is not None} == set(_FILLED[experiment])
 
 
 class TestConfigValidation:
@@ -32,6 +79,7 @@ class TestConfigValidation:
             ("stage_counts", (0,)),
             ("mean_grid", (-1.0,)),
             ("a_grid", (0.9,)),
+            ("a_grid", ()),
             ("mean_photons", 0.0),
             ("transmission", 1.5),
             ("detector_eff", -0.2),
@@ -47,6 +95,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as err:
             cfg.validate()
         assert err.value.field == field
+
+    def test_stage_count_cap(self):
+        SweepConfig(experiment="nr-ratio", stage_counts=(MAX_STAGES,)).validate()
+        with pytest.raises(ConfigError) as err:
+            SweepConfig(experiment="nr-ratio", stage_counts=(MAX_STAGES + 1,)).validate()
+        assert err.value.field == "stage_counts"
+
+    def test_largest_stage_count_tunes_cleanly(self):
+        """RuntimeWarnings are errors here, so an overflow while tuning fails."""
+        rows = run_experiment(
+            SweepConfig(experiment="nr-ratio", t_grid=(0.5,), stage_counts=(MAX_STAGES,))
+        )
+        assert all(np.isfinite(r.mse) for r in rows)
 
     def test_digest_stable_and_sensitive(self):
         a = SweepConfig(experiment="nr-ratio")
