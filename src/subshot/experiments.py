@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import math
 from dataclasses import dataclass, fields, replace
 from typing import Iterable
 
@@ -36,13 +35,14 @@ from subshot.montecarlo import (
     mc_estimate,
 )
 from subshot.sources import (
+    MAX_PUMP,
     Coherent,
     Fock,
     Multiplexed,
     MuxParams,
     Source,
     make_multiplexed,
-    unreachable_field,
+    source_moments,
 )
 
 # Largest accepted stage count.  Built multiplexing networks have at most a
@@ -51,6 +51,16 @@ from subshot.sources import (
 # does not convert to a float, and from 865 stages the pump tuning overflows
 # at mean 1.
 MAX_STAGES = 64
+
+# Largest accepted mean photon number per repetition.  The sources studied
+# deliver about one photon.  The Monte Carlo count rows grow with the mean:
+# at this cap the default fluctuations run takes ~3 s and ~80 MB, at 1e5 it
+# takes ~30 s and ~240 MB.  The exact reports square the reference mean,
+# which overflows a float beyond ~1e154.
+MAX_MEAN = 1e4
+
+# Stage counts of the canned mc-validate configurations.
+_MC_VALIDATE_STAGES = (2, 5)
 
 
 class ConfigError(ValueError):
@@ -101,34 +111,22 @@ class SweepConfig:
             if not 1 <= m <= MAX_STAGES:
                 raise ConfigError("stage_counts", f"stage count {m} outside [1, {MAX_STAGES}]")
         for n in self.mean_grid:
-            if not (math.isfinite(n) and n > 0):
-                raise ConfigError("mean_grid", f"mean photon number {n} must be finite and > 0")
+            if not 0 < n <= MAX_MEAN:
+                raise ConfigError("mean_grid", f"mean photon number {n} outside (0, {MAX_MEAN:g}]")
         if not self.a_grid:
             raise ConfigError("a_grid", "must be non-empty")
         for a in self.a_grid:
             if not 0.0 <= a <= 0.6:
                 raise ConfigError("a_grid", f"fluctuation {a} outside [0, 0.6]")
-        if not (math.isfinite(self.mean_photons) and self.mean_photons > 0):
-            raise ConfigError("mean_photons", f"{self.mean_photons} must be finite and > 0")
+        if not 0 < self.mean_photons <= MAX_MEAN:
+            raise ConfigError("mean_photons", f"{self.mean_photons} outside (0, {MAX_MEAN:g}]")
         if not 0.0 <= self.transmission <= 1.0:
             raise ConfigError("transmission", "must lie in [0, 1]")
         for field in ("detector_eff", "optics_transmission", "stage_transmission", "herald_eff"):
             value = getattr(self, field)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(field, "must lie in [0, 1]")
-        # The rule reads only the three transmissions; stages and pump are
-        # placeholders.
-        unreachable = unreachable_field(
-            MuxParams(
-                stages=1,
-                pair_mean=0.0,
-                herald_eff=self.herald_eff,
-                stage_transmission=self.stage_transmission,
-                optics_transmission=self.optics_transmission,
-            )
-        )
-        if unreachable is not None:
-            raise ConfigError(unreachable, "must be > 0: the multiplexed source emits no photons at 0")
+        self._validate_reach()
         if self.nu < 1:
             raise ConfigError("nu", "must be >= 1")
         if self.rounds < 2:
@@ -139,6 +137,37 @@ class SweepConfig:
             raise ConfigError("redraw", "must be 'per-round' or 'per-repetition'")
         if self.negatives not in ("clamp", "resample"):
             raise ConfigError("negatives", "must be 'clamp' or 'resample'")
+
+    def _validate_reach(self) -> None:
+        """Every multiplexed source the run tunes must reach its largest mean
+        with a pump up to MAX_PUMP.  The output mean grows with the pump, so
+        checking that one pump suffices; a zero field keeps it at 0."""
+        # Without a mean grid, intensity-sweep and asymptotic sweep default
+        # grids that end at 1.
+        top_mean = max(self.mean_photons, *(self.mean_grid or (1.0,)))
+        tuned = _MC_VALIDATE_STAGES if self.experiment == "mc-validate" else self.stage_counts
+        for m in tuned:
+            params = MuxParams(
+                stages=m,
+                pair_mean=MAX_PUMP,
+                herald_eff=self.herald_eff,
+                stage_transmission=self.stage_transmission,
+                optics_transmission=self.optics_transmission,
+            )
+            if source_moments(Multiplexed(params)).mean < top_mean:
+                # Name the factor that loses the most light; the network
+                # transmission stands for the stage transmission.
+                losses = {
+                    "herald_eff": self.herald_eff,
+                    "stage_transmission": params.network_transmission,
+                    "optics_transmission": self.optics_transmission,
+                }
+                field = min(losses, key=losses.get)
+                raise ConfigError(
+                    field,
+                    f"{getattr(self, field)} is too small: a {m}-stage source cannot reach mean "
+                    f"{top_mean} with a pump up to {MAX_PUMP:g}",
+                )
 
     def canonical(self) -> str:
         pairs = []
@@ -324,7 +353,7 @@ def _run_mc_validate(cfg: SweepConfig):
     sampled with seed + i."""
     t, mean = cfg.transmission, cfg.mean_photons
     ch = Channel(t, cfg.detector_eff)
-    coherent, mux2, mux5 = _sources(replace(cfg, stage_counts=(2, 5)), mean)
+    coherent, mux2, mux5 = _sources(replace(cfg, stage_counts=_MC_VALIDATE_STAGES), mean)
     canned: list[tuple[Source, Detector]] = [
         (coherent, Detector.NUMBER_RESOLVING),
         (coherent, Detector.THRESHOLD),

@@ -35,8 +35,11 @@ DEFAULT_HERALD_EFF = 0.9
 DEFAULT_STAGE_TRANSMISSION = 0.88
 DEFAULT_OPTICS_TRANSMISSION = 0.9
 
-# Step limit of the pump tuning's bracket doubling and of its bisection.
-_TUNING_STEPS = 200
+# Largest pump strength the tuning brackets.  With at most 2**64 windows
+# (`experiments.MAX_STAGES`) the herald exponent 2**stages * herald_eff * pump
+# stays below 1e270, so every closed form stays finite, without an overflow
+# warning, up to twice this pump.
+MAX_PUMP = 1e250
 
 
 @dataclass(frozen=True)
@@ -215,9 +218,11 @@ def tune_pair_mean(params: MuxParams, target_mean: float, tol: float = 1e-10) ->
 
     The closed-form output mean is continuous and strictly increasing in the
     pair mean and grows like pair_mean * Q without bound, so plain bisection
-    converges; it stops once the mean residual drops below `tol`.  Every
-    target is reachable unless `unreachable_field` names a zero field.  The
-    `pair_mean` field of `params` is ignored.
+    converges; it stops once the mean residual drops below `tol` or the
+    bracket shrinks to adjacent floats, where a large mean cannot get closer.
+    Every target is reachable below MAX_PUMP unless `unreachable_field` names
+    a zero field or the network transmits too little.  The `pair_mean` field
+    of `params` is ignored.
     """
     if target_mean <= 0:
         raise ValueError(f"target mean must be > 0, got {target_mean}")
@@ -232,25 +237,20 @@ def tune_pair_mean(params: MuxParams, target_mean: float, tol: float = 1e-10) ->
         return _mux_factorial_moments(params, mu)[0]
 
     lo, hi = 0.0, max(1.0, target_mean)
-    for _ in range(_TUNING_STEPS):
-        if mean_at(hi) >= target_mean:
-            break
+    while mean_at(hi) < target_mean:
+        if hi > MAX_PUMP:
+            raise ValueError(f"target mean {target_mean} needs a pump above {MAX_PUMP:g}")
         lo, hi = hi, 2.0 * hi
-    else:
-        raise RuntimeError(f"could not bracket target mean {target_mean}")
 
-    for _ in range(_TUNING_STEPS):
+    while True:
         mid = 0.5 * (lo + hi)
         residual = mean_at(mid) - target_mean
-        if abs(residual) < tol:
+        if abs(residual) < tol or mid in (lo, hi):
             return mid
         if residual < 0:
             lo = mid
         else:
             hi = mid
-    raise RuntimeError(
-        f"pump tuning did not reach residual {tol} within {_TUNING_STEPS} bisection steps"
-    )
 
 
 def make_multiplexed(

@@ -87,6 +87,22 @@ class TestMain:
                 assert math.isfinite(float(row[column]))
 
     @pytest.mark.parametrize(
+        "args",
+        [
+            ["nr-ratio", "--eta-stage", "0.01", "--m", "40", "--t-grid", "0.5"],
+            ["intensity-sweep", "--eta-stage", "0.05", "--m", "64"],
+        ],
+    )
+    def test_lossy_network_writes_finite_rows(self, tmp_path, args):
+        """Network transmissions of ~1e-80 need pumps of ~1e80, far beyond
+        200 doublings of the tuning bracket."""
+        out = tmp_path / "r.csv"
+        assert main([*args, "--out", str(out)]) == 0
+        for row in csv.DictReader(out.open()):
+            for column in ("expectation", "variance", "mse"):
+                assert math.isfinite(float(row[column]))
+
+    @pytest.mark.parametrize(
         "flag, field",
         [
             ("--eta-stage", "stage_transmission"),
@@ -130,6 +146,11 @@ class TestMain:
             (["show-config", "nr-ratio", "--t-grid", "2"], "t_grid"),
             (["nr-ratio", "--m", "1024", "--t-grid", "0.5"], "stage_counts"),
             (["fluctuations", "--a-grid", ","], "a_grid"),
+            (["nr-ratio", "--mean-n", "1e6", "--t-grid", "0.5"], "mean_photons"),
+            (["nr-ratio", "--mean-n", "1e200", "--t-grid", "0.5", "--m", "1"], "mean_photons"),
+            (["fluctuations", "--mean-n", "1e5"], "mean_photons"),
+            (["nr-ratio", "--eta-stage", "1e-10", "--m", "64", "--t-grid", "0.5"],
+             "stage_transmission"),
         ],
     )
     def test_bad_config_names_field(self, tmp_path, capsys, args, field):

@@ -1,19 +1,32 @@
 """Sweep harness: grid shapes, determinism, self-description and the
 experiment-level physics checks."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subshot.experiments import (
     EXPERIMENTS,
+    MAX_MEAN,
     MAX_STAGES,
     ConfigError,
     ROW_COLUMNS,
     SweepConfig,
+    _sources,
     rows_to_csv,
     rows_to_json,
     run_experiment,
 )
+from subshot.sources import source_moments
+
+# Fixed example sequence: the suite stays deterministic and writes no
+# example database.
+CHECKS = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+log_uniform = st.floats(-300.0, 0.0).map(lambda e: 10.0**e)
 
 
 def small_grid(n=11):
@@ -108,6 +121,58 @@ class TestConfigValidation:
             SweepConfig(experiment="nr-ratio", t_grid=(0.5,), stage_counts=(MAX_STAGES,))
         )
         assert all(np.isfinite(r.mse) for r in rows)
+
+    @pytest.mark.parametrize(
+        "field, at_cap, above",
+        [
+            ("mean_photons", MAX_MEAN, 2 * MAX_MEAN),
+            ("mean_grid", (0.5, MAX_MEAN), (0.5, 2 * MAX_MEAN)),
+        ],
+    )
+    def test_mean_cap(self, field, at_cap, above):
+        SweepConfig(experiment="nr-ratio", **{field: at_cap}).validate()
+        with pytest.raises(ConfigError) as err:
+            SweepConfig(experiment="nr-ratio", **{field: above}).validate()
+        assert err.value.field == field
+
+    def test_mc_validate_checks_its_own_stage_counts(self):
+        """One stage reaches the mean through a 1e-60 stage, but the 5 stages
+        of the canned mc-validate set do not, whatever `stage_counts` says."""
+        lossy = {"stage_counts": (1,), "stage_transmission": 1e-60}
+        SweepConfig(experiment="nr-ratio", **lossy).validate()
+        with pytest.raises(ConfigError) as err:
+            SweepConfig(experiment="mc-validate", **lossy).validate()
+        assert err.value.field == "stage_transmission"
+
+    @CHECKS
+    @given(
+        herald_eff=log_uniform,
+        stage_transmission=log_uniform,
+        optics_transmission=log_uniform,
+        stages=st.integers(1, MAX_STAGES),
+        mean=st.floats(0.0, MAX_MEAN, exclude_min=True),
+    )
+    def test_every_source_config_tunes_or_names_a_field(
+        self, herald_eff, stage_transmission, optics_transmission, stages, mean
+    ):
+        """A validated config builds every source at its tuned mean without an
+        exception or RuntimeWarning (both fail the suite); any other config is
+        rejected by a field name."""
+        cfg = SweepConfig(
+            experiment="nr-ratio",
+            stage_counts=(stages,),
+            mean_photons=mean,
+            herald_eff=herald_eff,
+            stage_transmission=stage_transmission,
+            optics_transmission=optics_transmission,
+        )
+        try:
+            cfg.validate()
+        except ConfigError as err:
+            assert err.field in {f.name for f in fields(SweepConfig)}
+            return
+        for source in _sources(cfg, mean):
+            assert abs(source_moments(source).mean - mean) <= max(1e-10, 1e-12 * mean)
 
     def test_digest_stable_and_sensitive(self):
         a = SweepConfig(experiment="nr-ratio")

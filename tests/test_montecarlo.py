@@ -4,6 +4,7 @@ machinery."""
 
 import math
 import time
+from dataclasses import replace
 from statistics import NormalDist
 
 import numpy as np
@@ -24,6 +25,7 @@ from subshot.montecarlo import (
     FluctuationConfig,
     NegativeDraws,
     PumpRedraw,
+    _PUMP_BLOCK,
     _count_rows,
     _total_count_row,
     fluctuation_study,
@@ -270,6 +272,30 @@ class TestFluctuationStudy:
         assert res[0].mse_se == pytest.approx(sd / math.sqrt(cfg.rounds), rel=0.2)
         for s in res:
             assert 0.0 < s.mse_se < s.mean_mse
+
+    @pytest.mark.parametrize("nu", [200, _PUMP_BLOCK + 1])
+    @pytest.mark.parametrize("negatives", list(NegativeDraws))
+    @pytest.mark.parametrize("redraw", list(PumpRedraw))
+    def test_grid_equals_single_fraction_studies(self, redraw, negatives, nu):
+        """Common random numbers: each fluctuation fraction of a grid gets the
+        summary it gets alone, whether the grid is one block of pumps (nu =
+        200) or split into one block per fraction.  Both a = 0.5 and 0.6
+        resample negative pumps, so each must replay the round's stream within
+        a block."""
+        # One normal per round: 200 rounds draw negative pumps at both a = 0.5
+        # and 0.6 where the grid is one block.
+        rounds = 200 if redraw is PumpRedraw.PER_ROUND and nu < _PUMP_BLOCK else 10
+        cfg = FluctuationConfig(
+            a_grid=(0.0, 0.5, 0.6), rounds=rounds, nu=nu, redraw=redraw, negatives=negatives
+        )
+        for src in (Coherent(0.5), make_multiplexed(3, 0.5)):
+            for det in Detector:
+                grid = fluctuation_study(cfg, src, det, CH, seed=3)
+                alone = [
+                    fluctuation_study(replace(cfg, a_grid=(a,)), src, det, CH, seed=3)[0]
+                    for a in cfg.a_grid
+                ]
+                assert grid == alone
 
     def test_reproducible_per_seed(self):
         cfg = FluctuationConfig(rounds=40)

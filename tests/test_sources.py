@@ -192,6 +192,27 @@ class TestTunePairMean:
         assert unreachable_field(params(stage=0.0, optics=0.0)) == "stage_transmission"
         assert unreachable_field(params(optics=0.0)) == "optics_transmission"
 
+    @pytest.mark.parametrize("target", [1e3, 1e6, 1e8, 1e12])
+    @pytest.mark.parametrize("m", [1, 3, 6, 64])
+    def test_large_targets_reached(self, target, m):
+        """Above ~7e5 the float spacing of the mean exceeds the absolute
+        tolerance; the bisection then stops at adjacent floats."""
+        p = params(m=m, herald=0.9, stage=0.88)
+        mu = tune_pair_mean(p, target)
+        achieved = source_moments(Multiplexed(replace(p, pair_mean=mu))).mean
+        assert abs(achieved - target) <= 1e-13 * target
+
+    def test_lossy_network_reached(self):
+        p = params(m=40, herald=0.9, stage=0.01)
+        mu = tune_pair_mean(p, 1.0)
+        assert mu > 1e80
+        achieved = source_moments(Multiplexed(replace(p, pair_mean=mu))).mean
+        assert achieved == pytest.approx(1.0, abs=1e-10)
+
+    def test_target_beyond_pump_ceiling_rejected(self):
+        with pytest.raises(ValueError, match="pump above"):
+            tune_pair_mean(params(m=64, stage=1e-10), 1.0)
+
     def test_strong_pump_target_reachable(self):
         p = params(m=1, herald=0.9, stage=0.88, optics=0.9)
         mu = tune_pair_mean(p, 50.0)
