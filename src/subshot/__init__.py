@@ -26,12 +26,10 @@ from subshot.detection import Channel, nr_detected_moments
 from subshot.estimators import (
     Detector,
     EstimatorReport,
-    EstimatorSpec,
     asymptotic_relative_mse_floor,
     exact_report,
     exact_report_nr,
     exact_report_threshold,
-    make_estimator_spec,
     relative_mse_percent,
     snl_ratio,
     snl_report,

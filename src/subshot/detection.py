@@ -43,4 +43,4 @@ def nr_detected_moments(source_moments: Moments, channel: Channel) -> Moments:
     s = channel.survival
     mean = s * source_moments.mean
     variance = s * s * source_moments.variance + s * (1.0 - s) * source_moments.mean
-    return Moments(mean=mean, variance=variance, fano=variance / mean if mean > 0.0 else None)
+    return Moments(mean=mean, variance=variance)

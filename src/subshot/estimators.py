@@ -15,6 +15,8 @@ variances shrink exactly as 1/nu.
 Reports are exact: the expectation, bias, variance and MSE follow in closed
 form from the source mean and variance (number-resolving) or the click
 probability (threshold), with no distribution built and no sampling involved.
+`montecarlo.mc_estimate` samples the same estimator from the same arguments
+plus a trial count and a seed; both normalize by `reference_mean`.
 """
 
 from __future__ import annotations
@@ -40,53 +42,30 @@ def relative_mse_percent(mse: float, transmission: float) -> float | None:
     return 100.0 * math.sqrt(mse) / transmission
 
 
-@dataclass(frozen=True)
-class EstimatorSpec:
-    """Estimator configuration: detector kind, source, repetitions and the
-    per-repetition reference the counts are normalized by."""
-
-    detector: Detector
-    source: Source
-    nu: int
-    reference_mean: float
-
-    def __post_init__(self):
-        if self.nu != int(self.nu) or self.nu < 1:
-            raise ValueError(f"nu must be an integer >= 1, got {self.nu}")
-        if self.reference_mean <= 0:
-            raise ValueError(f"reference_mean must be > 0, got {self.reference_mean}")
-
-
 def reference_mean(source: Source, detector: Detector, detector_eff: float) -> float:
     """Fluctuation-free normalization constant of the estimator.
 
     Number-resolving: eta times the source mean at the sample.  Threshold:
     the exact click probability with the sample removed, except for the Fock
-    source where the photon-number normalization eta * N is kept.
+    source where the photon-number normalization eta * N is kept.  Every
+    estimate divides by it, so a reference that is not > 0 (a vacuum source
+    or a blind detector) raises ValueError.
     """
     if detector is Detector.NUMBER_RESOLVING:
-        return detector_eff * source_moments(source).mean
-    if isinstance(source, Fock):
-        return detector_eff * source.photons
-    return source_click_probability(source, detector_eff)
-
-
-def make_estimator_spec(
-    source: Source, detector: Detector, detector_eff: float, nu: int
-) -> EstimatorSpec:
-    return EstimatorSpec(
-        detector=detector,
-        source=source,
-        nu=nu,
-        reference_mean=reference_mean(source, detector, detector_eff),
-    )
+        ref = detector_eff * source_moments(source).mean
+    elif isinstance(source, Fock):
+        ref = detector_eff * source.photons
+    else:
+        ref = source_click_probability(source, detector_eff)
+    if not ref > 0.0:
+        raise ValueError(f"reference must be > 0, got {ref} (vacuum source or blind detector)")
+    return ref
 
 
 @dataclass(frozen=True)
 class EstimatorReport:
     """Exact performance of an estimator at one operating point."""
 
-    detector: Detector
     transmission: float
     nu: int
     expectation: float
@@ -96,15 +75,12 @@ class EstimatorReport:
     relative_mse_percent: float | None
 
 
-def _report(
-    detector: Detector, channel: Channel, nu: int, expectation: float, variance: float
-) -> EstimatorReport:
+def _report(channel: Channel, nu: int, expectation: float, variance: float) -> EstimatorReport:
     """Report from the estimator's expectation and variance; the bias is
     measured against the true transmission."""
     bias = expectation - channel.transmission
     mse = variance + bias**2
     return EstimatorReport(
-        detector=detector,
         transmission=channel.transmission,
         nu=nu,
         expectation=expectation,
@@ -125,7 +101,7 @@ def exact_report_nr(source: Source, channel: Channel, nu: int) -> EstimatorRepor
     ref = reference_mean(source, Detector.NUMBER_RESOLVING, channel.detector_eff)
     detected = nr_detected_moments(source_moments(source), channel)
     variance = detected.variance / (nu * ref**2)
-    return _report(Detector.NUMBER_RESOLVING, channel, nu, detected.mean / ref, variance)
+    return _report(channel, nu, detected.mean / ref, variance)
 
 
 def exact_report_threshold(source: Source, channel: Channel, nu: int) -> EstimatorReport:
@@ -138,12 +114,10 @@ def exact_report_threshold(source: Source, channel: Channel, nu: int) -> Estimat
     ref = reference_mean(source, Detector.THRESHOLD, channel.detector_eff)
     p_click = source_click_probability(source, channel.survival)
     variance = p_click * (1.0 - p_click) / (nu * ref**2)
-    return _report(Detector.THRESHOLD, channel, nu, p_click / ref, variance)
+    return _report(channel, nu, p_click / ref, variance)
 
 
-def exact_report(
-    source: Source, detector: Detector, channel: Channel, nu: int
-) -> EstimatorReport:
+def exact_report(source: Source, detector: Detector, channel: Channel, nu: int) -> EstimatorReport:
     if detector is Detector.NUMBER_RESOLVING:
         return exact_report_nr(source, channel, nu)
     return exact_report_threshold(source, channel, nu)

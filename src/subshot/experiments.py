@@ -23,7 +23,6 @@ from subshot.estimators import (
     Detector,
     asymptotic_relative_mse_floor,
     exact_report,
-    make_estimator_spec,
     snl_report,
     snl_ratio,
 )
@@ -58,6 +57,11 @@ MAX_STAGES = 64
 # takes ~30 s and ~240 MB.  The exact reports square the reference mean,
 # which overflows a float beyond ~1e154.
 MAX_MEAN = 1e4
+
+# Smallest accepted detector efficiency times mean photon number.  The exact
+# reports divide by nu * reference**2, which underflows to 0 below ~1e-154; at
+# this floor it stays normal, with room for threshold references below it.
+MIN_REFERENCE = 1e-100
 
 # Stage counts of the canned mc-validate configurations.
 _MC_VALIDATE_STAGES = (2, 5)
@@ -126,6 +130,7 @@ class SweepConfig:
             value = getattr(self, field)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(field, "must lie in [0, 1]")
+        self._validate_reference()
         self._validate_reach()
         if self.nu < 1:
             raise ConfigError("nu", "must be >= 1")
@@ -137,6 +142,19 @@ class SweepConfig:
             raise ConfigError("redraw", "must be 'per-round' or 'per-repetition'")
         if self.negatives not in ("clamp", "resample"):
             raise ConfigError("negatives", "must be 'clamp' or 'resample'")
+
+    def _validate_reference(self) -> None:
+        """The detector efficiency times the smallest mean must reach
+        MIN_REFERENCE; name the smaller factor, as `_validate_reach` names the
+        weakest loss."""
+        means = [(self.mean_photons, "mean_photons")] + [(n, "mean_grid") for n in self.mean_grid]
+        mean, field = min(means)
+        if self.detector_eff * mean < MIN_REFERENCE:
+            raise ConfigError(
+                "detector_eff" if self.detector_eff <= mean else field,
+                f"detector efficiency {self.detector_eff} times mean {mean} is below "
+                f"{MIN_REFERENCE:g}: the estimator reference would vanish",
+            )
 
     def _validate_reach(self) -> None:
         """Every multiplexed source the run tunes must reach its largest mean
@@ -365,8 +383,7 @@ def _run_mc_validate(cfg: SweepConfig):
     rows = []
     for index, (source, detector) in enumerate(canned):
         exact = exact_report(source, detector, ch, cfg.nu)
-        spec = make_estimator_spec(source, detector, cfg.detector_eff, cfg.nu)
-        mc = mc_estimate(spec, ch, cfg.trials, seed=cfg.seed + index)
+        mc = mc_estimate(source, detector, ch, cfg.nu, cfg.trials, seed=cfg.seed + index)
         rows.append(
             _row(cfg, source, detector, t, mean, seed=cfg.seed + index,
                  expectation=mc.expectation, mse=mc.mse, mse_exact=exact.mse,

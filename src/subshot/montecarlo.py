@@ -7,8 +7,9 @@ Both jobs sample number-resolving counts from the same closed-form
 detected-count rows (`_count_rows`: a Poisson row for coherent light, a
 Binomial row for a Fock state, `sources.mux_output_rows` for the multiplexed
 source) and threshold clicks from the closed-form click probability.
-`mc_estimate` draws only the total count over the nu repetitions, which is all
-the estimators read: Binomial(nu, p) clicks, or one inverse-CDF lookup in the
+`mc_estimate` takes `exact_report`'s arguments plus a trial count and a seed.
+It draws only the total count over the nu repetitions, which is all the
+estimators read: Binomial(nu, p) clicks, or one inverse-CDF lookup in the
 nu-fold convolution power of the detected-count row (`_total_count_row`).
 
 In the fluctuation study the pump strength becomes a Gaussian random variable
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from subshot.detection import Channel
-from subshot.estimators import Detector, EstimatorSpec, make_estimator_spec
+from subshot.estimators import Detector, reference_mean
 from subshot.pmf import binomial_row, poisson_rows, poisson_support
 from subshot.sources import (
     Coherent,
@@ -128,32 +129,32 @@ class McEstimate:
 
 
 def mc_estimate(
-    spec: EstimatorSpec,
-    channel: Channel,
-    trials: int,
-    seed: int,
+    source: Source, detector: Detector, channel: Channel, nu: int, trials: int, seed: int
 ) -> McEstimate:
-    """Sample `trials` independent nu-repetition experiments.
+    """Sample `trials` independent nu-repetition experiments of the estimator
+    `exact_report` evaluates at the same arguments.
 
-    Each experiment draws its total count over the nu repetitions, applies
-    the estimator matching `spec.detector` and is compared against the true
+    Each experiment draws its total count over the nu repetitions, divides it
+    by nu times `reference_mean` and is compared against the true
     transmission; deterministic per seed.
     """
+    if nu != int(nu) or nu < 1:
+        raise ValueError(f"nu must be an integer >= 1, got {nu}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    ref = reference_mean(source, detector, channel.detector_eff)
     rng = np.random.default_rng(seed)
-    nu = spec.nu
 
-    if spec.detector is Detector.THRESHOLD:
-        p = source_click_probability(spec.source, channel.survival)
+    if detector is Detector.THRESHOLD:
+        p = source_click_probability(source, channel.survival)
         totals = rng.binomial(nu, p, size=trials)
     else:
-        offset, row = _total_count_row(_count_rows(spec.source, channel.survival), nu)
+        offset, row = _total_count_row(_count_rows(source, channel.survival), nu)
         cdf = np.cumsum(row)
         u = rng.random(trials)
         totals = offset + np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
 
-    estimates = totals / (nu * spec.reference_mean)
+    estimates = totals / (nu * ref)
     sq_err = (estimates - channel.transmission) ** 2
     ddof = 1 if trials > 1 else 0
     return McEstimate(
@@ -273,8 +274,7 @@ def fluctuation_study(
     true transmission.
     """
     mu0 = _pump(source)
-    # The spec rejects a vacuum source, whose zero reference would divide by 0.
-    ref0 = make_estimator_spec(source, detector, channel.detector_eff, cfg.nu).reference_mean
+    ref0 = reference_mean(source, detector, channel.detector_eff)
     t, s = channel.transmission, channel.survival
     n_noise = cfg.nu if cfg.redraw is PumpRedraw.PER_REPETITION else 1
     a_grid = np.asarray(cfg.a_grid, dtype=np.float64)

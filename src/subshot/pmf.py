@@ -15,11 +15,15 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Moments:
-    """Mean, variance and Fano factor (variance/mean, None for a vacuum)."""
+    """Mean and variance of a photon-number distribution."""
 
     mean: float
     variance: float
-    fano: float | None
+
+    @property
+    def fano(self) -> float | None:
+        """Fano factor variance/mean, None for a vacuum."""
+        return self.variance / self.mean if self.mean > 0.0 else None
 
 
 def poisson_support(mu: float, tail_target: float) -> int:

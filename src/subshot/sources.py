@@ -158,13 +158,16 @@ def mux_click_probability(params: MuxParams, mu, survival: float):
 
     1 - G(1 - survival) of the output generating function at pump `mu`:
     (P_sync/p_w) [1 - e^{-mu Q s} + e^{-mu h} (e^{-mu (1-h) Q s} - 1)], exactly 0
-    at survival 0.  `mu` may be an array of pump values; the result has its
-    shape.  The `pair_mean` field of `params` is ignored.
+    at survival 0, evaluated as p_w (1 - e^{-y}) + e^{-y} (1 - e^{-mu h Q s}) with
+    y = mu (1-h) Q s: no cancellation when a weak herald needs a huge pump.
+    `mu` may be an array of pump values; the result has its shape.  The
+    `pair_mean` field of `params` is ignored.
     """
     mu = np.asarray(mu, dtype=np.float64)
     h = params.herald_eff
-    q = mu * (params.network_transmission * params.optics_transmission * survival)
-    return _sync_gain(params, mu) * (-np.expm1(-q) + np.exp(-mu * h) * np.expm1(-(1.0 - h) * q))
+    x = mu * (params.network_transmission * params.optics_transmission * survival)
+    y = (1.0 - h) * x
+    return _sync_gain(params, mu) * (np.expm1(-mu * h) * np.expm1(-y) - np.exp(-y) * np.expm1(-h * x))
 
 
 def mux_output_rows(params: MuxParams, mu, survival: float, tail: float):
@@ -218,7 +221,8 @@ def tune_pair_mean(params: MuxParams, target_mean: float, tol: float = 1e-10) ->
 
     The closed-form output mean is continuous and strictly increasing in the
     pair mean and grows like pair_mean * Q without bound, so plain bisection
-    converges; it stops once the mean residual drops below `tol` or the
+    converges; it stops once the mean residual drops below `tol` times
+    min(1, target), so tiny targets are met to relative precision, or the
     bracket shrinks to adjacent floats, where a large mean cannot get closer.
     Every target is reachable below MAX_PUMP unless `unreachable_field` names
     a zero field or the network transmits too little.  The `pair_mean` field
@@ -236,6 +240,7 @@ def tune_pair_mean(params: MuxParams, target_mean: float, tol: float = 1e-10) ->
     def mean_at(mu: float) -> float:
         return _mux_factorial_moments(params, mu)[0]
 
+    stop = tol * min(1.0, target_mean)
     lo, hi = 0.0, max(1.0, target_mean)
     while mean_at(hi) < target_mean:
         if hi > MAX_PUMP:
@@ -245,7 +250,7 @@ def tune_pair_mean(params: MuxParams, target_mean: float, tol: float = 1e-10) ->
     while True:
         mid = 0.5 * (lo + hi)
         residual = mean_at(mid) - target_mean
-        if abs(residual) < tol or mid in (lo, hi):
+        if abs(residual) < stop or mid in (lo, hi):
             return mid
         if residual < 0:
             lo = mid
@@ -282,7 +287,7 @@ def source_moments(source: Source) -> Moments:
         variance = pairs + mean - mean * mean
     else:
         raise TypeError(f"unknown source kind: {source!r}")
-    return Moments(mean=mean, variance=variance, fano=variance / mean if mean > 0.0 else None)
+    return Moments(mean=mean, variance=variance)
 
 
 def source_click_probability(source: Source, survival: float) -> float:

@@ -29,7 +29,6 @@ from subshot.estimators import (
     Detector,
     exact_report_nr,
     exact_report_threshold,
-    make_estimator_spec,
     snl_ratio,
     snl_report,
 )
@@ -264,8 +263,7 @@ def test_c10_monte_carlo_matches_exact_reports(mux_mean1):
     ]
     worst_z = 0.0
     for index, (source, detector) in enumerate(canned):
-        spec = make_estimator_spec(source, detector, ETA, NU)
-        mc = mc_estimate(spec, ch, trials=100_000, seed=500 + index)
+        mc = mc_estimate(source, detector, ch, NU, trials=100_000, seed=500 + index)
         if detector is Detector.NUMBER_RESOLVING:
             exact = exact_report_nr(source, ch, NU)
         else:

@@ -151,6 +151,13 @@ class TestMain:
             (["fluctuations", "--mean-n", "1e5"], "mean_photons"),
             (["nr-ratio", "--eta-stage", "1e-10", "--m", "64", "--t-grid", "0.5"],
              "stage_transmission"),
+            *(([name, "--eta", "0"], "detector_eff")
+              for name in ("nr-ratio", "threshold-ratio", "intensity-sweep", "asymptotic",
+                           "mc-validate", "fluctuations")),
+            (["nr-ratio", "--eta", "1e-300", "--t-grid", "0.5"], "detector_eff"),
+            (["nr-ratio", "--mean-n", "1e-200", "--t-grid", "0.5"], "mean_photons"),
+            (["mc-validate", "--mean-n", "1e-300"], "mean_photons"),
+            (["intensity-sweep", "--mean-grid", "1e-300"], "mean_grid"),
         ],
     )
     def test_bad_config_names_field(self, tmp_path, capsys, args, field):

@@ -32,9 +32,11 @@ from subshot.sources import (
     Fock,
     Multiplexed,
     MuxParams,
+    make_multiplexed,
     mux_output_rows,
     source_click_probability,
     source_moments,
+    sync_probability_at,
     tune_pair_mean,
 )
 
@@ -192,3 +194,22 @@ class TestTuning:
         mu = tune_pair_mean(params, target, tol=tol)
         achieved = source_moments(Multiplexed(replace(params, pair_mean=mu))).mean
         assert abs(achieved - target) < tol
+
+    @pytest.mark.parametrize("stages", [1, 3, 6])
+    @pytest.mark.parametrize("target", [1e-12, 1e-9, 0.05])
+    def test_tiny_targets_tune_to_relative_precision(self, stages, target):
+        """The stop rule is relative below one photon: an absolute 1e-10 would
+        accept a source 64 times too bright at target 1e-12."""
+        achieved = source_moments(make_multiplexed(stages, target)).mean
+        assert abs(achieved - target) <= 1e-9 * target
+
+
+def test_weak_herald_click_probability_does_not_cancel():
+    """A herald efficiency of 1e-33 needs a pump of ~1e16 pairs for one
+    photon, so every synchronized period carries a huge burst and clicks:
+    the click probability at survival 1 is P_sync, not a cancelled 0."""
+    src = make_multiplexed(1, 1.0, herald_eff=1e-33, stage_transmission=1.0,
+                           optics_transmission=1.0)
+    p_sync = float(sync_probability_at(src.params, src.params.pair_mean))
+    assert p_sync > 0.0
+    assert source_click_probability(src, 1.0) == pytest.approx(p_sync, rel=1e-12)

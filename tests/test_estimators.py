@@ -13,7 +13,7 @@ from subshot.estimators import (
     exact_report,
     exact_report_nr,
     exact_report_threshold,
-    make_estimator_spec,
+    reference_mean,
     relative_mse_percent,
     snl_ratio,
     snl_report,
@@ -25,9 +25,9 @@ T_GRID = np.linspace(0.0, 1.0, 101)
 
 class TestEstimateArithmetic:
     def test_threshold_normalization_uses_reference_click_probability(self):
-        spec = make_estimator_spec(Coherent(1.0), Detector.THRESHOLD, 0.9, 200)
         p0 = -math.expm1(-0.9)
-        assert spec.reference_mean == pytest.approx(p0, abs=1e-12)
+        ref = reference_mean(Coherent(1.0), Detector.THRESHOLD, 0.9)
+        assert ref == pytest.approx(p0, abs=1e-12)
 
 
 class TestExactNrReport:
@@ -207,6 +207,14 @@ class TestExactReportDispatch:
         assert nr == exact_report_nr(Coherent(1.0), ch, 50)
         assert th == exact_report_threshold(Coherent(1.0), ch, 50)
 
-    def test_invalid_spec_values_rejected(self):
-        with pytest.raises(ValueError):
-            make_estimator_spec(Coherent(1.0), Detector.THRESHOLD, 0.9, 0)
+    @pytest.mark.parametrize("detector", list(Detector))
+    @pytest.mark.parametrize(
+        "source, channel",
+        [(Coherent(0.0), Channel(0.5, 0.9)), (Coherent(1.0), Channel(0.5, 0.0))],
+        ids=["vacuum-source", "blind-detector"],
+    )
+    def test_zero_reference_rejected(self, source, channel, detector):
+        """A vacuum source or a blind detector leaves nothing to normalize by:
+        a ValueError, not a bare ZeroDivisionError."""
+        with pytest.raises(ValueError, match="reference must be > 0"):
+            exact_report(source, detector, channel, 50)

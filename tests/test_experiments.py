@@ -1,6 +1,7 @@
 """Sweep harness: grid shapes, determinism, self-description and the
 experiment-level physics checks."""
 
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subshot.detection import Channel
+from subshot.estimators import Detector
 from subshot.experiments import (
     EXPERIMENTS,
     MAX_MEAN,
@@ -15,6 +18,7 @@ from subshot.experiments import (
     ConfigError,
     ROW_COLUMNS,
     SweepConfig,
+    _exact_rows,
     _sources,
     rows_to_csv,
     rows_to_json,
@@ -96,6 +100,7 @@ class TestConfigValidation:
             ("mean_photons", 0.0),
             ("transmission", 1.5),
             ("detector_eff", -0.2),
+            ("detector_eff", 0.0),
             ("nu", 0),
             ("rounds", 1),
             ("trials", 0),
@@ -149,19 +154,24 @@ class TestConfigValidation:
         herald_eff=log_uniform,
         stage_transmission=log_uniform,
         optics_transmission=log_uniform,
+        detector_eff=log_uniform,
         stages=st.integers(1, MAX_STAGES),
-        mean=st.floats(0.0, MAX_MEAN, exclude_min=True),
+        mean=st.floats(-300.0, math.log10(MAX_MEAN)).map(lambda e: 10.0**e),
+        transmission=st.floats(0.0, 1.0),
     )
     def test_every_source_config_tunes_or_names_a_field(
-        self, herald_eff, stage_transmission, optics_transmission, stages, mean
+        self, herald_eff, stage_transmission, optics_transmission, detector_eff, stages, mean,
+        transmission,
     ):
-        """A validated config builds every source at its tuned mean without an
-        exception or RuntimeWarning (both fail the suite); any other config is
-        rejected by a field name."""
+        """A validated config builds every source at its tuned mean and gives
+        finite exact rows for both detectors, without an exception or
+        RuntimeWarning (both fail the suite); any other config is rejected by
+        a field name."""
         cfg = SweepConfig(
             experiment="nr-ratio",
             stage_counts=(stages,),
             mean_photons=mean,
+            detector_eff=detector_eff,
             herald_eff=herald_eff,
             stage_transmission=stage_transmission,
             optics_transmission=optics_transmission,
@@ -171,8 +181,15 @@ class TestConfigValidation:
         except ConfigError as err:
             assert err.field in {f.name for f in fields(SweepConfig)}
             return
-        for source in _sources(cfg, mean):
-            assert abs(source_moments(source).mean - mean) <= max(1e-10, 1e-12 * mean)
+        sources = _sources(cfg, mean)
+        for source in sources:
+            assert abs(source_moments(source).mean - mean) <= 1e-9 * mean
+        channel = Channel(transmission, detector_eff)
+        for row in _exact_rows(cfg, sources, Detector, channel, mean):
+            for name in ("expectation", "bias", "variance", "mse", "relative_mse_percent",
+                         "ratio_to_snl"):
+                value = getattr(row, name)
+                assert value is None or math.isfinite(value), (name, row)
 
     def test_digest_stable_and_sensitive(self):
         a = SweepConfig(experiment="nr-ratio")

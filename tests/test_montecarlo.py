@@ -19,7 +19,6 @@ from subshot.estimators import (
     exact_report,
     exact_report_nr,
     exact_report_threshold,
-    make_estimator_spec,
 )
 from subshot.montecarlo import (
     FluctuationConfig,
@@ -47,6 +46,12 @@ CH = Channel(0.8, 0.9)
 # example database.
 CHECKS = settings(derandomize=True, database=None, deadline=None)
 SOURCE_KINDS = ("coherent", "fock", "multiplexed")
+# A vacuum source and a blind detector: both leave a zero reference.
+ZERO_REFERENCE = pytest.mark.parametrize(
+    "source, channel",
+    [(Coherent(0.0), CH), (Coherent(1.0), Channel(0.5, 0.0))],
+    ids=["vacuum-source", "blind-detector"],
+)
 
 
 @st.composite
@@ -68,14 +73,13 @@ def row_moments(offset, row):
 
 class TestMcEstimate:
     def test_perfect_fock_channel_has_zero_error(self):
-        spec = make_estimator_spec(Fock(1), Detector.NUMBER_RESOLVING, 1.0, 50)
-        res = mc_estimate(spec, Channel(1.0, 1.0), trials=2000, seed=1)
+        perfect = Channel(1.0, 1.0)
+        res = mc_estimate(Fock(1), Detector.NUMBER_RESOLVING, perfect, 50, trials=2000, seed=1)
         assert res.expectation == 1.0
         assert res.mse == 0.0
 
     def test_coherent_nr_matches_exact_report(self):
-        spec = make_estimator_spec(Coherent(1.0), Detector.NUMBER_RESOLVING, 0.9, 200)
-        res = mc_estimate(spec, CH, trials=100_000, seed=2)
+        res = mc_estimate(Coherent(1.0), Detector.NUMBER_RESOLVING, CH, 200, 100_000, seed=2)
         exact = exact_report_nr(Coherent(1.0), CH, 200)
         assert abs(res.expectation - exact.expectation) < 4 * res.expectation_se
         assert abs(res.mse - exact.mse) < 4 * res.mse_se
@@ -83,22 +87,30 @@ class TestMcEstimate:
     def test_multiplexed_threshold_matches_exact_report(self):
         src = make_multiplexed(2, 1.0)
         ch = Channel(0.9, 0.9)
-        spec = make_estimator_spec(src, Detector.THRESHOLD, 0.9, 200)
-        res = mc_estimate(spec, ch, trials=100_000, seed=3)
+        res = mc_estimate(src, Detector.THRESHOLD, ch, 200, trials=100_000, seed=3)
         exact = exact_report_threshold(src, ch, 200)
         assert abs(res.expectation - exact.expectation) < 4 * res.expectation_se
         assert abs(res.mse - exact.mse) < 4 * res.mse_se
 
     def test_deterministic_per_seed(self):
-        spec = make_estimator_spec(Coherent(0.5), Detector.NUMBER_RESOLVING, 0.9, 50)
-        a = mc_estimate(spec, CH, trials=5000, seed=9)
-        b = mc_estimate(spec, CH, trials=5000, seed=9)
+        a = mc_estimate(Coherent(0.5), Detector.NUMBER_RESOLVING, CH, 50, trials=5000, seed=9)
+        b = mc_estimate(Coherent(0.5), Detector.NUMBER_RESOLVING, CH, 50, trials=5000, seed=9)
         assert a == b
 
     def test_invalid_trials_rejected(self):
-        spec = make_estimator_spec(Coherent(0.5), Detector.NUMBER_RESOLVING, 0.9, 50)
         with pytest.raises(ValueError):
-            mc_estimate(spec, CH, trials=0, seed=0)
+            mc_estimate(Coherent(0.5), Detector.NUMBER_RESOLVING, CH, 50, trials=0, seed=0)
+
+    @pytest.mark.parametrize("nu", [0, -3, 2.5])
+    def test_invalid_nu_rejected(self, nu):
+        with pytest.raises(ValueError, match="nu"):
+            mc_estimate(Coherent(0.5), Detector.THRESHOLD, CH, nu, trials=10, seed=0)
+
+    @pytest.mark.parametrize("detector", list(Detector))
+    @ZERO_REFERENCE
+    def test_zero_reference_rejected(self, source, channel, detector):
+        with pytest.raises(ValueError, match="reference must be > 0"):
+            mc_estimate(source, detector, channel, 50, trials=10, seed=0)
 
 
 class TestTotalCountRow:
@@ -177,8 +189,7 @@ def test_exact_reports_match_monte_carlo(
     """
     source = data.draw(sources(kinds=(kind,), fock_max=2, mean_max=3.0))
     channel = Channel(transmission, detector_eff)
-    spec = make_estimator_spec(source, detector, detector_eff, nu)
-    mc = mc_estimate(spec, channel, trials=100_000, seed=seed)
+    mc = mc_estimate(source, detector, channel, nu, trials=100_000, seed=seed)
     exact = exact_report(source, detector, channel, nu)
     z_expectation = (mc.expectation - exact.expectation) / mc.expectation_se
     z_mse = (mc.mse - exact.mse) / mc.mse_se
@@ -240,6 +251,12 @@ class TestFluctuationStudy:
     def test_vacuum_source_rejected(self):
         with pytest.raises(ValueError):
             fluctuation_study(FluctuationConfig(), Coherent(0.0), Detector.THRESHOLD, CH, 0)
+
+    @pytest.mark.parametrize("detector", list(Detector))
+    @ZERO_REFERENCE
+    def test_zero_reference_rejected(self, source, channel, detector):
+        with pytest.raises(ValueError, match="reference must be > 0"):
+            fluctuation_study(FluctuationConfig(rounds=2), source, detector, channel, 0)
 
     def test_fluctuations_inflate_mse(self):
         cfg = FluctuationConfig(a_grid=(0.0, 0.6), rounds=50)

@@ -1,11 +1,13 @@
 """Package-level properties that no single module test covers."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def test_import_does_not_load_scipy():
@@ -16,3 +18,16 @@ def test_import_does_not_load_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_readme_library_example_runs():
+    """The README's "Library use" block runs as written, so a signature
+    change cannot leave it stale."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert len(out.stdout.split()) == 3

@@ -43,7 +43,7 @@ def moments(row) -> Moments:
     """Mean, variance and Fano factor by summation over a row."""
     mean, second = thinned_count_moments(row, 1.0)
     variance = second - mean * mean
-    return Moments(mean, variance, variance / mean if mean > 0 else None)
+    return Moments(mean, variance)
 
 
 class TestMuxParams:
