@@ -11,13 +11,12 @@ from subshot.sources import (
     Coherent,
     Fock,
     Multiplexed,
-    MuxParams,
     Source,
     make_multiplexed,
-    mux_click_probability,
-    mux_output_rows,
     source_click_probability,
+    source_count_rows,
     source_moments,
+    source_pump,
     sync_probability_at,
     tune_pair_mean,
     unreachable_field,

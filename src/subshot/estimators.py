@@ -132,11 +132,12 @@ def snl_ratio(report: EstimatorReport, snl: EstimatorReport) -> float | None:
     """MSE ratio reference/candidate; > 1 means sub-shot-noise performance.
 
     None when the reference MSE vanishes (t = 0), where the ratio is
-    undefined.
+    undefined, and when the candidate MSE vanishes (a Fock state at t = 1
+    through a perfect detector), where it is unbounded.
     """
     if report.transmission != snl.transmission or report.nu != snl.nu:
         raise ValueError("reports must share the same transmission and nu")
-    if snl.mse == 0.0:
+    if snl.mse == 0.0 or report.mse == 0.0:
         return None
     return snl.mse / report.mse
 

@@ -38,7 +38,6 @@ from subshot.sources import (
     Coherent,
     Fock,
     Multiplexed,
-    MuxParams,
     Source,
     make_multiplexed,
     source_moments,
@@ -79,6 +78,10 @@ def _uniform_grid(n: int = 101) -> tuple[float, ...]:
     return tuple(float(t) for t in np.linspace(0.0, 1.0, n))
 
 
+# Python number type of each numeric `SweepConfig` field annotation.
+_NUMBER_KINDS = {"float": float, "int": int, "tuple[float, ...]": float, "tuple[int, ...]": int}
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """One experiment run: grids, physics constants, seed and output knobs."""
@@ -100,6 +103,19 @@ class SweepConfig:
     redraw: str = "per-round"
     negatives: str = "clamp"
     seed: int = 0
+
+    def __post_init__(self):
+        # The one place numbers are normalized, so a config built from numpy
+        # scalars writes the same CSV cells and digest as the literal one.  A
+        # field the conversion would change (a fractional count, a NaN) stays
+        # as given, for `validate`.
+        for f in fields(self):
+            kind = _NUMBER_KINDS.get(f.type)
+            if kind is not None:
+                value = getattr(self, f.name)
+                plain = tuple(map(kind, value)) if f.type.startswith("tuple") else kind(value)
+                if plain == value:
+                    object.__setattr__(self, f.name, plain)
 
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
@@ -165,19 +181,14 @@ class SweepConfig:
         top_mean = max(self.mean_photons, *(self.mean_grid or (1.0,)))
         tuned = _MC_VALIDATE_STAGES if self.experiment == "mc-validate" else self.stage_counts
         for m in tuned:
-            params = MuxParams(
-                stages=m,
-                pair_mean=MAX_PUMP,
-                herald_eff=self.herald_eff,
-                stage_transmission=self.stage_transmission,
-                optics_transmission=self.optics_transmission,
-            )
-            if source_moments(Multiplexed(params)).mean < top_mean:
+            calibration = (self.herald_eff, self.stage_transmission, self.optics_transmission)
+            source = Multiplexed(m, MAX_PUMP, *calibration)
+            if source_moments(source).mean < top_mean:
                 # Name the factor that loses the most light; the network
                 # transmission stands for the stage transmission.
                 losses = {
                     "herald_eff": self.herald_eff,
-                    "stage_transmission": params.network_transmission,
+                    "stage_transmission": source.network_transmission,
                     "optics_transmission": self.optics_transmission,
                 }
                 field = min(losses, key=losses.get)
@@ -265,7 +276,7 @@ def _row(
         experiment=cfg.experiment,
         source=_source_label(source),
         detector=detector.value,
-        stages=source.params.stages if isinstance(source, Multiplexed) else None,
+        stages=source.stages if isinstance(source, Multiplexed) else None,
         t=t,
         mean_photons=mean,
         fluctuation=fluctuation,

@@ -3,10 +3,8 @@
 Two jobs: validate the exact estimator reports by sampling full experiments,
 and study what pump-power fluctuations do to the measurement error.
 
-Both jobs sample number-resolving counts from the same closed-form
-detected-count rows (`_count_rows`: a Poisson row for coherent light, a
-Binomial row for a Fock state, `sources.mux_output_rows` for the multiplexed
-source) and threshold clicks from the closed-form click probability.
+Both sample counts from `sources.source_count_rows` and clicks with
+`sources.source_click_probability`; this module knows no source kind.
 `mc_estimate` takes `exact_report`'s arguments plus a trial count and a seed.
 It draws only the total count over the nu repetitions, which is all the
 estimators read: Binomial(nu, p) clicks, or one inverse-CDF lookup in the
@@ -39,16 +37,7 @@ import numpy as np
 
 from subshot.detection import Channel
 from subshot.estimators import Detector, reference_mean
-from subshot.pmf import binomial_row, poisson_rows, poisson_support
-from subshot.sources import (
-    Coherent,
-    Fock,
-    Multiplexed,
-    Source,
-    mux_click_probability,
-    mux_output_rows,
-    source_click_probability,
-)
+from subshot.sources import Source, source_click_probability, source_count_rows, source_pump
 
 # Count rows discard less than this mass per trimmed tail, far below the
 # spacing of the uniforms they are sampled with.
@@ -58,34 +47,6 @@ _ROW_TAIL = 1e-18
 # fluctuation fractions holds about this many pumps per round, so the
 # (block, nu, count) comparison array stays small at any nu.
 _PUMP_BLOCK = 4096
-
-
-def _pump(source: Source) -> float:
-    """Pump strength `source` runs at: the coherent mean or the multiplexed
-    pair mean."""
-    if isinstance(source, Coherent):
-        return source.mean
-    if isinstance(source, Multiplexed):
-        return source.params.pair_mean
-    raise TypeError(f"not a pump-driven source (coherent or multiplexed): {source!r}")
-
-
-def _count_rows(source: Source, survival: float, mu=None) -> np.ndarray:
-    """Detected-count distribution of `source` after per-photon survival
-    `survival`, in closed form.
-
-    `mu` is a pump value or an array of them (default: the source's own
-    pump); the result has shape `np.shape(mu) + (n_max + 1,)`.  A Fock state
-    has no pump and gives its single Binomial(N, survival) row.
-    """
-    if isinstance(source, Fock):
-        return binomial_row(source.photons, survival)
-    mu = np.asarray(_pump(source) if mu is None else mu, dtype=np.float64)
-    if isinstance(source, Coherent):
-        # Coherent output mean scales linearly with pump strength.
-        lam = survival * mu
-        return poisson_rows(lam, poisson_support(float(lam.max()), _ROW_TAIL))
-    return mux_output_rows(source.params, mu, survival, _ROW_TAIL)
 
 
 def _trim_tails(offset: int, row: np.ndarray) -> tuple[int, np.ndarray]:
@@ -149,7 +110,7 @@ def mc_estimate(
         p = source_click_probability(source, channel.survival)
         totals = rng.binomial(nu, p, size=trials)
     else:
-        offset, row = _total_count_row(_count_rows(source, channel.survival), nu)
+        offset, row = _total_count_row(source_count_rows(source, channel.survival, _ROW_TAIL), nu)
         cdf = np.cumsum(row)
         u = rng.random(trials)
         totals = offset + np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
@@ -273,7 +234,7 @@ def fluctuation_study(
     fluctuation-free reference, and records its squared error against the
     true transmission.
     """
-    mu0 = _pump(source)
+    mu0 = source_pump(source)
     ref0 = reference_mean(source, detector, channel.detector_eff)
     t, s = channel.transmission, channel.survival
     n_noise = cfg.nu if cfg.redraw is PumpRedraw.PER_REPETITION else 1
@@ -291,11 +252,10 @@ def fluctuation_study(
             # Each branch keeps only the totals: holding the (block, nu)
             # counts into the next round measured ~10% slower at nu = 1e5.
             if detector is Detector.NUMBER_RESOLVING:
-                totals = _sample_counts_by_rows(_count_rows(source, s, mu), u).sum(axis=1)
-            elif isinstance(source, Coherent):
-                totals = (u < -np.expm1(-s * mu)).sum(axis=1)
+                rows = source_count_rows(source, s, _ROW_TAIL, mu)
+                totals = _sample_counts_by_rows(rows, u).sum(axis=1)
             else:
-                totals = (u < mux_click_probability(source.params, mu, s)).sum(axis=1)
+                totals = (u < source_click_probability(source, s, mu)).sum(axis=1)
             sq_err[block, r] = (totals / (cfg.nu * ref0) - t) ** 2
 
     summaries = []

@@ -12,11 +12,12 @@ the herald rate but also the multi-photon contamination, so the pump strength
 that realizes a wanted mean photon number at the sample is found numerically
 (`tune_pair_mean`).
 
-The mean, variance and threshold click probability at the sample plane have
-closed forms (`source_moments`, `source_click_probability`), and so does the
-full photon-number distribution of the multiplexed source (`mux_output_rows`):
-a vacuum term plus two Poissons.  Its rows are built only where a
-distribution is sampled, by the Monte Carlo engine.
+No other module knows how a source kind is evaluated.  The mean, variance
+and click probability at the sample plane (`source_moments`,
+`source_click_probability`) and the detected-count distribution
+(`source_count_rows`: Poisson, Binomial, or a vacuum term plus two Poissons)
+are closed forms.  The last two also take an array of pumps in place of the
+source's own (`source_pump`), as the Monte Carlo fluctuation rounds need.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from subshot.pmf import Moments, poisson_rows, poisson_support
+from subshot.pmf import Moments, binomial_row, poisson_rows, poisson_support
 
 # Calibrated defaults: herald-arm detection probability per idler photon and
 # signal transmission per delay stage.  Both are plain configuration values;
@@ -43,8 +44,30 @@ MAX_PUMP = 1e250
 
 
 @dataclass(frozen=True)
-class MuxParams:
-    """Parameters of the time-multiplexed heralded single-photon source.
+class Coherent:
+    """Coherent beam; `mean` is the mean photon number at the sample plane."""
+
+    mean: float
+
+    def __post_init__(self):
+        if self.mean < 0:
+            raise ValueError(f"coherent mean must be >= 0, got {self.mean}")
+
+
+@dataclass(frozen=True)
+class Fock:
+    """Ideal number state with exactly `photons` photons, lossless delivery."""
+
+    photons: int
+
+    def __post_init__(self):
+        if self.photons != int(self.photons) or self.photons < 0:
+            raise ValueError(f"photons must be a non-negative integer, got {self.photons}")
+
+
+@dataclass(frozen=True)
+class Multiplexed:
+    """Time-multiplexed heralded single-photon source.
 
     stages: number of binary delay stages; the network addresses 2**stages
         temporal windows per clock period.
@@ -81,49 +104,20 @@ class MuxParams:
         return self.stage_transmission ** int(self.stages)
 
 
-@dataclass(frozen=True)
-class Coherent:
-    """Coherent beam; `mean` is the mean photon number at the sample plane."""
-
-    mean: float
-
-    def __post_init__(self):
-        if self.mean < 0:
-            raise ValueError(f"coherent mean must be >= 0, got {self.mean}")
-
-
-@dataclass(frozen=True)
-class Fock:
-    """Ideal number state with exactly `photons` photons, lossless delivery."""
-
-    photons: int
-
-    def __post_init__(self):
-        if self.photons != int(self.photons) or self.photons < 0:
-            raise ValueError(f"photons must be a non-negative integer, got {self.photons}")
-
-
-@dataclass(frozen=True)
-class Multiplexed:
-    """Time-multiplexed heralded single-photon source."""
-
-    params: MuxParams
-
-
 Source = Coherent | Fock | Multiplexed
 
 
-def sync_probability_at(params: MuxParams, mu):
+def sync_probability_at(source: Multiplexed, mu):
     """Probability that any of the 2**stages windows heralds in a period, at
     pump `mu`, a float or an array of pump values.
 
     1 - (1 - p_w)^(2**stages) with 1 - p_w = exp(-mu * herald_eff), written so
     that it stays finite when p_w rounds to 1 under a strong pump.
     """
-    return -np.expm1(-params.window_count * params.herald_eff * np.asarray(mu, dtype=np.float64))
+    return -np.expm1(-source.window_count * source.herald_eff * np.asarray(mu, dtype=np.float64))
 
 
-def _mux_factorial_moments(params: MuxParams, mu: float) -> tuple[float, float]:
+def _mux_factorial_moments(source: Multiplexed, mu: float) -> tuple[float, float]:
     """First and second factorial moments of the output at pump `mu`.
 
     Derivatives at s = 1 of the output generating function
@@ -132,14 +126,14 @@ def _mux_factorial_moments(params: MuxParams, mu: float) -> tuple[float, float]:
     The brackets 1 - (1-h)^k e^{-mu h} are expanded as p_w + (1 - (1-h)^k) e^{-mu h}
     so that no cancellation occurs at weak pump.
     """
-    h = params.herald_eff
+    h = source.herald_eff
     p_w = -math.expm1(-mu * h)
     if p_w == 0.0:
         return 0.0, 0.0
     # Scalar copy of `_sync_gain`: pump tuning evaluates the mean ~40 times
     # per tuning, and the array version costs ~3x as much per call.
-    gain = float(sync_probability_at(params, mu)) / p_w
-    mq = mu * params.network_transmission * params.optics_transmission
+    gain = float(sync_probability_at(source, mu)) / p_w
+    mq = mu * source.network_transmission * source.optics_transmission
     no_click = math.exp(-mu * h)
     return (
         gain * mq * (p_w + h * no_click),
@@ -147,30 +141,29 @@ def _mux_factorial_moments(params: MuxParams, mu: float) -> tuple[float, float]:
     )
 
 
-def _sync_gain(params: MuxParams, mu: np.ndarray) -> np.ndarray:
+def _sync_gain(source: Multiplexed, mu: np.ndarray) -> np.ndarray:
     """P_sync / p_w at an array of pump values, 0 where p_w is 0."""
-    p_w = -np.expm1(-mu * params.herald_eff)
-    return np.divide(sync_probability_at(params, mu), p_w, out=np.zeros_like(p_w), where=p_w > 0.0)
+    p_w = -np.expm1(-mu * source.herald_eff)
+    return np.divide(sync_probability_at(source, mu), p_w, out=np.zeros_like(p_w), where=p_w > 0.0)
 
 
-def mux_click_probability(params: MuxParams, mu, survival: float):
+def _mux_click_probability(source: Multiplexed, mu, survival: float):
     """Probability that at least one output photon survives thinning by `survival`.
 
     1 - G(1 - survival) of the output generating function at pump `mu`:
     (P_sync/p_w) [1 - e^{-mu Q s} + e^{-mu h} (e^{-mu (1-h) Q s} - 1)], exactly 0
     at survival 0, evaluated as p_w (1 - e^{-y}) + e^{-y} (1 - e^{-mu h Q s}) with
     y = mu (1-h) Q s: no cancellation when a weak herald needs a huge pump.
-    `mu` may be an array of pump values; the result has its shape.  The
-    `pair_mean` field of `params` is ignored.
+    `mu` is an array of pump values; the result has its shape.  The
+    `pair_mean` field of `source` is ignored.
     """
-    mu = np.asarray(mu, dtype=np.float64)
-    h = params.herald_eff
-    x = mu * (params.network_transmission * params.optics_transmission * survival)
+    h = source.herald_eff
+    x = mu * (source.network_transmission * source.optics_transmission * survival)
     y = (1.0 - h) * x
-    return _sync_gain(params, mu) * (np.expm1(-mu * h) * np.expm1(-y) - np.exp(-y) * np.expm1(-h * x))
+    return _sync_gain(source, mu) * (np.expm1(-mu * h) * np.expm1(-y) - np.exp(-y) * np.expm1(-h * x))
 
 
-def mux_output_rows(params: MuxParams, mu, survival: float, tail: float):
+def _mux_output_rows(source: Multiplexed, mu, survival: float, tail: float):
     """Output photon-number distribution after a further thinning by `survival`.
 
     With q = network * optics * survival, h the herald efficiency and
@@ -179,17 +172,16 @@ def mux_output_rows(params: MuxParams, mu, survival: float, tail: float):
 
         P(n) = (1 - P_sync) [n = 0] + g Pois(n; mu q) [1 - (1-h)^n e^{-mu h (1-q)}]
 
-    `mu` is a float or an array of pump values; the result has shape
-    `np.shape(mu) + (n_max + 1,)`, with one n_max for all rows chosen so that
-    no row discards more than `tail` beyond it.  The `pair_mean` field of
-    `params` is ignored.
+    `mu` is an array of pump values; the result has shape
+    `mu.shape + (n_max + 1,)`, with one n_max for all rows chosen so that no
+    row discards more than `tail` beyond it.  The `pair_mean` field of
+    `source` is ignored.
     """
-    mu = np.asarray(mu, dtype=np.float64)
-    h = params.herald_eff
-    q = params.network_transmission * params.optics_transmission * survival
-    p_sync = sync_probability_at(params, mu)
+    h = source.herald_eff
+    q = source.network_transmission * source.optics_transmission * survival
+    p_sync = sync_probability_at(source, mu)
     # A row's tail is g <= 2**stages times the Poisson(mu q) tail.
-    n_max = poisson_support(float(np.max(mu)) * q, max(tail / params.window_count, 1e-300))
+    n_max = poisson_support(float(np.max(mu)) * q, max(tail / source.window_count, 1e-300))
     ns = np.arange(n_max + 1)
     if h < 1.0:
         log_miss = ns * math.log1p(-h)
@@ -197,12 +189,12 @@ def mux_output_rows(params: MuxParams, mu, survival: float, tail: float):
         log_miss = np.where(ns == 0, 0.0, -np.inf)
     # 1 - (1-h)^n e^{-mu h (1-q)} without cancellation: >= 0 and finite at h = 1.
     herald = -np.expm1(log_miss - (mu * (h * (1.0 - q)))[..., None])
-    rows = _sync_gain(params, mu)[..., None] * poisson_rows(mu * q, n_max) * herald
+    rows = _sync_gain(source, mu)[..., None] * poisson_rows(mu * q, n_max) * herald
     rows[..., 0] += 1.0 - p_sync
     return rows
 
 
-def unreachable_field(params: MuxParams) -> str | None:
+def unreachable_field(source: Multiplexed) -> str | None:
     """Name of a zero herald efficiency, stage transmission or optics
     transmission, or None.
 
@@ -211,12 +203,12 @@ def unreachable_field(params: MuxParams) -> str | None:
     positive target mean can be reached.
     """
     for name in ("herald_eff", "stage_transmission", "optics_transmission"):
-        if getattr(params, name) == 0.0:
+        if getattr(source, name) == 0.0:
             return name
     return None
 
 
-def tune_pair_mean(params: MuxParams, target_mean: float, tol: float = 1e-10) -> float:
+def tune_pair_mean(source: Multiplexed, target_mean: float, tol: float = 1e-10) -> float:
     """Pump strength whose output mean at the sample equals `target_mean`.
 
     The closed-form output mean is continuous and strictly increasing in the
@@ -226,11 +218,11 @@ def tune_pair_mean(params: MuxParams, target_mean: float, tol: float = 1e-10) ->
     bracket shrinks to adjacent floats, where a large mean cannot get closer.
     Every target is reachable below MAX_PUMP unless `unreachable_field` names
     a zero field or the network transmits too little.  The `pair_mean` field
-    of `params` is ignored.
+    of `source` is ignored.
     """
     if target_mean <= 0:
         raise ValueError(f"target mean must be > 0, got {target_mean}")
-    name = unreachable_field(params)
+    name = unreachable_field(source)
     if name is not None:
         raise ValueError(
             f"{name} is 0, so the output is vacuum at every pump strength: "
@@ -238,7 +230,7 @@ def tune_pair_mean(params: MuxParams, target_mean: float, tol: float = 1e-10) ->
         )
 
     def mean_at(mu: float) -> float:
-        return _mux_factorial_moments(params, mu)[0]
+        return _mux_factorial_moments(source, mu)[0]
 
     stop = tol * min(1.0, target_mean)
     lo, hi = 0.0, max(1.0, target_mean)
@@ -266,14 +258,25 @@ def make_multiplexed(
     optics_transmission: float = DEFAULT_OPTICS_TRANSMISSION,
 ) -> Multiplexed:
     """Multiplexed source tuned to `target_mean` photons at the sample."""
-    params = MuxParams(
-        stages=stages,
-        pair_mean=0.0,
-        herald_eff=herald_eff,
-        stage_transmission=stage_transmission,
-        optics_transmission=optics_transmission,
-    )
-    return Multiplexed(replace(params, pair_mean=tune_pair_mean(params, target_mean)))
+    src = Multiplexed(stages, 0.0, herald_eff, stage_transmission, optics_transmission)
+    return replace(src, pair_mean=tune_pair_mean(src, target_mean))
+
+
+def source_pump(source: Source) -> float:
+    """Pump strength `source` runs at: the coherent mean or the multiplexed
+    pair mean.  A Fock state has no pump."""
+    if isinstance(source, Coherent):
+        return source.mean
+    if isinstance(source, Multiplexed):
+        return source.pair_mean
+    raise TypeError(f"not a pump-driven source (coherent or multiplexed): {source!r}")
+
+
+def _pumps(source: Source, mu) -> np.ndarray:
+    """`mu`, or the source's own pump if it is None, as an array; TypeError
+    for a source without a pump."""
+    pump = source_pump(source)
+    return np.asarray(pump if mu is None else mu, dtype=np.float64)
 
 
 def source_moments(source: Source) -> Moments:
@@ -283,22 +286,45 @@ def source_moments(source: Source) -> Moments:
     elif isinstance(source, Fock):
         mean, variance = float(source.photons), 0.0
     elif isinstance(source, Multiplexed):
-        mean, pairs = _mux_factorial_moments(source.params, source.params.pair_mean)
+        mean, pairs = _mux_factorial_moments(source, source.pair_mean)
         variance = pairs + mean - mean * mean
     else:
         raise TypeError(f"unknown source kind: {source!r}")
     return Moments(mean=mean, variance=variance)
 
 
-def source_click_probability(source: Source, survival: float) -> float:
+def source_click_probability(source: Source, survival: float, mu=None):
     """Probability that at least one photon at the sample plane survives an
-    independent per-photon thinning by `survival`, in closed form."""
-    if isinstance(source, Coherent):
-        return -math.expm1(-source.mean * survival)
-    if isinstance(source, Fock):
+    independent per-photon thinning by `survival`, in closed form.
+
+    `mu` is a pump value or an array of them (default: the source's own
+    pump, and a float result); a Fock state given one raises TypeError.
+    """
+    if isinstance(source, Fock) and mu is None:
         if source.photons == 0:
             return 0.0
         return 1.0 if survival == 1.0 else -math.expm1(source.photons * math.log1p(-survival))
-    if isinstance(source, Multiplexed):
-        return float(mux_click_probability(source.params, source.params.pair_mean, survival))
-    raise TypeError(f"unknown source kind: {source!r}")
+    pumps = _pumps(source, mu)
+    if isinstance(source, Coherent):
+        # The coherent output mean is the pump itself.
+        p = -np.expm1(-survival * pumps)
+    else:
+        p = _mux_click_probability(source, pumps, survival)
+    return float(p) if mu is None else p
+
+
+def source_count_rows(source: Source, survival: float, tail: float, mu=None) -> np.ndarray:
+    """Detected-count distribution of `source` after per-photon survival
+    `survival`, in closed form.
+
+    `mu` is as for `source_click_probability`.  The result has shape
+    `np.shape(mu) + (n_max + 1,)`, with one n_max for all rows chosen so that
+    no row discards more than `tail` beyond it.
+    """
+    if isinstance(source, Fock) and mu is None:
+        return binomial_row(source.photons, survival)
+    pumps = _pumps(source, mu)
+    if isinstance(source, Coherent):
+        lam = survival * pumps
+        return poisson_rows(lam, poisson_support(float(lam.max()), tail))
+    return _mux_output_rows(source, pumps, survival, tail)

@@ -32,15 +32,14 @@ from subshot.estimators import (
     snl_ratio,
     snl_report,
 )
-from subshot.montecarlo import FluctuationConfig, _count_rows, fluctuation_study, mc_estimate
+from subshot.montecarlo import FluctuationConfig, fluctuation_study, mc_estimate
 from subshot.sources import (
     Coherent,
     Fock,
     Multiplexed,
-    MuxParams,
     make_multiplexed,
-    mux_output_rows,
     source_click_probability,
+    source_count_rows,
     tune_pair_mean,
 )
 
@@ -190,14 +189,12 @@ def test_c07_click_count_identity():
             src = Fock(int(rng.integers(1, 4)))
         else:
             src = Multiplexed(
-                MuxParams(
-                    stages=int(rng.integers(1, 6)),
-                    pair_mean=float(rng.uniform(0.02, 1.0)),
-                    herald_eff=float(rng.uniform(0.3, 1.0)),
-                )
+                stages=int(rng.integers(1, 6)),
+                pair_mean=float(rng.uniform(0.02, 1.0)),
+                herald_eff=float(rng.uniform(0.3, 1.0)),
             )
         ch = Channel(float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.4, 1.0)))
-        detected = _count_rows(src, ch.survival)
+        detected = source_count_rows(src, ch.survival, 1e-18)
         dev = abs(source_click_probability(src, ch.survival) - (1.0 - detected[0]))
         worst = max(worst, dev)
     check(
@@ -212,7 +209,7 @@ def test_c08_mux_model_matches_enumeration():
     worst = 0.0
     for m in (1, 2, 3):
         for mu in (0.05, 0.25, 0.5):
-            params = MuxParams(
+            src = Multiplexed(
                 stages=m,
                 pair_mean=mu,
                 herald_eff=0.9,
@@ -220,7 +217,7 @@ def test_c08_mux_model_matches_enumeration():
                 optics_transmission=0.9,
             )
             expected = enumerate_mux_output(m, mu, 0.9, 0.88, 0.9)
-            out = mux_output_rows(params, mu, 1.0, 1e-18)
+            out = source_count_rows(src, 1.0, 1e-18)
             got = np.zeros(len(expected))
             got[: min(out.size, len(expected))] = out[: len(expected)]
             worst = max(worst, float(np.abs(got - np.array(expected)).max()))
@@ -235,9 +232,9 @@ def test_c08_mux_model_matches_enumeration():
 def test_c09_pump_tuning_residuals():
     worst = 0.0
     for m in STAGE_RANGE:
-        params = MuxParams(stages=m, pair_mean=0.0)
+        src = Multiplexed(stages=m, pair_mean=0.0)
         for target in (0.1, 0.5, 1.0):
-            mu = tune_pair_mean(params, target)
+            mu = tune_pair_mean(src, target)
             # Summed over the enumerated distribution, not read from the
             # closed-form mean the tuning bisects on.
             probs = enumerate_mux_output(m, mu, 0.9, 0.88, 0.9, n_cut=25)
@@ -467,7 +464,7 @@ def test_c16_fluctuation_inflation_magnitudes(flux_studies):
     that one).  The published-style 3.4x / 2.1x are not a property of
     either correlation model; see README "Known residuals".
     """
-    mux = MuxParams(stages=5, pair_mean=0.0)
+    mux = Multiplexed(stages=5, pair_mean=0.0)
 
     def mux_probs(pump):
         # The largest pump node is 7x the tuned 0.134, where the Poisson tail

@@ -86,6 +86,18 @@ class TestMain:
             for column in ("expectation", "variance", "mse", "ratio_to_snl"):
                 assert math.isfinite(float(row[column]))
 
+    @pytest.mark.parametrize("command", ["nr-ratio", "threshold-ratio"])
+    def test_perfect_detector_leaves_unbounded_ratio_empty(self, tmp_path, command):
+        """At --eta 1 the Fock(1) row at t = 1 has MSE exactly 0, so its
+        ratio to the shot-noise MSE is unbounded; the cell stays empty, as
+        at t = 0."""
+        out = tmp_path / "r.csv"
+        assert main([command, "--eta", "1", "--m", "2", "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.open()))
+        (fock,) = [r for r in rows if r["source"] == "fock" and float(r["t"]) == 1.0]
+        assert float(fock["mse"]) == 0.0
+        assert fock["ratio_to_snl"] == ""
+
     @pytest.mark.parametrize(
         "args",
         [

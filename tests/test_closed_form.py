@@ -31,10 +31,9 @@ from subshot.sources import (
     Coherent,
     Fock,
     Multiplexed,
-    MuxParams,
     make_multiplexed,
-    mux_output_rows,
     source_click_probability,
+    source_count_rows,
     source_moments,
     sync_probability_at,
     tune_pair_mean,
@@ -52,8 +51,8 @@ herald_effs = st.one_of(st.just(1.0), st.floats(0.05, 1.0))
 
 
 @st.composite
-def mux_params(draw, max_pump=3.0, max_stages=10):
-    return MuxParams(
+def mux_sources(draw, max_pump=3.0, max_stages=10):
+    return Multiplexed(
         stages=draw(st.integers(1, max_stages)),
         pair_mean=draw(st.floats(1e-3, max_pump)),
         herald_eff=draw(herald_effs),
@@ -66,15 +65,15 @@ def close(got, expected):
     return got == pytest.approx(expected, rel=RTOL, abs=ATOL)
 
 
-def enumerated(params: MuxParams, survival: float = 1.0) -> list[float]:
+def enumerated(src: Multiplexed, survival: float = 1.0) -> list[float]:
     # A cut 20 + 6 mu photons leaves a Poisson tail below 1e-25 for mu <= 2.
     return enumerate_mux_output(
-        params.stages,
-        params.pair_mean,
-        params.herald_eff,
-        params.stage_transmission,
-        params.optics_transmission * survival,
-        n_cut=20 + int(6 * params.pair_mean),
+        src.stages,
+        src.pair_mean,
+        src.herald_eff,
+        src.stage_transmission,
+        src.optics_transmission * survival,
+        n_cut=20 + int(6 * src.pair_mean),
     )
 
 
@@ -93,10 +92,9 @@ def assert_rows_close(got, expected):
 
 class TestAgainstPmfPipeline:
     @CHECKS
-    @given(mux_params(), survivals)
-    def test_multiplexed(self, params, survival):
-        src = Multiplexed(params)
-        row = mux_output_rows(params, params.pair_mean, 1.0, 1e-18)
+    @given(mux_sources(), survivals)
+    def test_multiplexed(self, src, survival):
+        row = source_count_rows(src, 1.0, 1e-18)
         mean, variance = mean_and_variance(row)
         got = source_moments(src)
         assert close(got.mean, mean)
@@ -137,12 +135,11 @@ class TestAgainstPmfPipeline:
 
 class TestAgainstEnumeration:
     @ORACLE_CHECKS
-    @given(mux_params(max_pump=2.0), survivals)
-    def test_multiplexed(self, params, survival):
-        probs = enumerated(params)
+    @given(mux_sources(max_pump=2.0), survivals)
+    def test_multiplexed(self, src, survival):
+        probs = enumerated(src)
         mean = sum(n * p for n, p in enumerate(probs))
         variance = sum((n - mean) ** 2 * p for n, p in enumerate(probs))
-        src = Multiplexed(params)
         got = source_moments(src)
         assert close(got.mean, mean)
         assert close(got.variance, variance)
@@ -150,24 +147,24 @@ class TestAgainstEnumeration:
         assert close(source_click_probability(src, survival), expected_click)
 
     @ORACLE_CHECKS
-    @given(mux_params(max_pump=2.0, max_stages=4), survivals)
-    def test_multiplexed_rows(self, params, survival):
-        assert_rows_close(mux_output_rows(params, params.pair_mean, 1.0, 1e-18), enumerated(params))
-        rows = mux_output_rows(params, params.pair_mean, survival, 1e-18)
-        assert_rows_close(rows, enumerated(params, survival))
+    @given(mux_sources(max_pump=2.0, max_stages=4), survivals)
+    def test_multiplexed_rows(self, src, survival):
+        assert_rows_close(source_count_rows(src, 1.0, 1e-18), enumerated(src))
+        rows = source_count_rows(src, survival, 1e-18)
+        assert_rows_close(rows, enumerated(src, survival))
 
 
 class TestEdges:
     def test_click_probability_exactly_zero_without_survival(self):
-        for src in (Coherent(0.7), Fock(3), Multiplexed(MuxParams(stages=4, pair_mean=0.3))):
+        for src in (Coherent(0.7), Fock(3), Multiplexed(stages=4, pair_mean=0.3)):
             assert source_click_probability(src, 0.0) == 0.0
 
     def test_vacuum_sources(self):
         for src in (
             Coherent(0.0),
             Fock(0),
-            Multiplexed(MuxParams(stages=2, pair_mean=0.0)),
-            Multiplexed(MuxParams(stages=2, pair_mean=0.5, herald_eff=0.0)),
+            Multiplexed(stages=2, pair_mean=0.0),
+            Multiplexed(stages=2, pair_mean=0.5, herald_eff=0.0),
         ):
             got = source_moments(src)
             assert got.mean == 0.0 and got.variance == 0.0 and got.fano is None
@@ -177,22 +174,22 @@ class TestEdges:
     def test_strong_pump_row_finite_and_normalized(self, herald_eff):
         """At mu * herald_eff = 40 the per-window herald probability rounds
         to 1; the row stays finite, non-negative and normalized."""
-        params = MuxParams(stages=2, pair_mean=40.0 / herald_eff, herald_eff=herald_eff)
-        row = mux_output_rows(params, params.pair_mean, 0.72, 1e-18)
+        src = Multiplexed(stages=2, pair_mean=40.0 / herald_eff, herald_eff=herald_eff)
+        row = source_count_rows(src, 0.72, 1e-18)
         assert np.all(np.isfinite(row)) and np.all(row >= 0.0)
         assert row.sum() == pytest.approx(1.0, abs=1e-12)
         mean = float(np.arange(row.size) @ row)
-        expected = source_moments(Multiplexed(params)).mean * 0.72
+        expected = source_moments(src).mean * 0.72
         assert mean == pytest.approx(expected, rel=1e-12)
 
 
 class TestTuning:
     @CHECKS
-    @given(mux_params(), st.floats(1e-4, 20.0))
-    def test_residual_below_tolerance(self, params, target):
+    @given(mux_sources(), st.floats(1e-4, 20.0))
+    def test_residual_below_tolerance(self, src, target):
         tol = 1e-10
-        mu = tune_pair_mean(params, target, tol=tol)
-        achieved = source_moments(Multiplexed(replace(params, pair_mean=mu))).mean
+        mu = tune_pair_mean(src, target, tol=tol)
+        achieved = source_moments(replace(src, pair_mean=mu)).mean
         assert abs(achieved - target) < tol
 
     @pytest.mark.parametrize("stages", [1, 3, 6])
@@ -210,6 +207,6 @@ def test_weak_herald_click_probability_does_not_cancel():
     the click probability at survival 1 is P_sync, not a cancelled 0."""
     src = make_multiplexed(1, 1.0, herald_eff=1e-33, stage_transmission=1.0,
                            optics_transmission=1.0)
-    p_sync = float(sync_probability_at(src.params, src.params.pair_mean))
+    p_sync = float(sync_probability_at(src, src.pair_mean))
     assert p_sync > 0.0
     assert source_click_probability(src, 1.0) == pytest.approx(p_sync, rel=1e-12)

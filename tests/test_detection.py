@@ -8,9 +8,17 @@ import pytest
 
 from _oracles import enumerate_click_probability, enumerate_mux_output, poisson_probs
 from subshot.detection import Channel
-from subshot.montecarlo import _count_rows
 from subshot.pmf import poisson_rows
-from subshot.sources import Coherent, Fock, Multiplexed, MuxParams, source_click_probability
+from subshot.sources import (
+    Coherent,
+    Fock,
+    Multiplexed,
+    source_click_probability,
+    source_count_rows,
+)
+
+# The tail the Monte Carlo count rows discard.
+TAIL = 1e-18
 
 
 class TestChannel:
@@ -25,21 +33,21 @@ class TestChannel:
 
 class TestNumberResolving:
     def test_transparent_lossless_is_identity(self):
-        out = _count_rows(Coherent(0.7), Channel(1.0, 1.0).survival)
+        out = source_count_rows(Coherent(0.7), Channel(1.0, 1.0).survival, TAIL)
         np.testing.assert_array_equal(out, poisson_rows(0.7, out.size - 1))
 
     def test_poisson_thinning(self):
-        out = _count_rows(Coherent(1.0), Channel(0.8, 0.9).survival)
+        out = source_count_rows(Coherent(1.0), Channel(0.8, 0.9).survival, TAIL)
         direct = poisson_probs(0.72, out.size - 1)
         np.testing.assert_allclose(out, direct, rtol=0, atol=1e-10)
 
     def test_single_photon_bernoulli(self):
-        out = _count_rows(Fock(1), Channel(0.5, 0.9).survival)
+        out = source_count_rows(Fock(1), Channel(0.5, 0.9).survival, TAIL)
         np.testing.assert_allclose(out, [0.55, 0.45], atol=1e-15)
 
     def test_mean_scaling(self):
         ch = Channel(0.6, 0.9)
-        out = _count_rows(Coherent(1.4), ch.survival)
+        out = source_count_rows(Coherent(1.4), ch.survival, TAIL)
         assert float(np.arange(out.size) @ out) == pytest.approx(ch.survival * 1.4, abs=1e-12)
 
 
@@ -67,10 +75,10 @@ class TestClickProbability:
         )
 
     def test_matches_direct_summation(self):
-        params = MuxParams(stages=2, pair_mean=0.3, herald_eff=0.7)
-        probs = enumerate_mux_output(2, 0.3, 0.7, params.stage_transmission, params.optics_transmission)
+        src = Multiplexed(stages=2, pair_mean=0.3, herald_eff=0.7)
+        probs = enumerate_mux_output(2, 0.3, 0.7, src.stage_transmission, src.optics_transmission)
         ch = Channel(0.6, 0.9)
-        assert source_click_probability(Multiplexed(params), ch.survival) == pytest.approx(
+        assert source_click_probability(src, ch.survival) == pytest.approx(
             enumerate_click_probability(probs, ch.survival), abs=1e-13
         )
 
@@ -101,16 +109,14 @@ class TestClickCountIdentity:
             Coherent(float(rng.uniform(0.05, 3.0))),
             Fock(int(rng.integers(1, 4))),
             Multiplexed(
-                MuxParams(
-                    stages=int(rng.integers(1, 5)),
-                    pair_mean=float(rng.uniform(0.05, 1.0)),
-                    herald_eff=float(rng.uniform(0.4, 1.0)),
-                )
+                stages=int(rng.integers(1, 5)),
+                pair_mean=float(rng.uniform(0.05, 1.0)),
+                herald_eff=float(rng.uniform(0.4, 1.0)),
             ),
         ]
         ch = Channel(float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.5, 1.0)))
         for src in sources:
-            detected = _count_rows(src, ch.survival)
+            detected = source_count_rows(src, ch.survival, TAIL)
             assert source_click_probability(src, ch.survival) == pytest.approx(
                 1.0 - detected[0], abs=1e-12
             )

@@ -355,6 +355,22 @@ class TestSerialization:
         assert "," in lines[1] and "." in lines[1]  # '.' decimal separator
         assert text == rows_to_csv(run_experiment(cfg))
 
+    def test_numpy_built_config_writes_like_the_literal_one(self):
+        """Numbers are stored as Python floats and ints, so numpy scalars
+        change neither a CSV cell nor the digest."""
+        built = SweepConfig(
+            experiment="nr-ratio",
+            t_grid=tuple(np.linspace(0.0, 1.0, 3)),
+            stage_counts=(np.int64(2),),
+            mean_photons=np.float64(1.0),
+            nu=np.int64(200),
+        )
+        literal = SweepConfig(experiment="nr-ratio", t_grid=(0.0, 0.5, 1.0), stage_counts=(2,))
+        assert built.digest() == literal.digest()
+        assert rows_to_csv(run_experiment(built)).encode() == rows_to_csv(
+            run_experiment(literal)
+        ).encode()
+
     def test_json_round_trip(self):
         import json
 

@@ -25,7 +25,7 @@ from subshot.montecarlo import (
     NegativeDraws,
     PumpRedraw,
     _PUMP_BLOCK,
-    _count_rows,
+    _ROW_TAIL,
     _total_count_row,
     fluctuation_study,
     mc_estimate,
@@ -34,10 +34,9 @@ from subshot.sources import (
     Coherent,
     Fock,
     Multiplexed,
-    MuxParams,
     make_multiplexed,
-    mux_click_probability,
-    mux_output_rows,
+    source_click_probability,
+    source_count_rows,
 )
 
 CH = Channel(0.8, 0.9)
@@ -124,7 +123,7 @@ class TestTotalCountRow:
         nu=st.integers(1, 1000),
     )
     def test_moments_add_over_repetitions(self, source, survival, nu):
-        row = _count_rows(source, survival)
+        row = source_count_rows(source, survival, _ROW_TAIL)
         offset, total = _total_count_row(row, nu)
         assert (total >= 0.0).all()
         assert total.sum() == pytest.approx(1.0, abs=1e-12)
@@ -134,20 +133,20 @@ class TestTotalCountRow:
         assert got_variance == pytest.approx(nu * variance, rel=1e-12, abs=1e-15)
 
     def test_single_repetition_is_the_row(self):
-        row = _count_rows(Coherent(1.0), 0.72)
+        row = source_count_rows(Coherent(1.0), 0.72, _ROW_TAIL)
         offset, total = _total_count_row(row, 1)
         assert offset == 0
         np.testing.assert_allclose(total, row / row.sum(), rtol=1e-15, atol=0.0)
 
     def test_degenerate_row_stays_a_point(self):
-        offset, total = _total_count_row(_count_rows(Fock(3), 1.0), 200)
+        offset, total = _total_count_row(source_count_rows(Fock(3), 1.0, _ROW_TAIL), 200)
         assert (offset, total.tolist()) == (600, [1.0])
 
     @pytest.mark.parametrize("source", [Coherent(1.0), make_multiplexed(2, 1.0)])
     def test_million_repetitions_build_quickly(self, source):
         """Both tails are trimmed, so the row spans ~sqrt(nu) counts, not
         nu * mean, and its cost does not grow like nu^2."""
-        row = _count_rows(source, 0.72)
+        row = source_count_rows(source, 0.72, _ROW_TAIL)
         start = time.perf_counter()
         offset, total = _total_count_row(row, 10**6)
         assert time.perf_counter() - start < 2.0
@@ -198,30 +197,61 @@ def test_exact_reports_match_monte_carlo(
 
 
 class TestBatchBuilders:
-    """The per-pump-batch source functions the fluctuation rounds sample from
-    must agree with the single-pump rows `mc_estimate` samples and with the
-    window-by-window enumeration."""
+    """The count rows and click probabilities the fluctuation rounds evaluate
+    on pump arrays must agree with the single-pump calls of `mc_estimate` and
+    the exact reports, and with the window-by-window enumeration."""
 
     def test_detected_rows_match_scalar_pipeline(self):
-        params = MuxParams(stages=3, pair_mean=0.27, herald_eff=0.8)
-        rows = mux_output_rows(params, np.array([0.27]), CH.survival, 1e-18)
-        np.testing.assert_array_equal(rows[0], _count_rows(Multiplexed(params), CH.survival))
+        src = Multiplexed(stages=3, pair_mean=0.27, herald_eff=0.8)
+        rows = source_count_rows(src, CH.survival, 1e-18, np.array([0.27]))
+        np.testing.assert_array_equal(rows[0], source_count_rows(src, CH.survival, 1e-18))
         expected = enumerate_mux_output(3, 0.27, 0.8, 0.88, 0.9 * CH.survival)
         n = min(rows.shape[1], len(expected))
         np.testing.assert_allclose(rows[0, :n], expected[:n], rtol=0, atol=1e-12)
 
     def test_click_probabilities_match_scalar_pipeline(self):
-        params = MuxParams(stages=2, pair_mean=0.4, herald_eff=0.7)
-        got = mux_click_probability(params, np.array([0.4, 0.1]), CH.survival)
+        src = Multiplexed(stages=2, pair_mean=0.4, herald_eff=0.7)
+        got = source_click_probability(src, CH.survival, np.array([0.4, 0.1]))
+        assert got[0] == source_click_probability(src, CH.survival)
         for mu, value in zip((0.4, 0.1), got):
             probs = enumerate_mux_output(2, mu, 0.7, 0.88, 0.9)
             assert value == pytest.approx(enumerate_click_probability(probs, CH.survival), abs=1e-12)
 
     def test_zero_pump_rows_are_vacuum(self):
-        params = MuxParams(stages=2, pair_mean=0.0, herald_eff=0.7)
-        rows = mux_output_rows(params, np.array([0.0]), 0.72, 1e-18)
+        src = Multiplexed(stages=2, pair_mean=0.0, herald_eff=0.7)
+        rows = source_count_rows(src, 0.72, 1e-18, np.array([0.0]))
         assert rows[0, 0] == pytest.approx(1.0, abs=1e-15)
         assert rows[0, 1:].sum() == pytest.approx(0.0, abs=1e-15)
+
+    @CHECKS
+    @given(
+        source=sources(kinds=("coherent", "multiplexed")),
+        survival=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+        pumps=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=6),
+    )
+    def test_pump_arrays_match_scalar_calls(self, source, survival, pumps):
+        """Entry i of an array evaluation is the evaluation of the source
+        running at pump i; the array's rows are longer only by the tail the
+        largest pump needs."""
+        mu = np.array(pumps)
+        clicks = source_click_probability(source, survival, mu)
+        rows = source_count_rows(source, survival, _ROW_TAIL, mu)
+        assert clicks.shape == mu.shape and rows.shape[:-1] == mu.shape
+        for pump, click, batch_row in zip(pumps, clicks, rows):
+            at_pump = (
+                Coherent(pump) if isinstance(source, Coherent) else replace(source, pair_mean=pump)
+            )
+            assert click == source_click_probability(at_pump, survival)
+            row = source_count_rows(at_pump, survival, _ROW_TAIL)
+            np.testing.assert_array_equal(batch_row[: row.size], row)
+            # At most the discarded tail, up to rounding in its sum.
+            assert batch_row[row.size :].sum() <= _ROW_TAIL * (1.0 + 1e-12)
+
+    def test_fock_source_takes_no_pump(self):
+        with pytest.raises(TypeError):
+            source_click_probability(Fock(1), 0.5, np.array([0.3]))
+        with pytest.raises(TypeError):
+            source_count_rows(Fock(1), 0.5, _ROW_TAIL, 0.3)
 
 
 class TestFluctuationStudy:

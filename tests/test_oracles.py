@@ -25,7 +25,7 @@ from _oracles import (
     tune_pump,
 )
 from subshot.estimators import Detector, reference_mean
-from subshot.sources import Multiplexed, MuxParams, mux_output_rows, tune_pair_mean
+from subshot.sources import Multiplexed, source_count_rows, tune_pair_mean
 
 T, ETA, NU, MEAN = 0.8, 0.9, 200, 0.5
 REDRAWS = ("per-round", "per-repetition")
@@ -82,16 +82,16 @@ def test_coherent_closed_form_values():
 
 
 def test_pump_oracle_matches_subshot_pmf_path_mux5():
-    params = MuxParams(stages=5, pair_mean=0.0)
+    src = Multiplexed(stages=5, pair_mean=0.0)
 
     def enumerated(pump):
         # Pumps reach 7x the tuned 0.134, where the tail beyond 20 is < 1e-20.
         return enumerate_mux_output(
-            params.stages,
+            src.stages,
             pump,
-            params.herald_eff,
-            params.stage_transmission,
-            params.optics_transmission,
+            src.herald_eff,
+            src.stage_transmission,
+            src.optics_transmission,
             n_cut=20,
         )
 
@@ -102,14 +102,12 @@ def test_pump_oracle_matches_subshot_pmf_path_mux5():
     def oracle_moments(x):
         return thinned_count_moments(enumerated(oracle_pump * x), T * ETA)
 
-    pump = tune_pair_mean(params, MEAN)
-    pmf_reference = reference_mean(
-        Multiplexed(replace(params, pair_mean=pump)), Detector.NUMBER_RESOLVING, ETA
-    )
+    pump = tune_pair_mean(src, MEAN)
+    pmf_reference = reference_mean(replace(src, pair_mean=pump), Detector.NUMBER_RESOLVING, ETA)
 
     @functools.cache
     def pmf_path_moments(x):
-        return thinned_count_moments(mux_output_rows(params, pump * x, T * ETA, 1e-18), 1.0)
+        return thinned_count_moments(source_count_rows(src, T * ETA, 1e-18, pump * x), 1.0)
 
     expected = {
         ("per-round", "clamp"): 9.4606,

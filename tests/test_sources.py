@@ -8,15 +8,13 @@ import numpy as np
 import pytest
 
 from _oracles import enumerate_mux_output, poisson_probs, thinned_count_moments
-from subshot.montecarlo import _count_rows
 from subshot.pmf import Moments, poisson_rows
 from subshot.sources import (
     Coherent,
     Fock,
     Multiplexed,
-    MuxParams,
     make_multiplexed,
-    mux_output_rows,
+    source_count_rows,
     source_moments,
     sync_probability_at,
     tune_pair_mean,
@@ -25,7 +23,7 @@ from subshot.sources import (
 
 
 def params(m=2, mu=0.2, herald=0.5, stage=0.95, optics=0.9):
-    return MuxParams(
+    return Multiplexed(
         stages=m,
         pair_mean=mu,
         herald_eff=herald,
@@ -34,9 +32,9 @@ def params(m=2, mu=0.2, herald=0.5, stage=0.95, optics=0.9):
     )
 
 
-def output_row(p: MuxParams) -> np.ndarray:
+def output_row(p: Multiplexed) -> np.ndarray:
     """Photon-number distribution at the sample plane at the pump `p` carries."""
-    return mux_output_rows(p, p.pair_mean, 1.0, 1e-18)
+    return source_count_rows(p, 1.0, 1e-18)
 
 
 def moments(row) -> Moments:
@@ -46,7 +44,7 @@ def moments(row) -> Moments:
     return Moments(mean, variance)
 
 
-class TestMuxParams:
+class TestMultiplexed:
     def test_window_count(self):
         assert params(m=3).window_count == 8
 
@@ -89,7 +87,7 @@ class TestHeraldModel:
         assert sync_probability_at(p, p.pair_mean) == 1.0
         out = output_row(p)
         assert out[0] < 1e-12
-        assert moments(out).mean == pytest.approx(source_moments(Multiplexed(p)).mean, rel=1e-12)
+        assert moments(out).mean == pytest.approx(source_moments(p).mean, rel=1e-12)
 
 
 class TestMuxOutput:
@@ -199,14 +197,14 @@ class TestTunePairMean:
         tolerance; the bisection then stops at adjacent floats."""
         p = params(m=m, herald=0.9, stage=0.88)
         mu = tune_pair_mean(p, target)
-        achieved = source_moments(Multiplexed(replace(p, pair_mean=mu))).mean
+        achieved = source_moments(replace(p, pair_mean=mu)).mean
         assert abs(achieved - target) <= 1e-13 * target
 
     def test_lossy_network_reached(self):
         p = params(m=40, herald=0.9, stage=0.01)
         mu = tune_pair_mean(p, 1.0)
         assert mu > 1e80
-        achieved = source_moments(Multiplexed(replace(p, pair_mean=mu))).mean
+        achieved = source_moments(replace(p, pair_mean=mu)).mean
         assert achieved == pytest.approx(1.0, abs=1e-10)
 
     def test_target_beyond_pump_ceiling_rejected(self):
@@ -217,16 +215,16 @@ class TestTunePairMean:
         p = params(m=1, herald=0.9, stage=0.88, optics=0.9)
         mu = tune_pair_mean(p, 50.0)
         assert mu * 0.9 > 37.0
-        assert source_moments(Multiplexed(replace(p, pair_mean=mu))).mean == pytest.approx(50.0, abs=1e-9)
+        assert source_moments(replace(p, pair_mean=mu)).mean == pytest.approx(50.0, abs=1e-9)
 
 
 class TestSourcePmf:
     def test_coherent_is_poisson_at_sample(self):
-        got = _count_rows(Coherent(1.0), 1.0)
+        got = source_count_rows(Coherent(1.0), 1.0, 1e-18)
         np.testing.assert_array_equal(got, poisson_rows(1.0, got.size - 1))
 
     def test_fock_single_photon(self):
-        np.testing.assert_array_equal(_count_rows(Fock(1), 1.0), [0.0, 1.0])
+        np.testing.assert_array_equal(source_count_rows(Fock(1), 1.0, 1e-18), [0.0, 1.0])
 
     def test_multiplexed_tuned_mean(self):
         src = make_multiplexed(3, 0.5)
@@ -244,4 +242,4 @@ class TestSourcePmf:
         with pytest.raises(TypeError):
             source_moments(object())
         with pytest.raises(TypeError):
-            _count_rows(object(), 1.0)
+            source_count_rows(object(), 1.0, 1e-18)
