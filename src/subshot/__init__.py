@@ -39,8 +39,10 @@ from subshot.montecarlo import (
     McSummary,
     NegativeDraws,
     PumpRedraw,
+    fluctuation_mse,
     fluctuation_study,
     mc_estimate,
+    pump_nodes,
 )
 
 __version__ = "0.1.0"

@@ -30,6 +30,7 @@ from subshot.montecarlo import (
     FluctuationConfig,
     NegativeDraws,
     PumpRedraw,
+    fluctuation_mse,
     fluctuation_study,
     mc_estimate,
 )
@@ -120,6 +121,13 @@ class SweepConfig:
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError("experiment", f"unknown experiment {self.experiment!r}")
+        # `__post_init__` made every integer-valued entry an int.
+        for f in fields(self):
+            if _NUMBER_KINDS.get(f.type) is int:
+                value = getattr(self, f.name)
+                entries = value if f.type.startswith("tuple") else (value,)
+                if not all(isinstance(v, int) for v in entries):
+                    raise ConfigError(f.name, f"must be integer-valued, got {value!r}")
         if not self.t_grid:
             raise ConfigError("t_grid", "must be non-empty")
         for t in self.t_grid:
@@ -347,8 +355,16 @@ def _run_asymptotic(cfg: SweepConfig):
     return rows
 
 
+def _z_score(sampled: float, exact: float, se: float) -> float:
+    """Deviation of a sampled moment from its exact value in standard errors,
+    0 when the samples do not spread."""
+    return (sampled - exact) / se if se > 0 else 0.0
+
+
 def _run_fluctuations(cfg: SweepConfig):
-    """Seeded pump-fluctuation study over the a-grid."""
+    """Seeded pump-fluctuation study over the a-grid, each row with the
+    exact MSE it samples and its deviation in standard errors.  The deviation
+    is skewed under per-round pump noise, so it is recorded, not bounded."""
     mc_cfg = FluctuationConfig(
         a_grid=cfg.a_grid,
         rounds=cfg.rounds,
@@ -362,18 +378,15 @@ def _run_fluctuations(cfg: SweepConfig):
     rows = []
     for detector in Detector:
         for source in sources:
+            summaries = fluctuation_study(mc_cfg, source, detector, ch, cfg.seed)
+            exact = fluctuation_mse(mc_cfg, source, detector, ch)
             rows += [
                 _row(cfg, source, detector, t, mean, s.fluctuation,
-                     mse=s.mean_mse, ci_low=s.ci_low, ci_high=s.ci_high)
-                for s in fluctuation_study(mc_cfg, source, detector, ch, cfg.seed)
+                     mse=s.mean_mse, ci_low=s.ci_low, ci_high=s.ci_high, mse_exact=mse,
+                     z_mse=_z_score(s.mean_mse, mse, s.mse_se))
+                for s, mse in zip(summaries, exact)
             ]
     return rows
-
-
-def _z_score(sampled: float, exact: float, se: float) -> float:
-    """Deviation of a sampled moment from its exact value in standard errors,
-    0 when the samples do not spread."""
-    return (sampled - exact) / se if se > 0 else 0.0
 
 
 def _run_mc_validate(cfg: SweepConfig):

@@ -1,4 +1,4 @@
-"""Seeded Monte Carlo engine.
+"""Seeded Monte Carlo engine and the exact pump-fluctuation MSE.
 
 Two jobs: validate the exact estimator reports by sampling full experiments,
 and study what pump-power fluctuations do to the measurement error.
@@ -11,42 +11,56 @@ estimators read: Binomial(nu, p) clicks, or one inverse-CDF lookup in the
 nu-fold convolution power of the detected-count row (`_total_count_row`).
 
 In the fluctuation study the pump strength becomes a Gaussian random variable
-(sigma = a * mean around the source's own pump, truncated at zero), the
-source is re-evaluated for every draw, and the estimator keeps its
-fluctuation-free reference normalization.  Each round yields one transmission
-estimate and one squared error; rounds are summarized by their mean, its
-standard error and the 16th/84th percentiles.  By default the pump is redrawn
-once per round (slow drift relative to a round) and negative draws clamp to
-zero; redrawing per repetition and rejection-resampling are available as
-configuration.
+(sigma = a * mean around the source's own pump, truncated at zero) and the
+estimator keeps its fluctuation-free reference normalization.  Each round
+yields one transmission estimate and one squared error; rounds are summarized
+by their mean, its standard error and the 16th/84th percentiles.  By default
+the pump is redrawn once per round (slow drift relative to a round): the
+source is re-evaluated at the round's pump and each repetition's count drawn
+from that row.  Redrawn per repetition, the counts are independent and follow
+the pump average of the row, so a round is one inverse-CDF lookup in its
+nu-fold power, as in `mc_estimate`.  Negative draws clamp to zero by default
+or are resampled.  The pump averages are quadratures over `pump_nodes`, and
+the same nodes give `fluctuation_mse`, the exact MSE the study samples, in
+every mode and for both detectors.
 
 Reproducibility: every round derives its generator stream from (seed, round
 index), so results are independent of execution schedule.  The stream is
-drawn once per round and shared by a whole block of fluctuation fractions
-(common random numbers), which makes the MSE-versus-fluctuation curves smooth
-rather than noisy; splitting the grid into blocks does not change a draw.
+drawn once per round and shared by every fluctuation fraction (common random
+numbers), which makes the MSE-versus-fluctuation curves smooth rather than
+noisy; splitting the grid into blocks does not change a draw.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from subshot.detection import Channel
+from subshot.detection import Channel, nr_detected_moments
 from subshot.estimators import Detector, reference_mean
-from subshot.sources import Source, source_click_probability, source_count_rows, source_pump
+from subshot.sources import (
+    Source,
+    source_click_probability,
+    source_count_rows,
+    source_moments,
+    source_pump,
+)
 
 # Count rows discard less than this mass per trimmed tail, far below the
 # spacing of the uniforms they are sampled with.
 _ROW_TAIL = 1e-18
 
-# Pump draws evaluated together in the fluctuation study: each block of
-# fluctuation fractions holds about this many pumps per round, so the
+# Per-round fluctuation rounds evaluate a block of fluctuation fractions
+# together, about this many repetitions per round and block, so the
 # (block, nu, count) comparison array stays small at any nu.
 _PUMP_BLOCK = 4096
+
+# Gauss-Legendre nodes of the pump quadrature.
+_PUMP_NODES = 48
 
 
 def _trim_tails(offset: int, row: np.ndarray) -> tuple[int, np.ndarray]:
@@ -77,6 +91,12 @@ def _total_count_row(row: np.ndarray, nu: int) -> tuple[int, np.ndarray]:
         if not nu:
             return offset, total
         base_offset, base = _trim_tails(2 * base_offset, np.convolve(base, base))
+
+
+def _invert_cdf(offset: int, row: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Count drawn from P(K = offset + i) = row[i] for each uniform in `u`."""
+    cdf = np.cumsum(row)
+    return offset + np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
 
 
 @dataclass(frozen=True)
@@ -111,9 +131,7 @@ def mc_estimate(
         totals = rng.binomial(nu, p, size=trials)
     else:
         offset, row = _total_count_row(source_count_rows(source, channel.survival, _ROW_TAIL), nu)
-        cdf = np.cumsum(row)
-        u = rng.random(trials)
-        totals = offset + np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
+        totals = _invert_cdf(offset, row, rng.random(trials))
 
     estimates = totals / (nu * ref)
     sq_err = (estimates - channel.transmission) ** 2
@@ -179,10 +197,89 @@ class McSummary:
     ci_high: float
 
 
+@functools.cache
+def _legendre_nodes() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's method on P_n, evaluated with P_{n-1} by the three-term
+    recurrence, from the usual cosine guesses; it reaches rounding in four
+    steps.  The weights are 2 / ((1 - x^2) P_n'(x)^2).  The eigenvalues of
+    the Jacobi matrix give the same nodes, but the first LAPACK call raised
+    the monte-carlo benchmark's peak memory by ~0.6 MB.
+    """
+    n = _PUMP_NODES
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(6):
+        p_prev, p = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        slope = n * (x * p - p_prev) / (x * x - 1.0)
+        x = x - p / slope
+    return x, 2.0 / ((1.0 - x * x) * slope * slope)
+
+
+def pump_nodes(a: float, negatives: NegativeDraws) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature nodes x and weights w of the relative pump x = 1 + a*z,
+    z standard normal, truncated at zero as `negatives` says.
+
+    The positive part, z in (-1/a, 10), is integrated by Gauss-Legendre, and
+    normal tails beyond |z| = 10 (< 1e-23 each) are dropped.  The interval
+    stops at z = -10 too: at a = 0.01 the 48 nodes on (-100, 10) would miss
+    the mass by 0.5%.  Clamped draws add a node at x = 0 holding P(x < 0);
+    resampled ones renormalize the positive part.  At a = 0 the pump is
+    fixed: the single node x = 1 with weight 1.
+    """
+    if a == 0.0:
+        return np.ones(1), np.ones(1)
+    s, w = _legendre_nodes()
+    z_min, z_max = max(-1.0 / a, -10.0), 10.0
+    half = 0.5 * (z_max - z_min)
+    z = z_min + half * (s + 1.0)
+    w = half * w * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    p_negative = 0.5 * math.erfc(1.0 / (a * math.sqrt(2.0)))
+    if negatives is NegativeDraws.CLAMP:
+        return np.append(1.0 + a * z, 0.0), np.append(w, p_negative)
+    return 1.0 + a * z, w / (1.0 - p_negative)
+
+
+def fluctuation_mse(
+    cfg: FluctuationConfig, source: Source, detector: Detector, channel: Channel
+) -> list[float]:
+    """Exact MSE of `fluctuation_study`'s estimate at each fluctuation
+    fraction of `cfg`, by quadrature over `pump_nodes`.
+
+    With k(mu) the mean and v(mu) the variance of one repetition's count at
+    pump mu, and ref the fluctuation-free reference: per round, the nu counts
+    share one pump, so the MSE is E_mu[v / (nu ref^2) + (k / ref - t)^2].  Per
+    repetition they are independent with the pump-averaged mean E_mu k and
+    variance E_mu v + Var_mu k, which enter the same expression once.  Every
+    term is a square or a variance, so nothing cancels.
+    """
+    ref = reference_mean(source, detector, channel.detector_eff)
+    mu0 = source_pump(source)
+    t, scale = channel.transmission, cfg.nu * ref * ref
+    mses = []
+    for a in cfg.a_grid:
+        x, w = pump_nodes(a, cfg.negatives)
+        if detector is Detector.NUMBER_RESOLVING:
+            detected = nr_detected_moments(source_moments(source, mu0 * x), channel)
+            mean, variance = detected.mean, detected.variance
+        else:
+            mean = source_click_probability(source, channel.survival, mu0 * x)
+            variance = mean * (1.0 - mean)
+        if cfg.redraw is PumpRedraw.PER_ROUND:
+            mse = w @ (variance / scale + (mean / ref - t) ** 2)
+        else:
+            pumped = w @ mean
+            mse = w @ (variance + (mean - pumped) ** 2) / scale + (pumped / ref - t) ** 2
+        mses.append(float(mse))
+    return mses
+
+
 def _sample_counts_by_rows(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draw per uniform; `rows` carries a count axis after axes
-    that broadcast against `u` (one row per uniform, per leading index, or a
-    single row shared by all of them)."""
+    that broadcast against `u` (one row per leading index, shared by the
+    uniforms)."""
     cdf = np.cumsum(rows, axis=-1)
     counts = (cdf < u[..., None]).sum(axis=-1)
     return np.minimum(counts, rows.shape[-1] - 1)
@@ -196,13 +293,12 @@ def _pumps_from_noise(
     negatives: NegativeDraws,
 ) -> np.ndarray:
     """Pump strengths mu0 * (1 + a*z) for a column of fluctuation fractions,
-    truncated at zero; row i belongs to a[i].
+    truncated at zero; row i belongs to a[i] and broadcasts against the
+    repetitions' uniforms.
 
-    `z` holds one normal per round (per-round redraw) or one per repetition,
-    so each row broadcasts against the repetitions' uniforms either way.
-    Resampling draws its replacement normals after the shared noise, and every
-    row restarts from the generator state there, so each `a` sees the
-    replacement normals it would see alone.
+    `z` holds the round's one normal.  Resampling draws its replacement
+    normals after the shared noise, and every row restarts from the generator
+    state there, so each `a` sees the replacement normals it would see alone.
     """
     mu = mu0 * (1.0 + a[:, None] * z)
     if negatives is NegativeDraws.CLAMP:
@@ -217,6 +313,67 @@ def _pumps_from_noise(
     return mu
 
 
+def _per_round_totals(
+    cfg: FluctuationConfig, source: Source, detector: Detector, survival: float, mu0: float, seed: int
+) -> np.ndarray:
+    """Round totals, shape (a, rounds), with the pump drawn once per round.
+
+    Each round draws one normal and nu uniforms once and evaluates them for a
+    block of fluctuation fractions at a time.
+    """
+    a_grid = np.asarray(cfg.a_grid, dtype=np.float64)
+    step = max(1, _PUMP_BLOCK // cfg.nu)
+    totals = np.empty((a_grid.size, cfg.rounds))
+    for start in range(0, a_grid.size, step):
+        block = slice(start, start + step)
+        for r in range(cfg.rounds):
+            # Same (seed, round) stream for every a: common random numbers.
+            rng = np.random.default_rng([seed, r])
+            z = rng.standard_normal(1)
+            u = rng.random(cfg.nu)
+            mu = _pumps_from_noise(rng, mu0, a_grid[block], z, cfg.negatives)
+            # Each branch keeps only the totals: holding the (block, nu)
+            # counts into the next round measured ~10% slower at nu = 1e5.
+            if detector is Detector.NUMBER_RESOLVING:
+                rows = source_count_rows(source, survival, _ROW_TAIL, mu)
+                totals[block, r] = _sample_counts_by_rows(rows, u).sum(axis=1)
+            else:
+                totals[block, r] = (u < source_click_probability(source, survival, mu)).sum(axis=1)
+    return totals
+
+
+@functools.lru_cache(maxsize=16)
+def _round_uniforms(seed: int, rounds: int) -> np.ndarray:
+    """The first uniform of each round's (seed, round) stream; the studies of
+    one run share them, and building a generator costs ~30 us."""
+    u = np.array([np.random.default_rng([seed, r]).random() for r in range(rounds)])
+    u.flags.writeable = False
+    return u
+
+
+def _per_repetition_totals(
+    cfg: FluctuationConfig, source: Source, detector: Detector, survival: float, mu0: float, seed: int
+) -> np.ndarray:
+    """Round totals, shape (a, rounds), with the pump drawn per repetition.
+
+    Each repetition's count follows the pump-averaged row (the Bernoulli row
+    of the averaged click probability for threshold detection), so a round's
+    total is one inverse-CDF lookup in its nu-fold power, with the round's one
+    uniform shared by every a.
+    """
+    u = _round_uniforms(seed, cfg.rounds)
+    totals = np.empty((len(cfg.a_grid), cfg.rounds))
+    for i, a in enumerate(cfg.a_grid):
+        x, w = pump_nodes(a, cfg.negatives)
+        if detector is Detector.NUMBER_RESOLVING:
+            row = w @ source_count_rows(source, survival, _ROW_TAIL, mu0 * x)
+        else:
+            p = w @ source_click_probability(source, survival, mu0 * x)
+            row = np.array([1.0 - p, p])
+        totals[i] = _invert_cdf(*_total_count_row(row, cfg.nu), u)
+    return totals
+
+
 def fluctuation_study(
     cfg: FluctuationConfig,
     source: Source,
@@ -227,47 +384,28 @@ def fluctuation_study(
     """MSE versus pump-fluctuation size for one source/detector combination.
 
     The nominal pump is the one `source` carries (the coherent mean or the
-    multiplexed pair mean).  Runs cfg.rounds rounds; each round draws its
-    pump noise (once per round by default, per repetition if configured) and
-    its detection uniforms once, evaluates them for a block of fluctuation
-    fractions `a` at a time, forms each transmission estimate with the
+    multiplexed pair mean).  Runs cfg.rounds rounds; each draws its round
+    total of counts or clicks for every fluctuation fraction `a` from one
+    (seed, round) stream, forms the transmission estimate with the
     fluctuation-free reference, and records its squared error against the
     true transmission.
     """
-    mu0 = source_pump(source)
     ref0 = reference_mean(source, detector, channel.detector_eff)
-    t, s = channel.transmission, channel.survival
-    n_noise = cfg.nu if cfg.redraw is PumpRedraw.PER_REPETITION else 1
-    a_grid = np.asarray(cfg.a_grid, dtype=np.float64)
-    step = max(1, _PUMP_BLOCK // cfg.nu)
-    sq_err = np.empty((a_grid.size, cfg.rounds))
-    for start in range(0, a_grid.size, step):
-        block = slice(start, start + step)
-        for r in range(cfg.rounds):
-            # Same (seed, round) stream for every a: common random numbers.
-            rng = np.random.default_rng([seed, r])
-            z = rng.standard_normal(n_noise)
-            u = rng.random(cfg.nu)
-            mu = _pumps_from_noise(rng, mu0, a_grid[block], z, cfg.negatives)
-            # Each branch keeps only the totals: holding the (block, nu)
-            # counts into the next round measured ~10% slower at nu = 1e5.
-            if detector is Detector.NUMBER_RESOLVING:
-                rows = source_count_rows(source, s, _ROW_TAIL, mu)
-                totals = _sample_counts_by_rows(rows, u).sum(axis=1)
-            else:
-                totals = (u < source_click_probability(source, s, mu)).sum(axis=1)
-            sq_err[block, r] = (totals / (cfg.nu * ref0) - t) ** 2
+    mu0 = source_pump(source)
+    if cfg.redraw is PumpRedraw.PER_ROUND:
+        totals = _per_round_totals(cfg, source, detector, channel.survival, mu0, seed)
+    else:
+        totals = _per_repetition_totals(cfg, source, detector, channel.survival, mu0, seed)
+    sq_err = (totals / (cfg.nu * ref0) - channel.transmission) ** 2
 
-    summaries = []
-    for ai, a in enumerate(cfg.a_grid):
-        lo, hi = np.percentile(sq_err[ai], [16.0, 84.0])
-        summaries.append(
-            McSummary(
-                fluctuation=a,
-                mean_mse=float(sq_err[ai].mean()),
-                mse_se=float(sq_err[ai].std(ddof=1) / math.sqrt(cfg.rounds)),
-                ci_low=float(lo),
-                ci_high=float(hi),
-            )
+    lows, highs = np.percentile(sq_err, [16.0, 84.0], axis=1)
+    return [
+        McSummary(
+            fluctuation=a,
+            mean_mse=float(errors.mean()),
+            mse_se=float(errors.std(ddof=1) / math.sqrt(cfg.rounds)),
+            ci_low=float(lo),
+            ci_high=float(hi),
         )
-    return summaries
+        for a, errors, lo, hi in zip(cfg.a_grid, sq_err, lows, highs)
+    ]

@@ -16,8 +16,9 @@ No other module knows how a source kind is evaluated.  The mean, variance
 and click probability at the sample plane (`source_moments`,
 `source_click_probability`) and the detected-count distribution
 (`source_count_rows`: Poisson, Binomial, or a vacuum term plus two Poissons)
-are closed forms.  The last two also take an array of pumps in place of the
-source's own (`source_pump`), as the Monte Carlo fluctuation rounds need.
+are closed forms.  Each also takes an array of pumps in place of the
+source's own (`source_pump`), as the Monte Carlo fluctuation rounds and the
+pump averages of `montecarlo.fluctuation_mse` need.
 """
 
 from __future__ import annotations
@@ -117,8 +118,9 @@ def sync_probability_at(source: Multiplexed, mu):
     return -np.expm1(-source.window_count * source.herald_eff * np.asarray(mu, dtype=np.float64))
 
 
-def _mux_factorial_moments(source: Multiplexed, mu: float) -> tuple[float, float]:
-    """First and second factorial moments of the output at pump `mu`.
+def _mux_factorial_moments(source: Multiplexed, mu):
+    """First and second factorial moments of the output at pump `mu`, a
+    float or an array of pump values.
 
     Derivatives at s = 1 of the output generating function
     G(s) = 1 - P_sync + (P_sync/p_w) [e^{mu Q (s-1)} - e^{mu ((1-h)(1-Q+Qs) - 1)}]
@@ -127,14 +129,17 @@ def _mux_factorial_moments(source: Multiplexed, mu: float) -> tuple[float, float
     so that no cancellation occurs at weak pump.
     """
     h = source.herald_eff
-    p_w = -math.expm1(-mu * h)
-    if p_w == 0.0:
-        return 0.0, 0.0
-    # Scalar copy of `_sync_gain`: pump tuning evaluates the mean ~40 times
-    # per tuning, and the array version costs ~3x as much per call.
-    gain = float(sync_probability_at(source, mu)) / p_w
+    if isinstance(mu, np.ndarray):
+        p_w, gain, no_click = -np.expm1(-mu * h), _sync_gain(source, mu), np.exp(-mu * h)
+    else:
+        # Scalar path: pump tuning evaluates the mean ~40 times per tuning,
+        # and the array path costs ~3x as much per call.
+        p_w = -math.expm1(-mu * h)
+        if p_w == 0.0:
+            return 0.0, 0.0
+        gain = float(sync_probability_at(source, mu)) / p_w
+        no_click = math.exp(-mu * h)
     mq = mu * source.network_transmission * source.optics_transmission
-    no_click = math.exp(-mu * h)
     return (
         gain * mq * (p_w + h * no_click),
         gain * mq * mq * (p_w + h * (2.0 - h) * no_click),
@@ -279,18 +284,19 @@ def _pumps(source: Source, mu) -> np.ndarray:
     return np.asarray(pump if mu is None else mu, dtype=np.float64)
 
 
-def source_moments(source: Source) -> Moments:
-    """Mean, variance and Fano factor at the sample plane, in closed form."""
+def source_moments(source: Source, mu=None) -> Moments:
+    """Mean and variance at the sample plane, in closed form.
+
+    `mu` is as for `source_click_probability`; given one, the mean and
+    variance are arrays of its shape.
+    """
+    if isinstance(source, Fock) and mu is None:
+        return Moments(mean=float(source.photons), variance=0.0)
+    pump = float(source_pump(source)) if mu is None else _pumps(source, mu)
     if isinstance(source, Coherent):
-        mean = variance = float(source.mean)
-    elif isinstance(source, Fock):
-        mean, variance = float(source.photons), 0.0
-    elif isinstance(source, Multiplexed):
-        mean, pairs = _mux_factorial_moments(source, source.pair_mean)
-        variance = pairs + mean - mean * mean
-    else:
-        raise TypeError(f"unknown source kind: {source!r}")
-    return Moments(mean=mean, variance=variance)
+        return Moments(mean=pump, variance=pump)
+    mean, pairs = _mux_factorial_moments(source, pump)
+    return Moments(mean=mean, variance=pairs + mean - mean * mean)
 
 
 def source_click_probability(source: Source, survival: float, mu=None):

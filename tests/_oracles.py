@@ -2,8 +2,9 @@
 
 Everything here is written against the physical event process with plain
 Python loops and exact combinatorics, deliberately sharing no code with the
-closed-form pipelines it is used to check.  The pump-fluctuation oracle adds
-one numerical step: Gauss-Legendre quadrature over the Gaussian pump.
+closed-form pipelines it is used to check.  The pump-fluctuation oracles add
+one numerical step: Gauss-Legendre quadrature over the Gaussian pump, for the
+number-resolving and the threshold estimator.
 """
 
 import math
@@ -153,4 +154,42 @@ def nr_mse_fluctuating_pump(
         return sum(w * mse(m1, m2) for w, m1, m2 in weighted)
     if redraw == "per-repetition":
         return mse(sum(w * m1 for w, m1, _ in weighted), sum(w * m2 for w, _, m2 in weighted))
+    raise ValueError(f"unknown redraw mode {redraw!r}")
+
+
+def threshold_mse_fluctuating_pump(
+    output_probs,
+    survival: float,
+    reference: float,
+    transmission: float,
+    nu: int,
+    a: float,
+    redraw: str,
+    negatives: str = "clamp",
+) -> float:
+    """Exact MSE of the threshold estimate (clicks over nu repetitions) / (nu * reference).
+
+    `output_probs(x)` gives the photon-number distribution at the sample at
+    relative pump x, and x follows `gaussian_pump_nodes(a, negatives)`; a
+    repetition clicks with probability p(x), `enumerate_click_probability`
+    at `survival`.  The clicks are Binomial(nu, p) with
+    MSE(p) = [nu p (1 - p) + nu^2 (p - reference * transmission)^2] / (nu * reference)^2.
+    "per-round": one pump per round, so MSE(p(x)) is averaged over the pump.
+    "per-repetition": an independent pump per repetition, so the clicks are
+    Binomial(nu, E p(x)).
+    """
+
+    def mse(p):
+        return (nu * p * (1.0 - p) + (nu * (p - reference * transmission)) ** 2) / (
+            nu * reference
+        ) ** 2
+
+    weighted = [
+        (w, enumerate_click_probability(output_probs(x), survival))
+        for x, w in gaussian_pump_nodes(a, negatives)
+    ]
+    if redraw == "per-round":
+        return sum(w * mse(p) for w, p in weighted)
+    if redraw == "per-repetition":
+        return mse(sum(w * p for w, p in weighted))
     raise ValueError(f"unknown redraw mode {redraw!r}")

@@ -170,6 +170,7 @@ class TestMain:
             (["nr-ratio", "--mean-n", "1e-200", "--t-grid", "0.5"], "mean_photons"),
             (["mc-validate", "--mean-n", "1e-300"], "mean_photons"),
             (["intensity-sweep", "--mean-grid", "1e-300"], "mean_grid"),
+            (["mc-validate", "--nu", "2.5"], "nu"),
         ],
     )
     def test_bad_config_names_field(self, tmp_path, capsys, args, field):

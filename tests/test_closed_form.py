@@ -90,7 +90,7 @@ def assert_rows_close(got, expected):
     np.testing.assert_allclose(padded[0], padded[1], rtol=0, atol=1e-12)
 
 
-class TestAgainstPmfPipeline:
+class TestAgainstDistributionSums:
     @CHECKS
     @given(mux_sources(), survivals)
     def test_multiplexed(self, src, survival):

@@ -48,7 +48,7 @@ _FILLED = {
     "threshold-ratio": _EXACT_REPORT,
     "intensity-sweep": _EXACT_REPORT,
     "asymptotic": ("asymptotic_floor_percent",),
-    "fluctuations": ("fluctuation", "mse", "ci_low", "ci_high"),
+    "fluctuations": ("fluctuation", "mse", "ci_low", "ci_high", "mse_exact", "z_mse"),
     "mc-validate": ("expectation", "mse", "mse_exact", "z_expectation", "z_mse"),
 }
 
@@ -113,6 +113,25 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as err:
             cfg.validate()
         assert err.value.field == field
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("nu", 2.5), ("rounds", 3.5), ("trials", 10.5), ("seed", 0.5), ("stage_counts", (1, 2.5))],
+    )
+    @pytest.mark.parametrize("experiment", ["nr-ratio", "mc-validate"])
+    def test_fractional_count_named(self, experiment, field, value):
+        """A fractional count is named by `validate`, not written into rows
+        (nr-ratio with nu 2.5) or left to the sampler's bare ValueError
+        (mc-validate)."""
+        with pytest.raises(ConfigError) as err:
+            run_experiment(SweepConfig(experiment=experiment, **{field: value}))
+        assert err.value.field == field
+
+    def test_integral_float_counts_accepted(self):
+        cfg = SweepConfig(experiment="mc-validate", nu=20.0, trials=10.0, stage_counts=(2.0,))
+        cfg.validate()
+        assert (cfg.nu, cfg.trials, cfg.stage_counts) == (20, 10, (2,))
+        assert isinstance(cfg.nu, int) and isinstance(cfg.stage_counts[0], int)
 
     def test_stage_count_cap(self):
         SweepConfig(experiment="nr-ratio", stage_counts=(MAX_STAGES,)).validate()

@@ -1,7 +1,8 @@
 """Monte Carlo engine: exact-report validation, reproducibility, the
-total-count distribution it samples, and the pump-fluctuation study
-machinery."""
+total-count distribution it samples, the pump-fluctuation study machinery
+and the exact MSE it samples."""
 
+import functools
 import math
 import time
 from dataclasses import replace
@@ -9,10 +10,18 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import enumerate_click_probability, enumerate_mux_output
+from _oracles import (
+    enumerate_click_probability,
+    enumerate_mux_output,
+    gaussian_pump_nodes,
+    nr_mse_fluctuating_pump,
+    poisson_probs,
+    thinned_count_moments,
+    threshold_mse_fluctuating_pump,
+)
 from subshot.detection import Channel
 from subshot.estimators import (
     Detector,
@@ -26,9 +35,12 @@ from subshot.montecarlo import (
     PumpRedraw,
     _PUMP_BLOCK,
     _ROW_TAIL,
+    _legendre_nodes,
     _total_count_row,
+    fluctuation_mse,
     fluctuation_study,
     mc_estimate,
+    pump_nodes,
 )
 from subshot.sources import (
     Coherent,
@@ -37,6 +49,7 @@ from subshot.sources import (
     make_multiplexed,
     source_click_probability,
     source_count_rows,
+    source_moments,
 )
 
 CH = Channel(0.8, 0.9)
@@ -247,7 +260,27 @@ class TestBatchBuilders:
             # At most the discarded tail, up to rounding in its sum.
             assert batch_row[row.size :].sum() <= _ROW_TAIL * (1.0 + 1e-12)
 
+    @CHECKS
+    @given(
+        source=sources(kinds=("coherent", "multiplexed")),
+        pumps=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=6),
+    )
+    def test_pump_array_moments_match_scalar_calls(self, source, pumps):
+        """The array path of `source_moments` agrees with the scalar path
+        pump tuning uses, up to the last bits of expm1 and exp."""
+        moments = source_moments(source, np.array(pumps))
+        assert moments.mean.shape == moments.variance.shape == (len(pumps),)
+        for pump, mean, variance in zip(pumps, moments.mean, moments.variance):
+            at_pump = (
+                Coherent(pump) if isinstance(source, Coherent) else replace(source, pair_mean=pump)
+            )
+            expected = source_moments(at_pump)
+            assert mean == pytest.approx(expected.mean, rel=1e-14, abs=0.0)
+            assert variance == pytest.approx(expected.variance, rel=1e-14, abs=1e-300)
+
     def test_fock_source_takes_no_pump(self):
+        with pytest.raises(TypeError):
+            source_moments(Fock(1), np.array([0.3]))
         with pytest.raises(TypeError):
             source_click_probability(Fock(1), 0.5, np.array([0.3]))
         with pytest.raises(TypeError):
@@ -394,3 +427,153 @@ class TestFluctuationStudy:
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             FluctuationConfig(**kwargs)
+
+
+def _enumerated_source(stages):
+    """Coherent light (stages None) or a multiplexed source of `stages`
+    stages at mean 0.5, with its photon-number distribution at the sample at
+    relative pump x: Poisson, or the window-by-window enumeration."""
+    if stages is None:
+        return Coherent(0.5), functools.cache(lambda x: poisson_probs(0.5 * x, 40))
+    src = make_multiplexed(stages, 0.5)
+    # The largest pump node is 7x the tuned pump (at most 2.8 here), where
+    # the Poisson pair tail beyond 36 is below 1e-26.
+    calibration = (src.herald_eff, src.stage_transmission, src.optics_transmission)
+    return src, functools.cache(
+        lambda x: enumerate_mux_output(stages, src.pair_mean * x, *calibration, n_cut=36)
+    )
+
+
+REDRAW_NEGATIVES = [(r, n) for r in PumpRedraw for n in NegativeDraws]
+
+
+class TestFluctuationMse:
+    """`fluctuation_mse` is the exact MSE `fluctuation_study` samples, by
+    quadrature over `pump_nodes`."""
+
+    # `leggauss`'s own weights are up to 1.3e-12 relative off a 40-digit
+    # evaluation at the smallest weights (~3e-3); the recurrence's are within
+    # 1.4e-13.
+    WEIGHT_RTOL = 1e-11
+
+    def test_legendre_nodes_match_leggauss(self):
+        nodes, weights = _legendre_nodes()
+        want_nodes, want_weights = np.polynomial.legendre.leggauss(48)
+        np.testing.assert_allclose(nodes, want_nodes, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(weights, want_weights, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(weights, want_weights, rtol=self.WEIGHT_RTOL, atol=0.0)
+
+    @pytest.mark.parametrize("negatives", list(NegativeDraws))
+    @pytest.mark.parametrize("a", [0.0, 0.1, 0.3, 0.6])
+    def test_pump_nodes_match_oracle_nodes(self, a, negatives):
+        """From a = 0.1 up both integrate z over (-1/a, 10)."""
+        x, w = pump_nodes(a, negatives)
+        expected = np.array(gaussian_pump_nodes(a, negatives.value))
+        np.testing.assert_allclose(x, expected[:, 0], rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(w, expected[:, 1], rtol=self.WEIGHT_RTOL, atol=0.0)
+
+    @pytest.mark.parametrize("negatives", list(NegativeDraws))
+    @pytest.mark.parametrize("a", [1e-6, 1e-3, 0.01, 0.05, 0.2, 0.6])
+    def test_pump_nodes_integrate_the_truncated_normal(self, a, negatives):
+        """Mass, E[x] and E[x^2] of x = 1 + a*z clamped at 0 (or conditioned
+        on x > 0), in closed form from the normal density and CDF at 1/a."""
+        x, w = pump_nodes(a, negatives)
+        c = 1.0 / a
+        phi = math.exp(-0.5 * c * c) / math.sqrt(2.0 * math.pi)
+        positive = 0.5 * math.erfc(-c / math.sqrt(2.0))
+        ex, ex2 = positive + a * phi, (1.0 + a * a) * positive + a * phi
+        if negatives is NegativeDraws.RESAMPLE:
+            ex, ex2 = ex / positive, ex2 / positive
+        assert w.sum() == pytest.approx(1.0, rel=1e-13)
+        assert w @ x == pytest.approx(ex, rel=1e-13)
+        assert w @ (x * x) == pytest.approx(ex2, rel=1e-13)
+
+    @pytest.mark.parametrize("stages", [None, 1, 2, 3, 4, 5, 6], ids=lambda m: f"m{m}")
+    def test_matches_oracles_in_every_mode(self, stages):
+        """Number-resolving against `nr_mse_fluctuating_pump` and threshold
+        against `threshold_mse_fluctuating_pump`, both on enumerated
+        photon-number distributions, to 1e-12 relative."""
+        src, probs = _enumerated_source(stages)
+        s = CH.survival
+        nr_reference = CH.detector_eff * thinned_count_moments(probs(1.0), 1.0)[0]
+        click_reference = enumerate_click_probability(probs(1.0), CH.detector_eff)
+
+        def count_moments(x):
+            return thinned_count_moments(probs(x), s)
+
+        for redraw, negatives in REDRAW_NEGATIVES:
+            cfg = FluctuationConfig(a_grid=(0.0, 0.6), nu=200, redraw=redraw, negatives=negatives)
+            modes = (redraw.value, negatives.value)
+            got = fluctuation_mse(cfg, src, Detector.NUMBER_RESOLVING, CH)
+            want = [
+                nr_mse_fluctuating_pump(count_moments, nr_reference, 0.8, 200, a, *modes)
+                for a in cfg.a_grid
+            ]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=str(modes))
+            got = fluctuation_mse(cfg, src, Detector.THRESHOLD, CH)
+            want = [
+                threshold_mse_fluctuating_pump(probs, s, click_reference, 0.8, 200, a, *modes)
+                for a in cfg.a_grid
+            ]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=str(modes))
+
+    @pytest.mark.parametrize("redraw, negatives", REDRAW_NEGATIVES)
+    def test_zero_fluctuation_is_the_exact_report(self, redraw, negatives):
+        cfg = FluctuationConfig(a_grid=(0.0,), nu=37, redraw=redraw, negatives=negatives)
+        for src in (Coherent(1.3), make_multiplexed(4, 0.8)):
+            for det in Detector:
+                got = fluctuation_mse(cfg, src, det, CH)[0]
+                assert got == pytest.approx(exact_report(src, det, CH, 37).mse, rel=1e-13)
+
+    def test_fock_and_zero_reference_rejected(self):
+        with pytest.raises(TypeError):
+            fluctuation_mse(FluctuationConfig(), Fock(1), Detector.THRESHOLD, CH)
+        with pytest.raises(ValueError, match="reference must be > 0"):
+            fluctuation_mse(FluctuationConfig(), Coherent(0.0), Detector.NUMBER_RESOLVING, CH)
+
+
+# Examples of the randomized per-repetition check, each with two z-scores,
+# plus the two pinned ones at the largest clamped pump mass.
+FLUX_EXAMPLES = 25
+# Bonferroni over every z-score to a family-wise false-alarm rate of 1e-3:
+# |z| < 4.43.
+FLUX_Z_BOUND = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * 2 * (FLUX_EXAMPLES + 2)))
+
+
+@settings(CHECKS, max_examples=FLUX_EXAMPLES)
+@example(
+    source=make_multiplexed(5, 0.5), detector=Detector.NUMBER_RESOLVING, a=0.6,
+    negatives=NegativeDraws.CLAMP, transmission=0.8, nu=200, seed=5,
+)
+@example(
+    source=Coherent(0.5), detector=Detector.NUMBER_RESOLVING, a=0.6,
+    negatives=NegativeDraws.CLAMP, transmission=0.8, nu=200, seed=5,
+)
+@given(
+    source=sources(kinds=("coherent", "multiplexed"), mean_max=2.0),
+    detector=st.sampled_from(list(Detector)),
+    a=st.floats(0.0, 0.6),
+    negatives=st.sampled_from(list(NegativeDraws)),
+    transmission=st.floats(0.2, 1.0),
+    nu=st.integers(50, 5000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_per_repetition_study_matches_exact_mse(
+    source, detector, a, negatives, transmission, nu, seed
+):
+    """Randomized per-repetition rounds against `fluctuation_mse`.
+
+    The bound was fixed before any example ran.  At 400 rounds of at least
+    50 repetitions with mean >= 0.1 and detector efficiency 0.9, each round's
+    estimate is near Gaussian, so the mean of its squared errors has a
+    t-statistic close to normal.  Per-round rounds are not checked this way:
+    their squared error is a smooth function of one normal draw, and its
+    t-statistic is strongly skewed.
+    """
+    channel = Channel(transmission, 0.9)
+    cfg = FluctuationConfig(
+        a_grid=(0.0, a), rounds=400, nu=nu, redraw=PumpRedraw.PER_REPETITION, negatives=negatives
+    )
+    summaries = fluctuation_study(cfg, source, detector, channel, seed)
+    for summary, exact in zip(summaries, fluctuation_mse(cfg, source, detector, channel)):
+        assert abs(summary.mean_mse - exact) < FLUX_Z_BOUND * summary.mse_se

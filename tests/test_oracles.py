@@ -81,7 +81,7 @@ def test_coherent_closed_form_values():
     )
 
 
-def test_pump_oracle_matches_subshot_pmf_path_mux5():
+def test_pump_oracle_matches_subshot_count_rows_mux5():
     src = Multiplexed(stages=5, pair_mean=0.0)
 
     def enumerated(pump):
@@ -103,10 +103,10 @@ def test_pump_oracle_matches_subshot_pmf_path_mux5():
         return thinned_count_moments(enumerated(oracle_pump * x), T * ETA)
 
     pump = tune_pair_mean(src, MEAN)
-    pmf_reference = reference_mean(replace(src, pair_mean=pump), Detector.NUMBER_RESOLVING, ETA)
+    row_reference = reference_mean(replace(src, pair_mean=pump), Detector.NUMBER_RESOLVING, ETA)
 
     @functools.cache
-    def pmf_path_moments(x):
+    def row_moments(x):
         return thinned_count_moments(source_count_rows(src, T * ETA, 1e-18, pump * x), 1.0)
 
     expected = {
@@ -117,6 +117,6 @@ def test_pump_oracle_matches_subshot_pmf_path_mux5():
     }
     for (redraw, negatives), value in expected.items():
         oracle = _inflation(oracle_moments, oracle_reference, 0.6, redraw, negatives)
-        pmf_path = _inflation(pmf_path_moments, pmf_reference, 0.6, redraw, negatives)
-        assert oracle == pytest.approx(pmf_path, rel=1e-6), (redraw, negatives)
+        from_rows = _inflation(row_moments, row_reference, 0.6, redraw, negatives)
+        assert oracle == pytest.approx(from_rows, rel=1e-6), (redraw, negatives)
         assert oracle == pytest.approx(value, rel=1e-4), (redraw, negatives)

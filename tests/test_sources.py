@@ -218,7 +218,7 @@ class TestTunePairMean:
         assert source_moments(replace(p, pair_mean=mu)).mean == pytest.approx(50.0, abs=1e-9)
 
 
-class TestSourcePmf:
+class TestSourceRowsAndValidation:
     def test_coherent_is_poisson_at_sample(self):
         got = source_count_rows(Coherent(1.0), 1.0, 1e-18)
         np.testing.assert_array_equal(got, poisson_rows(1.0, got.size - 1))
