@@ -21,14 +21,11 @@ from subshot.sources import (
     tune_pair_mean,
     unreachable_field,
 )
-from subshot.detection import Channel, nr_detected_moments
+from subshot.detection import Channel, Detector, detected_moments, detected_rows
 from subshot.estimators import (
-    Detector,
     EstimatorReport,
     asymptotic_relative_mse_floor,
     exact_report,
-    exact_report_nr,
-    exact_report_threshold,
     relative_mse_percent,
     snl_ratio,
     snl_report,

@@ -4,16 +4,28 @@ A measurement channel is the sample transmission followed by the detector
 efficiency; both act as independent per-photon survival, so they enter as a
 single thinning by t * eta.  Number-resolving detectors report the full
 thinned photon count, threshold detectors only whether at least one photon
-was detected.  Thinning maps the source moments to detected-count moments in
-closed form (`nr_detected_moments`); the click probability is
-`sources.source_click_probability` at survival t * eta.
+was detected.  This is the only module that knows how a detector turns the
+photons of one repetition into its count: `detected_moments` gives the count's
+mean and variance and `detected_rows` its distribution, both from the closed
+forms of `sources` and both for a pump array as well as the source's own
+pump, so the exact reports and the Monte Carlo engine never branch on the
+detector.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from subshot.pmf import Moments
+from subshot.sources import Source, source_click_probability, source_count_rows, source_moments
+
+
+class Detector(enum.Enum):
+    NUMBER_RESOLVING = "nr"
+    THRESHOLD = "threshold"
 
 
 @dataclass(frozen=True)
@@ -34,13 +46,33 @@ class Channel:
         return self.transmission * self.detector_eff
 
 
-def nr_detected_moments(source_moments: Moments, channel: Channel) -> Moments:
-    """Detected-count moments for a number-resolving detector.
+def detected_moments(source: Source, detector: Detector, survival: float, mu=None) -> Moments:
+    """Mean and variance of one repetition's count after per-photon survival
+    `survival`.
 
-    Binomial thinning by s = t * eta: mean s * n, variance
-    s^2 * Var(n) + s (1 - s) * mean(n).
+    Number-resolving: binomial thinning of the source photons, mean s * <n>
+    and variance s^2 * Var(n) + s (1 - s) * <n>.  Threshold: a Bernoulli
+    click, mean p and variance p (1 - p).  `mu` is as for
+    `sources.source_click_probability`; given one, mean and variance are
+    arrays of its shape.
     """
-    s = channel.survival
-    mean = s * source_moments.mean
-    variance = s * s * source_moments.variance + s * (1.0 - s) * source_moments.mean
-    return Moments(mean=mean, variance=variance)
+    if detector is Detector.THRESHOLD:
+        p = source_click_probability(source, survival, mu)
+        return Moments(mean=p, variance=p * (1.0 - p))
+    n = source_moments(source, mu)
+    s = survival
+    return Moments(mean=s * n.mean, variance=s * s * n.variance + s * (1.0 - s) * n.mean)
+
+
+def detected_rows(source: Source, detector: Detector, survival: float, tail: float, mu=None):
+    """Distribution of one repetition's count after per-photon survival
+    `survival`: the thinned photon-number rows of `sources.source_count_rows`
+    (trimmed to `tail`), or the click row [1 - p, p].
+
+    `mu` is as for `sources.source_click_probability`; the result has shape
+    `np.shape(mu) + (count length,)`.
+    """
+    if detector is Detector.THRESHOLD:
+        p = source_click_probability(source, survival, mu)
+        return np.stack([1.0 - p, p], axis=-1)
+    return source_count_rows(source, survival, tail, mu)

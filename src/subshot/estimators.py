@@ -13,25 +13,20 @@ aggregate-over-nu convention equals the mean of per-repetition estimates, so
 variances shrink exactly as 1/nu.
 
 Reports are exact: the expectation, bias, variance and MSE follow in closed
-form from the source mean and variance (number-resolving) or the click
-probability (threshold), with no distribution built and no sampling involved.
+form from the mean and variance of one repetition's count
+(`detection.detected_moments`), with no distribution built and no sampling
+involved, and the same code serves both detectors.
 `montecarlo.mc_estimate` samples the same estimator from the same arguments
 plus a trial count and a seed; both normalize by `reference_mean`.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
-from subshot.detection import Channel, nr_detected_moments
-from subshot.sources import Coherent, Fock, Source, source_click_probability, source_moments
-
-
-class Detector(enum.Enum):
-    NUMBER_RESOLVING = "nr"
-    THRESHOLD = "threshold"
+from subshot.detection import Channel, Detector, detected_moments
+from subshot.sources import Coherent, Fock, Source
 
 
 def relative_mse_percent(mse: float, transmission: float) -> float | None:
@@ -45,18 +40,17 @@ def relative_mse_percent(mse: float, transmission: float) -> float | None:
 def reference_mean(source: Source, detector: Detector, detector_eff: float) -> float:
     """Fluctuation-free normalization constant of the estimator.
 
-    Number-resolving: eta times the source mean at the sample.  Threshold:
-    the exact click probability with the sample removed, except for the Fock
-    source where the photon-number normalization eta * N is kept.  Every
+    The mean detected count with the sample removed (survival eta): eta
+    times the source mean at the sample (number-resolving) or the click
+    probability (threshold), except for the Fock source under threshold
+    detection, where the photon-number normalization eta * N is kept.  Every
     estimate divides by it, so a reference that is not > 0 (a vacuum source
     or a blind detector) raises ValueError.
     """
-    if detector is Detector.NUMBER_RESOLVING:
-        ref = detector_eff * source_moments(source).mean
-    elif isinstance(source, Fock):
+    if detector is Detector.THRESHOLD and isinstance(source, Fock):
         ref = detector_eff * source.photons
     else:
-        ref = source_click_probability(source, detector_eff)
+        ref = detected_moments(source, detector, detector_eff).mean
     if not ref > 0.0:
         raise ValueError(f"reference must be > 0, got {ref} (vacuum source or blind detector)")
     return ref
@@ -75,9 +69,19 @@ class EstimatorReport:
     relative_mse_percent: float | None
 
 
-def _report(channel: Channel, nu: int, expectation: float, variance: float) -> EstimatorReport:
-    """Report from the estimator's expectation and variance; the bias is
-    measured against the true transmission."""
+def exact_report(source: Source, detector: Detector, channel: Channel, nu: int) -> EstimatorReport:
+    """Exact report of the estimator at one operating point.
+
+    The estimator is linear in the counts, so E(T) is the mean of one
+    repetition's detected count over the reference and Var(T) its variance
+    over nu * reference^2.  Number-resolving, E(T) = t for every source;
+    threshold, E(T) = p(t) / p0, whose bias against the true transmission
+    does not shrink with nu.
+    """
+    ref = reference_mean(source, detector, channel.detector_eff)
+    detected = detected_moments(source, detector, channel.survival)
+    expectation = detected.mean / ref
+    variance = detected.variance / (nu * ref**2)
     bias = expectation - channel.transmission
     mse = variance + bias**2
     return EstimatorReport(
@@ -91,41 +95,9 @@ def _report(channel: Channel, nu: int, expectation: float, variance: float) -> E
     )
 
 
-def exact_report_nr(source: Source, channel: Channel, nu: int) -> EstimatorReport:
-    """Exact report for a number-resolving detector.
-
-    The estimator is linear in the counts, so E(T) = t (unbiased for every
-    source) and Var(T) is the per-repetition detected-count variance divided
-    by nu * reference^2.
-    """
-    ref = reference_mean(source, Detector.NUMBER_RESOLVING, channel.detector_eff)
-    detected = nr_detected_moments(source_moments(source), channel)
-    variance = detected.variance / (nu * ref**2)
-    return _report(channel, nu, detected.mean / ref, variance)
-
-
-def exact_report_threshold(source: Source, channel: Channel, nu: int) -> EstimatorReport:
-    """Exact report for a threshold detector.
-
-    The total click count is Binomial(nu, p(t)), so E(T) = p(t)/p0 and
-    Var(T) = p(t)(1 - p(t)) / (nu * p0^2); the bias p(t)/p0 - t does not
-    shrink with nu.
-    """
-    ref = reference_mean(source, Detector.THRESHOLD, channel.detector_eff)
-    p_click = source_click_probability(source, channel.survival)
-    variance = p_click * (1.0 - p_click) / (nu * ref**2)
-    return _report(channel, nu, p_click / ref, variance)
-
-
-def exact_report(source: Source, detector: Detector, channel: Channel, nu: int) -> EstimatorReport:
-    if detector is Detector.NUMBER_RESOLVING:
-        return exact_report_nr(source, channel, nu)
-    return exact_report_threshold(source, channel, nu)
-
-
 def snl_report(mean: float, channel: Channel, nu: int) -> EstimatorReport:
     """Shot-noise-limit reference: coherent source with number resolution."""
-    return exact_report_nr(Coherent(mean), channel, nu)
+    return exact_report(Coherent(mean), Detector.NUMBER_RESOLVING, channel, nu)
 
 
 def snl_ratio(report: EstimatorReport, snl: EstimatorReport) -> float | None:
@@ -150,5 +122,5 @@ def asymptotic_relative_mse_floor(source: Source, channel: Channel) -> float | N
     """
     if channel.transmission == 0.0:
         return None
-    report = exact_report_threshold(source, channel, nu=1)
+    report = exact_report(source, Detector.THRESHOLD, channel, nu=1)
     return 100.0 * abs(report.bias) / channel.transmission

@@ -53,8 +53,8 @@ MAX_STAGES = 64
 
 # Largest accepted mean photon number per repetition.  The sources studied
 # deliver about one photon.  The Monte Carlo count rows grow with the mean:
-# at this cap the default fluctuations run takes ~3 s and ~80 MB, at 1e5 it
-# takes ~30 s and ~240 MB.  The exact reports square the reference mean,
+# at this cap the default fluctuations run takes ~1.5 s and ~42 MB, at 1e5 it
+# takes ~13 s and ~73 MB (one process on 2 vCPUs).  The exact reports square the reference mean,
 # which overflows a float beyond ~1e154.
 MAX_MEAN = 1e4
 

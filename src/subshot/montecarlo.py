@@ -3,12 +3,14 @@
 Two jobs: validate the exact estimator reports by sampling full experiments,
 and study what pump-power fluctuations do to the measurement error.
 
-Both sample counts from `sources.source_count_rows` and clicks with
-`sources.source_click_probability`; this module knows no source kind.
+Both take the distribution and moments of one repetition's count from
+`detection.detected_rows` and `detection.detected_moments`, which build them
+from the closed forms of `sources`; this module knows no source kind and no
+detector, and hands the `detector` argument through unread.
 `mc_estimate` takes `exact_report`'s arguments plus a trial count and a seed.
 It draws only the total count over the nu repetitions, which is all the
-estimators read: Binomial(nu, p) clicks, or one inverse-CDF lookup in the
-nu-fold convolution power of the detected-count row (`_total_count_row`).
+estimators read: one inverse-CDF lookup in the nu-fold convolution power of
+the detected-count row (`_total_count_row`).
 
 In the fluctuation study the pump strength becomes a Gaussian random variable
 (sigma = a * mean around the source's own pump, truncated at zero) and the
@@ -16,19 +18,20 @@ estimator keeps its fluctuation-free reference normalization.  Each round
 yields one transmission estimate and one squared error; rounds are summarized
 by their mean, its standard error and the 16th/84th percentiles.  By default
 the pump is redrawn once per round (slow drift relative to a round): the
-source is re-evaluated at the round's pump and each repetition's count drawn
-from that row.  Redrawn per repetition, the counts are independent and follow
-the pump average of the row, so a round is one inverse-CDF lookup in its
-nu-fold power, as in `mc_estimate`.  Negative draws clamp to zero by default
-or are resampled.  The pump averages are quadratures over `pump_nodes`, and
-the same nodes give `fluctuation_mse`, the exact MSE the study samples, in
-every mode and for both detectors.
+source is re-evaluated at the round's pump, and the round total of the
+repetitions' inverse-CDF draws from that row is counted against the sorted
+uniforms (`_round_totals`).  Redrawn per repetition, the counts are
+independent and follow the pump average of the row, so a round is one
+inverse-CDF lookup in its nu-fold power, as in `mc_estimate`.  Negative draws
+clamp to zero by default or are resampled.  The pump averages are quadratures
+over `pump_nodes`, and the same nodes give `fluctuation_mse`, the exact MSE
+the study samples, in every mode and for both detectors.
 
 Reproducibility: every round derives its generator stream from (seed, round
 index), so results are independent of execution schedule.  The stream is
 drawn once per round and shared by every fluctuation fraction (common random
 numbers), which makes the MSE-versus-fluctuation curves smooth rather than
-noisy; splitting the grid into blocks does not change a draw.
+noisy.
 """
 
 from __future__ import annotations
@@ -40,24 +43,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from subshot.detection import Channel, nr_detected_moments
-from subshot.estimators import Detector, reference_mean
-from subshot.sources import (
-    Source,
-    source_click_probability,
-    source_count_rows,
-    source_moments,
-    source_pump,
-)
+from subshot.detection import Channel, detected_moments, detected_rows
+from subshot.estimators import reference_mean
+from subshot.sources import Source, source_pump
 
 # Count rows discard less than this mass per trimmed tail, far below the
 # spacing of the uniforms they are sampled with.
 _ROW_TAIL = 1e-18
-
-# Per-round fluctuation rounds evaluate a block of fluctuation fractions
-# together, about this many repetitions per round and block, so the
-# (block, nu, count) comparison array stays small at any nu.
-_PUMP_BLOCK = 4096
 
 # Gauss-Legendre nodes of the pump quadrature.
 _PUMP_NODES = 48
@@ -110,7 +102,7 @@ class McEstimate:
 
 
 def mc_estimate(
-    source: Source, detector: Detector, channel: Channel, nu: int, trials: int, seed: int
+    source: Source, detector, channel: Channel, nu: int, trials: int, seed: int
 ) -> McEstimate:
     """Sample `trials` independent nu-repetition experiments of the estimator
     `exact_report` evaluates at the same arguments.
@@ -125,13 +117,8 @@ def mc_estimate(
         raise ValueError("trials must be >= 1")
     ref = reference_mean(source, detector, channel.detector_eff)
     rng = np.random.default_rng(seed)
-
-    if detector is Detector.THRESHOLD:
-        p = source_click_probability(source, channel.survival)
-        totals = rng.binomial(nu, p, size=trials)
-    else:
-        offset, row = _total_count_row(source_count_rows(source, channel.survival, _ROW_TAIL), nu)
-        totals = _invert_cdf(offset, row, rng.random(trials))
+    row = detected_rows(source, detector, channel.survival, _ROW_TAIL)
+    totals = _invert_cdf(*_total_count_row(row, int(nu)), rng.random(trials))
 
     estimates = totals / (nu * ref)
     sq_err = (estimates - channel.transmission) ** 2
@@ -179,10 +166,11 @@ class FluctuationConfig:
         for a in self.a_grid:
             if not 0.0 <= a <= 0.6:
                 raise ValueError(f"fluctuation fraction must lie in [0, 0.6], got {a}")
-        if self.rounds < 2:
-            raise ValueError(f"rounds must be >= 2, got {self.rounds}")
-        if self.nu < 1:
-            raise ValueError(f"nu must be >= 1, got {self.nu}")
+        for name, low in (("rounds", 2), ("nu", 1)):
+            value = getattr(self, name)
+            if value != int(value) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value}")
+            object.__setattr__(self, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -243,7 +231,7 @@ def pump_nodes(a: float, negatives: NegativeDraws) -> tuple[np.ndarray, np.ndarr
 
 
 def fluctuation_mse(
-    cfg: FluctuationConfig, source: Source, detector: Detector, channel: Channel
+    cfg: FluctuationConfig, source: Source, detector, channel: Channel
 ) -> list[float]:
     """Exact MSE of `fluctuation_study`'s estimate at each fluctuation
     fraction of `cfg`, by quadrature over `pump_nodes`.
@@ -261,84 +249,69 @@ def fluctuation_mse(
     mses = []
     for a in cfg.a_grid:
         x, w = pump_nodes(a, cfg.negatives)
-        if detector is Detector.NUMBER_RESOLVING:
-            detected = nr_detected_moments(source_moments(source, mu0 * x), channel)
-            mean, variance = detected.mean, detected.variance
-        else:
-            mean = source_click_probability(source, channel.survival, mu0 * x)
-            variance = mean * (1.0 - mean)
+        k = detected_moments(source, detector, channel.survival, mu0 * x)
         if cfg.redraw is PumpRedraw.PER_ROUND:
-            mse = w @ (variance / scale + (mean / ref - t) ** 2)
+            mse = w @ (k.variance / scale + (k.mean / ref - t) ** 2)
         else:
-            pumped = w @ mean
-            mse = w @ (variance + (mean - pumped) ** 2) / scale + (pumped / ref - t) ** 2
+            pumped = w @ k.mean
+            mse = w @ (k.variance + (k.mean - pumped) ** 2) / scale + (pumped / ref - t) ** 2
         mses.append(float(mse))
     return mses
 
 
-def _sample_counts_by_rows(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw per uniform; `rows` carries a count axis after axes
-    that broadcast against `u` (one row per leading index, shared by the
-    uniforms)."""
-    cdf = np.cumsum(rows, axis=-1)
-    counts = (cdf < u[..., None]).sum(axis=-1)
-    return np.minimum(counts, rows.shape[-1] - 1)
+def _round_totals(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Sum over the uniforms `u` of the counts `_invert_cdf` draws from each
+    row of `rows` (count axis last, offset 0), without forming the draws: a
+    draw, capped at the last count, exceeds count k exactly when its uniform
+    is >= cdf[k], so the sum counts the uniforms >= cdf[k] below the last k.
+    """
+    cdf = np.cumsum(rows[..., :-1], axis=-1)
+    return (u.size - np.searchsorted(np.sort(u), cdf, side="left")).sum(axis=-1)
 
 
 def _pumps_from_noise(
     rng: np.random.Generator,
     mu0: float,
     a: np.ndarray,
-    z: np.ndarray,
+    z: float,
     negatives: NegativeDraws,
 ) -> np.ndarray:
-    """Pump strengths mu0 * (1 + a*z) for a column of fluctuation fractions,
-    truncated at zero; row i belongs to a[i] and broadcasts against the
-    repetitions' uniforms.
+    """Pump strengths mu0 * (1 + a*z), one per fluctuation fraction in `a`,
+    truncated at zero.
 
-    `z` holds the round's one normal.  Resampling draws its replacement
-    normals after the shared noise, and every row restarts from the generator
+    `z` is the round's one normal.  Resampling draws its replacement normals
+    after the shared noise, and every fraction restarts from the generator
     state there, so each `a` sees the replacement normals it would see alone.
     """
-    mu = mu0 * (1.0 + a[:, None] * z)
+    mu = mu0 * (1.0 + a * z)
     if negatives is NegativeDraws.CLAMP:
         return np.maximum(mu, 0.0)
     state = rng.bit_generator.state
-    for ai, row in zip(a, mu):
+    for i in np.flatnonzero(mu < 0):
         rng.bit_generator.state = state
-        bad = row < 0
-        while bad.any():
-            row[bad] = mu0 * (1.0 + ai * rng.standard_normal(int(bad.sum())))
-            bad = row < 0
+        while mu[i] < 0:
+            mu[i] = mu0 * (1.0 + a[i] * rng.standard_normal())
     return mu
 
 
 def _per_round_totals(
-    cfg: FluctuationConfig, source: Source, detector: Detector, survival: float, mu0: float, seed: int
+    cfg: FluctuationConfig, source: Source, detector, survival: float, mu0: float, seed: int
 ) -> np.ndarray:
     """Round totals, shape (a, rounds), with the pump drawn once per round.
 
-    Each round draws one normal and nu uniforms once and evaluates them for a
-    block of fluctuation fractions at a time.
+    Each round draws one normal and nu uniforms, evaluates the count row at
+    every fluctuation fraction's pump and sums the nu repetitions' draws
+    from it.
     """
     a_grid = np.asarray(cfg.a_grid, dtype=np.float64)
-    step = max(1, _PUMP_BLOCK // cfg.nu)
     totals = np.empty((a_grid.size, cfg.rounds))
-    for start in range(0, a_grid.size, step):
-        block = slice(start, start + step)
-        for r in range(cfg.rounds):
-            # Same (seed, round) stream for every a: common random numbers.
-            rng = np.random.default_rng([seed, r])
-            z = rng.standard_normal(1)
-            u = rng.random(cfg.nu)
-            mu = _pumps_from_noise(rng, mu0, a_grid[block], z, cfg.negatives)
-            # Each branch keeps only the totals: holding the (block, nu)
-            # counts into the next round measured ~10% slower at nu = 1e5.
-            if detector is Detector.NUMBER_RESOLVING:
-                rows = source_count_rows(source, survival, _ROW_TAIL, mu)
-                totals[block, r] = _sample_counts_by_rows(rows, u).sum(axis=1)
-            else:
-                totals[block, r] = (u < source_click_probability(source, survival, mu)).sum(axis=1)
+    for r in range(cfg.rounds):
+        # Same (seed, round) stream for every a: common random numbers.
+        rng = np.random.default_rng([seed, r])
+        z = rng.standard_normal()
+        u = rng.random(cfg.nu)
+        mu = _pumps_from_noise(rng, mu0, a_grid, z, cfg.negatives)
+        totals[:, r] = _round_totals(detected_rows(source, detector, survival, _ROW_TAIL, mu), u)
     return totals
 
 
@@ -352,34 +325,25 @@ def _round_uniforms(seed: int, rounds: int) -> np.ndarray:
 
 
 def _per_repetition_totals(
-    cfg: FluctuationConfig, source: Source, detector: Detector, survival: float, mu0: float, seed: int
+    cfg: FluctuationConfig, source: Source, detector, survival: float, mu0: float, seed: int
 ) -> np.ndarray:
     """Round totals, shape (a, rounds), with the pump drawn per repetition.
 
-    Each repetition's count follows the pump-averaged row (the Bernoulli row
-    of the averaged click probability for threshold detection), so a round's
-    total is one inverse-CDF lookup in its nu-fold power, with the round's one
+    Each repetition's count follows the pump-averaged row, so a round's total
+    is one inverse-CDF lookup in its nu-fold power, with the round's one
     uniform shared by every a.
     """
     u = _round_uniforms(seed, cfg.rounds)
     totals = np.empty((len(cfg.a_grid), cfg.rounds))
     for i, a in enumerate(cfg.a_grid):
         x, w = pump_nodes(a, cfg.negatives)
-        if detector is Detector.NUMBER_RESOLVING:
-            row = w @ source_count_rows(source, survival, _ROW_TAIL, mu0 * x)
-        else:
-            p = w @ source_click_probability(source, survival, mu0 * x)
-            row = np.array([1.0 - p, p])
+        row = w @ detected_rows(source, detector, survival, _ROW_TAIL, mu0 * x)
         totals[i] = _invert_cdf(*_total_count_row(row, cfg.nu), u)
     return totals
 
 
 def fluctuation_study(
-    cfg: FluctuationConfig,
-    source: Source,
-    detector: Detector,
-    channel: Channel,
-    seed: int,
+    cfg: FluctuationConfig, source: Source, detector, channel: Channel, seed: int
 ) -> list[McSummary]:
     """MSE versus pump-fluctuation size for one source/detector combination.
 

@@ -104,11 +104,12 @@ def gaussian_pump_nodes(a: float, negatives: str = "clamp") -> list[tuple[float,
     x = 0 ("clamp") or are redrawn, which renormalizes the positive part
     ("resample").  The positive part z in (-1/a, 10) is integrated by 48-node
     Gauss-Legendre (closed-form coherent moments agree to ~1e-13); the normal
-    tail beyond z = 10 (< 1e-23) is dropped.
+    tails beyond |z| = 10 (< 1e-23 each) are dropped, so below a = 0.1 the
+    interval starts at z = -10, where 48 nodes still resolve the density.
     """
     if a == 0.0:
         return [(1.0, 1.0)]
-    z_min, z_max = -1.0 / a, 10.0
+    z_min, z_max = max(-1.0 / a, -10.0), 10.0
     half = 0.5 * (z_max - z_min)
     nodes = []
     for s, w in zip(*np.polynomial.legendre.leggauss(48)):

@@ -25,13 +25,7 @@ from _oracles import (
     tune_pump,
 )
 from subshot.detection import Channel
-from subshot.estimators import (
-    Detector,
-    exact_report_nr,
-    exact_report_threshold,
-    snl_ratio,
-    snl_report,
-)
+from subshot.estimators import Detector, exact_report, snl_ratio, snl_report
 from subshot.montecarlo import FluctuationConfig, fluctuation_study, mc_estimate
 from subshot.sources import (
     Coherent,
@@ -87,7 +81,7 @@ def test_c01_nr_unbiasedness(mux_mean1):
     worst = 0.0
     for source in (Coherent(1.0), Fock(1), mux_mean1[2]):
         for t in T_GRID:
-            rep = exact_report_nr(source, Channel(float(t), ETA), NU)
+            rep = exact_report(source, Detector.NUMBER_RESOLVING, Channel(float(t), ETA), NU)
             worst = max(worst, abs(rep.bias))
     check(
         "C01",
@@ -100,9 +94,9 @@ def test_c01_nr_unbiasedness(mux_mean1):
 def test_c02_coherent_nr_mse_closed_form():
     worst = 0.0
     for t in T_GRID:
-        rep = exact_report_nr(Coherent(1.0), Channel(float(t), ETA), NU)
+        rep = exact_report(Coherent(1.0), Detector.NUMBER_RESOLVING, Channel(float(t), ETA), NU)
         worst = max(worst, abs(rep.mse - t / (NU * ETA * 1.0)))
-    spot = exact_report_nr(Coherent(1.0), Channel(0.8, ETA), NU).mse
+    spot = exact_report(Coherent(1.0), Detector.NUMBER_RESOLVING, Channel(0.8, ETA), NU).mse
     ok = worst < 1e-12 and abs(spot - 4.444444444444444e-3) < 1e-12
     check(
         "C02",
@@ -117,7 +111,7 @@ def test_c03_fock_nr_mse_and_uql_ratio():
     worst_ratio = 0.0
     for t in T_GRID:
         ch = Channel(float(t), ETA)
-        rep = exact_report_nr(Fock(1), ch, NU)
+        rep = exact_report(Fock(1), Detector.NUMBER_RESOLVING, ch, NU)
         worst_mse = max(worst_mse, abs(rep.mse - t * (1 - t * ETA) / (NU * ETA)))
         if t > 0:
             ratio = snl_ratio(rep, snl_report(1.0, ch, NU))
@@ -146,12 +140,12 @@ def test_c04_fock_click_probability():
 def test_c05_threshold_bias_endpoints(mux_mean1):
     sources = (Coherent(1.0), Fock(1), mux_mean1[2])
     exact_zero = all(
-        exact_report_threshold(s, Channel(t, ETA), NU).bias == 0.0
+        exact_report(s, Detector.THRESHOLD, Channel(t, ETA), NU).bias == 0.0
         for s in sources
         for t in (0.0, 1.0)
     )
     biased_inside = all(
-        abs(exact_report_threshold(s, Channel(0.5, ETA), NU).bias) > 1e-6
+        abs(exact_report(s, Detector.THRESHOLD, Channel(0.5, ETA), NU).bias) > 1e-6
         for s in (Coherent(1.0), mux_mean1[2])
     )
     check(
@@ -166,7 +160,7 @@ def test_c06_asymptotic_bias_floor(mux_mean1):
     details = []
     for source in (Coherent(1.0), mux_mean1[2]):
         for t in (0.3, 0.6, 0.9):
-            rep = exact_report_threshold(source, Channel(t, ETA), nu=10**6)
+            rep = exact_report(source, Detector.THRESHOLD, Channel(t, ETA), nu=10**6)
             rel = abs(rep.mse - rep.bias**2) / rep.bias**2
             details.append(f"{rel:.1e}")
             ok = ok and rel < 0.01
@@ -261,10 +255,7 @@ def test_c10_monte_carlo_matches_exact_reports(mux_mean1):
     worst_z = 0.0
     for index, (source, detector) in enumerate(canned):
         mc = mc_estimate(source, detector, ch, NU, trials=100_000, seed=500 + index)
-        if detector is Detector.NUMBER_RESOLVING:
-            exact = exact_report_nr(source, ch, NU)
-        else:
-            exact = exact_report_threshold(source, ch, NU)
+        exact = exact_report(source, detector, ch, NU)
         worst_z = max(
             worst_z,
             abs(mc.expectation - exact.expectation) / mc.expectation_se,
@@ -288,10 +279,7 @@ def test_c11_fluctuation_study_consistency(flux_studies):
     ok_zero = True
     details = []
     for (name, det), summaries in flux_studies.items():
-        if det is Detector.NUMBER_RESOLVING:
-            exact = exact_report_nr(sources[name], ch, NU).mse
-        else:
-            exact = exact_report_threshold(sources[name], ch, NU).mse
+        exact = exact_report(sources[name], det, ch, NU).mse
         rel = abs(summaries[0].mean_mse / exact - 1.0)
         details.append(f"{name}/{det.value}: {rel:.3f}")
         ok_zero = ok_zero and rel < 0.15  # 4 x the ~3.7% SE of the mean at 1500 rounds
@@ -313,12 +301,13 @@ def test_c12_nr_ratio_advantage_and_optimal_stage_count(mux_mean1):
         ch = Channel(float(t), ETA)
         snl = snl_report(1.0, ch, NU)
         for m in STAGE_RANGE:
-            ratio = snl_ratio(exact_report_nr(mux_mean1[m], ch, NU), snl)
+            ratio = snl_ratio(exact_report(mux_mean1[m], Detector.NUMBER_RESOLVING, ch, NU), snl)
             all_above_one = all_above_one and ratio > 1.0
     ch = Channel(0.5, ETA)
     snl = snl_report(1.0, ch, NU)
     ratios = {
-        m: snl_ratio(exact_report_nr(mux_mean1[m], ch, NU), snl) for m in STAGE_RANGE
+        m: snl_ratio(exact_report(mux_mean1[m], Detector.NUMBER_RESOLVING, ch, NU), snl)
+        for m in STAGE_RANGE
     }
     best_m = max(ratios, key=ratios.get)
     check(
@@ -336,13 +325,15 @@ def test_c13_threshold_ratio_above_two_near_transparency(mux_mean1):
         ch = Channel(float(t), ETA)
         snl = snl_report(1.0, ch, NU)
         for m in STAGE_RANGE:
-            ratio = snl_ratio(exact_report_threshold(mux_mean1[m], ch, NU), snl)
+            ratio = snl_ratio(exact_report(mux_mean1[m], Detector.THRESHOLD, ch, NU), snl)
             best = max(best, ratio)
     coh_high_t = []
     for t in (0.95, 0.98, 1.0):
         ch = Channel(t, ETA)
         coh_high_t.append(
-            snl_ratio(exact_report_threshold(Coherent(1.0), ch, NU), snl_report(1.0, ch, NU))
+            snl_ratio(
+                exact_report(Coherent(1.0), Detector.THRESHOLD, ch, NU), snl_report(1.0, ch, NU)
+            )
         )
     check(
         "C13",
@@ -362,8 +353,8 @@ def test_c14_intensity_sweep_peaks():
         snl = snl_report(mean, ch, NU)
         for m in STAGE_RANGE:
             src = make_multiplexed(m, mean)
-            r_th = snl_ratio(exact_report_threshold(src, ch, NU), snl)
-            r_nr = snl_ratio(exact_report_nr(src, ch, NU), snl)
+            r_th = snl_ratio(exact_report(src, Detector.THRESHOLD, ch, NU), snl)
+            r_nr = snl_ratio(exact_report(src, Detector.NUMBER_RESOLVING, ch, NU), snl)
             if r_th > best_th[0]:
                 best_th = (r_th, mean)
             if r_nr > best_nr[0]:
@@ -383,14 +374,14 @@ def test_c15_headline_operating_points(mux_mean1):
     ch_098 = Channel(0.98, ETA)
     snl_098 = snl_report(1.0, ch_098, NU)
     best_098 = max(
-        snl_ratio(exact_report_threshold(mux_mean1[m], ch_098, NU), snl_098)
+        snl_ratio(exact_report(mux_mean1[m], Detector.THRESHOLD, ch_098, NU), snl_098)
         for m in STAGE_RANGE
     )
     ok_a = 1.8 <= best_098 <= 2.6
 
     ch_08 = Channel(0.8, ETA)
     reports = {
-        m: exact_report_threshold(make_multiplexed(m, 0.5), ch_08, 2000)
+        m: exact_report(make_multiplexed(m, 0.5), Detector.THRESHOLD, ch_08, 2000)
         for m in STAGE_RANGE
     }
     snl_2000 = snl_report(0.5, ch_08, 2000)

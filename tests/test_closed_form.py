@@ -26,7 +26,7 @@ from _oracles import (
     poisson_probs,
     thinned_count_moments,
 )
-from subshot.detection import Channel, nr_detected_moments
+from subshot.detection import Detector, detected_moments
 from subshot.sources import (
     Coherent,
     Fock,
@@ -82,6 +82,18 @@ def mean_and_variance(probs, survival: float = 1.0) -> tuple[float, float]:
     return mean, second - mean * mean
 
 
+def assert_detected_moments_close(src, survival, mean, variance, click):
+    """Thinned-count and click moments of one repetition against the
+    expected count mean and variance and click probability."""
+    counts = detected_moments(src, Detector.NUMBER_RESOLVING, survival)
+    assert close(counts.mean, mean)
+    assert close(counts.variance, variance)
+    clicks = detected_moments(src, Detector.THRESHOLD, survival)
+    assert close(clicks.mean, click)
+    # p (1 - p) inherits the absolute error of p through 1 - p.
+    assert clicks.variance == pytest.approx(click * (1.0 - click), rel=RTOL, abs=RTOL * click)
+
+
 def assert_rows_close(got, expected):
     n = max(len(got), len(expected))
     padded = np.zeros((2, n))
@@ -100,11 +112,8 @@ class TestAgainstDistributionSums:
         assert close(got.mean, mean)
         assert close(got.variance, variance)
         expected_click = enumerate_click_probability(row, survival)
-        assert close(source_click_probability(src, survival), expected_click)
-        detected_mean, detected_variance = mean_and_variance(row, survival)
-        got_detected = nr_detected_moments(got, Channel(survival, 1.0))
-        assert close(got_detected.mean, detected_mean)
-        assert close(got_detected.variance, detected_variance)
+        expected = mean_and_variance(row, survival)
+        assert_detected_moments_close(src, survival, *expected, expected_click)
 
     @CHECKS
     @given(st.floats(1e-3, 20.0), survivals)
@@ -116,7 +125,8 @@ class TestAgainstDistributionSums:
         assert close(got.mean, expected_mean)
         assert close(got.variance, expected_variance)
         expected_click = enumerate_click_probability(probs, survival)
-        assert close(source_click_probability(src, survival), expected_click)
+        expected = mean_and_variance(probs, survival)
+        assert_detected_moments_close(src, survival, *expected, expected_click)
 
     @CHECKS
     @given(st.integers(0, 30), survivals)
@@ -124,13 +134,17 @@ class TestAgainstDistributionSums:
         src = Fock(photons)
         got = source_moments(src)
         assert got.mean == photons and got.variance == 0.0
-        # At least one of the photons survives; a sum of positive terms, exact
-        # also where 1 - (1 - survival)**photons would cancel.
-        expected_click = sum(
+        # Sums of positive terms over the binomial count distribution: the
+        # click (at least one photon survives) is exact also where
+        # 1 - (1 - survival)**photons would cancel, and the centered variance
+        # where the second moment minus the squared mean would.
+        terms = [
             math.comb(photons, k) * survival**k * (1.0 - survival) ** (photons - k)
-            for k in range(1, photons + 1)
-        )
-        assert close(source_click_probability(src, survival), expected_click)
+            for k in range(photons + 1)
+        ]
+        mean = sum(k * p for k, p in enumerate(terms))
+        variance = sum((k - mean) ** 2 * p for k, p in enumerate(terms))
+        assert_detected_moments_close(src, survival, mean, variance, sum(terms[1:]))
 
 
 class TestAgainstEnumeration:

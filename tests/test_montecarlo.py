@@ -23,19 +23,15 @@ from _oracles import (
     threshold_mse_fluctuating_pump,
 )
 from subshot.detection import Channel
-from subshot.estimators import (
-    Detector,
-    exact_report,
-    exact_report_nr,
-    exact_report_threshold,
-)
+from subshot.estimators import Detector, exact_report
 from subshot.montecarlo import (
     FluctuationConfig,
     NegativeDraws,
     PumpRedraw,
-    _PUMP_BLOCK,
     _ROW_TAIL,
+    _invert_cdf,
     _legendre_nodes,
+    _round_totals,
     _total_count_row,
     fluctuation_mse,
     fluctuation_study,
@@ -92,7 +88,7 @@ class TestMcEstimate:
 
     def test_coherent_nr_matches_exact_report(self):
         res = mc_estimate(Coherent(1.0), Detector.NUMBER_RESOLVING, CH, 200, 100_000, seed=2)
-        exact = exact_report_nr(Coherent(1.0), CH, 200)
+        exact = exact_report(Coherent(1.0), Detector.NUMBER_RESOLVING, CH, 200)
         assert abs(res.expectation - exact.expectation) < 4 * res.expectation_se
         assert abs(res.mse - exact.mse) < 4 * res.mse_se
 
@@ -100,7 +96,7 @@ class TestMcEstimate:
         src = make_multiplexed(2, 1.0)
         ch = Channel(0.9, 0.9)
         res = mc_estimate(src, Detector.THRESHOLD, ch, 200, trials=100_000, seed=3)
-        exact = exact_report_threshold(src, ch, 200)
+        exact = exact_report(src, Detector.THRESHOLD, ch, 200)
         assert abs(res.expectation - exact.expectation) < 4 * res.expectation_se
         assert abs(res.mse - exact.mse) < 4 * res.mse_se
 
@@ -117,6 +113,15 @@ class TestMcEstimate:
     def test_invalid_nu_rejected(self, nu):
         with pytest.raises(ValueError, match="nu"):
             mc_estimate(Coherent(0.5), Detector.THRESHOLD, CH, nu, trials=10, seed=0)
+
+    def test_integral_float_counts_accepted(self):
+        args = (Coherent(0.5), Detector.NUMBER_RESOLVING, CH)
+        assert mc_estimate(*args, 20.0, 10, 0) == mc_estimate(*args, 20, 10, 0)
+        cfg = FluctuationConfig(a_grid=(0.3,), rounds=4.0, nu=20.0)
+        assert (cfg.rounds, cfg.nu) == (4, 20)
+        assert fluctuation_study(cfg, *args, 0) == fluctuation_study(
+            FluctuationConfig(a_grid=(0.3,), rounds=4, nu=20), *args, 0
+        )
 
     @pytest.mark.parametrize("detector", list(Detector))
     @ZERO_REFERENCE
@@ -166,6 +171,26 @@ class TestTotalCountRow:
         mean, variance = row_moments(0, row)
         assert total.size < 20 * math.sqrt(10**6 * variance)
         assert row_moments(offset, total)[0] == pytest.approx(10**6 * mean, rel=1e-12)
+
+
+@CHECKS
+@given(
+    data=st.data(),
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 8)),
+    mass=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+)
+def test_round_totals_sum_the_inverse_cdf_draws(data, shape, mass):
+    """A per-round total is the sum of the `_invert_cdf` draws of the
+    round's uniforms, also for rows whose CDF ends below 1 (the draw is
+    capped at the last count) and for uniforms that equal a CDF value."""
+    weights = st.lists(st.floats(0.0, 1.0), min_size=shape[1], max_size=shape[1])
+    rows = np.array(data.draw(st.lists(weights, min_size=shape[0], max_size=shape[0])))
+    rows *= mass / np.maximum(rows.sum(axis=-1, keepdims=True), 1e-300)
+    on_cdf = st.sampled_from(np.cumsum(rows, axis=-1).ravel().tolist())
+    uniforms = st.one_of(st.floats(0.0, 1.0, exclude_max=True), on_cdf)
+    u = np.array(data.draw(st.lists(uniforms, min_size=1, max_size=60)))
+    want = [int(_invert_cdf(0, row, u).sum()) for row in rows]
+    assert _round_totals(rows, u).tolist() == want
 
 
 # Examples per (source kind, detector) pair of the randomized Monte Carlo check.
@@ -291,7 +316,7 @@ class TestFluctuationStudy:
     def test_zero_fluctuation_matches_exact_mse(self):
         cfg = FluctuationConfig(a_grid=(0.0,), rounds=800, nu=200)
         res = fluctuation_study(cfg, Coherent(0.5), Detector.NUMBER_RESOLVING, CH, seed=5)
-        exact = exact_report_nr(Coherent(0.5), CH, 200).mse
+        exact = exact_report(Coherent(0.5), Detector.NUMBER_RESOLVING, CH, 200).mse
         # mean of 800 squared errors: relative standard error ~ sqrt(2/800)
         assert res[0].mean_mse == pytest.approx(exact, rel=0.25)
 
@@ -299,7 +324,7 @@ class TestFluctuationStudy:
         src = make_multiplexed(5, 0.5)
         cfg = FluctuationConfig(a_grid=(0.0,), rounds=800, nu=200)
         res = fluctuation_study(cfg, src, Detector.THRESHOLD, CH, seed=6)
-        exact = exact_report_threshold(src, CH, 200).mse
+        exact = exact_report(src, Detector.THRESHOLD, CH, 200).mse
         assert res[0].mean_mse == pytest.approx(exact, rel=0.25)
 
     def test_runs_at_the_source_pump(self):
@@ -308,7 +333,7 @@ class TestFluctuationStudy:
         src = make_multiplexed(3, 1.0)
         cfg = FluctuationConfig(a_grid=(0.0,), rounds=800, nu=200)
         res = fluctuation_study(cfg, src, Detector.NUMBER_RESOLVING, CH, seed=12)
-        exact = exact_report_nr(src, CH, 200).mse
+        exact = exact_report(src, Detector.NUMBER_RESOLVING, CH, 200).mse
         assert res[0].mean_mse == pytest.approx(exact, rel=0.25)
 
     def test_vacuum_source_rejected(self):
@@ -353,18 +378,17 @@ class TestFluctuationStudy:
         for s in res:
             assert 0.0 < s.mse_se < s.mean_mse
 
-    @pytest.mark.parametrize("nu", [200, _PUMP_BLOCK + 1])
+    @pytest.mark.parametrize("nu", [200, 4097])
     @pytest.mark.parametrize("negatives", list(NegativeDraws))
     @pytest.mark.parametrize("redraw", list(PumpRedraw))
     def test_grid_equals_single_fraction_studies(self, redraw, negatives, nu):
         """Common random numbers: each fluctuation fraction of a grid gets the
-        summary it gets alone, whether the grid is one block of pumps (nu =
-        200) or split into one block per fraction.  Both a = 0.5 and 0.6
-        resample negative pumps, so each must replay the round's stream within
-        a block."""
+        summary it gets alone, at a few and at thousands of repetitions per
+        round.  Both a = 0.5 and 0.6 resample negative pumps, so each must
+        replay the round's stream."""
         # One normal per round: 200 rounds draw negative pumps at both a = 0.5
-        # and 0.6 where the grid is one block.
-        rounds = 200 if redraw is PumpRedraw.PER_ROUND and nu < _PUMP_BLOCK else 10
+        # and 0.6.
+        rounds = 200 if redraw is PumpRedraw.PER_ROUND and nu == 200 else 10
         cfg = FluctuationConfig(
             a_grid=(0.0, 0.5, 0.6), rounds=rounds, nu=nu, redraw=redraw, negatives=negatives
         )
@@ -422,6 +446,8 @@ class TestFluctuationStudy:
             {"a_grid": ()},
             {"rounds": 1},
             {"nu": 0},
+            {"nu": 2.5},
+            {"rounds": 2.5},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
@@ -464,9 +490,9 @@ class TestFluctuationMse:
         np.testing.assert_allclose(weights, want_weights, rtol=self.WEIGHT_RTOL, atol=0.0)
 
     @pytest.mark.parametrize("negatives", list(NegativeDraws))
-    @pytest.mark.parametrize("a", [0.0, 0.1, 0.3, 0.6])
+    @pytest.mark.parametrize("a", [0.0, 0.001, 0.05, 0.1, 0.3, 0.6])
     def test_pump_nodes_match_oracle_nodes(self, a, negatives):
-        """From a = 0.1 up both integrate z over (-1/a, 10)."""
+        """Both integrate z over (max(-1/a, -10), 10)."""
         x, w = pump_nodes(a, negatives)
         expected = np.array(gaussian_pump_nodes(a, negatives.value))
         np.testing.assert_allclose(x, expected[:, 0], rtol=0.0, atol=1e-14)

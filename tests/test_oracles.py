@@ -19,6 +19,7 @@ import pytest
 from _oracles import (
     enumerate_click_probability,
     enumerate_mux_output,
+    gaussian_pump_nodes,
     nr_mse_fluctuating_pump,
     poisson_probs,
     thinned_count_moments,
@@ -72,6 +73,14 @@ def test_pump_oracle_matches_coherent_closed_form(a, redraw, negatives):
 
     got = _inflation(count_moments, ETA * MEAN, a, redraw, negatives)
     assert got == pytest.approx(_coherent_closed_form(a, redraw, negatives), rel=1e-9)
+
+
+@pytest.mark.parametrize("a", [0.001, 0.01, 0.05])
+def test_pump_nodes_hold_the_normal_mass_at_small_a(a):
+    """Below a = 0.1 the pump is almost never clamped, and the nodes must
+    still carry the whole normal mass."""
+    weights = [w for _, w in gaussian_pump_nodes(a, "clamp")]
+    assert math.fsum(weights) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_coherent_closed_form_values():
