@@ -9,7 +9,8 @@ photons of one repetition into its count: `detected_moments` gives the count's
 mean and variance and `detected_rows` its distribution, both from the closed
 forms of `sources` and both for a pump array as well as the source's own
 pump, so the exact reports and the Monte Carlo engine never branch on the
-detector.
+detector.  `detected_moments` also takes an array of survivals, which a
+`Channel` carrying a whole transmission grid gives, as it takes a pump array.
 """
 
 from __future__ import annotations
@@ -30,31 +31,37 @@ class Detector(enum.Enum):
 
 @dataclass(frozen=True)
 class Channel:
-    """Sample transmission (the estimand) and detector efficiency."""
+    """Sample transmission (the estimand) and detector efficiency.
 
-    transmission: float
+    The transmission is a float or an array of them (a transmission grid);
+    every closed form evaluates an array entry by entry, as it does a float.
+    """
+
+    transmission: float | np.ndarray
     detector_eff: float = 0.9
 
     def __post_init__(self):
-        if not 0.0 <= self.transmission <= 1.0:
-            raise ValueError(f"transmission must lie in [0, 1], got {self.transmission}")
+        t = np.asarray(self.transmission)
+        outside = ~((t >= 0.0) & (t <= 1.0))
+        if outside.any():
+            raise ValueError(f"transmission must lie in [0, 1], got {t[outside][0]}")
         if not 0.0 <= self.detector_eff <= 1.0:
             raise ValueError(f"detector_eff must lie in [0, 1], got {self.detector_eff}")
 
     @property
-    def survival(self) -> float:
+    def survival(self) -> float | np.ndarray:
         return self.transmission * self.detector_eff
 
 
-def detected_moments(source: Source, detector: Detector, survival: float, mu=None) -> Moments:
+def detected_moments(source: Source, detector: Detector, survival, mu=None) -> Moments:
     """Mean and variance of one repetition's count after per-photon survival
     `survival`.
 
     Number-resolving: binomial thinning of the source photons, mean s * <n>
     and variance s^2 * Var(n) + s (1 - s) * <n>.  Threshold: a Bernoulli
-    click, mean p and variance p (1 - p).  `mu` is as for
-    `sources.source_click_probability`; given one, mean and variance are
-    arrays of its shape.
+    click, mean p and variance p (1 - p).  `survival` and `mu` are as for
+    `sources.source_click_probability`: given a survival array or a pump
+    array, mean and variance are arrays of its shape.
     """
     if detector is Detector.THRESHOLD:
         p = source_click_probability(source, survival, mu)

@@ -15,26 +15,42 @@ variances shrink exactly as 1/nu.
 Reports are exact: the expectation, bias, variance and MSE follow in closed
 form from the mean and variance of one repetition's count
 (`detection.detected_moments`), with no distribution built and no sampling
-involved, and the same code serves both detectors.
+involved, and the same code serves both detectors.  A `Channel` whose
+transmission is an array (a transmission grid) is evaluated by the same code
+entry by entry, as a pump array is in `sources`: every report field is then
+an array, and a quantity that is undefined at an entry is None there.
 `montecarlo.mc_estimate` samples the same estimator from the same arguments
 plus a trial count and a seed; both normalize by `reference_mean`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from subshot.detection import Channel, Detector, detected_moments
 from subshot.sources import Coherent, Fock, Source
 
 
-def relative_mse_percent(mse: float, transmission: float) -> float | None:
+def _quotient(numerator, denominator, undefined):
+    """numerator / denominator, None where `undefined` holds: a float or None
+    for float arguments, an object array of floats and None for arrays.
+
+    Undefined entries are divided by denominator + 1 instead, so that no
+    entry divides by 0.  A float result is placed without `np.where`, which
+    costs ~2 us on a float: `intensity-sweep` makes ~600 such calls a pass.
+    """
+    quotient = numerator / (denominator + undefined)
+    if isinstance(quotient, np.ndarray):
+        return np.where(undefined, None, quotient)
+    return None if undefined else float(quotient)
+
+
+def relative_mse_percent(mse, transmission):
     """Relative MSE in percent, 100 * sqrt(MSE) / t; None at t = 0 where it
     is undefined."""
-    if transmission == 0.0:
-        return None
-    return 100.0 * math.sqrt(mse) / transmission
+    return _quotient(100.0 * np.sqrt(mse), transmission, transmission == 0.0)
 
 
 def reference_mean(source: Source, detector: Detector, detector_eff: float) -> float:
@@ -58,19 +74,21 @@ def reference_mean(source: Source, detector: Detector, detector_eff: float) -> f
 
 @dataclass(frozen=True)
 class EstimatorReport:
-    """Exact performance of an estimator at one operating point."""
+    """Exact performance of an estimator at one operating point, or at each
+    transmission of a grid (every field but `nu` then an array)."""
 
-    transmission: float
+    transmission: float | np.ndarray
     nu: int
-    expectation: float
-    bias: float
-    variance: float
-    mse: float
-    relative_mse_percent: float | None
+    expectation: float | np.ndarray
+    bias: float | np.ndarray
+    variance: float | np.ndarray
+    mse: float | np.ndarray
+    relative_mse_percent: float | None | np.ndarray
 
 
 def exact_report(source: Source, detector: Detector, channel: Channel, nu: int) -> EstimatorReport:
-    """Exact report of the estimator at one operating point.
+    """Exact report of the estimator at the transmission of `channel`, or at
+    each transmission of its grid.
 
     The estimator is linear in the counts, so E(T) is the mean of one
     repetition's detected count over the reference and Var(T) its variance
@@ -83,7 +101,7 @@ def exact_report(source: Source, detector: Detector, channel: Channel, nu: int) 
     expectation = detected.mean / ref
     variance = detected.variance / (nu * ref**2)
     bias = expectation - channel.transmission
-    mse = variance + bias**2
+    mse = variance + bias * bias
     return EstimatorReport(
         transmission=channel.transmission,
         nu=nu,
@@ -105,22 +123,25 @@ def snl_ratio(report: EstimatorReport, snl: EstimatorReport) -> float | None:
 
     None when the reference MSE vanishes (t = 0), where the ratio is
     undefined, and when the candidate MSE vanishes (a Fock state at t = 1
-    through a perfect detector), where it is unbounded.
+    through a perfect detector), where it is unbounded.  Over a grid, entry
+    by entry.
     """
-    if report.transmission != snl.transmission or report.nu != snl.nu:
+    # Reports of one channel share its transmission object, which spares the
+    # comparison of a float channel the cost of `array_equal`.
+    same_t = report.transmission is snl.transmission or np.array_equal(
+        report.transmission, snl.transmission
+    )
+    if not same_t or report.nu != snl.nu:
         raise ValueError("reports must share the same transmission and nu")
-    if snl.mse == 0.0 or report.mse == 0.0:
-        return None
-    return snl.mse / report.mse
+    return _quotient(snl.mse, report.mse, (snl.mse == 0.0) | (report.mse == 0.0))
 
 
-def asymptotic_relative_mse_floor(source: Source, channel: Channel) -> float | None:
+def asymptotic_relative_mse_floor(source: Source, channel: Channel):
     """Relative MSE [%] left in the infinite-repetition limit.
 
     For threshold detection the variance vanishes as 1/nu while the bias does
     not, so MSE -> bias^2 and the floor is 100 * |bias| / t.  None at t = 0.
     """
-    if channel.transmission == 0.0:
-        return None
-    report = exact_report(source, Detector.THRESHOLD, channel, nu=1)
-    return 100.0 * abs(report.bias) / channel.transmission
+    t = channel.transmission
+    bias = exact_report(source, Detector.THRESHOLD, channel, nu=1).bias
+    return _quotient(100.0 * abs(bias), t, t == 0.0)

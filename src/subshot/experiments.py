@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import operator
 from dataclasses import dataclass, fields, replace
 from typing import Iterable
 
@@ -302,18 +303,34 @@ def _sources(cfg: SweepConfig, mean: float) -> list[Source]:
     return [Coherent(mean)] + [make_multiplexed(m, mean, *calibration) for m in cfg.stage_counts]
 
 
+def _per_t(value) -> list:
+    """A report field as one plain Python value per t: the entries of a grid
+    array (None where the quantity is undefined), or the one value of a
+    float channel."""
+    return value.tolist() if isinstance(value, np.ndarray) else [value]
+
+
 def _exact_rows(cfg: SweepConfig, sources: list[Source], detectors, channel: Channel, mean: float):
     """Exact reports for each detector and source, each row carrying its MSE
-    ratio to the shot-noise reference at `mean` photons."""
+    ratio to the shot-noise reference at `mean` photons.
+
+    The channel's transmission is a float or the whole t-grid as an array;
+    either way there is one report per detector and source, and the rows run
+    over t, then detector, then source."""
     snl = snl_report(mean, channel, cfg.nu)
-    rows = []
+    columns = _REPORT_COLUMNS + ("ratio_to_snl",)
+    labelled = []
     for detector in detectors:
         for source in sources:
             report = exact_report(source, detector, channel, cfg.nu)
-            outputs = {name: getattr(report, name) for name in _REPORT_COLUMNS}
-            outputs["ratio_to_snl"] = snl_ratio(report, snl)
-            rows.append(_row(cfg, source, detector, channel.transmission, mean, **outputs))
-    return rows
+            values = [getattr(report, name) for name in _REPORT_COLUMNS]
+            values.append(snl_ratio(report, snl))
+            labelled.append((source, detector, list(zip(*map(_per_t, values)))))
+    return [
+        _row(cfg, source, detector, t, mean, **dict(zip(columns, cells[i])))
+        for i, t in enumerate(_per_t(channel.transmission))
+        for source, detector, cells in labelled
+    ]
 
 
 def _ratio_sweep(cfg: SweepConfig, detector: Detector):
@@ -322,10 +339,8 @@ def _ratio_sweep(cfg: SweepConfig, detector: Detector):
     `threshold-bias` and `threshold-ratio` share this sweep."""
     mean = cfg.mean_photons
     sources = _sources(cfg, mean) + [Fock(1)]
-    rows = []
-    for t in cfg.t_grid:
-        rows += _exact_rows(cfg, sources, (detector,), Channel(t, cfg.detector_eff), mean)
-    return rows
+    channel = Channel(np.array(cfg.t_grid), cfg.detector_eff)
+    return _exact_rows(cfg, sources, (detector,), channel, mean)
 
 
 def _run_intensity_sweep(cfg: SweepConfig):
@@ -340,18 +355,19 @@ def _run_intensity_sweep(cfg: SweepConfig):
 
 
 def _run_asymptotic(cfg: SweepConfig):
-    """Infinite-repetition relative MSE floor of the threshold estimators."""
+    """Infinite-repetition relative MSE floor of the threshold estimators,
+    one closed-form call over the whole t-grid per source."""
     mean_grid = cfg.mean_grid or (0.2, 0.5, 1.0)
+    ch = Channel(np.array(cfg.t_grid), cfg.detector_eff)
     rows = []
     for mean in mean_grid:
         sources = _sources(cfg, mean)
-        for t in cfg.t_grid:
-            ch = Channel(t, cfg.detector_eff)
-            for source in sources:
-                floor = asymptotic_relative_mse_floor(source, ch)
-                rows.append(
-                    _row(cfg, source, Detector.THRESHOLD, t, mean, asymptotic_floor_percent=floor)
-                )
+        floors = zip(*(_per_t(asymptotic_relative_mse_floor(source, ch)) for source in sources))
+        for t, per_source in zip(cfg.t_grid, floors):
+            rows += [
+                _row(cfg, source, Detector.THRESHOLD, t, mean, asymptotic_floor_percent=floor)
+                for source, floor in zip(sources, per_source)
+            ]
     return rows
 
 
@@ -436,19 +452,13 @@ def run_experiment(cfg: SweepConfig) -> list[SweepRow]:
     return _RUNNERS[cfg.experiment](cfg)
 
 
-def _format_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def rows_to_csv(rows: Iterable[SweepRow]) -> str:
-    """Locale-free CSV with a header row; floats keep full precision."""
+    """Locale-free CSV with a header row; floats keep full precision (`str`
+    of a Python float is its shortest round-trip repr), None is empty."""
+    cells = operator.attrgetter(*ROW_COLUMNS)
     lines = [",".join(ROW_COLUMNS)]
     for row in rows:
-        lines.append(",".join(_format_value(v) for v in row.as_dict().values()))
+        lines.append(",".join("" if v is None else str(v) for v in cells(row)))
     return "\n".join(lines) + "\n"
 
 

@@ -18,7 +18,9 @@ and click probability at the sample plane (`source_moments`,
 (`source_count_rows`: Poisson, Binomial, or a vacuum term plus two Poissons)
 are closed forms.  Each also takes an array of pumps in place of the
 source's own (`source_pump`), as the Monte Carlo fluctuation rounds and the
-pump averages of `montecarlo.fluctuation_mse` need.
+pump averages of `montecarlo.fluctuation_mse` need, and the click
+probability takes an array of survivals in the same way, as the exact
+reports over a transmission grid need.
 """
 
 from __future__ import annotations
@@ -152,15 +154,16 @@ def _sync_gain(source: Multiplexed, mu: np.ndarray) -> np.ndarray:
     return np.divide(sync_probability_at(source, mu), p_w, out=np.zeros_like(p_w), where=p_w > 0.0)
 
 
-def _mux_click_probability(source: Multiplexed, mu, survival: float):
+def _mux_click_probability(source: Multiplexed, mu, survival):
     """Probability that at least one output photon survives thinning by `survival`.
 
     1 - G(1 - survival) of the output generating function at pump `mu`:
     (P_sync/p_w) [1 - e^{-mu Q s} + e^{-mu h} (e^{-mu (1-h) Q s} - 1)], exactly 0
     at survival 0, evaluated as p_w (1 - e^{-y}) + e^{-y} (1 - e^{-mu h Q s}) with
     y = mu (1-h) Q s: no cancellation when a weak herald needs a huge pump.
-    `mu` is an array of pump values; the result has its shape.  The
-    `pair_mean` field of `source` is ignored.
+    `mu` is an array of pump values and `survival` a float or an array; the
+    result has their broadcast shape.  The `pair_mean` field of `source` is
+    ignored.
     """
     h = source.herald_eff
     x = mu * (source.network_transmission * source.optics_transmission * survival)
@@ -299,24 +302,37 @@ def source_moments(source: Source, mu=None) -> Moments:
     return Moments(mean=mean, variance=pairs + mean - mean * mean)
 
 
-def source_click_probability(source: Source, survival: float, mu=None):
+def _fock_click_probability(photons: int, survival) -> np.ndarray:
+    """1 - (1 - s)^photons at each survival s of a float or an array.
+
+    Evaluated entry by entry with `math`, whose expm1 and log1p can differ
+    from numpy's in the last place (they do on AVX-512 hosts), so that a grid
+    entry equals the float evaluation at the same survival.
+    """
+    s = np.asarray(survival, dtype=np.float64)
+    if photons == 0:
+        return np.zeros(s.shape)
+    clicks = [1.0 if x == 1.0 else -math.expm1(photons * math.log1p(-x)) for x in s.ravel().tolist()]
+    return np.reshape(clicks, s.shape)
+
+
+def source_click_probability(source: Source, survival, mu=None):
     """Probability that at least one photon at the sample plane survives an
     independent per-photon thinning by `survival`, in closed form.
 
-    `mu` is a pump value or an array of them (default: the source's own
-    pump, and a float result); a Fock state given one raises TypeError.
+    `survival` is a float or an array of them, and `mu` a pump value or an
+    array of them (default: the source's own pump); the result has their
+    broadcast shape, and is a float when neither is an array.  A Fock state
+    given a pump raises TypeError.
     """
     if isinstance(source, Fock) and mu is None:
-        if source.photons == 0:
-            return 0.0
-        return 1.0 if survival == 1.0 else -math.expm1(source.photons * math.log1p(-survival))
-    pumps = _pumps(source, mu)
-    if isinstance(source, Coherent):
+        p = _fock_click_probability(source.photons, survival)
+    elif isinstance(source, Coherent):
         # The coherent output mean is the pump itself.
-        p = -np.expm1(-survival * pumps)
+        p = -np.expm1(-survival * _pumps(source, mu))
     else:
-        p = _mux_click_probability(source, pumps, survival)
-    return float(p) if mu is None else p
+        p = _mux_click_probability(source, _pumps(source, mu), survival)
+    return float(p) if mu is None and p.ndim == 0 else p
 
 
 def source_count_rows(source: Source, survival: float, tail: float, mu=None) -> np.ndarray:

@@ -9,7 +9,8 @@ the closed-form moments must agree with them to 1e-12 relative (absolute
 floor 1e-15) everywhere in the sampled region, edges included: perfect
 heralding, survival 0 and 1, and up to 10 delay stages (1024 windows).  The
 closed-form distribution rows must match the enumeration entry by entry to
-1e-12 absolute.
+1e-12 absolute.  An exact report over a whole transmission grid must match
+the reports at its points one by one.
 """
 
 import math
@@ -26,7 +27,13 @@ from _oracles import (
     poisson_probs,
     thinned_count_moments,
 )
-from subshot.detection import Detector, detected_moments
+from subshot.detection import Channel, Detector, detected_moments
+from subshot.estimators import (
+    asymptotic_relative_mse_floor,
+    exact_report,
+    snl_ratio,
+    snl_report,
+)
 from subshot.sources import (
     Coherent,
     Fock,
@@ -213,6 +220,58 @@ class TestTuning:
         accept a source 64 times too bright at target 1e-12."""
         achieved = source_moments(make_multiplexed(stages, target)).mean
         assert abs(achieved - target) <= 1e-9 * target
+
+
+# Small transmission grids holding both ends, in any order.
+t_grids = st.lists(st.floats(0.0, 1.0), max_size=4).flatmap(
+    lambda ts: st.permutations([0.0, 1.0, *ts])
+)
+
+
+def within_ulps(got, expected, ulps=4):
+    return abs(got - expected) <= ulps * np.spacing(abs(expected))
+
+
+class TestTransmissionGrid:
+    """A `Channel` carrying a transmission grid gives, entry by entry, the
+    report of a float channel at that transmission."""
+
+    @CHECKS
+    @given(
+        t_grids,
+        st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+        st.integers(1, 10**6),
+        st.floats(1e-3, 10.0),
+        st.integers(1, 10),
+    )
+    def test_grid_report_matches_point_reports(self, ts, eta, nu, mean, stages):
+        grid = Channel(np.array(ts), eta)
+        points = [Channel(t, eta) for t in ts]
+        sources = (Coherent(mean), make_multiplexed(stages, mean), Fock(1))
+        snl = snl_report(mean, grid, nu)
+        point_snls = [snl_report(mean, ch, nu) for ch in points]
+        for detector in Detector:
+            for source in sources:
+                report = exact_report(source, detector, grid, nu)
+                ratios = snl_ratio(report, snl)
+                for i, ch in enumerate(points):
+                    point = exact_report(source, detector, ch, nu)
+                    assert within_ulps(report.expectation[i], point.expectation)
+                    assert within_ulps(report.variance[i], point.variance)
+                    assert abs(report.bias[i] - point.bias) <= 1e-15
+                    assert abs(report.mse[i] - point.mse) <= 1e-15
+                    assert (report.relative_mse_percent[i] is None) == (
+                        point.relative_mse_percent is None
+                    )
+                    assert (ratios[i] is None) == (snl_ratio(point, point_snls[i]) is None)
+        for source in sources:
+            floors = asymptotic_relative_mse_floor(source, grid)
+            for i, ch in enumerate(points):
+                floor = asymptotic_relative_mse_floor(source, ch)
+                assert (floors[i] is None) == (floor is None)
+                if floor is not None:
+                    # 100 |bias| / t, with the bias within 1e-15.
+                    assert abs(floors[i] - floor) <= 100.0 * 1e-15 / ch.transmission
 
 
 def test_weak_herald_click_probability_does_not_cancel():

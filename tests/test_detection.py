@@ -25,9 +25,17 @@ class TestChannel:
     def test_survival_product(self):
         assert Channel(0.8, 0.9).survival == pytest.approx(0.72)
 
-    @pytest.mark.parametrize("kwargs", [{"transmission": 1.2}, {"detector_eff": -0.1}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"transmission": 1.2},
+            {"detector_eff": -0.1},
+            {"transmission": np.array([0.0, 0.5, 1.0 + 1e-12, 1.0])},
+        ],
+    )
     def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        (field,) = kwargs
+        with pytest.raises(ValueError, match=field):
             Channel(**{"transmission": 0.5, "detector_eff": 0.9, **kwargs})
 
 

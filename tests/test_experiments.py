@@ -2,7 +2,7 @@
 experiment-level physics checks."""
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from subshot.experiments import (
     ConfigError,
     ROW_COLUMNS,
     SweepConfig,
+    SweepRow,
     _exact_rows,
     _sources,
     rows_to_csv,
@@ -376,7 +377,8 @@ class TestSerialization:
 
     def test_numpy_built_config_writes_like_the_literal_one(self):
         """Numbers are stored as Python floats and ints, so numpy scalars
-        change neither a CSV cell nor the digest."""
+        change neither a CSV cell nor the digest, and no experiment puts a
+        numpy scalar into a row."""
         built = SweepConfig(
             experiment="nr-ratio",
             t_grid=tuple(np.linspace(0.0, 1.0, 3)),
@@ -389,6 +391,19 @@ class TestSerialization:
         assert rows_to_csv(run_experiment(built)).encode() == rows_to_csv(
             run_experiment(literal)
         ).encode()
+        numeric = [f.name for f in fields(SweepRow) if f.type != "str"]
+        for experiment in EXPERIMENTS:
+            cfg = replace(
+                built,
+                experiment=experiment,
+                mean_grid=(np.float64(0.5),),
+                a_grid=(0.0, np.float64(0.3)),
+                rounds=np.int64(3),
+                trials=np.int64(50),
+            )
+            for row in run_experiment(cfg):
+                for name in numeric:
+                    assert type(getattr(row, name)) in (float, int, type(None)), (experiment, name)
 
     def test_json_round_trip(self):
         import json
