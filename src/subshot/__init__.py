@@ -9,6 +9,7 @@ the `subshot` command line tool.
 from subshot.pmf import Moments, poisson_rows
 from subshot.sources import (
     Coherent,
+    ConfigError,
     Fock,
     Multiplexed,
     Source,
@@ -31,11 +32,11 @@ from subshot.estimators import (
     snl_report,
 )
 from subshot.montecarlo import (
+    NEGATIVES,
+    REDRAWS,
     FluctuationConfig,
     McEstimate,
     McSummary,
-    NegativeDraws,
-    PumpRedraw,
     fluctuation_mse,
     fluctuation_study,
     mc_estimate,

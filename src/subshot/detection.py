@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from subshot.pmf import Moments
-from subshot.sources import Source, source_click_probability, source_count_rows, source_moments
+from subshot.sources import Source, check_fraction, source_click_probability
+from subshot.sources import source_count_rows, source_moments
 
 
 class Detector(enum.Enum):
@@ -41,12 +42,8 @@ class Channel:
     detector_eff: float = 0.9
 
     def __post_init__(self):
-        t = np.asarray(self.transmission)
-        outside = ~((t >= 0.0) & (t <= 1.0))
-        if outside.any():
-            raise ValueError(f"transmission must lie in [0, 1], got {t[outside][0]}")
-        if not 0.0 <= self.detector_eff <= 1.0:
-            raise ValueError(f"detector_eff must lie in [0, 1], got {self.detector_eff}")
+        check_fraction("transmission", self.transmission)
+        check_fraction("detector_eff", self.detector_eff)
 
     @property
     def survival(self) -> float | np.ndarray:

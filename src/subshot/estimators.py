@@ -25,6 +25,7 @@ plus a trial count and a seed; both normalize by `reference_mean`.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,16 +60,17 @@ def reference_mean(source: Source, detector: Detector, detector_eff: float) -> f
     The mean detected count with the sample removed (survival eta): eta
     times the source mean at the sample (number-resolving) or the click
     probability (threshold), except for the Fock source under threshold
-    detection, where the photon-number normalization eta * N is kept.  Every
-    estimate divides by it, so a reference that is not > 0 (a vacuum source
-    or a blind detector) raises ValueError.
+    detection, where the photon-number normalization eta * N is kept.  The
+    reports divide by nu * reference**2, so a reference whose square is not
+    a normal float raises ValueError: a vacuum source, a blind detector, or
+    a reference below ~1e-154 or above ~1e154.
     """
     if detector is Detector.THRESHOLD and isinstance(source, Fock):
         ref = detector_eff * source.photons
     else:
         ref = detected_moments(source, detector, detector_eff).mean
-    if not ref > 0.0:
-        raise ValueError(f"reference must be > 0, got {ref} (vacuum source or blind detector)")
+    if not (ref > 0.0 and sys.float_info.min <= ref * ref < np.inf):
+        raise ValueError(f"reference must be > 0 with a normal square, got {ref}")
     return ref
 
 

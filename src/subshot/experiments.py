@@ -7,6 +7,8 @@ plotting.  All grid points are computed with the exact estimator reports
 except the fluctuation study and the Monte Carlo validation, which are seeded
 and deterministic.  `_row` is the only place rows are built, and `_sources`
 the only place the sources of a grid point are made.
+`SweepConfig.validate` checks the run-level rules and builds the objects the
+run builds, whose constructors own the ranges of their fields.
 """
 
 from __future__ import annotations
@@ -27,30 +29,18 @@ from subshot.estimators import (
     snl_report,
     snl_ratio,
 )
-from subshot.montecarlo import (
-    FluctuationConfig,
-    NegativeDraws,
-    PumpRedraw,
-    fluctuation_mse,
-    fluctuation_study,
-    mc_estimate,
-)
+from subshot.montecarlo import FluctuationConfig, fluctuation_mse, fluctuation_study, mc_estimate
 from subshot.sources import (
     MAX_PUMP,
     Coherent,
+    ConfigError,
     Fock,
     Multiplexed,
     Source,
+    check_count,
     make_multiplexed,
     source_moments,
 )
-
-# Largest accepted stage count.  Built multiplexing networks have at most a
-# few tens of stages, and the cap keeps the window count 2**stages and the
-# tuned pump times it far inside the float range: from 1024 stages the count
-# does not convert to a float, and from 865 stages the pump tuning overflows
-# at mean 1.
-MAX_STAGES = 64
 
 # Largest accepted mean photon number per repetition.  The sources studied
 # deliver about one photon.  The Monte Carlo count rows grow with the mean:
@@ -59,21 +49,26 @@ MAX_STAGES = 64
 # which overflows a float beyond ~1e154.
 MAX_MEAN = 1e4
 
+# Largest accepted mean photon number of a per-repetition fluctuations run,
+# whose nu-fold power of the pump-averaged count row costs about the square
+# of the mean: at nu = 200 the run takes ~0.7 s at this cap, ~6.5 s at 500
+# and ~22 s at 1000 (one fresh process on 2 vCPUs).
+MAX_REPETITION_MEAN = 100
+
 # Smallest accepted detector efficiency times mean photon number.  The exact
-# reports divide by nu * reference**2, which underflows to 0 below ~1e-154; at
-# this floor it stays normal, with room for threshold references below it.
+# reports divide by nu * reference**2, so `estimators.reference_mean` rejects
+# a reference below ~1e-154; this floor leaves room above that library floor
+# for threshold references, which can be smaller than the detected mean.
 MIN_REFERENCE = 1e-100
 
 # Stage counts of the canned mc-validate configurations.
 _MC_VALIDATE_STAGES = (2, 5)
 
-
-class ConfigError(ValueError):
-    """Configuration validation failure, naming the offending field."""
-
-    def __init__(self, field: str, message: str):
-        self.field = field
-        super().__init__(f"{field}: {message}")
+# Mean grids of the experiments that sweep the mean, when none is given.
+_DEFAULT_MEAN_GRIDS = {
+    "intensity-sweep": tuple(float(x) for x in np.arange(0.05, 1.0001, 0.05)),
+    "asymptotic": (0.2, 0.5, 1.0),
+}
 
 
 def _uniform_grid(n: int = 101) -> tuple[float, ...]:
@@ -129,44 +124,34 @@ class SweepConfig:
                 entries = value if f.type.startswith("tuple") else (value,)
                 if not all(isinstance(v, int) for v in entries):
                     raise ConfigError(f.name, f"must be integer-valued, got {value!r}")
-        if not self.t_grid:
-            raise ConfigError("t_grid", "must be non-empty")
-        for t in self.t_grid:
-            if not 0.0 <= t <= 1.0:
-                raise ConfigError("t_grid", f"transmission {t} outside [0, 1]")
-        if not self.stage_counts:
-            raise ConfigError("stage_counts", "must be non-empty")
-        for m in self.stage_counts:
-            if not 1 <= m <= MAX_STAGES:
-                raise ConfigError("stage_counts", f"stage count {m} outside [1, {MAX_STAGES}]")
+        for field in ("t_grid", "stage_counts"):
+            if not getattr(self, field):
+                raise ConfigError(field, "must be non-empty")
         for n in self.mean_grid:
             if not 0 < n <= MAX_MEAN:
                 raise ConfigError("mean_grid", f"mean photon number {n} outside (0, {MAX_MEAN:g}]")
-        if not self.a_grid:
-            raise ConfigError("a_grid", "must be non-empty")
-        for a in self.a_grid:
-            if not 0.0 <= a <= 0.6:
-                raise ConfigError("a_grid", f"fluctuation {a} outside [0, 0.6]")
         if not 0 < self.mean_photons <= MAX_MEAN:
             raise ConfigError("mean_photons", f"{self.mean_photons} outside (0, {MAX_MEAN:g}]")
-        if not 0.0 <= self.transmission <= 1.0:
-            raise ConfigError("transmission", "must lie in [0, 1]")
-        for field in ("detector_eff", "optics_transmission", "stage_transmission", "herald_eff"):
-            value = getattr(self, field)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(field, "must lie in [0, 1]")
+        check_count("trials", self.trials, 1)
+        # Build what the run builds: the grid channel's transmission and the
+        # sources' stages are this config's t_grid and stage_counts.
+        calibration = (self.herald_eff, self.stage_transmission, self.optics_transmission)
+        try:
+            Channel(np.array(self.t_grid), self.detector_eff)
+            networks = [Multiplexed(m, MAX_PUMP, *calibration) for m in self.stage_counts]
+        except ConfigError as err:
+            field = {"transmission": "t_grid", "stages": "stage_counts"}.get(err.field, err.field)
+            raise ConfigError(field, err.reason) from None
+        Channel(self.transmission, self.detector_eff)
+        FluctuationConfig(self.a_grid, self.rounds, self.nu, self.redraw, self.negatives)
         self._validate_reference()
-        self._validate_reach()
-        if self.nu < 1:
-            raise ConfigError("nu", "must be >= 1")
-        if self.rounds < 2:
-            raise ConfigError("rounds", "must be >= 2")
-        if self.trials < 1:
-            raise ConfigError("trials", "must be >= 1")
-        if self.redraw not in ("per-round", "per-repetition"):
-            raise ConfigError("redraw", "must be 'per-round' or 'per-repetition'")
-        if self.negatives not in ("clamp", "resample"):
-            raise ConfigError("negatives", "must be 'clamp' or 'resample'")
+        if self.experiment == "mc-validate":
+            networks = [Multiplexed(m, MAX_PUMP, *calibration) for m in _MC_VALIDATE_STAGES]
+        self._validate_reach(networks)
+        per_repetition = self.experiment == "fluctuations" and self.redraw == "per-repetition"
+        if per_repetition and self.mean_photons > MAX_REPETITION_MEAN:
+            cap = f"{MAX_REPETITION_MEAN}, the cap for per-repetition redraws"
+            raise ConfigError("mean_photons", f"{self.mean_photons} is above {cap}")
 
     def _validate_reference(self) -> None:
         """The detector efficiency times the smallest mean must reach
@@ -181,17 +166,12 @@ class SweepConfig:
                 f"{MIN_REFERENCE:g}: the estimator reference would vanish",
             )
 
-    def _validate_reach(self) -> None:
-        """Every multiplexed source the run tunes must reach its largest mean
-        with a pump up to MAX_PUMP.  The output mean grows with the pump, so
+    def _validate_reach(self, networks: list[Multiplexed]) -> None:
+        """Every multiplexed source the run tunes, given at pump MAX_PUMP,
+        must reach its largest mean.  The output mean grows with the pump, so
         checking that one pump suffices; a zero field keeps it at 0."""
-        # Without a mean grid, intensity-sweep and asymptotic sweep default
-        # grids that end at 1.
-        top_mean = max(self.mean_photons, *(self.mean_grid or (1.0,)))
-        tuned = _MC_VALIDATE_STAGES if self.experiment == "mc-validate" else self.stage_counts
-        for m in tuned:
-            calibration = (self.herald_eff, self.stage_transmission, self.optics_transmission)
-            source = Multiplexed(m, MAX_PUMP, *calibration)
+        top_mean = max((self.mean_photons, *_mean_grid(self)))
+        for source in networks:
             if source_moments(source).mean < top_mean:
                 # Name the factor that loses the most light; the network
                 # transmission stands for the stage transmission.
@@ -203,8 +183,8 @@ class SweepConfig:
                 field = min(losses, key=losses.get)
                 raise ConfigError(
                     field,
-                    f"{getattr(self, field)} is too small: a {m}-stage source cannot reach mean "
-                    f"{top_mean} with a pump up to {MAX_PUMP:g}",
+                    f"{getattr(self, field)} is too small: a {source.stages}-stage source "
+                    f"cannot reach mean {top_mean} with a pump up to {MAX_PUMP:g}",
                 )
 
     def canonical(self) -> str:
@@ -261,14 +241,6 @@ ROW_COLUMNS = tuple(f.name for f in fields(SweepRow))
 _REPORT_COLUMNS = ("expectation", "bias", "variance", "mse", "relative_mse_percent")
 
 
-def _source_label(source: Source) -> str:
-    if isinstance(source, Coherent):
-        return "coherent"
-    if isinstance(source, Fock):
-        return "fock"
-    return "multiplexed"
-
-
 def _row(
     cfg: SweepConfig,
     source: Source,
@@ -283,7 +255,7 @@ def _row(
     and `source`, the experiment's output columns from `outputs`."""
     return SweepRow(
         experiment=cfg.experiment,
-        source=_source_label(source),
+        source=type(source).__name__.lower(),  # coherent, fock or multiplexed
         detector=detector.value,
         stages=source.stages if isinstance(source, Multiplexed) else None,
         t=t,
@@ -294,6 +266,11 @@ def _row(
         config_hash=cfg.digest(),
         **outputs,
     )
+
+
+def _mean_grid(cfg: SweepConfig) -> tuple[float, ...]:
+    """The means `cfg` sweeps: its mean grid, or its experiment's default."""
+    return cfg.mean_grid or _DEFAULT_MEAN_GRIDS.get(cfg.experiment, ())
 
 
 def _sources(cfg: SweepConfig, mean: float) -> list[Source]:
@@ -346,10 +323,9 @@ def _ratio_sweep(cfg: SweepConfig, detector: Detector):
 def _run_intensity_sweep(cfg: SweepConfig):
     """Ratio versus input mean photon number at fixed sample transmission;
     the multiplexed pump is re-tuned at every grid point."""
-    mean_grid = cfg.mean_grid or tuple(float(x) for x in np.arange(0.05, 1.0001, 0.05))
     ch = Channel(cfg.transmission, cfg.detector_eff)
     rows = []
-    for mean in mean_grid:
+    for mean in _mean_grid(cfg):
         rows += _exact_rows(cfg, _sources(cfg, mean), Detector, ch, mean)
     return rows
 
@@ -357,10 +333,9 @@ def _run_intensity_sweep(cfg: SweepConfig):
 def _run_asymptotic(cfg: SweepConfig):
     """Infinite-repetition relative MSE floor of the threshold estimators,
     one closed-form call over the whole t-grid per source."""
-    mean_grid = cfg.mean_grid or (0.2, 0.5, 1.0)
     ch = Channel(np.array(cfg.t_grid), cfg.detector_eff)
     rows = []
-    for mean in mean_grid:
+    for mean in _mean_grid(cfg):
         sources = _sources(cfg, mean)
         floors = zip(*(_per_t(asymptotic_relative_mse_floor(source, ch)) for source in sources))
         for t, per_source in zip(cfg.t_grid, floors):
@@ -381,13 +356,7 @@ def _run_fluctuations(cfg: SweepConfig):
     """Seeded pump-fluctuation study over the a-grid, each row with the
     exact MSE it samples and its deviation in standard errors.  The deviation
     is skewed under per-round pump noise, so it is recorded, not bounded."""
-    mc_cfg = FluctuationConfig(
-        a_grid=cfg.a_grid,
-        rounds=cfg.rounds,
-        nu=cfg.nu,
-        redraw=PumpRedraw(cfg.redraw),
-        negatives=NegativeDraws(cfg.negatives),
-    )
+    mc_cfg = FluctuationConfig(cfg.a_grid, cfg.rounds, cfg.nu, cfg.redraw, cfg.negatives)
     t, mean = cfg.transmission, cfg.mean_photons
     ch = Channel(t, cfg.detector_eff)
     sources = _sources(cfg, mean)

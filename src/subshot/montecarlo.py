@@ -23,9 +23,10 @@ repetitions' inverse-CDF draws from that row is counted against the sorted
 uniforms (`_round_totals`).  Redrawn per repetition, the counts are
 independent and follow the pump average of the row, so a round is one
 inverse-CDF lookup in its nu-fold power, as in `mc_estimate`.  Negative draws
-clamp to zero by default or are resampled.  The pump averages are quadratures
-over `pump_nodes`, and the same nodes give `fluctuation_mse`, the exact MSE
-the study samples, in every mode and for both detectors.
+clamp to zero by default or are resampled; both modes are the command line's
+strings (`REDRAWS`, `NEGATIVES`).  The pump averages are quadratures over
+`pump_nodes`, and the same nodes give `fluctuation_mse`, the exact MSE the
+study samples, in every mode and for both detectors.
 
 Reproducibility: every round derives its generator stream from (seed, round
 index), so results are independent of execution schedule.  The stream is
@@ -36,7 +37,6 @@ noisy.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -45,7 +45,7 @@ import numpy as np
 
 from subshot.detection import Channel, detected_moments, detected_rows
 from subshot.estimators import reference_mean
-from subshot.sources import Source, source_pump
+from subshot.sources import ConfigError, Source, check_count, source_pump
 
 # Count rows discard less than this mass per trimmed tail, far below the
 # spacing of the uniforms they are sampled with.
@@ -53,6 +53,17 @@ _ROW_TAIL = 1e-18
 
 # Gauss-Legendre nodes of the pump quadrature.
 _PUMP_NODES = 48
+
+# How often the fluctuating pump is redrawn, and what becomes of Gaussian
+# pump draws below zero; the first of each is the default.
+REDRAWS = ("per-round", "per-repetition")
+NEGATIVES = ("clamp", "resample")
+
+
+def _check_mode(field: str, value: str, allowed: tuple[str, ...]) -> None:
+    """ConfigError naming `field` unless `value` is one of `allowed`."""
+    if value not in allowed:
+        raise ConfigError(field, f"must be one of {', '.join(allowed)}, got {value!r}")
 
 
 def _trim_tails(offset: int, row: np.ndarray) -> tuple[int, np.ndarray]:
@@ -111,14 +122,11 @@ def mc_estimate(
     by nu times `reference_mean` and is compared against the true
     transmission; deterministic per seed.
     """
-    if nu != int(nu) or nu < 1:
-        raise ValueError(f"nu must be an integer >= 1, got {nu}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    nu, trials = check_count("nu", nu, 1), check_count("trials", trials, 1)
     ref = reference_mean(source, detector, channel.detector_eff)
     rng = np.random.default_rng(seed)
     row = detected_rows(source, detector, channel.survival, _ROW_TAIL)
-    totals = _invert_cdf(*_total_count_row(row, int(nu)), rng.random(trials))
+    totals = _invert_cdf(*_total_count_row(row, nu), rng.random(trials))
 
     estimates = totals / (nu * ref)
     sq_err = (estimates - channel.transmission) ** 2
@@ -131,46 +139,31 @@ def mc_estimate(
     )
 
 
-class PumpRedraw(enum.Enum):
-    """How often the fluctuating pump strength is redrawn."""
-
-    PER_REPETITION = "per-repetition"
-    PER_ROUND = "per-round"
-
-
-class NegativeDraws(enum.Enum):
-    """What to do with Gaussian pump draws below zero."""
-
-    RESAMPLE = "resample"
-    CLAMP = "clamp"
-
-
 @dataclass(frozen=True)
 class FluctuationConfig:
     """Configuration of the pump-fluctuation study.
 
-    `a_grid` holds the fluctuation fractions (sigma = a * mean); rounds is the
-    number of MSE-evaluation rounds per grid point and nu the repetitions per
-    round.
+    `a_grid` holds the fluctuation fractions (sigma = a * mean) in [0, 0.6];
+    rounds is the number of MSE-evaluation rounds per grid point and nu the
+    repetitions per round.  A field out of range raises `ConfigError`.
     """
 
     a_grid: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
     rounds: int = 50
     nu: int = 200
-    redraw: PumpRedraw = PumpRedraw.PER_ROUND
-    negatives: NegativeDraws = NegativeDraws.CLAMP
+    redraw: str = REDRAWS[0]
+    negatives: str = NEGATIVES[0]
 
     def __post_init__(self):
         if not self.a_grid:
-            raise ValueError("a_grid must be non-empty")
+            raise ConfigError("a_grid", "must be non-empty")
         for a in self.a_grid:
             if not 0.0 <= a <= 0.6:
-                raise ValueError(f"fluctuation fraction must lie in [0, 0.6], got {a}")
-        for name, low in (("rounds", 2), ("nu", 1)):
-            value = getattr(self, name)
-            if value != int(value) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value}")
-            object.__setattr__(self, name, int(value))
+                raise ConfigError("a_grid", f"fluctuation {a} outside [0, 0.6]")
+        object.__setattr__(self, "rounds", check_count("rounds", self.rounds, 2))
+        object.__setattr__(self, "nu", check_count("nu", self.nu, 1))
+        _check_mode("redraw", self.redraw, REDRAWS)
+        _check_mode("negatives", self.negatives, NEGATIVES)
 
 
 @dataclass(frozen=True)
@@ -206,7 +199,7 @@ def _legendre_nodes() -> tuple[np.ndarray, np.ndarray]:
     return x, 2.0 / ((1.0 - x * x) * slope * slope)
 
 
-def pump_nodes(a: float, negatives: NegativeDraws) -> tuple[np.ndarray, np.ndarray]:
+def pump_nodes(a: float, negatives: str) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes x and weights w of the relative pump x = 1 + a*z,
     z standard normal, truncated at zero as `negatives` says.
 
@@ -217,6 +210,7 @@ def pump_nodes(a: float, negatives: NegativeDraws) -> tuple[np.ndarray, np.ndarr
     resampled ones renormalize the positive part.  At a = 0 the pump is
     fixed: the single node x = 1 with weight 1.
     """
+    _check_mode("negatives", negatives, NEGATIVES)
     if a == 0.0:
         return np.ones(1), np.ones(1)
     s, w = _legendre_nodes()
@@ -225,7 +219,7 @@ def pump_nodes(a: float, negatives: NegativeDraws) -> tuple[np.ndarray, np.ndarr
     z = z_min + half * (s + 1.0)
     w = half * w * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
     p_negative = 0.5 * math.erfc(1.0 / (a * math.sqrt(2.0)))
-    if negatives is NegativeDraws.CLAMP:
+    if negatives == "clamp":
         return np.append(1.0 + a * z, 0.0), np.append(w, p_negative)
     return 1.0 + a * z, w / (1.0 - p_negative)
 
@@ -250,7 +244,7 @@ def fluctuation_mse(
     for a in cfg.a_grid:
         x, w = pump_nodes(a, cfg.negatives)
         k = detected_moments(source, detector, channel.survival, mu0 * x)
-        if cfg.redraw is PumpRedraw.PER_ROUND:
+        if cfg.redraw == "per-round":
             mse = w @ (k.variance / scale + (k.mean / ref - t) ** 2)
         else:
             pumped = w @ k.mean
@@ -270,11 +264,7 @@ def _round_totals(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _pumps_from_noise(
-    rng: np.random.Generator,
-    mu0: float,
-    a: np.ndarray,
-    z: float,
-    negatives: NegativeDraws,
+    rng: np.random.Generator, mu0: float, a: np.ndarray, z: float, negatives: str
 ) -> np.ndarray:
     """Pump strengths mu0 * (1 + a*z), one per fluctuation fraction in `a`,
     truncated at zero.
@@ -284,7 +274,7 @@ def _pumps_from_noise(
     state there, so each `a` sees the replacement normals it would see alone.
     """
     mu = mu0 * (1.0 + a * z)
-    if negatives is NegativeDraws.CLAMP:
+    if negatives == "clamp":
         return np.maximum(mu, 0.0)
     state = rng.bit_generator.state
     for i in np.flatnonzero(mu < 0):
@@ -356,7 +346,7 @@ def fluctuation_study(
     """
     ref0 = reference_mean(source, detector, channel.detector_eff)
     mu0 = source_pump(source)
-    if cfg.redraw is PumpRedraw.PER_ROUND:
+    if cfg.redraw == "per-round":
         totals = _per_round_totals(cfg, source, detector, channel.survival, mu0, seed)
     else:
         totals = _per_repetition_totals(cfg, source, detector, channel.survival, mu0, seed)

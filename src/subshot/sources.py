@@ -21,6 +21,11 @@ source's own (`source_pump`), as the Monte Carlo fluctuation rounds and the
 pump averages of `montecarlo.fluctuation_mse` need, and the click
 probability takes an array of survivals in the same way, as the exact
 reports over a transmission grid need.
+
+Each source constructor checks its own fields, as `detection.Channel` and
+`montecarlo.FluctuationConfig` do theirs, and raises the `ConfigError`
+defined here, naming the field; `check_count` and `check_fraction` are the
+count and [0, 1] rules they share.
 """
 
 from __future__ import annotations
@@ -39,11 +44,44 @@ DEFAULT_HERALD_EFF = 0.9
 DEFAULT_STAGE_TRANSMISSION = 0.88
 DEFAULT_OPTICS_TRANSMISSION = 0.9
 
-# Largest pump strength the tuning brackets.  With at most 2**64 windows
-# (`experiments.MAX_STAGES`) the herald exponent 2**stages * herald_eff * pump
-# stays below 1e270, so every closed form stays finite, without an overflow
-# warning, up to twice this pump.
+# Largest accepted stage count.  Built multiplexing networks have at most a
+# few tens of stages, and the cap keeps the window count 2**stages and the
+# tuned pump times it far inside the float range: from 1024 stages the count
+# does not convert to a float, and from 865 stages the pump tuning overflows
+# at mean 1.
+MAX_STAGES = 64
+
+# Largest pump strength the tuning brackets.  With at most 2**MAX_STAGES
+# windows the herald exponent 2**stages * herald_eff * pump stays below
+# 1e270, so every closed form stays finite, without an overflow warning, up
+# to twice this pump.
 MAX_PUMP = 1e250
+
+
+class ConfigError(ValueError):
+    """Invalid input, naming the offending field."""
+
+    def __init__(self, field: str, reason: str):
+        self.field = field
+        self.reason = reason
+        super().__init__(f"{field}: {reason}")
+
+
+def check_count(field: str, value, low: int) -> int:
+    """`value` as an int; ConfigError naming `field` unless it is an
+    integer-valued number >= `low` (NaN and infinities are not)."""
+    if not (value >= low and value % 1 == 0):
+        raise ConfigError(field, f"must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def check_fraction(field: str, value) -> None:
+    """ConfigError naming `field` unless `value`, a float or an array of
+    them, lies in [0, 1] everywhere.  A float is checked without numpy:
+    intensity-sweep builds ~700 sources a pass."""
+    for v in value.ravel().tolist() if isinstance(value, np.ndarray) else (value,):
+        if not 0.0 <= v <= 1.0:
+            raise ConfigError(field, f"must lie in [0, 1], got {v}")
 
 
 @dataclass(frozen=True)
@@ -53,8 +91,8 @@ class Coherent:
     mean: float
 
     def __post_init__(self):
-        if self.mean < 0:
-            raise ValueError(f"coherent mean must be >= 0, got {self.mean}")
+        if not self.mean >= 0:
+            raise ConfigError("mean", f"must be >= 0, got {self.mean}")
 
 
 @dataclass(frozen=True)
@@ -64,8 +102,7 @@ class Fock:
     photons: int
 
     def __post_init__(self):
-        if self.photons != int(self.photons) or self.photons < 0:
-            raise ValueError(f"photons must be a non-negative integer, got {self.photons}")
+        object.__setattr__(self, "photons", check_count("photons", self.photons, 0))
 
 
 @dataclass(frozen=True)
@@ -89,22 +126,21 @@ class Multiplexed:
     optics_transmission: float = DEFAULT_OPTICS_TRANSMISSION
 
     def __post_init__(self):
-        if self.stages != int(self.stages) or self.stages < 1:
-            raise ValueError(f"stages must be an integer >= 1, got {self.stages}")
-        if self.pair_mean < 0:
-            raise ValueError(f"pair_mean must be >= 0, got {self.pair_mean}")
+        object.__setattr__(self, "stages", check_count("stages", self.stages, 1))
+        if self.stages > MAX_STAGES:
+            raise ConfigError("stages", f"must be <= {MAX_STAGES}, got {self.stages}")
+        if not self.pair_mean >= 0:
+            raise ConfigError("pair_mean", f"must be >= 0, got {self.pair_mean}")
         for name in ("herald_eff", "stage_transmission", "optics_transmission"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+            check_fraction(name, getattr(self, name))
 
     @property
     def window_count(self) -> int:
-        return 2 ** int(self.stages)
+        return 2**self.stages
 
     @property
     def network_transmission(self) -> float:
-        return self.stage_transmission ** int(self.stages)
+        return self.stage_transmission**self.stages
 
 
 Source = Coherent | Fock | Multiplexed

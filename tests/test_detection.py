@@ -11,6 +11,7 @@ from subshot.detection import Channel
 from subshot.pmf import poisson_rows
 from subshot.sources import (
     Coherent,
+    ConfigError,
     Fock,
     Multiplexed,
     source_click_probability,
@@ -30,13 +31,16 @@ class TestChannel:
         [
             {"transmission": 1.2},
             {"detector_eff": -0.1},
+            {"detector_eff": float("nan")},
             {"transmission": np.array([0.0, 0.5, 1.0 + 1e-12, 1.0])},
+            {"transmission": np.array([0.5, float("nan")])},
         ],
     )
     def test_invalid_rejected(self, kwargs):
         (field,) = kwargs
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ConfigError, match=field) as err:
             Channel(**{"transmission": 0.5, "detector_eff": 0.9, **kwargs})
+        assert err.value.field == field
 
 
 class TestNumberResolving:

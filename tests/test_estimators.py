@@ -215,11 +215,23 @@ class TestExactReportDispatch:
     @pytest.mark.parametrize("detector", list(Detector))
     @pytest.mark.parametrize(
         "source, channel",
-        [(Coherent(0.0), Channel(0.5, 0.9)), (Coherent(1.0), Channel(0.5, 0.0))],
-        ids=["vacuum-source", "blind-detector"],
+        [
+            (Coherent(0.0), Channel(0.5, 0.9)),
+            (Coherent(1.0), Channel(0.5, 0.0)),
+            (Coherent(1e-200), Channel(0.5)),
+            (Coherent(1e-170), Channel(0.5)),
+        ],
+        ids=["vacuum-source", "blind-detector", "reference-1e-200", "reference-1e-170"],
     )
     def test_zero_reference_rejected(self, source, channel, detector):
-        """A vacuum source or a blind detector leaves nothing to normalize by:
-        a ValueError, not a bare ZeroDivisionError."""
+        """A vacuum source or a blind detector leaves nothing to normalize by,
+        and a reference below ~1e-154 has a square that underflows: a
+        ValueError, not a bare ZeroDivisionError."""
         with pytest.raises(ValueError, match="reference must be > 0"):
             exact_report(source, detector, channel, 50)
+
+    def test_overflowing_reference_rejected(self):
+        """A number-resolving reference above ~1e154 squares to infinity: a
+        ValueError, not a bare OverflowError."""
+        with pytest.raises(ValueError, match="reference must be > 0"):
+            exact_report(Coherent(1e200), Detector.NUMBER_RESOLVING, Channel(0.5), 50)

@@ -14,18 +14,19 @@ from subshot.estimators import Detector
 from subshot.experiments import (
     EXPERIMENTS,
     MAX_MEAN,
-    MAX_STAGES,
+    MAX_REPETITION_MEAN,
     ConfigError,
     ROW_COLUMNS,
     SweepConfig,
     SweepRow,
     _exact_rows,
+    _mean_grid,
     _sources,
     rows_to_csv,
     rows_to_json,
     run_experiment,
 )
-from subshot.sources import source_moments
+from subshot.sources import MAX_PUMP, MAX_STAGES, Multiplexed, source_moments
 
 # Fixed example sequence: the suite stays deterministic and writes no
 # example database.
@@ -93,13 +94,18 @@ class TestConfigValidation:
         "field,value",
         [
             ("t_grid", (1.2,)),
+            ("t_grid", (0.5, math.nan)),
             ("t_grid", ()),
             ("stage_counts", (0,)),
+            ("stage_counts", (2, MAX_STAGES + 1)),
             ("mean_grid", (-1.0,)),
             ("a_grid", (0.9,)),
             ("a_grid", ()),
             ("mean_photons", 0.0),
             ("transmission", 1.5),
+            ("transmission", math.nan),
+            ("herald_eff", math.nan),
+            ("optics_transmission", 1.5),
             ("detector_eff", -0.2),
             ("detector_eff", 0.0),
             ("nu", 0),
@@ -159,6 +165,34 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as err:
             SweepConfig(experiment="nr-ratio", **{field: above}).validate()
         assert err.value.field == field
+
+    def test_per_repetition_mean_cap(self):
+        """Validated only: above the cap a per-repetition run takes minutes.
+        Per-round runs and other experiments keep the MAX_MEAN cap."""
+        per_repetition = {"experiment": "fluctuations", "redraw": "per-repetition"}
+        SweepConfig(**per_repetition, mean_photons=MAX_REPETITION_MEAN).validate()
+        SweepConfig(experiment="fluctuations", mean_photons=MAX_MEAN).validate()
+        with pytest.raises(ConfigError) as err:
+            SweepConfig(**per_repetition, mean_photons=2 * MAX_REPETITION_MEAN).validate()
+        assert err.value.field == "mean_photons"
+
+    @pytest.mark.parametrize("experiment, size", [("intensity-sweep", 20), ("asymptotic", 3)])
+    def test_default_mean_grid_is_the_swept_one(self, experiment, size):
+        cfg = SweepConfig(experiment=experiment, t_grid=(0.5,), stage_counts=(2,))
+        assert len(_mean_grid(cfg)) == size and max(_mean_grid(cfg)) == 1.0
+        assert sorted({row.mean_photons for row in run_experiment(cfg)}) == list(_mean_grid(cfg))
+
+    def test_reach_checks_the_means_the_run_tunes(self):
+        """A 64-stage network whose largest mean lies between 0.5 and 1 runs
+        nr-ratio at mean 0.5, but not intensity-sweep, whose default grid
+        ends at 1."""
+        lossy = {"stage_counts": (64,), "stage_transmission": 1.24e-4, "mean_photons": 0.5}
+        top = source_moments(Multiplexed(64, MAX_PUMP, 0.9, 1.24e-4, 0.9)).mean
+        assert 0.5 < top < 1.0
+        SweepConfig(experiment="nr-ratio", **lossy).validate()
+        with pytest.raises(ConfigError) as err:
+            SweepConfig(experiment="intensity-sweep", **lossy).validate()
+        assert err.value.field == "stage_transmission"
 
     def test_mc_validate_checks_its_own_stage_counts(self):
         """One stage reaches the mean through a 1e-60 stage, but the 5 stages

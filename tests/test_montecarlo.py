@@ -25,9 +25,9 @@ from _oracles import (
 from subshot.detection import Channel
 from subshot.estimators import Detector, exact_report
 from subshot.montecarlo import (
+    NEGATIVES,
+    REDRAWS,
     FluctuationConfig,
-    NegativeDraws,
-    PumpRedraw,
     _ROW_TAIL,
     _invert_cdf,
     _legendre_nodes,
@@ -40,6 +40,7 @@ from subshot.montecarlo import (
 )
 from subshot.sources import (
     Coherent,
+    ConfigError,
     Fock,
     Multiplexed,
     make_multiplexed,
@@ -54,11 +55,17 @@ CH = Channel(0.8, 0.9)
 # example database.
 CHECKS = settings(derandomize=True, database=None, deadline=None)
 SOURCE_KINDS = ("coherent", "fock", "multiplexed")
-# A vacuum source and a blind detector: both leave a zero reference.
+# A vacuum source and a blind detector leave a zero reference, and the two
+# tiny sources one whose square underflows.
 ZERO_REFERENCE = pytest.mark.parametrize(
     "source, channel",
-    [(Coherent(0.0), CH), (Coherent(1.0), Channel(0.5, 0.0))],
-    ids=["vacuum-source", "blind-detector"],
+    [
+        (Coherent(0.0), CH),
+        (Coherent(1.0), Channel(0.5, 0.0)),
+        (Coherent(1e-200), Channel(0.5)),
+        (Coherent(1e-170), Channel(0.5)),
+    ],
+    ids=["vacuum-source", "blind-detector", "reference-1e-200", "reference-1e-170"],
 )
 
 
@@ -379,8 +386,8 @@ class TestFluctuationStudy:
             assert 0.0 < s.mse_se < s.mean_mse
 
     @pytest.mark.parametrize("nu", [200, 4097])
-    @pytest.mark.parametrize("negatives", list(NegativeDraws))
-    @pytest.mark.parametrize("redraw", list(PumpRedraw))
+    @pytest.mark.parametrize("negatives", NEGATIVES)
+    @pytest.mark.parametrize("redraw", REDRAWS)
     def test_grid_equals_single_fraction_studies(self, redraw, negatives, nu):
         """Common random numbers: each fluctuation fraction of a grid gets the
         summary it gets alone, at a few and at thousands of repetitions per
@@ -388,7 +395,7 @@ class TestFluctuationStudy:
         replay the round's stream."""
         # One normal per round: 200 rounds draw negative pumps at both a = 0.5
         # and 0.6.
-        rounds = 200 if redraw is PumpRedraw.PER_ROUND and nu == 200 else 10
+        rounds = 200 if redraw == "per-round" and nu == 200 else 10
         cfg = FluctuationConfig(
             a_grid=(0.0, 0.5, 0.6), rounds=rounds, nu=nu, redraw=redraw, negatives=negatives
         )
@@ -417,7 +424,7 @@ class TestFluctuationStudy:
         """Independent per-repetition pump noise averages out within a round,
         so it inflates the MSE far less than a shared per-round drift."""
         per_rep = FluctuationConfig(
-            a_grid=(0.0, 0.6), rounds=300, redraw=PumpRedraw.PER_REPETITION
+            a_grid=(0.0, 0.6), rounds=300, redraw="per-repetition"
         )
         per_round = FluctuationConfig(a_grid=(0.0, 0.6), rounds=300)
         src = Coherent(0.5)
@@ -430,7 +437,7 @@ class TestFluctuationStudy:
 
     def test_resample_mode_runs(self):
         cfg = FluctuationConfig(
-            a_grid=(0.0, 0.6), rounds=40, negatives=NegativeDraws.RESAMPLE
+            a_grid=(0.0, 0.6), rounds=40, negatives="resample"
         )
         res = fluctuation_study(cfg, Coherent(0.5), Detector.THRESHOLD, CH, seed=2)
         assert len(res) == 2 and all(np.isfinite(s.mean_mse) for s in res)
@@ -444,15 +451,37 @@ class TestFluctuationStudy:
         [
             {"a_grid": (0.7,)},
             {"a_grid": ()},
+            {"a_grid": (0.1, math.nan)},
             {"rounds": 1},
             {"nu": 0},
             {"nu": 2.5},
+            {"nu": math.inf},
             {"rounds": 2.5},
+            {"redraw": "sometimes"},
+            {"negatives": "ignore"},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        (field,) = kwargs
+        with pytest.raises(ConfigError) as err:
             FluctuationConfig(**kwargs)
+        assert err.value.field == field
+
+    def test_string_modes_select_their_mode(self):
+        """The command line's strings select their own mode: per-round
+        clamped noise at a = 0.6 gives the exact MSE 0.2208, not that of
+        another mode."""
+        args = (Coherent(0.5), Detector.NUMBER_RESOLVING, CH)
+        mses = {}
+        for redraw, negatives in REDRAW_NEGATIVES:
+            cfg = FluctuationConfig(a_grid=(0.6,), redraw=redraw, negatives=negatives)
+            mses[redraw, negatives] = fluctuation_mse(cfg, *args)[0]
+        assert mses["per-round", "clamp"] == pytest.approx(0.2208, abs=1e-4)
+        assert mses["per-round", "clamp"] == fluctuation_mse(FluctuationConfig((0.6,)), *args)[0]
+        assert len(set(mses.values())) == 4
+        per_round = FluctuationConfig((0.0, 0.6), rounds=50, redraw="per-round")
+        study = fluctuation_study(per_round, *args, seed=1)
+        assert study[1].mean_mse > 5.0 * study[0].mean_mse
 
 
 def _enumerated_source(stages):
@@ -470,7 +499,7 @@ def _enumerated_source(stages):
     )
 
 
-REDRAW_NEGATIVES = [(r, n) for r in PumpRedraw for n in NegativeDraws]
+REDRAW_NEGATIVES = [(r, n) for r in REDRAWS for n in NEGATIVES]
 
 
 class TestFluctuationMse:
@@ -489,16 +518,16 @@ class TestFluctuationMse:
         np.testing.assert_allclose(weights, want_weights, rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(weights, want_weights, rtol=self.WEIGHT_RTOL, atol=0.0)
 
-    @pytest.mark.parametrize("negatives", list(NegativeDraws))
+    @pytest.mark.parametrize("negatives", NEGATIVES)
     @pytest.mark.parametrize("a", [0.0, 0.001, 0.05, 0.1, 0.3, 0.6])
     def test_pump_nodes_match_oracle_nodes(self, a, negatives):
         """Both integrate z over (max(-1/a, -10), 10)."""
         x, w = pump_nodes(a, negatives)
-        expected = np.array(gaussian_pump_nodes(a, negatives.value))
+        expected = np.array(gaussian_pump_nodes(a, negatives))
         np.testing.assert_allclose(x, expected[:, 0], rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(w, expected[:, 1], rtol=self.WEIGHT_RTOL, atol=0.0)
 
-    @pytest.mark.parametrize("negatives", list(NegativeDraws))
+    @pytest.mark.parametrize("negatives", NEGATIVES)
     @pytest.mark.parametrize("a", [1e-6, 1e-3, 0.01, 0.05, 0.2, 0.6])
     def test_pump_nodes_integrate_the_truncated_normal(self, a, negatives):
         """Mass, E[x] and E[x^2] of x = 1 + a*z clamped at 0 (or conditioned
@@ -508,11 +537,25 @@ class TestFluctuationMse:
         phi = math.exp(-0.5 * c * c) / math.sqrt(2.0 * math.pi)
         positive = 0.5 * math.erfc(-c / math.sqrt(2.0))
         ex, ex2 = positive + a * phi, (1.0 + a * a) * positive + a * phi
-        if negatives is NegativeDraws.RESAMPLE:
+        if negatives == "resample":
             ex, ex2 = ex / positive, ex2 / positive
         assert w.sum() == pytest.approx(1.0, rel=1e-13)
         assert w @ x == pytest.approx(ex, rel=1e-13)
         assert w @ (x * x) == pytest.approx(ex2, rel=1e-13)
+
+    def test_clamped_nodes_end_at_zero(self):
+        """Clamped draws hold P(x < 0) in a node at x = 0 after the 48
+        Gauss-Legendre nodes; resampled ones have none."""
+        x, w = pump_nodes(0.6, "clamp")
+        assert x.size == 49 and x[-1] == 0.0
+        assert w[-1] == pytest.approx(0.5 * math.erfc(1.0 / (0.6 * math.sqrt(2.0))), rel=1e-15)
+        assert pump_nodes(0.6, "resample")[0].size == 48
+
+    @pytest.mark.parametrize("a", [0.0, 0.6])
+    def test_unknown_negatives_named(self, a):
+        with pytest.raises(ConfigError) as err:
+            pump_nodes(a, "ignore")
+        assert err.value.field == "negatives"
 
     @pytest.mark.parametrize("stages", [None, 1, 2, 3, 4, 5, 6], ids=lambda m: f"m{m}")
     def test_matches_oracles_in_every_mode(self, stages):
@@ -529,7 +572,7 @@ class TestFluctuationMse:
 
         for redraw, negatives in REDRAW_NEGATIVES:
             cfg = FluctuationConfig(a_grid=(0.0, 0.6), nu=200, redraw=redraw, negatives=negatives)
-            modes = (redraw.value, negatives.value)
+            modes = (redraw, negatives)
             got = fluctuation_mse(cfg, src, Detector.NUMBER_RESOLVING, CH)
             want = [
                 nr_mse_fluctuating_pump(count_moments, nr_reference, 0.8, 200, a, *modes)
@@ -569,17 +612,17 @@ FLUX_Z_BOUND = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * 2 * (FLUX_EXAMPLES + 2)))
 @settings(CHECKS, max_examples=FLUX_EXAMPLES)
 @example(
     source=make_multiplexed(5, 0.5), detector=Detector.NUMBER_RESOLVING, a=0.6,
-    negatives=NegativeDraws.CLAMP, transmission=0.8, nu=200, seed=5,
+    negatives="clamp", transmission=0.8, nu=200, seed=5,
 )
 @example(
     source=Coherent(0.5), detector=Detector.NUMBER_RESOLVING, a=0.6,
-    negatives=NegativeDraws.CLAMP, transmission=0.8, nu=200, seed=5,
+    negatives="clamp", transmission=0.8, nu=200, seed=5,
 )
 @given(
     source=sources(kinds=("coherent", "multiplexed"), mean_max=2.0),
     detector=st.sampled_from(list(Detector)),
     a=st.floats(0.0, 0.6),
-    negatives=st.sampled_from(list(NegativeDraws)),
+    negatives=st.sampled_from(NEGATIVES),
     transmission=st.floats(0.2, 1.0),
     nu=st.integers(50, 5000),
     seed=st.integers(0, 2**32 - 1),
@@ -598,7 +641,7 @@ def test_per_repetition_study_matches_exact_mse(
     """
     channel = Channel(transmission, 0.9)
     cfg = FluctuationConfig(
-        a_grid=(0.0, a), rounds=400, nu=nu, redraw=PumpRedraw.PER_REPETITION, negatives=negatives
+        a_grid=(0.0, a), rounds=400, nu=nu, redraw="per-repetition", negatives=negatives
     )
     summaries = fluctuation_study(cfg, source, detector, channel, seed)
     for summary, exact in zip(summaries, fluctuation_mse(cfg, source, detector, channel)):

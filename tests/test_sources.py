@@ -10,7 +10,9 @@ import pytest
 from _oracles import enumerate_mux_output, poisson_probs, thinned_count_moments
 from subshot.pmf import Moments, poisson_rows
 from subshot.sources import (
+    MAX_STAGES,
     Coherent,
+    ConfigError,
     Fock,
     Multiplexed,
     make_multiplexed,
@@ -64,6 +66,11 @@ class TestMultiplexed:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             params(**kwargs)
+
+    def test_integral_float_stage_count_is_an_int(self):
+        assert Multiplexed(2.0, 0.1).stages == 2
+        assert isinstance(Multiplexed(2.0, 0.1).stages, int)
+        assert Multiplexed(MAX_STAGES, 0.1).window_count == 2**MAX_STAGES
 
 
 class TestHeraldModel:
@@ -237,6 +244,35 @@ class TestSourceRowsAndValidation:
     def test_fractional_fock_rejected(self):
         with pytest.raises(ValueError):
             Fock(1.5)
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: Coherent(math.nan), "mean"),
+            (lambda: Coherent(-1.0), "mean"),
+            (lambda: Fock(1.5), "photons"),
+            (lambda: Multiplexed(0, 0.1), "stages"),
+            (lambda: Multiplexed(2.5, 0.1), "stages"),
+            (lambda: Multiplexed(MAX_STAGES + 1, 0.1), "stages"),
+            (lambda: make_multiplexed(2000, 0.5), "stages"),
+            (lambda: Multiplexed(1, math.nan), "pair_mean"),
+            (lambda: Multiplexed(1, 0.1, herald_eff=math.nan), "herald_eff"),
+            (lambda: Multiplexed(1, 0.1, stage_transmission=1.5), "stage_transmission"),
+            (lambda: Multiplexed(1, 0.1, optics_transmission=-0.5), "optics_transmission"),
+        ],
+        ids=[
+            "coherent-nan", "coherent-negative", "fock-fractional", "zero-stages",
+            "fractional-stages", "stages-above-cap", "make-2000-stages", "pair-mean-nan",
+            "herald-nan", "stage-above-1", "optics-negative",
+        ],
+    )
+    def test_constructor_names_the_field(self, build, field):
+        """Each constructor owns its fields' ranges and raises a ConfigError
+        (a ValueError) naming the field, NaN included; 2000 stages fail by
+        name, not by overflowing the pump tuning."""
+        with pytest.raises(ConfigError) as err:
+            build()
+        assert err.value.field == field
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(TypeError):
