@@ -29,7 +29,13 @@ from subshot.estimators import (
     snl_report,
     snl_ratio,
 )
-from subshot.montecarlo import FluctuationConfig, fluctuation_mse, fluctuation_study, mc_estimate
+from subshot.montecarlo import (
+    MAX_TRIALS,
+    FluctuationConfig,
+    fluctuation_mse,
+    fluctuation_study,
+    mc_estimate,
+)
 from subshot.sources import (
     MAX_PUMP,
     Coherent,
@@ -132,7 +138,8 @@ class SweepConfig:
                 raise ConfigError("mean_grid", f"mean photon number {n} outside (0, {MAX_MEAN:g}]")
         if not 0 < self.mean_photons <= MAX_MEAN:
             raise ConfigError("mean_photons", f"{self.mean_photons} outside (0, {MAX_MEAN:g}]")
-        check_count("trials", self.trials, 1)
+        check_count("trials", self.trials, 1, MAX_TRIALS)
+        check_count("seed", self.seed, 0)
         # Build what the run builds: the grid channel's transmission and the
         # sources' stages are this config's t_grid and stage_counts.
         calibration = (self.herald_eff, self.stage_transmission, self.optics_transmission)

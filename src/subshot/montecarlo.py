@@ -8,9 +8,10 @@ Both take the distribution and moments of one repetition's count from
 from the closed forms of `sources`; this module knows no source kind and no
 detector, and hands the `detector` argument through unread.
 `mc_estimate` takes `exact_report`'s arguments plus a trial count and a seed.
-It draws only the total count over the nu repetitions, which is all the
-estimators read: one inverse-CDF lookup in the nu-fold convolution power of
-the detected-count row (`_total_count_row`).
+It reads only the total count over the nu repetitions, as the estimators do,
+and only how many trials reach each total: one multinomial draw over the
+nu-fold convolution power of the detected-count row (`_total_count_row`)
+gives that histogram at a cost that does not grow with the trial count.
 
 In the fluctuation study the pump strength becomes a Gaussian random variable
 (sigma = a * mean around the source's own pump, truncated at zero) and the
@@ -22,9 +23,11 @@ source is re-evaluated at the round's pump, and the round total of the
 repetitions' inverse-CDF draws from that row is counted against the sorted
 uniforms (`_round_totals`).  Redrawn per repetition, the counts are
 independent and follow the pump average of the row, so a round is one
-inverse-CDF lookup in its nu-fold power, as in `mc_estimate`.  Negative draws
-clamp to zero by default or are resampled; both modes are the command line's
-strings (`REDRAWS`, `NEGATIVES`).  The pump averages are quadratures over
+inverse-CDF lookup in its nu-fold power, the row `mc_estimate` samples.
+Both modes keep one uniform per draw, not a histogram, so that every
+fluctuation fraction shares them (common random numbers, below).  Negative
+draws clamp to zero by default or are resampled; both modes are the command
+line's strings (`REDRAWS`, `NEGATIVES`).  The pump averages are quadratures over
 `pump_nodes`, and the same nodes give `fluctuation_mse`, the exact MSE the
 study samples, in every mode and for both detectors.
 
@@ -47,9 +50,13 @@ from subshot.detection import Channel, detected_moments, detected_rows
 from subshot.estimators import reference_mean
 from subshot.sources import ConfigError, Source, check_count, source_pump
 
-# Count rows discard less than this mass per trimmed tail, far below the
-# spacing of the uniforms they are sampled with.
+# Count rows discard less than this mass per trimmed tail: far below the
+# spacing of the uniforms the fluctuation rounds sample them with, and a bias
+# far below the standard error of `mc_estimate` at any trial count.
 _ROW_TAIL = 1e-18
+
+# The largest trial count numpy's multinomial takes (a 64-bit integer).
+MAX_TRIALS = 2**63 - 1
 
 # Gauss-Legendre nodes of the pump quadrature.
 _PUMP_NODES = 48
@@ -112,31 +119,41 @@ class McEstimate:
     mse_se: float
 
 
+def _sample_moments(values: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
+    """Mean and standard deviation (ddof 1, or 0 for a single draw) of the
+    sample holding `values[i]` `counts[i]` times."""
+    n = int(counts.sum())
+    mean = counts @ values / n
+    variance = counts @ (values - mean) ** 2 / max(n - 1, 1)
+    return float(mean), math.sqrt(variance)
+
+
 def mc_estimate(
     source: Source, detector, channel: Channel, nu: int, trials: int, seed: int
 ) -> McEstimate:
     """Sample `trials` independent nu-repetition experiments of the estimator
     `exact_report` evaluates at the same arguments.
 
-    Each experiment draws its total count over the nu repetitions, divides it
-    by nu times `reference_mean` and is compared against the true
-    transmission; deterministic per seed.
+    Each experiment's total count over the nu repetitions, divided by nu
+    times `reference_mean`, is its estimate of the true transmission.  One
+    multinomial draw gives how many experiments reach each possible total,
+    which is the same joint law as drawing the totals one by one; numpy walks
+    the categories with conditional binomials, so the cost grows with the
+    number of totals, not with `trials`.  Deterministic per seed.
     """
-    nu, trials = check_count("nu", nu, 1), check_count("trials", trials, 1)
+    nu = check_count("nu", nu, 1)
+    trials = check_count("trials", trials, 1, MAX_TRIALS)
     ref = reference_mean(source, detector, channel.detector_eff)
     rng = np.random.default_rng(seed)
     row = detected_rows(source, detector, channel.survival, _ROW_TAIL)
-    totals = _invert_cdf(*_total_count_row(row, nu), rng.random(trials))
+    offset, probs = _total_count_row(row, nu)
+    counts = rng.multinomial(trials, probs)
 
-    estimates = totals / (nu * ref)
-    sq_err = (estimates - channel.transmission) ** 2
-    ddof = 1 if trials > 1 else 0
-    return McEstimate(
-        expectation=float(estimates.mean()),
-        expectation_se=float(estimates.std(ddof=ddof) / math.sqrt(trials)),
-        mse=float(sq_err.mean()),
-        mse_se=float(sq_err.std(ddof=ddof) / math.sqrt(trials)),
-    )
+    estimates = (offset + np.arange(probs.size)) / (nu * ref)
+    expectation, expectation_sd = _sample_moments(estimates, counts)
+    mse, mse_sd = _sample_moments((estimates - channel.transmission) ** 2, counts)
+    root = math.sqrt(trials)
+    return McEstimate(expectation, expectation_sd / root, mse, mse_sd / root)
 
 
 @dataclass(frozen=True)

@@ -67,11 +67,13 @@ class ConfigError(ValueError):
         super().__init__(f"{field}: {reason}")
 
 
-def check_count(field: str, value, low: int) -> int:
+def check_count(field: str, value, low: int, high: float = math.inf) -> int:
     """`value` as an int; ConfigError naming `field` unless it is an
-    integer-valued number >= `low` (NaN and infinities are not)."""
+    integer-valued number in [`low`, `high`] (NaN and infinities are not)."""
     if not (value >= low and value % 1 == 0):
         raise ConfigError(field, f"must be an integer >= {low}, got {value!r}")
+    if value > high:
+        raise ConfigError(field, f"must be at most {high}, got {value!r}")
     return int(value)
 
 

@@ -175,6 +175,9 @@ class TestMain:
             (["mc-validate", "--mean-n", "1e-300"], "mean_photons"),
             (["intensity-sweep", "--mean-grid", "1e-300"], "mean_grid"),
             (["mc-validate", "--nu", "2.5"], "nu"),
+            (["mc-validate", "--seed", "-1", "--trials", "10"], "seed"),
+            (["show-config", "fluctuations", "--seed", "-1"], "seed"),
+            (["show-config", "mc-validate", "--trials", "100000000000000000000"], "trials"),
         ],
     )
     def test_bad_config_names_field(self, tmp_path, capsys, args, field):

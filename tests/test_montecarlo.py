@@ -5,6 +5,7 @@ and the exact MSE it samples."""
 import functools
 import math
 import time
+import tracemalloc
 from dataclasses import replace
 from statistics import NormalDist
 
@@ -22,16 +23,19 @@ from _oracles import (
     thinned_count_moments,
     threshold_mse_fluctuating_pump,
 )
-from subshot.detection import Channel
-from subshot.estimators import Detector, exact_report
+from subshot.detection import Channel, detected_rows
+from subshot.estimators import Detector, exact_report, reference_mean
 from subshot.montecarlo import (
+    MAX_TRIALS,
     NEGATIVES,
     REDRAWS,
     FluctuationConfig,
+    McEstimate,
     _ROW_TAIL,
     _invert_cdf,
     _legendre_nodes,
     _round_totals,
+    _sample_moments,
     _total_count_row,
     fluctuation_mse,
     fluctuation_study,
@@ -107,6 +111,53 @@ class TestMcEstimate:
         assert abs(res.expectation - exact.expectation) < 4 * res.expectation_se
         assert abs(res.mse - exact.mse) < 4 * res.mse_se
 
+    @pytest.mark.parametrize("trials", [1, MAX_TRIALS])
+    def test_one_point_row_is_exact(self, trials):
+        """Fock(1) over a perfect channel detects nu photons in every trial,
+        so the one populated total holds all trials."""
+        perfect = Channel(1.0, 1.0)
+        res = mc_estimate(Fock(1), Detector.NUMBER_RESOLVING, perfect, 50, trials, seed=1)
+        assert res == McEstimate(expectation=1.0, expectation_se=0.0, mse=0.0, mse_se=0.0)
+
+    @pytest.mark.parametrize("detector", list(Detector))
+    def test_single_trial_is_one_total(self, detector):
+        source, nu = Coherent(1.0), 20
+        res = mc_estimate(source, detector, CH, nu, trials=1, seed=4)
+        total = res.expectation * nu * reference_mean(source, detector, CH.detector_eff)
+        assert total == pytest.approx(round(total), abs=1e-9)
+        assert res.mse == pytest.approx((res.expectation - CH.transmission) ** 2, rel=1e-12)
+        assert res.expectation_se == res.mse_se == 0.0
+
+    @CHECKS
+    @given(
+        source=sources(),
+        detector=st.sampled_from(list(Detector)),
+        survival=st.floats(0.0, 1.0),
+        nu=st.integers(1, 1000),
+        trials=st.one_of(st.integers(1, 10**6), st.just(MAX_TRIALS)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_histogram_counts_sum_to_trials(self, source, detector, survival, nu, trials, seed):
+        """Every total-count row is a valid multinomial distribution: the
+        histogram `mc_estimate` draws from it places each trial once."""
+        row = detected_rows(source, detector, survival, _ROW_TAIL)
+        _, probs = _total_count_row(row, nu)
+        counts = np.random.default_rng(seed).multinomial(trials, probs)
+        assert counts.shape == probs.shape
+        assert (counts >= 0).all()
+        assert int(counts.sum()) == trials
+
+    def test_memory_does_not_grow_with_trials(self):
+        """Ten million trials are one histogram of a few hundred totals; one
+        uniform per trial would allocate 80 MB."""
+        tracemalloc.start()
+        try:
+            mc_estimate(Coherent(1.0), Detector.NUMBER_RESOLVING, CH, 200, 10**7, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_deterministic_per_seed(self):
         a = mc_estimate(Coherent(0.5), Detector.NUMBER_RESOLVING, CH, 50, trials=5000, seed=9)
         b = mc_estimate(Coherent(0.5), Detector.NUMBER_RESOLVING, CH, 50, trials=5000, seed=9)
@@ -115,6 +166,10 @@ class TestMcEstimate:
     def test_invalid_trials_rejected(self):
         with pytest.raises(ValueError):
             mc_estimate(Coherent(0.5), Detector.NUMBER_RESOLVING, CH, 50, trials=0, seed=0)
+
+    def test_trials_beyond_int64_named(self):
+        with pytest.raises(ConfigError, match="trials"):
+            mc_estimate(Coherent(0.5), Detector.THRESHOLD, CH, 50, MAX_TRIALS + 1, seed=0)
 
     @pytest.mark.parametrize("nu", [0, -3, 2.5])
     def test_invalid_nu_rejected(self, nu):
@@ -135,6 +190,26 @@ class TestMcEstimate:
     def test_zero_reference_rejected(self, source, channel, detector):
         with pytest.raises(ValueError, match="reference must be > 0"):
             mc_estimate(source, detector, channel, 50, trials=10, seed=0)
+
+
+@CHECKS
+@given(
+    pairs=st.lists(
+        st.tuples(st.floats(0.0, 10.0), st.integers(0, 50)), min_size=1, max_size=20
+    ).filter(lambda pairs: sum(count for _, count in pairs) >= 1)
+)
+@example(pairs=[(0.7, 1)])
+@example(pairs=[(0.3, 0), (0.7, 1), (0.9, 0)])
+@example(pairs=[(0.64, 7)])
+def test_sample_moments_match_the_expanded_sample(pairs):
+    """The histogram moments are the mean and std (ddof 1, or 0 for a single
+    draw) of the sample that repeats each value its count times."""
+    values, counts = (np.array(column) for column in zip(*pairs))
+    sample = np.repeat(values, counts)
+    mean, sd = _sample_moments(values, counts)
+    scale = 1e-12 * max(values.max(), 1e-300)
+    assert mean == pytest.approx(sample.mean(), rel=1e-12, abs=scale)
+    assert sd == pytest.approx(sample.std(ddof=1 if sample.size > 1 else 0), rel=1e-12, abs=scale)
 
 
 class TestTotalCountRow:
