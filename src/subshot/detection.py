@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from subshot.pmf import Moments
-from subshot.sources import Source, check_fraction, source_click_probability
+from subshot.sources import Source, check_fraction, source_click_probabilities
 from subshot.sources import source_count_rows, source_moments
 
 
@@ -56,13 +56,15 @@ def detected_moments(source: Source, detector: Detector, survival, mu=None) -> M
 
     Number-resolving: binomial thinning of the source photons, mean s * <n>
     and variance s^2 * Var(n) + s (1 - s) * <n>.  Threshold: a Bernoulli
-    click, mean p and variance p (1 - p).  `survival` and `mu` are as for
-    `sources.source_click_probability`: given a survival array or a pump
-    array, mean and variance are arrays of its shape.
+    click, mean p and variance p (1 - p), with 1 - p the no-click
+    probability computed directly, so that the variance keeps its relative
+    precision where clicks are all but certain.  `survival` and `mu` are as
+    for `sources.source_click_probabilities`: given a survival array or a
+    pump array, mean and variance are arrays of its shape.
     """
     if detector is Detector.THRESHOLD:
-        p = source_click_probability(source, survival, mu)
-        return Moments(mean=p, variance=p * (1.0 - p))
+        miss, p = source_click_probabilities(source, survival, mu)
+        return Moments(mean=p, variance=p * miss)
     n = source_moments(source, mu)
     s = survival
     return Moments(mean=s * n.mean, variance=s * s * n.variance + s * (1.0 - s) * n.mean)
@@ -73,10 +75,9 @@ def detected_rows(source: Source, detector: Detector, survival: float, tail: flo
     `survival`: the thinned photon-number rows of `sources.source_count_rows`
     (trimmed to `tail`), or the click row [1 - p, p].
 
-    `mu` is as for `sources.source_click_probability`; the result has shape
-    `np.shape(mu) + (count length,)`.
+    `mu` is as for `sources.source_click_probabilities`; the result has
+    shape `np.shape(mu) + (count length,)`.
     """
     if detector is Detector.THRESHOLD:
-        p = source_click_probability(source, survival, mu)
-        return np.stack([1.0 - p, p], axis=-1)
+        return np.stack(source_click_probabilities(source, survival, mu), axis=-1)
     return source_count_rows(source, survival, tail, mu)

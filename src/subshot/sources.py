@@ -14,7 +14,7 @@ that realizes a wanted mean photon number at the sample is found numerically
 
 No other module knows how a source kind is evaluated.  The mean, variance
 and click probability at the sample plane (`source_moments`,
-`source_click_probability`) and the detected-count distribution
+`source_click_probabilities`) and the detected-count distribution
 (`source_count_rows`: Poisson, Binomial, or a vacuum term plus two Poissons)
 are closed forms.  Each also takes an array of pumps in place of the
 source's own (`source_pump`), as the Monte Carlo fluctuation rounds and the
@@ -192,21 +192,23 @@ def _sync_gain(source: Multiplexed, mu: np.ndarray) -> np.ndarray:
     return np.divide(sync_probability_at(source, mu), p_w, out=np.zeros_like(p_w), where=p_w > 0.0)
 
 
-def _mux_click_probability(source: Multiplexed, mu, survival):
-    """Probability that at least one output photon survives thinning by `survival`.
+def _mux_clicks(source: Multiplexed, mu, survival):
+    """No-click and click probability after a thinning by `survival`:
+    G(1 - s) of the output generating function at pump `mu`, and 1 - G(1 - s).
 
-    1 - G(1 - survival) of the output generating function at pump `mu`:
-    (P_sync/p_w) [1 - e^{-mu Q s} + e^{-mu h} (e^{-mu (1-h) Q s} - 1)], exactly 0
-    at survival 0, evaluated as p_w (1 - e^{-y}) + e^{-y} (1 - e^{-mu h Q s}) with
-    y = mu (1-h) Q s: no cancellation when a weak herald needs a huge pump.
-    `mu` is an array of pump values and `survival` a float or an array; the
-    result has their broadcast shape.  The `pair_mean` field of `source` is
-    ignored.
+    With x = mu Q s, y = (1-h) x and g = P_sync/p_w, they are evaluated as
+    (1 - P_sync) + g e^{-x} (1 - e^{-h (mu - x)}) and, exactly 0 at s = 0,
+    g [p_w (1 - e^{-y}) + e^{-y} (1 - e^{-h x})]: neither cancels when a weak
+    herald needs a huge pump or a click is all but certain.  `mu` is an
+    array of pump values and `survival` a float or an array; the results
+    have their broadcast shape.  The `pair_mean` field of `source` is ignored.
     """
     h = source.herald_eff
     x = mu * (source.network_transmission * source.optics_transmission * survival)
     y = (1.0 - h) * x
-    return _sync_gain(source, mu) * (np.expm1(-mu * h) * np.expm1(-y) - np.exp(-y) * np.expm1(-h * x))
+    gain = _sync_gain(source, mu)
+    miss = np.exp(-source.window_count * h * mu) - gain * np.exp(-x) * np.expm1(h * (x - mu))
+    return miss, gain * (np.expm1(-mu * h) * np.expm1(-y) - np.exp(-y) * np.expm1(-h * x))
 
 
 def _mux_output_rows(source: Multiplexed, mu, survival: float, tail: float):
@@ -328,7 +330,7 @@ def _pumps(source: Source, mu) -> np.ndarray:
 def source_moments(source: Source, mu=None) -> Moments:
     """Mean and variance at the sample plane, in closed form.
 
-    `mu` is as for `source_click_probability`; given one, the mean and
+    `mu` is as for `source_click_probabilities`; given one, the mean and
     variance are arrays of its shape.
     """
     if isinstance(source, Fock) and mu is None:
@@ -340,8 +342,9 @@ def source_moments(source: Source, mu=None) -> Moments:
     return Moments(mean=mean, variance=pairs + mean - mean * mean)
 
 
-def _fock_click_probability(photons: int, survival) -> np.ndarray:
-    """1 - (1 - s)^photons at each survival s of a float or an array.
+def _fock_clicks(photons: int, survival) -> tuple[np.ndarray, np.ndarray]:
+    """(1 - s)^photons and 1 - (1 - s)^photons at each survival s of a
+    float or an array.
 
     Evaluated entry by entry with `math`, whose expm1 and log1p can differ
     from numpy's in the last place (they do on AVX-512 hosts), so that a grid
@@ -349,35 +352,47 @@ def _fock_click_probability(photons: int, survival) -> np.ndarray:
     """
     s = np.asarray(survival, dtype=np.float64)
     if photons == 0:
-        return np.zeros(s.shape)
-    clicks = [1.0 if x == 1.0 else -math.expm1(photons * math.log1p(-x)) for x in s.ravel().tolist()]
-    return np.reshape(clicks, s.shape)
+        return np.ones(s.shape), np.zeros(s.shape)
+    logs = [-math.inf if x == 1.0 else photons * math.log1p(-x) for x in s.ravel().tolist()]
+    return (np.reshape([math.exp(v) for v in logs], s.shape),
+            np.reshape([-math.expm1(v) for v in logs], s.shape))
+
+
+def source_click_probabilities(source: Source, survival, mu=None):
+    """Probabilities that no photon / at least one photon at the sample plane
+    survives an independent per-photon thinning by `survival`, in closed
+    form, each computed directly so that it keeps its precision where small.
+
+    `survival` is a float or an array of them, and `mu` a pump value or an
+    array of them (default: the source's own pump); the results have their
+    broadcast shape, and are floats when neither is an array.  A Fock state
+    given a pump raises TypeError.
+    """
+    if isinstance(source, Fock) and mu is None:
+        miss, p = _fock_clicks(source.photons, survival)
+    elif isinstance(source, Coherent):
+        # The coherent output mean is the pump itself.
+        exponent = -survival * _pumps(source, mu)
+        miss, p = np.exp(exponent), -np.expm1(exponent)
+    else:
+        miss, p = _mux_clicks(source, _pumps(source, mu), survival)
+    if mu is None and p.ndim == 0:
+        return float(miss), float(p)
+    return miss, p
 
 
 def source_click_probability(source: Source, survival, mu=None):
     """Probability that at least one photon at the sample plane survives an
-    independent per-photon thinning by `survival`, in closed form.
-
-    `survival` is a float or an array of them, and `mu` a pump value or an
-    array of them (default: the source's own pump); the result has their
-    broadcast shape, and is a float when neither is an array.  A Fock state
-    given a pump raises TypeError.
-    """
-    if isinstance(source, Fock) and mu is None:
-        p = _fock_click_probability(source.photons, survival)
-    elif isinstance(source, Coherent):
-        # The coherent output mean is the pump itself.
-        p = -np.expm1(-survival * _pumps(source, mu))
-    else:
-        p = _mux_click_probability(source, _pumps(source, mu), survival)
-    return float(p) if mu is None and p.ndim == 0 else p
+    independent per-photon thinning by `survival`: the second entry of
+    `source_click_probabilities`, with the same arguments."""
+    return source_click_probabilities(source, survival, mu)[1]
 
 
 def source_count_rows(source: Source, survival: float, tail: float, mu=None) -> np.ndarray:
     """Detected-count distribution of `source` after per-photon survival
     `survival`, in closed form.
 
-    `mu` is as for `source_click_probability`.  The result has shape
+    `mu` is as for `source_click_probabilities`.  The result has shape
     `np.shape(mu) + (n_max + 1,)`, with one n_max for all rows chosen so that
     no row discards more than `tail` beyond it.
     """

@@ -65,6 +65,13 @@ def enumerate_click_probability(probs, survival: float) -> float:
     return sum(-p * math.expm1(n * log_loss) for n, p in enumerate(probs) if n >= 1)
 
 
+def enumerate_no_click_probability(probs, survival: float) -> float:
+    """Probability that no photon survives, by direct summation of
+    P(n) (1 - s)^n: a sum of non-negative terms, accurate where clicks are
+    all but certain."""
+    return sum(p * (1.0 - survival) ** n for n, p in enumerate(probs))
+
+
 def thinned_count_moments(probs, survival: float) -> tuple[float, float]:
     """Mean and second moment of the count left by binomial thinning.
 

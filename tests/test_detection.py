@@ -6,14 +6,21 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import enumerate_click_probability, enumerate_mux_output, poisson_probs
-from subshot.detection import Channel
+from _oracles import (
+    enumerate_click_probability,
+    enumerate_mux_output,
+    enumerate_no_click_probability,
+    poisson_probs,
+)
+from subshot.detection import Channel, Detector, detected_moments
 from subshot.pmf import poisson_rows
 from subshot.sources import (
     Coherent,
     ConfigError,
     Fock,
     Multiplexed,
+    make_multiplexed,
+    source_click_probabilities,
     source_click_probability,
     source_count_rows,
 )
@@ -132,3 +139,31 @@ class TestClickCountIdentity:
             assert source_click_probability(src, ch.survival) == pytest.approx(
                 1.0 - detected[0], abs=1e-12
             )
+
+
+class TestCertainClicks:
+    """Where a click is all but certain, the no-click probability is tiny
+    and 1 - p would lose its digits: the threshold variance p (1 - p) must
+    still match the oracle sums to 1e-12 relative."""
+
+    @pytest.mark.parametrize("mean", [30, 40])
+    def test_variance_matches_oracles(self, mean):
+        ch = Channel(0.9, 0.9)
+        s = ch.survival
+        # Coherent closed form: no click with probability e^{-s mean}.
+        closed = (math.exp(-s * mean), -math.expm1(-s * mean))
+        mux = make_multiplexed(2, float(mean))
+        cases = [
+            (Coherent(float(mean)), closed),
+            (Fock(mean), [0.0] * mean + [1.0]),
+            (mux, enumerate_mux_output(2, mux.pair_mean, mux.herald_eff,
+                                       mux.stage_transmission, mux.optics_transmission, 150)),
+        ]
+        for source, probs in cases:
+            if len(probs) > 2:
+                probs = (enumerate_no_click_probability(probs, s), enumerate_click_probability(probs, s))
+            miss, click = source_click_probabilities(source, s)
+            assert miss == pytest.approx(probs[0], rel=1e-12, abs=0.0)
+            assert click == pytest.approx(probs[1], rel=1e-12, abs=0.0)
+            variance = detected_moments(source, Detector.THRESHOLD, s).variance
+            assert variance == pytest.approx(probs[0] * probs[1], rel=1e-12, abs=0.0)
