@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -126,7 +127,9 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(f"--{key}", dest=key.replace("-", "_"), default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="subshot",
         description="Sub-shot-noise transmission measurement sweeps",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from subshot.pmf import Moments
-from subshot.sources import Source, check_fraction, source_click_probabilities
+from subshot.sources import Source, check_range, source_click_probabilities
 from subshot.sources import source_count_rows, source_moments
 
 
@@ -42,8 +42,8 @@ class Channel:
     detector_eff: float = 0.9
 
     def __post_init__(self):
-        check_fraction("transmission", self.transmission)
-        check_fraction("detector_eff", self.detector_eff)
+        check_range("transmission", self.transmission)
+        check_range("detector_eff", self.detector_eff)
 
     @property
     def survival(self) -> float | np.ndarray:

@@ -16,9 +16,10 @@ Reports are exact: the expectation, bias, variance and MSE follow in closed
 form from the mean and variance of one repetition's count
 (`detection.detected_moments`), with no distribution built and no sampling
 involved, and the same code serves both detectors.  A `Channel` whose
-transmission is an array (a transmission grid) is evaluated by the same code
-entry by entry, as a pump array is in `sources`: every report field is then
-an array, and a quantity that is undefined at an entry is None there.
+transmission is an array (a transmission grid), and a source whose pump is
+an array (a mean grid), are evaluated by the same code entry by entry: every
+report field is then an array, and a quantity that is undefined at an entry
+is None there.
 `montecarlo.mc_estimate` samples the same estimator from the same arguments
 plus a trial count and a seed; both normalize by `reference_mean`.
 """
@@ -37,15 +38,9 @@ from subshot.sources import Coherent, Fock, Source
 def _quotient(numerator, denominator, undefined):
     """numerator / denominator, None where `undefined` holds: a float or None
     for float arguments, an object array of floats and None for arrays.
-
     Undefined entries are divided by denominator + 1 instead, so that no
-    entry divides by 0.  A float result is placed without `np.where`, which
-    costs ~2 us on a float: `intensity-sweep` makes ~600 such calls a pass.
-    """
-    quotient = numerator / (denominator + undefined)
-    if isinstance(quotient, np.ndarray):
-        return np.where(undefined, None, quotient)
-    return None if undefined else float(quotient)
+    entry divides by 0."""
+    return np.where(undefined, None, numerator / (denominator + undefined))[()]
 
 
 def relative_mse_percent(mse, transmission):
@@ -54,8 +49,9 @@ def relative_mse_percent(mse, transmission):
     return _quotient(100.0 * np.sqrt(mse), transmission, transmission == 0.0)
 
 
-def reference_mean(source: Source, detector: Detector, detector_eff: float) -> float:
-    """Fluctuation-free normalization constant of the estimator.
+def reference_mean(source: Source, detector: Detector, detector_eff: float):
+    """Fluctuation-free normalization constant of the estimator, an array of
+    them for a source whose pump is an array.
 
     The mean detected count with the sample removed (survival eta): eta
     times the source mean at the sample (number-resolving) or the click
@@ -69,15 +65,20 @@ def reference_mean(source: Source, detector: Detector, detector_eff: float) -> f
         ref = detector_eff * source.photons
     else:
         ref = detected_moments(source, detector, detector_eff).mean
-    if not (ref > 0.0 and sys.float_info.min <= ref * ref < np.inf):
-        raise ValueError(f"reference must be > 0 with a normal square, got {ref}")
+    with np.errstate(over="ignore"):
+        square = np.square(ref)
+    bad = ~((ref > 0.0) & (square >= sys.float_info.min) & (square < np.inf))
+    if bad.any():
+        first = np.asarray(ref)[bad][0]
+        raise ValueError(f"reference must be > 0 with a normal square, got {first}")
     return ref
 
 
 @dataclass(frozen=True)
 class EstimatorReport:
     """Exact performance of an estimator at one operating point, or at each
-    transmission of a grid (every field but `nu` then an array)."""
+    point of a transmission or mean grid (every field but `nu` and, for a
+    mean grid, `transmission` then an array)."""
 
     transmission: float | np.ndarray
     nu: int
@@ -89,8 +90,8 @@ class EstimatorReport:
 
 
 def exact_report(source: Source, detector: Detector, channel: Channel, nu: int) -> EstimatorReport:
-    """Exact report of the estimator at the transmission of `channel`, or at
-    each transmission of its grid.
+    """Exact report of the estimator at the transmission of `channel` and
+    the pump of `source`, or at each entry of a grid of either.
 
     The estimator is linear in the counts, so E(T) is the mean of one
     repetition's detected count over the reference and Var(T) its variance
@@ -115,8 +116,9 @@ def exact_report(source: Source, detector: Detector, channel: Channel, nu: int) 
     )
 
 
-def snl_report(mean: float, channel: Channel, nu: int) -> EstimatorReport:
-    """Shot-noise-limit reference: coherent source with number resolution."""
+def snl_report(mean, channel: Channel, nu: int) -> EstimatorReport:
+    """Shot-noise-limit reference: coherent source with number resolution,
+    at a mean photon number or an array of them."""
     return exact_report(Coherent(mean), Detector.NUMBER_RESOLVING, channel, nu)
 
 
@@ -128,12 +130,7 @@ def snl_ratio(report: EstimatorReport, snl: EstimatorReport) -> float | None:
     through a perfect detector), where it is unbounded.  Over a grid, entry
     by entry.
     """
-    # Reports of one channel share its transmission object, which spares the
-    # comparison of a float channel the cost of `array_equal`.
-    same_t = report.transmission is snl.transmission or np.array_equal(
-        report.transmission, snl.transmission
-    )
-    if not same_t or report.nu != snl.nu:
+    if not np.array_equal(report.transmission, snl.transmission) or report.nu != snl.nu:
         raise ValueError("reports must share the same transmission and nu")
     return _quotient(snl.mse, report.mse, (snl.mse == 0.0) | (report.mse == 0.0))
 

@@ -6,7 +6,9 @@ of the full configuration), ready to be written as CSV or JSON for external
 plotting.  All grid points are computed with the exact estimator reports
 except the fluctuation study and the Monte Carlo validation, which are seeded
 and deterministic.  `_row` is the only place rows are built, and `_sources`
-the only place the sources of a grid point are made.
+the only place the sources are made: a coherent beam whose mean, and
+multiplexed sources whose pumps, are a float or follow a whole mean grid,
+every pump of a run tuned in one bisection.
 `SweepConfig.validate` checks the run-level rules and builds the objects the
 run builds, whose constructors own the ranges of their fields.
 """
@@ -45,7 +47,7 @@ from subshot.sources import (
     Source,
     check_count,
     make_multiplexed,
-    source_moments,
+    output_mean,
 )
 
 # Largest accepted mean photon number per repetition.  The sources studied
@@ -179,7 +181,7 @@ class SweepConfig:
         checking that one pump suffices; a zero field keeps it at 0."""
         top_mean = max((self.mean_photons, *_mean_grid(self)))
         for source in networks:
-            if source_moments(source).mean < top_mean:
+            if output_mean(source) < top_mean:
                 # Name the factor that loses the most light; the network
                 # transmission stands for the stage transmission.
                 losses = {
@@ -280,27 +282,31 @@ def _mean_grid(cfg: SweepConfig) -> tuple[float, ...]:
     return cfg.mean_grid or _DEFAULT_MEAN_GRIDS.get(cfg.experiment, ())
 
 
-def _sources(cfg: SweepConfig, mean: float) -> list[Source]:
+def _sources(cfg: SweepConfig, mean) -> list[Source]:
     """The coherent source and one multiplexed source per stage count of
-    `cfg`, each delivering `mean` photons to the sample."""
+    `cfg`, each delivering `mean` photons to the sample: a float, or an
+    array of means that the sources' pumps then follow.  Every multiplexed
+    pump of the run is tuned in one bisection."""
     calibration = (cfg.herald_eff, cfg.stage_transmission, cfg.optics_transmission)
-    return [Coherent(mean)] + [make_multiplexed(m, mean, *calibration) for m in cfg.stage_counts]
+    return [Coherent(mean)] + make_multiplexed(cfg.stage_counts, mean, *calibration)
 
 
-def _per_t(value) -> list:
-    """A report field as one plain Python value per t: the entries of a grid
-    array (None where the quantity is undefined), or the one value of a
-    float channel."""
-    return value.tolist() if isinstance(value, np.ndarray) else [value]
+def _grid_points(channel: Channel, mean) -> list[tuple[float, float]]:
+    """The (t, mean) coordinates of each report entry, in the entries' order
+    (`np.ravel(field).tolist()` of a report field): the channel's
+    transmission and `mean` are each a float or a grid."""
+    ts, means = np.broadcast_arrays(channel.transmission, mean)
+    return list(zip(ts.ravel().tolist(), means.ravel().tolist()))
 
 
-def _exact_rows(cfg: SweepConfig, sources: list[Source], detectors, channel: Channel, mean: float):
+def _exact_rows(cfg: SweepConfig, sources: list[Source], detectors, channel: Channel, mean):
     """Exact reports for each detector and source, each row carrying its MSE
     ratio to the shot-noise reference at `mean` photons.
 
-    The channel's transmission is a float or the whole t-grid as an array;
-    either way there is one report per detector and source, and the rows run
-    over t, then detector, then source."""
+    The channel's transmission is a float or the whole t-grid as an array,
+    and `mean` a float or the whole mean grid, which the sources' pumps
+    follow; either way there is one report per detector and source, and the
+    rows run over the grid, then detector, then source."""
     snl = snl_report(mean, channel, cfg.nu)
     columns = _REPORT_COLUMNS + ("ratio_to_snl",)
     labelled = []
@@ -309,10 +315,10 @@ def _exact_rows(cfg: SweepConfig, sources: list[Source], detectors, channel: Cha
             report = exact_report(source, detector, channel, cfg.nu)
             values = [getattr(report, name) for name in _REPORT_COLUMNS]
             values.append(snl_ratio(report, snl))
-            labelled.append((source, detector, list(zip(*map(_per_t, values)))))
+            labelled.append((source, detector, list(zip(*(np.ravel(v).tolist() for v in values)))))
     return [
-        _row(cfg, source, detector, t, mean, **dict(zip(columns, cells[i])))
-        for i, t in enumerate(_per_t(channel.transmission))
+        _row(cfg, source, detector, t, m, **dict(zip(columns, cells[i])))
+        for i, (t, m) in enumerate(_grid_points(channel, mean))
         for source, detector, cells in labelled
     ]
 
@@ -328,29 +334,25 @@ def _ratio_sweep(cfg: SweepConfig, detector: Detector):
 
 
 def _run_intensity_sweep(cfg: SweepConfig):
-    """Ratio versus input mean photon number at fixed sample transmission;
-    the multiplexed pump is re-tuned at every grid point."""
+    """Ratio versus input mean photon number at fixed sample transmission,
+    one report per source and detector over the whole mean grid."""
+    means = np.array(_mean_grid(cfg))
     ch = Channel(cfg.transmission, cfg.detector_eff)
-    rows = []
-    for mean in _mean_grid(cfg):
-        rows += _exact_rows(cfg, _sources(cfg, mean), Detector, ch, mean)
-    return rows
+    return _exact_rows(cfg, _sources(cfg, means), Detector, ch, means)
 
 
 def _run_asymptotic(cfg: SweepConfig):
     """Infinite-repetition relative MSE floor of the threshold estimators,
-    one closed-form call over the whole t-grid per source."""
+    one closed-form call over the whole (mean x t) grid per source."""
     ch = Channel(np.array(cfg.t_grid), cfg.detector_eff)
-    rows = []
-    for mean in _mean_grid(cfg):
-        sources = _sources(cfg, mean)
-        floors = zip(*(_per_t(asymptotic_relative_mse_floor(source, ch)) for source in sources))
-        for t, per_source in zip(cfg.t_grid, floors):
-            rows += [
-                _row(cfg, source, Detector.THRESHOLD, t, mean, asymptotic_floor_percent=floor)
-                for source, floor in zip(sources, per_source)
-            ]
-    return rows
+    means = np.array(_mean_grid(cfg))[:, None]
+    sources = _sources(cfg, means)
+    floors = zip(*(np.ravel(asymptotic_relative_mse_floor(s, ch)).tolist() for s in sources))
+    return [
+        _row(cfg, source, Detector.THRESHOLD, t, mean, asymptotic_floor_percent=floor)
+        for (t, mean), per_source in zip(_grid_points(ch, means), floors)
+        for source, floor in zip(sources, per_source)
+    ]
 
 
 def _z_score(sampled: float, exact: float, se: float) -> float:

@@ -10,22 +10,21 @@ Detecting the idler photon of a pair heralds its signal twin; the network then
 delays the signal so it leaves on the clock tick.  Raising the pump increases
 the herald rate but also the multi-photon contamination, so the pump strength
 that realizes a wanted mean photon number at the sample is found numerically
-(`tune_pair_mean`).
+(`tune_pair_mean`, one array bisection for every stage count and target).
 
 No other module knows how a source kind is evaluated.  The mean, variance
-and click probability at the sample plane (`source_moments`,
+and click probabilities at the sample plane (`source_moments`,
 `source_click_probabilities`) and the detected-count distribution
 (`source_count_rows`: Poisson, Binomial, or a vacuum term plus two Poissons)
-are closed forms.  Each also takes an array of pumps in place of the
-source's own (`source_pump`), as the Monte Carlo fluctuation rounds and the
-pump averages of `montecarlo.fluctuation_mse` need, and the click
-probability takes an array of survivals in the same way, as the exact
-reports over a transmission grid need.
+are closed forms, evaluated entry by entry over arrays: of pumps, which a
+coherent `mean` or a multiplexed `pair_mean` may hold (a mean grid) or `mu`
+gives in place of the source's own (the Monte Carlo pump draws), and of
+survivals (a transmission grid).
 
 Each source constructor checks its own fields, as `detection.Channel` and
 `montecarlo.FluctuationConfig` do theirs, and raises the `ConfigError`
-defined here, naming the field; `check_count` and `check_fraction` are the
-count and [0, 1] rules they share.
+defined here, naming the field; `check_count` and `check_range` are the
+count and range rules they share.
 """
 
 from __future__ import annotations
@@ -77,24 +76,24 @@ def check_count(field: str, value, low: int, high: float = math.inf) -> int:
     return int(value)
 
 
-def check_fraction(field: str, value) -> None:
+def check_range(field: str, value, high: float = 1.0) -> None:
     """ConfigError naming `field` unless `value`, a float or an array of
-    them, lies in [0, 1] everywhere.  A float is checked without numpy:
-    intensity-sweep builds ~700 sources a pass."""
-    for v in value.ravel().tolist() if isinstance(value, np.ndarray) else (value,):
-        if not 0.0 <= v <= 1.0:
-            raise ConfigError(field, f"must lie in [0, 1], got {v}")
+    them, lies in [0, `high`] everywhere (NaN does not)."""
+    v = np.asarray(value, dtype=np.float64)
+    bad = ~((v >= 0.0) & (v <= high))
+    if bad.any():
+        raise ConfigError(field, f"must lie in [0, {high:g}], got {v[bad][0]}")
 
 
 @dataclass(frozen=True)
 class Coherent:
-    """Coherent beam; `mean` is the mean photon number at the sample plane."""
+    """Coherent beam; `mean` is the mean photon number at the sample plane,
+    a float or an array of them (a mean grid)."""
 
-    mean: float
+    mean: float | np.ndarray
 
     def __post_init__(self):
-        if not self.mean >= 0:
-            raise ConfigError("mean", f"must be >= 0, got {self.mean}")
+        check_range("mean", self.mean, math.inf)
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,8 @@ class Multiplexed:
 
     stages: number of binary delay stages; the network addresses 2**stages
         temporal windows per clock period.
-    pair_mean: mean photon-pair number per temporal window.
+    pair_mean: mean photon-pair number per temporal window, a float or an
+        array of them (the pumps of a mean grid).
     herald_eff: probability that an idler photon produces a herald click.
     stage_transmission: signal transmission of one delay stage; the signal
         crosses every stage (delay or bypass), so the network transmission is
@@ -122,19 +122,16 @@ class Multiplexed:
     """
 
     stages: int
-    pair_mean: float
+    pair_mean: float | np.ndarray
     herald_eff: float = DEFAULT_HERALD_EFF
     stage_transmission: float = DEFAULT_STAGE_TRANSMISSION
     optics_transmission: float = DEFAULT_OPTICS_TRANSMISSION
 
     def __post_init__(self):
-        object.__setattr__(self, "stages", check_count("stages", self.stages, 1))
-        if self.stages > MAX_STAGES:
-            raise ConfigError("stages", f"must be <= {MAX_STAGES}, got {self.stages}")
-        if not self.pair_mean >= 0:
-            raise ConfigError("pair_mean", f"must be >= 0, got {self.pair_mean}")
+        object.__setattr__(self, "stages", check_count("stages", self.stages, 1, MAX_STAGES))
+        check_range("pair_mean", self.pair_mean, math.inf)
         for name in ("herald_eff", "stage_transmission", "optics_transmission"):
-            check_fraction(name, getattr(self, name))
+            check_range(name, getattr(self, name))
 
     @property
     def window_count(self) -> int:
@@ -158,57 +155,58 @@ def sync_probability_at(source: Multiplexed, mu):
     return -np.expm1(-source.window_count * source.herald_eff * np.asarray(mu, dtype=np.float64))
 
 
-def _mux_factorial_moments(source: Multiplexed, mu):
-    """First and second factorial moments of the output at pump `mu`, a
-    float or an array of pump values.
+def _mux_constants(sources, ndim: int = 0) -> tuple:
+    """h, -h, -2**stages h, network and optics transmission of one
+    `Multiplexed` as floats, or of a list of them as columns that broadcast
+    against `ndim` trailing pump axes."""
+    one = isinstance(sources, Multiplexed)
+    rows = [(s.herald_eff, -s.herald_eff, -s.window_count * s.herald_eff, s.network_transmission,
+             s.optics_transmission) for s in ([sources] if one else sources)]
+    return rows[0] if one else tuple(np.reshape(c, (len(rows),) + (1,) * ndim) for c in zip(*rows))
 
-    Derivatives at s = 1 of the output generating function
+
+def _herald(constants: tuple, mu) -> tuple:
+    """-p_w, e^{-mu h} and the gain g = P_sync / p_w (P_sync = 0 where
+    p_w = 0) at an array of pump values `mu`, from `_mux_constants`."""
+    exponent = mu * constants[1]
+    neg_p_w = np.expm1(exponent)
+    return neg_p_w, np.exp(exponent), np.expm1(constants[2] * mu) / (neg_p_w - (neg_p_w == 0.0))
+
+
+def _mux_factorial_moments(constants: tuple, mu, orders: int = 2) -> tuple:
+    """The first `orders` (1 or 2) factorial moments of the output at a pump
+    array `mu`, from `_mux_constants`: derivatives at s = 1 of the output
+    generating function
     G(s) = 1 - P_sync + (P_sync/p_w) [e^{mu Q (s-1)} - e^{mu ((1-h)(1-Q+Qs) - 1)}]
     with h the herald efficiency and Q the network times optics transmission.
     The brackets 1 - (1-h)^k e^{-mu h} are expanded as p_w + (1 - (1-h)^k) e^{-mu h}
-    so that no cancellation occurs at weak pump.
+    so that no cancellation occurs at weak pump.  Tuning and the reach check
+    take the first alone, finite up to twice MAX_PUMP, where the second is not.
     """
-    h = source.herald_eff
-    if isinstance(mu, np.ndarray):
-        p_w, gain, no_click = -np.expm1(-mu * h), _sync_gain(source, mu), np.exp(-mu * h)
-    else:
-        # Scalar path: pump tuning evaluates the mean ~40 times per tuning,
-        # and the array path costs ~3x as much per call.
-        p_w = -math.expm1(-mu * h)
-        if p_w == 0.0:
-            return 0.0, 0.0
-        gain = float(sync_probability_at(source, mu)) / p_w
-        no_click = math.exp(-mu * h)
-    mq = mu * source.network_transmission * source.optics_transmission
-    return (
-        gain * mq * (p_w + h * no_click),
-        gain * mq * mq * (p_w + h * (2.0 - h) * no_click),
-    )
-
-
-def _sync_gain(source: Multiplexed, mu: np.ndarray) -> np.ndarray:
-    """P_sync / p_w at an array of pump values, 0 where p_w is 0."""
-    p_w = -np.expm1(-mu * source.herald_eff)
-    return np.divide(sync_probability_at(source, mu), p_w, out=np.zeros_like(p_w), where=p_w > 0.0)
+    h, _, _, network, optics = constants
+    neg_p_w, no_click, gain = _herald(constants, mu)
+    mq = mu * network * optics
+    first = gain * mq * (h * no_click - neg_p_w)
+    if orders == 1:
+        return (first,)
+    return first, gain * mq * mq * (h * (2.0 - h) * no_click - neg_p_w)
 
 
 def _mux_clicks(source: Multiplexed, mu, survival):
-    """No-click and click probability after a thinning by `survival`:
-    G(1 - s) of the output generating function at pump `mu`, and 1 - G(1 - s).
+    """No-click and click probability G(1 - s) and 1 - G(1 - s) after a
+    thinning by s = `survival` (a float or an array) at a pump array `mu`.
 
     With x = mu Q s, y = (1-h) x and g = P_sync/p_w, they are evaluated as
     (1 - P_sync) + g e^{-x} (1 - e^{-h (mu - x)}) and, exactly 0 at s = 0,
     g [p_w (1 - e^{-y}) + e^{-y} (1 - e^{-h x})]: neither cancels when a weak
-    herald needs a huge pump or a click is all but certain.  `mu` is an
-    array of pump values and `survival` a float or an array; the results
-    have their broadcast shape.  The `pair_mean` field of `source` is ignored.
+    herald needs a huge pump or a click is all but certain.
     """
-    h = source.herald_eff
-    x = mu * (source.network_transmission * source.optics_transmission * survival)
+    h, _, neg_rate, network, optics = constants = _mux_constants(source)
+    neg_p_w, _, gain = _herald(constants, mu)
+    x = mu * (network * optics * survival)
     y = (1.0 - h) * x
-    gain = _sync_gain(source, mu)
-    miss = np.exp(-source.window_count * h * mu) - gain * np.exp(-x) * np.expm1(h * (x - mu))
-    return miss, gain * (np.expm1(-mu * h) * np.expm1(-y) - np.exp(-y) * np.expm1(-h * x))
+    miss = np.exp(neg_rate * mu) - gain * np.exp(-x) * np.expm1(h * (x - mu))
+    return miss, gain * (neg_p_w * np.expm1(-y) - np.exp(-y) * np.expm1(-h * x))
 
 
 def _mux_output_rows(source: Multiplexed, mu, survival: float, tail: float):
@@ -237,7 +235,7 @@ def _mux_output_rows(source: Multiplexed, mu, survival: float, tail: float):
         log_miss = np.where(ns == 0, 0.0, -np.inf)
     # 1 - (1-h)^n e^{-mu h (1-q)} without cancellation: >= 0 and finite at h = 1.
     herald = -np.expm1(log_miss - (mu * (h * (1.0 - q)))[..., None])
-    rows = _sync_gain(source, mu)[..., None] * poisson_rows(mu * q, n_max) * herald
+    rows = _herald(_mux_constants(source), mu)[2][..., None] * poisson_rows(mu * q, n_max) * herald
     rows[..., 0] += 1.0 - p_sync
     return rows
 
@@ -256,58 +254,71 @@ def unreachable_field(source: Multiplexed) -> str | None:
     return None
 
 
-def tune_pair_mean(source: Multiplexed, target_mean: float, tol: float = 1e-10) -> float:
-    """Pump strength whose output mean at the sample equals `target_mean`.
+def tune_pair_mean(source, target_mean, tol: float = 1e-10):
+    """Pump strength whose output mean at the sample equals `target_mean`,
+    for a `Multiplexed` `source` or, in one array bisection, each source of a
+    list of them (a leading result axis) and each entry of an array of
+    targets.  The `pair_mean` fields are ignored.
 
-    The closed-form output mean is continuous and strictly increasing in the
-    pair mean and grows like pair_mean * Q without bound, so plain bisection
-    converges; it stops once the mean residual drops below `tol` times
-    min(1, target), so tiny targets are met to relative precision, or the
-    bracket shrinks to adjacent floats, where a large mean cannot get closer.
-    Every target is reachable below MAX_PUMP unless `unreachable_field` names
-    a zero field or the network transmits too little.  The `pair_mean` field
-    of `source` is ignored.
+    The closed-form output mean is continuous, strictly increasing in the
+    pump and grows like pump * Q without bound, so bisection converges.
+    Each entry doubles its own bracket and stops once its mean residual
+    drops below `tol` times min(1, target), so tiny targets are met to
+    relative precision (it then keeps lo = hi), or its bracket shrinks to
+    adjacent floats, where a large mean cannot get closer (it stays put);
+    the loop ends when no pump moves.  Every target is reachable below
+    MAX_PUMP unless `unreachable_field` names a zero field or the network
+    transmits too little.
     """
-    if target_mean <= 0:
-        raise ValueError(f"target mean must be > 0, got {target_mean}")
-    name = unreachable_field(source)
-    if name is not None:
-        raise ValueError(
-            f"{name} is 0, so the output is vacuum at every pump strength: "
-            f"target mean {target_mean} is unreachable"
-        )
+    target = np.asarray(target_mean, dtype=np.float64)
+    if not np.all(target > 0):
+        raise ValueError(f"target mean must be > 0, got {target[~(target > 0)][0]}")
+    sources = [source] if isinstance(source, Multiplexed) else source
+    zero = [name for name in map(unreachable_field, sources) if name]
+    if zero:
+        raise ValueError(f"{zero[0]} is 0, so the output is vacuum at every pump strength: "
+                         f"target mean {target_mean} is unreachable")
+    constants = _mux_constants(source, target.ndim)
+    target = np.broadcast_to(target, np.broadcast_shapes(np.shape(constants[0]), target.shape))
 
-    def mean_at(mu: float) -> float:
-        return _mux_factorial_moments(source, mu)[0]
+    def mean_at(mu: np.ndarray) -> np.ndarray:
+        return _mux_factorial_moments(constants, mu, 1)[0]
 
-    stop = tol * min(1.0, target_mean)
-    lo, hi = 0.0, max(1.0, target_mean)
-    while mean_at(hi) < target_mean:
-        if hi > MAX_PUMP:
-            raise ValueError(f"target mean {target_mean} needs a pump above {MAX_PUMP:g}")
-        lo, hi = hi, 2.0 * hi
+    stop = tol * np.minimum(1.0, target)
+    lo, hi = np.zeros(target.shape), np.array(np.maximum(1.0, target))
+    while (short := mean_at(hi) < target).any():
+        if (ceiling := short & (hi > MAX_PUMP)).any():
+            raise ValueError(f"target mean {target[ceiling][0]} needs a pump above {MAX_PUMP:g}")
+        lo, hi = np.where(short, hi, lo), np.where(short, 2.0 * hi, hi)
 
+    mid = None
     while True:
-        mid = 0.5 * (lo + hi)
-        residual = mean_at(mid) - target_mean
-        if abs(residual) < stop or mid in (lo, hi):
-            return mid
-        if residual < 0:
-            lo = mid
-        else:
-            hi = mid
+        previous, mid = mid, 0.5 * (lo + hi)
+        if previous is not None and (mid == previous).all():
+            return _scalar(mid)
+        residual = mean_at(mid) - target
+        hit = np.abs(residual) < stop
+        low = residual < 0.0
+        np.copyto(lo, mid, where=low | hit)
+        np.copyto(hi, mid, where=~low | hit)
 
 
 def make_multiplexed(
-    stages: int,
-    target_mean: float,
+    stages,
+    target_mean,
     herald_eff: float = DEFAULT_HERALD_EFF,
     stage_transmission: float = DEFAULT_STAGE_TRANSMISSION,
     optics_transmission: float = DEFAULT_OPTICS_TRANSMISSION,
-) -> Multiplexed:
-    """Multiplexed source tuned to `target_mean` photons at the sample."""
-    src = Multiplexed(stages, 0.0, herald_eff, stage_transmission, optics_transmission)
-    return replace(src, pair_mean=tune_pair_mean(src, target_mean))
+):
+    """Multiplexed source tuned to `target_mean` photons at the sample; an
+    array of targets gives the array of their pumps as `pair_mean`.  A
+    sequence of stage counts gives a list of such sources, one per count,
+    all tuned in one bisection."""
+    calibration = (herald_eff, stage_transmission, optics_transmission)
+    sources = [Multiplexed(m, 0.0, *calibration) for m in np.atleast_1d(stages).tolist()]
+    pumps = tune_pair_mean(sources, target_mean)
+    tuned = [replace(s, pair_mean=_scalar(mu)) for s, mu in zip(sources, pumps)]
+    return tuned if np.ndim(stages) else tuned[0]
 
 
 def source_pump(source: Source) -> float:
@@ -327,29 +338,36 @@ def _pumps(source: Source, mu) -> np.ndarray:
     return np.asarray(pump if mu is None else mu, dtype=np.float64)
 
 
+def _scalar(value):
+    """A 0-d result as a float, an array as it is."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
 def source_moments(source: Source, mu=None) -> Moments:
     """Mean and variance at the sample plane, in closed form.
 
-    `mu` is as for `source_click_probabilities`; given one, the mean and
-    variance are arrays of its shape.
+    `mu` is as for `source_click_probabilities`; given one, or a source
+    whose pump is an array, the mean and variance are arrays of its shape.
     """
     if isinstance(source, Fock) and mu is None:
         return Moments(mean=float(source.photons), variance=0.0)
-    pump = float(source_pump(source)) if mu is None else _pumps(source, mu)
+    pump = _pumps(source, mu)
     if isinstance(source, Coherent):
-        return Moments(mean=pump, variance=pump)
-    mean, pairs = _mux_factorial_moments(source, pump)
-    return Moments(mean=mean, variance=pairs + mean - mean * mean)
+        return Moments(mean=_scalar(pump), variance=_scalar(pump))
+    mean, pairs = _mux_factorial_moments(_mux_constants(source), pump)
+    return Moments(mean=_scalar(mean), variance=_scalar(pairs + mean - mean * mean))
+
+
+def output_mean(source: Multiplexed, mu=None):
+    """Mean at the sample plane of a multiplexed source at pump `mu` (default:
+    its own), without the variance, which overflows near MAX_PUMP."""
+    return _scalar(_mux_factorial_moments(_mux_constants(source), _pumps(source, mu), 1)[0])
 
 
 def _fock_clicks(photons: int, survival) -> tuple[np.ndarray, np.ndarray]:
     """(1 - s)^photons and 1 - (1 - s)^photons at each survival s of a
-    float or an array.
-
-    Evaluated entry by entry with `math`, whose expm1 and log1p can differ
-    from numpy's in the last place (they do on AVX-512 hosts), so that a grid
-    entry equals the float evaluation at the same survival.
-    """
+    float or an array, entry by entry with `math`, whose expm1 and log1p can
+    differ from numpy's in the last place (they do on AVX-512 hosts)."""
     s = np.asarray(survival, dtype=np.float64)
     if photons == 0:
         return np.ones(s.shape), np.zeros(s.shape)
@@ -365,7 +383,7 @@ def source_click_probabilities(source: Source, survival, mu=None):
 
     `survival` is a float or an array of them, and `mu` a pump value or an
     array of them (default: the source's own pump); the results have their
-    broadcast shape, and are floats when neither is an array.  A Fock state
+    broadcast shape (floats for a float survival and pump).  A Fock state
     given a pump raises TypeError.
     """
     if isinstance(source, Fock) and mu is None:
@@ -376,15 +394,11 @@ def source_click_probabilities(source: Source, survival, mu=None):
         miss, p = np.exp(exponent), -np.expm1(exponent)
     else:
         miss, p = _mux_clicks(source, _pumps(source, mu), survival)
-    if mu is None and p.ndim == 0:
-        return float(miss), float(p)
-    return miss, p
+    return _scalar(miss), _scalar(p)
 
 
 def source_click_probability(source: Source, survival, mu=None):
-    """Probability that at least one photon at the sample plane survives an
-    independent per-photon thinning by `survival`: the second entry of
-    `source_click_probabilities`, with the same arguments."""
+    """The click probability of `source_click_probabilities`."""
     return source_click_probabilities(source, survival, mu)[1]
 
 
@@ -392,9 +406,9 @@ def source_count_rows(source: Source, survival: float, tail: float, mu=None) -> 
     """Detected-count distribution of `source` after per-photon survival
     `survival`, in closed form.
 
-    `mu` is as for `source_click_probabilities`.  The result has shape
-    `np.shape(mu) + (n_max + 1,)`, with one n_max for all rows chosen so that
-    no row discards more than `tail` beyond it.
+    `mu` is as for `source_click_probabilities`.  The result has the pumps'
+    shape + (n_max + 1,), with one n_max for all rows chosen so that no row
+    discards more than `tail` beyond it.
     """
     if isinstance(source, Fock) and mu is None:
         return binomial_row(source.photons, survival)

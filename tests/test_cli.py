@@ -7,7 +7,7 @@ import math
 import pytest
 
 from subshot.cli import main, parse_float_grid, parse_int_list
-from subshot.experiments import EXPERIMENTS
+from subshot.experiments import EXPERIMENTS, SweepConfig
 
 
 class TestGridParsing:
@@ -43,6 +43,19 @@ class TestMain:
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_repeated_calls_do_not_leak_flags(self, tmp_path, monkeypatch):
+        """The parser is built once per process; a second run at defaults
+        takes none of the first run's flags."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["intensity-sweep", "--seed", "5", "--format", "json"]) == 0
+        assert not (tmp_path / "intensity-sweep.csv").exists()
+        assert main(["intensity-sweep"]) == 0
+        with open(tmp_path / "intensity-sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 280
+        assert {row["seed"] for row in rows} == {"0"}
+        assert {row["config_hash"] for row in rows} == {SweepConfig("intensity-sweep").digest()}
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "r.json"

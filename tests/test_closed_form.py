@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
@@ -26,6 +26,7 @@ from _oracles import (
     enumerate_mux_output,
     poisson_probs,
     thinned_count_moments,
+    tune_pump,
 )
 from subshot.detection import Channel, Detector, detected_moments
 from subshot.estimators import (
@@ -34,7 +35,9 @@ from subshot.estimators import (
     snl_ratio,
     snl_report,
 )
+from subshot.experiments import MAX_MEAN
 from subshot.sources import (
+    MAX_STAGES,
     Coherent,
     Fock,
     Multiplexed,
@@ -42,6 +45,7 @@ from subshot.sources import (
     source_click_probability,
     source_count_rows,
     source_moments,
+    source_pump,
     sync_probability_at,
     tune_pair_mean,
 )
@@ -54,6 +58,7 @@ CHECKS = settings(derandomize=True, database=None, deadline=None, max_examples=1
 ORACLE_CHECKS = settings(CHECKS, max_examples=40)
 
 survivals = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+log_uniform_targets = st.floats(-12.0, math.log10(MAX_MEAN)).map(lambda e: 10.0**e)
 herald_effs = st.one_of(st.just(1.0), st.floats(0.05, 1.0))
 
 
@@ -221,6 +226,43 @@ class TestTuning:
         achieved = source_moments(make_multiplexed(stages, target)).mean
         assert abs(achieved - target) <= 1e-9 * target
 
+    @settings(CHECKS, max_examples=60)
+    @given(
+        st.lists(st.integers(1, MAX_STAGES), min_size=1, max_size=4),
+        st.lists(log_uniform_targets, min_size=1, max_size=4),
+        herald_effs,
+        st.floats(0.5, 1.0),
+        st.floats(0.05, 1.0),
+    )
+    def test_array_tuning_matches_one_entry_tunings(self, stages, targets, herald, stage, optics):
+        """One bisection over every (stage count, target) entry gives each
+        entry the pump it gets tuned alone, bit for bit."""
+        sources = [Multiplexed(m, 0.0, herald, stage, optics) for m in stages]
+        pumps = tune_pair_mean(sources, np.array(targets))
+        assert pumps.shape == (len(stages), len(targets))
+        for i, src in enumerate(sources):
+            for j, target in enumerate(targets):
+                assert pumps[i, j] == tune_pair_mean(src, target)
+
+    @settings(CHECKS, max_examples=8)
+    @given(
+        st.integers(1, MAX_STAGES),
+        st.lists(log_uniform_targets, min_size=1, max_size=2),
+        herald_effs,
+        st.floats(0.8, 1.0),
+        st.floats(0.05, 1.0),
+    )
+    @example(64, [1e-12, MAX_MEAN], 0.05, 0.8, 0.05)
+    def test_array_tuning_matches_oracle_bisection(self, stages, targets, herald, stage, optics):
+        """Each entry's pump matches the oracle's own bisection on the mean
+        summed over the closed-form distribution rows; the tolerance is the
+        stop rule's 1e-10 relative, with room for the row sums."""
+        src = Multiplexed(stages, 0.0, herald, stage, optics)
+        pumps = tune_pair_mean([src], np.array(targets))[0]
+        for pump, target in zip(pumps, targets):
+            oracle = tune_pump(lambda mu: source_count_rows(src, 1.0, 1e-18, mu).tolist(), target)
+            assert pump == pytest.approx(oracle, rel=1e-8)
+
 
 # Small transmission grids holding both ends, in any order.
 t_grids = st.lists(st.floats(0.0, 1.0), max_size=4).flatmap(
@@ -230,6 +272,45 @@ t_grids = st.lists(st.floats(0.0, 1.0), max_size=4).flatmap(
 
 def within_ulps(got, expected, ulps=4):
     return abs(got - expected) <= ulps * np.spacing(abs(expected))
+
+
+class TestMeanGrid:
+    """A source whose pump is an array (a mean grid) gives, entry by entry,
+    the report of the source tuned to each mean alone."""
+
+    @settings(CHECKS, max_examples=80)
+    @given(
+        st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=5),
+        st.floats(0.0, 1.0),
+        st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+        st.integers(1, 10**6),
+        st.integers(1, 10),
+    )
+    def test_grid_report_matches_point_reports(self, means, t, eta, nu, stages):
+        ch = Channel(t, eta)
+        grid = np.array(means)
+        snl = snl_report(grid, ch, nu)
+        builds = (Coherent, lambda mean: make_multiplexed(stages, mean))
+        for detector in Detector:
+            for build in builds:
+                source = build(grid)
+                report = exact_report(source, detector, ch, nu)
+                ratios = snl_ratio(report, snl)
+                for i, mean in enumerate(means):
+                    point_source = build(mean)
+                    assert source_pump(source)[i] == source_pump(point_source)
+                    point = exact_report(point_source, detector, ch, nu)
+                    point_ratio = snl_ratio(point, snl_report(mean, ch, nu))
+                    assert within_ulps(report.expectation[i], point.expectation)
+                    assert within_ulps(report.variance[i], point.variance)
+                    assert abs(report.bias[i] - point.bias) <= 1e-15
+                    assert abs(report.mse[i] - point.mse) <= 1e-15
+                    assert (report.relative_mse_percent[i] is None) == (
+                        point.relative_mse_percent is None
+                    )
+                    assert (ratios[i] is None) == (point_ratio is None)
+                    if point_ratio is not None:
+                        assert within_ulps(ratios[i], point_ratio)
 
 
 class TestTransmissionGrid:

@@ -274,6 +274,19 @@ class TestSourceRowsAndValidation:
             build()
         assert err.value.field == field
 
+    @pytest.mark.parametrize("bad", [math.nan, -0.5])
+    def test_array_pump_entry_names_the_field(self, bad):
+        """A pump array is checked entry by entry, as a transmission grid is."""
+        pumps = np.array([0.2, bad, 0.7])
+        with pytest.raises(ConfigError) as err:
+            Coherent(pumps)
+        assert err.value.field == "mean"
+        with pytest.raises(ConfigError) as err:
+            Multiplexed(2, pumps)
+        assert err.value.field == "pair_mean"
+        with pytest.raises(ValueError, match="target mean must be > 0"):
+            tune_pair_mean(params(), pumps)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(TypeError):
             source_moments(object())
