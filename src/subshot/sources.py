@@ -358,10 +358,10 @@ def source_moments(source: Source, mu=None) -> Moments:
     return Moments(mean=_scalar(mean), variance=_scalar(pairs + mean - mean * mean))
 
 
-def output_mean(source: Multiplexed, mu=None):
-    """Mean at the sample plane of a multiplexed source at pump `mu` (default:
-    its own), without the variance, which overflows near MAX_PUMP."""
-    return _scalar(_mux_factorial_moments(_mux_constants(source), _pumps(source, mu), 1)[0])
+def output_mean(source: Multiplexed):
+    """Mean at the sample plane of a multiplexed source at its own pump,
+    without the variance, which overflows near MAX_PUMP."""
+    return _scalar(_mux_factorial_moments(_mux_constants(source), _pumps(source, None), 1)[0])
 
 
 def _fock_clicks(photons: int, survival) -> tuple[np.ndarray, np.ndarray]:
