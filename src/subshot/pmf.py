@@ -21,9 +21,13 @@ class Moments:
     variance: float
 
     @property
-    def fano(self) -> float | None:
-        """Fano factor variance/mean, None for a vacuum."""
-        return self.variance / self.mean if self.mean > 0.0 else None
+    def fano(self) -> float | np.ndarray | None:
+        """Fano factor variance/mean, None for a vacuum; for array moments,
+        entry by entry, with NaN where the mean is zero."""
+        if np.ndim(self.mean) == 0:
+            return self.variance / self.mean if self.mean > 0.0 else None
+        mean = np.asarray(self.mean)
+        return np.divide(self.variance, mean, out=np.full(mean.shape, np.nan), where=mean > 0.0)
 
 
 def poisson_support(mu: float, tail_target: float) -> int:
