@@ -34,7 +34,6 @@ from subshot.estimators import (
 from subshot.montecarlo import (
     MAX_TRIALS,
     FluctuationConfig,
-    fluctuation_mse,
     fluctuation_study,
     mc_estimate,
 )
@@ -367,20 +366,16 @@ def _run_fluctuations(cfg: SweepConfig):
     is skewed under per-round pump noise, so it is recorded, not bounded."""
     mc_cfg = FluctuationConfig(cfg.a_grid, cfg.rounds, cfg.nu, cfg.redraw, cfg.negatives)
     t, mean = cfg.transmission, cfg.mean_photons
-    ch = Channel(t, cfg.detector_eff)
     sources = _sources(cfg, mean)
-    rows = []
-    for detector in Detector:
-        for source in sources:
-            summaries = fluctuation_study(mc_cfg, source, detector, ch, cfg.seed)
-            exact = fluctuation_mse(mc_cfg, source, detector, ch)
-            rows += [
-                _row(cfg, source, detector, t, mean, s.fluctuation,
-                     mse=s.mean_mse, ci_low=s.ci_low, ci_high=s.ci_high, mse_exact=mse,
-                     z_mse=_z_score(s.mean_mse, mse, s.mse_se))
-                for s, mse in zip(summaries, exact)
-            ]
-    return rows
+    pairs = [(source, detector) for detector in Detector for source in sources]
+    studies = fluctuation_study(mc_cfg, pairs, Channel(t, cfg.detector_eff), cfg.seed)
+    return [
+        _row(cfg, source, detector, t, mean, s.fluctuation,
+             mse=s.mean_mse, ci_low=s.ci_low, ci_high=s.ci_high, mse_exact=s.mse_exact,
+             z_mse=_z_score(s.mean_mse, s.mse_exact, s.mse_se))
+        for (source, detector), summaries in zip(pairs, studies)
+        for s in summaries
+    ]
 
 
 def _run_mc_validate(cfg: SweepConfig):

@@ -20,27 +20,31 @@ yields one transmission estimate and one squared error; rounds are summarized
 by their mean, its standard error and the 16th/84th percentiles.  By default
 the pump is redrawn once per round (slow drift relative to a round): the
 source is re-evaluated at the round's pump, and the round total of the
-repetitions' inverse-CDF draws from that row is counted against the sorted
-uniforms (`_round_totals`).  Redrawn per repetition, the counts are
-independent and follow the pump average of the row, so a round is one
-inverse-CDF lookup in its nu-fold power, the row `mc_estimate` samples.
-Both modes keep one uniform per draw, not a histogram, so that every
-fluctuation fraction shares them (common random numbers, below).  Negative
-draws clamp to zero by default or are resampled; both modes are the command
-line's strings (`REDRAWS`, `NEGATIVES`).  The pump averages are quadratures over
-`pump_nodes`, and the same nodes give `fluctuation_mse`, the exact MSE the
-study samples, in every mode and for both detectors.
+repetitions' inverse-CDF draws from that row is counted against the round's
+sorted uniforms (`_round_totals`).  The rounds go in blocks under a fixed
+memory budget (`_BLOCK_FLOATS`); a block's streams are drawn once for every
+(source, detector) pair of the study, and a pair's count rows at all the
+block's pumps come from one `detected_rows` call.  Redrawn per repetition,
+the counts are independent and follow the pump average of the row, so a
+round is one inverse-CDF lookup in its nu-fold power, the row `mc_estimate`
+samples.  Both modes keep one uniform per draw, not a histogram, so that
+every fluctuation fraction shares them (common random numbers, below).
+Negative draws clamp to zero by default or are resampled; both modes are the
+command line's strings (`REDRAWS`, `NEGATIVES`).  The pump averages are
+quadratures over `pump_nodes`, built once per fraction and study, and the
+same nodes give `fluctuation_mse`, the exact MSE the study samples, in every
+mode and for both detectors.
 
 Reproducibility: every round derives its generator stream from (seed, round
-index), so results are independent of execution schedule.  The stream is
-drawn once per round and shared by every fluctuation fraction (common random
+index), so results are independent of execution schedule, of the block size
+and of which pairs share a study.  The stream is drawn once per round and
+shared by every fluctuation fraction and every pair (common random
 numbers), which makes the MSE-versus-fluctuation curves smooth rather than
 noisy.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -57,6 +61,14 @@ _ROW_TAIL = 1e-18
 
 # The largest trial count numpy's multinomial takes (a 64-bit integer).
 MAX_TRIALS = 2**63 - 1
+
+# Float64s that one block of per-round rounds holds in its uniforms
+# (rounds x nu), and one study in its count rows (rounds x a x row length).
+# Unblocked, `fluctuations --nu 100000 --rounds 400` peaked at 353 MB
+# against 40 MB round by round; at 2**17 (1 MiB) a block at nu = 1e5 or at
+# mean 1e4 holds one round, while the default 50 rounds of 200 uniforms
+# share one block.
+_BLOCK_FLOATS = 2**17
 
 # Gauss-Legendre nodes of the pump quadrature.
 _PUMP_NODES = 48
@@ -186,16 +198,17 @@ class FluctuationConfig:
 @dataclass(frozen=True)
 class McSummary:
     """Per-grid-point summary: mean MSE, its standard error across rounds
-    (std(ddof=1) / sqrt(rounds)) and the 68% band of the rounds."""
+    (std(ddof=1) / sqrt(rounds)), the 68% band of the rounds and the exact
+    MSE they sample (`fluctuation_mse`)."""
 
     fluctuation: float
     mean_mse: float
     mse_se: float
     ci_low: float
     ci_high: float
+    mse_exact: float
 
 
-@functools.cache
 def _legendre_nodes() -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
 
@@ -227,22 +240,35 @@ def pump_nodes(a: float, negatives: str) -> tuple[np.ndarray, np.ndarray]:
     resampled ones renormalize the positive part.  At a = 0 the pump is
     fixed: the single node x = 1 with weight 1.
     """
+    return _pump_grid((a,), negatives)[0]
+
+
+def _pump_grid(a_grid, negatives: str) -> list[tuple[np.ndarray, np.ndarray]]:
+    """`pump_nodes` at each fluctuation fraction of `a_grid`.  The
+    Gauss-Legendre rule (~1 ms) is built once, and only if some fraction is
+    not zero; no cache keeps it past the call."""
     _check_mode("negatives", negatives, NEGATIVES)
-    if a == 0.0:
-        return np.ones(1), np.ones(1)
-    s, w = _legendre_nodes()
-    z_min, z_max = max(-1.0 / a, -10.0), 10.0
-    half = 0.5 * (z_max - z_min)
-    z = z_min + half * (s + 1.0)
-    w = half * w * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    p_negative = 0.5 * math.erfc(1.0 / (a * math.sqrt(2.0)))
-    if negatives == "clamp":
-        return np.append(1.0 + a * z, 0.0), np.append(w, p_negative)
-    return 1.0 + a * z, w / (1.0 - p_negative)
+    rule = _legendre_nodes() if any(a != 0.0 for a in a_grid) else None
+    nodes = []
+    for a in a_grid:
+        if a == 0.0:
+            nodes.append((np.ones(1), np.ones(1)))
+            continue
+        s, w = rule
+        z_min, z_max = max(-1.0 / a, -10.0), 10.0
+        half = 0.5 * (z_max - z_min)
+        z = z_min + half * (s + 1.0)
+        w = half * w * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        p_negative = 0.5 * math.erfc(1.0 / (a * math.sqrt(2.0)))
+        if negatives == "clamp":
+            nodes.append((np.append(1.0 + a * z, 0.0), np.append(w, p_negative)))
+        else:
+            nodes.append((1.0 + a * z, w / (1.0 - p_negative)))
+    return nodes
 
 
 def fluctuation_mse(
-    cfg: FluctuationConfig, source: Source, detector, channel: Channel
+    cfg: FluctuationConfig, source: Source, detector, channel: Channel, nodes=None
 ) -> list[float]:
     """Exact MSE of `fluctuation_study`'s estimate at each fluctuation
     fraction of `cfg`, by quadrature over `pump_nodes`.
@@ -252,131 +278,170 @@ def fluctuation_mse(
     share one pump, so the MSE is E_mu[v / (nu ref^2) + (k / ref - t)^2].  Per
     repetition they are independent with the pump-averaged mean E_mu k and
     variance E_mu v + Var_mu k, which enter the same expression once.  Every
-    term is a square or a variance, so nothing cancels.
+    term is a square or a variance, so nothing cancels.  `nodes`, if given,
+    holds `pump_nodes` for each fluctuation fraction of `cfg`; the moments
+    at all their pumps come from one `detected_moments` call.
     """
     ref = reference_mean(source, detector, channel.detector_eff)
     mu0 = source_pump(source)
     t, scale = channel.transmission, cfg.nu * ref * ref
+    if nodes is None:
+        nodes = _pump_grid(cfg.a_grid, cfg.negatives)
+    pumps = mu0 * np.concatenate([x for x, _ in nodes])
+    k = detected_moments(source, detector, channel.survival, pumps)
+    ends = np.cumsum([w.size for _, w in nodes])[:-1]
     mses = []
-    for a in cfg.a_grid:
-        x, w = pump_nodes(a, cfg.negatives)
-        k = detected_moments(source, detector, channel.survival, mu0 * x)
+    for (_, w), mean, variance in zip(nodes, np.split(k.mean, ends), np.split(k.variance, ends)):
         if cfg.redraw == "per-round":
-            mse = w @ (k.variance / scale + (k.mean / ref - t) ** 2)
+            mse = w @ (variance / scale + (mean / ref - t) ** 2)
         else:
-            pumped = w @ k.mean
-            mse = w @ (k.variance + (k.mean - pumped) ** 2) / scale + (pumped / ref - t) ** 2
+            pumped = w @ mean
+            mse = w @ (variance + (mean - pumped) ** 2) / scale + (pumped / ref - t) ** 2
         mses.append(float(mse))
     return mses
 
 
 def _round_totals(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Sum over the uniforms `u` of the counts `_invert_cdf` draws from each
-    row of `rows` (count axis last, offset 0), without forming the draws: a
-    draw, capped at the last count, exceeds count k exactly when its uniform
-    is >= cdf[k], so the sum counts the uniforms >= cdf[k] below the last k.
+    """Sum over each round's uniforms of the counts `_invert_cdf` draws from
+    each of its rows, without forming the draws.
+
+    `rows` has the rounds on its first axis and the counts (offset 0) on its
+    last; `u` holds one sorted row of uniforms per round.  A draw, capped at
+    the last count, exceeds count k exactly when its uniform is >= cdf[k],
+    so a total counts the uniforms >= cdf[k] below the last k.  Each round
+    is searched in its own uniforms, so every comparison is exact.
     """
     cdf = np.cumsum(rows[..., :-1], axis=-1)
-    return (u.size - np.searchsorted(np.sort(u), cdf, side="left")).sum(axis=-1)
+    below = np.array([u_r.searchsorted(cdf_r, side="left") for u_r, cdf_r in zip(u, cdf)])
+    return u.shape[-1] * cdf.shape[-1] - below.reshape(cdf.shape).sum(axis=-1)
 
 
-def _pumps_from_noise(
-    rng: np.random.Generator, mu0: float, a: np.ndarray, z: float, negatives: str
+def _relative_pumps(
+    rng: np.random.Generator, a: np.ndarray, z: float, negatives: str
 ) -> np.ndarray:
-    """Pump strengths mu0 * (1 + a*z), one per fluctuation fraction in `a`,
+    """Relative pump strengths 1 + a*z, one per fluctuation fraction in `a`,
     truncated at zero.
 
     `z` is the round's one normal.  Resampling draws its replacement normals
-    after the shared noise, and every fraction restarts from the generator
-    state there, so each `a` sees the replacement normals it would see alone.
+    after the round's uniforms, and every fraction restarts from the
+    generator state there, so each `a` sees the replacement normals it would
+    see alone.
     """
-    mu = mu0 * (1.0 + a * z)
+    x = 1.0 + a * z
     if negatives == "clamp":
-        return np.maximum(mu, 0.0)
-    state = rng.bit_generator.state
-    for i in np.flatnonzero(mu < 0):
-        rng.bit_generator.state = state
-        while mu[i] < 0:
-            mu[i] = mu0 * (1.0 + a[i] * rng.standard_normal())
-    return mu
+        return np.maximum(x, 0.0)
+    negative = np.flatnonzero(x < 0)
+    if negative.size:
+        state = rng.bit_generator.state
+        for i in negative:
+            rng.bit_generator.state = state
+            while x[i] < 0:
+                x[i] = 1.0 + a[i] * rng.standard_normal()
+    return x
+
+
+def _round_streams(
+    cfg: FluctuationConfig, seed: int, start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Relative pumps (rounds x a) and sorted uniforms (rounds x nu) of
+    rounds start..stop-1, each from its (seed, round) stream: one normal,
+    then nu uniforms, then any replacement normals."""
+    a_grid = np.asarray(cfg.a_grid, dtype=np.float64)
+    x = np.empty((stop - start, a_grid.size))
+    u = np.empty((stop - start, cfg.nu))
+    for i, r in enumerate(range(start, stop)):
+        rng = np.random.default_rng([seed, r])
+        z = rng.standard_normal()
+        rng.random(out=u[i])
+        x[i] = _relative_pumps(rng, a_grid, z, cfg.negatives)
+    u.sort(axis=-1)
+    return x, u
 
 
 def _per_round_totals(
-    cfg: FluctuationConfig, source: Source, detector, survival: float, mu0: float, seed: int
+    cfg: FluctuationConfig, studies: list, survival: float, seed: int
 ) -> np.ndarray:
-    """Round totals, shape (a, rounds), with the pump drawn once per round.
+    """Round totals, shape (study, a, rounds), with the pump drawn once per
+    round; `studies` holds (source, detector, nominal pump) triples.
 
-    Each round draws one normal and nu uniforms, evaluates the count row at
-    every fluctuation fraction's pump and sums the nu repetitions' draws
-    from it.
+    The rounds go in blocks of at most `_BLOCK_FLOATS` uniforms.  Each
+    block's streams are drawn once and shared by every study, whose count
+    rows at the block's (rounds x a) pumps come from one `detected_rows`
+    call, or a few when the rows would exceed `_BLOCK_FLOATS`: their length
+    is that of the row at the block's largest pump.
     """
-    a_grid = np.asarray(cfg.a_grid, dtype=np.float64)
-    totals = np.empty((a_grid.size, cfg.rounds))
-    for r in range(cfg.rounds):
-        # Same (seed, round) stream for every a: common random numbers.
-        rng = np.random.default_rng([seed, r])
-        z = rng.standard_normal()
-        u = rng.random(cfg.nu)
-        mu = _pumps_from_noise(rng, mu0, a_grid, z, cfg.negatives)
-        totals[:, r] = _round_totals(detected_rows(source, detector, survival, _ROW_TAIL, mu), u)
+    n_a = len(cfg.a_grid)
+    totals = np.empty((len(studies), n_a, cfg.rounds))
+    step = max(1, _BLOCK_FLOATS // cfg.nu)
+    for start in range(0, cfg.rounds, step):
+        x, u = _round_streams(cfg, seed, start, min(start + step, cfg.rounds))
+        for out, (source, detector, mu0) in zip(totals, studies):
+            mu = mu0 * x
+            length = detected_rows(source, detector, survival, _ROW_TAIL, mu.max()).shape[-1]
+            sub = max(1, _BLOCK_FLOATS // (n_a * length))
+            for lo in range(0, len(x), sub):
+                hi = min(lo + sub, len(x))
+                rows = detected_rows(source, detector, survival, _ROW_TAIL, mu[lo:hi])
+                out[:, start + lo : start + hi] = _round_totals(rows, u[lo:hi]).T
     return totals
 
 
-@functools.lru_cache(maxsize=16)
-def _round_uniforms(seed: int, rounds: int) -> np.ndarray:
-    """The first uniform of each round's (seed, round) stream; the studies of
-    one run share them, and building a generator costs ~30 us."""
-    u = np.array([np.random.default_rng([seed, r]).random() for r in range(rounds)])
-    u.flags.writeable = False
-    return u
-
-
 def _per_repetition_totals(
-    cfg: FluctuationConfig, source: Source, detector, survival: float, mu0: float, seed: int
+    cfg: FluctuationConfig, studies: list, survival: float, seed: int, nodes: list
 ) -> np.ndarray:
-    """Round totals, shape (a, rounds), with the pump drawn per repetition.
+    """Round totals, shape (study, a, rounds), with the pump drawn per
+    repetition; `nodes` holds `pump_nodes` for each fluctuation fraction.
 
     Each repetition's count follows the pump-averaged row, so a round's total
-    is one inverse-CDF lookup in its nu-fold power, with the round's one
-    uniform shared by every a.
+    is one inverse-CDF lookup in its nu-fold power, with the first uniform of
+    the round's (seed, round) stream shared by every a and every study.
     """
-    u = _round_uniforms(seed, cfg.rounds)
-    totals = np.empty((len(cfg.a_grid), cfg.rounds))
-    for i, a in enumerate(cfg.a_grid):
-        x, w = pump_nodes(a, cfg.negatives)
-        row = w @ detected_rows(source, detector, survival, _ROW_TAIL, mu0 * x)
-        totals[i] = _invert_cdf(*_total_count_row(row, cfg.nu), u)
+    u = np.array([np.random.default_rng([seed, r]).random() for r in range(cfg.rounds)])
+    totals = np.empty((len(studies), len(cfg.a_grid), cfg.rounds))
+    for out, (source, detector, mu0) in zip(totals, studies):
+        for i, (x, w) in enumerate(nodes):
+            row = w @ detected_rows(source, detector, survival, _ROW_TAIL, mu0 * x)
+            out[i] = _invert_cdf(*_total_count_row(row, cfg.nu), u)
     return totals
 
 
 def fluctuation_study(
-    cfg: FluctuationConfig, source: Source, detector, channel: Channel, seed: int
-) -> list[McSummary]:
-    """MSE versus pump-fluctuation size for one source/detector combination.
+    cfg: FluctuationConfig, pairs, channel: Channel, seed: int
+) -> list[list[McSummary]]:
+    """MSE versus pump-fluctuation size for each (source, detector) pair of
+    `pairs`, one summary list per pair; `fluctuation_study(cfg, [(source,
+    detector)], channel, seed)[0]` studies one pair.
 
-    The nominal pump is the one `source` carries (the coherent mean or the
+    The nominal pump is the one the source carries (the coherent mean or the
     multiplexed pair mean).  Runs cfg.rounds rounds; each draws its round
-    total of counts or clicks for every fluctuation fraction `a` from one
-    (seed, round) stream, forms the transmission estimate with the
+    total of counts or clicks for every pair and fluctuation fraction `a`
+    from one (seed, round) stream, forms the transmission estimate with the
     fluctuation-free reference, and records its squared error against the
-    true transmission.
+    true transmission.  Each summary carries the exact MSE the rounds sample
+    (`fluctuation_mse`).
     """
-    ref0 = reference_mean(source, detector, channel.detector_eff)
-    mu0 = source_pump(source)
+    pairs = list(pairs)
+    refs = [reference_mean(source, detector, channel.detector_eff) for source, detector in pairs]
+    studies = [(source, detector, source_pump(source)) for source, detector in pairs]
+    nodes = _pump_grid(cfg.a_grid, cfg.negatives)
     if cfg.redraw == "per-round":
-        totals = _per_round_totals(cfg, source, detector, channel.survival, mu0, seed)
+        totals = _per_round_totals(cfg, studies, channel.survival, seed)
     else:
-        totals = _per_repetition_totals(cfg, source, detector, channel.survival, mu0, seed)
-    sq_err = (totals / (cfg.nu * ref0) - channel.transmission) ** 2
-
-    lows, highs = np.percentile(sq_err, [16.0, 84.0], axis=1)
-    return [
-        McSummary(
-            fluctuation=a,
-            mean_mse=float(errors.mean()),
-            mse_se=float(errors.std(ddof=1) / math.sqrt(cfg.rounds)),
-            ci_low=float(lo),
-            ci_high=float(hi),
-        )
-        for a, errors, lo, hi in zip(cfg.a_grid, sq_err, lows, highs)
-    ]
+        totals = _per_repetition_totals(cfg, studies, channel.survival, seed, nodes)
+    summaries = []
+    for (source, detector), ref, study in zip(pairs, refs, totals):
+        sq_err = (study / (cfg.nu * ref) - channel.transmission) ** 2
+        lows, highs = np.percentile(sq_err, [16.0, 84.0], axis=1)
+        exact = fluctuation_mse(cfg, source, detector, channel, nodes)
+        summaries.append([
+            McSummary(
+                fluctuation=a,
+                mean_mse=float(errors.mean()),
+                mse_se=float(errors.std(ddof=1) / math.sqrt(cfg.rounds)),
+                ci_low=float(lo),
+                ci_high=float(hi),
+                mse_exact=mse,
+            )
+            for a, errors, lo, hi, mse in zip(cfg.a_grid, sq_err, lows, highs, exact)
+        ])
+    return summaries

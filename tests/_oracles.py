@@ -4,7 +4,9 @@ Everything here is written against the physical event process with plain
 Python loops and exact combinatorics, deliberately sharing no code with the
 closed-form pipelines it is used to check.  The pump-fluctuation oracles add
 one numerical step: Gauss-Legendre quadrature over the Gaussian pump, for the
-number-resolving and the threshold estimator.
+number-resolving and the threshold estimator.  `per_round_totals` is the
+reference for the batched per-round rounds: it takes the count rows as a
+function and checks only how the rounds draw and count, one at a time.
 """
 
 import math
@@ -201,3 +203,36 @@ def threshold_mse_fluctuating_pump(
     if redraw == "per-repetition":
         return mse(sum(w * p for w, p in weighted))
     raise ValueError(f"unknown redraw mode {redraw!r}")
+
+
+def per_round_totals(rows, pump: float, a_grid, rounds: int, nu: int, negatives: str, seed: int):
+    """Round totals (a, rounds) of a per-round pump-fluctuation study, formed
+    one round at a time with each repetition's count drawn explicitly.
+
+    Each round builds its own (seed, round) generator and draws one normal z,
+    then nu uniforms.  The round's pump at fluctuation fraction a is
+    pump * (1 + a z), clamped at zero, or resampled from the generator state
+    after the uniforms (every a restarting from that state).  Each
+    repetition's count is the inverse-CDF draw of its uniform from the
+    round's count row at that pump, capped at the last count, and the round
+    total sums them.  `rows(mu)` gives the count rows at a pump array.
+    """
+    a = np.asarray(a_grid, dtype=np.float64)
+    totals = np.empty((a.size, rounds))
+    for r in range(rounds):
+        rng = np.random.default_rng([seed, r])
+        z = rng.standard_normal()
+        u = rng.random(nu)
+        mu = pump * (1.0 + a * z)
+        if negatives == "clamp":
+            mu = np.maximum(mu, 0.0)
+        else:
+            state = rng.bit_generator.state
+            for i in np.flatnonzero(mu < 0):
+                rng.bit_generator.state = state
+                while mu[i] < 0:
+                    mu[i] = pump * (1.0 + a[i] * rng.standard_normal())
+        for i, row in enumerate(rows(mu)):
+            cdf = np.cumsum(row)
+            totals[i, r] = np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1).sum()
+    return totals

@@ -70,11 +70,9 @@ def flux_studies():
         "mux3": make_multiplexed(3, 0.5),
         "mux5": make_multiplexed(5, 0.5),
     }
-    out = {}
-    for det in (Detector.NUMBER_RESOLVING, Detector.THRESHOLD):
-        for name, src in sources.items():
-            out[(name, det)] = fluctuation_study(cfg, src, det, ch, seed=20240)
-    return out
+    keys = [(name, det) for det in Detector for name in sources]
+    pairs = [(sources[name], det) for name, det in keys]
+    return dict(zip(keys, fluctuation_study(cfg, pairs, ch, seed=20240)))
 
 
 def test_c01_nr_unbiasedness(mux_mean1):

@@ -2,6 +2,7 @@
 total-count distribution it samples, the pump-fluctuation study machinery
 and the exact MSE it samples."""
 
+import collections
 import functools
 import math
 import time
@@ -19,10 +20,12 @@ from _oracles import (
     enumerate_mux_output,
     gaussian_pump_nodes,
     nr_mse_fluctuating_pump,
+    per_round_totals,
     poisson_probs,
     thinned_count_moments,
     threshold_mse_fluctuating_pump,
 )
+from subshot import montecarlo
 from subshot.detection import Channel, detected_rows
 from subshot.estimators import Detector, exact_report, reference_mean
 from subshot.montecarlo import (
@@ -51,6 +54,7 @@ from subshot.sources import (
     source_click_probability,
     source_count_rows,
     source_moments,
+    source_pump,
 )
 
 CH = Channel(0.8, 0.9)
@@ -82,6 +86,15 @@ def sources(draw, kinds=SOURCE_KINDS, fock_max=25, mean_max=5.0):
     if kind == "coherent":
         return Coherent(mean)
     return make_multiplexed(draw(st.integers(1, 6)), mean)
+
+
+# Every (source, detector) pair of a fluctuations run at two sources.
+STUDY_PAIRS = [(src, det) for det in Detector for src in (Coherent(0.5), make_multiplexed(3, 0.5))]
+
+
+def _study(cfg, source, detector, channel, seed):
+    """`fluctuation_study` of the one pair (source, detector)."""
+    return fluctuation_study(cfg, [(source, detector)], channel, seed)[0]
 
 
 def row_moments(offset, row):
@@ -181,7 +194,7 @@ class TestMcEstimate:
         assert mc_estimate(*args, 20.0, 10, 0) == mc_estimate(*args, 20, 10, 0)
         cfg = FluctuationConfig(a_grid=(0.3,), rounds=4.0, nu=20.0)
         assert (cfg.rounds, cfg.nu) == (4, 20)
-        assert fluctuation_study(cfg, *args, 0) == fluctuation_study(
+        assert _study(cfg, *args, 0) == _study(
             FluctuationConfig(a_grid=(0.3,), rounds=4, nu=20), *args, 0
         )
 
@@ -272,7 +285,53 @@ def test_round_totals_sum_the_inverse_cdf_draws(data, shape, mass):
     uniforms = st.one_of(st.floats(0.0, 1.0, exclude_max=True), on_cdf)
     u = np.array(data.draw(st.lists(uniforms, min_size=1, max_size=60)))
     want = [int(_invert_cdf(0, row, u).sum()) for row in rows]
-    assert _round_totals(rows, u).tolist() == want
+    assert _round_totals(rows[None], np.sort(u)[None])[0].tolist() == want
+
+
+@settings(CHECKS, max_examples=40)
+# Two rounds of 30 resample at a = 0.6 and one at a = 0.5; the last of 8
+# blocks is short.
+@example(
+    pairs=STUDY_PAIRS, survival=0.72, a_grid=(0.0, 0.5, 0.6), rounds=30, nu=7,
+    negatives="resample", seed=3, block=4,
+)
+@given(
+    pairs=st.lists(
+        st.tuples(
+            sources(kinds=("coherent", "multiplexed"), mean_max=3.0),
+            st.sampled_from(list(Detector)),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    survival=st.floats(0.05, 1.0),
+    a_grid=st.lists(st.floats(0.0, 0.6), min_size=1, max_size=4).map(tuple),
+    rounds=st.integers(2, 12),
+    nu=st.integers(1, 300),
+    negatives=st.sampled_from(NEGATIVES),
+    seed=st.integers(0, 2**32 - 1),
+    block=st.integers(1, 4),
+)
+def test_batched_rounds_equal_the_round_by_round_reference(
+    pairs, survival, a_grid, rounds, nu, negatives, seed, block
+):
+    """The per-round engine, which draws each block's streams once for every
+    pair and evaluates a pair's rounds in one `detected_rows` call, gives
+    exactly the totals of the round-by-round reference.  The block budget is
+    `block` rounds of uniforms, so blocks split mid-run and the last one may
+    be short, and the count rows split into blocks of their own."""
+    cfg = FluctuationConfig(a_grid, rounds, nu, negatives=negatives)
+    studies = [(source, detector, source_pump(source)) for source, detector in pairs]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "_BLOCK_FLOATS", block * nu)
+        got = montecarlo._per_round_totals(cfg, studies, survival, seed)
+    for totals, (source, detector, pump) in zip(got, studies):
+
+        def rows(mu):
+            return detected_rows(source, detector, survival, _ROW_TAIL, mu)
+
+        want = per_round_totals(rows, pump, a_grid, rounds, nu, negatives, seed)
+        assert totals.tolist() == want.tolist()
 
 
 # Examples per (source kind, detector) pair of the randomized Monte Carlo check.
@@ -397,7 +456,7 @@ class TestBatchBuilders:
 class TestFluctuationStudy:
     def test_zero_fluctuation_matches_exact_mse(self):
         cfg = FluctuationConfig(a_grid=(0.0,), rounds=800, nu=200)
-        res = fluctuation_study(cfg, Coherent(0.5), Detector.NUMBER_RESOLVING, CH, seed=5)
+        res = _study(cfg, Coherent(0.5), Detector.NUMBER_RESOLVING, CH, seed=5)
         exact = exact_report(Coherent(0.5), Detector.NUMBER_RESOLVING, CH, 200).mse
         # mean of 800 squared errors: relative standard error ~ sqrt(2/800)
         assert res[0].mean_mse == pytest.approx(exact, rel=0.25)
@@ -405,7 +464,7 @@ class TestFluctuationStudy:
     def test_zero_fluctuation_matches_exact_mse_multiplexed(self):
         src = make_multiplexed(5, 0.5)
         cfg = FluctuationConfig(a_grid=(0.0,), rounds=800, nu=200)
-        res = fluctuation_study(cfg, src, Detector.THRESHOLD, CH, seed=6)
+        res = _study(cfg, src, Detector.THRESHOLD, CH, seed=6)
         exact = exact_report(src, Detector.THRESHOLD, CH, 200).mse
         assert res[0].mean_mse == pytest.approx(exact, rel=0.25)
 
@@ -414,25 +473,25 @@ class TestFluctuationStudy:
         not the 0.5 of the other tests)."""
         src = make_multiplexed(3, 1.0)
         cfg = FluctuationConfig(a_grid=(0.0,), rounds=800, nu=200)
-        res = fluctuation_study(cfg, src, Detector.NUMBER_RESOLVING, CH, seed=12)
+        res = _study(cfg, src, Detector.NUMBER_RESOLVING, CH, seed=12)
         exact = exact_report(src, Detector.NUMBER_RESOLVING, CH, 200).mse
         assert res[0].mean_mse == pytest.approx(exact, rel=0.25)
 
     def test_vacuum_source_rejected(self):
         with pytest.raises(ValueError):
-            fluctuation_study(FluctuationConfig(), Coherent(0.0), Detector.THRESHOLD, CH, 0)
+            _study(FluctuationConfig(), Coherent(0.0), Detector.THRESHOLD, CH, 0)
 
     @pytest.mark.parametrize("detector", list(Detector))
     @ZERO_REFERENCE
     def test_zero_reference_rejected(self, source, channel, detector):
         with pytest.raises(ValueError, match="reference must be > 0"):
-            fluctuation_study(FluctuationConfig(rounds=2), source, detector, channel, 0)
+            _study(FluctuationConfig(rounds=2), source, detector, channel, 0)
 
     def test_fluctuations_inflate_mse(self):
         cfg = FluctuationConfig(a_grid=(0.0, 0.6), rounds=50)
         for src in (Coherent(0.5), make_multiplexed(5, 0.5)):
             for det in (Detector.NUMBER_RESOLVING, Detector.THRESHOLD):
-                res = fluctuation_study(cfg, src, det, CH, seed=7)
+                res = _study(cfg, src, det, CH, seed=7)
                 assert res[-1].mean_mse > res[0].mean_mse
 
     def test_multiplexed_more_robust_than_coherent(self):
@@ -440,7 +499,7 @@ class TestFluctuationStudy:
         cfg = FluctuationConfig(a_grid=(0.0, 0.6), rounds=200)
         infl = {}
         for name, src in [("coh", Coherent(0.5)), ("mux", make_multiplexed(5, 0.5))]:
-            res = fluctuation_study(cfg, src, Detector.NUMBER_RESOLVING, CH, seed=8)
+            res = _study(cfg, src, Detector.NUMBER_RESOLVING, CH, seed=8)
             infl[name] = res[-1].mean_mse / res[0].mean_mse
         assert infl["mux"] < infl["coh"]
 
@@ -453,7 +512,7 @@ class TestFluctuationStudy:
         2000 rounds the sample standard deviation is within ~4% of it.
         """
         cfg = FluctuationConfig(a_grid=(0.0, 0.4), rounds=2000, nu=200)
-        res = fluctuation_study(cfg, Coherent(0.5), Detector.NUMBER_RESOLVING, CH, seed=4)
+        res = _study(cfg, Coherent(0.5), Detector.NUMBER_RESOLVING, CH, seed=4)
         m = cfg.nu * CH.survival * 0.5
         sd = math.sqrt(m + 2.0 * m * m) / (cfg.nu * CH.detector_eff * 0.5) ** 2
         assert res[0].mse_se == pytest.approx(sd / math.sqrt(cfg.rounds), rel=0.2)
@@ -476,22 +535,66 @@ class TestFluctuationStudy:
         )
         for src in (Coherent(0.5), make_multiplexed(3, 0.5)):
             for det in Detector:
-                grid = fluctuation_study(cfg, src, det, CH, seed=3)
+                grid = _study(cfg, src, det, CH, seed=3)
                 alone = [
-                    fluctuation_study(replace(cfg, a_grid=(a,)), src, det, CH, seed=3)[0]
+                    _study(replace(cfg, a_grid=(a,)), src, det, CH, seed=3)[0]
                     for a in cfg.a_grid
                 ]
                 assert grid == alone
 
+    @pytest.mark.parametrize("redraw", REDRAWS)
+    def test_pairs_equal_single_pair_studies(self, redraw):
+        """The pairs of one study share its round streams, and each gets the
+        summaries it gets alone."""
+        cfg = FluctuationConfig(
+            a_grid=(0.0, 0.3, 0.6), rounds=30, nu=50, redraw=redraw, negatives="resample"
+        )
+        assert fluctuation_study(cfg, STUDY_PAIRS, CH, 9) == [
+            _study(cfg, src, det, CH, 9) for src, det in STUDY_PAIRS
+        ]
+
+    @pytest.mark.parametrize("redraw", REDRAWS)
+    def test_one_stream_per_round_and_one_quadrature_per_study(self, redraw, monkeypatch):
+        """A study of four pairs builds each (seed, round) generator once, and
+        the Gauss-Legendre rule and the pump nodes of its fluctuation
+        fractions once."""
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np.random, "default_rng", counted("streams", np.random.default_rng))
+        monkeypatch.setattr(montecarlo, "_pump_grid", counted("grids", montecarlo._pump_grid))
+        monkeypatch.setattr(montecarlo, "_legendre_nodes", counted("rules", _legendre_nodes))
+        cfg = FluctuationConfig(rounds=20, redraw=redraw)
+        fluctuation_study(cfg, STUDY_PAIRS, CH, 0)
+        assert calls == {"streams": cfg.rounds, "grids": 1, "rules": 1}
+
+    def test_per_round_memory_is_blocked(self):
+        """At nu = 1e5 a block holds one round's uniforms (0.8 MB); 300 rounds
+        in one block would hold 240 MB of uniforms alone."""
+        cfg = FluctuationConfig(a_grid=(0.0, 0.6), rounds=300, nu=100_000)
+        tracemalloc.start()
+        try:
+            _study(cfg, make_multiplexed(3, 0.5), Detector.NUMBER_RESOLVING, CH, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     def test_reproducible_per_seed(self):
         cfg = FluctuationConfig(rounds=40)
-        a = fluctuation_study(cfg, Coherent(0.5), Detector.THRESHOLD, CH, seed=42)
-        b = fluctuation_study(cfg, Coherent(0.5), Detector.THRESHOLD, CH, seed=42)
+        a = _study(cfg, Coherent(0.5), Detector.THRESHOLD, CH, seed=42)
+        b = _study(cfg, Coherent(0.5), Detector.THRESHOLD, CH, seed=42)
         assert a == b
 
     def test_percentiles_ordered(self):
         cfg = FluctuationConfig(rounds=60)
-        for s in fluctuation_study(cfg, Coherent(0.5), Detector.NUMBER_RESOLVING, CH, seed=1):
+        for s in _study(cfg, Coherent(0.5), Detector.NUMBER_RESOLVING, CH, seed=1):
             assert s.ci_low <= s.mean_mse or s.ci_low <= s.ci_high
             assert s.ci_low <= s.ci_high
 
@@ -503,8 +606,8 @@ class TestFluctuationStudy:
         )
         per_round = FluctuationConfig(a_grid=(0.0, 0.6), rounds=300)
         src = Coherent(0.5)
-        r_rep = fluctuation_study(per_rep, src, Detector.NUMBER_RESOLVING, CH, seed=11)
-        r_round = fluctuation_study(per_round, src, Detector.NUMBER_RESOLVING, CH, seed=11)
+        r_rep = _study(per_rep, src, Detector.NUMBER_RESOLVING, CH, seed=11)
+        r_round = _study(per_round, src, Detector.NUMBER_RESOLVING, CH, seed=11)
         infl_rep = r_rep[-1].mean_mse / r_rep[0].mean_mse
         infl_round = r_round[-1].mean_mse / r_round[0].mean_mse
         assert 1.0 < infl_rep < 3.0
@@ -514,12 +617,12 @@ class TestFluctuationStudy:
         cfg = FluctuationConfig(
             a_grid=(0.0, 0.6), rounds=40, negatives="resample"
         )
-        res = fluctuation_study(cfg, Coherent(0.5), Detector.THRESHOLD, CH, seed=2)
+        res = _study(cfg, Coherent(0.5), Detector.THRESHOLD, CH, seed=2)
         assert len(res) == 2 and all(np.isfinite(s.mean_mse) for s in res)
 
     def test_fock_source_rejected(self):
         with pytest.raises(TypeError):
-            fluctuation_study(FluctuationConfig(), Fock(1), Detector.THRESHOLD, CH, 0)
+            _study(FluctuationConfig(), Fock(1), Detector.THRESHOLD, CH, 0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -555,7 +658,7 @@ class TestFluctuationStudy:
         assert mses["per-round", "clamp"] == fluctuation_mse(FluctuationConfig((0.6,)), *args)[0]
         assert len(set(mses.values())) == 4
         per_round = FluctuationConfig((0.0, 0.6), rounds=50, redraw="per-round")
-        study = fluctuation_study(per_round, *args, seed=1)
+        study = _study(per_round, *args, seed=1)
         assert study[1].mean_mse > 5.0 * study[0].mean_mse
 
 
@@ -718,6 +821,6 @@ def test_per_repetition_study_matches_exact_mse(
     cfg = FluctuationConfig(
         a_grid=(0.0, a), rounds=400, nu=nu, redraw="per-repetition", negatives=negatives
     )
-    summaries = fluctuation_study(cfg, source, detector, channel, seed)
+    summaries = _study(cfg, source, detector, channel, seed)
     for summary, exact in zip(summaries, fluctuation_mse(cfg, source, detector, channel)):
         assert abs(summary.mean_mse - exact) < FLUX_Z_BOUND * summary.mse_se
