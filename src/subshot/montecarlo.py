@@ -64,10 +64,10 @@ MAX_TRIALS = 2**63 - 1
 
 # Float64s that one block of per-round rounds holds in its uniforms
 # (rounds x nu), and one study in its count rows (rounds x a x row length).
-# Unblocked, `fluctuations --nu 100000 --rounds 400` peaked at 353 MB
-# against 40 MB round by round; at 2**17 (1 MiB) a block at nu = 1e5 or at
-# mean 1e4 holds one round, while the default 50 rounds of 200 uniforms
-# share one block.
+# Unblocked, a 300-round study at nu = 1e5 allocated 229 MiB at its peak
+# (tracemalloc), against 2.3 MiB at 2**17 (1 MiB), where a block at
+# nu = 1e5 holds one round and the default 50 rounds of 200 uniforms share
+# one block.
 _BLOCK_FLOATS = 2**17
 
 # Gauss-Legendre nodes of the pump quadrature.
