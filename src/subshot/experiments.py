@@ -52,15 +52,11 @@ from subshot.sources import (
 # Largest accepted mean photon number per repetition.  The sources studied
 # deliver about one photon.  The Monte Carlo count rows grow with the mean:
 # at this cap the default fluctuations run takes ~1.5 s and ~42 MB, at 1e5 it
-# takes ~13 s and ~73 MB (one process on 2 vCPUs).  The exact reports square the reference mean,
-# which overflows a float beyond ~1e154.
+# takes ~13 s and ~73 MB (one process on 2 vCPUs).  Per repetition it takes
+# 2.4-3.0 s and ~105 MB at this cap, most of it the count rows at the pump
+# nodes.  The exact reports square the reference mean, which overflows a
+# float beyond ~1e154.
 MAX_MEAN = 1e4
-
-# Largest accepted mean photon number of a per-repetition fluctuations run,
-# whose nu-fold power of the pump-averaged count row costs about the square
-# of the mean: at nu = 200 the run takes ~0.7 s at this cap, ~6.5 s at 500
-# and ~22 s at 1000 (one fresh process on 2 vCPUs).
-MAX_REPETITION_MEAN = 100
 
 # Smallest accepted detector efficiency times mean photon number.  The exact
 # reports divide by nu * reference**2, so `estimators.reference_mean` rejects
@@ -156,10 +152,6 @@ class SweepConfig:
         if self.experiment == "mc-validate":
             networks = [Multiplexed(m, MAX_PUMP, *calibration) for m in _MC_VALIDATE_STAGES]
         self._validate_reach(networks)
-        per_repetition = self.experiment == "fluctuations" and self.redraw == "per-repetition"
-        if per_repetition and self.mean_photons > MAX_REPETITION_MEAN:
-            cap = f"{MAX_REPETITION_MEAN}, the cap for per-repetition redraws"
-            raise ConfigError("mean_photons", f"{self.mean_photons} is above {cap}")
 
     def _validate_reference(self) -> None:
         """The detector efficiency times the smallest mean must reach

@@ -21,14 +21,16 @@ by their mean, its standard error and the 16th/84th percentiles.  By default
 the pump is redrawn once per round (slow drift relative to a round): the
 source is re-evaluated at the round's pump, and the round total of the
 repetitions' inverse-CDF draws from that row is counted against the round's
-sorted uniforms (`_round_totals`).  The rounds go in blocks under a fixed
-memory budget (`_BLOCK_FLOATS`); a block's streams are drawn once for every
-(source, detector) pair of the study, and a pair's count rows at all the
-block's pumps come from one `detected_rows` call.  Redrawn per repetition,
-the counts are independent and follow the pump average of the row, so a
-round is one inverse-CDF lookup in its nu-fold power, the row `mc_estimate`
-samples.  Both modes keep one uniform per draw, not a histogram, so that
-every fluctuation fraction shares them (common random numbers, below).
+sorted uniforms (`_round_totals`).  Redrawn per repetition, the counts are
+independent and follow the pump average of the row, which is built once per
+run; a round reads the same stream and counts its draws from that row the
+same way, and their sum has the law of one draw from the row's nu-fold
+power.  One engine (`_study_totals`) runs both modes.  The rounds go in
+blocks under a fixed memory budget (`_BLOCK_FLOATS`); a block's streams are
+drawn once for every (source, detector) pair of the study, and per round a
+pair's count rows at all the block's pumps come from one `detected_rows`
+call.  Both modes keep one uniform per draw, not a histogram, so that every
+fluctuation fraction shares them (common random numbers, below).
 Negative draws clamp to zero by default or are resampled; both modes are the
 command line's strings (`REDRAWS`, `NEGATIVES`).  The pump averages are
 quadratures over `pump_nodes`, built once per fraction and study, and the
@@ -62,8 +64,8 @@ _ROW_TAIL = 1e-18
 # The largest trial count numpy's multinomial takes (a 64-bit integer).
 MAX_TRIALS = 2**63 - 1
 
-# Float64s that one block of per-round rounds holds in its uniforms
-# (rounds x nu), and one study in its count rows (rounds x a x row length).
+# Float64s that one block of rounds holds in its uniforms (rounds x nu), and
+# one study in its count rows (rounds x a x row length).
 # Unblocked, a 300-round study at nu = 1e5 allocated 229 MiB at its peak
 # (tracemalloc), against 2.3 MiB at 2**17 (1 MiB), where a block at
 # nu = 1e5 holds one round and the default 50 rounds of 200 uniforms share
@@ -113,12 +115,6 @@ def _total_count_row(row: np.ndarray, nu: int) -> tuple[int, np.ndarray]:
         if not nu:
             return offset, total
         base_offset, base = _trim_tails(2 * base_offset, np.convolve(base, base))
-
-
-def _invert_cdf(offset: int, row: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Count drawn from P(K = offset + i) = row[i] for each uniform in `u`."""
-    cdf = np.cumsum(row)
-    return offset + np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
 
 
 @dataclass(frozen=True)
@@ -302,16 +298,18 @@ def fluctuation_mse(
 
 
 def _round_totals(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Sum over each round's uniforms of the counts `_invert_cdf` draws from
-    each of its rows, without forming the draws.
+    """Sum of the inverse-CDF draws of each round's uniforms from each of its
+    rows, without forming the draws.
 
-    `rows` has the rounds on its first axis and the counts (offset 0) on its
-    last; `u` holds one sorted row of uniforms per round.  A draw, capped at
-    the last count, exceeds count k exactly when its uniform is >= cdf[k],
-    so a total counts the uniforms >= cdf[k] below the last k.  Each round
-    is searched in its own uniforms, so every comparison is exact.
+    `rows` has the rounds on its first axis, or one entry there that every
+    round shares, and the counts (offset 0) on its last; `u` holds one
+    sorted row of uniforms per round.  A draw, capped at the last count,
+    exceeds count k exactly when its uniform is >= cdf[k], so a total counts
+    the uniforms >= cdf[k] below the last k.  Each round is searched in its
+    own uniforms, so every comparison is exact.
     """
     cdf = np.cumsum(rows[..., :-1], axis=-1)
+    cdf = np.broadcast_to(cdf, (len(u),) + cdf.shape[1:])
     below = np.array([u_r.searchsorted(cdf_r, side="left") for u_r, cdf_r in zip(u, cdf)])
     return u.shape[-1] * cdf.shape[-1] - below.reshape(cdf.shape).sum(axis=-1)
 
@@ -358,50 +356,56 @@ def _round_streams(
     return x, u
 
 
-def _per_round_totals(
-    cfg: FluctuationConfig, studies: list, survival: float, seed: int
-) -> np.ndarray:
-    """Round totals, shape (study, a, rounds), with the pump drawn once per
-    round; `studies` holds (source, detector, nominal pump) triples.
+def _averaged_rows(study, survival: float, nodes: list) -> np.ndarray:
+    """Pump-averaged count row of each fluctuation fraction, shape (a, counts),
+    zero-padded to one length; `study` is a (source, detector, nominal pump)
+    triple and `nodes` holds `pump_nodes` for each fraction."""
+    source, detector, mu0 = study
+    rows = [w @ detected_rows(source, detector, survival, _ROW_TAIL, mu0 * x) for x, w in nodes]
+    length = max(row.size for row in rows)
+    return np.array([np.pad(row, (0, length - row.size)) for row in rows])
 
-    The rounds go in blocks of at most `_BLOCK_FLOATS` uniforms.  Each
-    block's streams are drawn once and shared by every study, whose count
-    rows at the block's (rounds x a) pumps come from one `detected_rows`
-    call, or a few when the rows would exceed `_BLOCK_FLOATS`: their length
-    is that of the row at the block's largest pump.
+
+def _study_totals(
+    cfg: FluctuationConfig, studies: list, survival: float, seed: int, nodes: list
+) -> np.ndarray:
+    """Round totals, shape (study, a, rounds); `studies` holds (source,
+    detector, nominal pump) triples and `nodes` `pump_nodes` for each
+    fluctuation fraction.
+
+    A round's total counts the draws of its nu sorted uniforms from its count
+    rows: per round, the rows at the round's pumps; per repetition, each
+    fraction's pump-averaged row (`_averaged_rows`), which every round
+    shares.  The rounds go in blocks of at most `_BLOCK_FLOATS` uniforms,
+    whose streams are drawn once for every study.  Per round, a study's rows
+    at the block's (rounds x a) pumps come from one `detected_rows` call, and
+    their length is that of the row at the block's largest pump.  In both
+    modes the rounds are counted in sub-blocks when their rows would exceed
+    `_BLOCK_FLOATS`.
     """
     n_a = len(cfg.a_grid)
     totals = np.empty((len(studies), n_a, cfg.rounds))
+    if cfg.redraw == "per-round":
+        averaged = [None] * len(studies)
+    else:
+        averaged = [_averaged_rows(study, survival, nodes) for study in studies]
     step = max(1, _BLOCK_FLOATS // cfg.nu)
     for start in range(0, cfg.rounds, step):
         x, u = _round_streams(cfg, seed, start, min(start + step, cfg.rounds))
-        for out, (source, detector, mu0) in zip(totals, studies):
-            mu = mu0 * x
-            length = detected_rows(source, detector, survival, _ROW_TAIL, mu.max()).shape[-1]
+        for out, (source, detector, mu0), shared in zip(totals, studies, averaged):
+            if shared is None:
+                mu = mu0 * x
+                length = detected_rows(source, detector, survival, _ROW_TAIL, mu.max()).shape[-1]
+            else:
+                length = shared.shape[-1]
             sub = max(1, _BLOCK_FLOATS // (n_a * length))
             for lo in range(0, len(x), sub):
                 hi = min(lo + sub, len(x))
-                rows = detected_rows(source, detector, survival, _ROW_TAIL, mu[lo:hi])
+                if shared is None:
+                    rows = detected_rows(source, detector, survival, _ROW_TAIL, mu[lo:hi])
+                else:
+                    rows = shared[None]
                 out[:, start + lo : start + hi] = _round_totals(rows, u[lo:hi]).T
-    return totals
-
-
-def _per_repetition_totals(
-    cfg: FluctuationConfig, studies: list, survival: float, seed: int, nodes: list
-) -> np.ndarray:
-    """Round totals, shape (study, a, rounds), with the pump drawn per
-    repetition; `nodes` holds `pump_nodes` for each fluctuation fraction.
-
-    Each repetition's count follows the pump-averaged row, so a round's total
-    is one inverse-CDF lookup in its nu-fold power, with the first uniform of
-    the round's (seed, round) stream shared by every a and every study.
-    """
-    u = np.array([np.random.default_rng([seed, r]).random() for r in range(cfg.rounds)])
-    totals = np.empty((len(studies), len(cfg.a_grid), cfg.rounds))
-    for out, (source, detector, mu0) in zip(totals, studies):
-        for i, (x, w) in enumerate(nodes):
-            row = w @ detected_rows(source, detector, survival, _ROW_TAIL, mu0 * x)
-            out[i] = _invert_cdf(*_total_count_row(row, cfg.nu), u)
     return totals
 
 
@@ -424,10 +428,7 @@ def fluctuation_study(
     refs = [reference_mean(source, detector, channel.detector_eff) for source, detector in pairs]
     studies = [(source, detector, source_pump(source)) for source, detector in pairs]
     nodes = _pump_grid(cfg.a_grid, cfg.negatives)
-    if cfg.redraw == "per-round":
-        totals = _per_round_totals(cfg, studies, channel.survival, seed)
-    else:
-        totals = _per_repetition_totals(cfg, studies, channel.survival, seed, nodes)
+    totals = _study_totals(cfg, studies, channel.survival, seed, nodes)
     summaries = []
     for (source, detector), ref, study in zip(pairs, refs, totals):
         sq_err = (study / (cfg.nu * ref) - channel.transmission) ** 2

@@ -4,9 +4,10 @@ Everything here is written against the physical event process with plain
 Python loops and exact combinatorics, deliberately sharing no code with the
 closed-form pipelines it is used to check.  The pump-fluctuation oracles add
 one numerical step: Gauss-Legendre quadrature over the Gaussian pump, for the
-number-resolving and the threshold estimator.  `per_round_totals` is the
-reference for the batched per-round rounds: it takes the count rows as a
-function and checks only how the rounds draw and count, one at a time.
+number-resolving and the threshold estimator.  `per_round_totals` and
+`per_repetition_totals` are the references for the batched fluctuation
+rounds: they take the count rows as a function and check only how the
+rounds draw and count, one at a time.
 """
 
 import math
@@ -233,6 +234,34 @@ def per_round_totals(rows, pump: float, a_grid, rounds: int, nu: int, negatives:
                 while mu[i] < 0:
                     mu[i] = pump * (1.0 + a[i] * rng.standard_normal())
         for i, row in enumerate(rows(mu)):
-            cdf = np.cumsum(row)
-            totals[i, r] = np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1).sum()
+            totals[i, r] = _invert_cdf(0, row, u).sum()
     return totals
+
+
+def per_repetition_totals(rows, pump: float, nodes, rounds: int, nu: int, seed: int):
+    """Round totals (a, rounds) of a per-repetition pump-fluctuation study,
+    formed one round at a time with each repetition's count drawn explicitly.
+
+    Each round builds its own (seed, round) generator and draws one normal,
+    which a per-repetition round leaves unused, then nu uniforms.  `nodes`
+    holds the pump quadrature (x, w) of each fluctuation fraction, and a
+    repetition's count follows the fraction's pump-averaged row
+    w @ rows(pump * x).  Each count is the inverse-CDF draw of its uniform
+    from that row, capped at the last count, and the round total sums them.
+    """
+    averaged = [w @ rows(pump * x) for x, w in nodes]
+    totals = np.empty((len(nodes), rounds))
+    for r in range(rounds):
+        rng = np.random.default_rng([seed, r])
+        rng.standard_normal()
+        u = rng.random(nu)
+        for i, row in enumerate(averaged):
+            totals[i, r] = _invert_cdf(0, row, u).sum()
+    return totals
+
+
+def _invert_cdf(offset: int, row, u):
+    """Count drawn from P(K = offset + i) = row[i] for each uniform in `u`,
+    capped at the last count."""
+    cdf = np.cumsum(row)
+    return offset + np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)

@@ -171,7 +171,7 @@ class TestMain:
             (["show-config", "nr-ratio", "--t-grid", "2"], "t_grid"),
             (["nr-ratio", "--m", "1024", "--t-grid", "0.5"], "stage_counts"),
             (["show-config", "nr-ratio", "--m", "65"], "stage_counts"),
-            (["show-config", "fluctuations", "--redraw", "per-repetition", "--mean-n", "1e4"],
+            (["show-config", "fluctuations", "--redraw", "per-repetition", "--mean-n", "2e4"],
              "mean_photons"),
             (["show-config", "fluctuations", "--redraw", "per_round"], "redraw"),
             (["fluctuations", "--a-grid", ","], "a_grid"),

@@ -14,7 +14,6 @@ from subshot.estimators import Detector
 from subshot.experiments import (
     EXPERIMENTS,
     MAX_MEAN,
-    MAX_REPETITION_MEAN,
     ConfigError,
     ROW_COLUMNS,
     SweepConfig,
@@ -167,13 +166,14 @@ class TestConfigValidation:
         assert err.value.field == field
 
     def test_per_repetition_mean_cap(self):
-        """Validated only: above the cap a per-repetition run takes minutes.
-        Per-round runs and other experiments keep the MAX_MEAN cap."""
+        """Validated only: per-repetition runs, like per-round runs and other
+        experiments, take means up to MAX_MEAN and refuse larger ones by
+        name."""
         per_repetition = {"experiment": "fluctuations", "redraw": "per-repetition"}
-        SweepConfig(**per_repetition, mean_photons=MAX_REPETITION_MEAN).validate()
+        SweepConfig(**per_repetition, mean_photons=MAX_MEAN).validate()
         SweepConfig(experiment="fluctuations", mean_photons=MAX_MEAN).validate()
         with pytest.raises(ConfigError) as err:
-            SweepConfig(**per_repetition, mean_photons=2 * MAX_REPETITION_MEAN).validate()
+            SweepConfig(**per_repetition, mean_photons=2 * MAX_MEAN).validate()
         assert err.value.field == "mean_photons"
 
     @pytest.mark.parametrize("experiment, size", [("intensity-sweep", 20), ("asymptotic", 3)])

@@ -16,10 +16,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    _invert_cdf,
     enumerate_click_probability,
     enumerate_mux_output,
     gaussian_pump_nodes,
     nr_mse_fluctuating_pump,
+    per_repetition_totals,
     per_round_totals,
     poisson_probs,
     thinned_count_moments,
@@ -35,7 +37,6 @@ from subshot.montecarlo import (
     FluctuationConfig,
     McEstimate,
     _ROW_TAIL,
-    _invert_cdf,
     _legendre_nodes,
     _round_totals,
     _sample_moments,
@@ -288,6 +289,7 @@ def test_round_totals_sum_the_inverse_cdf_draws(data, shape, mass):
     assert _round_totals(rows[None], np.sort(u)[None])[0].tolist() == want
 
 
+@pytest.mark.parametrize("redraw", REDRAWS)
 @settings(CHECKS, max_examples=40)
 # Two rounds of 30 resample at a = 0.6 and one at a = 0.5; the last of 8
 # blocks is short.
@@ -313,24 +315,29 @@ def test_round_totals_sum_the_inverse_cdf_draws(data, shape, mass):
     block=st.integers(1, 4),
 )
 def test_batched_rounds_equal_the_round_by_round_reference(
-    pairs, survival, a_grid, rounds, nu, negatives, seed, block
+    redraw, pairs, survival, a_grid, rounds, nu, negatives, seed, block
 ):
-    """The per-round engine, which draws each block's streams once for every
-    pair and evaluates a pair's rounds in one `detected_rows` call, gives
-    exactly the totals of the round-by-round reference.  The block budget is
+    """The round engine, which draws each block's streams once for every
+    pair and evaluates a pair's per-round rows in one `detected_rows` call or
+    its per-repetition rows once per run, gives exactly the totals of the
+    round-by-round reference in both redraw modes.  The block budget is
     `block` rounds of uniforms, so blocks split mid-run and the last one may
     be short, and the count rows split into blocks of their own."""
-    cfg = FluctuationConfig(a_grid, rounds, nu, negatives=negatives)
+    cfg = FluctuationConfig(a_grid, rounds, nu, redraw, negatives)
     studies = [(source, detector, source_pump(source)) for source, detector in pairs]
+    nodes = [pump_nodes(a, negatives) for a in a_grid]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(montecarlo, "_BLOCK_FLOATS", block * nu)
-        got = montecarlo._per_round_totals(cfg, studies, survival, seed)
+        got = montecarlo._study_totals(cfg, studies, survival, seed, nodes)
     for totals, (source, detector, pump) in zip(got, studies):
 
         def rows(mu):
             return detected_rows(source, detector, survival, _ROW_TAIL, mu)
 
-        want = per_round_totals(rows, pump, a_grid, rounds, nu, negatives, seed)
+        if redraw == "per-round":
+            want = per_round_totals(rows, pump, a_grid, rounds, nu, negatives, seed)
+        else:
+            want = per_repetition_totals(rows, pump, nodes, rounds, nu, seed)
         assert totals.tolist() == want.tolist()
 
 
@@ -574,10 +581,11 @@ class TestFluctuationStudy:
         fluctuation_study(cfg, STUDY_PAIRS, CH, 0)
         assert calls == {"streams": cfg.rounds, "grids": 1, "rules": 1}
 
-    def test_per_round_memory_is_blocked(self):
+    @pytest.mark.parametrize("redraw", REDRAWS)
+    def test_per_round_memory_is_blocked(self, redraw):
         """At nu = 1e5 a block holds one round's uniforms (0.8 MB); 300 rounds
         in one block would hold 240 MB of uniforms alone."""
-        cfg = FluctuationConfig(a_grid=(0.0, 0.6), rounds=300, nu=100_000)
+        cfg = FluctuationConfig(a_grid=(0.0, 0.6), rounds=300, nu=100_000, redraw=redraw)
         tracemalloc.start()
         try:
             _study(cfg, make_multiplexed(3, 0.5), Detector.NUMBER_RESOLVING, CH, seed=1)
@@ -585,6 +593,17 @@ class TestFluctuationStudy:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    def test_modes_agree_at_a_fixed_pump(self):
+        """At a = 0 the pump is fixed, and both redraw modes count the same
+        draws from the same row, so they give the same summaries."""
+        per_round = FluctuationConfig(a_grid=(0.0, 0.4))
+        per_repetition = replace(per_round, redraw="per-repetition")
+        round_studies, repetition_studies = (
+            fluctuation_study(cfg, STUDY_PAIRS, CH, 5) for cfg in (per_round, per_repetition)
+        )
+        assert [s[0] for s in round_studies] == [s[0] for s in repetition_studies]
+        assert [s[1] for s in round_studies] != [s[1] for s in repetition_studies]
 
     def test_reproducible_per_seed(self):
         cfg = FluctuationConfig(rounds=40)
