@@ -5,10 +5,11 @@ self-describing rows (every row carries its coordinates, the seed and a hash
 of the full configuration), ready to be written as CSV or JSON for external
 plotting.  All grid points are computed with the exact estimator reports
 except the fluctuation study and the Monte Carlo validation, which are seeded
-and deterministic.  `_row` is the only place rows are built, and `_sources`
-the only place the sources are made: a coherent beam whose mean, and
-multiplexed sources whose pumps, are a float or follow a whole mean grid,
-every pump of a run tuned in one bisection.
+and deterministic.  `_rows` is the only place rows are built, all rows of a
+run at once from its report columns, and `_sources` the only place the
+sources are made: a coherent beam whose mean, and multiplexed sources whose
+pumps, are a float or follow a whole mean grid, every pump of a run tuned in
+one bisection.
 `SweepConfig.validate` checks the run-level rules and builds the objects the
 run builds, whose constructors own the ranges of their fields.
 """
@@ -17,9 +18,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import operator
+import itertools
 from dataclasses import dataclass, fields, replace
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -202,8 +203,7 @@ class SweepConfig:
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:12]
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One output record; unused coordinates/outputs stay None."""
 
     experiment: str
@@ -230,41 +230,60 @@ class SweepRow:
     config_hash: str = ""
 
     def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in ROW_COLUMNS}
+        return self._asdict()
 
 
 # Output column order: the field order of `SweepRow`.
-ROW_COLUMNS = tuple(f.name for f in fields(SweepRow))
+ROW_COLUMNS = SweepRow._fields
 
 
 # Report fields copied into the output column of the same name.
 _REPORT_COLUMNS = ("expectation", "bias", "variance", "mse", "relative_mse_percent")
 
 
-def _row(
-    cfg: SweepConfig,
-    source: Source,
-    detector: Detector,
-    t: float,
-    mean: float,
-    fluctuation: float | None = None,
-    seed: int | None = None,
-    **outputs,
-) -> SweepRow:
-    """The one place rows are built: coordinates and provenance from `cfg`
-    and `source`, the experiment's output columns from `outputs`."""
-    return SweepRow(
-        experiment=cfg.experiment,
-        source=type(source).__name__.lower(),  # coherent, fock or multiplexed
-        detector=detector.value,
-        stages=source.stages if isinstance(source, Multiplexed) else None,
-        t=t,
-        mean_photons=mean,
-        fluctuation=fluctuation,
-        nu=cfg.nu,
-        seed=cfg.seed if seed is None else seed,
-        config_hash=cfg.digest(),
+def _rows(cfg: SweepConfig, pairs, index: list[int], t, mean, fluctuation=None, seed=None,
+          **outputs) -> list[SweepRow]:
+    """The one place rows are built, all rows of a run at once, column by
+    column in row order.  Row i is labelled by the (source, detector) pair
+    `pairs[index[i]]`.  `t`, `mean`, `fluctuation`, `seed` (default
+    `cfg.seed`) and each output column hold a list with one cell per row, or
+    one cell that every row repeats; a column not given stays None."""
+    labels = [
+        (type(source).__name__.lower(),  # coherent, fock or multiplexed
+         detector.value,
+         source.stages if isinstance(source, Multiplexed) else None)
+        for source, detector in pairs
+    ]
+    source, detector, stages = ([cells[i] for i in index] for cells in zip(*labels))
+    given = {
         **outputs,
+        "experiment": cfg.experiment,
+        "source": source,
+        "detector": detector,
+        "stages": stages,
+        "t": t,
+        "mean_photons": mean,
+        "fluctuation": fluctuation,
+        "nu": cfg.nu,
+        "seed": cfg.seed if seed is None else seed,
+        "config_hash": cfg.digest(),
+    }
+    n = len(index)
+    columns = (given.get(name) for name in ROW_COLUMNS)
+    cells = (c if isinstance(c, list) else itertools.repeat(c, n) for c in columns)
+    return list(map(SweepRow._make, zip(*cells, strict=True)))
+
+
+def _grid_rows(cfg: SweepConfig, pairs, channel: Channel, mean, **outputs) -> list[SweepRow]:
+    """Rows over the (t, mean) grid, then over `pairs`: the channel's
+    transmission and `mean` are each a float or a grid, and `outputs[name]`
+    holds one report field per pair over their broadcast grid."""
+    ts, means = np.broadcast_arrays(channel.transmission, mean)
+    width = len(pairs)
+    cells = {name: np.stack(fields, axis=-1).ravel().tolist() for name, fields in outputs.items()}
+    return _rows(
+        cfg, pairs, list(range(width)) * ts.size,
+        np.repeat(ts, width).tolist(), np.repeat(means, width).tolist(), **cells,
     )
 
 
@@ -282,14 +301,6 @@ def _sources(cfg: SweepConfig, mean) -> list[Source]:
     return [Coherent(mean)] + make_multiplexed(cfg.stage_counts, mean, *calibration)
 
 
-def _grid_points(channel: Channel, mean) -> list[tuple[float, float]]:
-    """The (t, mean) coordinates of each report entry, in the entries' order
-    (`np.ravel(field).tolist()` of a report field): the channel's
-    transmission and `mean` are each a float or a grid."""
-    ts, means = np.broadcast_arrays(channel.transmission, mean)
-    return list(zip(ts.ravel().tolist(), means.ravel().tolist()))
-
-
 def _exact_rows(cfg: SweepConfig, sources: list[Source], detectors, channel: Channel, mean):
     """Exact reports for each detector and source, each row carrying its MSE
     ratio to the shot-noise reference at `mean` photons.
@@ -299,19 +310,14 @@ def _exact_rows(cfg: SweepConfig, sources: list[Source], detectors, channel: Cha
     follow; either way there is one report per detector and source, and the
     rows run over the grid, then detector, then source."""
     snl = snl_report(mean, channel, cfg.nu)
-    columns = _REPORT_COLUMNS + ("ratio_to_snl",)
-    labelled = []
-    for detector in detectors:
-        for source in sources:
-            report = exact_report(source, detector, channel, cfg.nu)
-            values = [getattr(report, name) for name in _REPORT_COLUMNS]
-            values.append(snl_ratio(report, snl))
-            labelled.append((source, detector, list(zip(*(np.ravel(v).tolist() for v in values)))))
-    return [
-        _row(cfg, source, detector, t, m, **dict(zip(columns, cells[i])))
-        for i, (t, m) in enumerate(_grid_points(channel, mean))
-        for source, detector, cells in labelled
-    ]
+    pairs = [(source, detector) for detector in detectors for source in sources]
+    outputs = {name: [] for name in _REPORT_COLUMNS + ("ratio_to_snl",)}
+    for source, detector in pairs:
+        report = exact_report(source, detector, channel, cfg.nu)
+        for name in _REPORT_COLUMNS:
+            outputs[name].append(getattr(report, name))
+        outputs["ratio_to_snl"].append(snl_ratio(report, snl))
+    return _grid_rows(cfg, pairs, channel, mean, **outputs)
 
 
 def _ratio_sweep(cfg: SweepConfig, detector: Detector):
@@ -338,12 +344,9 @@ def _run_asymptotic(cfg: SweepConfig):
     ch = Channel(np.array(cfg.t_grid), cfg.detector_eff)
     means = np.array(_mean_grid(cfg))[:, None]
     sources = _sources(cfg, means)
-    floors = zip(*(np.ravel(asymptotic_relative_mse_floor(s, ch)).tolist() for s in sources))
-    return [
-        _row(cfg, source, Detector.THRESHOLD, t, mean, asymptotic_floor_percent=floor)
-        for (t, mean), per_source in zip(_grid_points(ch, means), floors)
-        for source, floor in zip(sources, per_source)
-    ]
+    floors = [asymptotic_relative_mse_floor(source, ch) for source in sources]
+    pairs = [(source, Detector.THRESHOLD) for source in sources]
+    return _grid_rows(cfg, pairs, ch, means, asymptotic_floor_percent=floors)
 
 
 def _z_score(sampled: float, exact: float, se: float) -> float:
@@ -361,13 +364,16 @@ def _run_fluctuations(cfg: SweepConfig):
     sources = _sources(cfg, mean)
     pairs = [(source, detector) for detector in Detector for source in sources]
     studies = fluctuation_study(mc_cfg, pairs, Channel(t, cfg.detector_eff), cfg.seed)
-    return [
-        _row(cfg, source, detector, t, mean, s.fluctuation,
-             mse=s.mean_mse, ci_low=s.ci_low, ci_high=s.ci_high, mse_exact=s.mse_exact,
-             z_mse=_z_score(s.mean_mse, s.mse_exact, s.mse_se))
-        for (source, detector), summaries in zip(pairs, studies)
-        for s in summaries
-    ]
+    summaries = [s for pair_summaries in studies for s in pair_summaries]
+    return _rows(
+        cfg, pairs, [i for i, pair_summaries in enumerate(studies) for _ in pair_summaries],
+        t, mean, fluctuation=[s.fluctuation for s in summaries],
+        mse=[s.mean_mse for s in summaries],
+        ci_low=[s.ci_low for s in summaries],
+        ci_high=[s.ci_high for s in summaries],
+        mse_exact=[s.mse_exact for s in summaries],
+        z_mse=[_z_score(s.mean_mse, s.mse_exact, s.mse_se) for s in summaries],
+    )
 
 
 def _run_mc_validate(cfg: SweepConfig):
@@ -385,17 +391,22 @@ def _run_mc_validate(cfg: SweepConfig):
         (mux2, Detector.NUMBER_RESOLVING),
         (mux5, Detector.THRESHOLD),
     ]
-    rows = []
-    for index, (source, detector) in enumerate(canned):
-        exact = exact_report(source, detector, ch, cfg.nu)
-        mc = mc_estimate(source, detector, ch, cfg.nu, cfg.trials, seed=cfg.seed + index)
-        rows.append(
-            _row(cfg, source, detector, t, mean, seed=cfg.seed + index,
-                 expectation=mc.expectation, mse=mc.mse, mse_exact=exact.mse,
-                 z_expectation=_z_score(mc.expectation, exact.expectation, mc.expectation_se),
-                 z_mse=_z_score(mc.mse, exact.mse, mc.mse_se))
-        )
-    return rows
+    index = list(range(len(canned)))
+    seeds = [cfg.seed + i for i in index]
+    exact = [exact_report(source, detector, ch, cfg.nu) for source, detector in canned]
+    mc = [
+        mc_estimate(source, detector, ch, cfg.nu, cfg.trials, seed=seed)
+        for (source, detector), seed in zip(canned, seeds)
+    ]
+    return _rows(
+        cfg, canned, index, t, mean, seed=seeds,
+        expectation=[m.expectation for m in mc],
+        mse=[m.mse for m in mc],
+        mse_exact=[e.mse for e in exact],
+        z_expectation=[_z_score(m.expectation, e.expectation, m.expectation_se)
+                       for m, e in zip(mc, exact)],
+        z_mse=[_z_score(m.mse, e.mse, m.mse_se) for m, e in zip(mc, exact)],
+    )
 
 
 _RUNNERS = {
@@ -420,11 +431,11 @@ def run_experiment(cfg: SweepConfig) -> list[SweepRow]:
 def rows_to_csv(rows: Iterable[SweepRow]) -> str:
     """Locale-free CSV with a header row; floats keep full precision (`str`
     of a Python float is its shortest round-trip repr), None is empty."""
-    cells = operator.attrgetter(*ROW_COLUMNS)
     lines = [",".join(ROW_COLUMNS)]
     for row in rows:
-        lines.append(",".join("" if v is None else str(v) for v in cells(row)))
-    return "\n".join(lines) + "\n"
+        lines.append(",".join(["" if v is None else str(v) for v in row]))
+    lines.append("")  # the final newline, without copying the text to add it
+    return "\n".join(lines)
 
 
 def rows_to_json(rows: Iterable[SweepRow]) -> str:

@@ -1,8 +1,10 @@
 """Sweep harness: grid shapes, determinism, self-description and the
 experiment-level physics checks."""
 
+import hashlib
 import math
 from dataclasses import fields, replace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -10,7 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subshot.detection import Channel
-from subshot.estimators import Detector
+from subshot.estimators import (
+    Detector,
+    asymptotic_relative_mse_floor,
+    exact_report,
+    snl_ratio,
+    snl_report,
+)
 from subshot.experiments import (
     EXPERIMENTS,
     MAX_MEAN,
@@ -25,7 +33,8 @@ from subshot.experiments import (
     rows_to_json,
     run_experiment,
 )
-from subshot.sources import MAX_PUMP, MAX_STAGES, Multiplexed, source_moments
+from subshot.montecarlo import FluctuationConfig, fluctuation_study, mc_estimate
+from subshot.sources import MAX_PUMP, MAX_STAGES, Fock, Multiplexed, source_moments
 
 # Fixed example sequence: the suite stays deterministic and writes no
 # example database.
@@ -81,6 +90,142 @@ class TestRowLayout:
             assert all(values[c] is not None for c in _ALWAYS_FILLED)
             assert (row.stages is not None) == (row.source == "multiplexed")
             assert {c for c in optional if values[c] is not None} == set(_FILLED[experiment])
+
+
+def _naive_row(cfg, source, detector, t, mean, **cells):
+    """One row built cell by cell, by keyword."""
+    if isinstance(source, Multiplexed):
+        name, stages = "multiplexed", source.stages
+    else:
+        name, stages = ("fock" if isinstance(source, Fock) else "coherent"), None
+    return SweepRow(
+        experiment=cfg.experiment, source=name, detector=detector.value, stages=stages, t=t,
+        mean_photons=mean, fluctuation=cells.pop("fluctuation", None), nu=cfg.nu,
+        seed=cells.pop("seed", cfg.seed), config_hash=cfg.digest(), **cells,
+    )
+
+
+def _cell(field, index):
+    """Entry `index` of a report field, flattened, as a Python number."""
+    value = np.ravel(field)[index]
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def _naive_exact_rows(cfg):
+    """The rows of an exact experiment from the same report calls, one cell
+    at a time: grid point, then detector, then source."""
+    eta = cfg.detector_eff
+    if cfg.experiment == "intensity-sweep":
+        detectors, means = tuple(Detector), np.array(cfg.mean_grid)
+        channel = Channel(cfg.transmission, eta)
+        sources = _sources(cfg, means)
+        points = [(cfg.transmission, m) for m in cfg.mean_grid]
+    elif cfg.experiment == "asymptotic":
+        detectors, means = (Detector.THRESHOLD,), np.array(cfg.mean_grid)[:, None]
+        channel = Channel(np.array(cfg.t_grid), eta)
+        sources = _sources(cfg, means)
+        points = [(t, m) for m in cfg.mean_grid for t in cfg.t_grid]
+    else:
+        nr = cfg.experiment == "nr-ratio"
+        detectors = (Detector.NUMBER_RESOLVING if nr else Detector.THRESHOLD,)
+        means, channel = cfg.mean_photons, Channel(np.array(cfg.t_grid), eta)
+        sources = _sources(cfg, means) + [Fock(1)]
+        points = [(t, cfg.mean_photons) for t in cfg.t_grid]
+    pairs = [(source, detector) for detector in detectors for source in sources]
+    if cfg.experiment == "asymptotic":
+        fields_of = [
+            {"asymptotic_floor_percent": asymptotic_relative_mse_floor(source, channel)}
+            for source, _ in pairs
+        ]
+    else:
+        snl = snl_report(means, channel, cfg.nu)
+        fields_of = []
+        for source, detector in pairs:
+            report = exact_report(source, detector, channel, cfg.nu)
+            fields_of.append({
+                "expectation": report.expectation,
+                "bias": report.bias,
+                "variance": report.variance,
+                "mse": report.mse,
+                "relative_mse_percent": report.relative_mse_percent,
+                "ratio_to_snl": snl_ratio(report, snl),
+            })
+    return [
+        _naive_row(cfg, source, detector, t, m,
+                   **{name: _cell(field, g) for name, field in report_fields.items()})
+        for g, (t, m) in enumerate(points)
+        for (source, detector), report_fields in zip(pairs, fields_of)
+    ]
+
+
+class TestRowOrder:
+    """`_rows` builds a run's rows from columns; a row built cell by cell
+    from the same calls must equal it, in the same order."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(
+        experiment=st.sampled_from(
+            ["nr-ratio", "threshold-ratio", "intensity-sweep", "asymptotic"]
+        ),
+        t_grid=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+        mean_grid=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3),
+        stage_counts=st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True),
+        mean=st.floats(0.05, 1.0),
+        nu=st.integers(1, 500),
+    )
+    def test_exact_rows_match_a_cell_by_cell_build(
+        self, experiment, t_grid, mean_grid, stage_counts, mean, nu
+    ):
+        cfg = SweepConfig(
+            experiment=experiment, t_grid=tuple(t_grid), mean_grid=tuple(mean_grid),
+            stage_counts=tuple(stage_counts), mean_photons=mean, nu=nu,
+        )
+        rows = run_experiment(cfg)
+        naive = _naive_exact_rows(cfg)
+        assert rows == naive
+        for row, expected in zip(rows, naive):
+            assert list(map(type, row)) == list(map(type, expected))
+
+    def test_fluctuation_rows_run_over_pairs_then_a(self):
+        cfg = SweepConfig(
+            experiment="fluctuations", a_grid=(0.0, 0.2, 0.5), stage_counts=(2, 4),
+            mean_photons=0.5, rounds=4, nu=30, seed=5,
+        )
+        mc_cfg = FluctuationConfig(cfg.a_grid, cfg.rounds, cfg.nu, cfg.redraw, cfg.negatives)
+        t, mean = cfg.transmission, cfg.mean_photons
+        pairs = [(source, detector) for detector in Detector for source in _sources(cfg, mean)]
+        studies = fluctuation_study(mc_cfg, pairs, Channel(t, cfg.detector_eff), cfg.seed)
+        naive = [
+            _naive_row(cfg, source, detector, t, mean, fluctuation=s.fluctuation, mse=s.mean_mse,
+                       ci_low=s.ci_low, ci_high=s.ci_high, mse_exact=s.mse_exact,
+                       z_mse=(s.mean_mse - s.mse_exact) / s.mse_se if s.mse_se > 0 else 0.0)
+            for (source, detector), summaries in zip(pairs, studies)
+            for s in summaries
+        ]
+        assert [s.fluctuation for s in studies[0]] == list(cfg.a_grid)
+        assert run_experiment(cfg) == naive
+
+    def test_mc_validate_rows_run_over_the_canned_set_seeded_seed_plus_i(self):
+        cfg = SweepConfig(experiment="mc-validate", trials=100, nu=20, seed=40)
+        t, mean = cfg.transmission, cfg.mean_photons
+        ch = Channel(t, cfg.detector_eff)
+        coherent, mux2, mux5 = _sources(replace(cfg, stage_counts=(2, 5)), mean)
+        nr, threshold = Detector.NUMBER_RESOLVING, Detector.THRESHOLD
+        canned = [(coherent, nr), (coherent, threshold), (Fock(1), nr), (Fock(1), threshold),
+                  (mux2, nr), (mux5, threshold)]
+        naive = []
+        for index, (source, detector) in enumerate(canned):
+            exact = exact_report(source, detector, ch, cfg.nu)
+            mc = mc_estimate(source, detector, ch, cfg.nu, cfg.trials, seed=cfg.seed + index)
+            naive.append(_naive_row(
+                cfg, source, detector, t, mean, seed=cfg.seed + index,
+                expectation=mc.expectation, mse=mc.mse, mse_exact=exact.mse,
+                z_expectation=(mc.expectation - exact.expectation) / mc.expectation_se,
+                z_mse=(mc.mse - exact.mse) / mc.mse_se,
+            ))
+        rows = run_experiment(cfg)
+        assert [row.seed for row in rows] == [40, 41, 42, 43, 44, 45]
+        assert rows == naive
 
 
 class TestConfigValidation:
@@ -425,7 +570,9 @@ class TestSerialization:
         assert rows_to_csv(run_experiment(built)).encode() == rows_to_csv(
             run_experiment(literal)
         ).encode()
-        numeric = [f.name for f in fields(SweepRow) if f.type != "str"]
+        # The column types of `SweepRow.__annotations__`, evaluated.
+        numeric = [name for name, kind in get_type_hints(SweepRow).items() if kind is not str]
+        assert len(numeric) == len(ROW_COLUMNS) - 4  # all but the four str columns
         for experiment in EXPERIMENTS:
             cfg = replace(
                 built,
@@ -438,6 +585,52 @@ class TestSerialization:
             for row in run_experiment(cfg):
                 for name in numeric:
                     assert type(getattr(row, name)) in (float, int, type(None)), (experiment, name)
+
+    # sha256 of the CSV of each experiment at a small config (nr-ratio at
+    # its defaults, 808 rows), and of the default nr-ratio JSON, as written
+    # at commit 231e494.  Any change to the output bytes fails here.
+    PINNED = {
+        "nr-ratio": ({}, "c3248e5a0558cf5a0d1307d71e6309d0755277f8da2e87ae43939efc90bd2203"),
+        "threshold-bias": (
+            {"t_grid": (0.0, 0.25, 0.5, 0.75, 1.0), "stage_counts": (1, 3)},
+            "b838fec27c55bf65173a8c7ed70d66154495bdc072be5270152055c7c21e4b21",
+        ),
+        "threshold-ratio": (
+            {"t_grid": (0.0, 0.3, 0.9, 1.0), "stage_counts": (2,), "detector_eff": 1.0},
+            "338d169b637bc65ca2b572037f4be2ba5fda1a484dc47842f425a1a11a22808a",
+        ),
+        "intensity-sweep": (
+            {"mean_grid": (0.2, 0.7), "stage_counts": (2, 4), "nu": 50},
+            "67e03bc3e9ce90b45fde931e9a9d1b45c07dce09cc1b265c30c312b4878974ce",
+        ),
+        "asymptotic": (
+            {"t_grid": (0.3, 0.6, 1.0), "mean_grid": (0.5, 1.0), "stage_counts": (3,)},
+            "b17962e5c9b0b3a7c09a9008ea1dbded8556295b9d85b18660250db96dee51bb",
+        ),
+        "fluctuations": (
+            {"a_grid": (0.0, 0.3), "stage_counts": (3,), "mean_photons": 0.5, "rounds": 5,
+             "nu": 50, "seed": 9},
+            "6dafdd2890eb9174d5c20ae846b0077710d9a96d92ffa20cc5065e4094cb91b2",
+        ),
+        "mc-validate": (
+            {"trials": 200, "nu": 20, "seed": 7},
+            "3017d032d2301aeaeca196b41d242d24afc21a81c3692802941170ef573dd70a",
+        ),
+    }
+    PINNED_NR_RATIO_JSON = "43e44542c378fae9d7a9155c38dc97c2a1e99df7d354da858676a2577abd6834"
+
+    def test_pins_every_experiment(self):
+        assert set(self.PINNED) == set(EXPERIMENTS)
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_csv_bytes_are_pinned(self, experiment):
+        overrides, digest = self.PINNED[experiment]
+        rows = run_experiment(SweepConfig(experiment=experiment, **overrides))
+        assert hashlib.sha256(rows_to_csv(rows).encode()).hexdigest() == digest
+
+    def test_json_bytes_are_pinned(self):
+        rows = run_experiment(SweepConfig(experiment="nr-ratio"))
+        assert hashlib.sha256(rows_to_json(rows).encode()).hexdigest() == self.PINNED_NR_RATIO_JSON
 
     def test_json_round_trip(self):
         import json
