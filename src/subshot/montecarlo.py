@@ -23,19 +23,22 @@ source is re-evaluated at the round's pump, and the round total of the
 repetitions' inverse-CDF draws from that row is counted against the round's
 sorted uniforms (`_round_totals`).  Redrawn per repetition, the counts are
 independent and follow the pump average of the row, which is built once per
-run; a round reads the same stream and counts its draws from that row the
-same way, and their sum has the law of one draw from the row's nu-fold
-power.  One engine (`_study_totals`) runs both modes.  The rounds go in
-blocks under a fixed memory budget (`_BLOCK_FLOATS`); a block's streams are
-drawn once for every (source, detector) pair of the study, and per round a
-pair's count rows at all the block's pumps come from one `detected_rows`
-call.  Both modes keep one uniform per draw, not a histogram, so that every
-fluctuation fraction shares them (common random numbers, below).
+run, with the rows at the pump nodes of as many fractions per
+`detected_rows` call as the memory budget below allows; a round reads the
+same stream and counts its draws from that row the same way, and their sum
+has the law of one draw from the row's nu-fold power.  One engine
+(`_study_totals`) runs both modes.  The rounds go in blocks under a fixed
+memory budget (`_BLOCK_FLOATS`); a block's streams are drawn once for every
+(source, detector) pair of the study, and per round a pair's count rows at
+all the block's pumps come from one `detected_rows` call.  Both modes keep
+one uniform per draw, not a histogram, so that every fluctuation fraction
+shares them (common random numbers, below).
 Negative draws clamp to zero by default or are resampled; both modes are the
 command line's strings (`REDRAWS`, `NEGATIVES`).  The pump averages are
-quadratures over `pump_nodes`, built once per fraction and study, and the
-same nodes give `fluctuation_mse`, the exact MSE the study samples, in every
-mode and for both detectors.
+quadratures over `pump_nodes`, mapped once per fraction and study from a
+committed 48-node Gauss-Legendre table, and the same nodes give
+`fluctuation_mse`, the exact MSE the study samples, in every mode and for
+both detectors.  The squared errors of all pairs are summarized in one pass.
 
 Reproducibility: every round derives its generator stream from (seed, round
 index), so results are independent of execution schedule, of the block size
@@ -72,8 +75,38 @@ MAX_TRIALS = 2**63 - 1
 # one block.
 _BLOCK_FLOATS = 2**17
 
-# Gauss-Legendre nodes of the pump quadrature.
-_PUMP_NODES = 48
+# The 48-node Gauss-Legendre rule on [-1, 1] of the pump quadrature: nodes
+# (ascending) and weights.  Each value is the repr of what Newton's method on
+# P_48 gives (the oracle `legendre_rule` in tests/_oracles.py), so the table
+# round-trips exactly.
+_LEGENDRE_NODES = np.array([
+    -0.9987710072524261, -0.9935301722663508, -0.9841245837228269, -0.9705915925462473,
+    -0.9529877031604308, -0.9313866907065543, -0.9058791367155696, -0.8765720202742479,
+    -0.8435882616243935, -0.8070662040294426, -0.7671590325157404, -0.7240341309238146,
+    -0.6778723796326639, -0.6288673967765136, -0.5772247260839727, -0.523160974722233,
+    -0.4669029047509584, -0.4086864819907167, -0.34875588629216075, -0.28736248735545555,
+    -0.22476379039468905, -0.1612223560688917, -0.0970046992094627, -0.03238017096286937,
+    0.03238017096286937, 0.0970046992094627, 0.1612223560688917, 0.22476379039468905,
+    0.28736248735545555, 0.34875588629216075, 0.4086864819907167, 0.4669029047509584,
+    0.523160974722233, 0.5772247260839727, 0.6288673967765136, 0.6778723796326639,
+    0.7240341309238146, 0.7671590325157404, 0.8070662040294426, 0.8435882616243935,
+    0.8765720202742479, 0.9058791367155696, 0.9313866907065543, 0.9529877031604308,
+    0.9705915925462473, 0.9841245837228269, 0.9935301722663508, 0.9987710072524261,
+])
+_LEGENDRE_WEIGHTS = np.array([
+    0.0031533460523054026, 0.007327553901276208, 0.01147723457923459, 0.015579315722943856,
+    0.01961616045735557, 0.023570760839324342, 0.027426509708356882, 0.0311672278327981,
+    0.03477722256477045, 0.03824135106583072, 0.041545082943464776, 0.044674560856694294,
+    0.04761665849249055, 0.05035903555385447, 0.05289018948519366, 0.05519950369998417,
+    0.05727729210040315, 0.059114839698395566, 0.06070443916589386, 0.06203942315989268,
+    0.06311419228625405, 0.06392423858464817, 0.0644661644359501, 0.06473769681268386,
+    0.06473769681268386, 0.0644661644359501, 0.06392423858464817, 0.06311419228625405,
+    0.06203942315989268, 0.06070443916589386, 0.059114839698395566, 0.05727729210040315,
+    0.05519950369998417, 0.05289018948519366, 0.05035903555385447, 0.04761665849249055,
+    0.044674560856694294, 0.041545082943464776, 0.03824135106583072, 0.03477722256477045,
+    0.0311672278327981, 0.027426509708356882, 0.023570760839324342, 0.01961616045735557,
+    0.015579315722943856, 0.01147723457923459, 0.007327553901276208, 0.0031533460523054026,
+])
 
 # How often the fluctuating pump is redrawn, and what becomes of Gaussian
 # pump draws below zero; the first of each is the default.
@@ -205,26 +238,6 @@ class McSummary:
     mse_exact: float
 
 
-def _legendre_nodes() -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
-
-    Newton's method on P_n, evaluated with P_{n-1} by the three-term
-    recurrence, from the usual cosine guesses; it reaches rounding in four
-    steps.  The weights are 2 / ((1 - x^2) P_n'(x)^2).  The eigenvalues of
-    the Jacobi matrix give the same nodes, but the first LAPACK call raised
-    the monte-carlo benchmark's peak memory by ~0.6 MB.
-    """
-    n = _PUMP_NODES
-    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
-    for _ in range(6):
-        p_prev, p = np.ones_like(x), x
-        for k in range(2, n + 1):
-            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-        slope = n * (x * p - p_prev) / (x * x - 1.0)
-        x = x - p / slope
-    return x, 2.0 / ((1.0 - x * x) * slope * slope)
-
-
 def pump_nodes(a: float, negatives: str) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes x and weights w of the relative pump x = 1 + a*z,
     z standard normal, truncated at zero as `negatives` says.
@@ -240,21 +253,18 @@ def pump_nodes(a: float, negatives: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pump_grid(a_grid, negatives: str) -> list[tuple[np.ndarray, np.ndarray]]:
-    """`pump_nodes` at each fluctuation fraction of `a_grid`.  The
-    Gauss-Legendre rule (~1 ms) is built once, and only if some fraction is
-    not zero; no cache keeps it past the call."""
+    """`pump_nodes` at each fluctuation fraction of `a_grid`, mapped from
+    the committed Gauss-Legendre rule (`_LEGENDRE_NODES`)."""
     _check_mode("negatives", negatives, NEGATIVES)
-    rule = _legendre_nodes() if any(a != 0.0 for a in a_grid) else None
     nodes = []
     for a in a_grid:
         if a == 0.0:
             nodes.append((np.ones(1), np.ones(1)))
             continue
-        s, w = rule
         z_min, z_max = max(-1.0 / a, -10.0), 10.0
         half = 0.5 * (z_max - z_min)
-        z = z_min + half * (s + 1.0)
-        w = half * w * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        z = z_min + half * (_LEGENDRE_NODES + 1.0)
+        w = half * _LEGENDRE_WEIGHTS * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
         p_negative = 0.5 * math.erfc(1.0 / (a * math.sqrt(2.0)))
         if negatives == "clamp":
             nodes.append((np.append(1.0 + a * z, 0.0), np.append(w, p_negative)))
@@ -359,11 +369,31 @@ def _round_streams(
 def _averaged_rows(study, survival: float, nodes: list) -> np.ndarray:
     """Pump-averaged count row of each fluctuation fraction, shape (a, counts),
     zero-padded to one length; `study` is a (source, detector, nominal pump)
-    triple and `nodes` holds `pump_nodes` for each fraction."""
+    triple and `nodes` holds `pump_nodes` for each fraction.
+
+    The rows at the nodes of consecutive fractions come from one
+    `detected_rows` call while they fit in `_BLOCK_FLOATS`, reckoned at the
+    length of the row at the study's largest node; a fraction over the budget
+    gets a call of its own.  Each call's rows are freed before the next.
+    """
     source, detector, mu0 = study
-    rows = [w @ detected_rows(source, detector, survival, _ROW_TAIL, mu0 * x) for x, w in nodes]
-    length = max(row.size for row in rows)
-    return np.array([np.pad(row, (0, length - row.size)) for row in rows])
+    pumps = [mu0 * x for x, _ in nodes]
+    top = max(mu.max() for mu in pumps)
+    length = detected_rows(source, detector, survival, _ROW_TAIL, top).shape[-1]
+    averaged, start = [], 0
+    while start < len(nodes):
+        stop, size = start + 1, pumps[start].size
+        while stop < len(nodes) and (size + pumps[stop].size) * length <= _BLOCK_FLOATS:
+            size += pumps[stop].size
+            stop += 1
+        rows = detected_rows(
+            source, detector, survival, _ROW_TAIL, np.concatenate(pumps[start:stop])
+        )
+        ends = np.cumsum([mu.size for mu in pumps[start:stop]])[:-1]
+        averaged += [w @ part for (_, w), part in zip(nodes[start:stop], np.split(rows, ends))]
+        del rows
+        start = stop
+    return np.array([np.pad(row, (0, length - row.size)) for row in averaged])
 
 
 def _study_totals(
@@ -429,20 +459,15 @@ def fluctuation_study(
     studies = [(source, detector, source_pump(source)) for source, detector in pairs]
     nodes = _pump_grid(cfg.a_grid, cfg.negatives)
     totals = _study_totals(cfg, studies, channel.survival, seed, nodes)
+    scale = cfg.nu * np.array(refs)[:, None, None]
+    sq_err = (totals / scale - channel.transmission) ** 2
+    lows, highs = np.percentile(sq_err, [16.0, 84.0], axis=-1).tolist()
+    means = sq_err.mean(axis=-1).tolist()
+    ses = (sq_err.std(ddof=1, axis=-1) / math.sqrt(cfg.rounds)).tolist()
     summaries = []
-    for (source, detector), ref, study in zip(pairs, refs, totals):
-        sq_err = (study / (cfg.nu * ref) - channel.transmission) ** 2
-        lows, highs = np.percentile(sq_err, [16.0, 84.0], axis=1)
+    for (source, detector), mean, se, low, high in zip(pairs, means, ses, lows, highs):
         exact = fluctuation_mse(cfg, source, detector, channel, nodes)
-        summaries.append([
-            McSummary(
-                fluctuation=a,
-                mean_mse=float(errors.mean()),
-                mse_se=float(errors.std(ddof=1) / math.sqrt(cfg.rounds)),
-                ci_low=float(lo),
-                ci_high=float(hi),
-                mse_exact=mse,
-            )
-            for a, errors, lo, hi, mse in zip(cfg.a_grid, sq_err, lows, highs, exact)
-        ])
+        summaries.append(
+            [McSummary(*cells) for cells in zip(cfg.a_grid, mean, se, low, high, exact)]
+        )
     return summaries

@@ -20,6 +20,7 @@ from _oracles import (
     enumerate_click_probability,
     enumerate_mux_output,
     gaussian_pump_nodes,
+    legendre_rule,
     nr_mse_fluctuating_pump,
     per_repetition_totals,
     per_round_totals,
@@ -36,8 +37,9 @@ from subshot.montecarlo import (
     REDRAWS,
     FluctuationConfig,
     McEstimate,
+    _LEGENDRE_NODES,
+    _LEGENDRE_WEIGHTS,
     _ROW_TAIL,
-    _legendre_nodes,
     _round_totals,
     _sample_moments,
     _total_count_row,
@@ -297,6 +299,14 @@ def test_round_totals_sum_the_inverse_cdf_draws(data, shape, mass):
     pairs=STUDY_PAIRS, survival=0.72, a_grid=(0.0, 0.5, 0.6), rounds=30, nu=7,
     negatives="resample", seed=3, block=4,
 )
+# Per repetition, the coherent number-resolving rows at the nodes of a = 0,
+# 0.2 and 0.4 share one call, longer than the rows of a = 0 and 0.2 alone,
+# and a = 0.6 gets a call of its own; the other pairs build all four
+# fractions in one call.
+@example(
+    pairs=STUDY_PAIRS, survival=0.5, a_grid=(0.0, 0.2, 0.4, 0.6), rounds=5, nu=300,
+    negatives="clamp", seed=11, block=8,
+)
 @given(
     pairs=st.lists(
         st.tuples(
@@ -322,7 +332,9 @@ def test_batched_rounds_equal_the_round_by_round_reference(
     its per-repetition rows once per run, gives exactly the totals of the
     round-by-round reference in both redraw modes.  The block budget is
     `block` rounds of uniforms, so blocks split mid-run and the last one may
-    be short, and the count rows split into blocks of their own."""
+    be short, and the count rows split into blocks of their own: per
+    repetition, the rows at the pump nodes of several fractions share a call
+    or split into calls of their own."""
     cfg = FluctuationConfig(a_grid, rounds, nu, redraw, negatives)
     studies = [(source, detector, source_pump(source)) for source, detector in pairs]
     nodes = [pump_nodes(a, negatives) for a in a_grid]
@@ -562,9 +574,11 @@ class TestFluctuationStudy:
 
     @pytest.mark.parametrize("redraw", REDRAWS)
     def test_one_stream_per_round_and_one_quadrature_per_study(self, redraw, monkeypatch):
-        """A study of four pairs builds each (seed, round) generator once, and
-        the Gauss-Legendre rule and the pump nodes of its fluctuation
-        fractions once."""
+        """A study of four pairs builds each (seed, round) generator once and
+        the pump nodes of its fluctuation fractions once.  Each pair's count
+        rows come from two `detected_rows` calls: one for the row length at
+        the largest pump, and one for the rows at all pumps, those of the
+        one block of rounds or, per repetition, every pump node."""
         calls = collections.Counter()
 
         def counted(name, fn):
@@ -576,10 +590,10 @@ class TestFluctuationStudy:
 
         monkeypatch.setattr(np.random, "default_rng", counted("streams", np.random.default_rng))
         monkeypatch.setattr(montecarlo, "_pump_grid", counted("grids", montecarlo._pump_grid))
-        monkeypatch.setattr(montecarlo, "_legendre_nodes", counted("rules", _legendre_nodes))
+        monkeypatch.setattr(montecarlo, "detected_rows", counted("rows", detected_rows))
         cfg = FluctuationConfig(rounds=20, redraw=redraw)
         fluctuation_study(cfg, STUDY_PAIRS, CH, 0)
-        assert calls == {"streams": cfg.rounds, "grids": 1, "rules": 1}
+        assert calls == {"streams": cfg.rounds, "grids": 1, "rows": 2 * len(STUDY_PAIRS)}
 
     @pytest.mark.parametrize("redraw", REDRAWS)
     def test_per_round_memory_is_blocked(self, redraw):
@@ -593,6 +607,19 @@ class TestFluctuationStudy:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    def test_per_repetition_row_builds_are_blocked(self):
+        """At mean 1000 the rows at one fraction's 49 pump nodes (~2 MB)
+        already pass the block budget, so each fraction gets a call of its
+        own; one call at all 295 nodes of a study peaks at ~39 MiB."""
+        cfg = FluctuationConfig(rounds=2, nu=10, redraw="per-repetition")
+        tracemalloc.start()
+        try:
+            _study(cfg, make_multiplexed(3, 1000.0), Detector.NUMBER_RESOLVING, CH, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
     def test_modes_agree_at_a_fixed_pump(self):
         """At a = 0 the pump is fixed, and both redraw modes count the same
@@ -708,12 +735,20 @@ class TestFluctuationMse:
     # 1.4e-13.
     WEIGHT_RTOL = 1e-11
 
+    def test_legendre_table_is_the_newton_rule(self):
+        """The committed table holds what Newton's method gives, which
+        another libm may round by an ulp."""
+        nodes, weights = legendre_rule(48)
+        np.testing.assert_array_max_ulp(_LEGENDRE_NODES, nodes, maxulp=1)
+        np.testing.assert_array_max_ulp(_LEGENDRE_WEIGHTS, weights, maxulp=1)
+
     def test_legendre_nodes_match_leggauss(self):
-        nodes, weights = _legendre_nodes()
         want_nodes, want_weights = np.polynomial.legendre.leggauss(48)
-        np.testing.assert_allclose(nodes, want_nodes, rtol=0.0, atol=1e-14)
-        np.testing.assert_allclose(weights, want_weights, rtol=0.0, atol=1e-14)
-        np.testing.assert_allclose(weights, want_weights, rtol=self.WEIGHT_RTOL, atol=0.0)
+        np.testing.assert_allclose(_LEGENDRE_NODES, want_nodes, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(_LEGENDRE_WEIGHTS, want_weights, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(
+            _LEGENDRE_WEIGHTS, want_weights, rtol=self.WEIGHT_RTOL, atol=0.0
+        )
 
     @pytest.mark.parametrize("negatives", NEGATIVES)
     @pytest.mark.parametrize("a", [0.0, 0.001, 0.05, 0.1, 0.3, 0.6])

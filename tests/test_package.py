@@ -1,10 +1,13 @@
 """Package-level properties that no single module test covers."""
 
 import os
+import pkgutil
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import subshot
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -31,3 +34,11 @@ def test_readme_library_example_runs():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert len(out.stdout.split()) == 3
+
+
+def test_every_package_module_is_loaded():
+    """tests/conftest.py loads every module of the package (the `python -m`
+    entry point aside, which would run the command line), so hypothesis
+    draws its examples from the same constants whichever tests run."""
+    names = {f"subshot.{m.name}" for m in pkgutil.iter_modules(subshot.__path__)}
+    assert names - {"subshot.__main__"} <= sys.modules.keys()
