@@ -24,9 +24,9 @@ from subshot.experiments import (
     ConfigError,
     SweepConfig,
     rows_to_csv,
-    rows_to_json,
     run_experiment,
 )
+from subshot.output import json_blocks
 
 CONFIG_ENV_VAR = "SUBSHOT_CONFIG"
 
@@ -183,7 +183,8 @@ def _write_outputs(rows, experiment: str, out: str | None, fmt: str) -> list[str
         written.append(str(path))
     if fmt in ("json", "both"):
         path = base.with_suffix(".json") if base.suffix != ".json" else base
-        path.write_text(rows_to_json(rows))
+        with path.open("w") as out:  # in blocks of rows, not one string
+            out.writelines(json_blocks(rows))
         written.append(str(path))
     return written
 

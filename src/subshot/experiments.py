@@ -6,10 +6,12 @@ of the full configuration), ready to be written as CSV or JSON for external
 plotting.  All grid points are computed with the exact estimator reports
 except the fluctuation study and the Monte Carlo validation, which are seeded
 and deterministic.  `_rows` is the only place rows are built, all rows of a
-run at once from its report columns, and `_sources` the only place the
-sources are made: a coherent beam whose mean, and multiplexed sources whose
-pumps, are a float or follow a whole mean grid, every pump of a run tuned in
-one bisection.
+run at once from its report columns into a `RowTable`, and `_sources` the
+only place the sources are made: a coherent beam whose mean, and
+multiplexed sources whose pumps, are a float or follow a whole mean grid,
+every pump of a run tuned in one bisection.  The row format and its CSV and
+JSON writers live in `subshot.output`; `SweepRow`, `ROW_COLUMNS`,
+`rows_to_csv` and `rows_to_json` can be imported from here as well.
 `SweepConfig.validate` checks the run-level rules and builds the objects the
 run builds, whose constructors own the ranges of their fields.
 """
@@ -18,9 +20,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 from dataclasses import dataclass, fields, replace
-from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -37,6 +37,14 @@ from subshot.montecarlo import (
     FluctuationConfig,
     fluctuation_study,
     mc_estimate,
+)
+from subshot.output import (  # noqa: F401 (SweepRow and the writers are re-exported)
+    ROW_COLUMNS,
+    Indexed,
+    RowTable,
+    SweepRow,
+    rows_to_csv,
+    rows_to_json,
 )
 from subshot.sources import (
     MAX_PUMP,
@@ -203,58 +211,25 @@ class SweepConfig:
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:12]
 
 
-class SweepRow(NamedTuple):
-    """One output record; unused coordinates/outputs stay None."""
-
-    experiment: str
-    source: str
-    detector: str
-    stages: int | None
-    t: float | None
-    mean_photons: float | None
-    fluctuation: float | None
-    nu: int
-    expectation: float | None = None
-    bias: float | None = None
-    variance: float | None = None
-    mse: float | None = None
-    relative_mse_percent: float | None = None
-    ratio_to_snl: float | None = None
-    asymptotic_floor_percent: float | None = None
-    ci_low: float | None = None
-    ci_high: float | None = None
-    mse_exact: float | None = None
-    z_expectation: float | None = None
-    z_mse: float | None = None
-    seed: int = 0
-    config_hash: str = ""
-
-    def as_dict(self) -> dict:
-        return self._asdict()
-
-
-# Output column order: the field order of `SweepRow`.
-ROW_COLUMNS = SweepRow._fields
-
-
 # Report fields copied into the output column of the same name.
 _REPORT_COLUMNS = ("expectation", "bias", "variance", "mse", "relative_mse_percent")
 
 
 def _rows(cfg: SweepConfig, pairs, index: list[int], t, mean, fluctuation=None, seed=None,
-          **outputs) -> list[SweepRow]:
-    """The one place rows are built, all rows of a run at once, column by
-    column in row order.  Row i is labelled by the (source, detector) pair
-    `pairs[index[i]]`.  `t`, `mean`, `fluctuation`, `seed` (default
-    `cfg.seed`) and each output column hold a list with one cell per row, or
-    one cell that every row repeats; a column not given stays None."""
+          **outputs) -> RowTable:
+    """The one place rows are built, all rows of a run at once, as the
+    columns of a `RowTable`.  Row i is labelled by the (source, detector)
+    pair `pairs[index[i]]`.  `t`, `mean`, `fluctuation`, `seed` (default
+    `cfg.seed`) and each output column hold a list with one cell per row, an
+    `Indexed` column, or one cell that every row repeats; a column not given
+    stays None."""
     labels = [
         (type(source).__name__.lower(),  # coherent, fock or multiplexed
          detector.value,
          source.stages if isinstance(source, Multiplexed) else None)
         for source, detector in pairs
     ]
-    source, detector, stages = ([cells[i] for i in index] for cells in zip(*labels))
+    source, detector, stages = (Indexed(list(cells), index) for cells in zip(*labels))
     given = {
         **outputs,
         "experiment": cfg.experiment,
@@ -268,22 +243,20 @@ def _rows(cfg: SweepConfig, pairs, index: list[int], t, mean, fluctuation=None, 
         "seed": cfg.seed if seed is None else seed,
         "config_hash": cfg.digest(),
     }
-    n = len(index)
-    columns = (given.get(name) for name in ROW_COLUMNS)
-    cells = (c if isinstance(c, list) else itertools.repeat(c, n) for c in columns)
-    return list(map(SweepRow._make, zip(*cells, strict=True)))
+    return RowTable(len(index), [given.get(name) for name in ROW_COLUMNS])
 
 
-def _grid_rows(cfg: SweepConfig, pairs, channel: Channel, mean, **outputs) -> list[SweepRow]:
+def _grid_rows(cfg: SweepConfig, pairs, channel: Channel, mean, **outputs) -> RowTable:
     """Rows over the (t, mean) grid, then over `pairs`: the channel's
     transmission and `mean` are each a float or a grid, and `outputs[name]`
     holds one report field per pair over their broadcast grid."""
     ts, means = np.broadcast_arrays(channel.transmission, mean)
     width = len(pairs)
+    point = np.repeat(np.arange(ts.size), width).tolist()
     cells = {name: np.stack(fields, axis=-1).ravel().tolist() for name, fields in outputs.items()}
     return _rows(
         cfg, pairs, list(range(width)) * ts.size,
-        np.repeat(ts, width).tolist(), np.repeat(means, width).tolist(), **cells,
+        Indexed(ts.ravel().tolist(), point), Indexed(means.ravel().tolist(), point), **cells,
     )
 
 
@@ -422,23 +395,7 @@ _RUNNERS = {
 EXPERIMENTS = tuple(_RUNNERS)
 
 
-def run_experiment(cfg: SweepConfig) -> list[SweepRow]:
+def run_experiment(cfg: SweepConfig) -> RowTable:
     """Evaluate the full grid of `cfg` in deterministic grid order."""
     cfg.validate()
     return _RUNNERS[cfg.experiment](cfg)
-
-
-def rows_to_csv(rows: Iterable[SweepRow]) -> str:
-    """Locale-free CSV with a header row; floats keep full precision (`str`
-    of a Python float is its shortest round-trip repr), None is empty."""
-    lines = [",".join(ROW_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(["" if v is None else str(v) for v in row]))
-    lines.append("")  # the final newline, without copying the text to add it
-    return "\n".join(lines)
-
-
-def rows_to_json(rows: Iterable[SweepRow]) -> str:
-    import json
-
-    return json.dumps([row.as_dict() for row in rows], indent=2) + "\n"

@@ -30,7 +30,8 @@ count and range rules they share.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,6 +56,9 @@ MAX_STAGES = 64
 # 1e270, so every closed form stays finite, without an overflow warning, up
 # to twice this pump.
 MAX_PUMP = 1e250
+
+# The fields of a multiplexed source beside its stage count and pump.
+_CALIBRATION = ("herald_eff", "stage_transmission", "optics_transmission")
 
 
 class ConfigError(ValueError):
@@ -130,7 +134,7 @@ class Multiplexed:
     def __post_init__(self):
         object.__setattr__(self, "stages", check_count("stages", self.stages, 1, MAX_STAGES))
         check_range("pair_mean", self.pair_mean, math.inf)
-        for name in ("herald_eff", "stage_transmission", "optics_transmission"):
+        for name in _CALIBRATION:
             check_range(name, getattr(self, name))
 
     @property
@@ -145,6 +149,16 @@ class Multiplexed:
 Source = Coherent | Fock | Multiplexed
 
 
+class _Network(NamedTuple):
+    """The stage count and calibration of a `Multiplexed` source without its
+    pump: all that `tune_pair_mean` reads of a source."""
+
+    stages: int
+    herald_eff: float
+    stage_transmission: float
+    optics_transmission: float
+
+
 def sync_probability_at(source: Multiplexed, mu):
     """Probability that any of the 2**stages windows heralds in a period, at
     pump `mu`, a float or an array of pump values.
@@ -157,11 +171,12 @@ def sync_probability_at(source: Multiplexed, mu):
 
 def _mux_constants(sources, ndim: int = 0) -> tuple:
     """h, -h, -2**stages h, network and optics transmission of one
-    `Multiplexed` as floats, or of a list of them as columns that broadcast
-    against `ndim` trailing pump axes."""
+    `Multiplexed` as floats, or of a list of them (or of `_Network`s) as
+    columns that broadcast against `ndim` trailing pump axes."""
     one = isinstance(sources, Multiplexed)
-    rows = [(s.herald_eff, -s.herald_eff, -s.window_count * s.herald_eff, s.network_transmission,
-             s.optics_transmission) for s in ([sources] if one else sources)]
+    rows = [(s.herald_eff, -s.herald_eff, -(2**s.stages) * s.herald_eff,
+             s.stage_transmission**s.stages, s.optics_transmission)
+            for s in ([sources] if one else sources)]
     return rows[0] if one else tuple(np.reshape(c, (len(rows),) + (1,) * ndim) for c in zip(*rows))
 
 
@@ -248,7 +263,7 @@ def unreachable_field(source: Multiplexed) -> str | None:
     zero, in which case the output is vacuum at every pump strength and no
     positive target mean can be reached.
     """
-    for name in ("herald_eff", "stage_transmission", "optics_transmission"):
+    for name in _CALIBRATION:
         if getattr(source, name) == 0.0:
             return name
     return None
@@ -313,11 +328,14 @@ def make_multiplexed(
     """Multiplexed source tuned to `target_mean` photons at the sample; an
     array of targets gives the array of their pumps as `pair_mean`.  A
     sequence of stage counts gives a list of such sources, one per count,
-    all tuned in one bisection."""
+    all tuned in one bisection from the stage counts and the calibration,
+    checked as `Multiplexed` checks them, and each built once."""
     calibration = (herald_eff, stage_transmission, optics_transmission)
-    sources = [Multiplexed(m, 0.0, *calibration) for m in np.atleast_1d(stages).tolist()]
-    pumps = tune_pair_mean(sources, target_mean)
-    tuned = [replace(s, pair_mean=_scalar(mu)) for s, mu in zip(sources, pumps)]
+    counts = [check_count("stages", m, 1, MAX_STAGES) for m in np.atleast_1d(stages).tolist()]
+    for name, value in zip(_CALIBRATION, calibration):
+        check_range(name, value)
+    pumps = tune_pair_mean([_Network(m, *calibration) for m in counts], target_mean)
+    tuned = [Multiplexed(m, _scalar(mu), *calibration) for m, mu in zip(counts, pumps)]
     return tuned if np.ndim(stages) else tuned[0]
 
 

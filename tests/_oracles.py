@@ -8,9 +8,12 @@ number-resolving and the threshold estimator; `legendre_rule` derives by
 Newton's method the rule the package commits as a table.
 `per_round_totals` and `per_repetition_totals` are the references for the
 batched fluctuation rounds: they take the count rows as a function and
-check only how the rounds draw and count, one at a time.
+check only how the rounds draw and count, one at a time.  `rows_csv` and
+`rows_json` write output rows one row at a time, the reference for the
+column writers.
 """
 
+import json
 import math
 
 import numpy as np
@@ -283,3 +286,18 @@ def _invert_cdf(offset: int, row, u):
     capped at the last count."""
     cdf = np.cumsum(row)
     return offset + np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
+
+
+def rows_csv(columns, rows) -> str:
+    """CSV of output rows, one row at a time: the header of `columns`, then
+    `str` of each cell, None empty, each line ending in a newline."""
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(["" if v is None else str(v) for v in row]))
+    return "\n".join(lines) + "\n"
+
+
+def rows_json(rows) -> str:
+    """JSON of output rows: `json.dumps` of the list of their dicts,
+    indented by 2, with a final newline."""
+    return json.dumps([row._asdict() for row in rows], indent=2) + "\n"

@@ -2,15 +2,21 @@
 experiment-level physics checks."""
 
 import hashlib
+import itertools
 import math
+import random
+import tracemalloc
 from dataclasses import fields, replace
 from typing import get_type_hints
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _oracles import rows_csv, rows_json
+from subshot import output
 from subshot.detection import Channel
 from subshot.estimators import (
     Detector,
@@ -34,6 +40,7 @@ from subshot.experiments import (
     run_experiment,
 )
 from subshot.montecarlo import FluctuationConfig, fluctuation_study, mc_estimate
+from subshot.output import Indexed, RowTable, json_blocks
 from subshot.sources import MAX_PUMP, MAX_STAGES, Fock, Multiplexed, source_moments
 
 # Fixed example sequence: the suite stays deterministic and writes no
@@ -81,7 +88,7 @@ class TestRowLayout:
         assert rows
         optional = set(ROW_COLUMNS) - set(_ALWAYS_FILLED) - {"stages"}
         for index, row in enumerate(rows):
-            values = row.as_dict()
+            values = row._asdict()
             assert row.experiment == experiment
             assert row.nu == cfg.nu
             assert row.config_hash == cfg.digest()
@@ -640,3 +647,135 @@ class TestSerialization:
         assert len(data) == 3
         assert data[0]["experiment"] == "nr-ratio"
         assert set(data[0]) == set(ROW_COLUMNS)
+
+
+# Cells that `str` and `json.dumps` spell in ways a writer can get wrong:
+# both zeros and an int beside the equal float (equal, but spelled apart),
+# NaN and both infinities, subnormals, the floats on either side of the
+# switches of `repr` to exponent notation at 1e16 and 1e-4, and at 1e-5, a
+# bool, None, and strings that JSON escapes or that read like a number.
+_TRICKY_CELLS = (
+    0.0, -0.0, 1, 1.0, math.nan, math.inf, -math.inf, 5e-324, 2.225073858507201e-308,
+    1e16, 9999999999999998.0, 0.0001, 9.999999999999999e-05, 1e-05, 9.999999999999999e-06,
+    123456789012345678, True, None,
+    "coherent", 'a "quoted" \\ back', "tab\tline\n", "ünï", "nan", "",
+)
+_COLUMN_KINDS = ("repeated", "indexed", "cells")
+
+
+def _synthetic_table(n: int, layout, seed: int):
+    """A `RowTable` of n rows whose column j is of kind `layout[j][0]` over
+    the cells `layout[j][1]`, and the same rows built one by one."""
+    rng = random.Random(seed)
+    columns, cells_of = [], []
+    for kind, pool in layout:
+        index = [rng.randrange(len(pool)) for _ in range(n)]
+        cells = [pool[i] for i in index]
+        if kind == "repeated":
+            columns.append(pool[0])
+            cells = [pool[0]] * n
+        elif kind == "indexed":
+            columns.append(Indexed(list(pool), index))
+        else:
+            columns.append(cells)
+        cells_of.append(cells)
+    return RowTable(n, columns), [SweepRow(*cells) for cells in zip(*cells_of)]
+
+
+_LAYOUTS = st.lists(
+    st.tuples(
+        st.sampled_from(_COLUMN_KINDS),
+        st.lists(
+            st.one_of(st.sampled_from(_TRICKY_CELLS), st.floats(), st.integers(-(10**20), 10**20),
+                      st.text(max_size=4)),
+            min_size=1, max_size=5,
+        ),
+    ),
+    min_size=len(ROW_COLUMNS), max_size=len(ROW_COLUMNS),
+)
+# Every tricky cell in every kind of column, each column starting elsewhere.
+_TRICKY_LAYOUT = [
+    (kind, _TRICKY_CELLS[j:] + _TRICKY_CELLS[:j])
+    for j, kind in zip(range(len(ROW_COLUMNS)), itertools.cycle(_COLUMN_KINDS))
+]
+
+
+class TestWriters:
+    """The column writers against the row-by-row writers of `_oracles.py`,
+    byte for byte, on synthetic tables and block sizes."""
+
+    @settings(CHECKS, max_examples=40)
+    @given(
+        block=st.integers(1, 5),
+        # Row counts 0, 1, one block - 1, one block, one block + 1 and two
+        # blocks + 1, as (blocks, extra rows).
+        size=st.sampled_from([(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)]),
+        layout=_LAYOUTS,
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(block=3, size=(2, 1), layout=_TRICKY_LAYOUT, seed=0)
+    def test_column_writers_match_the_row_writers(self, block, size, layout, seed):
+        n = max(0, size[0] * block + size[1])
+        table, rows = _synthetic_table(n, layout, seed)
+        with mock.patch.object(output, "_BLOCK_ROWS", block):
+            assert rows_to_csv(table) == rows_csv(ROW_COLUMNS, rows)
+            assert rows_to_json(table) == rows_json(rows)
+            assert rows_to_csv(rows) == rows_csv(ROW_COLUMNS, rows)
+            assert rows_to_json(rows) == rows_json(rows)
+        assert len(table) == n
+        assert table == rows and rows == table
+        assert list(table) == rows
+        assert [table[i] for i in range(-n, n)] == rows + rows
+        assert [list(map(type, row)) for row in table] == [list(map(type, row)) for row in rows]
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_block_edges_at_the_block_size(self, extra):
+        table, rows = _synthetic_table(output._BLOCK_ROWS + extra, _TRICKY_LAYOUT, extra)
+        assert rows_to_csv(table) == rows_csv(ROW_COLUMNS, rows)
+        assert rows_to_json(table) == rows_json(rows)
+
+    def test_zero_rows(self):
+        empty = RowTable(0, [[] for _ in ROW_COLUMNS])
+        for rows in (empty, []):
+            assert rows_to_csv(rows) == ",".join(ROW_COLUMNS) + "\n"
+            assert rows_to_json(rows) == "[]\n"
+        assert empty == [] and len(empty) == 0 and not empty
+
+    def test_equal_cells_keep_their_own_spelling(self):
+        """0.0 == -0.0 and 1 == 1.0, but each cell is written as itself,
+        in an indexed column and in a column of one cell per row."""
+        values = [0.0, -0.0, 1, 1.0, -0.0, 0.0]
+        columns = {"t": Indexed(values[:4], [0, 1, 2, 3, 1, 0]), "mse": values}
+        table = RowTable(6, [columns.get(name, "x") for name in ROW_COLUMNS])
+        lines = rows_to_csv(table).splitlines()[1:]
+        for name in columns:
+            j = ROW_COLUMNS.index(name)
+            assert [line.split(",")[j] for line in lines] == list(map(str, values))
+
+    def test_tables_are_read_only_and_checked(self):
+        table = run_experiment(SweepConfig(experiment="nr-ratio", t_grid=(0.5,), stage_counts=(2,)))
+        with pytest.raises(TypeError):
+            table[0] = table[1]
+        with pytest.raises(IndexError):
+            table[len(table)]
+        with pytest.raises(ValueError, match="column t"):
+            RowTable(2, [[0.5] if name == "t" else None for name in ROW_COLUMNS])
+
+    def test_json_file_memory_does_not_grow_with_rows(self, tmp_path):
+        """JSON goes to the file a block of rows at a time, so writing 4x the
+        rows (a 4x finer t-grid) peaks within a small slack of the 1x peak;
+        one string of the whole JSON would take ~5 MB more per 1024 t-points."""
+
+        def peak(points):
+            cfg = SweepConfig(experiment="threshold-ratio", t_grid=small_grid(points))
+            table = run_experiment(cfg)
+            tracemalloc.start()
+            try:
+                with open(tmp_path / "rows.json", "w") as out:
+                    out.writelines(json_blocks(table))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, four = peak(512), peak(2048)  # 4096 and 16384 rows
+        assert four < 1.05 * one
