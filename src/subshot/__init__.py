@@ -14,13 +14,10 @@ from subshot.sources import (
     Multiplexed,
     Source,
     make_multiplexed,
-    source_click_probability,
     source_count_rows,
     source_moments,
     source_pump,
-    sync_probability_at,
     tune_pair_mean,
-    unreachable_field,
 )
 from subshot.detection import Channel, Detector, detected_moments, detected_rows
 from subshot.estimators import (

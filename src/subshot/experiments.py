@@ -12,8 +12,11 @@ multiplexed sources whose pumps, are a float or follow a whole mean grid,
 every pump of a run tuned in one bisection.  The row format and its CSV and
 JSON writers live in `subshot.output`; `SweepRow`, `ROW_COLUMNS`,
 `rows_to_csv` and `rows_to_json` can be imported from here as well.
-`SweepConfig.validate` checks the run-level rules and builds the objects the
-run builds, whose constructors own the ranges of their fields.
+`SweepConfig.validate` checks the run-level rules, builds the channels and
+the fluctuation config the run builds, whose constructors own the ranges of
+their fields, and checks the multiplexing networks with the rules the pump
+tuning applies (`make_networks`, `check_reach`), at the means the run tunes
+(`_tuned_means`), without building a source.
 """
 
 from __future__ import annotations
@@ -47,15 +50,15 @@ from subshot.output import (  # noqa: F401 (SweepRow and the writers are re-expo
     rows_to_json,
 )
 from subshot.sources import (
-    MAX_PUMP,
     Coherent,
     ConfigError,
     Fock,
     Multiplexed,
     Source,
     check_count,
+    check_reach,
     make_multiplexed,
-    output_mean,
+    make_networks,
 )
 
 # Largest accepted mean photon number per repetition.  The sources studied
@@ -146,12 +149,12 @@ class SweepConfig:
             raise ConfigError("mean_photons", f"{self.mean_photons} outside (0, {MAX_MEAN:g}]")
         check_count("trials", self.trials, 1, MAX_TRIALS)
         check_count("seed", self.seed, 0)
-        # Build what the run builds: the grid channel's transmission and the
-        # sources' stages are this config's t_grid and stage_counts.
+        # Check what the run builds: the grid channel's transmission and the
+        # networks' stages are this config's t_grid and stage_counts.
         calibration = (self.herald_eff, self.stage_transmission, self.optics_transmission)
         try:
             Channel(np.array(self.t_grid), self.detector_eff)
-            networks = [Multiplexed(m, MAX_PUMP, *calibration) for m in self.stage_counts]
+            networks = make_networks(self.stage_counts, *calibration)
         except ConfigError as err:
             field = {"transmission": "t_grid", "stages": "stage_counts"}.get(err.field, err.field)
             raise ConfigError(field, err.reason) from None
@@ -159,42 +162,21 @@ class SweepConfig:
         FluctuationConfig(self.a_grid, self.rounds, self.nu, self.redraw, self.negatives)
         self._validate_reference()
         if self.experiment == "mc-validate":
-            networks = [Multiplexed(m, MAX_PUMP, *calibration) for m in _MC_VALIDATE_STAGES]
-        self._validate_reach(networks)
+            networks = make_networks(_MC_VALIDATE_STAGES, *calibration)
+        check_reach(networks, _tuned_means(self))
 
     def _validate_reference(self) -> None:
-        """The detector efficiency times the smallest mean must reach
-        MIN_REFERENCE; name the smaller factor, as `_validate_reach` names the
-        weakest loss."""
-        means = [(self.mean_photons, "mean_photons")] + [(n, "mean_grid") for n in self.mean_grid]
-        mean, field = min(means)
+        """The detector efficiency times the smallest mean the run tunes must
+        reach MIN_REFERENCE; name the smaller factor, as `check_reach` names
+        the weakest loss."""
+        mean = min(_tuned_means(self))
         if self.detector_eff * mean < MIN_REFERENCE:
+            field = "mean_grid" if self.experiment in _DEFAULT_MEAN_GRIDS else "mean_photons"
             raise ConfigError(
                 "detector_eff" if self.detector_eff <= mean else field,
                 f"detector efficiency {self.detector_eff} times mean {mean} is below "
                 f"{MIN_REFERENCE:g}: the estimator reference would vanish",
             )
-
-    def _validate_reach(self, networks: list[Multiplexed]) -> None:
-        """Every multiplexed source the run tunes, given at pump MAX_PUMP,
-        must reach its largest mean.  The output mean grows with the pump, so
-        checking that one pump suffices; a zero field keeps it at 0."""
-        top_mean = max((self.mean_photons, *_mean_grid(self)))
-        for source in networks:
-            if output_mean(source) < top_mean:
-                # Name the factor that loses the most light; the network
-                # transmission stands for the stage transmission.
-                losses = {
-                    "herald_eff": self.herald_eff,
-                    "stage_transmission": source.network_transmission,
-                    "optics_transmission": self.optics_transmission,
-                }
-                field = min(losses, key=losses.get)
-                raise ConfigError(
-                    field,
-                    f"{getattr(self, field)} is too small: a {source.stages}-stage source "
-                    f"cannot reach mean {top_mean} with a pump up to {MAX_PUMP:g}",
-                )
 
     def canonical(self) -> str:
         pairs = []
@@ -260,9 +242,12 @@ def _grid_rows(cfg: SweepConfig, pairs, channel: Channel, mean, **outputs) -> Ro
     )
 
 
-def _mean_grid(cfg: SweepConfig) -> tuple[float, ...]:
-    """The means `cfg` sweeps: its mean grid, or its experiment's default."""
-    return cfg.mean_grid or _DEFAULT_MEAN_GRIDS.get(cfg.experiment, ())
+def _tuned_means(cfg: SweepConfig) -> tuple[float, ...]:
+    """The means a run of `cfg` tunes its sources to: the mean grid (or its
+    default) of an experiment that sweeps the mean, else `mean_photons`."""
+    if cfg.experiment in _DEFAULT_MEAN_GRIDS:
+        return cfg.mean_grid or _DEFAULT_MEAN_GRIDS[cfg.experiment]
+    return (cfg.mean_photons,)
 
 
 def _sources(cfg: SweepConfig, mean) -> list[Source]:
@@ -297,7 +282,7 @@ def _ratio_sweep(cfg: SweepConfig, detector: Detector):
     """Exact reports over the t-grid for coherent, multiplexed and Fock
     sources.  Threshold rows carry both the bias and the MSE ratio, so
     `threshold-bias` and `threshold-ratio` share this sweep."""
-    mean = cfg.mean_photons
+    (mean,) = _tuned_means(cfg)
     sources = _sources(cfg, mean) + [Fock(1)]
     channel = Channel(np.array(cfg.t_grid), cfg.detector_eff)
     return _exact_rows(cfg, sources, (detector,), channel, mean)
@@ -306,7 +291,7 @@ def _ratio_sweep(cfg: SweepConfig, detector: Detector):
 def _run_intensity_sweep(cfg: SweepConfig):
     """Ratio versus input mean photon number at fixed sample transmission,
     one report per source and detector over the whole mean grid."""
-    means = np.array(_mean_grid(cfg))
+    means = np.array(_tuned_means(cfg))
     ch = Channel(cfg.transmission, cfg.detector_eff)
     return _exact_rows(cfg, _sources(cfg, means), Detector, ch, means)
 
@@ -315,7 +300,7 @@ def _run_asymptotic(cfg: SweepConfig):
     """Infinite-repetition relative MSE floor of the threshold estimators,
     one closed-form call over the whole (mean x t) grid per source."""
     ch = Channel(np.array(cfg.t_grid), cfg.detector_eff)
-    means = np.array(_mean_grid(cfg))[:, None]
+    means = np.array(_tuned_means(cfg))[:, None]
     sources = _sources(cfg, means)
     floors = [asymptotic_relative_mse_floor(source, ch) for source in sources]
     pairs = [(source, Detector.THRESHOLD) for source in sources]
@@ -333,7 +318,7 @@ def _run_fluctuations(cfg: SweepConfig):
     exact MSE it samples and its deviation in standard errors.  The deviation
     is skewed under per-round pump noise, so it is recorded, not bounded."""
     mc_cfg = FluctuationConfig(cfg.a_grid, cfg.rounds, cfg.nu, cfg.redraw, cfg.negatives)
-    t, mean = cfg.transmission, cfg.mean_photons
+    t, (mean,) = cfg.transmission, _tuned_means(cfg)
     sources = _sources(cfg, mean)
     pairs = [(source, detector) for detector in Detector for source in sources]
     studies = fluctuation_study(mc_cfg, pairs, Channel(t, cfg.detector_eff), cfg.seed)
@@ -353,7 +338,7 @@ def _run_mc_validate(cfg: SweepConfig):
     """Monte Carlo versus exact reports for a canned configuration set
     spanning both detectors and all three sources; configuration i is
     sampled with seed + i."""
-    t, mean = cfg.transmission, cfg.mean_photons
+    t, (mean,) = cfg.transmission, _tuned_means(cfg)
     ch = Channel(t, cfg.detector_eff)
     coherent, mux2, mux5 = _sources(replace(cfg, stage_counts=_MC_VALIDATE_STAGES), mean)
     canned: list[tuple[Source, Detector]] = [

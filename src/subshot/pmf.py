@@ -2,7 +2,9 @@
 
 Poisson and binomial weights are evaluated in log space from a table of
 log-factorials; `poisson_support` picks a truncation point for a wanted tail
-mass.  `Moments` is the summary every closed-form source model returns.
+mass.  `Moments` is the summary every closed-form source model returns:
+a mean and a variance, floats or arrays over pumps, and nothing derived
+from them.
 """
 
 from __future__ import annotations
@@ -19,15 +21,6 @@ class Moments:
 
     mean: float
     variance: float
-
-    @property
-    def fano(self) -> float | np.ndarray | None:
-        """Fano factor variance/mean, None for a vacuum; for array moments,
-        entry by entry, with NaN where the mean is zero."""
-        if np.ndim(self.mean) == 0:
-            return self.variance / self.mean if self.mean > 0.0 else None
-        mean = np.asarray(self.mean)
-        return np.divide(self.variance, mean, out=np.full(mean.shape, np.nan), where=mean > 0.0)
 
 
 def poisson_support(mu: float, tail_target: float) -> int:

@@ -10,7 +10,9 @@ Detecting the idler photon of a pair heralds its signal twin; the network then
 delays the signal so it leaves on the clock tick.  Raising the pump increases
 the herald rate but also the multi-photon contamination, so the pump strength
 that realizes a wanted mean photon number at the sample is found numerically
-(`tune_pair_mean`, one array bisection for every stage count and target).
+(`tune_pair_mean`, one array bisection for every stage count and target),
+once `check_reach`, the one rule on whether a target can be reached at all,
+has passed.
 
 No other module knows how a source kind is evaluated.  The mean, variance
 and click probabilities at the sample plane (`source_moments`,
@@ -159,16 +161,6 @@ class _Network(NamedTuple):
     optics_transmission: float
 
 
-def sync_probability_at(source: Multiplexed, mu):
-    """Probability that any of the 2**stages windows heralds in a period, at
-    pump `mu`, a float or an array of pump values.
-
-    1 - (1 - p_w)^(2**stages) with 1 - p_w = exp(-mu * herald_eff), written so
-    that it stays finite when p_w rounds to 1 under a strong pump.
-    """
-    return -np.expm1(-source.window_count * source.herald_eff * np.asarray(mu, dtype=np.float64))
-
-
 def _mux_constants(sources, ndim: int = 0) -> tuple:
     """h, -h, -2**stages h, network and optics transmission of one
     `Multiplexed` as floats, or of a list of them (or of `_Network`s) as
@@ -181,11 +173,14 @@ def _mux_constants(sources, ndim: int = 0) -> tuple:
 
 
 def _herald(constants: tuple, mu) -> tuple:
-    """-p_w, e^{-mu h} and the gain g = P_sync / p_w (P_sync = 0 where
-    p_w = 0) at an array of pump values `mu`, from `_mux_constants`."""
+    """-p_w, e^{-mu h}, -P_sync = (1 - p_w)^(2**stages) - 1 and the gain
+    g = P_sync / p_w (P_sync = 0 where p_w = 0) at an array of pump values
+    `mu`, from `_mux_constants`; 1 - p_w = e^{-mu h}, so both stay finite
+    when p_w rounds to 1 under a strong pump."""
     exponent = mu * constants[1]
     neg_p_w = np.expm1(exponent)
-    return neg_p_w, np.exp(exponent), np.expm1(constants[2] * mu) / (neg_p_w - (neg_p_w == 0.0))
+    neg_sync = np.expm1(constants[2] * mu)
+    return neg_p_w, np.exp(exponent), neg_sync, neg_sync / (neg_p_w - (neg_p_w == 0.0))
 
 
 def _mux_factorial_moments(constants: tuple, mu, orders: int = 2) -> tuple:
@@ -199,7 +194,7 @@ def _mux_factorial_moments(constants: tuple, mu, orders: int = 2) -> tuple:
     take the first alone, finite up to twice MAX_PUMP, where the second is not.
     """
     h, _, _, network, optics = constants
-    neg_p_w, no_click, gain = _herald(constants, mu)
+    neg_p_w, no_click, _, gain = _herald(constants, mu)
     mq = mu * network * optics
     first = gain * mq * (h * no_click - neg_p_w)
     if orders == 1:
@@ -217,7 +212,7 @@ def _mux_clicks(source: Multiplexed, mu, survival):
     herald needs a huge pump or a click is all but certain.
     """
     h, _, neg_rate, network, optics = constants = _mux_constants(source)
-    neg_p_w, _, gain = _herald(constants, mu)
+    neg_p_w, _, _, gain = _herald(constants, mu)
     x = mu * (network * optics * survival)
     y = (1.0 - h) * x
     miss = np.exp(neg_rate * mu) - gain * np.exp(-x) * np.expm1(h * (x - mu))
@@ -240,7 +235,7 @@ def _mux_output_rows(source: Multiplexed, mu, survival: float, tail: float):
     """
     h = source.herald_eff
     q = source.network_transmission * source.optics_transmission * survival
-    p_sync = sync_probability_at(source, mu)
+    _, _, neg_sync, gain = _herald(_mux_constants(source), mu)
     # A row's tail is g <= 2**stages times the Poisson(mu q) tail.
     n_max = poisson_support(float(np.max(mu)) * q, max(tail / source.window_count, 1e-300))
     ns = np.arange(n_max + 1)
@@ -250,23 +245,30 @@ def _mux_output_rows(source: Multiplexed, mu, survival: float, tail: float):
         log_miss = np.where(ns == 0, 0.0, -np.inf)
     # 1 - (1-h)^n e^{-mu h (1-q)} without cancellation: >= 0 and finite at h = 1.
     herald = -np.expm1(log_miss - (mu * (h * (1.0 - q)))[..., None])
-    rows = _herald(_mux_constants(source), mu)[2][..., None] * poisson_rows(mu * q, n_max) * herald
-    rows[..., 0] += 1.0 - p_sync
+    rows = gain[..., None] * poisson_rows(mu * q, n_max) * herald
+    rows[..., 0] += 1.0 + neg_sync
     return rows
 
 
-def unreachable_field(source: Multiplexed) -> str | None:
-    """Name of a zero herald efficiency, stage transmission or optics
-    transmission, or None.
+def check_reach(sources, target_mean) -> None:
+    """ConfigError unless every network of `sources`, a list of `Multiplexed`
+    sources or `_Network`s, reaches the largest of `target_mean` at a pump
+    up to MAX_PUMP.
 
-    The output mean grows without bound with the pump unless one of these is
-    zero, in which case the output is vacuum at every pump strength and no
-    positive target mean can be reached.
+    The output mean grows with the pump, so checking that one pump suffices;
+    it stays 0 where a calibration field is 0.  The error names the field
+    that loses the most light, the network transmission standing for the
+    stage transmission, so a zero field is the one named.
     """
-    for name in _CALIBRATION:
-        if getattr(source, name) == 0.0:
-            return name
-    return None
+    top = float(np.max(target_mean))
+    constants = _mux_constants(sources)
+    short = np.flatnonzero(_mux_factorial_moments(constants, MAX_PUMP, 1)[0] < top)
+    if short.size:
+        i, source = short[0], sources[short[0]]
+        h, _, _, network, optics = constants
+        field = _CALIBRATION[int(np.argmin((h[i], network[i], optics[i])))]
+        raise ConfigError(field, f"{getattr(source, field)} is too small: a {source.stages}-stage "
+                                 f"source needs a pump above {MAX_PUMP:g} to reach mean {top}")
 
 
 def tune_pair_mean(source, target_mean, tol: float = 1e-10):
@@ -281,18 +283,13 @@ def tune_pair_mean(source, target_mean, tol: float = 1e-10):
     drops below `tol` times min(1, target), so tiny targets are met to
     relative precision (it then keeps lo = hi), or its bracket shrinks to
     adjacent floats, where a large mean cannot get closer (it stays put);
-    the loop ends when no pump moves.  Every target is reachable below
-    MAX_PUMP unless `unreachable_field` names a zero field or the network
-    transmits too little.
+    the loop ends when no pump moves.  A target that no pump up to
+    MAX_PUMP reaches is refused first, by `check_reach`.
     """
     target = np.asarray(target_mean, dtype=np.float64)
     if not np.all(target > 0):
         raise ValueError(f"target mean must be > 0, got {target[~(target > 0)][0]}")
-    sources = [source] if isinstance(source, Multiplexed) else source
-    zero = [name for name in map(unreachable_field, sources) if name]
-    if zero:
-        raise ValueError(f"{zero[0]} is 0, so the output is vacuum at every pump strength: "
-                         f"target mean {target_mean} is unreachable")
+    check_reach([source] if isinstance(source, Multiplexed) else source, target)
     constants = _mux_constants(source, target.ndim)
     target = np.broadcast_to(target, np.broadcast_shapes(np.shape(constants[0]), target.shape))
 
@@ -302,6 +299,7 @@ def tune_pair_mean(source, target_mean, tol: float = 1e-10):
     stop = tol * np.minimum(1.0, target)
     lo, hi = np.zeros(target.shape), np.array(np.maximum(1.0, target))
     while (short := mean_at(hi) < target).any():
+        # A guard only: `check_reach` has refused every target above the ceiling.
         if (ceiling := short & (hi > MAX_PUMP)).any():
             raise ValueError(f"target mean {target[ceiling][0]} needs a pump above {MAX_PUMP:g}")
         lo, hi = np.where(short, hi, lo), np.where(short, 2.0 * hi, hi)
@@ -318,6 +316,16 @@ def tune_pair_mean(source, target_mean, tol: float = 1e-10):
         np.copyto(hi, mid, where=~low | hit)
 
 
+def make_networks(stages, *calibration) -> list[_Network]:
+    """One `_Network` per stage count of `stages` (a count or a sequence of
+    them) with the herald efficiency, stage and optics transmission
+    `calibration`, each field checked as `Multiplexed` checks it."""
+    counts = [check_count("stages", m, 1, MAX_STAGES) for m in np.atleast_1d(stages).tolist()]
+    for name, value in zip(_CALIBRATION, calibration):
+        check_range(name, value)
+    return [_Network(m, *calibration) for m in counts]
+
+
 def make_multiplexed(
     stages,
     target_mean,
@@ -328,14 +336,12 @@ def make_multiplexed(
     """Multiplexed source tuned to `target_mean` photons at the sample; an
     array of targets gives the array of their pumps as `pair_mean`.  A
     sequence of stage counts gives a list of such sources, one per count,
-    all tuned in one bisection from the stage counts and the calibration,
-    checked as `Multiplexed` checks them, and each built once."""
+    all tuned in one bisection from their `make_networks` and each built
+    once."""
     calibration = (herald_eff, stage_transmission, optics_transmission)
-    counts = [check_count("stages", m, 1, MAX_STAGES) for m in np.atleast_1d(stages).tolist()]
-    for name, value in zip(_CALIBRATION, calibration):
-        check_range(name, value)
-    pumps = tune_pair_mean([_Network(m, *calibration) for m in counts], target_mean)
-    tuned = [Multiplexed(m, _scalar(mu), *calibration) for m, mu in zip(counts, pumps)]
+    networks = make_networks(stages, *calibration)
+    pumps = tune_pair_mean(networks, target_mean)
+    tuned = [Multiplexed(n.stages, _scalar(mu), *calibration) for n, mu in zip(networks, pumps)]
     return tuned if np.ndim(stages) else tuned[0]
 
 
@@ -376,12 +382,6 @@ def source_moments(source: Source, mu=None) -> Moments:
     return Moments(mean=_scalar(mean), variance=_scalar(pairs + mean - mean * mean))
 
 
-def output_mean(source: Multiplexed):
-    """Mean at the sample plane of a multiplexed source at its own pump,
-    without the variance, which overflows near MAX_PUMP."""
-    return _scalar(_mux_factorial_moments(_mux_constants(source), _pumps(source, None), 1)[0])
-
-
 def _fock_clicks(photons: int, survival) -> tuple[np.ndarray, np.ndarray]:
     """(1 - s)^photons and 1 - (1 - s)^photons at each survival s of a
     float or an array, entry by entry with `math`, whose expm1 and log1p can
@@ -413,11 +413,6 @@ def source_click_probabilities(source: Source, survival, mu=None):
     else:
         miss, p = _mux_clicks(source, _pumps(source, mu), survival)
     return _scalar(miss), _scalar(p)
-
-
-def source_click_probability(source: Source, survival, mu=None):
-    """The click probability of `source_click_probabilities`."""
-    return source_click_probabilities(source, survival, mu)[1]
 
 
 def source_count_rows(source: Source, survival: float, tail: float, mu=None) -> np.ndarray:

@@ -62,6 +62,19 @@ def enumerate_mux_output(
     return out
 
 
+def sync_probability(stages: int, pair_mean: float, herald_eff: float) -> float:
+    """Probability that at least one of the 2**stages windows heralds,
+    1 - (1 - p_w)**(2**stages).
+
+    Each window heralds independently with p_w = 1 - exp(-pair_mean
+    herald_eff): a Poisson pair number, each idler detected with probability
+    herald_eff.  The power is taken as -expm1(2**stages log1p(-p_w)), which
+    does not cancel when p_w is tiny.
+    """
+    p_w = -math.expm1(-pair_mean * herald_eff)
+    return 1.0 if p_w == 1.0 else -math.expm1(2**stages * math.log1p(-p_w))
+
+
 def enumerate_click_probability(probs, survival: float) -> float:
     """Threshold click probability by direct summation over photon numbers.
 

@@ -32,7 +32,7 @@ from subshot.sources import (
     Fock,
     Multiplexed,
     make_multiplexed,
-    source_click_probability,
+    source_click_probabilities,
     source_count_rows,
     tune_pair_mean,
 )
@@ -125,7 +125,7 @@ def test_c03_fock_nr_mse_and_uql_ratio():
 def test_c04_fock_click_probability():
     worst = 0.0
     for t in T_GRID:
-        p = source_click_probability(Fock(1), Channel(float(t), ETA).survival)
+        p = source_click_probabilities(Fock(1), Channel(float(t), ETA).survival)[1]
         worst = max(worst, abs(p - t * ETA))
     check(
         "C04",
@@ -187,7 +187,7 @@ def test_c07_click_count_identity():
             )
         ch = Channel(float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.4, 1.0)))
         detected = source_count_rows(src, ch.survival, 1e-18)
-        dev = abs(source_click_probability(src, ch.survival) - (1.0 - detected[0]))
+        dev = abs(source_click_probabilities(src, ch.survival)[1] - (1.0 - detected[0]))
         worst = max(worst, dev)
     check(
         "C07",

@@ -204,6 +204,20 @@ class TestMain:
         assert out == ""
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["nr-ratio", "--mean-n", "0.5", "--mean-grid", "2", "--t-grid", "0.5"],
+            ["intensity-sweep", "--mean-grid", "0.5", "--mean-n", "2"],
+        ],
+    )
+    def test_a_mean_the_run_does_not_tune_is_not_checked(self, tmp_path, args):
+        """A 64-stage network through 1.24e-4 stages reaches mean 0.5 but not
+        2, so each run tunes its mean, and the mean it leaves unused does not
+        refuse it."""
+        lossy = ["--m", "64", "--eta-stage", "1.24e-4"]
+        assert main([*args, *lossy, "--out", str(tmp_path / "x.csv")]) == 0
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as err:
             main(["nr-ratio", "--frobnicate", "1"])

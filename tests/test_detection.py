@@ -21,7 +21,6 @@ from subshot.sources import (
     Multiplexed,
     make_multiplexed,
     source_click_probabilities,
-    source_click_probability,
     source_count_rows,
 )
 
@@ -74,12 +73,12 @@ class TestClickProbability:
     def test_fock_click_is_survival_exactly(self):
         for t in (0.0, 0.3, 0.77, 1.0):
             ch = Channel(t, 0.9)
-            assert source_click_probability(Fock(1), ch.survival) == pytest.approx(
+            assert source_click_probabilities(Fock(1), ch.survival)[1] == pytest.approx(
                 t * 0.9, abs=1e-15
             )
 
     def test_opaque_sample_never_clicks(self):
-        assert source_click_probability(Coherent(2.0), Channel(0.0, 0.9).survival) == 0.0
+        assert source_click_probabilities(Coherent(2.0), Channel(0.0, 0.9).survival)[1] == 0.0
 
     @pytest.mark.parametrize("mean", [0.3, 1.0, 2.5])
     def test_poisson_generating_function(self, mean):
@@ -89,7 +88,7 @@ class TestClickProbability:
         assert enumerate_click_probability(poisson_probs(mean, 60), ch.survival) == pytest.approx(
             expected, abs=1e-12
         )
-        assert source_click_probability(Coherent(mean), ch.survival) == pytest.approx(
+        assert source_click_probabilities(Coherent(mean), ch.survival)[1] == pytest.approx(
             expected, abs=1e-12
         )
 
@@ -97,22 +96,23 @@ class TestClickProbability:
         src = Multiplexed(stages=2, pair_mean=0.3, herald_eff=0.7)
         probs = enumerate_mux_output(2, 0.3, 0.7, src.stage_transmission, src.optics_transmission)
         ch = Channel(0.6, 0.9)
-        assert source_click_probability(src, ch.survival) == pytest.approx(
+        assert source_click_probabilities(src, ch.survival)[1] == pytest.approx(
             enumerate_click_probability(probs, ch.survival), abs=1e-13
         )
 
     def test_bounded_by_emission_probability(self):
         src = Coherent(1.0)
         emission = 1.0 - poisson_probs(1.0)[0]
-        assert source_click_probability(src, Channel(0.7, 0.9).survival) <= emission
-        assert source_click_probability(src, Channel(1.0, 1.0).survival) == pytest.approx(
+        assert source_click_probabilities(src, Channel(0.7, 0.9).survival)[1] <= emission
+        assert source_click_probabilities(src, Channel(1.0, 1.0).survival)[1] == pytest.approx(
             emission, abs=1e-12
         )
 
     def test_strictly_increasing_in_transmission(self):
         src = Coherent(0.8)
         probs = [
-            source_click_probability(src, Channel(t, 0.9).survival) for t in np.linspace(0.05, 1, 12)
+            source_click_probabilities(src, Channel(t, 0.9).survival)[1]
+            for t in np.linspace(0.05, 1, 12)
         ]
         assert np.all(np.diff(probs) > 0)
 
@@ -136,7 +136,7 @@ class TestClickCountIdentity:
         ch = Channel(float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.5, 1.0)))
         for src in sources:
             detected = source_count_rows(src, ch.survival, TAIL)
-            assert source_click_probability(src, ch.survival) == pytest.approx(
+            assert source_click_probabilities(src, ch.survival)[1] == pytest.approx(
                 1.0 - detected[0], abs=1e-12
             )
 

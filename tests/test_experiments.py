@@ -33,15 +33,22 @@ from subshot.experiments import (
     SweepConfig,
     SweepRow,
     _exact_rows,
-    _mean_grid,
     _sources,
+    _tuned_means,
     rows_to_csv,
     rows_to_json,
     run_experiment,
 )
 from subshot.montecarlo import FluctuationConfig, fluctuation_study, mc_estimate
 from subshot.output import Indexed, RowTable, json_blocks
-from subshot.sources import MAX_PUMP, MAX_STAGES, Fock, Multiplexed, source_moments
+from subshot.sources import (
+    MAX_PUMP,
+    MAX_STAGES,
+    Fock,
+    Multiplexed,
+    source_moments,
+    tune_pair_mean,
+)
 
 # Fixed example sequence: the suite stays deterministic and writes no
 # example database.
@@ -331,8 +338,9 @@ class TestConfigValidation:
     @pytest.mark.parametrize("experiment, size", [("intensity-sweep", 20), ("asymptotic", 3)])
     def test_default_mean_grid_is_the_swept_one(self, experiment, size):
         cfg = SweepConfig(experiment=experiment, t_grid=(0.5,), stage_counts=(2,))
-        assert len(_mean_grid(cfg)) == size and max(_mean_grid(cfg)) == 1.0
-        assert sorted({row.mean_photons for row in run_experiment(cfg)}) == list(_mean_grid(cfg))
+        assert len(_tuned_means(cfg)) == size and max(_tuned_means(cfg)) == 1.0
+        means = sorted({row.mean_photons for row in run_experiment(cfg)})
+        assert means == list(_tuned_means(cfg))
 
     def test_reach_checks_the_means_the_run_tunes(self):
         """A 64-stage network whose largest mean lies between 0.5 and 1 runs
@@ -396,6 +404,59 @@ class TestConfigValidation:
                          "ratio_to_snl"):
                 value = getattr(row, name)
                 assert value is None or math.isfinite(value), (name, row)
+
+    @CHECKS
+    @given(
+        herald_eff=st.one_of(st.just(0.0), log_uniform),
+        stage_transmission=st.one_of(st.just(0.0), log_uniform),
+        optics_transmission=st.one_of(st.just(0.0), log_uniform),
+        stages=st.integers(1, MAX_STAGES),
+        mean=st.floats(-99.0, math.log10(MAX_MEAN)).map(lambda e: 10.0**e),
+        near_reach=st.one_of(st.none(), st.floats(-0.3, 0.3).map(lambda e: 10.0**e)),
+    )
+    @example(herald_eff=0.0, stage_transmission=0.0, optics_transmission=0.9, stages=3, mean=1.0,
+             near_reach=None)
+    @example(herald_eff=0.9, stage_transmission=0.88, optics_transmission=0.0, stages=3, mean=1.0,
+             near_reach=None)
+    @example(herald_eff=0.9, stage_transmission=1e-10, optics_transmission=0.9, stages=64,
+             mean=1.0, near_reach=None)
+    @example(herald_eff=0.9, stage_transmission=1.24e-4, optics_transmission=0.9, stages=64,
+             mean=1.0, near_reach=0.9)
+    @example(herald_eff=0.9, stage_transmission=1.24e-4, optics_transmission=0.9, stages=64,
+             mean=1.0, near_reach=1.0)
+    @example(herald_eff=0.9, stage_transmission=1.24e-4, optics_transmission=0.9, stages=64,
+             mean=1.0, near_reach=1.1)
+    def test_tuning_and_validation_share_one_reach_rule(
+        self, herald_eff, stage_transmission, optics_transmission, stages, mean, near_reach
+    ):
+        """`tune_pair_mean` refuses a target exactly when `validate` refuses
+        the nr-ratio config that tunes it, and both name the same field.
+        Means start at 1e-99, where the estimator reference check passes;
+        given `near_reach`, the mean is that multiple of the largest mean
+        the network reaches."""
+        network = Multiplexed(stages, 0.0, herald_eff, stage_transmission, optics_transmission)
+        if near_reach is not None:
+            with np.errstate(all="ignore"):  # the variance overflows at MAX_PUMP
+                reach = source_moments(replace(network, pair_mean=MAX_PUMP)).mean
+            if 1e-99 <= reach * near_reach <= MAX_MEAN:
+                mean = reach * near_reach
+        cfg = SweepConfig(
+            experiment="nr-ratio",
+            stage_counts=(stages,),
+            mean_photons=mean,
+            herald_eff=herald_eff,
+            stage_transmission=stage_transmission,
+            optics_transmission=optics_transmission,
+        )
+
+        def refused(call):
+            try:
+                call()
+            except ConfigError as err:
+                return err.field
+            return None
+
+        assert refused(lambda: tune_pair_mean(network, mean)) == refused(cfg.validate)
 
     def test_digest_stable_and_sensitive(self):
         a = SweepConfig(experiment="nr-ratio")

@@ -54,7 +54,7 @@ from subshot.sources import (
     Fock,
     Multiplexed,
     make_multiplexed,
-    source_click_probability,
+    source_click_probabilities,
     source_count_rows,
     source_moments,
     source_pump,
@@ -409,8 +409,8 @@ class TestBatchBuilders:
 
     def test_click_probabilities_match_scalar_pipeline(self):
         src = Multiplexed(stages=2, pair_mean=0.4, herald_eff=0.7)
-        got = source_click_probability(src, CH.survival, np.array([0.4, 0.1]))
-        assert got[0] == source_click_probability(src, CH.survival)
+        got = source_click_probabilities(src, CH.survival, np.array([0.4, 0.1]))[1]
+        assert got[0] == source_click_probabilities(src, CH.survival)[1]
         for mu, value in zip((0.4, 0.1), got):
             probs = enumerate_mux_output(2, mu, 0.7, 0.88, 0.9)
             assert value == pytest.approx(enumerate_click_probability(probs, CH.survival), abs=1e-12)
@@ -432,14 +432,14 @@ class TestBatchBuilders:
         running at pump i; the array's rows are longer only by the tail the
         largest pump needs."""
         mu = np.array(pumps)
-        clicks = source_click_probability(source, survival, mu)
+        clicks = source_click_probabilities(source, survival, mu)[1]
         rows = source_count_rows(source, survival, _ROW_TAIL, mu)
         assert clicks.shape == mu.shape and rows.shape[:-1] == mu.shape
         for pump, click, batch_row in zip(pumps, clicks, rows):
             at_pump = (
                 Coherent(pump) if isinstance(source, Coherent) else replace(source, pair_mean=pump)
             )
-            assert click == source_click_probability(at_pump, survival)
+            assert click == source_click_probabilities(at_pump, survival)[1]
             row = source_count_rows(at_pump, survival, _ROW_TAIL)
             np.testing.assert_array_equal(batch_row[: row.size], row)
             # At most the discarded tail, up to rounding in its sum.
@@ -467,7 +467,7 @@ class TestBatchBuilders:
         with pytest.raises(TypeError):
             source_moments(Fock(1), np.array([0.3]))
         with pytest.raises(TypeError):
-            source_click_probability(Fock(1), 0.5, np.array([0.3]))
+            source_click_probabilities(Fock(1), 0.5, np.array([0.3]))[1]
         with pytest.raises(TypeError):
             source_count_rows(Fock(1), 0.5, _ROW_TAIL, 0.3)
 

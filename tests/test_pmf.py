@@ -178,19 +178,6 @@ class TestMoments:
         assert m.mean == pytest.approx(2.0, abs=1e-9)
         assert m.variance == pytest.approx(2.0, abs=1e-9)
 
-    def test_vacuum_fano_undefined(self):
-        assert source_moments(Coherent(0.0)).fano is None
-
-    def test_array_fano_entry_by_entry(self):
-        """Array moments give one Fano factor per entry, NaN at a vacuum
-        entry, each equal to the scalar one."""
-        np.testing.assert_array_equal(source_moments(Coherent(np.array([0.5, 1.0]))).fano, 1.0)
-        pumps = np.array([[0.0, 0.4], [1.0, 2.5]])
-        got = source_moments(Coherent(1.0), pumps).fano
-        assert got.shape == pumps.shape and np.isnan(got[0, 0])
-        for mu, fano in zip(pumps.ravel()[1:], got.ravel()[1:]):
-            assert fano == source_moments(Coherent(mu)).fano
-
 
 class TestInvariants:
     def test_constructors_keep_mass(self):

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _oracles import enumerate_mux_output, poisson_probs, thinned_count_moments
+from _oracles import enumerate_mux_output, poisson_probs, sync_probability, thinned_count_moments
 from subshot.pmf import Moments, poisson_rows
 from subshot.sources import (
     MAX_STAGES,
@@ -15,12 +15,11 @@ from subshot.sources import (
     ConfigError,
     Fock,
     Multiplexed,
+    check_reach,
     make_multiplexed,
     source_count_rows,
     source_moments,
-    sync_probability_at,
     tune_pair_mean,
-    unreachable_field,
 )
 
 
@@ -40,7 +39,7 @@ def output_row(p: Multiplexed) -> np.ndarray:
 
 
 def moments(row) -> Moments:
-    """Mean, variance and Fano factor by summation over a row."""
+    """Mean and variance by summation over a row."""
     mean, second = thinned_count_moments(row, 1.0)
     variance = second - mean * mean
     return Moments(mean, variance)
@@ -75,23 +74,32 @@ class TestMultiplexed:
 
 class TestHeraldModel:
     def test_sync_probability_two_windows(self):
-        p = params(m=1, mu=0.5, herald=0.5)
+        """Without loss every heralded window delivers a photon, so the
+        vacuum entry of the output is 1 - P_sync."""
+        p = params(m=1, mu=0.5, herald=0.5, stage=1.0, optics=1.0)
         # per-window herald probability: sum_n Poisson(n; mu) (1 - (1 - h)^n)
         p_w = sum(q * (1.0 - 0.5**n) for n, q in enumerate(poisson_probs(0.5)))
-        assert sync_probability_at(p, p.pair_mean) == pytest.approx(1 - (1 - p_w) ** 2, abs=1e-15)
+        p_sync = sync_probability(1, 0.5, 0.5)
+        assert p_sync == pytest.approx(1 - (1 - p_w) ** 2, abs=1e-15)
+        assert output_row(p)[0] == pytest.approx(1.0 - p_sync, abs=1e-15)
 
     def test_sync_probability_at_pump_values(self):
-        p = params(m=3, mu=0.0, herald=0.6)
+        """At an array of pumps each vacuum entry 1 - P_sync of a lossless
+        network is the one at its pump alone."""
+        p = params(m=3, mu=0.0, herald=0.6, stage=1.0, optics=1.0)
         pumps = np.array([0.0, 0.05, 0.7])
-        expected = [sync_probability_at(p, float(mu)) for mu in pumps]
-        np.testing.assert_array_equal(sync_probability_at(p, pumps), expected)
+        vacuum = source_count_rows(p, 1.0, 1e-18, pumps)[:, 0]
+        expected = [source_count_rows(p, 1.0, 1e-18, mu)[0] for mu in pumps.tolist()]
+        np.testing.assert_array_equal(vacuum, expected)
+        syncs = [sync_probability(3, mu, 0.6) for mu in pumps.tolist()]
+        np.testing.assert_allclose(1.0 - vacuum, syncs, rtol=1e-12, atol=1e-15)
 
     def test_strong_pump_stays_finite(self):
         """At mu * herald_eff = 40 the per-window herald probability rounds to
         1.0; synchronization is then certain and the output row still valid."""
         p = params(m=1, mu=50.0, herald=0.8)
         assert -math.expm1(-p.pair_mean * p.herald_eff) == 1.0
-        assert sync_probability_at(p, p.pair_mean) == 1.0
+        assert sync_probability(1, p.pair_mean, p.herald_eff) == 1.0
         out = output_row(p)
         assert out[0] < 1e-12
         assert moments(out).mean == pytest.approx(source_moments(p).mean, rel=1e-12)
@@ -132,7 +140,7 @@ class TestMuxOutput:
     @pytest.mark.parametrize("herald", [0.75, 0.9])
     def test_sub_poissonian(self, m, mu, herald):
         out = moments(output_row(params(m=m, mu=mu, herald=herald)))
-        assert out.fano < 1.0
+        assert out.variance / out.mean < 1.0
 
     def test_poor_heralding_turns_bunched(self):
         """With scarce windows and weak heralding the output is mostly vacuum
@@ -141,9 +149,9 @@ class TestMuxOutput:
         efficiency above 2/3 (herald gain 2h must beat the multi-photon
         slope 2 - h)."""
         out = moments(output_row(params(m=1, mu=1.0, herald=0.25)))
-        assert out.fano > 1.0
+        assert out.variance / out.mean > 1.0
         small_pump = moments(output_row(params(m=1, mu=0.02, herald=0.65)))
-        assert small_pump.fano > 1.0
+        assert small_pump.variance / small_pump.mean > 1.0
 
     def test_mean_strictly_increasing_in_pump(self):
         mus = np.linspace(0.01, 2.0, 15)
@@ -155,7 +163,7 @@ class TestMuxOutput:
         stages = np.linspace(0.5, 1.0, 8)
         outs = [moments(output_row(params(stage=s))) for s in stages]
         means = [o.mean for o in outs]
-        fanos = [o.fano for o in outs]
+        fanos = [o.variance / o.mean for o in outs]
         assert np.all(np.diff(means) > 0)
         assert np.all(np.diff(fanos) <= 1e-12)
 
@@ -193,9 +201,18 @@ class TestTunePairMean:
             tune_pair_mean(params(**{field: 0.0}), 0.5)
 
     def test_unreachable_field_names_the_zero_field(self):
-        assert unreachable_field(params()) is None
-        assert unreachable_field(params(stage=0.0, optics=0.0)) == "stage_transmission"
-        assert unreachable_field(params(optics=0.0)) == "optics_transmission"
+        """A zero field keeps the output vacuum at every pump, so the reach
+        check names it even for the tiniest target, the herald efficiency
+        before the stage and the stage before the optics transmission."""
+        check_reach([params()], 1.0)
+        for kwargs, field in [
+            ({"stage": 0.0, "optics": 0.0}, "stage_transmission"),
+            ({"optics": 0.0}, "optics_transmission"),
+            ({"herald": 0.0, "stage": 0.0}, "herald_eff"),
+        ]:
+            with pytest.raises(ConfigError) as err:
+                check_reach([params(**kwargs)], 1e-300)
+            assert err.value.field == field
 
     @pytest.mark.parametrize("target", [1e3, 1e6, 1e8, 1e12])
     @pytest.mark.parametrize("m", [1, 3, 6, 64])
