@@ -22,16 +22,16 @@ the pump is redrawn once per round (slow drift relative to a round): the
 source is re-evaluated at the round's pump, and the round total of the
 repetitions' inverse-CDF draws from that row is counted against the round's
 sorted uniforms (`_round_totals`).  Redrawn per repetition, the counts are
-independent and follow the pump average of the row, which is built once per
-run, with the rows at the pump nodes of as many fractions per
-`detected_rows` call as the memory budget below allows; a round reads the
-same stream and counts its draws from that row the same way, and their sum
-has the law of one draw from the row's nu-fold power.  One engine
-(`_study_totals`) runs both modes.  The rounds go in blocks under a fixed
-memory budget (`_BLOCK_FLOATS`); a block's streams are drawn once for every
-(source, detector) pair of the study, and per round a pair's count rows at
-all the block's pumps come from one `detected_rows` call.  Both modes keep
-one uniform per draw, not a histogram, so that every fluctuation fraction
+independent and follow the pump average of the row, built once per run; a
+round reads the same stream and counts its draws from that row the same
+way, and their sum has the law of one draw from the row's nu-fold power.
+One engine (`_study_totals`) runs both modes on the run's (source,
+detector) pairs.  The rounds go in blocks under a fixed memory budget
+(`_BLOCK_FLOATS`), whose streams are drawn once for every pair, and one
+builder (`_row_groups`) makes the count rows of both modes in groups under
+the same budget: the rows at a block's pumps per round, and at the pump
+nodes of the fluctuation fractions per repetition.  Both modes keep one
+uniform per draw, not a histogram, so that every fluctuation fraction
 shares them (common random numbers, below).
 Negative draws clamp to zero by default or are resampled; both modes are the
 command line's strings (`REDRAWS`, `NEGATIVES`).  The pump averages are
@@ -238,23 +238,19 @@ class McSummary:
     mse_exact: float
 
 
-def pump_nodes(a: float, negatives: str) -> tuple[np.ndarray, np.ndarray]:
+def pump_nodes(a_grid, negatives: str) -> list[tuple[np.ndarray, np.ndarray]]:
     """Quadrature nodes x and weights w of the relative pump x = 1 + a*z,
-    z standard normal, truncated at zero as `negatives` says.
+    z standard normal, truncated at zero as `negatives` says, one (x, w)
+    per fluctuation fraction a of `a_grid`.
 
-    The positive part, z in (-1/a, 10), is integrated by Gauss-Legendre, and
-    normal tails beyond |z| = 10 (< 1e-23 each) are dropped.  The interval
-    stops at z = -10 too: at a = 0.01 the 48 nodes on (-100, 10) would miss
-    the mass by 0.5%.  Clamped draws add a node at x = 0 holding P(x < 0);
-    resampled ones renormalize the positive part.  At a = 0 the pump is
-    fixed: the single node x = 1 with weight 1.
+    The positive part, z in (-1/a, 10), is integrated by the committed
+    Gauss-Legendre rule (`_LEGENDRE_NODES`), and normal tails beyond
+    |z| = 10 (< 1e-23 each) are dropped.  The interval stops at z = -10 too:
+    at a = 0.01 the 48 nodes on (-100, 10) would miss the mass by 0.5%.
+    Clamped draws add a node at x = 0 holding P(x < 0); resampled ones
+    renormalize the positive part.  At a = 0 the pump is fixed: the single
+    node x = 1 with weight 1.
     """
-    return _pump_grid((a,), negatives)[0]
-
-
-def _pump_grid(a_grid, negatives: str) -> list[tuple[np.ndarray, np.ndarray]]:
-    """`pump_nodes` at each fluctuation fraction of `a_grid`, mapped from
-    the committed Gauss-Legendre rule (`_LEGENDRE_NODES`)."""
     _check_mode("negatives", negatives, NEGATIVES)
     nodes = []
     for a in a_grid:
@@ -285,14 +281,14 @@ def fluctuation_mse(
     repetition they are independent with the pump-averaged mean E_mu k and
     variance E_mu v + Var_mu k, which enter the same expression once.  Every
     term is a square or a variance, so nothing cancels.  `nodes`, if given,
-    holds `pump_nodes` for each fluctuation fraction of `cfg`; the moments
-    at all their pumps come from one `detected_moments` call.
+    holds `pump_nodes(cfg.a_grid, cfg.negatives)`; the moments at all their
+    pumps come from one `detected_moments` call.
     """
     ref = reference_mean(source, detector, channel.detector_eff)
     mu0 = source_pump(source)
     t, scale = channel.transmission, cfg.nu * ref * ref
     if nodes is None:
-        nodes = _pump_grid(cfg.a_grid, cfg.negatives)
+        nodes = pump_nodes(cfg.a_grid, cfg.negatives)
     pumps = mu0 * np.concatenate([x for x, _ in nodes])
     k = detected_moments(source, detector, channel.survival, pumps)
     ends = np.cumsum([w.size for _, w in nodes])[:-1]
@@ -366,75 +362,76 @@ def _round_streams(
     return x, u
 
 
-def _averaged_rows(study, survival: float, nodes: list) -> np.ndarray:
-    """Pump-averaged count row of each fluctuation fraction, shape (a, counts),
-    zero-padded to one length; `study` is a (source, detector, nominal pump)
-    triple and `nodes` holds `pump_nodes` for each fraction.
+def _row_groups(source: Source, detector, survival: float, pumps: np.ndarray, sizes):
+    """Count rows at `pumps`, a flat array of consecutive items of `sizes`
+    pumps each, as `(start, stop, rows)` per group of items start..stop-1.
 
-    The rows at the nodes of consecutive fractions come from one
-    `detected_rows` call while they fit in `_BLOCK_FLOATS`, reckoned at the
-    length of the row at the study's largest node; a fraction over the budget
-    gets a call of its own.  Each call's rows are freed before the next.
+    A group's rows come from one `detected_rows` call.  Items join the
+    group while its rows fit in `_BLOCK_FLOATS`, reckoned at the length of
+    the row at the largest pump; an item over the budget is a group of its
+    own.  The rows are yielded, not kept, so a caller that drops them before
+    asking for the next group holds one group at a time.
     """
-    source, detector, mu0 = study
-    pumps = [mu0 * x for x, _ in nodes]
-    top = max(mu.max() for mu in pumps)
-    length = detected_rows(source, detector, survival, _ROW_TAIL, top).shape[-1]
-    averaged, start = [], 0
-    while start < len(nodes):
-        stop, size = start + 1, pumps[start].size
-        while stop < len(nodes) and (size + pumps[stop].size) * length <= _BLOCK_FLOATS:
-            size += pumps[stop].size
+    length = detected_rows(source, detector, survival, _ROW_TAIL, pumps.max()).shape[-1]
+    ends = [0, *np.cumsum(sizes).tolist()]
+    start = 0
+    while start < len(sizes):
+        stop = start + 1
+        while stop < len(sizes) and (ends[stop + 1] - ends[start]) * length <= _BLOCK_FLOATS:
             stop += 1
-        rows = detected_rows(
-            source, detector, survival, _ROW_TAIL, np.concatenate(pumps[start:stop])
-        )
-        ends = np.cumsum([mu.size for mu in pumps[start:stop]])[:-1]
-        averaged += [w @ part for (_, w), part in zip(nodes[start:stop], np.split(rows, ends))]
-        del rows
+        group = pumps[ends[start] : ends[stop]]
+        yield start, stop, detected_rows(source, detector, survival, _ROW_TAIL, group)
         start = stop
+
+
+def _averaged_rows(source: Source, detector, survival: float, nodes: list) -> np.ndarray:
+    """Pump-averaged count row of each fluctuation fraction, shape (a, counts),
+    zero-padded to one length; `nodes` holds `pump_nodes` of the fractions,
+    and the rows at their pumps come in `_row_groups` of whole fractions."""
+    sizes = [x.size for x, _ in nodes]
+    pumps = source_pump(source) * np.concatenate([x for x, _ in nodes])
+    averaged = []
+    for start, stop, rows in _row_groups(source, detector, survival, pumps, sizes):
+        parts = np.split(rows, np.cumsum(sizes[start:stop])[:-1])
+        averaged += [w @ part for (_, w), part in zip(nodes[start:stop], parts)]
+        del rows, parts
+    length = max(row.size for row in averaged)
     return np.array([np.pad(row, (0, length - row.size)) for row in averaged])
 
 
 def _study_totals(
-    cfg: FluctuationConfig, studies: list, survival: float, seed: int, nodes: list
+    cfg: FluctuationConfig, pairs: list, survival: float, seed: int, nodes: list
 ) -> np.ndarray:
-    """Round totals, shape (study, a, rounds); `studies` holds (source,
-    detector, nominal pump) triples and `nodes` `pump_nodes` for each
-    fluctuation fraction.
+    """Round totals, shape (pair, a, rounds), of the (source, detector)
+    `pairs`; `nodes` holds `pump_nodes` of the fluctuation fractions.
 
     A round's total counts the draws of its nu sorted uniforms from its count
     rows: per round, the rows at the round's pumps; per repetition, each
     fraction's pump-averaged row (`_averaged_rows`), which every round
     shares.  The rounds go in blocks of at most `_BLOCK_FLOATS` uniforms,
-    whose streams are drawn once for every study.  Per round, a study's rows
-    at the block's (rounds x a) pumps come from one `detected_rows` call, and
-    their length is that of the row at the block's largest pump.  In both
-    modes the rounds are counted in sub-blocks when their rows would exceed
-    `_BLOCK_FLOATS`.
+    whose streams are drawn once for every pair.  Per round, a pair's rows
+    at the block's (rounds x a) pumps come in `_row_groups` of whole rounds;
+    per repetition, the rounds are counted in groups whose shared rows,
+    taken once per round, fit in `_BLOCK_FLOATS` too.
     """
     n_a = len(cfg.a_grid)
-    totals = np.empty((len(studies), n_a, cfg.rounds))
+    totals = np.empty((len(pairs), n_a, cfg.rounds))
     if cfg.redraw == "per-round":
-        averaged = [None] * len(studies)
+        averaged = [None] * len(pairs)
     else:
-        averaged = [_averaged_rows(study, survival, nodes) for study in studies]
+        averaged = [_averaged_rows(*pair, survival, nodes) for pair in pairs]
     step = max(1, _BLOCK_FLOATS // cfg.nu)
     for start in range(0, cfg.rounds, step):
         x, u = _round_streams(cfg, seed, start, min(start + step, cfg.rounds))
-        for out, (source, detector, mu0), shared in zip(totals, studies, averaged):
+        for out, (source, detector), shared in zip(totals, pairs, averaged):
             if shared is None:
-                mu = mu0 * x
-                length = detected_rows(source, detector, survival, _ROW_TAIL, mu.max()).shape[-1]
+                pumps = source_pump(source) * x.ravel()
+                groups = _row_groups(source, detector, survival, pumps, [n_a] * len(x))
             else:
-                length = shared.shape[-1]
-            sub = max(1, _BLOCK_FLOATS // (n_a * length))
-            for lo in range(0, len(x), sub):
-                hi = min(lo + sub, len(x))
-                if shared is None:
-                    rows = detected_rows(source, detector, survival, _ROW_TAIL, mu[lo:hi])
-                else:
-                    rows = shared[None]
+                sub = max(1, _BLOCK_FLOATS // shared.size)
+                groups = ((lo, min(lo + sub, len(x)), shared) for lo in range(0, len(x), sub))
+            for lo, hi, rows in groups:
+                rows = rows.reshape(-1, n_a, rows.shape[-1])
                 out[:, start + lo : start + hi] = _round_totals(rows, u[lo:hi]).T
     return totals
 
@@ -456,9 +453,8 @@ def fluctuation_study(
     """
     pairs = list(pairs)
     refs = [reference_mean(source, detector, channel.detector_eff) for source, detector in pairs]
-    studies = [(source, detector, source_pump(source)) for source, detector in pairs]
-    nodes = _pump_grid(cfg.a_grid, cfg.negatives)
-    totals = _study_totals(cfg, studies, channel.survival, seed, nodes)
+    nodes = pump_nodes(cfg.a_grid, cfg.negatives)
+    totals = _study_totals(cfg, pairs, channel.survival, seed, nodes)
     scale = cfg.nu * np.array(refs)[:, None, None]
     sq_err = (totals / scale - channel.transmission) ** 2
     lows, highs = np.percentile(sq_err, [16.0, 84.0], axis=-1).tolist()

@@ -84,11 +84,11 @@ def check_count(field: str, value, low: int, high: float = math.inf) -> int:
 
 def check_range(field: str, value, high: float = 1.0) -> None:
     """ConfigError naming `field` unless `value`, a float or an array of
-    them, lies in [0, `high`] everywhere (NaN does not)."""
+    them, is finite (not NaN) and lies in [0, `high`] everywhere."""
     v = np.asarray(value, dtype=np.float64)
-    bad = ~((v >= 0.0) & (v <= high))
+    bad = ~((v >= 0.0) & (v <= high) & np.isfinite(v))
     if bad.any():
-        raise ConfigError(field, f"must lie in [0, {high:g}], got {v[bad][0]}")
+        raise ConfigError(field, f"must be finite and lie in [0, {high:g}], got {v[bad][0]}")
 
 
 @dataclass(frozen=True)
@@ -287,8 +287,8 @@ def tune_pair_mean(source, target_mean, tol: float = 1e-10):
     MAX_PUMP reaches is refused first, by `check_reach`.
     """
     target = np.asarray(target_mean, dtype=np.float64)
-    if not np.all(target > 0):
-        raise ValueError(f"target mean must be > 0, got {target[~(target > 0)][0]}")
+    if (bad := ~((target > 0) & np.isfinite(target))).any():
+        raise ValueError(f"target mean must be > 0 and finite, got {target[bad][0]}")
     check_reach([source] if isinstance(source, Multiplexed) else source, target)
     constants = _mux_constants(source, target.ndim)
     target = np.broadcast_to(target, np.broadcast_shapes(np.shape(constants[0]), target.shape))

@@ -686,6 +686,19 @@ class TestSerialization:
         ),
     }
     PINNED_NR_RATIO_JSON = "43e44542c378fae9d7a9155c38dc97c2a1e99df7d354da858676a2577abd6834"
+    # The fluctuation modes the pins above leave out: per-repetition pump
+    # redraws, and resampled negative pumps (the normal of round 2 sends
+    # the pump at a = 0.6 below zero), as written at commit 11bd732.
+    PINNED_FLUCTUATION_MODES = {
+        "per-repetition": (
+            {"a_grid": (0.0, 0.3), "rounds": 5, "redraw": "per-repetition"},
+            "4859da66bf3a2cf96702ffc890b268bbff722feb27551951e86fce91e43ef08c",
+        ),
+        "resample": (
+            {"a_grid": (0.0, 0.6), "rounds": 12, "negatives": "resample"},
+            "676b616bae5aa5fdc9c9fe715c73d0bbd33f3a66333d9f308d9e72ace9354a63",
+        ),
+    }
 
     def test_pins_every_experiment(self):
         assert set(self.PINNED) == set(EXPERIMENTS)
@@ -695,6 +708,15 @@ class TestSerialization:
         overrides, digest = self.PINNED[experiment]
         rows = run_experiment(SweepConfig(experiment=experiment, **overrides))
         assert hashlib.sha256(rows_to_csv(rows).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("mode", PINNED_FLUCTUATION_MODES)
+    def test_fluctuation_mode_csv_bytes_are_pinned(self, mode):
+        overrides, digest = self.PINNED_FLUCTUATION_MODES[mode]
+        cfg = SweepConfig(
+            experiment="fluctuations", stage_counts=(3,), mean_photons=0.5, nu=50, seed=9,
+            **overrides,
+        )
+        assert hashlib.sha256(rows_to_csv(run_experiment(cfg)).encode()).hexdigest() == digest
 
     def test_json_bytes_are_pinned(self):
         rows = run_experiment(SweepConfig(experiment="nr-ratio"))

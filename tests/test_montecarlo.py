@@ -336,12 +336,12 @@ def test_batched_rounds_equal_the_round_by_round_reference(
     repetition, the rows at the pump nodes of several fractions share a call
     or split into calls of their own."""
     cfg = FluctuationConfig(a_grid, rounds, nu, redraw, negatives)
-    studies = [(source, detector, source_pump(source)) for source, detector in pairs]
-    nodes = [pump_nodes(a, negatives) for a in a_grid]
+    nodes = pump_nodes(a_grid, negatives)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(montecarlo, "_BLOCK_FLOATS", block * nu)
-        got = montecarlo._study_totals(cfg, studies, survival, seed, nodes)
-    for totals, (source, detector, pump) in zip(got, studies):
+        got = montecarlo._study_totals(cfg, pairs, survival, seed, nodes)
+    for totals, (source, detector) in zip(got, pairs):
+        pump = source_pump(source)
 
         def rows(mu):
             return detected_rows(source, detector, survival, _ROW_TAIL, mu)
@@ -589,7 +589,7 @@ class TestFluctuationStudy:
             return wrapper
 
         monkeypatch.setattr(np.random, "default_rng", counted("streams", np.random.default_rng))
-        monkeypatch.setattr(montecarlo, "_pump_grid", counted("grids", montecarlo._pump_grid))
+        monkeypatch.setattr(montecarlo, "pump_nodes", counted("grids", montecarlo.pump_nodes))
         monkeypatch.setattr(montecarlo, "detected_rows", counted("rows", detected_rows))
         cfg = FluctuationConfig(rounds=20, redraw=redraw)
         fluctuation_study(cfg, STUDY_PAIRS, CH, 0)
@@ -754,7 +754,7 @@ class TestFluctuationMse:
     @pytest.mark.parametrize("a", [0.0, 0.001, 0.05, 0.1, 0.3, 0.6])
     def test_pump_nodes_match_oracle_nodes(self, a, negatives):
         """Both integrate z over (max(-1/a, -10), 10)."""
-        x, w = pump_nodes(a, negatives)
+        x, w = pump_nodes((a,), negatives)[0]
         expected = np.array(gaussian_pump_nodes(a, negatives))
         np.testing.assert_allclose(x, expected[:, 0], rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(w, expected[:, 1], rtol=self.WEIGHT_RTOL, atol=0.0)
@@ -764,7 +764,7 @@ class TestFluctuationMse:
     def test_pump_nodes_integrate_the_truncated_normal(self, a, negatives):
         """Mass, E[x] and E[x^2] of x = 1 + a*z clamped at 0 (or conditioned
         on x > 0), in closed form from the normal density and CDF at 1/a."""
-        x, w = pump_nodes(a, negatives)
+        x, w = pump_nodes((a,), negatives)[0]
         c = 1.0 / a
         phi = math.exp(-0.5 * c * c) / math.sqrt(2.0 * math.pi)
         positive = 0.5 * math.erfc(-c / math.sqrt(2.0))
@@ -778,15 +778,15 @@ class TestFluctuationMse:
     def test_clamped_nodes_end_at_zero(self):
         """Clamped draws hold P(x < 0) in a node at x = 0 after the 48
         Gauss-Legendre nodes; resampled ones have none."""
-        x, w = pump_nodes(0.6, "clamp")
+        x, w = pump_nodes((0.6,), "clamp")[0]
         assert x.size == 49 and x[-1] == 0.0
         assert w[-1] == pytest.approx(0.5 * math.erfc(1.0 / (0.6 * math.sqrt(2.0))), rel=1e-15)
-        assert pump_nodes(0.6, "resample")[0].size == 48
+        assert pump_nodes((0.6,), "resample")[0][0].size == 48
 
     @pytest.mark.parametrize("a", [0.0, 0.6])
     def test_unknown_negatives_named(self, a):
         with pytest.raises(ConfigError) as err:
-            pump_nodes(a, "ignore")
+            pump_nodes((a,), "ignore")
         assert err.value.field == "negatives"
 
     @pytest.mark.parametrize("stages", [None, 1, 2, 3, 4, 5, 6], ids=lambda m: f"m{m}")

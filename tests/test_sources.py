@@ -267,31 +267,35 @@ class TestSourceRowsAndValidation:
         [
             (lambda: Coherent(math.nan), "mean"),
             (lambda: Coherent(-1.0), "mean"),
+            (lambda: Coherent(math.inf), "mean"),
             (lambda: Fock(1.5), "photons"),
             (lambda: Multiplexed(0, 0.1), "stages"),
             (lambda: Multiplexed(2.5, 0.1), "stages"),
             (lambda: Multiplexed(MAX_STAGES + 1, 0.1), "stages"),
             (lambda: make_multiplexed(2000, 0.5), "stages"),
             (lambda: Multiplexed(1, math.nan), "pair_mean"),
+            (lambda: Multiplexed(2, math.inf), "pair_mean"),
             (lambda: Multiplexed(1, 0.1, herald_eff=math.nan), "herald_eff"),
             (lambda: Multiplexed(1, 0.1, stage_transmission=1.5), "stage_transmission"),
             (lambda: Multiplexed(1, 0.1, optics_transmission=-0.5), "optics_transmission"),
         ],
         ids=[
-            "coherent-nan", "coherent-negative", "fock-fractional", "zero-stages",
-            "fractional-stages", "stages-above-cap", "make-2000-stages", "pair-mean-nan",
-            "herald-nan", "stage-above-1", "optics-negative",
+            "coherent-nan", "coherent-negative", "coherent-inf", "fock-fractional",
+            "zero-stages", "fractional-stages", "stages-above-cap", "make-2000-stages",
+            "pair-mean-nan", "pair-mean-inf", "herald-nan", "stage-above-1", "optics-negative",
         ],
     )
     def test_constructor_names_the_field(self, build, field):
         """Each constructor owns its fields' ranges and raises a ConfigError
-        (a ValueError) naming the field, NaN included; 2000 stages fail by
-        name, not by overflowing the pump tuning."""
+        (a ValueError) naming the field, NaN and infinity included (an
+        infinite pump would give a NaN variance and a count row with no
+        support to search); 2000 stages fail by name, not by overflowing the
+        pump tuning."""
         with pytest.raises(ConfigError) as err:
             build()
         assert err.value.field == field
 
-    @pytest.mark.parametrize("bad", [math.nan, -0.5])
+    @pytest.mark.parametrize("bad", [math.nan, -0.5, math.inf])
     def test_array_pump_entry_names_the_field(self, bad):
         """A pump array is checked entry by entry, as a transmission grid is."""
         pumps = np.array([0.2, bad, 0.7])
@@ -303,6 +307,13 @@ class TestSourceRowsAndValidation:
         assert err.value.field == "pair_mean"
         with pytest.raises(ValueError, match="target mean must be > 0"):
             tune_pair_mean(params(), pumps)
+
+    def test_infinite_target_mean_is_refused_by_the_tuning(self):
+        """Not as an unreachable target, which would name a calibration
+        field."""
+        with pytest.raises(ValueError, match="target mean must be > 0 and finite") as err:
+            make_multiplexed(3, math.inf)
+        assert not isinstance(err.value, ConfigError)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(TypeError):
