@@ -6,7 +6,8 @@ single thinning by t * eta.  Number-resolving detectors report the full
 thinned photon count, threshold detectors only whether at least one photon
 was detected.  This is the only module that knows how a detector turns the
 photons of one repetition into its count: `detected_moments` gives the count's
-mean and variance and `detected_rows` its distribution, both from the closed
+mean and variance and `detected_rows` its distribution (`detected_row_plan`
+over many pump arrays, sized without building), both from the closed
 forms of `sources` and both for a pump array as well as the source's own
 pump, so the exact reports and the Monte Carlo engine never branch on the
 detector.  `detected_moments` also takes an array of survivals, which a
@@ -17,12 +18,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from subshot.pmf import Moments
-from subshot.sources import Source, check_range, source_click_probabilities
-from subshot.sources import source_count_rows, source_moments
+from subshot.sources import CountRows, Source, check_range, source_click_probabilities
+from subshot.sources import source_moments
 
 
 class Detector(enum.Enum):
@@ -70,14 +72,37 @@ def detected_moments(source: Source, detector: Detector, survival, mu=None) -> M
     return Moments(mean=s * n.mean, variance=s * s * n.variance + s * (1.0 - s) * n.mean)
 
 
-def detected_rows(source: Source, detector: Detector, survival: float, tail: float, mu=None):
-    """Distribution of one repetition's count after per-photon survival
-    `survival`: the thinned photon-number rows of `sources.source_count_rows`
-    (trimmed to `tail`), or the click row [1 - p, p].
+class _ClickRows(NamedTuple):
+    """A threshold detector's click rows [1 - p, p] behind the interface of
+    `sources.CountRows`."""
 
-    `mu` is as for `sources.source_click_probabilities`; the result has
-    shape `np.shape(mu) + (count length,)`.
+    source: Source
+    survival: float
+
+    def length(self, mu=None) -> int:
+        return 2
+
+    def rows(self, mu=None) -> np.ndarray:
+        return np.stack(source_click_probabilities(self.source, self.survival, mu), axis=-1)
+
+
+def detected_row_plan(source: Source, detector: Detector, survival: float, tail: float):
+    """Distribution of one repetition's count after per-photon survival
+    `survival`, at any number of pump arrays: the thinned photon-number rows
+    of a `sources.CountRows` plan (trimmed to `tail`), or the click row
+    [1 - p, p].
+
+    The plan's `rows(mu)` gives the rows at `mu`, as for
+    `sources.source_click_probabilities`, with shape
+    `np.shape(mu) + (count length,)`; its `length(mu)` gives the count length
+    without building them.
     """
     if detector is Detector.THRESHOLD:
-        return np.stack(source_click_probabilities(source, survival, mu), axis=-1)
-    return source_count_rows(source, survival, tail, mu)
+        return _ClickRows(source, survival)
+    return CountRows(source, survival, tail)
+
+
+def detected_rows(source: Source, detector: Detector, survival: float, tail: float, mu=None):
+    """The rows of `detected_row_plan(source, detector, survival, tail)` at
+    one pump array `mu`."""
+    return detected_row_plan(source, detector, survival, tail).rows(mu)

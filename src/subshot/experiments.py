@@ -63,11 +63,11 @@ from subshot.sources import (
 
 # Largest accepted mean photon number per repetition.  The sources studied
 # deliver about one photon.  The Monte Carlo count rows grow with the mean:
-# at this cap the default fluctuations run takes ~1.5 s and ~42 MB, at 1e5 it
-# takes ~13 s and ~73 MB (one process on 2 vCPUs).  Per repetition it takes
-# 2.4-3.0 s and ~105 MB at this cap, most of it the count rows at the pump
-# nodes.  The exact reports square the reference mean, which overflows a
-# float beyond ~1e154.
+# at this cap the default fluctuations run takes ~0.55 s and ~39 MB, at 1e5
+# it takes ~2.5 s and ~67 MB (one process on 2 vCPUs).  Per repetition it
+# takes ~1.0-1.15 s and ~101 MB at this cap, most of it the count rows at
+# the pump nodes.  The exact reports square the reference mean, which
+# overflows a float beyond ~1e154.
 MAX_MEAN = 1e4
 
 # Smallest accepted detector efficiency times mean photon number.  The exact

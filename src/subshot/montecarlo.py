@@ -4,9 +4,10 @@ Two jobs: validate the exact estimator reports by sampling full experiments,
 and study what pump-power fluctuations do to the measurement error.
 
 Both take the distribution and moments of one repetition's count from
-`detection.detected_rows` and `detection.detected_moments`, which build them
-from the closed forms of `sources`; this module knows no source kind and no
-detector, and hands the `detector` argument through unread.
+`detection.detected_rows` (or its `detected_row_plan`) and
+`detection.detected_moments`, which build them from the closed forms of
+`sources`; this module knows no source kind and no detector, and hands the
+`detector` argument through unread.
 `mc_estimate` takes `exact_report`'s arguments plus a trial count and a seed.
 It reads only the total count over the nu repetitions, as the estimators do,
 and only how many trials reach each total: one multinomial draw over the
@@ -21,18 +22,21 @@ by their mean, its standard error and the 16th/84th percentiles.  By default
 the pump is redrawn once per round (slow drift relative to a round): the
 source is re-evaluated at the round's pump, and the round total of the
 repetitions' inverse-CDF draws from that row is counted against the round's
-sorted uniforms (`_round_totals`).  Redrawn per repetition, the counts are
-independent and follow the pump average of the row, built once per run; a
-round reads the same stream and counts its draws from that row the same
-way, and their sum has the law of one draw from the row's nu-fold power.
+sorted uniforms (`_round_totals`, searching the shorter of the two).
+Redrawn per repetition, the counts are independent and follow the pump
+average of the row, built once per run; a round reads the same stream and
+counts its draws from that row the same way, and their sum has the law of
+one draw from the row's nu-fold power.
 One engine (`_study_totals`) runs both modes on the run's (source,
 detector) pairs.  The rounds go in blocks under a fixed memory budget
 (`_BLOCK_FLOATS`), whose streams are drawn once for every pair, and one
 builder (`_row_groups`) makes the count rows of both modes in groups under
 the same budget: the rows at a block's pumps per round, and at the pump
-nodes of the fluctuation fractions per repetition.  Both modes keep one
-uniform per draw, not a histogram, so that every fluctuation fraction
-shares them (common random numbers, below).
+nodes of the fluctuation fractions per repetition.  Each pair has one row
+plan per study, which sizes the groups without building a row, walks each
+Poisson support once and keeps one log-factorial table for all of them.
+Both modes keep one uniform per draw, not a histogram, so that every
+fluctuation fraction shares them (common random numbers, below).
 Negative draws clamp to zero by default or are resampled; both modes are the
 command line's strings (`REDRAWS`, `NEGATIVES`).  The pump averages are
 quadratures over `pump_nodes`, mapped once per fraction and study from a
@@ -55,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from subshot.detection import Channel, detected_moments, detected_rows
+from subshot.detection import Channel, detected_moments, detected_row_plan, detected_rows
 from subshot.estimators import reference_mean
 from subshot.sources import ConfigError, Source, check_count, source_pump
 
@@ -291,15 +295,16 @@ def fluctuation_mse(
         nodes = pump_nodes(cfg.a_grid, cfg.negatives)
     pumps = mu0 * np.concatenate([x for x, _ in nodes])
     k = detected_moments(source, detector, channel.survival, pumps)
-    ends = np.cumsum([w.size for _, w in nodes])[:-1]
+    ends = np.cumsum([0] + [w.size for _, w in nodes]).tolist()
+    spans = list(zip([w for _, w in nodes], ends, ends[1:]))
+    if cfg.redraw == "per-round":
+        terms = k.variance / scale + (k.mean / ref - t) ** 2
+        return [float(w @ terms[lo:hi]) for w, lo, hi in spans]
     mses = []
-    for (_, w), mean, variance in zip(nodes, np.split(k.mean, ends), np.split(k.variance, ends)):
-        if cfg.redraw == "per-round":
-            mse = w @ (variance / scale + (mean / ref - t) ** 2)
-        else:
-            pumped = w @ mean
-            mse = w @ (variance + (mean - pumped) ** 2) / scale + (pumped / ref - t) ** 2
-        mses.append(float(mse))
+    for w, lo, hi in spans:
+        mean, variance = k.mean[lo:hi], k.variance[lo:hi]
+        pumped = w @ mean
+        mses.append(float(w @ (variance + (mean - pumped) ** 2) / scale + (pumped / ref - t) ** 2))
     return mses
 
 
@@ -311,29 +316,32 @@ def _round_totals(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     round shares, and the counts (offset 0) on its last; `u` holds one
     sorted row of uniforms per round.  A draw, capped at the last count,
     exceeds count k exactly when its uniform is >= cdf[k], so a total counts
-    the uniforms >= cdf[k] below the last k.  Each round is searched in its
-    own uniforms, so every comparison is exact.
+    the (uniform, k) pairs with uniform >= cdf[k] below the last k.  Each
+    round's CDF entries are searched in its own uniforms or, where a CDF is
+    longer than the uniforms, the uniforms in it; both make the same exact
+    comparisons.
     """
     cdf = np.cumsum(rows[..., :-1], axis=-1)
+    if cdf.shape[-1] > u.shape[-1]:
+        if len(cdf) < len(u):
+            return np.stack([c.searchsorted(u, side="right").sum(axis=-1) for c in cdf[0]], -1)
+        return np.array(
+            [[c.searchsorted(u_r, side="right").sum() for c in cdf_r] for u_r, cdf_r in zip(u, cdf)]
+        )
     cdf = np.broadcast_to(cdf, (len(u),) + cdf.shape[1:])
     below = np.array([u_r.searchsorted(cdf_r, side="left") for u_r, cdf_r in zip(u, cdf)])
     return u.shape[-1] * cdf.shape[-1] - below.reshape(cdf.shape).sum(axis=-1)
 
 
-def _relative_pumps(
-    rng: np.random.Generator, a: np.ndarray, z: float, negatives: str
-) -> np.ndarray:
-    """Relative pump strengths 1 + a*z, one per fluctuation fraction in `a`,
-    truncated at zero.
+def _resample_negatives(rng: np.random.Generator, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Relative pump strengths `x` = 1 + a*z of one round, one per
+    fluctuation fraction in `a`, with each negative one redrawn as 1 + a*z'
+    from fresh normals z' until it is not.
 
-    `z` is the round's one normal.  Resampling draws its replacement normals
-    after the round's uniforms, and every fraction restarts from the
-    generator state there, so each `a` sees the replacement normals it would
-    see alone.
+    The replacement normals follow the round's uniforms, and every fraction
+    restarts from the generator state there, so each `a` sees the
+    replacement normals it would see alone.
     """
-    x = 1.0 + a * z
-    if negatives == "clamp":
-        return np.maximum(x, 0.0)
     negative = np.flatnonzero(x < 0)
     if negative.size:
         state = rng.bit_generator.state
@@ -347,56 +355,64 @@ def _relative_pumps(
 def _round_streams(
     cfg: FluctuationConfig, seed: int, start: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Relative pumps (rounds x a) and sorted uniforms (rounds x nu) of
-    rounds start..stop-1, each from its (seed, round) stream: one normal,
-    then nu uniforms, then any replacement normals."""
+    """Relative pumps 1 + a*z (rounds x a), truncated at zero, and sorted
+    uniforms (rounds x nu) of rounds start..stop-1, each from its
+    (seed, round) stream: one normal z, then nu uniforms, then any
+    replacement normals."""
     a_grid = np.asarray(cfg.a_grid, dtype=np.float64)
+    z = np.empty((stop - start, 1))
     x = np.empty((stop - start, a_grid.size))
     u = np.empty((stop - start, cfg.nu))
     for i, r in enumerate(range(start, stop)):
         rng = np.random.default_rng([seed, r])
-        z = rng.standard_normal()
+        z[i] = rng.standard_normal()
         rng.random(out=u[i])
-        x[i] = _relative_pumps(rng, a_grid, z, cfg.negatives)
+        if cfg.negatives == "resample":
+            x[i] = _resample_negatives(rng, a_grid, 1.0 + a_grid * z[i])
+    if cfg.negatives == "clamp":
+        x = np.maximum(1.0 + a_grid * z, 0.0)
     u.sort(axis=-1)
     return x, u
 
 
-def _row_groups(source: Source, detector, survival: float, pumps: np.ndarray, sizes):
-    """Count rows at `pumps`, a flat array of consecutive items of `sizes`
-    pumps each, as `(start, stop, rows)` per group of items start..stop-1.
+def _row_groups(plan, pumps: np.ndarray, sizes):
+    """Count rows of `plan` (`detected_row_plan`) at `pumps`, a flat array of
+    consecutive items of `sizes` pumps each, as `(start, stop, rows)` per
+    group of items start..stop-1.
 
-    A group's rows come from one `detected_rows` call.  Items join the
-    group while its rows fit in `_BLOCK_FLOATS`, reckoned at the length of
-    the row at the largest pump; an item over the budget is a group of its
-    own.  The rows are yielded, not kept, so a caller that drops them before
-    asking for the next group holds one group at a time.
+    A group's rows come from one `plan.rows` call.  Items join the group
+    while its rows fit in `_BLOCK_FLOATS`, reckoned at the row length
+    `plan.length` gives at the largest pump, which builds no row; an item
+    over the budget is a group of its own.  The rows are yielded, not kept,
+    so a caller that drops them before asking for the next group holds one
+    group at a time.
     """
-    length = detected_rows(source, detector, survival, _ROW_TAIL, pumps.max()).shape[-1]
+    length = plan.length(pumps)
     ends = [0, *np.cumsum(sizes).tolist()]
     start = 0
     while start < len(sizes):
         stop = start + 1
         while stop < len(sizes) and (ends[stop + 1] - ends[start]) * length <= _BLOCK_FLOATS:
             stop += 1
-        group = pumps[ends[start] : ends[stop]]
-        yield start, stop, detected_rows(source, detector, survival, _ROW_TAIL, group)
+        yield start, stop, plan.rows(pumps[ends[start] : ends[stop]])
         start = stop
 
 
-def _averaged_rows(source: Source, detector, survival: float, nodes: list) -> np.ndarray:
+def _averaged_rows(plan, pump: float, nodes: list) -> np.ndarray:
     """Pump-averaged count row of each fluctuation fraction, shape (a, counts),
-    zero-padded to one length; `nodes` holds `pump_nodes` of the fractions,
-    and the rows at their pumps come in `_row_groups` of whole fractions."""
+    zero past each row's own length; `nodes` holds `pump_nodes` of the
+    fractions, relative to `pump`, and `plan`'s rows at their pumps come in
+    `_row_groups` of whole fractions."""
     sizes = [x.size for x, _ in nodes]
-    pumps = source_pump(source) * np.concatenate([x for x, _ in nodes])
-    averaged = []
-    for start, stop, rows in _row_groups(source, detector, survival, pumps, sizes):
-        parts = np.split(rows, np.cumsum(sizes[start:stop])[:-1])
-        averaged += [w @ part for (_, w), part in zip(nodes[start:stop], parts)]
-        del rows, parts
-    length = max(row.size for row in averaged)
-    return np.array([np.pad(row, (0, length - row.size)) for row in averaged])
+    pumps = pump * np.concatenate([x for x, _ in nodes])
+    ends = [0, *np.cumsum(sizes).tolist()]
+    averaged = np.zeros((len(nodes), plan.length(pumps)))
+    for start, stop, rows in _row_groups(plan, pumps, sizes):
+        for i in range(start, stop):
+            lo, hi = ends[i] - ends[start], ends[i + 1] - ends[start]
+            averaged[i, : rows.shape[-1]] = nodes[i][1] @ rows[lo:hi]
+        del rows
+    return averaged
 
 
 def _study_totals(
@@ -412,21 +428,27 @@ def _study_totals(
     whose streams are drawn once for every pair.  Per round, a pair's rows
     at the block's (rounds x a) pumps come in `_row_groups` of whole rounds;
     per repetition, the rounds are counted in groups whose shared rows,
-    taken once per round, fit in `_BLOCK_FLOATS` too.
+    taken once per round, fit in `_BLOCK_FLOATS` too, or all at once where
+    `_round_totals` searches the uniforms in the rows.
     """
     n_a = len(cfg.a_grid)
     totals = np.empty((len(pairs), n_a, cfg.rounds))
+    plans = [detected_row_plan(*pair, survival, _ROW_TAIL) for pair in pairs]
+    pumps = [source_pump(source) for source, _ in pairs]
     if cfg.redraw == "per-round":
         averaged = [None] * len(pairs)
     else:
-        averaged = [_averaged_rows(*pair, survival, nodes) for pair in pairs]
+        averaged = [_averaged_rows(plan, pump, nodes) for plan, pump in zip(plans, pumps)]
     step = max(1, _BLOCK_FLOATS // cfg.nu)
     for start in range(0, cfg.rounds, step):
         x, u = _round_streams(cfg, seed, start, min(start + step, cfg.rounds))
-        for out, (source, detector), shared in zip(totals, pairs, averaged):
+        for out, plan, pump, shared in zip(totals, plans, pumps, averaged):
             if shared is None:
-                pumps = source_pump(source) * x.ravel()
-                groups = _row_groups(source, detector, survival, pumps, [n_a] * len(x))
+                groups = _row_groups(plan, pump * x.ravel(), [n_a] * len(x))
+            elif shared.shape[-1] > cfg.nu + 1:
+                # Rows longer than the uniforms are searched by uniform, in
+                # no more memory than the block's uniforms.
+                groups = [(0, len(x), shared)]
             else:
                 sub = max(1, _BLOCK_FLOATS // shared.size)
                 groups = ((lo, min(lo + sub, len(x)), shared) for lo in range(0, len(x), sub))

@@ -9,10 +9,16 @@ from them.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+
+# Largest support `poisson_support` searches.
+_MAX_SUPPORT = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -28,7 +34,9 @@ def poisson_support(mu: float, tail_target: float) -> int:
 
     Works in log space on the term recurrence with a geometric tail bound, so
     it stays exact for tail targets far below float epsilon (where inverting a
-    survival function in floating point degenerates).
+    survival function in floating point degenerates).  The bound holds only
+    from n + 2 > mu on; the terms before that are summed in one pass, in the
+    same order and with the same rounding as the walk after it.
     """
     if mu < 0:
         raise ValueError(f"mean must be >= 0, got {mu}")
@@ -36,37 +44,48 @@ def poisson_support(mu: float, tail_target: float) -> int:
         raise ValueError(f"tail target must lie in (0, 1), got {tail_target}")
     if mu == 0.0:
         return 0
+    if not mu < _MAX_SUPPORT:
+        raise RuntimeError("Poisson support search did not terminate")
+    mu = float(mu)
     log_target = math.log(tail_target)
-    log_term = -mu  # log pmf(0)
-    n = 0
+    n = max(0, math.floor(mu) - 1)  # the first n with n + 2 > mu
+    logs = map(math.log, map(mu.__truediv__, range(1, n + 1)))
+    log_term = functools.reduce(operator.add, logs, -mu)  # log pmf(n) from log pmf(0)
     while True:
         log_term_next = log_term + math.log(mu / (n + 1))
         # tail(n) <= pmf(n+1) / (1 - mu/(n+2)) once the terms decay geometrically
-        if n + 2 > mu and log_term_next - math.log1p(-mu / (n + 2)) <= log_target:
+        if log_term_next - math.log1p(-mu / (n + 2)) <= log_target:
             return n
         n += 1
         log_term = log_term_next
-        if n > 10_000_000:
+        if n > _MAX_SUPPORT:
             raise RuntimeError("Poisson support search did not terminate")
 
 
-def _log_factorials(n_max: int) -> np.ndarray:
-    """log(n!) for n = 0..n_max."""
-    return np.array([math.lgamma(n + 1.0) for n in range(n_max + 1)])
+def log_factorials(n_max: int) -> np.ndarray:
+    """log(n!) for n = 0..n_max, entry by entry, so that a table's prefix is
+    the shorter table bit for bit."""
+    return np.fromiter(map(math.lgamma, map(float, range(1, n_max + 2))), np.float64, n_max + 1)
 
 
-def poisson_rows(mu, n_max: int) -> np.ndarray:
+def poisson_rows(mu, n_max: int, log_factorial_table=None) -> np.ndarray:
     """Poisson probabilities P(n; mu) for n = 0..n_max, one row per mean.
 
     `mu` is a float or an array of means >= 0; the result has shape
     `np.shape(mu) + (n_max + 1,)`.  A zero mean gives the vacuum row.
+    `log_factorial_table`, if given, is a `log_factorials` table of at least
+    n_max + 1 entries, whose prefix the rows read.
     """
+    if log_factorial_table is None:
+        log_factorial_table = log_factorials(n_max)
     mu = np.asarray(mu, dtype=np.float64)[..., None]
     ns = np.arange(n_max + 1)
     live = mu > 0.0
-    log_mu = np.log(np.where(live, mu, 1.0))
-    rows = np.exp(ns * log_mu - mu - _log_factorials(n_max))
-    return np.where(live, rows, ns == 0)
+    rows = ns * np.log(np.where(live, mu, 1.0))
+    rows -= mu
+    rows -= log_factorial_table[: n_max + 1]
+    np.exp(rows, out=rows)
+    return rows if live.all() else np.where(live, rows, ns == 0)
 
 
 def binomial_row(n: int, p: float) -> np.ndarray:
@@ -76,5 +95,5 @@ def binomial_row(n: int, p: float) -> np.ndarray:
     ks = np.arange(n + 1)
     if p in (0.0, 1.0):
         return (ks == n * p).astype(np.float64)
-    lf = _log_factorials(n)
+    lf = log_factorials(n)
     return np.exp(lf[n] - lf[ks] - lf[n - ks] + ks * math.log(p) + (n - ks) * math.log1p(-p))

@@ -17,11 +17,12 @@ has passed.
 No other module knows how a source kind is evaluated.  The mean, variance
 and click probabilities at the sample plane (`source_moments`,
 `source_click_probabilities`) and the detected-count distribution
-(`source_count_rows`: Poisson, Binomial, or a vacuum term plus two Poissons)
-are closed forms, evaluated entry by entry over arrays: of pumps, which a
-coherent `mean` or a multiplexed `pair_mean` may hold (a mean grid) or `mu`
-gives in place of the source's own (the Monte Carlo pump draws), and of
-survivals (a transmission grid).
+(`source_count_rows`, or a `CountRows` plan over many pump arrays: Poisson,
+Binomial, or a vacuum term plus two Poissons) are closed forms, evaluated
+entry by entry over arrays: of pumps, which a coherent `mean` or a
+multiplexed `pair_mean` may hold (a mean grid) or `mu` gives in place of the
+source's own (the Monte Carlo pump draws), and of survivals (a transmission
+grid).
 
 Each source constructor checks its own fields, as `detection.Channel` and
 `montecarlo.FluctuationConfig` do theirs, and raises the `ConfigError`
@@ -37,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from subshot.pmf import Moments, binomial_row, poisson_rows, poisson_support
+from subshot.pmf import Moments, binomial_row, log_factorials, poisson_rows, poisson_support
 
 # Calibrated defaults: herald-arm detection probability per idler photon and
 # signal transmission per delay stage.  Both are plain configuration values;
@@ -219,7 +220,7 @@ def _mux_clicks(source: Multiplexed, mu, survival):
     return miss, gain * (neg_p_w * np.expm1(-y) - np.exp(-y) * np.expm1(-h * x))
 
 
-def _mux_output_rows(source: Multiplexed, mu, survival: float, tail: float):
+def _mux_output_rows(source: Multiplexed, mu, survival: float, n_max: int, log_factorial_table):
     """Output photon-number distribution after a further thinning by `survival`.
 
     With q = network * optics * survival, h the herald efficiency and
@@ -229,23 +230,25 @@ def _mux_output_rows(source: Multiplexed, mu, survival: float, tail: float):
         P(n) = (1 - P_sync) [n = 0] + g Pois(n; mu q) [1 - (1-h)^n e^{-mu h (1-q)}]
 
     `mu` is an array of pump values; the result has shape
-    `mu.shape + (n_max + 1,)`, with one n_max for all rows chosen so that no
-    row discards more than `tail` beyond it.  The `pair_mean` field of
+    `mu.shape + (n_max + 1,)`, its Poisson rows read from
+    `log_factorial_table` (`pmf.poisson_rows`).  The `pair_mean` field of
     `source` is ignored.
     """
     h = source.herald_eff
     q = source.network_transmission * source.optics_transmission * survival
     _, _, neg_sync, gain = _herald(_mux_constants(source), mu)
-    # A row's tail is g <= 2**stages times the Poisson(mu q) tail.
-    n_max = poisson_support(float(np.max(mu)) * q, max(tail / source.window_count, 1e-300))
     ns = np.arange(n_max + 1)
     if h < 1.0:
         log_miss = ns * math.log1p(-h)
     else:
         log_miss = np.where(ns == 0, 0.0, -np.inf)
-    # 1 - (1-h)^n e^{-mu h (1-q)} without cancellation: >= 0 and finite at h = 1.
-    herald = -np.expm1(log_miss - (mu * (h * (1.0 - q)))[..., None])
-    rows = gain[..., None] * poisson_rows(mu * q, n_max) * herald
+    # -(1 - (1-h)^n e^{-mu h (1-q)}) without cancellation: <= 0 and finite at h = 1.
+    neg_herald = log_miss - (mu * (h * (1.0 - q)))[..., None]
+    np.expm1(neg_herald, out=neg_herald)
+    rows = poisson_rows(mu * q, n_max, log_factorial_table)
+    rows *= gain[..., None]
+    rows *= neg_herald
+    np.negative(rows, out=rows)
     rows[..., 0] += 1.0 + neg_sync
     return rows
 
@@ -415,18 +418,58 @@ def source_click_probabilities(source: Source, survival, mu=None):
     return _scalar(miss), _scalar(p)
 
 
-def source_count_rows(source: Source, survival: float, tail: float, mu=None) -> np.ndarray:
+class CountRows:
     """Detected-count distribution of `source` after per-photon survival
-    `survival`, in closed form.
+    `survival`, in closed form, at any number of pump arrays: `length(mu)`
+    gives the length of the rows at `mu` without building them, and
+    `rows(mu)` builds them, `mu` as for `source_click_probabilities`.
 
-    `mu` is as for `source_click_probabilities`.  The result has the pumps'
-    shape + (n_max + 1,), with one n_max for all rows chosen so that no row
-    discards more than `tail` beyond it.
+    The rows have the pumps' shape + (n_max + 1,), with one n_max for all of
+    them chosen so that no row discards more than `tail` beyond it: the
+    `poisson_support` of the largest pump's Poisson mean, or the photon
+    number of a Fock state.  A plan walks each support once, keyed by its
+    arguments, and keeps one log-factorial table as long as the longest
+    support it has met, whose prefix every row reads, so the rows it builds
+    have the bits that `source_count_rows` gives alone.  A caller that
+    builds rows at many pump arrays keeps one plan while it does.
     """
-    if isinstance(source, Fock) and mu is None:
-        return binomial_row(source.photons, survival)
-    pumps = _pumps(source, mu)
-    if isinstance(source, Coherent):
-        lam = survival * pumps
-        return poisson_rows(lam, poisson_support(float(lam.max()), tail))
-    return _mux_output_rows(source, pumps, survival, tail)
+
+    def __init__(self, source: Source, survival: float, tail: float):
+        self.source, self.survival, self.tail = source, survival, tail
+        self._supports: dict[tuple[float, float], int] = {}
+        self._table = np.empty(0)
+
+    def _n_max(self, mu) -> int:
+        source = self.source
+        if isinstance(source, Fock) and mu is None:
+            return source.photons
+        top = float(np.max(_pumps(source, mu)))
+        if isinstance(source, Coherent):
+            args = (float(self.survival * top), self.tail)
+        else:
+            q = source.network_transmission * source.optics_transmission * self.survival
+            # A row's tail is g <= 2**stages times the Poisson(mu q) tail.
+            args = (float(top * q), max(self.tail / source.window_count, 1e-300))
+        if args not in self._supports:
+            self._supports[args] = poisson_support(*args)
+        return self._supports[args]
+
+    def length(self, mu=None) -> int:
+        return self._n_max(mu) + 1
+
+    def rows(self, mu=None) -> np.ndarray:
+        n_max = self._n_max(mu)
+        if isinstance(self.source, Fock) and mu is None:
+            return binomial_row(self.source.photons, self.survival)
+        if self._table.size <= n_max:
+            self._table = log_factorials(max(self._supports.values()))
+        pumps = _pumps(self.source, mu)
+        if isinstance(self.source, Coherent):
+            return poisson_rows(self.survival * pumps, n_max, self._table)
+        return _mux_output_rows(self.source, pumps, self.survival, n_max, self._table)
+
+
+def source_count_rows(source: Source, survival: float, tail: float, mu=None) -> np.ndarray:
+    """`CountRows(source, survival, tail).rows(mu)`: the detected-count rows
+    at one pump array."""
+    return CountRows(source, survival, tail).rows(mu)

@@ -6,6 +6,7 @@ closed-form pipelines it is used to check.  The pump-fluctuation oracles add
 one numerical step: Gauss-Legendre quadrature over the Gaussian pump, for the
 number-resolving and the threshold estimator; `legendre_rule` derives by
 Newton's method the rule the package commits as a table.
+`poisson_support_walk` is the count-by-count Poisson truncation search.
 `per_round_totals` and `per_repetition_totals` are the references for the
 batched fluctuation rounds: they take the count rows as a function and
 check only how the rounds draw and count, one at a time.  `rows_csv` and
@@ -22,6 +23,23 @@ import numpy as np
 def poisson_probs(mean: float, n_cut: int = 40) -> list[float]:
     """Poisson P(0..n_cut) by the textbook formula."""
     return [math.exp(-mean) * mean**n / math.factorial(n) for n in range(n_cut + 1)]
+
+
+def poisson_support_walk(mu: float, tail_target: float) -> int:
+    """Smallest n whose geometric tail bound pmf(n+1) / (1 - mu/(n+2)) is
+    at most `tail_target`, walking log pmf(n) up from n = 0 one count at a
+    time; the bound is taken only once the terms decay (n + 2 > mu)."""
+    if mu == 0.0:
+        return 0
+    log_target = math.log(tail_target)
+    log_term = -mu
+    n = 0
+    while True:
+        log_term_next = log_term + math.log(mu / (n + 1))
+        if n + 2 > mu and log_term_next - math.log1p(-mu / (n + 2)) <= log_target:
+            return n
+        n += 1
+        log_term = log_term_next
 
 
 def enumerate_mux_output(

@@ -688,7 +688,9 @@ class TestSerialization:
     PINNED_NR_RATIO_JSON = "43e44542c378fae9d7a9155c38dc97c2a1e99df7d354da858676a2577abd6834"
     # The fluctuation modes the pins above leave out: per-repetition pump
     # redraws, and resampled negative pumps (the normal of round 2 sends
-    # the pump at a = 0.6 below zero), as written at commit 11bd732.
+    # the pump at a = 0.6 below zero), as written at commit 11bd732; and
+    # both redraw modes at mean 1e4, whose count rows are longer than nu
+    # (~1e4 counts against 50 uniforms), as written at commit 0ec04ea.
     PINNED_FLUCTUATION_MODES = {
         "per-repetition": (
             {"a_grid": (0.0, 0.3), "rounds": 5, "redraw": "per-repetition"},
@@ -697,6 +699,14 @@ class TestSerialization:
         "resample": (
             {"a_grid": (0.0, 0.6), "rounds": 12, "negatives": "resample"},
             "676b616bae5aa5fdc9c9fe715c73d0bbd33f3a66333d9f308d9e72ace9354a63",
+        ),
+        "per-round-mean-1e4": (
+            {"mean_photons": 1e4, "a_grid": (0.0, 0.6), "rounds": 4},
+            "2f54025caba92508a57d98b1c1f7762e1901d109bfcc6f8606c32165464eb41f",
+        ),
+        "per-repetition-mean-1e4": (
+            {"mean_photons": 1e4, "a_grid": (0.0, 0.6), "rounds": 4, "redraw": "per-repetition"},
+            "7da09fefd9e2a34bedcbc5f5d661d1d463f228d1d01b3c193bbbcfbeda1bffa0",
         ),
     }
 
@@ -712,10 +722,8 @@ class TestSerialization:
     @pytest.mark.parametrize("mode", PINNED_FLUCTUATION_MODES)
     def test_fluctuation_mode_csv_bytes_are_pinned(self, mode):
         overrides, digest = self.PINNED_FLUCTUATION_MODES[mode]
-        cfg = SweepConfig(
-            experiment="fluctuations", stage_counts=(3,), mean_photons=0.5, nu=50, seed=9,
-            **overrides,
-        )
+        base = {"stage_counts": (3,), "mean_photons": 0.5, "nu": 50, "seed": 9}
+        cfg = SweepConfig(experiment="fluctuations", **{**base, **overrides})
         assert hashlib.sha256(rows_to_csv(run_experiment(cfg)).encode()).hexdigest() == digest
 
     def test_json_bytes_are_pinned(self):

@@ -9,6 +9,7 @@ import time
 import tracemalloc
 from dataclasses import replace
 from statistics import NormalDist
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,8 +29,9 @@ from _oracles import (
     thinned_count_moments,
     threshold_mse_fluctuating_pump,
 )
-from subshot import montecarlo
-from subshot.detection import Channel, detected_rows
+from subshot import montecarlo, pmf
+from subshot import sources as source_models
+from subshot.detection import Channel, detected_row_plan, detected_rows
 from subshot.estimators import Detector, exact_report, reference_mean
 from subshot.montecarlo import (
     MAX_TRIALS,
@@ -40,6 +42,8 @@ from subshot.montecarlo import (
     _LEGENDRE_NODES,
     _LEGENDRE_WEIGHTS,
     _ROW_TAIL,
+    _averaged_rows,
+    _round_streams,
     _round_totals,
     _sample_moments,
     _total_count_row,
@@ -51,6 +55,7 @@ from subshot.montecarlo import (
 from subshot.sources import (
     Coherent,
     ConfigError,
+    CountRows,
     Fock,
     Multiplexed,
     make_multiplexed,
@@ -291,6 +296,77 @@ def test_round_totals_sum_the_inverse_cdf_draws(data, shape, mass):
     assert _round_totals(rows[None], np.sort(u)[None])[0].tolist() == want
 
 
+@settings(CHECKS, max_examples=40)
+@given(
+    data=st.data(),
+    rounds=st.integers(1, 4),
+    n_a=st.integers(1, 3),
+    length=st.integers(1, 30),
+    nu=st.integers(1, 30),
+    shared=st.booleans(),
+    mass=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+)
+def test_round_totals_search_from_either_side(data, rounds, n_a, length, nu, shared, mass):
+    """Rows longer than the uniforms are counted by searching each uniform
+    in the CDF, shorter ones by searching each CDF entry in the uniforms;
+    both give the sums of the `_invert_cdf` draws, for rows of their own per
+    round and for rows every round shares, with uniforms on CDF values."""
+    n_rows = (1 if shared else rounds) * n_a
+    weights = st.lists(st.floats(0.0, 1.0), min_size=length, max_size=length)
+    rows = np.array(data.draw(st.lists(weights, min_size=n_rows, max_size=n_rows)))
+    rows = rows.reshape(-1, n_a, length)
+    rows *= mass / np.maximum(rows.sum(axis=-1, keepdims=True), 1e-300)
+    on_cdf = st.sampled_from(np.cumsum(rows, axis=-1).ravel().tolist())
+    uniform = st.one_of(st.floats(0.0, 1.0, exclude_max=True), on_cdf)
+    uniforms = st.lists(uniform, min_size=nu, max_size=nu)
+    u = np.sort(data.draw(st.lists(uniforms, min_size=rounds, max_size=rounds)), axis=-1)
+    want = [
+        [int(_invert_cdf(0, row, u_r).sum()) for row in rows[0 if shared else r]]
+        for r, u_r in enumerate(u)
+    ]
+    assert _round_totals(rows, u).tolist() == want
+
+
+@pytest.mark.parametrize("redraw", REDRAWS)
+@settings(CHECKS, max_examples=15)
+# Rows of ~120-170 counts against 5 uniforms, and of 2 clicks against 40.
+@example(
+    source=Coherent(150.0), detector=Detector.NUMBER_RESOLVING, a_grid=(0.0, 0.3), rounds=3,
+    nu=5, negatives="clamp", seed=4,
+)
+@example(
+    source=make_multiplexed(2, 1.5), detector=Detector.THRESHOLD, a_grid=(0.6,), rounds=2,
+    nu=40, negatives="resample", seed=1,
+)
+@given(
+    source=sources(kinds=("coherent", "multiplexed"), mean_max=150.0),
+    detector=st.sampled_from(list(Detector)),
+    a_grid=st.lists(st.floats(0.0, 0.6), min_size=1, max_size=3).map(tuple),
+    rounds=st.integers(2, 4),
+    nu=st.integers(1, 200),
+    negatives=st.sampled_from(NEGATIVES),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_round_totals_match_the_round_by_round_references(
+    redraw, source, detector, a_grid, rounds, nu, negatives, seed
+):
+    """`_round_totals` of the engine's streams and rows, with rows longer or
+    shorter than nu, gives the totals of `per_round_totals` (one round's rows
+    at a time) and `per_repetition_totals` (the rows every round shares)."""
+    survival, pump = 0.72, source_pump(source)
+    cfg = FluctuationConfig(a_grid, rounds, nu, redraw, negatives)
+    x, u = _round_streams(cfg, seed, 0, rounds)
+    plan = detected_row_plan(source, detector, survival, _ROW_TAIL)
+    if redraw == "per-round":
+        got = [_round_totals(plan.rows(pump * x_r)[None], u_r[None])[0] for x_r, u_r in zip(x, u)]
+        want = per_round_totals(plan.rows, pump, a_grid, rounds, nu, negatives, seed)
+    else:
+        nodes = pump_nodes(a_grid, negatives)
+        got = _round_totals(_averaged_rows(plan, pump, nodes)[None], u)
+        want = per_repetition_totals(plan.rows, pump, nodes, rounds, nu, seed)
+    assert np.array(got).T.tolist() == want.tolist()
+
+
 @pytest.mark.parametrize("redraw", REDRAWS)
 @settings(CHECKS, max_examples=40)
 # Two rounds of 30 resample at a = 0.6 and one at a = 0.5; the last of 8
@@ -463,6 +539,48 @@ class TestBatchBuilders:
             assert mean == pytest.approx(expected.mean, rel=1e-14, abs=0.0)
             assert variance == pytest.approx(expected.variance, rel=1e-14, abs=1e-300)
 
+    @CHECKS
+    @given(
+        source=sources(mean_max=60.0),
+        detector=st.sampled_from(list(Detector)),
+        survival=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+        pumps=st.one_of(
+            st.none(),
+            st.lists(st.one_of(st.just(0.0), st.floats(0.0, 200.0)), min_size=1, max_size=5),
+        ),
+    )
+    def test_length_is_the_row_length(self, source, detector, survival, pumps):
+        """A plan's `length` is the last axis of `detected_rows` at the same
+        pumps (the source's own for None), for both detectors, without a row
+        built."""
+        if isinstance(source, Fock) and pumps is not None:
+            pumps = None
+        mu = None if pumps is None else np.array(pumps)
+        rows = detected_rows(source, detector, survival, _ROW_TAIL, mu)
+        assert detected_row_plan(source, detector, survival, _ROW_TAIL).length(mu) == rows.shape[-1]
+
+    @CHECKS
+    @given(
+        source=sources(kinds=("coherent", "multiplexed"), mean_max=60.0),
+        survival=st.floats(0.0, 1.0),
+        pump_arrays=st.lists(
+            st.lists(st.one_of(st.just(0.0), st.floats(0.0, 200.0)), min_size=1, max_size=4),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    def test_plan_rows_are_the_rows_built_alone(self, source, survival, pump_arrays):
+        """Rows a `CountRows` plan builds after others, reading a prefix of
+        its log-factorial table and its kept supports, have the bits that
+        `source_count_rows` gives alone."""
+        plan = CountRows(source, survival, _ROW_TAIL)
+        for pumps in pump_arrays:
+            mu = np.array(pumps)
+            assert plan.length(mu * 0.5) <= plan.length(mu)
+            np.testing.assert_array_equal(
+                plan.rows(mu), source_count_rows(source, survival, _ROW_TAIL, mu)
+            )
+
     def test_fock_source_takes_no_pump(self):
         with pytest.raises(TypeError):
             source_moments(Fock(1), np.array([0.3]))
@@ -576,9 +694,9 @@ class TestFluctuationStudy:
     def test_one_stream_per_round_and_one_quadrature_per_study(self, redraw, monkeypatch):
         """A study of four pairs builds each (seed, round) generator once and
         the pump nodes of its fluctuation fractions once.  Each pair's count
-        rows come from two `detected_rows` calls: one for the row length at
-        the largest pump, and one for the rows at all pumps, those of the
-        one block of rounds or, per repetition, every pump node."""
+        rows come from one call of its plan's `rows`, at all pumps of the
+        one block of rounds or, per repetition, at every pump node; the row
+        length comes from `length`, and no row is built to learn it."""
         calls = collections.Counter()
 
         def counted(name, fn):
@@ -588,12 +706,65 @@ class TestFluctuationStudy:
 
             return wrapper
 
+        def counted_plan(*args):
+            plan = detected_row_plan(*args)
+            return SimpleNamespace(length=plan.length, rows=counted("rows", plan.rows))
+
         monkeypatch.setattr(np.random, "default_rng", counted("streams", np.random.default_rng))
         monkeypatch.setattr(montecarlo, "pump_nodes", counted("grids", montecarlo.pump_nodes))
-        monkeypatch.setattr(montecarlo, "detected_rows", counted("rows", detected_rows))
+        monkeypatch.setattr(montecarlo, "detected_row_plan", counted_plan)
         cfg = FluctuationConfig(rounds=20, redraw=redraw)
         fluctuation_study(cfg, STUDY_PAIRS, CH, 0)
-        assert calls == {"streams": cfg.rounds, "grids": 1, "rows": 2 * len(STUDY_PAIRS)}
+        assert calls == {"streams": cfg.rounds, "grids": 1, "rows": len(STUDY_PAIRS)}
+
+    @pytest.mark.parametrize("redraw", REDRAWS)
+    def test_count_rows_share_supports_and_log_factorials(self, redraw, monkeypatch):
+        """Over a study of several blocks, each holding several row groups
+        per pair, no `poisson_support` walk repeats its arguments, each pair
+        builds at most one log-factorial table per block (per repetition, one
+        per study), and every row `_row_groups` builds is a row it yields."""
+        supports, tables, built, yielded = [], [], [], []
+
+        def walk(*args):
+            supports.append(args)
+            return pmf.poisson_support(*args)
+
+        def table(n_max):
+            tables.append(n_max)
+            return pmf.log_factorials(n_max)
+
+        def recorded_plan(*args):
+            plan = detected_row_plan(*args)
+
+            def rows(mu):
+                built.append(plan.rows(mu))
+                return built[-1]
+
+            return SimpleNamespace(length=plan.length, rows=rows)
+
+        def recorded_groups(*args):
+            for group in row_groups(*args):
+                yielded.append(group[-1])
+                yield group
+
+        row_groups = montecarlo._row_groups
+        monkeypatch.setattr(source_models, "poisson_support", walk)
+        monkeypatch.setattr(source_models, "log_factorials", table)
+        monkeypatch.setattr(montecarlo, "detected_row_plan", recorded_plan)
+        monkeypatch.setattr(montecarlo, "_row_groups", recorded_groups)
+        # 3 rounds of 40 uniforms per block, and a block budget of 120 floats
+        # against rows of hundreds of counts: 4 blocks of up to 3 groups per
+        # pair per round, and 2 groups per pair per repetition.
+        monkeypatch.setattr(montecarlo, "_BLOCK_FLOATS", 120)
+        sources_at_mean = (Coherent(200.0), make_multiplexed(3, 100.0))
+        pairs = [(source, Detector.NUMBER_RESOLVING) for source in sources_at_mean]
+        cfg = FluctuationConfig(a_grid=(0.0, 0.5), rounds=10, nu=40, redraw=redraw)
+        fluctuation_study(cfg, pairs, CH, 3)
+        blocks = 1 if redraw == "per-repetition" else 4
+        assert len(built) > blocks * len(pairs)
+        assert len(set(supports)) == len(supports)
+        assert 0 < len(tables) <= blocks * len(pairs)
+        assert [id(rows) for rows in built] == [id(rows) for rows in yielded]
 
     @pytest.mark.parametrize("redraw", REDRAWS)
     def test_per_round_memory_is_blocked(self, redraw):

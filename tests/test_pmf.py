@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from _oracles import poisson_probs, thinned_count_moments
-from subshot.pmf import binomial_row, poisson_rows, poisson_support
+from _oracles import poisson_probs, poisson_support_walk, thinned_count_moments
+from subshot.pmf import binomial_row, log_factorials, poisson_rows, poisson_support
 from subshot.sources import Coherent, Fock, source_moments
 
 
@@ -74,8 +76,44 @@ class TestPoisson:
         assert stats.poisson.sf(n, mu) <= 1e-20 * 1.01
 
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    # Means at and beside the integers, where the search starts bounding.
+    @example(mu=2.0, tail=1e-18)
+    @example(mu=math.nextafter(2.0, 0.0), tail=1e-18)
+    @example(mu=math.nextafter(2.0, 3.0), tail=1e-18)
+    @example(mu=1e4, tail=1e-18 / 8)
+    @given(
+        mu=st.one_of(
+            st.floats(0.0, 50.0),
+            st.floats(0.0, 2e4),
+            st.integers(1, 3000).map(float),
+            st.floats(1e-300, 1e-3),
+        ),
+        tail=st.one_of(st.just(1e-18), st.just(1e-300), st.floats(1e-300, 0.99)),
+    )
+    def test_support_is_the_count_by_count_walk(self, mu, tail):
+        """Summing the terms below the first bounded count in one pass gives
+        the support of the walk that adds them one count at a time."""
+        assert poisson_support(mu, tail) == poisson_support_walk(mu, tail)
+
+    @pytest.mark.parametrize("mu", [math.inf, math.nan, 2e7])
+    def test_unbounded_search_named(self, mu):
+        with pytest.raises(RuntimeError):
+            poisson_support(mu, 1e-18)
+
+
 class TestPoissonRows:
     MEANS = (0.0, 1e-3, 0.5, 7.0, 60.0)
+
+    def test_log_factorials_are_lgamma(self):
+        table = log_factorials(2000)
+        assert table.tolist() == [math.lgamma(n + 1.0) for n in range(2001)]
+
+    def test_longer_table_gives_the_same_rows(self):
+        means = np.array(self.MEANS)
+        np.testing.assert_array_equal(
+            poisson_rows(means, 150, log_factorials(400)), poisson_rows(means, 150)
+        )
 
     @pytest.mark.parametrize("mu", MEANS)
     def test_matches_textbook_formula(self, mu):
