@@ -11,7 +11,9 @@ over many pump arrays, sized without building), both from the closed
 forms of `sources` and both for a pump array as well as the source's own
 pump, so the exact reports and the Monte Carlo engine never branch on the
 detector.  `detected_moments` also takes an array of survivals, which a
-`Channel` carrying a whole transmission grid gives, as it takes a pump array.
+`Channel` carrying a whole transmission grid gives, as it takes a pump array,
+and a list of multiplexed sources, the networks of a run, which it evaluates
+at once on a leading network axis.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from subshot.pmf import Moments
-from subshot.sources import CountRows, Source, check_range, source_click_probabilities
-from subshot.sources import source_moments
+from subshot.sources import CountRows, Multiplexed, Source, check_range
+from subshot.sources import source_click_probabilities, source_moments
 
 
 class Detector(enum.Enum):
@@ -52,7 +54,8 @@ class Channel:
         return self.transmission * self.detector_eff
 
 
-def detected_moments(source: Source, detector: Detector, survival, mu=None) -> Moments:
+def detected_moments(source: Source | list[Multiplexed], detector: Detector, survival,
+                     mu=None) -> Moments:
     """Mean and variance of one repetition's count after per-photon survival
     `survival`.
 
@@ -62,12 +65,13 @@ def detected_moments(source: Source, detector: Detector, survival, mu=None) -> M
     probability computed directly, so that the variance keeps its relative
     precision where clicks are all but certain.  `survival` and `mu` are as
     for `sources.source_click_probabilities`: given a survival array or a
-    pump array, mean and variance are arrays of its shape.
+    pump array, mean and variance are arrays of its shape, and given a list
+    of `Multiplexed` sources, of shape (networks,) + that shape.
     """
     if detector is Detector.THRESHOLD:
         miss, p = source_click_probabilities(source, survival, mu)
         return Moments(mean=p, variance=p * miss)
-    n = source_moments(source, mu)
+    n = source_moments(source, mu, np.ndim(survival))
     s = survival
     return Moments(mean=s * n.mean, variance=s * s * n.variance + s * (1.0 - s) * n.mean)
 

@@ -19,7 +19,9 @@ involved, and the same code serves both detectors.  A `Channel` whose
 transmission is an array (a transmission grid), and a source whose pump is
 an array (a mean grid), are evaluated by the same code entry by entry: every
 report field is then an array, and a quantity that is undefined at an entry
-is None there.
+is None there.  A list of multiplexed sources (the networks of a run) is one
+more axis of the same code: every report field then has a leading network
+axis, ahead of the grid's axes, and entry i is the report of network i.
 `montecarlo.mc_estimate` samples the same estimator from the same arguments
 plus a trial count and a seed; both normalize by `reference_mean`.
 """
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from subshot.detection import Channel, Detector, detected_moments
-from subshot.sources import Coherent, Fock, Source
+from subshot.sources import Coherent, Fock, Multiplexed, Source
 
 
 def _quotient(numerator, denominator, undefined):
@@ -49,17 +51,18 @@ def relative_mse_percent(mse, transmission):
     return _quotient(100.0 * np.sqrt(mse), transmission, transmission == 0.0)
 
 
-def reference_mean(source: Source, detector: Detector, detector_eff: float):
+def reference_mean(source: Source | list[Multiplexed], detector: Detector, detector_eff):
     """Fluctuation-free normalization constant of the estimator, an array of
-    them for a source whose pump is an array.
+    them for a source whose pump is an array or a list of networks.
 
-    The mean detected count with the sample removed (survival eta): eta
-    times the source mean at the sample (number-resolving) or the click
-    probability (threshold), except for the Fock source under threshold
-    detection, where the photon-number normalization eta * N is kept.  The
-    reports divide by nu * reference**2, so a reference whose square is not
-    a normal float raises ValueError: a vacuum source, a blind detector, or
-    a reference below ~1e-154 or above ~1e154.
+    The mean detected count with the sample removed (survival eta, a float
+    or an array of them): eta times the source mean at the sample
+    (number-resolving) or the click probability (threshold), except for
+    the Fock source under threshold detection, where the photon-number
+    normalization eta * N is kept.  The reports divide by
+    nu * reference**2, so a reference whose square is not a normal float
+    raises ValueError: a vacuum source, a blind detector, or a reference
+    below ~1e-154 or above ~1e154.
     """
     if detector is Detector.THRESHOLD and isinstance(source, Fock):
         ref = detector_eff * source.photons
@@ -89,9 +92,11 @@ class EstimatorReport:
     relative_mse_percent: float | None | np.ndarray
 
 
-def exact_report(source: Source, detector: Detector, channel: Channel, nu: int) -> EstimatorReport:
+def exact_report(source: Source | list[Multiplexed], detector: Detector, channel: Channel,
+                 nu: int) -> EstimatorReport:
     """Exact report of the estimator at the transmission of `channel` and
-    the pump of `source`, or at each entry of a grid of either.
+    the pump of `source`, or at each entry of a grid of either, and for each
+    network of a list of `Multiplexed` sources along a leading axis.
 
     The estimator is linear in the counts, so E(T) is the mean of one
     repetition's detected count over the reference and Var(T) its variance
@@ -99,7 +104,13 @@ def exact_report(source: Source, detector: Detector, channel: Channel, nu: int) 
     threshold, E(T) = p(t) / p0, whose bias against the true transmission
     does not shrink with nu.
     """
-    ref = reference_mean(source, detector, channel.detector_eff)
+    # The reference at the detector efficiency, on as many (length-1) axes
+    # as the transmission grid, so that its network axis lines up as that of
+    # the moments over the grid does.
+    eta = channel.detector_eff
+    if np.ndim(channel.transmission):
+        eta = np.full((1,) * np.ndim(channel.transmission), eta)
+    ref = reference_mean(source, detector, eta)
     detected = detected_moments(source, detector, channel.survival)
     expectation = detected.mean / ref
     variance = detected.variance / (nu * ref**2)
@@ -135,7 +146,7 @@ def snl_ratio(report: EstimatorReport, snl: EstimatorReport) -> float | None:
     return _quotient(snl.mse, report.mse, (snl.mse == 0.0) | (report.mse == 0.0))
 
 
-def asymptotic_relative_mse_floor(source: Source, channel: Channel):
+def asymptotic_relative_mse_floor(source: Source | list[Multiplexed], channel: Channel):
     """Relative MSE [%] left in the infinite-repetition limit.
 
     For threshold detection the variance vanishes as 1/nu while the bias does

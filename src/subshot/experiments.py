@@ -9,7 +9,11 @@ and deterministic.  `_rows` is the only place rows are built, all rows of a
 run at once from its report columns into a `RowTable`, and `_sources` the
 only place the sources are made: a coherent beam whose mean, and
 multiplexed sources whose pumps, are a float or follow a whole mean grid,
-every pump of a run tuned in one bisection.  The row format and its CSV and
+every pump of a run tuned in one bisection.  The exact sweeps (`_exact_rows`,
+`_run_asymptotic`) make one report per detector for the coherent source, one
+for all the run's networks, on the leading network axis of the closed forms,
+and one for the Fock state; the coherent number-resolving report, where a run
+makes one, is also its shot-noise reference.  The row format and its CSV and
 JSON writers live in `subshot.output`; `SweepRow`, `ROW_COLUMNS`,
 `rows_to_csv` and `rows_to_json` can be imported from here as well.
 `SweepConfig.validate` checks the run-level rules, builds the channels and
@@ -94,6 +98,16 @@ def _uniform_grid(n: int = 101) -> tuple[float, ...]:
 _NUMBER_KINDS = {"float": float, "int": int, "tuple[float, ...]": float, "tuple[int, ...]": int}
 
 
+def _plain_number(kind: type, value):
+    """`value` as the Python `kind` (int or float) where that keeps its
+    value, else as given."""
+    try:
+        plain = kind(value)
+    except (ValueError, OverflowError):  # int() of a NaN or an infinity
+        return value
+    return plain if plain == value else value
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """One experiment run: grids, physics constants, seed and output knobs."""
@@ -118,16 +132,19 @@ class SweepConfig:
 
     def __post_init__(self):
         # The one place numbers are normalized, so a config built from numpy
-        # scalars writes the same CSV cells and digest as the literal one.  A
-        # field the conversion would change (a fractional count, a NaN) stays
-        # as given, for `validate`.
+        # scalars, or with a list or an array for a tuple field, writes the
+        # same CSV cells and digest as the literal one.  A tuple field
+        # becomes a tuple; a number the conversion would change (a
+        # fractional count, a NaN count) stays as given, for `validate`.
         for f in fields(self):
             kind = _NUMBER_KINDS.get(f.type)
             if kind is not None:
                 value = getattr(self, f.name)
-                plain = tuple(map(kind, value)) if f.type.startswith("tuple") else kind(value)
-                if plain == value:
-                    object.__setattr__(self, f.name, plain)
+                if f.type.startswith("tuple"):
+                    plain = tuple(_plain_number(kind, v) for v in value)
+                else:
+                    plain = _plain_number(kind, value)
+                object.__setattr__(self, f.name, plain)
 
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
@@ -259,22 +276,31 @@ def _sources(cfg: SweepConfig, mean) -> list[Source]:
     return [Coherent(mean)] + make_multiplexed(cfg.stage_counts, mean, *calibration)
 
 
-def _exact_rows(cfg: SweepConfig, sources: list[Source], detectors, channel: Channel, mean):
-    """Exact reports for each detector and source, each row carrying its MSE
-    ratio to the shot-noise reference at `mean` photons.
+def _exact_rows(cfg: SweepConfig, groups: list, detectors, channel: Channel, mean):
+    """Exact reports for each detector and source group, each row carrying
+    its MSE ratio to the shot-noise reference at `mean` photons.
 
-    The channel's transmission is a float or the whole t-grid as an array,
-    and `mean` a float or the whole mean grid, which the sources' pumps
-    follow; either way there is one report per detector and source, and the
-    rows run over the grid, then detector, then source."""
-    snl = snl_report(mean, channel, cfg.nu)
-    pairs = [(source, detector) for detector in detectors for source in sources]
-    outputs = {name: [] for name in _REPORT_COLUMNS + ("ratio_to_snl",)}
-    for source, detector in pairs:
-        report = exact_report(source, detector, channel, cfg.nu)
-        for name in _REPORT_COLUMNS:
-            outputs[name].append(getattr(report, name))
-        outputs["ratio_to_snl"].append(snl_ratio(report, snl))
+    A group is one source or the list of the run's multiplexed networks,
+    which one report covers on its leading network axis.  The channel's
+    transmission is a float or the whole t-grid as an array, and `mean` a
+    float or the whole mean grid, which the sources' pumps follow; either
+    way there is one report per detector and group, and the rows run over
+    the grid, then detector, then source.  The shot-noise reference is the
+    coherent number-resolving report where the run makes one."""
+    reports = [(group, detector, exact_report(group, detector, channel, cfg.nu))
+               for detector in detectors for group in groups]
+    snl = next((report for group, detector, report in reports
+                if isinstance(group, Coherent) and detector is Detector.NUMBER_RESOLVING), None)
+    if snl is None:
+        snl = snl_report(mean, channel, cfg.nu)
+    pairs, outputs = [], {name: [] for name in _REPORT_COLUMNS + ("ratio_to_snl",)}
+    for group, detector, report in reports:
+        batch = isinstance(group, list)  # a field per network on its leading axis
+        pairs += [(source, detector) for source in (group if batch else [group])]
+        cells = {name: getattr(report, name) for name in _REPORT_COLUMNS}
+        cells["ratio_to_snl"] = snl_ratio(report, snl)
+        for name, field in cells.items():
+            outputs[name].extend(field if batch else [field])
     return _grid_rows(cfg, pairs, channel, mean, **outputs)
 
 
@@ -283,26 +309,30 @@ def _ratio_sweep(cfg: SweepConfig, detector: Detector):
     sources.  Threshold rows carry both the bias and the MSE ratio, so
     `threshold-bias` and `threshold-ratio` share this sweep."""
     (mean,) = _tuned_means(cfg)
-    sources = _sources(cfg, mean) + [Fock(1)]
+    coherent, *networks = _sources(cfg, mean)
     channel = Channel(np.array(cfg.t_grid), cfg.detector_eff)
-    return _exact_rows(cfg, sources, (detector,), channel, mean)
+    return _exact_rows(cfg, [coherent, networks, Fock(1)], (detector,), channel, mean)
 
 
 def _run_intensity_sweep(cfg: SweepConfig):
     """Ratio versus input mean photon number at fixed sample transmission,
-    one report per source and detector over the whole mean grid."""
+    one report per detector for the coherent source and one for all the
+    networks, each over the whole mean grid."""
     means = np.array(_tuned_means(cfg))
     ch = Channel(cfg.transmission, cfg.detector_eff)
-    return _exact_rows(cfg, _sources(cfg, means), Detector, ch, means)
+    coherent, *networks = _sources(cfg, means)
+    return _exact_rows(cfg, [coherent, networks], Detector, ch, means)
 
 
 def _run_asymptotic(cfg: SweepConfig):
     """Infinite-repetition relative MSE floor of the threshold estimators,
-    one closed-form call over the whole (mean x t) grid per source."""
+    one closed-form call over the whole (mean x t) grid for the coherent
+    source and one for all the networks."""
     ch = Channel(np.array(cfg.t_grid), cfg.detector_eff)
     means = np.array(_tuned_means(cfg))[:, None]
-    sources = _sources(cfg, means)
-    floors = [asymptotic_relative_mse_floor(source, ch) for source in sources]
+    coherent, *networks = sources = _sources(cfg, means)
+    floors = [asymptotic_relative_mse_floor(coherent, ch),
+              *asymptotic_relative_mse_floor(networks, ch)]
     pairs = [(source, Detector.THRESHOLD) for source in sources]
     return _grid_rows(cfg, pairs, ch, means, asymptotic_floor_percent=floors)
 

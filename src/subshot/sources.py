@@ -22,7 +22,13 @@ Binomial, or a vacuum term plus two Poissons) are closed forms, evaluated
 entry by entry over arrays: of pumps, which a coherent `mean` or a
 multiplexed `pair_mean` may hold (a mean grid) or `mu` gives in place of the
 source's own (the Monte Carlo pump draws), and of survivals (a transmission
-grid).
+grid).  The moments and click probabilities also take a list of `Multiplexed`
+sources, the networks of a run, whose pumps share one shape: their pumps are
+stacked on a leading network axis, ahead of the grid's axes, and their
+constants are columns along it (`_mux_pumps`, `_mux_constants`), so each
+formula is evaluated once for all networks, entry by entry with the bits
+each network gets alone.  One source is the one-network case of the same
+code.
 
 Each source constructor checks its own fields, as `detection.Channel` and
 `montecarlo.FluctuationConfig` do theirs, and raises the `ConfigError`
@@ -85,7 +91,13 @@ def check_count(field: str, value, low: int, high: float = math.inf) -> int:
 
 def check_range(field: str, value, high: float = 1.0) -> None:
     """ConfigError naming `field` unless `value`, a float or an array of
-    them, is finite (not NaN) and lies in [0, `high`] everywhere."""
+    them, is finite (not NaN) and lies in [0, `high`] everywhere.  A Python
+    number is checked by comparisons, an array by ufuncs; both name the
+    first bad entry as a float."""
+    if isinstance(value, (int, float)):
+        if not (0.0 <= value <= high and math.isfinite(value)):
+            raise ConfigError(field, f"must be finite and lie in [0, {high:g}], got {float(value)}")
+        return
     v = np.asarray(value, dtype=np.float64)
     bad = ~((v >= 0.0) & (v <= high) & np.isfinite(v))
     if bad.any():
@@ -170,7 +182,10 @@ def _mux_constants(sources, ndim: int = 0) -> tuple:
     rows = [(s.herald_eff, -s.herald_eff, -(2**s.stages) * s.herald_eff,
              s.stage_transmission**s.stages, s.optics_transmission)
             for s in ([sources] if one else sources)]
-    return rows[0] if one else tuple(np.reshape(c, (len(rows),) + (1,) * ndim) for c in zip(*rows))
+    if one:
+        return rows[0]
+    # One array of the five columns, each a contiguous row of it.
+    return tuple(np.array(list(zip(*rows))).reshape((5, len(rows)) + (1,) * ndim))
 
 
 def _herald(constants: tuple, mu) -> tuple:
@@ -203,16 +218,17 @@ def _mux_factorial_moments(constants: tuple, mu, orders: int = 2) -> tuple:
     return first, gain * mq * mq * (h * (2.0 - h) * no_click - neg_p_w)
 
 
-def _mux_clicks(source: Multiplexed, mu, survival):
+def _mux_clicks(constants: tuple, mu, survival):
     """No-click and click probability G(1 - s) and 1 - G(1 - s) after a
-    thinning by s = `survival` (a float or an array) at a pump array `mu`.
+    thinning by s = `survival` (a float or an array) at a pump array `mu`,
+    from `_mux_constants`.
 
     With x = mu Q s, y = (1-h) x and g = P_sync/p_w, they are evaluated as
     (1 - P_sync) + g e^{-x} (1 - e^{-h (mu - x)}) and, exactly 0 at s = 0,
     g [p_w (1 - e^{-y}) + e^{-y} (1 - e^{-h x})]: neither cancels when a weak
     herald needs a huge pump or a click is all but certain.
     """
-    h, _, neg_rate, network, optics = constants = _mux_constants(source)
+    h, _, neg_rate, network, optics = constants
     neg_p_w, _, _, gain = _herald(constants, mu)
     x = mu * (network * optics * survival)
     y = (1.0 - h) * x
@@ -365,23 +381,40 @@ def _pumps(source: Source, mu) -> np.ndarray:
     return np.asarray(pump if mu is None else mu, dtype=np.float64)
 
 
+def _mux_pumps(source, mu, ndim: int = 0) -> tuple:
+    """`_mux_constants` and pump array of one `Multiplexed` source, or of a
+    list of them: `mu`, or the sources' own pumps stacked if it is None, on
+    a leading network axis put ahead of at least `ndim` grid axes (length 1
+    where the pumps have fewer), so that it lines up against a survival
+    grid of `ndim` axes; the constants are columns along that axis."""
+    if not isinstance(source, list):
+        pumps = _pumps(source, mu)  # TypeError for a source without a pump
+        return _mux_constants(source), pumps
+    pumps = np.asarray([s.pair_mean for s in source] if mu is None else mu, dtype=np.float64)
+    grid = pumps.shape[1:]
+    pumps = pumps.reshape(pumps.shape[:1] + (1,) * (ndim - len(grid)) + grid)
+    return _mux_constants(source, pumps.ndim - 1), pumps
+
+
 def _scalar(value):
     """A 0-d result as a float, an array as it is."""
     return float(value) if np.ndim(value) == 0 else value
 
 
-def source_moments(source: Source, mu=None) -> Moments:
+def source_moments(source: Source | list[Multiplexed], mu=None, ndim: int = 0) -> Moments:
     """Mean and variance at the sample plane, in closed form.
 
-    `mu` is as for `source_click_probabilities`; given one, or a source
-    whose pump is an array, the mean and variance are arrays of its shape.
+    `source` and `mu` are as for `source_click_probabilities`; given a pump
+    array, or a source whose pump is an array, the mean and variance are
+    arrays of its shape, behind the network axis of a list of sources,
+    which goes ahead of at least `ndim` grid axes.
     """
     if isinstance(source, Fock) and mu is None:
         return Moments(mean=float(source.photons), variance=0.0)
-    pump = _pumps(source, mu)
     if isinstance(source, Coherent):
+        pump = _pumps(source, mu)
         return Moments(mean=_scalar(pump), variance=_scalar(pump))
-    mean, pairs = _mux_factorial_moments(_mux_constants(source), pump)
+    mean, pairs = _mux_factorial_moments(*_mux_pumps(source, mu, ndim))
     return Moments(mean=_scalar(mean), variance=_scalar(pairs + mean - mean * mean))
 
 
@@ -397,15 +430,18 @@ def _fock_clicks(photons: int, survival) -> tuple[np.ndarray, np.ndarray]:
             np.reshape([-math.expm1(v) for v in logs], s.shape))
 
 
-def source_click_probabilities(source: Source, survival, mu=None):
+def source_click_probabilities(source: Source | list[Multiplexed], survival, mu=None):
     """Probabilities that no photon / at least one photon at the sample plane
     survives an independent per-photon thinning by `survival`, in closed
     form, each computed directly so that it keeps its precision where small.
 
     `survival` is a float or an array of them, and `mu` a pump value or an
     array of them (default: the source's own pump); the results have their
-    broadcast shape (floats for a float survival and pump).  A Fock state
-    given a pump raises TypeError.
+    broadcast shape (floats for a float survival and pump).  A list of
+    `Multiplexed` sources, whose pumps share one shape, is evaluated in the
+    same formulas with a leading network axis: the results have shape
+    (networks,) + that broadcast shape, and a `mu` given for a list carries
+    the network axis first.  A Fock state given a pump raises TypeError.
     """
     if isinstance(source, Fock) and mu is None:
         miss, p = _fock_clicks(source.photons, survival)
@@ -414,7 +450,7 @@ def source_click_probabilities(source: Source, survival, mu=None):
         exponent = -survival * _pumps(source, mu)
         miss, p = np.exp(exponent), -np.expm1(exponent)
     else:
-        miss, p = _mux_clicks(source, _pumps(source, mu), survival)
+        miss, p = _mux_clicks(*_mux_pumps(source, mu, np.ndim(survival)), survival)
     return _scalar(miss), _scalar(p)
 
 

@@ -10,11 +10,14 @@ floor 1e-15) everywhere in the sampled region, edges included: perfect
 heralding, survival 0 and 1, and up to 10 delay stages (1024 windows).  The
 closed-form distribution rows must match the enumeration entry by entry to
 1e-12 absolute.  An exact report over a whole transmission grid must match
-the reports at its points one by one.
+the reports at its points one by one, and the closed forms over a list of
+multiplexed networks (a leading network axis) must give each network's own
+results bit for bit.
 """
 
 import math
-from dataclasses import replace
+import struct
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -379,3 +382,112 @@ def test_weak_herald_click_probability_does_not_cancel():
     p_sync = sync_probability(1, src.pair_mean, 1e-33)
     assert p_sync > 0.0
     assert source_click_probabilities(src, 1.0)[1] == pytest.approx(p_sync, rel=1e-12)
+
+
+def bits(value) -> tuple:
+    """The shape of a float, None or array of them, and each entry's IEEE
+    bytes (None as None)."""
+    entries = np.asarray(value, dtype=object).ravel().tolist()
+    return np.shape(value), [None if v is None else struct.pack("<d", v) for v in entries]
+
+
+@st.composite
+def network_batches(draw, survival_grid: bool, unit=st.floats(0.0, 1.0),
+                    pump_values=st.floats(0.0, 10.0)):
+    """Two to four multiplexed networks over every stage count and the
+    calibration range `unit`, sharing a pump shape: float pumps, or a grid
+    of M pumps each, as a mean grid (M,) or, against a survival grid, a
+    column (M, 1)."""
+    shapes = [(), (draw(st.integers(1, 3)), 1)]
+    if not survival_grid:
+        shapes.append(shapes[1][:1])
+    shape = draw(st.sampled_from(shapes))
+    size = math.prod(shape)
+    return [
+        Multiplexed(
+            stages=draw(st.integers(1, MAX_STAGES)),
+            pair_mean=(draw(pump_values) if not shape else
+                       np.reshape(draw(st.lists(pump_values, min_size=size, max_size=size)), shape)),
+            herald_eff=draw(unit),
+            stage_transmission=draw(unit),
+            optics_transmission=draw(unit),
+        )
+        for _ in range(draw(st.integers(2, 4)))
+    ]
+
+
+def grid_or_float(grid: bool):
+    """A transmission or survival grid holding 0 and 1, or one value."""
+    return t_grids.map(np.array) if grid else survivals
+
+
+class TestNetworkAxis:
+    """A list of `Multiplexed` sources is evaluated with a leading network
+    axis: entry i is, bit for bit, what network i gives alone."""
+
+    @staticmethod
+    def assert_per_network(batched, alone):
+        for i, single in enumerate(alone):
+            assert bits(batched[i]) == bits(single), i
+
+    @CHECKS
+    @given(st.booleans().flatmap(
+        lambda grid: st.tuples(network_batches(grid), grid_or_float(grid))))
+    def test_moments_and_clicks(self, case):
+        networks, survival = case
+        moments = source_moments(networks)
+        clicks = source_click_probabilities(networks, survival)
+        alone = [(source_moments(n), source_click_probabilities(n, survival)) for n in networks]
+        self.assert_per_network(moments.mean, [m.mean for m, _ in alone])
+        self.assert_per_network(moments.variance, [m.variance for m, _ in alone])
+        for side in range(2):
+            self.assert_per_network(clicks[side], [c[side] for _, c in alone])
+
+    @CHECKS
+    @given(
+        # Networks with a reference to divide by; one without fails the
+        # whole list (`test_a_vacuum_network_fails_the_list`).
+        st.booleans().flatmap(lambda grid: st.tuples(
+            network_batches(grid, st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+                            st.floats(1e-3, 10.0)),
+            grid_or_float(grid))),
+        st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+        st.integers(1, 10**6),
+    )
+    def test_reports_and_floors(self, case, eta, nu):
+        networks, t = case
+        channel = Channel(t, eta)
+        snl = snl_report(1.0, channel, nu)
+
+        def evaluate(sources):
+            """The reports for both detectors, their SNL ratios and the
+            asymptotic floor, or the ValueError of a vanishing reference."""
+            try:
+                reports = [exact_report(sources, d, channel, nu) for d in Detector]
+                floor = asymptotic_relative_mse_floor(sources, channel)
+            except ValueError:
+                return None
+            return reports, [snl_ratio(r, snl) for r in reports], floor
+
+        batched = evaluate(networks)
+        alone = [evaluate(n) for n in networks]
+        assert (batched is None) == (None in alone)
+        if batched is None:
+            return
+        reports, ratios, floor = batched
+        for k, report in enumerate(reports):
+            for f in fields(report):
+                field = getattr(report, f.name)
+                if f.name in ("transmission", "nu"):
+                    assert all(bits(field) == bits(getattr(a[0][k], f.name)) for a in alone)
+                else:
+                    self.assert_per_network(field, [getattr(a[0][k], f.name) for a in alone])
+            self.assert_per_network(ratios[k], [a[1][k] for a in alone])
+        self.assert_per_network(floor, [a[2] for a in alone])
+
+    def test_a_vacuum_network_fails_the_list(self):
+        """As it fails alone: its reference vanishes."""
+        networks = [Multiplexed(2, 0.5), Multiplexed(3, 0.0)]
+        for detector in Detector:
+            with pytest.raises(ValueError, match="reference must be > 0"):
+                exact_report(networks, detector, Channel(np.array([0.0, 0.5, 1.0])), 200)

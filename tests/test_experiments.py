@@ -458,6 +458,36 @@ class TestConfigValidation:
 
         assert refused(lambda: tune_pair_mean(network, mean)) == refused(cfg.validate)
 
+    def test_list_and_array_fields_are_tuples(self):
+        """A list or a numpy array for a tuple field is stored as a tuple of
+        Python numbers, so the digest and every CSV byte are those of the
+        tuple config."""
+        literal = SweepConfig(experiment="nr-ratio", t_grid=(0.0, 0.5, 1.0), stage_counts=(1, 3))
+        csv = rows_to_csv(run_experiment(literal)).encode()
+        for t_grid, stage_counts in (
+            ([0.0, 0.5, 1.0], [1, 3]),
+            (np.linspace(0.0, 1.0, 3), np.array([1, 3])),
+            (np.array([0.0, 0.5, 1.0]), np.array([1.0, 3.0])),
+        ):
+            cfg = SweepConfig(experiment="nr-ratio", t_grid=t_grid, stage_counts=stage_counts)
+            assert (cfg.t_grid, cfg.stage_counts) == (literal.t_grid, literal.stage_counts)
+            assert type(cfg.t_grid) is tuple and type(cfg.stage_counts[0]) is int
+            assert cfg.digest() == literal.digest()
+            assert rows_to_csv(run_experiment(cfg)).encode() == csv
+
+    @pytest.mark.parametrize("stage_counts", [[1.5], np.array([1.5]), (1, 2.5)])
+    def test_fractional_count_in_a_list_or_array_named(self, stage_counts):
+        with pytest.raises(ConfigError) as err:
+            SweepConfig(experiment="nr-ratio", stage_counts=stage_counts).validate()
+        assert err.value.field == "stage_counts"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_count_named(self, value):
+        """int() cannot convert it, so it is left for `validate` to name."""
+        with pytest.raises(ConfigError) as err:
+            SweepConfig(experiment="nr-ratio", nu=value).validate()
+        assert err.value.field == "nu"
+
     def test_digest_stable_and_sensitive(self):
         a = SweepConfig(experiment="nr-ratio")
         b = SweepConfig(experiment="nr-ratio")

@@ -15,6 +15,7 @@ from subshot.sources import (
     ConfigError,
     Fock,
     Multiplexed,
+    check_range,
     check_reach,
     make_multiplexed,
     source_count_rows,
@@ -320,3 +321,24 @@ class TestSourceRowsAndValidation:
             source_moments(object())
         with pytest.raises(TypeError):
             source_count_rows(object(), 1.0, 1e-18)
+
+
+@pytest.mark.parametrize("high", [1.0, 3.5, math.inf])
+def test_range_check_of_a_float_is_that_of_an_array(high):
+    """A Python float is checked by comparisons and an array by ufuncs,
+    under one rule and one message: the same field and text for each."""
+    def refusal(value):
+        try:
+            check_range("field", value, high)
+        except ConfigError as err:
+            return err.field, str(err)
+        return None
+
+    values = [math.nan, math.inf, -math.inf, -1e-300, 0.0, high, math.nextafter(high, math.inf)]
+    for value in values:
+        expected = refusal(np.array([value]))
+        assert refusal(value) == expected, value
+        assert refusal(np.float64(value)) == expected, value
+        assert refusal(np.array([0.5, value, 0.25])) == expected, value
+    accepted = [False, False, False, False, True, math.isfinite(high), False]
+    assert [refusal(v) is None for v in values] == accepted
