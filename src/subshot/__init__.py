@@ -14,12 +14,11 @@ from subshot.sources import (
     Multiplexed,
     Source,
     make_multiplexed,
-    source_count_rows,
     source_moments,
     source_pump,
     tune_pair_mean,
 )
-from subshot.detection import Channel, Detector, detected_moments, detected_rows
+from subshot.detection import Channel, Detector, detected_moments, detected_row_plan
 from subshot.estimators import (
     EstimatorReport,
     asymptotic_relative_mse_floor,

@@ -19,14 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from subshot.experiments import (
-    EXPERIMENTS,
-    ConfigError,
-    SweepConfig,
-    rows_to_csv,
-    run_experiment,
-)
-from subshot.output import json_blocks
+from subshot.experiments import EXPERIMENTS, ConfigError, SweepConfig, run_experiment
+from subshot.output import json_blocks, rows_to_csv
 
 CONFIG_ENV_VAR = "SUBSHOT_CONFIG"
 

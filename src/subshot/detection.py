@@ -6,8 +6,8 @@ single thinning by t * eta.  Number-resolving detectors report the full
 thinned photon count, threshold detectors only whether at least one photon
 was detected.  This is the only module that knows how a detector turns the
 photons of one repetition into its count: `detected_moments` gives the count's
-mean and variance and `detected_rows` its distribution (`detected_row_plan`
-over many pump arrays, sized without building), both from the closed
+mean and variance and `detected_row_plan` its distribution (rows at any
+number of pump arrays, sized without building them), both from the closed
 forms of `sources` and both for a pump array as well as the source's own
 pump, so the exact reports and the Monte Carlo engine never branch on the
 detector.  `detected_moments` also takes an array of survivals, which a
@@ -104,9 +104,3 @@ def detected_row_plan(source: Source, detector: Detector, survival: float, tail:
     if detector is Detector.THRESHOLD:
         return _ClickRows(source, survival)
     return CountRows(source, survival, tail)
-
-
-def detected_rows(source: Source, detector: Detector, survival: float, tail: float, mu=None):
-    """The rows of `detected_row_plan(source, detector, survival, tail)` at
-    one pump array `mu`."""
-    return detected_row_plan(source, detector, survival, tail).rows(mu)

@@ -14,13 +14,14 @@ every pump of a run tuned in one bisection.  The exact sweeps (`_exact_rows`,
 for all the run's networks, on the leading network axis of the closed forms,
 and one for the Fock state; the coherent number-resolving report, where a run
 makes one, is also its shot-noise reference.  The row format and its CSV and
-JSON writers live in `subshot.output`; `SweepRow`, `ROW_COLUMNS`,
-`rows_to_csv` and `rows_to_json` can be imported from here as well.
-`SweepConfig.validate` checks the run-level rules, builds the channels and
-the fluctuation config the run builds, whose constructors own the ranges of
-their fields, and checks the multiplexing networks with the rules the pump
-tuning applies (`make_networks`, `check_reach`), at the means the run tunes
-(`_tuned_means`), without building a source.
+JSON writers live in `subshot.output`.
+`SweepConfig.validate` checks that every number is a Python int or float
+(an int for a count) and every grid a sequence, checks the run-level rules,
+and builds the channels, the fluctuation config and the untuned networks
+(`Multiplexed` at pump 0) the run builds, whose constructors own the ranges
+of their fields; it checks the networks' reach with the rule the pump
+tuning applies (`check_reach`), at the means the run tunes (`_tuned_means`),
+without tuning a pump.
 """
 
 from __future__ import annotations
@@ -45,14 +46,10 @@ from subshot.montecarlo import (
     fluctuation_study,
     mc_estimate,
 )
-from subshot.output import (  # noqa: F401 (SweepRow and the writers are re-exported)
-    ROW_COLUMNS,
-    Indexed,
-    RowTable,
-    SweepRow,
-    rows_to_csv,
-    rows_to_json,
-)
+from subshot.output import ROW_COLUMNS, Indexed, RowTable
+# Bound here too: bench/make_reference.py imports it from this module, and
+# the benchmark traces it under the name `experiments.rows_to_csv`.
+from subshot.output import rows_to_csv  # noqa: F401
 from subshot.sources import (
     Coherent,
     ConfigError,
@@ -62,7 +59,6 @@ from subshot.sources import (
     check_count,
     check_reach,
     make_multiplexed,
-    make_networks,
 )
 
 # Largest accepted mean photon number per repetition.  The sources studied
@@ -103,7 +99,7 @@ def _plain_number(kind: type, value):
     value, else as given."""
     try:
         plain = kind(value)
-    except (ValueError, OverflowError):  # int() of a NaN or an infinity
+    except (TypeError, ValueError, OverflowError):  # not a number, or int() of a NaN
         return value
     return plain if plain == value else value
 
@@ -133,29 +129,31 @@ class SweepConfig:
     def __post_init__(self):
         # The one place numbers are normalized, so a config built from numpy
         # scalars, or with a list or an array for a tuple field, writes the
-        # same CSV cells and digest as the literal one.  A tuple field
-        # becomes a tuple; a number the conversion would change (a
-        # fractional count, a NaN count) stays as given, for `validate`.
+        # same CSV cells and digest as the literal one.  An iterable for a
+        # tuple field becomes a tuple; a value the conversion would change
+        # (a fractional or NaN count, a string, a scalar for a tuple field)
+        # stays as given, for `validate` to name.
         for f in fields(self):
             kind = _NUMBER_KINDS.get(f.type)
             if kind is not None:
                 value = getattr(self, f.name)
-                if f.type.startswith("tuple"):
-                    plain = tuple(_plain_number(kind, v) for v in value)
-                else:
-                    plain = _plain_number(kind, value)
-                object.__setattr__(self, f.name, plain)
+                if not f.type.startswith("tuple"):
+                    value = _plain_number(kind, value)
+                elif np.iterable(value) and not isinstance(value, str):
+                    value = tuple(_plain_number(kind, v) for v in value)
+                object.__setattr__(self, f.name, value)
 
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError("experiment", f"unknown experiment {self.experiment!r}")
-        # `__post_init__` made every integer-valued entry an int.
+        # `__post_init__` made every integer-valued number an int, every other
+        # real one a float and every iterable for a tuple field a tuple.
         for f in fields(self):
-            if _NUMBER_KINDS.get(f.type) is int:
-                value = getattr(self, f.name)
-                entries = value if f.type.startswith("tuple") else (value,)
-                if not all(isinstance(v, int) for v in entries):
-                    raise ConfigError(f.name, f"must be integer-valued, got {value!r}")
+            kind, value = _NUMBER_KINDS.get(f.type), getattr(self, f.name)
+            entries = value if f.type.startswith("tuple") else (value,)
+            if kind and not (isinstance(entries, tuple)
+                             and all(isinstance(v, (kind, int)) for v in entries)):
+                raise ConfigError(f.name, f"must be of type {f.type}, got {value!r}")
         for field in ("t_grid", "stage_counts"):
             if not getattr(self, field):
                 raise ConfigError(field, "must be non-empty")
@@ -171,7 +169,7 @@ class SweepConfig:
         calibration = (self.herald_eff, self.stage_transmission, self.optics_transmission)
         try:
             Channel(np.array(self.t_grid), self.detector_eff)
-            networks = make_networks(self.stage_counts, *calibration)
+            networks = [Multiplexed(m, 0.0, *calibration) for m in self.stage_counts]
         except ConfigError as err:
             field = {"transmission": "t_grid", "stages": "stage_counts"}.get(err.field, err.field)
             raise ConfigError(field, err.reason) from None
@@ -179,7 +177,7 @@ class SweepConfig:
         FluctuationConfig(self.a_grid, self.rounds, self.nu, self.redraw, self.negatives)
         self._validate_reference()
         if self.experiment == "mc-validate":
-            networks = make_networks(_MC_VALIDATE_STAGES, *calibration)
+            networks = [Multiplexed(m, 0.0, *calibration) for m in _MC_VALIDATE_STAGES]
         check_reach(networks, _tuned_means(self))
 
     def _validate_reference(self) -> None:

@@ -4,10 +4,9 @@ Two jobs: validate the exact estimator reports by sampling full experiments,
 and study what pump-power fluctuations do to the measurement error.
 
 Both take the distribution and moments of one repetition's count from
-`detection.detected_rows` (or its `detected_row_plan`) and
-`detection.detected_moments`, which build them from the closed forms of
-`sources`; this module knows no source kind and no detector, and hands the
-`detector` argument through unread.
+`detection.detected_row_plan` and `detection.detected_moments`, which build
+them from the closed forms of `sources`; this module knows no source kind
+and no detector, and hands the `detector` argument through unread.
 `mc_estimate` takes `exact_report`'s arguments plus a trial count and a seed.
 It reads only the total count over the nu repetitions, as the estimators do,
 and only how many trials reach each total: one multinomial draw over the
@@ -59,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from subshot.detection import Channel, detected_moments, detected_row_plan, detected_rows
+from subshot.detection import Channel, detected_moments, detected_row_plan
 from subshot.estimators import reference_mean
 from subshot.sources import ConfigError, Source, check_count, source_pump
 
@@ -190,7 +189,7 @@ def mc_estimate(
     trials = check_count("trials", trials, 1, MAX_TRIALS)
     ref = reference_mean(source, detector, channel.detector_eff)
     rng = np.random.default_rng(seed)
-    row = detected_rows(source, detector, channel.survival, _ROW_TAIL)
+    row = detected_row_plan(source, detector, channel.survival, _ROW_TAIL).rows()
     offset, probs = _total_count_row(row, nu)
     counts = rng.multinomial(trials, probs)
 

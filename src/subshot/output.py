@@ -4,20 +4,20 @@ their CSV and JSON text.
 A run's rows stay columns: `experiments.run_experiment` returns a
 `RowTable`, which keeps a repeated cell once, the labels and grid points as
 distinct values plus an index (`Indexed`), and the report cells as lists,
-and builds a `SweepRow` only when one is read.  `rows_to_csv` and
-`rows_to_json` (and `json_blocks`, which gives the JSON text in pieces)
-format it column by column, `_BLOCK_ROWS` rows at a time: one text per
-repeated cell and per distinct label or grid value of a block, one `str`
-per report cell, joined into rows by `zip`.  The bytes are those of writing
-each row on its own (`tests/_oracles.py`), and a JSON file is written one
-block at a time.
+and builds a `SweepRow` only when one is read.  The writers take a
+`RowTable`: `rows_to_csv` gives the CSV text and `json_blocks` the JSON text
+in pieces.  Both format it column by column, `_BLOCK_ROWS` rows at a time:
+one text per repeated cell and per distinct label or grid value of a block,
+one `str` per report cell, joined into rows by `zip`.  The bytes are those
+of writing each row on its own (`tests/_oracles.py`), and a JSON file is
+written one block at a time.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from typing import NamedTuple
 
 
@@ -92,12 +92,6 @@ class RowTable(Sequence):
         self._length = length
         self.columns = columns
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[SweepRow]) -> RowTable:
-        """A table holding `rows`, one cell per row in every column."""
-        rows = list(rows)
-        return cls(len(rows), [list(cells) for cells in zip(*rows)] or [[] for _ in ROW_COLUMNS])
-
     def __len__(self) -> int:
         return self._length
 
@@ -120,10 +114,9 @@ class RowTable(Sequence):
 _BLOCK_ROWS = 256
 
 
-def _text_blocks(rows: Iterable[SweepRow], spells: list[Callable[[list], list]]):
+def _text_blocks(table: RowTable, spells: list[Callable[[list], list]]):
     """Per block of up to `_BLOCK_ROWS` rows, one list of texts per column,
     column j spelled by `spells[j]` as `_cells` spells it."""
-    table = rows if isinstance(rows, RowTable) else RowTable.from_rows(rows)
     for lo in range(0, len(table), _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, len(table))
         yield [_cells(column, lo, hi, spell) for column, spell in zip(table.columns, spells)]
@@ -135,7 +128,7 @@ def _csv_texts(cells: list) -> list[str]:
     return ["" if v is None else str(v) for v in cells]
 
 
-def rows_to_csv(rows: Iterable[SweepRow]) -> str:
+def rows_to_csv(rows: RowTable) -> str:
     """Locale-free CSV with a header row; floats keep full precision (`str`
     of a Python float is its shortest round-trip repr), None is empty."""
     lines = [",".join(ROW_COLUMNS)]
@@ -168,8 +161,9 @@ def _json_texts(key: str, cells: list) -> list[str]:
     return list(map(key.__add__, texts))
 
 
-def json_blocks(rows: Iterable[SweepRow]) -> Iterator[str]:
-    """The text of `rows_to_json`, in pieces of up to `_BLOCK_ROWS` rows."""
+def json_blocks(rows: RowTable) -> Iterator[str]:
+    """The rows as `json.dumps` writes a list of their dicts, indented by 2,
+    with a final newline, in pieces of up to `_BLOCK_ROWS` rows."""
     yield "["
     separator = "\n"
     spells = [functools.partial(_json_texts, key) for key in _JSON_KEYS]
@@ -179,9 +173,3 @@ def json_blocks(rows: Iterable[SweepRow]) -> Iterator[str]:
         yield ",\n".join(map("".join, zip(["  {"] * n, *block, ["\n  }"] * n)))
         separator = ",\n"
     yield "]\n" if separator == "\n" else "\n]\n"
-
-
-def rows_to_json(rows: Iterable[SweepRow]) -> str:
-    """The rows as `json.dumps` writes a list of their dicts, indented by 2,
-    with a final newline."""
-    return "".join(json_blocks(rows))

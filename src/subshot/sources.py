@@ -16,31 +16,32 @@ has passed.
 
 No other module knows how a source kind is evaluated.  The mean, variance
 and click probabilities at the sample plane (`source_moments`,
-`source_click_probabilities`) and the detected-count distribution
-(`source_count_rows`, or a `CountRows` plan over many pump arrays: Poisson,
-Binomial, or a vacuum term plus two Poissons) are closed forms, evaluated
-entry by entry over arrays: of pumps, which a coherent `mean` or a
-multiplexed `pair_mean` may hold (a mean grid) or `mu` gives in place of the
-source's own (the Monte Carlo pump draws), and of survivals (a transmission
-grid).  The moments and click probabilities also take a list of `Multiplexed`
-sources, the networks of a run, whose pumps share one shape: their pumps are
-stacked on a leading network axis, ahead of the grid's axes, and their
-constants are columns along it (`_mux_pumps`, `_mux_constants`), so each
-formula is evaluated once for all networks, entry by entry with the bits
-each network gets alone.  One source is the one-network case of the same
-code.
+`source_click_probabilities`) and the detected-count distribution (a
+`CountRows` plan, which sizes and builds the rows at any number of pump
+arrays: Poisson, Binomial, or a vacuum term plus two Poissons) are closed
+forms, evaluated entry by entry over arrays: of pumps, which a coherent
+`mean` or a multiplexed `pair_mean` may hold (a mean grid) or `mu` gives in
+place of the source's own (the Monte Carlo pump draws), and of survivals (a
+transmission grid).  The moments and click probabilities also take a list
+of `Multiplexed` sources, the networks of a run, whose pumps share one
+shape: their pumps are stacked on a leading network axis, ahead of the
+grid's axes, and their constants are columns along it (`_mux_pumps`,
+`_mux_constants`), so each formula is evaluated once for all networks,
+entry by entry with the bits each network gets alone.  One source is the
+one-network case of the same code.
 
 Each source constructor checks its own fields, as `detection.Channel` and
 `montecarlo.FluctuationConfig` do theirs, and raises the `ConfigError`
 defined here, naming the field; `check_count` and `check_range` are the
-count and range rules they share.
+count and range rules they share.  A network not yet tuned is a
+`Multiplexed` at pump 0, whose `pair_mean` `check_reach` and
+`tune_pair_mean` ignore.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -164,20 +165,10 @@ class Multiplexed:
 Source = Coherent | Fock | Multiplexed
 
 
-class _Network(NamedTuple):
-    """The stage count and calibration of a `Multiplexed` source without its
-    pump: all that `tune_pair_mean` reads of a source."""
-
-    stages: int
-    herald_eff: float
-    stage_transmission: float
-    optics_transmission: float
-
-
 def _mux_constants(sources, ndim: int = 0) -> tuple:
     """h, -h, -2**stages h, network and optics transmission of one
-    `Multiplexed` as floats, or of a list of them (or of `_Network`s) as
-    columns that broadcast against `ndim` trailing pump axes."""
+    `Multiplexed` as floats, or of a list of them as columns that
+    broadcast against `ndim` trailing pump axes."""
     one = isinstance(sources, Multiplexed)
     rows = [(s.herald_eff, -s.herald_eff, -(2**s.stages) * s.herald_eff,
              s.stage_transmission**s.stages, s.optics_transmission)
@@ -271,8 +262,8 @@ def _mux_output_rows(source: Multiplexed, mu, survival: float, n_max: int, log_f
 
 def check_reach(sources, target_mean) -> None:
     """ConfigError unless every network of `sources`, a list of `Multiplexed`
-    sources or `_Network`s, reaches the largest of `target_mean` at a pump
-    up to MAX_PUMP.
+    sources whose pumps it ignores, reaches the largest of `target_mean` at
+    a pump up to MAX_PUMP.
 
     The output mean grows with the pump, so checking that one pump suffices;
     it stays 0 where a calibration field is 0.  The error names the field
@@ -335,16 +326,6 @@ def tune_pair_mean(source, target_mean, tol: float = 1e-10):
         np.copyto(hi, mid, where=~low | hit)
 
 
-def make_networks(stages, *calibration) -> list[_Network]:
-    """One `_Network` per stage count of `stages` (a count or a sequence of
-    them) with the herald efficiency, stage and optics transmission
-    `calibration`, each field checked as `Multiplexed` checks it."""
-    counts = [check_count("stages", m, 1, MAX_STAGES) for m in np.atleast_1d(stages).tolist()]
-    for name, value in zip(_CALIBRATION, calibration):
-        check_range(name, value)
-    return [_Network(m, *calibration) for m in counts]
-
-
 def make_multiplexed(
     stages,
     target_mean,
@@ -355,12 +336,11 @@ def make_multiplexed(
     """Multiplexed source tuned to `target_mean` photons at the sample; an
     array of targets gives the array of their pumps as `pair_mean`.  A
     sequence of stage counts gives a list of such sources, one per count,
-    all tuned in one bisection from their `make_networks` and each built
-    once."""
+    all tuned in one bisection from their untuned networks."""
     calibration = (herald_eff, stage_transmission, optics_transmission)
-    networks = make_networks(stages, *calibration)
+    networks = [Multiplexed(m, 0.0, *calibration) for m in np.atleast_1d(stages).tolist()]
     pumps = tune_pair_mean(networks, target_mean)
-    tuned = [Multiplexed(n.stages, _scalar(mu), *calibration) for n, mu in zip(networks, pumps)]
+    tuned = [replace(n, pair_mean=_scalar(mu)) for n, mu in zip(networks, pumps)]
     return tuned if np.ndim(stages) else tuned[0]
 
 
@@ -466,7 +446,7 @@ class CountRows:
     number of a Fock state.  A plan walks each support once, keyed by its
     arguments, and keeps one log-factorial table as long as the longest
     support it has met, whose prefix every row reads, so the rows it builds
-    have the bits that `source_count_rows` gives alone.  A caller that
+    have the bits that a fresh plan gives at the same pumps.  A caller that
     builds rows at many pump arrays keeps one plan while it does.
     """
 
@@ -503,9 +483,3 @@ class CountRows:
         if isinstance(self.source, Coherent):
             return poisson_rows(self.survival * pumps, n_max, self._table)
         return _mux_output_rows(self.source, pumps, self.survival, n_max, self._table)
-
-
-def source_count_rows(source: Source, survival: float, tail: float, mu=None) -> np.ndarray:
-    """`CountRows(source, survival, tail).rows(mu)`: the detected-count rows
-    at one pump array."""
-    return CountRows(source, survival, tail).rows(mu)

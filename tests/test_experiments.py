@@ -29,23 +29,20 @@ from subshot.experiments import (
     EXPERIMENTS,
     MAX_MEAN,
     ConfigError,
-    ROW_COLUMNS,
     SweepConfig,
-    SweepRow,
     _exact_rows,
     _sources,
     _tuned_means,
-    rows_to_csv,
-    rows_to_json,
     run_experiment,
 )
 from subshot.montecarlo import FluctuationConfig, fluctuation_study, mc_estimate
-from subshot.output import Indexed, RowTable, json_blocks
+from subshot.output import ROW_COLUMNS, Indexed, RowTable, SweepRow, json_blocks, rows_to_csv
 from subshot.sources import (
     MAX_PUMP,
     MAX_STAGES,
     Fock,
     Multiplexed,
+    make_multiplexed,
     source_moments,
     tune_pair_mean,
 )
@@ -271,6 +268,24 @@ class TestConfigValidation:
             ("trials", 0),
             ("redraw", "sometimes"),
             ("negatives", "ignore"),
+            # Not a Python number, or for a grid not a sequence of them: named
+            # here, so show-config refuses them too, not left to a TypeError.
+            ("t_grid", 0.5),
+            ("stage_counts", 3),
+            ("a_grid", 0.3),
+            ("t_grid", None),
+            ("t_grid", "0.5"),
+            ("t_grid", np.array(0.5)),
+            ("mean_grid", ("abc",)),
+            ("t_grid", (None,)),
+            ("a_grid", ("0.1",)),
+            ("stage_counts", ("3",)),
+            ("transmission", "0.5"),
+            ("detector_eff", "0.9"),
+            ("mean_photons", None),
+            ("herald_eff", 1j),
+            ("nu", "200"),
+            ("seed", None),
         ],
     )
     def test_invalid_field_named(self, field, value):
@@ -480,6 +495,30 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as err:
             SweepConfig(experiment="nr-ratio", stage_counts=stage_counts).validate()
         assert err.value.field == "stage_counts"
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            *(({"stage_counts": (m,)}, "stage_counts") for m in (0, 2.5, 65)),
+            *(({name: value}, name)
+              for name in ("herald_eff", "stage_transmission", "optics_transmission")
+              for value in (math.nan, -0.1, 1.5)),
+            # The first bad field of the first bad network.
+            ({"stage_counts": (3, 2000), "herald_eff": 2.0}, "herald_eff"),
+        ],
+    )
+    def test_validation_and_source_building_name_the_same_field(self, overrides, field):
+        """`validate` checks the networks with the checks of `Multiplexed`,
+        so `validate` and `make_multiplexed` name a bad network input alike,
+        `stages` standing for `stage_counts`."""
+        cfg = SweepConfig(experiment="nr-ratio", **overrides)
+        with pytest.raises(ConfigError) as validated:
+            cfg.validate()
+        with pytest.raises(ConfigError) as built:
+            make_multiplexed(cfg.stage_counts, cfg.mean_photons, cfg.herald_eff,
+                             cfg.stage_transmission, cfg.optics_transmission)
+        assert validated.value.field == field
+        assert {"stages": "stage_counts"}.get(built.value.field, built.value.field) == field
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_count_named(self, value):
@@ -758,13 +797,14 @@ class TestSerialization:
 
     def test_json_bytes_are_pinned(self):
         rows = run_experiment(SweepConfig(experiment="nr-ratio"))
-        assert hashlib.sha256(rows_to_json(rows).encode()).hexdigest() == self.PINNED_NR_RATIO_JSON
+        digest = hashlib.sha256("".join(json_blocks(rows)).encode()).hexdigest()
+        assert digest == self.PINNED_NR_RATIO_JSON
 
     def test_json_round_trip(self):
         import json
 
         cfg = SweepConfig(experiment="nr-ratio", t_grid=(0.5,), stage_counts=(2,))
-        data = json.loads(rows_to_json(run_experiment(cfg)))
+        data = json.loads("".join(json_blocks(run_experiment(cfg))))
         assert len(data) == 3
         assert data[0]["experiment"] == "nr-ratio"
         assert set(data[0]) == set(ROW_COLUMNS)
@@ -840,9 +880,7 @@ class TestWriters:
         table, rows = _synthetic_table(n, layout, seed)
         with mock.patch.object(output, "_BLOCK_ROWS", block):
             assert rows_to_csv(table) == rows_csv(ROW_COLUMNS, rows)
-            assert rows_to_json(table) == rows_json(rows)
-            assert rows_to_csv(rows) == rows_csv(ROW_COLUMNS, rows)
-            assert rows_to_json(rows) == rows_json(rows)
+            assert "".join(json_blocks(table)) == rows_json(rows)
         assert len(table) == n
         assert table == rows and rows == table
         assert list(table) == rows
@@ -853,13 +891,12 @@ class TestWriters:
     def test_block_edges_at_the_block_size(self, extra):
         table, rows = _synthetic_table(output._BLOCK_ROWS + extra, _TRICKY_LAYOUT, extra)
         assert rows_to_csv(table) == rows_csv(ROW_COLUMNS, rows)
-        assert rows_to_json(table) == rows_json(rows)
+        assert "".join(json_blocks(table)) == rows_json(rows)
 
     def test_zero_rows(self):
         empty = RowTable(0, [[] for _ in ROW_COLUMNS])
-        for rows in (empty, []):
-            assert rows_to_csv(rows) == ",".join(ROW_COLUMNS) + "\n"
-            assert rows_to_json(rows) == "[]\n"
+        assert rows_to_csv(empty) == ",".join(ROW_COLUMNS) + "\n"
+        assert "".join(json_blocks(empty)) == "[]\n"
         assert empty == [] and len(empty) == 0 and not empty
 
     def test_equal_cells_keep_their_own_spelling(self):

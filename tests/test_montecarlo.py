@@ -31,7 +31,7 @@ from _oracles import (
 )
 from subshot import montecarlo, pmf
 from subshot import sources as source_models
-from subshot.detection import Channel, detected_row_plan, detected_rows
+from subshot.detection import Channel, detected_row_plan
 from subshot.estimators import Detector, exact_report, reference_mean
 from subshot.montecarlo import (
     MAX_TRIALS,
@@ -60,7 +60,6 @@ from subshot.sources import (
     Multiplexed,
     make_multiplexed,
     source_click_probabilities,
-    source_count_rows,
     source_moments,
     source_pump,
 )
@@ -161,7 +160,7 @@ class TestMcEstimate:
     def test_histogram_counts_sum_to_trials(self, source, detector, survival, nu, trials, seed):
         """Every total-count row is a valid multinomial distribution: the
         histogram `mc_estimate` draws from it places each trial once."""
-        row = detected_rows(source, detector, survival, _ROW_TAIL)
+        row = detected_row_plan(source, detector, survival, _ROW_TAIL).rows()
         _, probs = _total_count_row(row, nu)
         counts = np.random.default_rng(seed).multinomial(trials, probs)
         assert counts.shape == probs.shape
@@ -244,7 +243,7 @@ class TestTotalCountRow:
         nu=st.integers(1, 1000),
     )
     def test_moments_add_over_repetitions(self, source, survival, nu):
-        row = source_count_rows(source, survival, _ROW_TAIL)
+        row = CountRows(source, survival, _ROW_TAIL).rows()
         offset, total = _total_count_row(row, nu)
         assert (total >= 0.0).all()
         assert total.sum() == pytest.approx(1.0, abs=1e-12)
@@ -254,20 +253,20 @@ class TestTotalCountRow:
         assert got_variance == pytest.approx(nu * variance, rel=1e-12, abs=1e-15)
 
     def test_single_repetition_is_the_row(self):
-        row = source_count_rows(Coherent(1.0), 0.72, _ROW_TAIL)
+        row = CountRows(Coherent(1.0), 0.72, _ROW_TAIL).rows()
         offset, total = _total_count_row(row, 1)
         assert offset == 0
         np.testing.assert_allclose(total, row / row.sum(), rtol=1e-15, atol=0.0)
 
     def test_degenerate_row_stays_a_point(self):
-        offset, total = _total_count_row(source_count_rows(Fock(3), 1.0, _ROW_TAIL), 200)
+        offset, total = _total_count_row(CountRows(Fock(3), 1.0, _ROW_TAIL).rows(), 200)
         assert (offset, total.tolist()) == (600, [1.0])
 
     @pytest.mark.parametrize("source", [Coherent(1.0), make_multiplexed(2, 1.0)])
     def test_million_repetitions_build_quickly(self, source):
         """Both tails are trimmed, so the row spans ~sqrt(nu) counts, not
         nu * mean, and its cost does not grow like nu^2."""
-        row = source_count_rows(source, 0.72, _ROW_TAIL)
+        row = CountRows(source, 0.72, _ROW_TAIL).rows()
         start = time.perf_counter()
         offset, total = _total_count_row(row, 10**6)
         assert time.perf_counter() - start < 2.0
@@ -404,7 +403,7 @@ def test_batched_rounds_equal_the_round_by_round_reference(
     redraw, pairs, survival, a_grid, rounds, nu, negatives, seed, block
 ):
     """The round engine, which draws each block's streams once for every
-    pair and evaluates a pair's per-round rows in one `detected_rows` call or
+    pair and evaluates a pair's per-round rows in one call of its row plan or
     its per-repetition rows once per run, gives exactly the totals of the
     round-by-round reference in both redraw modes.  The block budget is
     `block` rounds of uniforms, so blocks split mid-run and the last one may
@@ -420,7 +419,7 @@ def test_batched_rounds_equal_the_round_by_round_reference(
         pump = source_pump(source)
 
         def rows(mu):
-            return detected_rows(source, detector, survival, _ROW_TAIL, mu)
+            return detected_row_plan(source, detector, survival, _ROW_TAIL).rows(mu)
 
         if redraw == "per-round":
             want = per_round_totals(rows, pump, a_grid, rounds, nu, negatives, seed)
@@ -475,10 +474,10 @@ class TestBatchBuilders:
     on pump arrays must agree with the single-pump calls of `mc_estimate` and
     the exact reports, and with the window-by-window enumeration."""
 
-    def test_detected_rows_match_scalar_pipeline(self):
+    def test_count_rows_match_scalar_pipeline(self):
         src = Multiplexed(stages=3, pair_mean=0.27, herald_eff=0.8)
-        rows = source_count_rows(src, CH.survival, 1e-18, np.array([0.27]))
-        np.testing.assert_array_equal(rows[0], source_count_rows(src, CH.survival, 1e-18))
+        rows = CountRows(src, CH.survival, 1e-18).rows(np.array([0.27]))
+        np.testing.assert_array_equal(rows[0], CountRows(src, CH.survival, 1e-18).rows())
         expected = enumerate_mux_output(3, 0.27, 0.8, 0.88, 0.9 * CH.survival)
         n = min(rows.shape[1], len(expected))
         np.testing.assert_allclose(rows[0, :n], expected[:n], rtol=0, atol=1e-12)
@@ -493,7 +492,7 @@ class TestBatchBuilders:
 
     def test_zero_pump_rows_are_vacuum(self):
         src = Multiplexed(stages=2, pair_mean=0.0, herald_eff=0.7)
-        rows = source_count_rows(src, 0.72, 1e-18, np.array([0.0]))
+        rows = CountRows(src, 0.72, 1e-18).rows(np.array([0.0]))
         assert rows[0, 0] == pytest.approx(1.0, abs=1e-15)
         assert rows[0, 1:].sum() == pytest.approx(0.0, abs=1e-15)
 
@@ -509,14 +508,14 @@ class TestBatchBuilders:
         largest pump needs."""
         mu = np.array(pumps)
         clicks = source_click_probabilities(source, survival, mu)[1]
-        rows = source_count_rows(source, survival, _ROW_TAIL, mu)
+        rows = CountRows(source, survival, _ROW_TAIL).rows(mu)
         assert clicks.shape == mu.shape and rows.shape[:-1] == mu.shape
         for pump, click, batch_row in zip(pumps, clicks, rows):
             at_pump = (
                 Coherent(pump) if isinstance(source, Coherent) else replace(source, pair_mean=pump)
             )
             assert click == source_click_probabilities(at_pump, survival)[1]
-            row = source_count_rows(at_pump, survival, _ROW_TAIL)
+            row = CountRows(at_pump, survival, _ROW_TAIL).rows()
             np.testing.assert_array_equal(batch_row[: row.size], row)
             # At most the discarded tail, up to rounding in its sum.
             assert batch_row[row.size :].sum() <= _ROW_TAIL * (1.0 + 1e-12)
@@ -550,14 +549,14 @@ class TestBatchBuilders:
         ),
     )
     def test_length_is_the_row_length(self, source, detector, survival, pumps):
-        """A plan's `length` is the last axis of `detected_rows` at the same
-        pumps (the source's own for None), for both detectors, without a row
+        """A plan's `length` is the last axis of its rows at the same pumps
+        (the source's own for None), for both detectors, without a row
         built."""
         if isinstance(source, Fock) and pumps is not None:
             pumps = None
         mu = None if pumps is None else np.array(pumps)
-        rows = detected_rows(source, detector, survival, _ROW_TAIL, mu)
-        assert detected_row_plan(source, detector, survival, _ROW_TAIL).length(mu) == rows.shape[-1]
+        plan = detected_row_plan(source, detector, survival, _ROW_TAIL)
+        assert plan.length(mu) == plan.rows(mu).shape[-1]  # length first: no row built
 
     @CHECKS
     @given(
@@ -571,14 +570,14 @@ class TestBatchBuilders:
     )
     def test_plan_rows_are_the_rows_built_alone(self, source, survival, pump_arrays):
         """Rows a `CountRows` plan builds after others, reading a prefix of
-        its log-factorial table and its kept supports, have the bits that
-        `source_count_rows` gives alone."""
+        its log-factorial table and its kept supports, have the bits that a
+        fresh plan gives."""
         plan = CountRows(source, survival, _ROW_TAIL)
         for pumps in pump_arrays:
             mu = np.array(pumps)
             assert plan.length(mu * 0.5) <= plan.length(mu)
             np.testing.assert_array_equal(
-                plan.rows(mu), source_count_rows(source, survival, _ROW_TAIL, mu)
+                plan.rows(mu), CountRows(source, survival, _ROW_TAIL).rows(mu)
             )
 
     def test_fock_source_takes_no_pump(self):
@@ -587,7 +586,7 @@ class TestBatchBuilders:
         with pytest.raises(TypeError):
             source_click_probabilities(Fock(1), 0.5, np.array([0.3]))[1]
         with pytest.raises(TypeError):
-            source_count_rows(Fock(1), 0.5, _ROW_TAIL, 0.3)
+            CountRows(Fock(1), 0.5, _ROW_TAIL).rows(0.3)
 
 
 class TestFluctuationStudy:

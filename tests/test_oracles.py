@@ -26,7 +26,7 @@ from _oracles import (
     tune_pump,
 )
 from subshot.estimators import Detector, reference_mean
-from subshot.sources import Multiplexed, source_count_rows, tune_pair_mean
+from subshot.sources import CountRows, Multiplexed, tune_pair_mean
 
 T, ETA, NU, MEAN = 0.8, 0.9, 200, 0.5
 REDRAWS = ("per-round", "per-repetition")
@@ -116,7 +116,7 @@ def test_pump_oracle_matches_subshot_count_rows_mux5():
 
     @functools.cache
     def row_moments(x):
-        return thinned_count_moments(source_count_rows(src, T * ETA, 1e-18, pump * x), 1.0)
+        return thinned_count_moments(CountRows(src, T * ETA, 1e-18).rows(pump * x), 1.0)
 
     expected = {
         ("per-round", "clamp"): 9.4606,
@@ -126,6 +126,6 @@ def test_pump_oracle_matches_subshot_count_rows_mux5():
     }
     for (redraw, negatives), value in expected.items():
         oracle = _inflation(oracle_moments, oracle_reference, 0.6, redraw, negatives)
-        from_rows = _inflation(row_moments, row_reference, 0.6, redraw, negatives)
-        assert oracle == pytest.approx(from_rows, rel=1e-6), (redraw, negatives)
+        via_rows = _inflation(row_moments, row_reference, 0.6, redraw, negatives)
+        assert oracle == pytest.approx(via_rows, rel=1e-6), (redraw, negatives)
         assert oracle == pytest.approx(value, rel=1e-4), (redraw, negatives)

@@ -33,7 +33,7 @@ def test_readme_library_example_runs():
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert len(out.stdout.split()) == 3
+    assert len(out.stdout.split()) == 4
 
 
 def test_every_package_module_is_loaded():
