@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import functools
 import os
 import sys
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from subshot.experiments import EXPERIMENTS, ConfigError, SweepConfig, run_experiment
-from subshot.output import json_blocks, rows_to_csv
+from subshot.output import rows_to_csv, text_pieces
 
 CONFIG_ENV_VAR = "SUBSHOT_CONFIG"
 
@@ -79,7 +80,7 @@ def _apply_keys(cfg: SweepConfig, items: dict[str, str], origin: str) -> SweepCo
         try:
             updates[field] = parser(raw)
         except (TypeError, ValueError) as err:
-            raise ConfigError(key, f"invalid value {raw!r} in {origin}: {err}") from err
+            raise ConfigError(field, f"invalid value {raw!r} for {key} in {origin}: {err}") from err
     return replace(cfg, **updates)
 
 
@@ -170,17 +171,20 @@ def _show_config(args: argparse.Namespace) -> int:
 
 def _write_outputs(rows, experiment: str, out: str | None, fmt: str) -> list[str]:
     base = Path(out) if out else Path(f"{experiment}.{'csv' if fmt != 'json' else 'json'}")
-    written = []
+    paths = {}
     if fmt in ("csv", "both"):
-        path = base if base.suffix == ".csv" or fmt == "csv" else base.with_suffix(".csv")
-        path.write_text(rows_to_csv(rows))
-        written.append(str(path))
+        paths["csv"] = base if base.suffix == ".csv" or fmt == "csv" else base.with_suffix(".csv")
     if fmt in ("json", "both"):
-        path = base.with_suffix(".json") if base.suffix != ".json" else base
-        with path.open("w") as out:  # in blocks of rows, not one string
-            out.writelines(json_blocks(rows))
-        written.append(str(path))
-    return written
+        paths["json"] = base.with_suffix(".json") if base.suffix != ".json" else base
+    if fmt == "csv":  # one string, from the writer the benchmark traces
+        paths["csv"].write_text(rows_to_csv(rows))
+    else:  # in blocks of rows, not one string, each block spelled once
+        with contextlib.ExitStack() as stack:
+            files = [stack.enter_context(path.open("w")) for path in paths.values()]
+            for pieces in text_pieces(rows, list(paths)):
+                for file, piece in zip(files, pieces):
+                    file.write(piece)
+    return list(map(str, paths.values()))
 
 
 def main(argv: list[str] | None = None) -> int:

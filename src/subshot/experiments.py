@@ -13,8 +13,12 @@ every pump of a run tuned in one bisection.  The exact sweeps (`_exact_rows`,
 `_run_asymptotic`) make one report per detector for the coherent source, one
 for all the run's networks, on the leading network axis of the closed forms,
 and one for the Fock state; the coherent number-resolving report, where a run
-makes one, is also its shot-noise reference.  The row format and its CSV and
-JSON writers live in `subshot.output`.
+makes one, is also its shot-noise reference.  `_grid_rows` passes a report
+column whose bits equal those of the column before it as that very list
+(`nr-ratio`'s `mse` column is its `variance` column), which the writers
+spell once; it matches by bits, never by `==`, since 0.0 == -0.0 and
+1 == 1.0 spell apart.  The row format and its CSV and JSON writers live in
+`subshot.output`.
 `SweepConfig.validate` checks that every number is a Python int or float
 (an int for a count) and every grid a sequence, checks the run-level rules,
 and builds the channels, the fluctuation config and the untuned networks
@@ -246,11 +250,20 @@ def _rows(cfg: SweepConfig, pairs, index: list[int], t, mean, fluctuation=None, 
 def _grid_rows(cfg: SweepConfig, pairs, channel: Channel, mean, **outputs) -> RowTable:
     """Rows over the (t, mean) grid, then over `pairs`: the channel's
     transmission and `mean` are each a float or a grid, and `outputs[name]`
-    holds one report field per pair over their broadcast grid."""
+    holds one report field per pair over their broadcast grid.  A column
+    whose bits equal those of the column before it is passed as that very
+    list, which the writers spell once.  (Holding every earlier column's
+    bits instead would hold one more copy of the report cells.)"""
     ts, means = np.broadcast_arrays(channel.transmission, mean)
     width = len(pairs)
     point = np.repeat(np.arange(ts.size), width).tolist()
-    cells = {name: np.stack(fields, axis=-1).ravel().tolist() for name, fields in outputs.items()}
+    cells, last = {}, (None, None)  # the bits and the cells of the column before
+    for name, fields in outputs.items():
+        column = np.stack(fields, axis=-1).ravel()
+        # By bits, not by ==: 0.0 and -0.0, or 1 and 1.0, are spelled apart.
+        bits = (column.dtype.str, column.tobytes())
+        cells[name] = last[1] if bits == last[0] else column.tolist()
+        last = bits, cells[name]
     return _rows(
         cfg, pairs, list(range(width)) * ts.size,
         Indexed(ts.ravel().tolist(), point), Indexed(means.ravel().tolist(), point), **cells,

@@ -4,20 +4,27 @@ their CSV and JSON text.
 A run's rows stay columns: `experiments.run_experiment` returns a
 `RowTable`, which keeps a repeated cell once, the labels and grid points as
 distinct values plus an index (`Indexed`), and the report cells as lists,
-and builds a `SweepRow` only when one is read.  The writers take a
-`RowTable`: `rows_to_csv` gives the CSV text and `json_blocks` the JSON text
-in pieces.  Both format it column by column, `_BLOCK_ROWS` rows at a time:
-one text per repeated cell and per distinct label or grid value of a block,
-one `str` per report cell, joined into rows by `zip`.  The bytes are those
-of writing each row on its own (`tests/_oracles.py`), and a JSON file is
-written one block at a time.
+and builds a `SweepRow` only when one is read.  `text_pieces` writes a
+`RowTable` as CSV, JSON or both, `_BLOCK_ROWS` rows at a time;
+`rows_to_csv` gives the CSV text and `json_blocks` the JSON text in pieces.
+The writers spell runs of adjacent columns (`_runs`): repeated cells as one
+joined text per table, `Indexed` columns over one index list as one joined
+text per position a block reads, and each list column once per block.  A
+list that several columns are (by identity: `experiments._grid_rows` passes
+a column bit for bit equal to the one before it as that list) is spelled
+once.
+Each cell is spelled once for every format written: its JSON text is its
+CSV text but for None, non-finite numbers and cells other than int and
+float.  A row joins its runs' texts and the format's keys in order.  The
+bytes are those of writing each row on its own (`tests/_oracles.py`), and a
+file is written one block at a time.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 from collections.abc import Callable, Iterator, Sequence
+from itertools import repeat
 from typing import NamedTuple
 
 
@@ -60,19 +67,13 @@ class Indexed(NamedTuple):
     index: list
 
 
-def _cells(column, lo: int, hi: int, spell: Callable[[list], list] = list) -> list:
-    """The cells of rows lo to hi - 1 of a `RowTable` column, mapped by
-    `spell`, a function from a list of cells to a list of texts.  `spell`
-    is given a repeated cell once, and of an `Indexed` column each distinct
-    position these rows read once."""
+def _cells(column, lo: int, hi: int) -> list:
+    """The cells of rows lo to hi - 1 of a `RowTable` column."""
     if isinstance(column, list):
-        return spell(column[lo:hi])
+        return column[lo:hi]
     if isinstance(column, Indexed):
-        index = column.index[lo:hi]
-        used = list(dict.fromkeys(index))  # keyed by position, not by value
-        spelled = dict(zip(used, spell([column.values[i] for i in used])))
-        return list(map(spelled.__getitem__, index))
-    return spell([column]) * (hi - lo)
+        return [column.values[i] for i in column.index[lo:hi]]
+    return [column] * (hi - lo)
 
 
 class RowTable(Sequence):
@@ -110,16 +111,8 @@ class RowTable(Sequence):
 
 
 # Rows formatted at a time by the writers: only the text of one block, not
-# of the whole table, is held at once while JSON is streamed to a file.
+# of the whole table, is held at once while a file is written.
 _BLOCK_ROWS = 256
-
-
-def _text_blocks(table: RowTable, spells: list[Callable[[list], list]]):
-    """Per block of up to `_BLOCK_ROWS` rows, one list of texts per column,
-    column j spelled by `spells[j]` as `_cells` spells it."""
-    for lo in range(0, len(table), _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, len(table))
-        yield [_cells(column, lo, hi, spell) for column, spell in zip(table.columns, spells)]
 
 
 def _csv_texts(cells: list) -> list[str]:
@@ -128,48 +121,143 @@ def _csv_texts(cells: list) -> list[str]:
     return ["" if v is None else str(v) for v in cells]
 
 
+# The CSV texts that JSON spells otherwise, for cells of `_JSON_PLAIN` types.
+_JSON_SPECIAL = {"": "null", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# Cell types whose JSON text is their CSV text up to `_JSON_SPECIAL`;
+# `json.dumps` spells every other cell.
+_JSON_PLAIN = {float, int, type(None)}
+
+
+def _json_texts(cells: list, texts: list[str]) -> list[str]:
+    """Cells as `json.dumps` spells them, from their CSV `texts`."""
+    if set(map(type, cells)) <= _JSON_PLAIN:
+        if _JSON_SPECIAL.keys().isdisjoint(texts):
+            return texts
+        return [_JSON_SPECIAL.get(text, text) for text in texts]
+    import json  # only runs that write strings or bools as JSON import it
+
+    return list(map(json.dumps, cells))
+
+
+class _Format(NamedTuple):
+    """A text format of rows: `keys[j]` goes before the cell of column j
+    in a row, `row_sep` between two rows, `head` and `tail` around the rows,
+    `empty` is the whole text of no rows, and `spell` gives the format's
+    texts of a list of cells from their CSV texts."""
+
+    keys: list[str]
+    row_sep: str
+    head: str
+    tail: str
+    empty: str
+    spell: Callable[[list, list[str]], list[str]]
+
+
+_HEADER = ",".join(ROW_COLUMNS) + "\n"
+_FORMATS = {
+    "csv": _Format(
+        ["", *[","] * (len(ROW_COLUMNS) - 1)], "\n", _HEADER, "\n", _HEADER,
+        lambda cells, texts: texts,
+    ),
+    # As `json.dumps` writes a list of dicts, indented by 2 (no column name
+    # needs escaping), with a final newline.
+    "json": _Format(
+        [("," if j else "") + f'\n    "{name}": ' for j, name in enumerate(ROW_COLUMNS)],
+        "\n  },\n  {", "[\n  {", "\n  }\n]\n", "[]\n", _json_texts,
+    ),
+}
+
+
+def _runs(columns: list) -> list[list[int]]:
+    """The columns grouped into runs of adjacent columns spelled together:
+    columns of one repeated cell each, `Indexed` columns over one index
+    list, or one list column."""
+    runs, last = [], object()
+    for j, column in enumerate(columns):
+        # What the columns of a run share; a list column shares nothing.
+        shared = (column.index if isinstance(column, Indexed)
+                  else object() if isinstance(column, list) else None)
+        if shared is last:
+            runs[-1].append(j)
+        else:
+            runs.append([j])
+        last = shared
+    return runs
+
+
+def _run_texts(columns: list, run: list[int], lo: int, hi: int, formats, spelled: dict):
+    """Per format, the texts of rows lo to hi - 1 of a run: of a list column
+    a list, spelled once per block also where more columns are that one list
+    (`spelled`, by identity); of `Indexed` columns a list, spelled once per
+    position these rows read and joined per position; of repeated cells one
+    text."""
+    first = columns[run[0]]
+    if isinstance(first, list):
+        if id(first) not in spelled:
+            cells = first[lo:hi]
+            base = _csv_texts(cells)
+            spelled[id(first)] = [fmt.spell(cells, base) for fmt in formats]
+        return spelled[id(first)]
+    if isinstance(first, Indexed):
+        index = first.index[lo:hi]
+        used = list(dict.fromkeys(index))  # keyed by position, not by value
+        cells = [[columns[j].values[i] for i in used] for j in run]
+    else:
+        index, cells = None, [[columns[j]] for j in run]
+    bases = list(map(_csv_texts, cells))
+    out = []
+    for fmt in formats:
+        parts = [fmt.spell(cells[0], bases[0])]
+        for j, column_cells, base in zip(run[1:], cells[1:], bases[1:]):
+            parts += [repeat(fmt.keys[j]), fmt.spell(column_cells, base)]
+        joined = list(map("".join, zip(*parts)))
+        out.append(joined[0] if index is None else list(map(dict(zip(used, joined)).__getitem__, index)))
+    return out
+
+
+def text_pieces(table: RowTable, names) -> Iterator[tuple[str, ...]]:
+    """The text of the rows in each format of `names` ("csv", "json"), in
+    pieces of up to `_BLOCK_ROWS` rows, one tuple of pieces (one per format)
+    at a time.  Each block's cells are spelled once for all the formats."""
+    formats = [_FORMATS[name] for name in names]
+    n = len(table)
+    if not n:
+        yield tuple(fmt.empty for fmt in formats)
+        return
+    columns, runs = table.columns, _runs(table.columns)
+    # Per run of repeated cells, its one text per format, for every block.
+    fixed = {r: _run_texts(columns, run, 0, n, formats, {}) for r, run in enumerate(runs)
+             if not isinstance(columns[run[0]], (list, Indexed))}
+    yield tuple(fmt.head for fmt in formats)
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        if lo:
+            yield tuple(fmt.row_sep for fmt in formats)
+        parts, spelled = [[""] for _ in formats], {}
+        for r, run in enumerate(runs):
+            texts = fixed[r] if r in fixed else _run_texts(columns, run, lo, hi, formats, spelled)
+            for fmt, fmt_parts, fmt_texts in zip(formats, parts, texts):
+                fmt_parts[-1] += fmt.keys[run[0]]  # a text part after a text part joins it
+                if isinstance(fmt_texts, str):
+                    fmt_parts[-1] += fmt_texts
+                else:
+                    fmt_parts += [fmt_texts, ""]
+        yield tuple(
+            fmt.row_sep.join(map("".join, zip(*(repeat(p, hi - lo) if isinstance(p, str) else p
+                                                 for p in fmt_parts if p != ""))))
+            for fmt, fmt_parts in zip(formats, parts)
+        )
+    yield tuple(fmt.tail for fmt in formats)
+
+
 def rows_to_csv(rows: RowTable) -> str:
     """Locale-free CSV with a header row; floats keep full precision (`str`
     of a Python float is its shortest round-trip repr), None is empty."""
-    lines = [",".join(ROW_COLUMNS)]
-    for block in _text_blocks(rows, [_csv_texts] * len(ROW_COLUMNS)):
-        lines.append("\n".join(map(",".join, zip(*block))))
-    lines.append("")  # the final newline, without copying the text to add it
-    return "\n".join(lines)
-
-
-# What `json.dumps` writes for a number that `str` spells otherwise.
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# Cell types whose JSON text is their `str`, or `null` for None, up to
-# `_JSON_NONFINITE`; `json.dumps` spells every other cell.
-_JSON_PLAIN = {float, int, type(None)}
-# Before each column's cell: the key (no column name needs escaping), after
-# the comma of the cell before.
-_JSON_KEYS = [("," if j else "") + f'\n    "{name}": ' for j, name in enumerate(ROW_COLUMNS)]
-
-
-def _json_texts(key: str, cells: list) -> list[str]:
-    """Cells as `json.dumps` spells them, each after `key`."""
-    import json  # only runs that write JSON import it
-
-    if set(map(type, cells)) <= _JSON_PLAIN:
-        texts = ["null" if v is None else str(v) for v in cells]
-        if not _JSON_NONFINITE.keys().isdisjoint(texts):
-            texts = [_JSON_NONFINITE.get(text, text) for text in texts]
-    else:
-        texts = list(map(json.dumps, cells))
-    return list(map(key.__add__, texts))
+    return "".join(piece for (piece,) in text_pieces(rows, ["csv"]))
 
 
 def json_blocks(rows: RowTable) -> Iterator[str]:
     """The rows as `json.dumps` writes a list of their dicts, indented by 2,
     with a final newline, in pieces of up to `_BLOCK_ROWS` rows."""
-    yield "["
-    separator = "\n"
-    spells = [functools.partial(_json_texts, key) for key in _JSON_KEYS]
-    for block in _text_blocks(rows, spells):
-        n = len(block[0])
-        yield separator
-        yield ",\n".join(map("".join, zip(["  {"] * n, *block, ["\n  }"] * n)))
-        separator = ",\n"
-    yield "]\n" if separator == "\n" else "\n]\n"
+    for (piece,) in text_pieces(rows, ["json"]):
+        yield piece

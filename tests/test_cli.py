@@ -3,9 +3,11 @@
 import csv
 import json
 import math
+from unittest import mock
 
 import pytest
 
+from subshot import output
 from subshot.cli import main, parse_float_grid, parse_int_list
 from subshot.experiments import EXPERIMENTS, SweepConfig
 
@@ -67,12 +69,15 @@ class TestMain:
         assert len(data) == 6
 
     def test_both_formats(self, tmp_path):
-        out = tmp_path / "r.csv"
-        code = main(
-            ["nr-ratio", "--m", "2", "--t-grid", "0.5", "--format", "both", "--out", str(out)]
-        )
-        assert code == 0
-        assert out.exists() and out.with_suffix(".json").exists()
+        """`--format both` writes, block by block, the bytes that each format
+        alone writes."""
+        argv = ["nr-ratio", "--m", "2", "--t-grid", "0:1:5"]
+        with mock.patch.object(output, "_BLOCK_ROWS", 4):  # 15 rows in 4 blocks
+            for fmt in ("both", "csv", "json"):
+                out = tmp_path / f"{fmt}.{'json' if fmt == 'json' else 'csv'}"
+                assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
+        assert (tmp_path / "both.csv").read_bytes() == (tmp_path / "csv.csv").read_bytes()
+        assert (tmp_path / "both.json").read_bytes() == (tmp_path / "json.json").read_bytes()
 
     def test_show_config_prints_defaults(self, capsys):
         assert main(["show-config"]) == 0
@@ -191,11 +196,17 @@ class TestMain:
             (["mc-validate", "--seed", "-1", "--trials", "10"], "seed"),
             (["show-config", "fluctuations", "--seed", "-1"], "seed"),
             (["show-config", "mc-validate", "--trials", "100000000000000000000"], "trials"),
+            # An unparsable value names the field, as a parsed bad one does.
+            (["nr-ratio", "--m", "1.5", "--t-grid", "0.5"], "stage_counts"),
+            (["show-config", "nr-ratio", "--eta", "abc"], "detector_eff"),
+            (["nr-ratio", "--t-grid", "0:1:0"], "t_grid"),
+            (["show-config", "nr-ratio", "--config", "{tmp}/bad.ini"], "mean_photons"),
         ],
     )
     def test_bad_config_names_field(self, tmp_path, capsys, args, field):
         """Unparsable, unreadable and invalid settings exit 1 with the field
         named, for show-config as for a run, and print no configuration."""
+        (tmp_path / "bad.ini").write_text("[defaults]\nmean-n = x\n")
         argv = [arg.format(tmp=tmp_path) for arg in args]
         code = main([*argv, "--out", str(tmp_path / "x.csv")])
         assert code == 1

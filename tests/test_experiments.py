@@ -31,6 +31,7 @@ from subshot.experiments import (
     ConfigError,
     SweepConfig,
     _exact_rows,
+    _grid_rows,
     _sources,
     _tuned_means,
     run_experiment,
@@ -821,25 +822,47 @@ _TRICKY_CELLS = (
     123456789012345678, True, None,
     "coherent", 'a "quoted" \\ back', "tab\tline\n", "ünï", "nan", "",
 )
-_COLUMN_KINDS = ("repeated", "indexed", "cells")
+# Kinds of columns; the last four follow the last `Indexed` or list column
+# before them: an `Indexed` column over that very index list, that very
+# list, a copy of it, and its cells each replaced by `_twin`.
+_COLUMN_KINDS = ("repeated", "indexed", "same-index", "cells", "same-list", "twin", "copy")
+
+
+def _twin(cell):
+    """A cell that == `cell` but is spelled otherwise, where one exists: the
+    other zero, and the float of an int or bool."""
+    if type(cell) is float and cell == 0:
+        return -cell
+    if type(cell) in (int, bool):
+        return float(cell)
+    return cell
 
 
 def _synthetic_table(n: int, layout, seed: int):
     """A `RowTable` of n rows whose column j is of kind `layout[j][0]` over
-    the cells `layout[j][1]`, and the same rows built one by one."""
+    the cells `layout[j][1]`, and the same rows built one by one.  A kind
+    that follows a column, with no such column before it, is "indexed" or
+    "cells"."""
     rng = random.Random(seed)
     columns, cells_of = [], []
+    indexed = listed = None  # the last Indexed and list column
     for kind, pool in layout:
         index = [rng.randrange(len(pool)) for _ in range(n)]
+        if kind == "same-index" and indexed:
+            index = indexed.index
+            pool = [pool[i % len(pool)] for i in range(len(indexed.values))]
         cells = [pool[i] for i in index]
         if kind == "repeated":
             columns.append(pool[0])
             cells = [pool[0]] * n
-        elif kind == "indexed":
-            columns.append(Indexed(list(pool), index))
+        elif kind in ("indexed", "same-index"):
+            columns.append(indexed := Indexed(list(pool), index))
         else:
-            columns.append(cells)
-        cells_of.append(cells)
+            if listed is not None and kind != "cells":
+                cells = {"same-list": listed, "twin": [*map(_twin, listed)],
+                         "copy": list(listed)}[kind]
+            columns.append(listed := cells)
+        cells_of.append(list(cells))
     return RowTable(n, columns), [SweepRow(*cells) for cells in zip(*cells_of)]
 
 
@@ -881,6 +904,8 @@ class TestWriters:
         with mock.patch.object(output, "_BLOCK_ROWS", block):
             assert rows_to_csv(table) == rows_csv(ROW_COLUMNS, rows)
             assert "".join(json_blocks(table)) == rows_json(rows)
+            both = list(map("".join, zip(*output.text_pieces(table, ["csv", "json"]))))
+            assert both == [rows_csv(ROW_COLUMNS, rows), rows_json(rows)]
         assert len(table) == n
         assert table == rows and rows == table
         assert list(table) == rows
@@ -892,6 +917,8 @@ class TestWriters:
         table, rows = _synthetic_table(output._BLOCK_ROWS + extra, _TRICKY_LAYOUT, extra)
         assert rows_to_csv(table) == rows_csv(ROW_COLUMNS, rows)
         assert "".join(json_blocks(table)) == rows_json(rows)
+        both = list(map("".join, zip(*output.text_pieces(table, ["json", "csv"]))))
+        assert both == [rows_json(rows), rows_csv(ROW_COLUMNS, rows)]
 
     def test_zero_rows(self):
         empty = RowTable(0, [[] for _ in ROW_COLUMNS])
@@ -909,6 +936,34 @@ class TestWriters:
         for name in columns:
             j = ROW_COLUMNS.index(name)
             assert [line.split(",")[j] for line in lines] == list(map(str, values))
+
+    def test_grid_rows_share_only_bit_equal_columns(self):
+        """`nr-ratio`'s `mse` column is its `variance` column, one list, and
+        report columns that are equal but for the sign of a zero, or an int
+        against a float, stay lists of their own and keep their spelling."""
+        table = run_experiment(SweepConfig(experiment="nr-ratio", t_grid=small_grid(5)))
+        column = dict(zip(ROW_COLUMNS, table.columns))
+        assert column["mse"] is column["variance"]
+        assert column["bias"] is not column["variance"]
+        cfg = SweepConfig(experiment="nr-ratio", t_grid=(0.0, 0.5), stage_counts=(1,))
+        pairs = [(source, Detector.NUMBER_RESOLVING) for source in _sources(cfg, 1.0)]
+        fields = {  # each a field per pair over the t-grid
+            "expectation": [np.array([0, 1])] * 2,
+            "bias": [np.array([0.0, 1.0])] * 2,
+            "variance": [np.array([-0.0, 1.0])] * 2,
+            "mse": [np.array([-0.0, 1.0])] * 2,
+            "relative_mse_percent": [np.array([0.0, 1.0])] * 2,
+        }
+        table = _grid_rows(cfg, pairs, Channel(np.array(cfg.t_grid), 0.9), 1.0, **fields)
+        column = dict(zip(ROW_COLUMNS, table.columns))
+        assert column["mse"] is column["variance"]
+        assert column["bias"] is not column["expectation"]
+        assert column["variance"] is not column["bias"]
+        assert column["relative_mse_percent"] is not column["mse"]
+        lines = rows_to_csv(table).splitlines()[1:]
+        j = ROW_COLUMNS.index("expectation")
+        assert {",".join(line.split(",")[j:j + 5]) for line in lines[:2]} == {"0,0.0,-0.0,-0.0,0.0"}
+        assert "".join(json_blocks(table)) == rows_json(list(table))
 
     def test_tables_are_read_only_and_checked(self):
         table = run_experiment(SweepConfig(experiment="nr-ratio", t_grid=(0.5,), stage_counts=(2,)))
