@@ -2,9 +2,9 @@
 
 One subcommand per experiment plus `show-config`.  Settings come from three
 layers, later ones winning: built-in defaults, an INI config file (sections
-`[defaults]` and `[<experiment>]`, keys named like the long flags), and the
-command line flags themselves.  The config file path can also be supplied via
-the SUBSHOT_CONFIG environment variable.
+`[defaults]` then `[<experiment>]`, keys named like the long flags, its path
+also from $SUBSHOT_CONFIG), and the command line flags; `resolve_config`
+merges them and builds the run's `SweepConfig` once.
 """
 
 from __future__ import annotations
@@ -15,13 +15,12 @@ import contextlib
 import functools
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from subshot.experiments import EXPERIMENTS, ConfigError, SweepConfig, run_experiment
-from subshot.output import rows_to_csv, text_pieces
+from subshot.output import text_pieces
 
 CONFIG_ENV_VAR = "SUBSHOT_CONFIG"
 
@@ -71,7 +70,8 @@ _KEY_MAP = {
 }
 
 
-def _apply_keys(cfg: SweepConfig, items: dict[str, str], origin: str) -> SweepConfig:
+def _apply_keys(items: dict[str, str], origin: str) -> dict:
+    """The `SweepConfig` fields that `items`, keyed like the long flags, set."""
     updates = {}
     for key, raw in items.items():
         if key not in _KEY_MAP:
@@ -81,35 +81,32 @@ def _apply_keys(cfg: SweepConfig, items: dict[str, str], origin: str) -> SweepCo
             updates[field] = parser(raw)
         except (TypeError, ValueError) as err:
             raise ConfigError(field, f"invalid value {raw!r} for {key} in {origin}: {err}") from err
-    return replace(cfg, **updates)
+    return updates
 
 
-def load_config_file(cfg: SweepConfig, path: str) -> SweepConfig:
+def load_config_file(path: str, experiment: str) -> dict:
+    """The fields that the `[defaults]` section, then the `[<experiment>]`
+    section of the INI file at `path` set."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError("config", f"cannot read config file {path!r}")
-    if parser.has_section("defaults"):
-        cfg = _apply_keys(cfg, dict(parser.items("defaults")), f"{path} [defaults]")
-    if parser.has_section(cfg.experiment):
-        cfg = _apply_keys(
-            cfg, dict(parser.items(cfg.experiment)), f"{path} [{cfg.experiment}]"
-        )
-    return cfg
+    updates = {}
+    for section in ("defaults", experiment):
+        if parser.has_section(section):
+            updates.update(_apply_keys(dict(parser.items(section)), f"{path} [{section}]"))
+    return updates
 
 
 def resolve_config(experiment: str, args: argparse.Namespace) -> SweepConfig:
-    cfg = SweepConfig(experiment=experiment)
-    cfg = replace(cfg, **PER_EXPERIMENT_DEFAULTS.get(experiment, {}))
+    """The run's config, built once from its layers merged in order."""
+    updates = dict(PER_EXPERIMENT_DEFAULTS.get(experiment, {}))
     config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
     if config_path:
-        cfg = load_config_file(cfg, config_path)
-    flag_items = {
-        key: getattr(args, key.replace("-", "_"))
-        for key in _KEY_MAP
-        if getattr(args, key.replace("-", "_"), None) is not None
-    }
-    return _apply_keys(cfg, {k: str(v) for k, v in flag_items.items()}, "command line")
+        updates.update(load_config_file(config_path, experiment))
+    flags = {key: str(value) for key in _KEY_MAP
+             if (value := getattr(args, key.replace("-", "_"), None)) is not None}
+    updates.update(_apply_keys(flags, "command line"))
+    return SweepConfig(experiment=experiment, **updates)
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
@@ -176,14 +173,11 @@ def _write_outputs(rows, experiment: str, out: str | None, fmt: str) -> list[str
         paths["csv"] = base if base.suffix == ".csv" or fmt == "csv" else base.with_suffix(".csv")
     if fmt in ("json", "both"):
         paths["json"] = base.with_suffix(".json") if base.suffix != ".json" else base
-    if fmt == "csv":  # one string, from the writer the benchmark traces
-        paths["csv"].write_text(rows_to_csv(rows))
-    else:  # in blocks of rows, not one string, each block spelled once
-        with contextlib.ExitStack() as stack:
-            files = [stack.enter_context(path.open("w")) for path in paths.values()]
-            for pieces in text_pieces(rows, list(paths)):
-                for file, piece in zip(files, pieces):
-                    file.write(piece)
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(path.open("w")) for path in paths.values()]
+        for pieces in text_pieces(rows, list(paths)):
+            for file, piece in zip(files, pieces):
+                file.write(piece)
     return list(map(str, paths.values()))
 
 

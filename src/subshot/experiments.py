@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,8 +51,7 @@ from subshot.montecarlo import (
     mc_estimate,
 )
 from subshot.output import ROW_COLUMNS, Indexed, RowTable
-# Bound here too: bench/make_reference.py imports it from this module, and
-# the benchmark traces it under the name `experiments.rows_to_csv`.
+# Bound here too: bench/make_reference.py imports it from this module.
 from subshot.output import rows_to_csv  # noqa: F401
 from subshot.sources import (
     Coherent,
@@ -278,13 +277,13 @@ def _tuned_means(cfg: SweepConfig) -> tuple[float, ...]:
     return (cfg.mean_photons,)
 
 
-def _sources(cfg: SweepConfig, mean) -> list[Source]:
+def _sources(cfg: SweepConfig, mean, stages=None) -> list[Source]:
     """The coherent source and one multiplexed source per stage count of
-    `cfg`, each delivering `mean` photons to the sample: a float, or an
-    array of means that the sources' pumps then follow.  Every multiplexed
-    pump of the run is tuned in one bisection."""
+    `stages` (default `cfg.stage_counts`), each delivering `mean` photons to
+    the sample: a float, or an array of means that the sources' pumps then
+    follow.  Every multiplexed pump of the run is tuned in one bisection."""
     calibration = (cfg.herald_eff, cfg.stage_transmission, cfg.optics_transmission)
-    return [Coherent(mean)] + make_multiplexed(cfg.stage_counts, mean, *calibration)
+    return [Coherent(mean)] + make_multiplexed(stages or cfg.stage_counts, mean, *calibration)
 
 
 def _exact_rows(cfg: SweepConfig, groups: list, detectors, channel: Channel, mean):
@@ -381,7 +380,7 @@ def _run_mc_validate(cfg: SweepConfig):
     sampled with seed + i."""
     t, (mean,) = cfg.transmission, _tuned_means(cfg)
     ch = Channel(t, cfg.detector_eff)
-    coherent, mux2, mux5 = _sources(replace(cfg, stage_counts=_MC_VALIDATE_STAGES), mean)
+    coherent, mux2, mux5 = _sources(cfg, mean, _MC_VALIDATE_STAGES)
     canned: list[tuple[Source, Detector]] = [
         (coherent, Detector.NUMBER_RESOLVING),
         (coherent, Detector.THRESHOLD),

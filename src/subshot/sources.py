@@ -307,6 +307,8 @@ def tune_pair_mean(source, target_mean, tol: float = 1e-10):
         return _mux_factorial_moments(constants, mu, 1)[0]
 
     stop = tol * np.minimum(1.0, target)
+    # Above `floor` is above -stop, or at least 0 where `stop` underflows to 0.
+    floor = -np.maximum(stop, math.ulp(0.0))
     lo, hi = np.zeros(target.shape), np.array(np.maximum(1.0, target))
     while (short := mean_at(hi) < target).any():
         # A guard only: `check_reach` has refused every target above the ceiling.
@@ -319,11 +321,10 @@ def tune_pair_mean(source, target_mean, tol: float = 1e-10):
         previous, mid = mid, 0.5 * (lo + hi)
         if previous is not None and (mid == previous).all():
             return _scalar(mid)
+        # Within `stop` of the target, both ends move to mid.
         residual = mean_at(mid) - target
-        hit = np.abs(residual) < stop
-        low = residual < 0.0
-        np.copyto(lo, mid, where=low | hit)
-        np.copyto(hi, mid, where=~low | hit)
+        np.copyto(lo, mid, where=residual < stop)
+        np.copyto(hi, mid, where=residual > floor)
 
 
 def make_multiplexed(

@@ -6,6 +6,8 @@ closed-form pipelines it is used to check.  The pump-fluctuation oracles add
 one numerical step: Gauss-Legendre quadrature over the Gaussian pump, for the
 number-resolving and the threshold estimator; `legendre_rule` derives by
 Newton's method the rule the package commits as a table.
+`mask_bisection` is the pump tuning's array bisection with its step spelled
+as masks, the reference for the tuned pump bits.
 `poisson_support_walk` is the count-by-count Poisson truncation search.
 `per_round_totals` and `per_repetition_totals` are the references for the
 batched fluctuation rounds: they take the count rows as a function and
@@ -140,6 +142,30 @@ def tune_pump(output_probs, target_mean: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def mask_bisection(mean_at, target, tol: float = 1e-10):
+    """Pumps at which `mean_at` (an increasing mean of a pump array) meets
+    each entry of the array `target`, by the array bisection of
+    `sources.tune_pair_mean` written with a `hit` and a `low` mask per step:
+    the reference for its pump bits.  Each entry stops once its residual is
+    below `tol` times min(1, target), keeping lo = hi, or its bracket shrinks
+    to adjacent floats."""
+    stop = tol * np.minimum(1.0, target)
+    lo, hi = np.zeros(target.shape), np.array(np.maximum(1.0, target))
+    while (short := mean_at(hi) < target).any():
+        lo, hi = np.where(short, hi, lo), np.where(short, 2.0 * hi, hi)
+
+    mid = None
+    while True:
+        previous, mid = mid, 0.5 * (lo + hi)
+        if previous is not None and (mid == previous).all():
+            return mid
+        residual = mean_at(mid) - target
+        hit = np.abs(residual) < stop
+        low = residual < 0.0
+        np.copyto(lo, mid, where=low | hit)
+        np.copyto(hi, mid, where=~low | hit)
 
 
 def legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 
 from subshot import output
-from subshot.cli import main, parse_float_grid, parse_int_list
+from subshot.cli import build_parser, main, parse_float_grid, parse_int_list, resolve_config
 from subshot.experiments import EXPERIMENTS, SweepConfig
 
 
@@ -255,6 +255,28 @@ class TestMain:
 
 class TestConfigFile:
     def test_config_file_and_flag_precedence(self, tmp_path):
+        """Each layer overrides the one before it for one field: the
+        per-experiment `mean_photons` the built-in one, `[defaults]` the
+        per-experiment `stage_counts`, `[fluctuations]` the `nu` of
+        `[defaults]` and a flag the `seed` of `[fluctuations]`.  The layered
+        config is the one its settings give as flags, and writes its bytes."""
+        ini = tmp_path / "layers.ini"
+        ini.write_text(
+            "[defaults]\nm = 2\nnu = 400\nrounds = 7\n\n"
+            "[fluctuations]\nnu = 300\nseed = 3\na-grid = 0,0.3\n"
+        )
+        layered = ["fluctuations", "--config", str(ini), "--seed", "5"]
+        flags = ["fluctuations", "--m", "2", "--nu", "300", "--rounds", "7", "--a-grid", "0,0.3",
+                 "--seed", "5"]
+        cfg, flag_cfg = (resolve_config("fluctuations", build_parser().parse_args(argv))
+                         for argv in (layered, flags))
+        assert SweepConfig("fluctuations").mean_photons == 1.0
+        assert (cfg.mean_photons, cfg.stage_counts, cfg.nu, cfg.seed) == (0.5, (2,), 300, 5)
+        assert cfg.digest() == flag_cfg.digest()
+        for name, argv in (("layered", layered), ("flags", flags)):
+            assert main([*argv, "--out", str(tmp_path / f"{name}.csv")]) == 0
+        assert (tmp_path / "layered.csv").read_bytes() == (tmp_path / "flags.csv").read_bytes()
+
         ini = tmp_path / "sweep.ini"
         ini.write_text(
             "[defaults]\nnu = 400\nseed = 3\n\n[nr-ratio]\nt-grid = 0.25,0.75\nm = 2\n"

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from _oracles import (
     enumerate_click_probability,
     enumerate_mux_output,
+    mask_bisection,
     poisson_probs,
     sync_probability,
     thinned_count_moments,
@@ -63,6 +64,12 @@ ORACLE_CHECKS = settings(CHECKS, max_examples=40)
 survivals = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
 log_uniform_targets = st.floats(-12.0, math.log10(MAX_MEAN)).map(lambda e: 10.0**e)
 herald_effs = st.one_of(st.just(1.0), st.floats(0.05, 1.0))
+# Targets from 1e-323, where the tuning's stop rule 1e-10 * target underflows
+# to 0, to 1e14, where the bisection stops at adjacent floats; half the draws
+# lie below 1e-313, where that stop rule is 0 or subnormal.
+bisection_targets = st.one_of(st.floats(-323.0, -313.0), st.floats(-313.0, 14.0)).map(
+    lambda e: 10.0**e
+)
 
 
 @st.composite
@@ -280,6 +287,31 @@ class TestTuning:
         for pump, target in zip(pumps, targets):
             oracle = tune_pump(lambda mu: CountRows(src, 1.0, 1e-18).rows(mu).tolist(), target)
             assert pump == pytest.approx(oracle, rel=1e-8)
+
+    @settings(CHECKS, max_examples=25)
+    @given(
+        st.lists(st.integers(1, MAX_STAGES), min_size=1, max_size=3),
+        st.one_of(bisection_targets, st.lists(bisection_targets, min_size=1, max_size=3)),
+        st.floats(1e-3, 1.0),
+        st.floats(0.5, 1.0),
+        st.floats(0.05, 1.0),
+    )
+    # Residuals of exactly 0 where the stop rule is 0: hi must still move.
+    @example([2], 1.5e-323, 0.11366081601798575, 0.5781733249517932, 0.41637495242467326)
+    @example([2, 3, 64], [1.0743e-319, 4.214e-321, 1e14], 0.008120532108251914,
+             0.7267489447403257, 0.1773396123848065)
+    def test_pumps_match_the_mask_bisection(self, stages, targets, herald, stage, optics):
+        """The tuning gives each pump the bits of the reference bisection
+        whose step is spelled as `hit` and `low` masks, for one network and
+        for a list of them, at a scalar target and at an array of them."""
+        networks = [Multiplexed(m, 0.0, herald, stage, optics) for m in stages]
+        for source in (networks[0], networks):
+            got = np.asarray(tune_pair_mean(source, targets))
+            expected = mask_bisection(
+                lambda mu: np.asarray(source_moments(source, mu).mean),
+                np.broadcast_to(targets, got.shape),
+            )
+            assert got.tobytes() == expected.tobytes()
 
 
 # Small transmission grids holding both ends, in any order.
