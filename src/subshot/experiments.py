@@ -54,6 +54,9 @@ from subshot.output import ROW_COLUMNS, Indexed, RowTable
 # Bound here too: bench/make_reference.py imports it from this module.
 from subshot.output import rows_to_csv  # noqa: F401
 from subshot.sources import (
+    DEFAULT_HERALD_EFF,
+    DEFAULT_OPTICS_TRANSMISSION,
+    DEFAULT_STAGE_TRANSMISSION,
     Coherent,
     ConfigError,
     Fock,
@@ -115,18 +118,18 @@ class SweepConfig:
     t_grid: tuple[float, ...] = _uniform_grid()
     stage_counts: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
     mean_grid: tuple[float, ...] = ()
-    a_grid: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
+    a_grid: tuple[float, ...] = FluctuationConfig.a_grid
     mean_photons: float = 1.0
     transmission: float = 0.8
     detector_eff: float = 0.9
-    optics_transmission: float = 0.9
-    stage_transmission: float = 0.88
-    herald_eff: float = 0.9
+    optics_transmission: float = DEFAULT_OPTICS_TRANSMISSION
+    stage_transmission: float = DEFAULT_STAGE_TRANSMISSION
+    herald_eff: float = DEFAULT_HERALD_EFF
     nu: int = 200
-    rounds: int = 50
+    rounds: int = FluctuationConfig.rounds
     trials: int = 100_000
-    redraw: str = "per-round"
-    negatives: str = "clamp"
+    redraw: str = FluctuationConfig.redraw
+    negatives: str = FluctuationConfig.negatives
     seed: int = 0
 
     def __post_init__(self):

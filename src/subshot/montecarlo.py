@@ -29,11 +29,13 @@ one draw from the row's nu-fold power.
 One engine (`_study_totals`) runs both modes on the run's (source,
 detector) pairs.  The rounds go in blocks under a fixed memory budget
 (`_BLOCK_FLOATS`), whose streams are drawn once for every pair, and one
-builder (`_row_groups`) makes the count rows of both modes in groups under
-the same budget: the rows at a block's pumps per round, and at the pump
-nodes of the fluctuation fractions per repetition.  Each pair has one row
-plan per study, which sizes the groups without building a row, walks each
-Poisson support once and keeps one log-factorial table for all of them.
+chunk loop counts a block's rounds in both modes, as many at a time as
+their rows fit in the same budget: per round, the rows at the chunk's
+pumps, built in one call; per repetition, the rows every round shares,
+built once per run at the pump nodes of the fluctuation fractions in
+groups under the budget too.  Each pair has one row plan per study, which
+sizes the chunks without building a row, walks each Poisson support once
+and keeps one log-factorial table for all of them.
 Both modes keep one uniform per draw, not a histogram, so that every
 fluctuation fraction shares them (common random numbers, below).
 Negative draws clamp to zero by default or are resampled; both modes are the
@@ -321,13 +323,11 @@ def _round_totals(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     comparisons.
     """
     cdf = np.cumsum(rows[..., :-1], axis=-1)
+    cdf = np.broadcast_to(cdf, (len(u),) + cdf.shape[1:])
     if cdf.shape[-1] > u.shape[-1]:
-        if len(cdf) < len(u):
-            return np.stack([c.searchsorted(u, side="right").sum(axis=-1) for c in cdf[0]], -1)
         return np.array(
             [[c.searchsorted(u_r, side="right").sum() for c in cdf_r] for u_r, cdf_r in zip(u, cdf)]
         )
-    cdf = np.broadcast_to(cdf, (len(u),) + cdf.shape[1:])
     below = np.array([u_r.searchsorted(cdf_r, side="left") for u_r, cdf_r in zip(u, cdf)])
     return u.shape[-1] * cdf.shape[-1] - below.reshape(cdf.shape).sum(axis=-1)
 
@@ -374,43 +374,28 @@ def _round_streams(
     return x, u
 
 
-def _row_groups(plan, pumps: np.ndarray, sizes):
-    """Count rows of `plan` (`detected_row_plan`) at `pumps`, a flat array of
-    consecutive items of `sizes` pumps each, as `(start, stop, rows)` per
-    group of items start..stop-1.
-
-    A group's rows come from one `plan.rows` call.  Items join the group
-    while its rows fit in `_BLOCK_FLOATS`, reckoned at the row length
-    `plan.length` gives at the largest pump, which builds no row; an item
-    over the budget is a group of its own.  The rows are yielded, not kept,
-    so a caller that drops them before asking for the next group holds one
-    group at a time.
-    """
-    length = plan.length(pumps)
-    ends = [0, *np.cumsum(sizes).tolist()]
-    start = 0
-    while start < len(sizes):
-        stop = start + 1
-        while stop < len(sizes) and (ends[stop + 1] - ends[start]) * length <= _BLOCK_FLOATS:
-            stop += 1
-        yield start, stop, plan.rows(pumps[ends[start] : ends[stop]])
-        start = stop
-
-
 def _averaged_rows(plan, pump: float, nodes: list) -> np.ndarray:
     """Pump-averaged count row of each fluctuation fraction, shape (a, counts),
     zero past each row's own length; `nodes` holds `pump_nodes` of the
-    fractions, relative to `pump`, and `plan`'s rows at their pumps come in
-    `_row_groups` of whole fractions."""
-    sizes = [x.size for x, _ in nodes]
+    fractions, relative to `pump`.  `plan`'s rows at their pumps come from
+    one `plan.rows` call per group of whole fractions, which fractions join
+    while its rows fit in `_BLOCK_FLOATS` at the length `plan.length` gives
+    (building no row); one group's rows are held at a time."""
     pumps = pump * np.concatenate([x for x, _ in nodes])
-    ends = [0, *np.cumsum(sizes).tolist()]
-    averaged = np.zeros((len(nodes), plan.length(pumps)))
-    for start, stop, rows in _row_groups(plan, pumps, sizes):
+    ends = [0, *np.cumsum([x.size for x, _ in nodes]).tolist()]
+    length = plan.length(pumps)
+    averaged = np.zeros((len(nodes), length))
+    start = 0
+    while start < len(nodes):
+        stop = start + 1
+        while stop < len(nodes) and (ends[stop + 1] - ends[start]) * length <= _BLOCK_FLOATS:
+            stop += 1
+        rows = plan.rows(pumps[ends[start] : ends[stop]])
         for i in range(start, stop):
             lo, hi = ends[i] - ends[start], ends[i + 1] - ends[start]
             averaged[i, : rows.shape[-1]] = nodes[i][1] @ rows[lo:hi]
         del rows
+        start = stop
     return averaged
 
 
@@ -424,11 +409,11 @@ def _study_totals(
     rows: per round, the rows at the round's pumps; per repetition, each
     fraction's pump-averaged row (`_averaged_rows`), which every round
     shares.  The rounds go in blocks of at most `_BLOCK_FLOATS` uniforms,
-    whose streams are drawn once for every pair.  Per round, a pair's rows
-    at the block's (rounds x a) pumps come in `_row_groups` of whole rounds;
-    per repetition, the rounds are counted in groups whose shared rows,
-    taken once per round, fit in `_BLOCK_FLOATS` too, or all at once where
-    `_round_totals` searches the uniforms in the rows.
+    whose streams are drawn once for every pair.  One chunk loop counts a
+    pair's rounds of a block in both modes, as many at a time as their rows
+    fit in `_BLOCK_FLOATS` at the block's row length, and per round builds a
+    chunk's rows in one `plan.rows` call.  Shared rows longer than the
+    uniforms take the whole block: `_round_totals` then searches by uniform.
     """
     n_a = len(cfg.a_grid)
     totals = np.empty((len(pairs), n_a, cfg.rounds))
@@ -442,16 +427,13 @@ def _study_totals(
     for start in range(0, cfg.rounds, step):
         x, u = _round_streams(cfg, seed, start, min(start + step, cfg.rounds))
         for out, plan, pump, shared in zip(totals, plans, pumps, averaged):
-            if shared is None:
-                groups = _row_groups(plan, pump * x.ravel(), [n_a] * len(x))
-            elif shared.shape[-1] > cfg.nu + 1:
-                # Rows longer than the uniforms are searched by uniform, in
-                # no more memory than the block's uniforms.
-                groups = [(0, len(x), shared)]
-            else:
-                sub = max(1, _BLOCK_FLOATS // shared.size)
-                groups = ((lo, min(lo + sub, len(x)), shared) for lo in range(0, len(x), sub))
-            for lo, hi, rows in groups:
+            length = plan.length(pump * x) if shared is None else shared.shape[-1]
+            chunk = max(1, _BLOCK_FLOATS // (n_a * length))
+            if shared is not None and length > cfg.nu + 1:
+                chunk = len(x)
+            for lo in range(0, len(x), chunk):
+                hi = min(lo + chunk, len(x))
+                rows = plan.rows(pump * x[lo:hi].ravel()) if shared is None else shared
                 rows = rows.reshape(-1, n_a, rows.shape[-1])
                 out[:, start + lo : start + hi] = _round_totals(rows, u[lo:hi]).T
     return totals

@@ -5,8 +5,8 @@ A run's rows stay columns: `experiments.run_experiment` returns a
 `RowTable`, which keeps a repeated cell once, the labels and grid points as
 distinct values plus an index (`Indexed`), and the report cells as lists,
 and builds a `SweepRow` only when one is read.  `text_pieces` writes a
-`RowTable` as CSV, JSON or both, `_BLOCK_ROWS` rows at a time;
-`rows_to_csv` gives the CSV text and `json_blocks` the JSON text in pieces.
+`RowTable` as CSV, JSON or both, `_BLOCK_ROWS` rows at a time, and
+`rows_to_csv` gives the whole CSV text.
 The writers spell runs of adjacent columns (`_runs`): repeated cells as one
 joined text per table, `Indexed` columns over one index list as one joined
 text per position a block reads, and each list column once per block.  A
@@ -254,10 +254,3 @@ def rows_to_csv(rows: RowTable) -> str:
     """Locale-free CSV with a header row; floats keep full precision (`str`
     of a Python float is its shortest round-trip repr), None is empty."""
     return "".join(piece for (piece,) in text_pieces(rows, ["csv"]))
-
-
-def json_blocks(rows: RowTable) -> Iterator[str]:
-    """The rows as `json.dumps` writes a list of their dicts, indented by 2,
-    with a final newline, in pieces of up to `_BLOCK_ROWS` rows."""
-    for (piece,) in text_pieces(rows, ["json"]):
-        yield piece

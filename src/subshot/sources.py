@@ -28,7 +28,8 @@ shape: their pumps are stacked on a leading network axis, ahead of the
 grid's axes, and their constants are columns along it (`_mux_pumps`,
 `_mux_constants`), so each formula is evaluated once for all networks,
 entry by entry with the bits each network gets alone.  One source is the
-one-network case of the same code.
+one-network case of the same code.  `_mux_constants` alone derives a
+network's constants from its fields; the count rows read them there too.
 
 Each source constructor checks its own fields, as `detection.Channel` and
 `montecarlo.FluctuationConfig` do theirs, and raises the `ConfigError`
@@ -153,14 +154,6 @@ class Multiplexed:
         for name in _CALIBRATION:
             check_range(name, getattr(self, name))
 
-    @property
-    def window_count(self) -> int:
-        return 2**self.stages
-
-    @property
-    def network_transmission(self) -> float:
-        return self.stage_transmission**self.stages
-
 
 Source = Coherent | Fock | Multiplexed
 
@@ -227,7 +220,7 @@ def _mux_clicks(constants: tuple, mu, survival):
     return miss, gain * (neg_p_w * np.expm1(-y) - np.exp(-y) * np.expm1(-h * x))
 
 
-def _mux_output_rows(source: Multiplexed, mu, survival: float, n_max: int, log_factorial_table):
+def _mux_output_rows(constants: tuple, mu, survival: float, n_max: int, log_factorial_table):
     """Output photon-number distribution after a further thinning by `survival`.
 
     With q = network * optics * survival, h the herald efficiency and
@@ -236,14 +229,13 @@ def _mux_output_rows(source: Multiplexed, mu, survival: float, n_max: int, log_f
 
         P(n) = (1 - P_sync) [n = 0] + g Pois(n; mu q) [1 - (1-h)^n e^{-mu h (1-q)}]
 
-    `mu` is an array of pump values; the result has shape
-    `mu.shape + (n_max + 1,)`, its Poisson rows read from
-    `log_factorial_table` (`pmf.poisson_rows`).  The `pair_mean` field of
-    `source` is ignored.
+    `mu` is an array of pump values and `constants` is `_mux_constants` of
+    one network; the result has shape `mu.shape + (n_max + 1,)`, its Poisson
+    rows read from `log_factorial_table` (`pmf.poisson_rows`).
     """
-    h = source.herald_eff
-    q = source.network_transmission * source.optics_transmission * survival
-    _, _, neg_sync, gain = _herald(_mux_constants(source), mu)
+    h, _, _, network, optics = constants
+    q = network * optics * survival
+    _, _, neg_sync, gain = _herald(constants, mu)
     ns = np.arange(n_max + 1)
     if h < 1.0:
         log_miss = ns * math.log1p(-h)
@@ -464,9 +456,10 @@ class CountRows:
         if isinstance(source, Coherent):
             args = (float(self.survival * top), self.tail)
         else:
-            q = source.network_transmission * source.optics_transmission * self.survival
+            _, _, _, network, optics = _mux_constants(source)
             # A row's tail is g <= 2**stages times the Poisson(mu q) tail.
-            args = (float(top * q), max(self.tail / source.window_count, 1e-300))
+            args = (float(top * (network * optics * self.survival)),
+                    max(self.tail / 2**source.stages, 1e-300))
         if args not in self._supports:
             self._supports[args] = poisson_support(*args)
         return self._supports[args]
@@ -483,4 +476,5 @@ class CountRows:
         pumps = _pumps(self.source, mu)
         if isinstance(self.source, Coherent):
             return poisson_rows(self.survival * pumps, n_max, self._table)
-        return _mux_output_rows(self.source, pumps, self.survival, n_max, self._table)
+        return _mux_output_rows(_mux_constants(self.source), pumps, self.survival, n_max,
+                                self._table)

@@ -7,7 +7,7 @@ from unittest import mock
 
 import pytest
 
-from subshot import output
+from subshot import cli, output
 from subshot.cli import build_parser, main, parse_float_grid, parse_int_list, resolve_config
 from subshot.experiments import EXPERIMENTS, SweepConfig
 
@@ -91,6 +91,21 @@ class TestMain:
         code = main(["nr-ratio", "--eta", "1.7", "--out", str(tmp_path / "x.csv")])
         assert code == 1
         assert "detector_eff" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [RuntimeError("did not converge"), ValueError("bad cell")])
+    def test_run_error_exits_one_without_traceback(self, tmp_path, capsys, monkeypatch, error):
+        """A RuntimeError, or a ValueError other than a ConfigError, raised
+        by the run exits 1 with its message alone (no traceback) and writes
+        no file."""
+
+        def fail(cfg):
+            raise error
+
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        out = tmp_path / "x.csv"
+        assert main(["nr-ratio", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
 
     def test_strong_pump_writes_finite_rows(self, tmp_path):
         """A target of 50 photons at one stage drives mu * eta_herald past 37,

@@ -37,7 +37,7 @@ from subshot.experiments import (
     run_experiment,
 )
 from subshot.montecarlo import FluctuationConfig, fluctuation_study, mc_estimate
-from subshot.output import ROW_COLUMNS, Indexed, RowTable, SweepRow, json_blocks, rows_to_csv
+from subshot.output import ROW_COLUMNS, Indexed, RowTable, SweepRow, rows_to_csv, text_pieces
 from subshot.sources import (
     MAX_PUMP,
     MAX_STAGES,
@@ -53,6 +53,12 @@ from subshot.sources import (
 CHECKS = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
 log_uniform = st.floats(-300.0, 0.0).map(lambda e: 10.0**e)
+
+
+def json_pieces(table):
+    """The JSON text of `table` in the pieces the writers give, one block of
+    rows at a time."""
+    return (piece for (piece,) in text_pieces(table, ["json"]))
 
 
 def small_grid(n=11):
@@ -798,14 +804,14 @@ class TestSerialization:
 
     def test_json_bytes_are_pinned(self):
         rows = run_experiment(SweepConfig(experiment="nr-ratio"))
-        digest = hashlib.sha256("".join(json_blocks(rows)).encode()).hexdigest()
+        digest = hashlib.sha256("".join(json_pieces(rows)).encode()).hexdigest()
         assert digest == self.PINNED_NR_RATIO_JSON
 
     def test_json_round_trip(self):
         import json
 
         cfg = SweepConfig(experiment="nr-ratio", t_grid=(0.5,), stage_counts=(2,))
-        data = json.loads("".join(json_blocks(run_experiment(cfg))))
+        data = json.loads("".join(json_pieces(run_experiment(cfg))))
         assert len(data) == 3
         assert data[0]["experiment"] == "nr-ratio"
         assert set(data[0]) == set(ROW_COLUMNS)
@@ -903,7 +909,7 @@ class TestWriters:
         table, rows = _synthetic_table(n, layout, seed)
         with mock.patch.object(output, "_BLOCK_ROWS", block):
             assert rows_to_csv(table) == rows_csv(ROW_COLUMNS, rows)
-            assert "".join(json_blocks(table)) == rows_json(rows)
+            assert "".join(json_pieces(table)) == rows_json(rows)
             both = list(map("".join, zip(*output.text_pieces(table, ["csv", "json"]))))
             assert both == [rows_csv(ROW_COLUMNS, rows), rows_json(rows)]
         assert len(table) == n
@@ -916,14 +922,14 @@ class TestWriters:
     def test_block_edges_at_the_block_size(self, extra):
         table, rows = _synthetic_table(output._BLOCK_ROWS + extra, _TRICKY_LAYOUT, extra)
         assert rows_to_csv(table) == rows_csv(ROW_COLUMNS, rows)
-        assert "".join(json_blocks(table)) == rows_json(rows)
+        assert "".join(json_pieces(table)) == rows_json(rows)
         both = list(map("".join, zip(*output.text_pieces(table, ["json", "csv"]))))
         assert both == [rows_json(rows), rows_csv(ROW_COLUMNS, rows)]
 
     def test_zero_rows(self):
         empty = RowTable(0, [[] for _ in ROW_COLUMNS])
         assert rows_to_csv(empty) == ",".join(ROW_COLUMNS) + "\n"
-        assert "".join(json_blocks(empty)) == "[]\n"
+        assert "".join(json_pieces(empty)) == "[]\n"
         assert empty == [] and len(empty) == 0 and not empty
 
     def test_equal_cells_keep_their_own_spelling(self):
@@ -963,7 +969,7 @@ class TestWriters:
         lines = rows_to_csv(table).splitlines()[1:]
         j = ROW_COLUMNS.index("expectation")
         assert {",".join(line.split(",")[j:j + 5]) for line in lines[:2]} == {"0,0.0,-0.0,-0.0,0.0"}
-        assert "".join(json_blocks(table)) == rows_json(list(table))
+        assert "".join(json_pieces(table)) == rows_json(list(table))
 
     def test_tables_are_read_only_and_checked(self):
         table = run_experiment(SweepConfig(experiment="nr-ratio", t_grid=(0.5,), stage_counts=(2,)))
@@ -985,7 +991,7 @@ class TestWriters:
             tracemalloc.start()
             try:
                 with open(tmp_path / "rows.json", "w") as out:
-                    out.writelines(json_blocks(table))
+                    out.writelines(json_pieces(table))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -718,11 +718,15 @@ class TestFluctuationStudy:
 
     @pytest.mark.parametrize("redraw", REDRAWS)
     def test_count_rows_share_supports_and_log_factorials(self, redraw, monkeypatch):
-        """Over a study of several blocks, each holding several row groups
-        per pair, no `poisson_support` walk repeats its arguments, each pair
-        builds at most one log-factorial table per block (per repetition, one
-        per study), and every row `_row_groups` builds is a row it yields."""
-        supports, tables, built, yielded = [], [], [], []
+        """Over a study of several blocks, each holding several chunks of
+        rounds per pair, no `poisson_support` walk repeats its arguments and
+        each pair builds at most one log-factorial table per block (per
+        repetition, one per study).  Per round, each `plan.rows` call takes
+        the pumps of consecutive rounds of one block, in order, at most
+        max(1, _BLOCK_FLOATS // (a x row length)) of them at the block's row
+        length; per repetition, the calls take the pump nodes of whole
+        fractions, in order."""
+        supports, tables, calls = [], [], []
 
         def walk(*args):
             supports.append(args)
@@ -733,37 +737,54 @@ class TestFluctuationStudy:
             return pmf.log_factorials(n_max)
 
         def recorded_plan(*args):
-            plan = detected_row_plan(*args)
+            plan, pumps = detected_row_plan(*args), []
+            calls.append(pumps)
 
             def rows(mu):
-                built.append(plan.rows(mu))
-                return built[-1]
+                pumps.append(np.array(mu))
+                return plan.rows(mu)
 
             return SimpleNamespace(length=plan.length, rows=rows)
 
-        def recorded_groups(*args):
-            for group in row_groups(*args):
-                yielded.append(group[-1])
-                yield group
-
-        row_groups = montecarlo._row_groups
         monkeypatch.setattr(source_models, "poisson_support", walk)
         monkeypatch.setattr(source_models, "log_factorials", table)
         monkeypatch.setattr(montecarlo, "detected_row_plan", recorded_plan)
-        monkeypatch.setattr(montecarlo, "_row_groups", recorded_groups)
-        # 3 rounds of 40 uniforms per block, and a block budget of 120 floats
-        # against rows of hundreds of counts: 4 blocks of up to 3 groups per
-        # pair per round, and 2 groups per pair per repetition.
-        monkeypatch.setattr(montecarlo, "_BLOCK_FLOATS", 120)
+        # 3 rounds of 400 uniforms per block, and a block budget of 1200
+        # floats against two fractions' rows of 169-453 counts: 4 blocks of
+        # chunks of 1 to 3 rounds per pair per round, and 2 row calls per
+        # pair per repetition.
+        budget = 1200
+        monkeypatch.setattr(montecarlo, "_BLOCK_FLOATS", budget)
         sources_at_mean = (Coherent(200.0), make_multiplexed(3, 100.0))
         pairs = [(source, Detector.NUMBER_RESOLVING) for source in sources_at_mean]
-        cfg = FluctuationConfig(a_grid=(0.0, 0.5), rounds=10, nu=40, redraw=redraw)
+        cfg = FluctuationConfig(a_grid=(0.0, 0.5), rounds=10, nu=400, redraw=redraw)
         fluctuation_study(cfg, pairs, CH, 3)
         blocks = 1 if redraw == "per-repetition" else 4
-        assert len(built) > blocks * len(pairs)
+        assert sum(map(len, calls)) > blocks * len(pairs)
         assert len(set(supports)) == len(supports)
         assert 0 < len(tables) <= blocks * len(pairs)
-        assert [id(rows) for rows in built] == [id(rows) for rows in yielded]
+
+        n_a, step = len(cfg.a_grid), budget // cfg.nu
+        nodes = pump_nodes(cfg.a_grid, cfg.negatives)
+        x = _round_streams(cfg, 3, 0, cfg.rounds)[0]
+        for (source, detector), pumps in zip(pairs, calls):
+            pump = source_pump(source)
+            if redraw == "per-repetition":
+                ends = np.cumsum([0] + [x_a.size for x_a, _ in nodes]).tolist()
+                assert set(np.cumsum([mu.size for mu in pumps]).tolist()) <= set(ends)
+                want = pump * np.concatenate([x_a for x_a, _ in nodes])
+                assert np.concatenate(pumps).tolist() == want.tolist()
+                continue
+            plan = detected_row_plan(source, detector, CH.survival, _ROW_TAIL)
+            lo = 0
+            for mu in pumps:
+                n = mu.size // n_a
+                block = x[lo // step * step : (lo // step + 1) * step]
+                assert 1 <= n <= max(1, budget // (n_a * plan.length(pump * block)))
+                assert lo // step == (lo + n - 1) // step
+                assert mu.tolist() == (pump * x[lo : lo + n].ravel()).tolist()
+                lo += n
+            assert lo == cfg.rounds
 
     @pytest.mark.parametrize("redraw", REDRAWS)
     def test_per_round_memory_is_blocked(self, redraw):

@@ -16,6 +16,7 @@ from subshot.sources import (
     CountRows,
     Fock,
     Multiplexed,
+    _mux_constants,
     check_range,
     check_reach,
     make_multiplexed,
@@ -48,10 +49,10 @@ def moments(row) -> Moments:
 
 class TestMultiplexed:
     def test_window_count(self):
-        assert params(m=3).window_count == 8
+        assert 2 ** params(m=3).stages == 8
 
     def test_network_transmission(self):
-        assert params(m=2, stage=0.9).network_transmission == pytest.approx(0.81)
+        assert _mux_constants(params(m=2, stage=0.9))[3] == pytest.approx(0.81)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -70,7 +71,7 @@ class TestMultiplexed:
     def test_integral_float_stage_count_is_an_int(self):
         assert Multiplexed(2.0, 0.1).stages == 2
         assert isinstance(Multiplexed(2.0, 0.1).stages, int)
-        assert Multiplexed(MAX_STAGES, 0.1).window_count == 2**MAX_STAGES
+        assert 2 ** Multiplexed(MAX_STAGES, 0.1).stages == 2**MAX_STAGES
 
 
 class TestHeraldModel:
