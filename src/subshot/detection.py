@@ -90,17 +90,15 @@ class _ClickRows(NamedTuple):
         return np.stack(source_click_probabilities(self.source, self.survival, mu), axis=-1)
 
 
-def detected_row_plan(source: Source, detector: Detector, survival: float, tail: float):
+def detected_row_plan(source: Source, detector: Detector, survival: float):
     """Distribution of one repetition's count after per-photon survival
     `survival`, at any number of pump arrays: the thinned photon-number rows
-    of a `sources.CountRows` plan (trimmed to `tail`), or the click row
-    [1 - p, p].
+    of a `sources.CountRows` plan, or the click row [1 - p, p] of a
+    `_ClickRows` plan, which takes the same arguments.
 
     The plan's `rows(mu)` gives the rows at `mu`, as for
     `sources.source_click_probabilities`, with shape
     `np.shape(mu) + (count length,)`; its `length(mu)` gives the count length
     without building them.
     """
-    if detector is Detector.THRESHOLD:
-        return _ClickRows(source, survival)
-    return CountRows(source, survival, tail)
+    return (_ClickRows if detector is Detector.THRESHOLD else CountRows)(source, survival)

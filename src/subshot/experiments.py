@@ -92,10 +92,6 @@ _DEFAULT_MEAN_GRIDS = {
 }
 
 
-def _uniform_grid(n: int = 101) -> tuple[float, ...]:
-    return tuple(float(t) for t in np.linspace(0.0, 1.0, n))
-
-
 # Python number type of each numeric `SweepConfig` field annotation.
 _NUMBER_KINDS = {"float": float, "int": int, "tuple[float, ...]": float, "tuple[int, ...]": int}
 
@@ -115,7 +111,7 @@ class SweepConfig:
     """One experiment run: grids, physics constants, seed and output knobs."""
 
     experiment: str
-    t_grid: tuple[float, ...] = _uniform_grid()
+    t_grid: tuple[float, ...] = tuple(float(t) for t in np.linspace(0.0, 1.0, 101))
     stage_counts: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
     mean_grid: tuple[float, ...] = ()
     a_grid: tuple[float, ...] = FluctuationConfig.a_grid

@@ -10,8 +10,9 @@ and no detector, and hands the `detector` argument through unread.
 `mc_estimate` takes `exact_report`'s arguments plus a trial count and a seed.
 It reads only the total count over the nu repetitions, as the estimators do,
 and only how many trials reach each total: one multinomial draw over the
-nu-fold convolution power of the detected-count row (`_total_count_row`)
-gives that histogram at a cost that does not grow with the trial count.
+nu-fold convolution power of the detected-count row (`_total_count_row`,
+trimmed to `sources.ROW_TAIL` as the rows are) gives that histogram at a
+cost that does not grow with the trial count.
 
 In the fluctuation study the pump strength becomes a Gaussian random variable
 (sigma = a * mean around the source's own pump, truncated at zero) and the
@@ -40,10 +41,11 @@ Both modes keep one uniform per draw, not a histogram, so that every
 fluctuation fraction shares them (common random numbers, below).
 Negative draws clamp to zero by default or are resampled; both modes are the
 command line's strings (`REDRAWS`, `NEGATIVES`).  The pump averages are
-quadratures over `pump_nodes`, mapped once per fraction and study from a
-committed 48-node Gauss-Legendre table, and the same nodes give
-`fluctuation_mse`, the exact MSE the study samples, in every mode and for
-both detectors.  The squared errors of all pairs are summarized in one pass.
+quadratures over `pump_nodes`, every fraction's nodes in one layout mapped
+once per study from a committed 48-node Gauss-Legendre table, each fraction
+a slice of it; the same nodes give `fluctuation_mse`, the exact MSE the
+study samples, in every mode and for both detectors.  The squared errors of
+all pairs are summarized in one pass.
 
 Reproducibility: every round derives its generator stream from (seed, round
 index), so results are independent of execution schedule, of the block size
@@ -62,12 +64,7 @@ import numpy as np
 
 from subshot.detection import Channel, detected_moments, detected_row_plan
 from subshot.estimators import reference_mean
-from subshot.sources import ConfigError, Source, check_count, source_pump
-
-# Count rows discard less than this mass per trimmed tail: far below the
-# spacing of the uniforms the fluctuation rounds sample them with, and a bias
-# far below the standard error of `mc_estimate` at any trial count.
-_ROW_TAIL = 1e-18
+from subshot.sources import ROW_TAIL, ConfigError, Source, check_count, source_pump
 
 # The largest trial count numpy's multinomial takes (a 64-bit integer).
 MAX_TRIALS = 2**63 - 1
@@ -126,10 +123,10 @@ def _check_mode(field: str, value: str, allowed: tuple[str, ...]) -> None:
 
 
 def _trim_tails(offset: int, row: np.ndarray) -> tuple[int, np.ndarray]:
-    """Drop the entries at each end of `row` holding at most `_ROW_TAIL` in
+    """Drop the entries at each end of `row` holding at most `ROW_TAIL` in
     total, and normalize the rest; `offset` is the count of the first entry."""
-    lo = int(np.searchsorted(np.cumsum(row), _ROW_TAIL, side="right"))
-    hi = row.size - int(np.searchsorted(np.cumsum(row[::-1]), _ROW_TAIL, side="right"))
+    lo = int(np.searchsorted(np.cumsum(row), ROW_TAIL, side="right"))
+    hi = row.size - int(np.searchsorted(np.cumsum(row[::-1]), ROW_TAIL, side="right"))
     kept = row[lo:hi]
     return offset + lo, kept / kept.sum()
 
@@ -191,7 +188,7 @@ def mc_estimate(
     trials = check_count("trials", trials, 1, MAX_TRIALS)
     ref = reference_mean(source, detector, channel.detector_eff)
     rng = np.random.default_rng(seed)
-    row = detected_row_plan(source, detector, channel.survival, _ROW_TAIL).rows()
+    row = detected_row_plan(source, detector, channel.survival).rows()
     offset, probs = _total_count_row(row, nu)
     counts = rng.multinomial(trials, probs)
 
@@ -243,10 +240,11 @@ class McSummary:
     mse_exact: float
 
 
-def pump_nodes(a_grid, negatives: str) -> list[tuple[np.ndarray, np.ndarray]]:
+def pump_nodes(a_grid, negatives: str) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Quadrature nodes x and weights w of the relative pump x = 1 + a*z,
-    z standard normal, truncated at zero as `negatives` says, one (x, w)
-    per fluctuation fraction a of `a_grid`.
+    z standard normal, truncated at zero as `negatives` says, for every
+    fluctuation fraction a of `a_grid`: `(x, w, ends)`, the fractions' nodes
+    and weights one after another, fraction i's at `ends[i]:ends[i + 1]`.
 
     The positive part, z in (-1/a, 10), is integrated by the committed
     Gauss-Legendre rule (`_LEGENDRE_NODES`), and normal tails beyond
@@ -271,7 +269,8 @@ def pump_nodes(a_grid, negatives: str) -> list[tuple[np.ndarray, np.ndarray]]:
             nodes.append((np.append(1.0 + a * z, 0.0), np.append(w, p_negative)))
         else:
             nodes.append((1.0 + a * z, w / (1.0 - p_negative)))
-    return nodes
+    ends = np.cumsum([0] + [x.size for x, _ in nodes]).tolist()
+    return np.concatenate([x for x, _ in nodes]), np.concatenate([w for _, w in nodes]), ends
 
 
 def fluctuation_mse(
@@ -286,26 +285,23 @@ def fluctuation_mse(
     repetition they are independent with the pump-averaged mean E_mu k and
     variance E_mu v + Var_mu k, which enter the same expression once.  Every
     term is a square or a variance, so nothing cancels.  `nodes`, if given,
-    holds `pump_nodes(cfg.a_grid, cfg.negatives)`; the moments at all their
-    pumps come from one `detected_moments` call.
+    holds `pump_nodes(cfg.a_grid, cfg.negatives)`; one `detected_moments`
+    call gives the moments at all their pumps, and each fraction its slice.
     """
     ref = reference_mean(source, detector, channel.detector_eff)
-    mu0 = source_pump(source)
     t, scale = channel.transmission, cfg.nu * ref * ref
-    if nodes is None:
-        nodes = pump_nodes(cfg.a_grid, cfg.negatives)
-    pumps = mu0 * np.concatenate([x for x, _ in nodes])
-    k = detected_moments(source, detector, channel.survival, pumps)
-    ends = np.cumsum([0] + [w.size for _, w in nodes]).tolist()
-    spans = list(zip([w for _, w in nodes], ends, ends[1:]))
+    x, w, ends = pump_nodes(cfg.a_grid, cfg.negatives) if nodes is None else nodes
+    k = detected_moments(source, detector, channel.survival, source_pump(source) * x)
+    spans = [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
     if cfg.redraw == "per-round":
         terms = k.variance / scale + (k.mean / ref - t) ** 2
-        return [float(w @ terms[lo:hi]) for w, lo, hi in spans]
+        return [float(w[span] @ terms[span]) for span in spans]
     mses = []
-    for w, lo, hi in spans:
-        mean, variance = k.mean[lo:hi], k.variance[lo:hi]
-        pumped = w @ mean
-        mses.append(float(w @ (variance + (mean - pumped) ** 2) / scale + (pumped / ref - t) ** 2))
+    for span in spans:
+        weights, mean = w[span], k.mean[span]
+        pumped = weights @ mean
+        spread = weights @ (k.variance[span] + (mean - pumped) ** 2)
+        mses.append(float(spread / scale + (pumped / ref - t) ** 2))
     return mses
 
 
@@ -374,33 +370,32 @@ def _round_streams(
     return x, u
 
 
-def _averaged_rows(plan, pump: float, nodes: list) -> np.ndarray:
+def _averaged_rows(plan, pump: float, nodes: tuple) -> np.ndarray:
     """Pump-averaged count row of each fluctuation fraction, shape (a, counts),
-    zero past each row's own length; `nodes` holds `pump_nodes` of the
-    fractions, relative to `pump`.  `plan`'s rows at their pumps come from
-    one `plan.rows` call per group of whole fractions, which fractions join
-    while its rows fit in `_BLOCK_FLOATS` at the length `plan.length` gives
-    (building no row); one group's rows are held at a time."""
-    pumps = pump * np.concatenate([x for x, _ in nodes])
-    ends = [0, *np.cumsum([x.size for x, _ in nodes]).tolist()]
-    length = plan.length(pumps)
-    averaged = np.zeros((len(nodes), length))
+    zero past each row's own length; `nodes` holds the `pump_nodes` layout
+    of the fractions, relative to `pump`.  `plan`'s rows at its pumps come
+    from one `plan.rows` call per group of whole fractions, a slice of the
+    layout that grows while its rows fit in `_BLOCK_FLOATS` at the length
+    `plan.length` gives (building no row); one group's rows are held at a time."""
+    x, w, ends = nodes
+    length = plan.length(pump * x)
+    averaged = np.zeros((len(ends) - 1, length))
     start = 0
-    while start < len(nodes):
+    while start < len(averaged):
         stop = start + 1
-        while stop < len(nodes) and (ends[stop + 1] - ends[start]) * length <= _BLOCK_FLOATS:
+        while stop < len(averaged) and (ends[stop + 1] - ends[start]) * length <= _BLOCK_FLOATS:
             stop += 1
-        rows = plan.rows(pumps[ends[start] : ends[stop]])
+        rows = plan.rows(pump * x[ends[start] : ends[stop]])
         for i in range(start, stop):
             lo, hi = ends[i] - ends[start], ends[i + 1] - ends[start]
-            averaged[i, : rows.shape[-1]] = nodes[i][1] @ rows[lo:hi]
+            averaged[i, : rows.shape[-1]] = w[ends[i] : ends[i + 1]] @ rows[lo:hi]
         del rows
         start = stop
     return averaged
 
 
 def _study_totals(
-    cfg: FluctuationConfig, pairs: list, survival: float, seed: int, nodes: list
+    cfg: FluctuationConfig, pairs: list, survival: float, seed: int, nodes: tuple
 ) -> np.ndarray:
     """Round totals, shape (pair, a, rounds), of the (source, detector)
     `pairs`; `nodes` holds `pump_nodes` of the fluctuation fractions.
@@ -417,7 +412,7 @@ def _study_totals(
     """
     n_a = len(cfg.a_grid)
     totals = np.empty((len(pairs), n_a, cfg.rounds))
-    plans = [detected_row_plan(*pair, survival, _ROW_TAIL) for pair in pairs]
+    plans = [detected_row_plan(*pair, survival) for pair in pairs]
     pumps = [source_pump(source) for source, _ in pairs]
     if cfg.redraw == "per-round":
         averaged = [None] * len(pairs)

@@ -68,6 +68,11 @@ MAX_STAGES = 64
 # to twice this pump.
 MAX_PUMP = 1e250
 
+# Count rows discard less than this mass per trimmed tail: far below the
+# spacing of the uniforms the fluctuation rounds sample them with, and a bias
+# far below the standard error of `mc_estimate` at any trial count.
+ROW_TAIL = 1e-18
+
 # The fields of a multiplexed source beside its stage count and pump.
 _CALIBRATION = ("herald_eff", "stage_transmission", "optics_transmission")
 
@@ -434,7 +439,7 @@ class CountRows:
     `rows(mu)` builds them, `mu` as for `source_click_probabilities`.
 
     The rows have the pumps' shape + (n_max + 1,), with one n_max for all of
-    them chosen so that no row discards more than `tail` beyond it: the
+    them chosen so that no row discards more than `ROW_TAIL` beyond it: the
     `poisson_support` of the largest pump's Poisson mean, or the photon
     number of a Fock state.  A plan walks each support once, keyed by its
     arguments, and keeps one log-factorial table as long as the longest
@@ -443,8 +448,8 @@ class CountRows:
     builds rows at many pump arrays keeps one plan while it does.
     """
 
-    def __init__(self, source: Source, survival: float, tail: float):
-        self.source, self.survival, self.tail = source, survival, tail
+    def __init__(self, source: Source, survival: float):
+        self.source, self.survival = source, survival
         self._supports: dict[tuple[float, float], int] = {}
         self._table = np.empty(0)
 
@@ -454,12 +459,12 @@ class CountRows:
             return source.photons
         top = float(np.max(_pumps(source, mu)))
         if isinstance(source, Coherent):
-            args = (float(self.survival * top), self.tail)
+            args = (float(self.survival * top), ROW_TAIL)
         else:
             _, _, _, network, optics = _mux_constants(source)
             # A row's tail is g <= 2**stages times the Poisson(mu q) tail.
             args = (float(top * (network * optics * self.survival)),
-                    max(self.tail / 2**source.stages, 1e-300))
+                    max(ROW_TAIL / 2**source.stages, 1e-300))
         if args not in self._supports:
             self._supports[args] = poisson_support(*args)
         return self._supports[args]

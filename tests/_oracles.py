@@ -322,13 +322,15 @@ def per_repetition_totals(rows, pump: float, nodes, rounds: int, nu: int, seed: 
 
     Each round builds its own (seed, round) generator and draws one normal,
     which a per-repetition round leaves unused, then nu uniforms.  `nodes`
-    holds the pump quadrature (x, w) of each fluctuation fraction, and a
-    repetition's count follows the fraction's pump-averaged row
-    w @ rows(pump * x).  Each count is the inverse-CDF draw of its uniform
-    from that row, capped at the last count, and the round total sums them.
+    holds the pump quadrature (x, w, ends) of the fluctuation fractions, and
+    a repetition's count follows the fraction's pump-averaged row
+    w_i @ rows(pump * x_i), with x_i and w_i its slices of x and w.  Each
+    count is the inverse-CDF draw of its uniform from that row, capped at the
+    last count, and the round total sums them.
     """
-    averaged = [w @ rows(pump * x) for x, w in nodes]
-    totals = np.empty((len(nodes), rounds))
+    x, w, ends = nodes
+    averaged = [w[lo:hi] @ rows(pump * x[lo:hi]) for lo, hi in zip(ends, ends[1:])]
+    totals = np.empty((len(averaged), rounds))
     for r in range(rounds):
         rng = np.random.default_rng([seed, r])
         rng.standard_normal()

@@ -186,7 +186,7 @@ def test_c07_click_count_identity():
                 herald_eff=float(rng.uniform(0.3, 1.0)),
             )
         ch = Channel(float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.4, 1.0)))
-        detected = CountRows(src, ch.survival, 1e-18).rows()
+        detected = CountRows(src, ch.survival).rows()
         dev = abs(source_click_probabilities(src, ch.survival)[1] - (1.0 - detected[0]))
         worst = max(worst, dev)
     check(
@@ -209,7 +209,7 @@ def test_c08_mux_model_matches_enumeration():
                 optics_transmission=0.9,
             )
             expected = enumerate_mux_output(m, mu, 0.9, 0.88, 0.9)
-            out = CountRows(src, 1.0, 1e-18).rows()
+            out = CountRows(src, 1.0).rows()
             got = np.zeros(len(expected))
             got[: min(out.size, len(expected))] = out[: len(expected)]
             worst = max(worst, float(np.abs(got - np.array(expected)).max()))

@@ -140,7 +140,7 @@ class TestAgainstDistributionSums:
     )
     @given(mux_sources(), survivals)
     def test_multiplexed(self, src, survival):
-        row = CountRows(src, 1.0, 1e-18).rows()
+        row = CountRows(src, 1.0).rows()
         mean, variance = mean_and_variance(row)
         got = source_moments(src)
         assert close(got.mean, mean)
@@ -200,8 +200,8 @@ class TestAgainstEnumeration:
     @ORACLE_CHECKS
     @given(mux_sources(max_pump=2.0, max_stages=4), survivals)
     def test_multiplexed_rows(self, src, survival):
-        assert_rows_close(CountRows(src, 1.0, 1e-18).rows(), enumerated(src))
-        rows = CountRows(src, survival, 1e-18).rows()
+        assert_rows_close(CountRows(src, 1.0).rows(), enumerated(src))
+        rows = CountRows(src, survival).rows()
         assert_rows_close(rows, enumerated(src, survival))
 
 
@@ -226,7 +226,7 @@ class TestEdges:
         """At mu * herald_eff = 40 the per-window herald probability rounds
         to 1; the row stays finite, non-negative and normalized."""
         src = Multiplexed(stages=2, pair_mean=40.0 / herald_eff, herald_eff=herald_eff)
-        row = CountRows(src, 0.72, 1e-18).rows()
+        row = CountRows(src, 0.72).rows()
         assert np.all(np.isfinite(row)) and np.all(row >= 0.0)
         assert row.sum() == pytest.approx(1.0, abs=1e-12)
         mean = float(np.arange(row.size) @ row)
@@ -285,7 +285,7 @@ class TestTuning:
         src = Multiplexed(stages, 0.0, herald, stage, optics)
         pumps = tune_pair_mean([src], np.array(targets))[0]
         for pump, target in zip(pumps, targets):
-            oracle = tune_pump(lambda mu: CountRows(src, 1.0, 1e-18).rows(mu).tolist(), target)
+            oracle = tune_pump(lambda mu: CountRows(src, 1.0).rows(mu).tolist(), target)
             assert pump == pytest.approx(oracle, rel=1e-8)
 
     @settings(CHECKS, max_examples=25)

@@ -24,9 +24,6 @@ from subshot.sources import (
     source_click_probabilities,
 )
 
-# The tail the Monte Carlo count rows discard.
-TAIL = 1e-18
-
 
 class TestChannel:
     def test_survival_product(self):
@@ -51,21 +48,21 @@ class TestChannel:
 
 class TestNumberResolving:
     def test_transparent_lossless_is_identity(self):
-        out = CountRows(Coherent(0.7), Channel(1.0, 1.0).survival, TAIL).rows()
+        out = CountRows(Coherent(0.7), Channel(1.0, 1.0).survival).rows()
         np.testing.assert_array_equal(out, poisson_rows(0.7, out.size - 1))
 
     def test_poisson_thinning(self):
-        out = CountRows(Coherent(1.0), Channel(0.8, 0.9).survival, TAIL).rows()
+        out = CountRows(Coherent(1.0), Channel(0.8, 0.9).survival).rows()
         direct = poisson_probs(0.72, out.size - 1)
         np.testing.assert_allclose(out, direct, rtol=0, atol=1e-10)
 
     def test_single_photon_bernoulli(self):
-        out = CountRows(Fock(1), Channel(0.5, 0.9).survival, TAIL).rows()
+        out = CountRows(Fock(1), Channel(0.5, 0.9).survival).rows()
         np.testing.assert_allclose(out, [0.55, 0.45], atol=1e-15)
 
     def test_mean_scaling(self):
         ch = Channel(0.6, 0.9)
-        out = CountRows(Coherent(1.4), ch.survival, TAIL).rows()
+        out = CountRows(Coherent(1.4), ch.survival).rows()
         assert float(np.arange(out.size) @ out) == pytest.approx(ch.survival * 1.4, abs=1e-12)
 
 
@@ -135,7 +132,7 @@ class TestClickCountIdentity:
         ]
         ch = Channel(float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.5, 1.0)))
         for src in sources:
-            detected = CountRows(src, ch.survival, TAIL).rows()
+            detected = CountRows(src, ch.survival).rows()
             assert source_click_probabilities(src, ch.survival)[1] == pytest.approx(
                 1.0 - detected[0], abs=1e-12
             )

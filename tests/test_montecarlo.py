@@ -41,7 +41,6 @@ from subshot.montecarlo import (
     McEstimate,
     _LEGENDRE_NODES,
     _LEGENDRE_WEIGHTS,
-    _ROW_TAIL,
     _averaged_rows,
     _round_streams,
     _round_totals,
@@ -53,6 +52,7 @@ from subshot.montecarlo import (
     pump_nodes,
 )
 from subshot.sources import (
+    ROW_TAIL,
     Coherent,
     ConfigError,
     CountRows,
@@ -160,7 +160,7 @@ class TestMcEstimate:
     def test_histogram_counts_sum_to_trials(self, source, detector, survival, nu, trials, seed):
         """Every total-count row is a valid multinomial distribution: the
         histogram `mc_estimate` draws from it places each trial once."""
-        row = detected_row_plan(source, detector, survival, _ROW_TAIL).rows()
+        row = detected_row_plan(source, detector, survival).rows()
         _, probs = _total_count_row(row, nu)
         counts = np.random.default_rng(seed).multinomial(trials, probs)
         assert counts.shape == probs.shape
@@ -243,7 +243,7 @@ class TestTotalCountRow:
         nu=st.integers(1, 1000),
     )
     def test_moments_add_over_repetitions(self, source, survival, nu):
-        row = CountRows(source, survival, _ROW_TAIL).rows()
+        row = CountRows(source, survival).rows()
         offset, total = _total_count_row(row, nu)
         assert (total >= 0.0).all()
         assert total.sum() == pytest.approx(1.0, abs=1e-12)
@@ -253,20 +253,20 @@ class TestTotalCountRow:
         assert got_variance == pytest.approx(nu * variance, rel=1e-12, abs=1e-15)
 
     def test_single_repetition_is_the_row(self):
-        row = CountRows(Coherent(1.0), 0.72, _ROW_TAIL).rows()
+        row = CountRows(Coherent(1.0), 0.72).rows()
         offset, total = _total_count_row(row, 1)
         assert offset == 0
         np.testing.assert_allclose(total, row / row.sum(), rtol=1e-15, atol=0.0)
 
     def test_degenerate_row_stays_a_point(self):
-        offset, total = _total_count_row(CountRows(Fock(3), 1.0, _ROW_TAIL).rows(), 200)
+        offset, total = _total_count_row(CountRows(Fock(3), 1.0).rows(), 200)
         assert (offset, total.tolist()) == (600, [1.0])
 
     @pytest.mark.parametrize("source", [Coherent(1.0), make_multiplexed(2, 1.0)])
     def test_million_repetitions_build_quickly(self, source):
         """Both tails are trimmed, so the row spans ~sqrt(nu) counts, not
         nu * mean, and its cost does not grow like nu^2."""
-        row = CountRows(source, 0.72, _ROW_TAIL).rows()
+        row = CountRows(source, 0.72).rows()
         start = time.perf_counter()
         offset, total = _total_count_row(row, 10**6)
         assert time.perf_counter() - start < 2.0
@@ -355,7 +355,7 @@ def test_round_totals_match_the_round_by_round_references(
     survival, pump = 0.72, source_pump(source)
     cfg = FluctuationConfig(a_grid, rounds, nu, redraw, negatives)
     x, u = _round_streams(cfg, seed, 0, rounds)
-    plan = detected_row_plan(source, detector, survival, _ROW_TAIL)
+    plan = detected_row_plan(source, detector, survival)
     if redraw == "per-round":
         got = [_round_totals(plan.rows(pump * x_r)[None], u_r[None])[0] for x_r, u_r in zip(x, u)]
         want = per_round_totals(plan.rows, pump, a_grid, rounds, nu, negatives, seed)
@@ -419,7 +419,7 @@ def test_batched_rounds_equal_the_round_by_round_reference(
         pump = source_pump(source)
 
         def rows(mu):
-            return detected_row_plan(source, detector, survival, _ROW_TAIL).rows(mu)
+            return detected_row_plan(source, detector, survival).rows(mu)
 
         if redraw == "per-round":
             want = per_round_totals(rows, pump, a_grid, rounds, nu, negatives, seed)
@@ -476,8 +476,8 @@ class TestBatchBuilders:
 
     def test_count_rows_match_scalar_pipeline(self):
         src = Multiplexed(stages=3, pair_mean=0.27, herald_eff=0.8)
-        rows = CountRows(src, CH.survival, 1e-18).rows(np.array([0.27]))
-        np.testing.assert_array_equal(rows[0], CountRows(src, CH.survival, 1e-18).rows())
+        rows = CountRows(src, CH.survival).rows(np.array([0.27]))
+        np.testing.assert_array_equal(rows[0], CountRows(src, CH.survival).rows())
         expected = enumerate_mux_output(3, 0.27, 0.8, 0.88, 0.9 * CH.survival)
         n = min(rows.shape[1], len(expected))
         np.testing.assert_allclose(rows[0, :n], expected[:n], rtol=0, atol=1e-12)
@@ -492,7 +492,7 @@ class TestBatchBuilders:
 
     def test_zero_pump_rows_are_vacuum(self):
         src = Multiplexed(stages=2, pair_mean=0.0, herald_eff=0.7)
-        rows = CountRows(src, 0.72, 1e-18).rows(np.array([0.0]))
+        rows = CountRows(src, 0.72).rows(np.array([0.0]))
         assert rows[0, 0] == pytest.approx(1.0, abs=1e-15)
         assert rows[0, 1:].sum() == pytest.approx(0.0, abs=1e-15)
 
@@ -508,17 +508,17 @@ class TestBatchBuilders:
         largest pump needs."""
         mu = np.array(pumps)
         clicks = source_click_probabilities(source, survival, mu)[1]
-        rows = CountRows(source, survival, _ROW_TAIL).rows(mu)
+        rows = CountRows(source, survival).rows(mu)
         assert clicks.shape == mu.shape and rows.shape[:-1] == mu.shape
         for pump, click, batch_row in zip(pumps, clicks, rows):
             at_pump = (
                 Coherent(pump) if isinstance(source, Coherent) else replace(source, pair_mean=pump)
             )
             assert click == source_click_probabilities(at_pump, survival)[1]
-            row = CountRows(at_pump, survival, _ROW_TAIL).rows()
+            row = CountRows(at_pump, survival).rows()
             np.testing.assert_array_equal(batch_row[: row.size], row)
             # At most the discarded tail, up to rounding in its sum.
-            assert batch_row[row.size :].sum() <= _ROW_TAIL * (1.0 + 1e-12)
+            assert batch_row[row.size :].sum() <= ROW_TAIL * (1.0 + 1e-12)
 
     @CHECKS
     @given(
@@ -555,7 +555,7 @@ class TestBatchBuilders:
         if isinstance(source, Fock) and pumps is not None:
             pumps = None
         mu = None if pumps is None else np.array(pumps)
-        plan = detected_row_plan(source, detector, survival, _ROW_TAIL)
+        plan = detected_row_plan(source, detector, survival)
         assert plan.length(mu) == plan.rows(mu).shape[-1]  # length first: no row built
 
     @CHECKS
@@ -572,12 +572,12 @@ class TestBatchBuilders:
         """Rows a `CountRows` plan builds after others, reading a prefix of
         its log-factorial table and its kept supports, have the bits that a
         fresh plan gives."""
-        plan = CountRows(source, survival, _ROW_TAIL)
+        plan = CountRows(source, survival)
         for pumps in pump_arrays:
             mu = np.array(pumps)
             assert plan.length(mu * 0.5) <= plan.length(mu)
             np.testing.assert_array_equal(
-                plan.rows(mu), CountRows(source, survival, _ROW_TAIL).rows(mu)
+                plan.rows(mu), CountRows(source, survival).rows(mu)
             )
 
     def test_fock_source_takes_no_pump(self):
@@ -586,7 +586,7 @@ class TestBatchBuilders:
         with pytest.raises(TypeError):
             source_click_probabilities(Fock(1), 0.5, np.array([0.3]))[1]
         with pytest.raises(TypeError):
-            CountRows(Fock(1), 0.5, _ROW_TAIL).rows(0.3)
+            CountRows(Fock(1), 0.5).rows(0.3)
 
 
 class TestFluctuationStudy:
@@ -765,17 +765,15 @@ class TestFluctuationStudy:
         assert 0 < len(tables) <= blocks * len(pairs)
 
         n_a, step = len(cfg.a_grid), budget // cfg.nu
-        nodes = pump_nodes(cfg.a_grid, cfg.negatives)
+        nodes_x, _, ends = pump_nodes(cfg.a_grid, cfg.negatives)
         x = _round_streams(cfg, 3, 0, cfg.rounds)[0]
         for (source, detector), pumps in zip(pairs, calls):
             pump = source_pump(source)
             if redraw == "per-repetition":
-                ends = np.cumsum([0] + [x_a.size for x_a, _ in nodes]).tolist()
                 assert set(np.cumsum([mu.size for mu in pumps]).tolist()) <= set(ends)
-                want = pump * np.concatenate([x_a for x_a, _ in nodes])
-                assert np.concatenate(pumps).tolist() == want.tolist()
+                assert np.concatenate(pumps).tolist() == (pump * nodes_x).tolist()
                 continue
-            plan = detected_row_plan(source, detector, CH.survival, _ROW_TAIL)
+            plan = detected_row_plan(source, detector, CH.survival)
             lo = 0
             for mu in pumps:
                 n = mu.size // n_a
@@ -945,7 +943,7 @@ class TestFluctuationMse:
     @pytest.mark.parametrize("a", [0.0, 0.001, 0.05, 0.1, 0.3, 0.6])
     def test_pump_nodes_match_oracle_nodes(self, a, negatives):
         """Both integrate z over (max(-1/a, -10), 10)."""
-        x, w = pump_nodes((a,), negatives)[0]
+        x, w, _ = pump_nodes((a,), negatives)
         expected = np.array(gaussian_pump_nodes(a, negatives))
         np.testing.assert_allclose(x, expected[:, 0], rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(w, expected[:, 1], rtol=self.WEIGHT_RTOL, atol=0.0)
@@ -955,7 +953,7 @@ class TestFluctuationMse:
     def test_pump_nodes_integrate_the_truncated_normal(self, a, negatives):
         """Mass, E[x] and E[x^2] of x = 1 + a*z clamped at 0 (or conditioned
         on x > 0), in closed form from the normal density and CDF at 1/a."""
-        x, w = pump_nodes((a,), negatives)[0]
+        x, w, _ = pump_nodes((a,), negatives)
         c = 1.0 / a
         phi = math.exp(-0.5 * c * c) / math.sqrt(2.0 * math.pi)
         positive = 0.5 * math.erfc(-c / math.sqrt(2.0))
@@ -969,10 +967,25 @@ class TestFluctuationMse:
     def test_clamped_nodes_end_at_zero(self):
         """Clamped draws hold P(x < 0) in a node at x = 0 after the 48
         Gauss-Legendre nodes; resampled ones have none."""
-        x, w = pump_nodes((0.6,), "clamp")[0]
+        x, w, _ = pump_nodes((0.6,), "clamp")
         assert x.size == 49 and x[-1] == 0.0
         assert w[-1] == pytest.approx(0.5 * math.erfc(1.0 / (0.6 * math.sqrt(2.0))), rel=1e-15)
-        assert pump_nodes((0.6,), "resample")[0][0].size == 48
+        assert pump_nodes((0.6,), "resample")[0].size == 48
+
+    @pytest.mark.parametrize("negatives", NEGATIVES)
+    def test_node_layout_holds_each_fraction_in_its_slice(self, negatives):
+        """Fraction i's nodes and weights are `x[ends[i]:ends[i + 1]]` and
+        `w[ends[i]:ends[i + 1]]`, bit for bit those of the fraction alone:
+        one node at a = 0, and 48 Gauss-Legendre nodes plus, clamped, x = 0."""
+        a_grid = (0.0, 0.3, 0.6)
+        x, w, ends = pump_nodes(a_grid, negatives)
+        assert ends[0] == 0 and ends[-1] == x.size == w.size
+        want_sizes = [1, 49, 49] if negatives == "clamp" else [1, 48, 48]
+        assert np.diff(ends).tolist() == want_sizes
+        for a, lo, hi in zip(a_grid, ends, ends[1:]):
+            x_a, w_a, _ = pump_nodes((a,), negatives)
+            assert x[lo:hi].tobytes() == x_a.tobytes()
+            assert w[lo:hi].tobytes() == w_a.tobytes()
 
     @pytest.mark.parametrize("a", [0.0, 0.6])
     def test_unknown_negatives_named(self, a):

@@ -116,7 +116,7 @@ def test_pump_oracle_matches_subshot_count_rows_mux5():
 
     @functools.cache
     def row_moments(x):
-        return thinned_count_moments(CountRows(src, T * ETA, 1e-18).rows(pump * x), 1.0)
+        return thinned_count_moments(CountRows(src, T * ETA).rows(pump * x), 1.0)
 
     expected = {
         ("per-round", "clamp"): 9.4606,

@@ -37,7 +37,7 @@ def params(m=2, mu=0.2, herald=0.5, stage=0.95, optics=0.9):
 
 def output_row(p: Multiplexed) -> np.ndarray:
     """Photon-number distribution at the sample plane at the pump `p` carries."""
-    return CountRows(p, 1.0, 1e-18).rows()
+    return CountRows(p, 1.0).rows()
 
 
 def moments(row) -> Moments:
@@ -90,8 +90,8 @@ class TestHeraldModel:
         network is the one at its pump alone."""
         p = params(m=3, mu=0.0, herald=0.6, stage=1.0, optics=1.0)
         pumps = np.array([0.0, 0.05, 0.7])
-        vacuum = CountRows(p, 1.0, 1e-18).rows(pumps)[:, 0]
-        expected = [CountRows(p, 1.0, 1e-18).rows(mu)[0] for mu in pumps.tolist()]
+        vacuum = CountRows(p, 1.0).rows(pumps)[:, 0]
+        expected = [CountRows(p, 1.0).rows(mu)[0] for mu in pumps.tolist()]
         np.testing.assert_array_equal(vacuum, expected)
         syncs = [sync_probability(3, mu, 0.6) for mu in pumps.tolist()]
         np.testing.assert_allclose(1.0 - vacuum, syncs, rtol=1e-12, atol=1e-15)
@@ -246,11 +246,11 @@ class TestTunePairMean:
 
 class TestSourceRowsAndValidation:
     def test_coherent_is_poisson_at_sample(self):
-        got = CountRows(Coherent(1.0), 1.0, 1e-18).rows()
+        got = CountRows(Coherent(1.0), 1.0).rows()
         np.testing.assert_array_equal(got, poisson_rows(1.0, got.size - 1))
 
     def test_fock_single_photon(self):
-        np.testing.assert_array_equal(CountRows(Fock(1), 1.0, 1e-18).rows(), [0.0, 1.0])
+        np.testing.assert_array_equal(CountRows(Fock(1), 1.0).rows(), [0.0, 1.0])
 
     def test_multiplexed_tuned_mean(self):
         src = make_multiplexed(3, 0.5)
@@ -321,7 +321,7 @@ class TestSourceRowsAndValidation:
         with pytest.raises(TypeError):
             source_moments(object())
         with pytest.raises(TypeError):
-            CountRows(object(), 1.0, 1e-18).rows()
+            CountRows(object(), 1.0).rows()
 
 
 @pytest.mark.parametrize("high", [1.0, 3.5, math.inf])
