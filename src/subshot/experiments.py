@@ -9,16 +9,16 @@ and deterministic.  `_rows` is the only place rows are built, all rows of a
 run at once from its report columns into a `RowTable`, and `_sources` the
 only place the sources are made: a coherent beam whose mean, and
 multiplexed sources whose pumps, are a float or follow a whole mean grid,
-every pump of a run tuned in one bisection.  The exact sweeps (`_exact_rows`,
-`_run_asymptotic`) make one report per detector for the coherent source, one
-for all the run's networks, on the leading network axis of the closed forms,
-and one for the Fock state; the coherent number-resolving report, where a run
-makes one, is also its shot-noise reference.  `_grid_rows` passes a report
-column whose bits equal those of the column before it as that very list
-(`nr-ratio`'s `mse` column is its `variance` column), which the writers
-spell once; it matches by bits, never by `==`, since 0.0 == -0.0 and
-1 == 1.0 spell apart.  The row format and its CSV and JSON writers live in
-`subshot.output`.
+every pump of a run tuned in one `tune_pair_mean` call.  The exact sweeps
+(`_exact_rows`, `_run_asymptotic`) make one report per detector for the
+coherent source, one for all the run's networks, on the leading network axis
+of the closed forms, and one for the Fock state; the coherent
+number-resolving report, where a run makes one, is also its shot-noise
+reference.  `_grid_rows` passes a report column whose bits equal those of
+the column before it as that very list (`nr-ratio`'s `mse` column is its
+`variance` column), which the writers spell once; it matches by bits, never
+by `==`, since 0.0 == -0.0 and 1 == 1.0 spell apart.  The row format and
+its CSV and JSON writers live in `subshot.output`.
 `SweepConfig.validate` checks that every number is a Python int or float
 (an int for a count) and every grid a sequence, checks the run-level rules,
 and builds the channels, the fluctuation config and the untuned networks
@@ -280,7 +280,8 @@ def _sources(cfg: SweepConfig, mean, stages=None) -> list[Source]:
     """The coherent source and one multiplexed source per stage count of
     `stages` (default `cfg.stage_counts`), each delivering `mean` photons to
     the sample: a float, or an array of means that the sources' pumps then
-    follow.  Every multiplexed pump of the run is tuned in one bisection."""
+    follow.  Every multiplexed pump of the run is tuned in one
+    `tune_pair_mean` call."""
     calibration = (cfg.herald_eff, cfg.stage_transmission, cfg.optics_transmission)
     return [Coherent(mean)] + make_multiplexed(stages or cfg.stage_counts, mean, *calibration)
 

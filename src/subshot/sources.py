@@ -10,9 +10,9 @@ Detecting the idler photon of a pair heralds its signal twin; the network then
 delays the signal so it leaves on the clock tick.  Raising the pump increases
 the herald rate but also the multi-photon contamination, so the pump strength
 that realizes a wanted mean photon number at the sample is found numerically
-(`tune_pair_mean`, one array bisection for every stage count and target),
-once `check_reach`, the one rule on whether a target can be reached at all,
-has passed.
+(`tune_pair_mean`, safeguarded Newton steps on the closed-form mean, in one
+array iteration for every stage count and target), once `check_reach`, the
+one rule on whether a target can be reached at all, has passed.
 
 No other module knows how a source kind is evaluated.  The mean, variance
 and click probabilities at the sample plane (`source_moments`,
@@ -67,6 +67,10 @@ MAX_STAGES = 64
 # 1e270, so every closed form stays finite, without an overflow warning, up
 # to twice this pump.
 MAX_PUMP = 1e250
+
+# The pump tuning stops once the output mean lies within this times
+# min(1, target) of its target: relative below one photon, absolute above.
+TUNING_TOL = 1e-10
 
 # Count rows discard less than this mass per trimmed tail: far below the
 # spacing of the uniforms the fluctuation rounds sample them with, and a bias
@@ -278,50 +282,78 @@ def check_reach(sources, target_mean) -> None:
                                  f"source needs a pump above {MAX_PUMP:g} to reach mean {top}")
 
 
-def tune_pair_mean(source, target_mean, tol: float = 1e-10):
+def tune_pair_mean(source, target_mean):
     """Pump strength whose output mean at the sample equals `target_mean`,
-    for a `Multiplexed` `source` or, in one array bisection, each source of a
-    list of them (a leading result axis) and each entry of an array of
+    for a `Multiplexed` `source` or, in one array iteration, each source of
+    a list of them (a leading result axis) and each entry of an array of
     targets.  The `pair_mean` fields are ignored.
 
     The closed-form output mean is continuous, strictly increasing in the
-    pump and grows like pump * Q without bound, so bisection converges.
-    Each entry doubles its own bracket and stops once its mean residual
-    drops below `tol` times min(1, target), so tiny targets are met to
-    relative precision (it then keeps lo = hi), or its bracket shrinks to
-    adjacent floats, where a large mean cannot get closer (it stays put);
-    the loop ends when no pump moves.  A target that no pump up to
-    MAX_PUMP reaches is refused first, by `check_reach`.
+    pump and grows like pump * Q without bound.  Each entry doubles its own
+    bracket, then takes Newton steps on the mean, the slope in closed form
+    from `_herald`, from the weak-pump guess target / (Q 2**stages h).  A
+    step that leaves the bracket, meets the 0/0 of the slope at pump 0 or
+    follows a residual that did not change (the mean rounds flat there) goes
+    to the bracket's midpoint in the order of the floats' bits instead, so
+    every pump evaluated lies inside the bracket and shrinks it.  An entry
+    stops once its mean residual drops below `TUNING_TOL` times
+    min(1, target), so tiny targets are met to relative precision (it then
+    keeps lo = hi), or its bracket shrinks to adjacent floats, where a large
+    mean cannot get closer (it stays at the end it evaluated last); the
+    loop ends when no pump moves, and each entry's pump is the one it gets
+    tuned alone.  A target that no pump up to MAX_PUMP reaches is refused
+    first, by `check_reach`.
     """
     target = np.asarray(target_mean, dtype=np.float64)
     if (bad := ~((target > 0) & np.isfinite(target))).any():
         raise ValueError(f"target mean must be > 0 and finite, got {target[bad][0]}")
     check_reach([source] if isinstance(source, Multiplexed) else source, target)
     constants = _mux_constants(source, target.ndim)
-    target = np.broadcast_to(target, np.broadcast_shapes(np.shape(constants[0]), target.shape))
+    h, _, neg_rate, network, optics = constants
+    target = np.broadcast_to(target, np.broadcast_shapes(np.shape(h), target.shape))
 
-    def mean_at(mu: np.ndarray) -> np.ndarray:
-        return _mux_factorial_moments(constants, mu, 1)[0]
-
-    stop = tol * np.minimum(1.0, target)
+    stop = TUNING_TOL * np.minimum(1.0, target)
     # Above `floor` is above -stop, or at least 0 where `stop` underflows to 0.
     floor = -np.maximum(stop, math.ulp(0.0))
     lo, hi = np.zeros(target.shape), np.array(np.maximum(1.0, target))
-    while (short := mean_at(hi) < target).any():
+    while (short := _mux_factorial_moments(constants, hi, 1)[0] < target).any():
         # A guard only: `check_reach` has refused every target above the ceiling.
         if (ceiling := short & (hi > MAX_PUMP)).any():
             raise ValueError(f"target mean {target[ceiling][0]} needs a pump above {MAX_PUMP:g}")
         lo, hi = np.where(short, hi, lo), np.where(short, 2.0 * hi, hi)
 
-    mid = None
+    with np.errstate(divide="ignore", over="ignore"):
+        # Where the tangent at pump 0, of slope Q 2**stages h, meets the target.
+        mu = np.array(np.clip(target / (network * optics * -neg_rate), lo, hi))
+    previous = np.full(target.shape, np.nan)
     while True:
-        previous, mid = mid, 0.5 * (lo + hi)
-        if previous is not None and (mid == previous).all():
-            return _scalar(mid)
-        # Within `stop` of the target, both ends move to mid.
-        residual = mean_at(mid) - target
-        np.copyto(lo, mid, where=residual < stop)
-        np.copyto(hi, mid, where=residual > floor)
+        # The mean as `_mux_factorial_moments` spells it, and its slope.
+        neg_p_w, no_click, neg_sync, gain = _herald(constants, mu)
+        c = h * no_click - neg_p_w
+        residual = gain * (mu * network * optics) * c - target
+        # Within `stop` of the target, both ends move to mu.
+        np.copyto(lo, mu, where=residual < stop)
+        np.copyto(hi, mu, where=residual > floor)
+        # The midpoint in the order of the floats' bits: arithmetic on a
+        # narrow bracket, geometric on a wide one, so that any bracket
+        # shrinks to adjacent floats (mid = lo) in at most 64 midpoints.
+        lo_bits = lo.view(np.int64)
+        mid = (lo_bits + ((hi.view(np.int64) - lo_bits) >> 1)).view(np.float64)
+        moving = mid != lo
+        if not moving.any():
+            return _scalar(mu)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            dgain = (neg_rate * (1.0 + neg_sync) + h * gain * no_click) / neg_p_w
+            slope = network * optics * (
+                (gain + mu * dgain) * c + mu * gain * h * (1.0 - h) * no_click
+            )
+            step = mu - residual / slope
+        # NaN fails both comparisons, so the 0/0 at pump 0 bisects too, and
+        # so does a residual that did not change: the mean rounds flat there
+        # (pump * Q underflows), where Newton steps would creep.
+        step = np.where((lo < step) & (step < hi) & (residual != previous), step, mid)
+        np.copyto(mu, step, where=moving)
+        previous = residual
 
 
 def make_multiplexed(
@@ -334,7 +366,7 @@ def make_multiplexed(
     """Multiplexed source tuned to `target_mean` photons at the sample; an
     array of targets gives the array of their pumps as `pair_mean`.  A
     sequence of stage counts gives a list of such sources, one per count,
-    all tuned in one bisection from their untuned networks."""
+    all tuned in one `tune_pair_mean` call from their untuned networks."""
     calibration = (herald_eff, stage_transmission, optics_transmission)
     networks = [Multiplexed(m, 0.0, *calibration) for m in np.atleast_1d(stages).tolist()]
     pumps = tune_pair_mean(networks, target_mean)

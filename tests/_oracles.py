@@ -6,9 +6,13 @@ closed-form pipelines it is used to check.  The pump-fluctuation oracles add
 one numerical step: Gauss-Legendre quadrature over the Gaussian pump, for the
 number-resolving and the threshold estimator; `legendre_rule` derives by
 Newton's method the rule the package commits as a table.
-`mask_bisection` is the pump tuning's array bisection with its step spelled
-as masks, the reference for the tuned pump bits.
+`mask_bisection` is an array bisection on the closed-form mean under the
+pump tuning's stop rule, the reference its Newton-tuned pumps are compared
+with.
 `poisson_support_walk` is the count-by-count Poisson truncation search.
+`total_count_law` is the plain nu-fold convolution power of a count row,
+the reference for the law the Monte Carlo validation samples its totals
+from.
 `per_round_totals` and `per_repetition_totals` are the references for the
 batched fluctuation rounds: they take the count rows as a function and
 check only how the rounds draw and count, one at a time.  `rows_csv` and
@@ -146,11 +150,11 @@ def tune_pump(output_probs, target_mean: float) -> float:
 
 def mask_bisection(mean_at, target, tol: float = 1e-10):
     """Pumps at which `mean_at` (an increasing mean of a pump array) meets
-    each entry of the array `target`, by the array bisection of
-    `sources.tune_pair_mean` written with a `hit` and a `low` mask per step:
-    the reference for its pump bits.  Each entry stops once its residual is
-    below `tol` times min(1, target), keeping lo = hi, or its bracket shrinks
-    to adjacent floats."""
+    each entry of the array `target`, by an array bisection written with a
+    `hit` and a `low` mask per step: the reference for the pumps of
+    `sources.tune_pair_mean`, which stops on the same rule.  Each entry stops
+    once its residual is below `tol` times min(1, target), keeping lo = hi,
+    or its bracket shrinks to adjacent floats."""
     stop = tol * np.minimum(1.0, target)
     lo, hi = np.zeros(target.shape), np.array(np.maximum(1.0, target))
     while (short := mean_at(hi) < target).any():
@@ -282,6 +286,16 @@ def threshold_mse_fluctuating_pump(
     if redraw == "per-repetition":
         return mse(sum(w * p for w, p in weighted))
     raise ValueError(f"unknown redraw mode {redraw!r}")
+
+
+def total_count_law(row, nu: int) -> np.ndarray:
+    """Law of the sum of `nu` independent counts distributed as `row`: the
+    plain nu-fold `np.convolve` power, P(K = k) at k = 0 .., with no
+    trimming and no renormalization."""
+    law = np.ones(1)
+    for _ in range(nu):
+        law = np.convolve(law, row)
+    return law
 
 
 def per_round_totals(rows, pump: float, a_grid, rounds: int, nu: int, negatives: str, seed: int):

@@ -228,7 +228,7 @@ def test_c09_pump_tuning_residuals():
         for target in (0.1, 0.5, 1.0):
             mu = tune_pair_mean(src, target)
             # Summed over the enumerated distribution, not read from the
-            # closed-form mean the tuning bisects on.
+            # closed-form mean the tuning solves for.
             probs = enumerate_mux_output(m, mu, 0.9, 0.88, 0.9, n_cut=25)
             achieved = thinned_count_moments(probs, 1.0)[0]
             worst = max(worst, abs(achieved - target))

@@ -40,9 +40,11 @@ from subshot.estimators import (
     snl_ratio,
     snl_report,
 )
-from subshot.experiments import MAX_MEAN
+from subshot import sources
+from subshot.experiments import _DEFAULT_MEAN_GRIDS, MAX_MEAN, SweepConfig
 from subshot.sources import (
     MAX_STAGES,
+    TUNING_TOL,
     Coherent,
     CountRows,
     Fock,
@@ -65,7 +67,7 @@ survivals = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
 log_uniform_targets = st.floats(-12.0, math.log10(MAX_MEAN)).map(lambda e: 10.0**e)
 herald_effs = st.one_of(st.just(1.0), st.floats(0.05, 1.0))
 # Targets from 1e-323, where the tuning's stop rule 1e-10 * target underflows
-# to 0, to 1e14, where the bisection stops at adjacent floats; half the draws
+# to 0, to 1e14, where the tuning stops at adjacent floats; half the draws
 # lie below 1e-313, where that stop rule is 0 or subnormal.
 bisection_targets = st.one_of(st.floats(-323.0, -313.0), st.floats(-313.0, 14.0)).map(
     lambda e: 10.0**e
@@ -238,10 +240,9 @@ class TestTuning:
     @CHECKS
     @given(mux_sources(), st.floats(1e-4, 20.0))
     def test_residual_below_tolerance(self, src, target):
-        tol = 1e-10
-        mu = tune_pair_mean(src, target, tol=tol)
+        mu = tune_pair_mean(src, target)
         achieved = source_moments(replace(src, pair_mean=mu)).mean
-        assert abs(achieved - target) < tol
+        assert abs(achieved - target) < TUNING_TOL
 
     @pytest.mark.parametrize("stages", [1, 3, 6])
     @pytest.mark.parametrize("target", [1e-12, 1e-9, 0.05])
@@ -288,6 +289,15 @@ class TestTuning:
             oracle = tune_pump(lambda mu: CountRows(src, 1.0).rows(mu).tolist(), target)
             assert pump == pytest.approx(oracle, rel=1e-8)
 
+    # The pumps agree with the mask bisection within this relative bound
+    # where they are normal floats.  Both means lie within TUNING_TOL *
+    # min(1, target) of the target, so two pumps may differ by about twice
+    # that over the mean's log-slope d(log mean)/d(log pump).  Over 1500
+    # examples of this test's domain the largest difference was 2.1e-9, at
+    # target 1 and pump 0.025, where that slope is about 0.1; over this
+    # test's own examples it is 9.8e-11.
+    ORACLE_RTOL = 1e-8
+
     @settings(CHECKS, max_examples=25)
     @given(
         st.lists(st.integers(1, MAX_STAGES), min_size=1, max_size=3),
@@ -300,18 +310,49 @@ class TestTuning:
     @example([2], 1.5e-323, 0.11366081601798575, 0.5781733249517932, 0.41637495242467326)
     @example([2, 3, 64], [1.0743e-319, 4.214e-321, 1e14], 0.008120532108251914,
              0.7267489447403257, 0.1773396123848065)
-    def test_pumps_match_the_mask_bisection(self, stages, targets, herald, stage, optics):
-        """The tuning gives each pump the bits of the reference bisection
-        whose step is spelled as `hit` and `low` masks, for one network and
-        for a list of them, at a scalar target and at an array of them."""
+    def test_pumps_meet_the_stop_rule_near_the_mask_bisection(
+        self, stages, targets, herald, stage, optics
+    ):
+        """Each pump's mean lies within the stop rule of its target, or the
+        pump sits at adjacent floats whose means bracket the target, for one
+        network and for a list of them, at a scalar target and at an array of
+        them; and each normal pump matches the reference bisection.  A
+        subnormal pump carries a few bits, and so does its mean, so pumps
+        that differ in their leading bits can meet the stop rule alike: there
+        only the stop rule is checked.  A tuning whose stop rule reads
+        max(1, target) or 1 in place of min(1, target) fails here."""
         networks = [Multiplexed(m, 0.0, herald, stage, optics) for m in stages]
         for source in (networks[0], networks):
             got = np.asarray(tune_pair_mean(source, targets))
-            expected = mask_bisection(
-                lambda mu: np.asarray(source_moments(source, mu).mean),
-                np.broadcast_to(targets, got.shape),
-            )
-            assert got.tobytes() == expected.tobytes()
+            target = np.broadcast_to(targets, got.shape)
+
+            def mean_at(mu):
+                return np.asarray(source_moments(source, mu).mean)
+
+            stop = TUNING_TOL * np.minimum(1.0, target)
+            residual = mean_at(got) - target
+            met = (-np.maximum(stop, math.ulp(0.0)) < residual) & (residual < stop)
+            below = mean_at(np.nextafter(got, 0.0)) < target
+            above = target <= mean_at(np.nextafter(got, np.inf))
+            bracketed = (below & (residual >= 0.0)) | ((residual < 0.0) & above)
+            assert (met | bracketed).all(), (got, residual)
+
+            expected = mask_bisection(mean_at, target)
+            normal = expected >= np.finfo(np.float64).tiny
+            np.testing.assert_allclose(got[normal], expected[normal], rtol=self.ORACLE_RTOL)
+
+    def test_default_targets_take_at_most_twelve_evaluations(self, monkeypatch):
+        """The reach check, the doubling and the Newton steps evaluate the
+        closed forms at most 12 times for the default stage counts, at the
+        default mean and over `intensity-sweep`'s default mean grid (the
+        bisection took 36 and 45)."""
+        calls = []
+        herald = sources._herald
+        monkeypatch.setattr(sources, "_herald", lambda *args: calls.append(args) or herald(*args))
+        for means in (SweepConfig.mean_photons, np.array(_DEFAULT_MEAN_GRIDS["intensity-sweep"])):
+            calls.clear()
+            make_multiplexed(SweepConfig.stage_counts, means)
+            assert 0 < len(calls) <= 12
 
 
 # Small transmission grids holding both ends, in any order.

@@ -732,57 +732,58 @@ class TestSerialization:
 
     # sha256 of the CSV of each experiment at a small config (nr-ratio at
     # its defaults, 808 rows), and of the default nr-ratio JSON, as written
-    # at commit 231e494.  Any change to the output bytes fails here.
+    # since the pump tuning takes Newton steps (the commit after caec2fb).
+    # Any change to the output bytes fails here.
     PINNED = {
-        "nr-ratio": ({}, "c3248e5a0558cf5a0d1307d71e6309d0755277f8da2e87ae43939efc90bd2203"),
+        "nr-ratio": ({}, "90e296ad82b05fb88d6f4c36201e75029849964d31cb526e34d3199a59e61646"),
         "threshold-bias": (
             {"t_grid": (0.0, 0.25, 0.5, 0.75, 1.0), "stage_counts": (1, 3)},
-            "b838fec27c55bf65173a8c7ed70d66154495bdc072be5270152055c7c21e4b21",
+            "d0b0e7debb8bedfb0eb87b62d575de1eba48a4b57e530973d125595e0ae02c4c",
         ),
         "threshold-ratio": (
             {"t_grid": (0.0, 0.3, 0.9, 1.0), "stage_counts": (2,), "detector_eff": 1.0},
-            "338d169b637bc65ca2b572037f4be2ba5fda1a484dc47842f425a1a11a22808a",
+            "88600dc4ab891ad67f6c0d4c300ce9a7753e429b31c5e2540a4ca97fa669a4fe",
         ),
         "intensity-sweep": (
             {"mean_grid": (0.2, 0.7), "stage_counts": (2, 4), "nu": 50},
-            "67e03bc3e9ce90b45fde931e9a9d1b45c07dce09cc1b265c30c312b4878974ce",
+            "49e3aa20a6868dfd828985e8ab62f1adfb2c8f671dcb602523adc2be5f9a3c95",
         ),
         "asymptotic": (
             {"t_grid": (0.3, 0.6, 1.0), "mean_grid": (0.5, 1.0), "stage_counts": (3,)},
-            "b17962e5c9b0b3a7c09a9008ea1dbded8556295b9d85b18660250db96dee51bb",
+            "cc9668fe76725299d00d3208820de0553e2e27027b041c03f96eb48fca605486",
         ),
         "fluctuations": (
             {"a_grid": (0.0, 0.3), "stage_counts": (3,), "mean_photons": 0.5, "rounds": 5,
              "nu": 50, "seed": 9},
-            "6dafdd2890eb9174d5c20ae846b0077710d9a96d92ffa20cc5065e4094cb91b2",
+            "a2939befc16ce3209924daad839e6e79b8d1afd15c55efb089567d58c46f980c",
         ),
         "mc-validate": (
             {"trials": 200, "nu": 20, "seed": 7},
-            "3017d032d2301aeaeca196b41d242d24afc21a81c3692802941170ef573dd70a",
+            "66a21318a2e5cb252e25b52ebd2727223c887316d92fdfe83533410a13930f7b",
         ),
     }
-    PINNED_NR_RATIO_JSON = "43e44542c378fae9d7a9155c38dc97c2a1e99df7d354da858676a2577abd6834"
+    PINNED_NR_RATIO_JSON = "deedaa44842be78478816830cabef64f6aab3039f04e5acf79f2cf6dd51480b3"
     # The fluctuation modes the pins above leave out: per-repetition pump
     # redraws, and resampled negative pumps (the normal of round 2 sends
-    # the pump at a = 0.6 below zero), as written at commit 11bd732; and
-    # both redraw modes at mean 1e4, whose count rows are longer than nu
-    # (~1e4 counts against 50 uniforms), as written at commit 0ec04ea.
+    # the pump at a = 0.6 below zero), and both redraw modes at mean 1e4,
+    # whose count rows are longer than nu (~1e4 counts against 50 uniforms),
+    # as written since the pump tuning takes Newton steps.
     PINNED_FLUCTUATION_MODES = {
         "per-repetition": (
             {"a_grid": (0.0, 0.3), "rounds": 5, "redraw": "per-repetition"},
-            "4859da66bf3a2cf96702ffc890b268bbff722feb27551951e86fce91e43ef08c",
+            "81033e0125c27f1e79d9579019aaa329fb840117f79436159e85b335f4882b3f",
         ),
         "resample": (
             {"a_grid": (0.0, 0.6), "rounds": 12, "negatives": "resample"},
-            "676b616bae5aa5fdc9c9fe715c73d0bbd33f3a66333d9f308d9e72ace9354a63",
+            "5af5835d7ee24e2035cff09c6919995a7e5782952db06d2ac0e79a269257cd68",
         ),
         "per-round-mean-1e4": (
             {"mean_photons": 1e4, "a_grid": (0.0, 0.6), "rounds": 4},
-            "2f54025caba92508a57d98b1c1f7762e1901d109bfcc6f8606c32165464eb41f",
+            "8909e24ee14b18601cbb4e0d7eed46514ba764d44fb6b8202ef4e2e7d497add2",
         ),
         "per-repetition-mean-1e4": (
             {"mean_photons": 1e4, "a_grid": (0.0, 0.6), "rounds": 4, "redraw": "per-repetition"},
-            "7da09fefd9e2a34bedcbc5f5d661d1d463f228d1d01b3c193bbbcfbeda1bffa0",
+            "ebb3cbe31ca95de89dbc220d7aef70d8756731595ea6ddec153ae7ae3012c3d9",
         ),
     }
 

@@ -28,6 +28,7 @@ from _oracles import (
     poisson_probs,
     thinned_count_moments,
     threshold_mse_fluctuating_pump,
+    total_count_law,
 )
 from subshot import montecarlo, pmf
 from subshot import sources as source_models
@@ -251,6 +252,37 @@ class TestTotalCountRow:
         got_mean, got_variance = row_moments(offset, total)
         assert got_mean == pytest.approx(nu * mean, rel=1e-12, abs=1e-15)
         assert got_variance == pytest.approx(nu * variance, rel=1e-12, abs=1e-15)
+
+    # The plain power and `_total_count_row` sum products of the same row.
+    # They differ by the tails `_trim_tails` drops, each below ROW_TAIL =
+    # 1e-18, and by its renormalization of each product, which moves an
+    # entry by its own size times the rounding in the row's sum; in the
+    # plain power that rounding grows like nu * 1.1e-16 (its sums are off
+    # by up to 4e-15 at nu = 20).  The largest |dP| measured over these
+    # cases is 6.9e-16, at survival 0.3 and nu = 20.
+    LAW_ATOL = 2e-15
+
+    @pytest.mark.parametrize("nu", [1, 2, 3, 7, 20])
+    @pytest.mark.parametrize("survival", [0.3, 0.72])
+    @pytest.mark.parametrize(
+        "source, detector",
+        [
+            (Coherent(1.0), Detector.NUMBER_RESOLVING),
+            (Fock(1), Detector.NUMBER_RESOLVING),
+            (make_multiplexed(3, 1.0), Detector.NUMBER_RESOLVING),
+            (make_multiplexed(3, 1.0), Detector.THRESHOLD),
+        ],
+        ids=["coherent", "fock-1", "multiplexed", "multiplexed-clicks"],
+    )
+    def test_law_is_the_plain_convolution_power(self, source, detector, survival, nu):
+        """The whole law `mc_estimate` samples from, not only its moments,
+        against the untrimmed nu-fold `np.convolve` power of the row."""
+        row = detected_row_plan(source, detector, survival).rows()
+        offset, total = _total_count_row(row, nu)
+        law = total_count_law(row, nu)
+        got = np.zeros(law.size)
+        got[offset:offset + total.size] = total
+        assert np.abs(got - law).max() <= self.LAW_ATOL
 
     def test_single_repetition_is_the_row(self):
         row = CountRows(Coherent(1.0), 0.72).rows()

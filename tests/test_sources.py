@@ -220,7 +220,7 @@ class TestTunePairMean:
     @pytest.mark.parametrize("m", [1, 3, 6, 64])
     def test_large_targets_reached(self, target, m):
         """Above ~7e5 the float spacing of the mean exceeds the absolute
-        tolerance; the bisection then stops at adjacent floats."""
+        tolerance; the tuning then stops at adjacent floats."""
         p = params(m=m, herald=0.9, stage=0.88)
         mu = tune_pair_mean(p, target)
         achieved = source_moments(replace(p, pair_mean=mu)).mean
