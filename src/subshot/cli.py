@@ -10,7 +10,6 @@ merges them and builds the run's `SweepConfig` once.
 from __future__ import annotations
 
 import argparse
-import configparser
 import contextlib
 import functools
 import os
@@ -86,7 +85,10 @@ def _apply_keys(items: dict[str, str], origin: str) -> dict:
 
 def load_config_file(path: str, experiment: str) -> dict:
     """The fields that the `[defaults]` section, then the `[<experiment>]`
-    section of the INI file at `path` set."""
+    section of the INI file at `path` set.  `configparser` is imported here,
+    so a run without a config file does not load it."""
+    import configparser
+
     parser = configparser.ConfigParser()
     if not parser.read(path):
         raise ConfigError("config", f"cannot read config file {path!r}")
@@ -109,39 +111,42 @@ def resolve_config(experiment: str, args: argparse.Namespace) -> SweepConfig:
     return SweepConfig(experiment=experiment, **updates)
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="INI config file (or set $SUBSHOT_CONFIG)")
-    sub.add_argument("--out", help="output path (default: <experiment>.<format>)")
-    sub.add_argument(
-        "--format", choices=("csv", "json", "both"), default="csv", help="output format"
-    )
-    for key in _KEY_MAP:
-        sub.add_argument(f"--{key}", dest=key.replace("-", "_"), default=None)
+# The help line of each experiment's subcommand.
+EXPERIMENT_HELP = {
+    "nr-ratio": "MSE ratios vs the shot-noise reference, number-resolving detectors",
+    "threshold-bias": "estimator bias across the transmission grid, threshold detectors",
+    "threshold-ratio": "MSE ratios vs the shot-noise reference, threshold detectors",
+    "intensity-sweep": "MSE ratios vs input mean photon number at fixed transmission",
+    "asymptotic": "infinite-repetition relative MSE floor of threshold estimators",
+    "fluctuations": "MSE vs Gaussian pump-fluctuation size, with 68%% bands",
+    "mc-validate": "Monte Carlo cross-check of the exact estimator reports",
+}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built once per process on first use."""
+    """The command line parser, built once per process on first use.  The
+    flags every subcommand takes are added once, to a parent parser that
+    each subcommand's parser copies them from."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="INI config file (or set $SUBSHOT_CONFIG)")
+    common.add_argument("--out", help="output path (default: <experiment>.<format>)")
+    common.add_argument(
+        "--format", choices=("csv", "json", "both"), default="csv", help="output format"
+    )
+    for key in _KEY_MAP:
+        common.add_argument(f"--{key}", dest=key.replace("-", "_"), default=None)
     parser = argparse.ArgumentParser(
         prog="subshot",
         description="Sub-shot-noise transmission measurement sweeps",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    help_lines = {
-        "nr-ratio": "MSE ratios vs the shot-noise reference, number-resolving detectors",
-        "threshold-bias": "estimator bias across the transmission grid, threshold detectors",
-        "threshold-ratio": "MSE ratios vs the shot-noise reference, threshold detectors",
-        "intensity-sweep": "MSE ratios vs input mean photon number at fixed transmission",
-        "asymptotic": "infinite-repetition relative MSE floor of threshold estimators",
-        "fluctuations": "MSE vs Gaussian pump-fluctuation size, with 68%% bands",
-        "mc-validate": "Monte Carlo cross-check of the exact estimator reports",
-    }
     for name in EXPERIMENTS:
-        sub = subparsers.add_parser(name, help=help_lines[name])
-        _add_common_flags(sub)
-    show = subparsers.add_parser("show-config", help="print the resolved configuration")
+        subparsers.add_parser(name, help=EXPERIMENT_HELP[name], parents=[common])
+    show = subparsers.add_parser(
+        "show-config", help="print the resolved configuration", parents=[common]
+    )
     show.add_argument("experiment", nargs="?", choices=EXPERIMENTS)
-    _add_common_flags(show)
     return parser
 
 

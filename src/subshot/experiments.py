@@ -25,7 +25,8 @@ and builds the channels, the fluctuation config and the untuned networks
 (`Multiplexed` at pump 0) the run builds, whose constructors own the ranges
 of their fields; it checks the networks' reach with the rule the pump
 tuning applies (`check_reach`), at the means the run tunes (`_tuned_means`),
-without tuning a pump.
+and the pairs per window at the sample that a weak herald makes them need
+(`check_burst`), both without tuning a pump.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from subshot.estimators import (
 )
 from subshot.montecarlo import (
     MAX_TRIALS,
+    PUMP_Z_MAX,
     FluctuationConfig,
     fluctuation_study,
     mc_estimate,
@@ -62,6 +64,7 @@ from subshot.sources import (
     Fock,
     Multiplexed,
     Source,
+    check_burst,
     check_count,
     check_reach,
     make_multiplexed,
@@ -81,6 +84,34 @@ MAX_MEAN = 1e4
 # a reference below ~1e-154; this floor leaves room above that library floor
 # for threshold references, which can be smaller than the detected mean.
 MIN_REFERENCE = 1e-100
+
+# Smallest threshold reference (the click probability with the sample
+# removed) that the pair-mean rule of `validate` leaves a multiplexed source.
+# With N its mean and b its pairs per window at the sample, a heralded window
+# holds at most b / Q + 1 pairs on average and clicks with probability at
+# least max(eta Q, 1 - e^{-b eta}), so the reference is at least
+# min(0.316 eta N, 0.632 N / (b + 1)).  The first term stays above
+# MIN_REFERENCE / 4, and b <= N / (2 * this) keeps the second above this,
+# a factor 6.7 above the 1.5e-154 whose square `estimators.reference_mean`
+# still takes.  The limit is b ~ 5e152 at mean 1: `threshold-ratio --m 1`
+# runs at herald 1e-300 (b = 6.3e149) and is refused at 1e-306.
+MIN_THRESHOLD_REFERENCE = 1e-153
+
+# Largest pairs per window at the sample, at the largest pump of the
+# pump-node layout, of a multiplexed source whose count rows a Monte Carlo
+# run samples, keyed by experiment and the fluctuation study by its redraw
+# mode.  A weak herald needs rare bursts of many pairs, and the count rows
+# span the burst.  At each limit, with the other fields at their defaults
+# (one process on 2 vCPUs): `mc-validate` takes 25 s and 47 MB (herald
+# 7e-11), most of it the nu-fold power of the rows, which grows with nu
+# too (54 s at nu = 1000 and herald 1e-10), and runs past 60 s at herald
+# 1e-11; `fluctuations` takes 2.7 s and 97 MB (herald 8.3e-13) per
+# round, and 1.4 s and 166 MB (herald 8.3e-11) per repetition, whose rows at
+# all the pump nodes of a fraction are held at once (1.2 GB at herald 1e-12).
+MAX_SAMPLED_PAIRS = {"mc-validate": 5e4, "per-round": 1.5e6, "per-repetition": 1.5e5}
+
+# The experiments that report with threshold detectors only.
+_THRESHOLD_ONLY = ("threshold-bias", "threshold-ratio", "asymptotic")
 
 # Stage counts of the canned mc-validate configurations.
 _MC_VALIDATE_STAGES = (2, 5)
@@ -181,6 +212,7 @@ class SweepConfig:
         if self.experiment == "mc-validate":
             networks = [Multiplexed(m, 0.0, *calibration) for m in _MC_VALIDATE_STAGES]
         check_reach(networks, _tuned_means(self))
+        self._validate_pairs(networks)
 
     def _validate_reference(self) -> None:
         """The detector efficiency times the smallest mean the run tunes must
@@ -194,6 +226,32 @@ class SweepConfig:
                 f"detector efficiency {self.detector_eff} times mean {mean} is below "
                 f"{MIN_REFERENCE:g}: the estimator reference would vanish",
             )
+
+    def _validate_pairs(self, networks) -> None:
+        """The pairs per window at the sample that the tuned `networks`
+        need must stay below what the run's closed forms and count rows
+        take (`sources.check_burst`), at the largest pump the run evaluates:
+        above the top pump node of a fluctuation study, else the tuned
+        pump."""
+        top = 1.0 + PUMP_Z_MAX * max(self.a_grid) if self.experiment == "fluctuations" else 1.0
+        means = np.array(_tuned_means(self))
+        limits = {}
+        if self.experiment != "nr-ratio":  # forms a threshold reference
+            limits[f"below which the threshold reference stays above "
+                   f"{MIN_THRESHOLD_REFERENCE:g}"] = means / (2 * MIN_THRESHOLD_REFERENCE)
+        if self.experiment not in _THRESHOLD_ONLY:
+            # The second factorial moment forms 2**stages (pump Q)^2 at most;
+            # 1e308 keeps it finite.  `nr-ratio --m 1` runs at herald 1e-300
+            # (6.3e149 pairs) and 1e-308 (6.3e153), and is refused at 1e-320.
+            windows = np.array([2.0**network.stages for network in networks])[:, None]
+            limits["below which its number-resolving second moment stays finite"] = (
+                1e154 / np.sqrt(windows) / top)
+        cap = MAX_SAMPLED_PAIRS.get(self.redraw if self.experiment == "fluctuations"
+                                    else self.experiment)
+        if cap is not None:
+            limits[f"below which the count rows that {self.experiment} samples stay short "
+                   f"enough to build"] = cap / top
+        check_burst(networks, means, limits)
 
     def canonical(self) -> str:
         pairs = []

@@ -41,6 +41,7 @@ count and range rules they share.  A network not yet tuned is a
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -280,6 +281,35 @@ def check_reach(sources, target_mean) -> None:
         field = _CALIBRATION[int(np.argmin((h[i], network[i], optics[i])))]
         raise ConfigError(field, f"{getattr(source, field)} is too small: a {source.stages}-stage "
                                  f"source needs a pump above {MAX_PUMP:g} to reach mean {top}")
+
+
+def check_burst(sources, target_mean, limits: dict) -> None:
+    """ConfigError naming `herald_eff` unless every network of `sources`, a
+    list of `Multiplexed` sources that `check_reach` has passed, reaches
+    each target of `target_mean` (a 1-d array) at a pump whose pairs per
+    window at the sample, pump * network * optics transmission, stay within
+    every limit of `limits`: each maps what a larger value breaks to a
+    float, or an array with one entry per network and target.
+
+    The output mean grows with the pump, so one evaluation at the smallest
+    limit suffices.  A weak herald is what makes those pairs many: a
+    heralded window's pairs then come in rare bursts of about
+    sqrt(target Q / (2**stages h)) at the sample.
+    """
+    target = np.asarray(target_mean, dtype=np.float64)
+    constants = _mux_constants(sources, 1)
+    limit = functools.reduce(np.minimum, limits.values())
+    with np.errstate(over="ignore"):
+        pump = np.minimum(limit / (constants[3] * constants[4]), MAX_PUMP)
+    short = _mux_factorial_moments(constants, pump, 1)[0] < target
+    if short.any():
+        i, j = np.argwhere(short)[0]
+        source, shape = sources[i], short.shape
+        at = [np.broadcast_to(value, shape)[i, j] for value in limits.values()]
+        raise ConfigError("herald_eff", f"{source.herald_eff} is too small: a {source.stages}-stage "
+                                        f"source needs more than {min(at):.3g} pairs per window "
+                                        f"at the sample to reach mean {target[j]}, "
+                                        f"{list(limits)[int(np.argmin(at))]}")
 
 
 def tune_pair_mean(source, target_mean):

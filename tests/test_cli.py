@@ -1,8 +1,15 @@
 """Command line front end: flag handling, config layering, outputs, exit codes."""
 
+import argparse
+import contextlib
 import csv
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from unittest import mock
 
 import pytest
@@ -322,3 +329,112 @@ class TestConfigFile:
         code = main(["nr-ratio", "--config", str(tmp_path / "nope.ini")])
         assert code == 1
         assert "config" in capsys.readouterr().err
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The parser built the way it was before the subcommands shared one
+    parent: each subcommand adds every common flag itself."""
+
+    def add_common_flags(sub):
+        sub.add_argument("--config", help="INI config file (or set $SUBSHOT_CONFIG)")
+        sub.add_argument("--out", help="output path (default: <experiment>.<format>)")
+        sub.add_argument(
+            "--format", choices=("csv", "json", "both"), default="csv", help="output format"
+        )
+        for key in cli._KEY_MAP:
+            sub.add_argument(f"--{key}", dest=key.replace("-", "_"), default=None)
+
+    parser = argparse.ArgumentParser(
+        prog="subshot",
+        description="Sub-shot-noise transmission measurement sweeps",
+    )
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for name in EXPERIMENTS:
+        add_common_flags(subparsers.add_parser(name, help=cli.EXPERIMENT_HELP[name]))
+    show = subparsers.add_parser("show-config", help="print the resolved configuration")
+    show.add_argument("experiment", nargs="?", choices=EXPERIMENTS)
+    add_common_flags(show)
+    return parser
+
+
+def parse_outcome(parser: argparse.ArgumentParser, argv: list[str]):
+    """Stdout, stderr and exit code (None if parsing succeeds) of parsing
+    `argv`, and the parsed flags."""
+    out, err = io.StringIO(), io.StringIO()
+    code, parsed = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parsed = vars(parser.parse_args(argv))
+        except SystemExit as exit_:
+            code = exit_.code
+    return out.getvalue(), err.getvalue(), code, parsed
+
+
+class TestSharedFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            *([name, "--help"] for name in (*EXPERIMENTS, "show-config")),
+            ["definitely-not-an-experiment"],
+            ["nr-ratio", "--frobnicate", "1"],
+            ["show-config", "not-an-experiment"],
+            ["nr-ratio", "--format", "xml"],
+            [],
+            ["show-config", "fluctuations", "--nu", "7", "--a-grid", "0,0.2"],
+            ["mc-validate", "--config", "x.ini", "--format", "both", "--eta-herald", "0.5"],
+        ],
+    )
+    def test_parser_matches_the_one_built_flag_by_flag(self, argv):
+        """Help, usage, error text, exit code and parsed flags are those of
+        the parser whose subcommands each add their own flags, whatever
+        Python version formats them."""
+        assert parse_outcome(build_parser(), argv) == parse_outcome(reference_parser(), argv)
+
+
+class TestFreshProcess:
+    def test_a_run_loads_configparser_only_with_a_config_file(self, tmp_path):
+        """A fresh process that runs fluctuations and nr-ratio loads neither
+        `numpy.ma` (which `np.percentile` imports) nor `configparser`; a run
+        with a config file loads `configparser` and writes the bytes of the
+        same settings given as flags."""
+        (tmp_path / "sweep.ini").write_text("[nr-ratio]\nt-grid = 0.5\nm = 2\n")
+        script = textwrap.dedent("""
+            import json, sys
+            from subshot import cli
+            out = sys.argv[1]
+            cli.main(["fluctuations", "--rounds", "3", "--a-grid", "0,0.6", "--m", "2",
+                      "--nu", "20", "--out", out + "/fluctuations.csv"])
+            cli.main(["nr-ratio", "--t-grid", "0.5", "--m", "2", "--out", out + "/flags.csv"])
+            flags_only = sorted({"numpy.ma", "configparser"} & set(sys.modules))
+            cli.main(["nr-ratio", "--config", out + "/sweep.ini", "--out", out + "/config.csv"])
+            print(json.dumps([flags_only, "configparser" in sys.modules]))
+        """)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        env.pop(cli.CONFIG_ENV_VAR, None)
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                              capture_output=True, text=True, check=True, timeout=60)
+        flags_only, with_config = json.loads(proc.stdout.splitlines()[-1])
+        assert flags_only == []
+        assert with_config
+        assert (tmp_path / "config.csv").read_bytes() == (tmp_path / "flags.csv").read_bytes()
+
+
+class TestWeakHerald:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["nr-ratio", "--eta-herald", "1e-320", "--m", "1", "--t-grid", "0.5"],
+            ["intensity-sweep", "--eta-herald", "1e-307"],
+            ["asymptotic", "--eta-herald", "2.2250738585072014e-308"],
+            ["mc-validate", "--eta-herald", "1e-11"],
+            ["fluctuations", "--eta-herald", "1e-16"],
+        ],
+    )
+    def test_run_and_show_config_name_the_herald(self, tmp_path, capsys, args):
+        """Refused by `validate` before a pump is tuned or a row built."""
+        experiment, *flags = args
+        for argv in (args, ["show-config", experiment, *flags]):
+            assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 1
+            assert capsys.readouterr().err.startswith("configuration error: herald_eff: ")
+        assert not (tmp_path / "x.csv").exists()

@@ -17,17 +17,23 @@ from hypothesis import strategies as st
 
 from _oracles import rows_csv, rows_json
 from subshot import output
+from subshot.cli import PER_EXPERIMENT_DEFAULTS
 from subshot.detection import Channel
 from subshot.estimators import (
     Detector,
     asymptotic_relative_mse_floor,
     exact_report,
+    reference_mean,
     snl_ratio,
     snl_report,
 )
 from subshot.experiments import (
     EXPERIMENTS,
     MAX_MEAN,
+    MAX_SAMPLED_PAIRS,
+    MIN_THRESHOLD_REFERENCE,
+    _MC_VALIDATE_STAGES,
+    _THRESHOLD_ONLY,
     ConfigError,
     SweepConfig,
     _exact_rows,
@@ -36,13 +42,15 @@ from subshot.experiments import (
     _tuned_means,
     run_experiment,
 )
-from subshot.montecarlo import FluctuationConfig, fluctuation_study, mc_estimate
+from subshot.montecarlo import PUMP_Z_MAX, FluctuationConfig, fluctuation_study, mc_estimate
 from subshot.output import ROW_COLUMNS, Indexed, RowTable, SweepRow, rows_to_csv, text_pieces
 from subshot.sources import (
     MAX_PUMP,
     MAX_STAGES,
     Fock,
     Multiplexed,
+    check_burst,
+    check_reach,
     make_multiplexed,
     source_moments,
     tune_pair_mean,
@@ -540,6 +548,141 @@ class TestConfigValidation:
         c = SweepConfig(experiment="nr-ratio", nu=400)
         assert a.digest() == b.digest()
         assert a.digest() != c.digest()
+
+
+# Herald efficiencies down to the smallest subnormal.
+weak_herald = st.floats(-323.0, 0.0).map(lambda e: 10.0**e)
+
+
+def tuned_pairs(networks, means) -> np.ndarray:
+    """Pairs per window at the sample, shape (networks, means), of `networks`
+    tuned to each of `means`."""
+    transmissions = [n.stage_transmission**n.stages * n.optics_transmission for n in networks]
+    return tune_pair_mean(networks, np.asarray(means)) * np.array(transmissions)[:, None]
+
+
+def command_line_config(experiment, overrides) -> SweepConfig:
+    """The config the command line runs for `experiment` with `overrides`
+    as flags."""
+    return SweepConfig(experiment, **{**PER_EXPERIMENT_DEFAULTS.get(experiment, {}), **overrides})
+
+
+class TestPairLimits:
+    """A weak herald needs rare bursts of many pairs, which `validate`
+    bounds (`SweepConfig._validate_pairs`).  Checked through `validate` and
+    the closed forms only: no config here builds its count rows."""
+
+    @pytest.mark.parametrize(
+        "experiment, overrides",
+        [
+            ("nr-ratio", {"herald_eff": 1e-320, "stage_counts": (1,), "t_grid": (0.5,)}),
+            ("nr-ratio", {"herald_eff": 5e-324}),
+            ("threshold-ratio", {"herald_eff": 1e-306, "stage_counts": (1,)}),
+            ("intensity-sweep", {"herald_eff": 1e-307}),
+            ("asymptotic", {"herald_eff": 2.2250738585072014e-308}),
+            *(("mc-validate", {"herald_eff": h}) for h in (1e-11, 1e-13, 1e-15, 1e-16, 1e-300)),
+            *(("fluctuations", {"herald_eff": h}) for h in (1e-13, 1e-16, 1e-300)),
+            ("fluctuations", {"herald_eff": 1e-11, "redraw": "per-repetition"}),
+        ],
+    )
+    def test_weak_herald_named(self, experiment, overrides):
+        with pytest.raises(ConfigError) as err:
+            command_line_config(experiment, overrides).validate()
+        assert err.value.field == "herald_eff"
+        assert "pairs per window at the sample" in err.value.reason
+
+    @pytest.mark.parametrize(
+        "experiment, overrides",
+        [
+            # Each runs clean under -W error, in the time beside it (one
+            # process on 2 vCPUs).
+            ("nr-ratio", {"herald_eff": 1e-300, "stage_counts": (1,)}),  # 0.2 s
+            ("nr-ratio", {"herald_eff": 1e-308, "stage_counts": (1,)}),  # 0.2 s
+            ("threshold-ratio", {"herald_eff": 1e-305, "stage_counts": (1,)}),  # 0.2 s
+            ("intensity-sweep", {"herald_eff": 1e-300}),  # 0.3 s
+            ("asymptotic", {"herald_eff": 1e-300}),  # 0.3 s
+            ("mc-validate", {"herald_eff": 1e-10}),  # 21 s
+            ("fluctuations", {"herald_eff": 1e-12}),  # 2.8 s
+            ("fluctuations", {"herald_eff": 1e-10, "redraw": "per-repetition"}),  # 1.2 s
+            ("mc-validate", {"mean_photons": MAX_MEAN}),  # 0.5 s
+            ("fluctuations", {"mean_photons": MAX_MEAN, "redraw": "per-repetition"}),  # 1.2 s
+        ],
+    )
+    def test_what_ran_before_is_accepted(self, experiment, overrides):
+        command_line_config(experiment, overrides).validate()
+
+    @settings(CHECKS, max_examples=100)
+    @given(
+        herald_eff=weak_herald,
+        stages=st.lists(st.integers(1, MAX_STAGES), min_size=1, max_size=3),
+        means=st.lists(st.floats(-99.0, 4.0).map(lambda e: 10.0**e), min_size=1, max_size=3),
+        limit=st.floats(-2.0, 170.0).map(lambda e: 10.0**e),
+    )
+    def test_check_burst_refuses_where_the_tuned_pump_passes_the_limit(
+        self, herald_eff, stages, means, limit
+    ):
+        """The one closed-form evaluation at the limit refuses exactly the
+        targets whose tuned pump puts more pairs per window at the sample
+        than the limit, up to the tuning's tolerance."""
+        networks = [Multiplexed(m, 0.0, herald_eff) for m in stages]
+        try:
+            check_reach(networks, means)
+        except ConfigError:
+            return
+        pairs = tuned_pairs(networks, means)
+        try:
+            check_burst(networks, means, {"reason": limit})
+        except ConfigError as err:
+            assert err.field == "herald_eff"
+            assert pairs.max() > limit * (1 - 1e-8)
+        else:
+            assert pairs.max() <= limit * (1 + 1e-8)
+
+    @settings(CHECKS, max_examples=150)
+    @given(
+        experiment=st.sampled_from(EXPERIMENTS),
+        redraw=st.sampled_from(("per-round", "per-repetition")),
+        herald_eff=weak_herald,
+        stages=st.lists(st.integers(1, MAX_STAGES), min_size=1, max_size=2),
+        mean=st.floats(-99.0, 4.0).map(lambda e: 10.0**e),
+    )
+    # Just inside each limit.
+    @example(experiment="nr-ratio", redraw="per-round", herald_eff=1e-308, stages=[1], mean=1.0)
+    @example(experiment="threshold-ratio", redraw="per-round", herald_eff=1e-305, stages=[1],
+             mean=1.0)
+    @example(experiment="fluctuations", redraw="per-round", herald_eff=8.4e-13, stages=[3],
+             mean=0.5)
+    @example(experiment="fluctuations", redraw="per-repetition", herald_eff=8.4e-11, stages=[3],
+             mean=0.5)
+    def test_accepted_configs_keep_their_closed_forms_and_rows_in_range(
+        self, experiment, redraw, herald_eff, stages, mean
+    ):
+        """At the pumps a validated run tunes: the threshold reference stays
+        above MIN_THRESHOLD_REFERENCE, the number-resolving moments at the
+        largest pump evaluated are finite without a RuntimeWarning (an error
+        here), and the sampled pairs stay within MAX_SAMPLED_PAIRS."""
+        sweeps = experiment in ("intensity-sweep", "asymptotic")
+        cfg = SweepConfig(experiment=experiment, redraw=redraw, herald_eff=herald_eff,
+                          stage_counts=tuple(stages), mean_photons=mean,
+                          mean_grid=(mean, 1.0) if sweeps else ())
+        try:
+            cfg.validate()
+        except ConfigError as err:
+            assert err.field in {f.name for f in fields(SweepConfig)}
+            return
+        stages = _MC_VALIDATE_STAGES if experiment == "mc-validate" else cfg.stage_counts
+        networks = make_multiplexed(stages, np.array(_tuned_means(cfg)), herald_eff)
+        top = 1.0 + PUMP_Z_MAX * max(cfg.a_grid) if experiment == "fluctuations" else 1.0
+        if experiment != "nr-ratio":
+            assert np.all(reference_mean(networks, Detector.THRESHOLD, cfg.detector_eff)
+                          >= MIN_THRESHOLD_REFERENCE)
+        if experiment not in _THRESHOLD_ONLY:
+            pumps = np.array([n.pair_mean for n in networks])
+            moments = source_moments(networks, top * pumps)
+            assert np.isfinite(moments.variance).all()
+        cap = MAX_SAMPLED_PAIRS.get(redraw if experiment == "fluctuations" else experiment)
+        if cap is not None:
+            assert tuned_pairs(networks, _tuned_means(cfg)).max() * top <= cap * (1 + 1e-8)
 
 
 class TestNrRatio:

@@ -865,6 +865,56 @@ class TestFluctuationStudy:
             assert s.ci_low <= s.mean_mse or s.ci_low <= s.ci_high
             assert s.ci_low <= s.ci_high
 
+    @pytest.mark.parametrize("negatives", NEGATIVES)
+    @pytest.mark.parametrize("redraw", REDRAWS)
+    def test_bands_are_numpy_percentiles_of_the_squared_errors(self, redraw, negatives):
+        """`ci_low` and `ci_high` are np.percentile(..., [16, 84]) of the
+        rounds' squared errors, bit for bit, for every pair of a study."""
+        cfg = FluctuationConfig(rounds=37, nu=50, redraw=redraw, negatives=negatives)
+        studies = fluctuation_study(cfg, STUDY_PAIRS, CH, seed=13)
+        totals = montecarlo._study_totals(
+            cfg, STUDY_PAIRS, CH.survival, 13, pump_nodes(cfg.a_grid, negatives)
+        )
+        for summaries, pair_totals, (source, detector) in zip(studies, totals, STUDY_PAIRS):
+            ref = reference_mean(source, detector, CH.detector_eff)
+            sq_err = (pair_totals / (cfg.nu * ref) - CH.transmission) ** 2
+            low, high = np.percentile(sq_err, [16.0, 84.0], axis=-1)
+            assert np.array([s.ci_low for s in summaries]).tobytes() == low.tobytes()
+            assert np.array([s.ci_high for s in summaries]).tobytes() == high.tobytes()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        rounds=st.integers(2, 2000),
+        pairs=st.integers(1, 3),
+        fractions=st.integers(1, 3),
+        pool=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1.0, 1e300,
+                                 1.7976931348623157e308]),
+                st.floats(0.0, 1e-300),  # subnormals and the smallest normals
+                st.floats(0.0, 1e300),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        spread=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(rounds=2, pairs=1, fractions=1, pool=[0.0, 1.0], spread=False, seed=0)
+    @example(rounds=2000, pairs=3, fractions=3, pool=[1e300, 5e-324], spread=True, seed=1)
+    def test_band_edges_are_numpy_percentiles(self, rounds, pairs, fractions, pool, spread, seed):
+        """The band rule equals np.percentile's default 'linear' rule bit for
+        bit on squared-error-like arrays (non-negative, no -0.0): drawn from
+        a few values, so they tie, or spread by uniform factors."""
+        rng = np.random.default_rng(seed)
+        shape = (pairs, fractions, rounds)
+        x = rng.choice(np.array(pool), shape)
+        if spread:
+            x *= rng.random(shape)
+        ordered = np.sort(x, axis=-1)
+        for q, want in zip((16.0, 84.0), np.percentile(x, [16.0, 84.0], axis=-1)):
+            assert montecarlo._band_edge(ordered, q).tobytes() == want.tobytes()
+
     def test_per_repetition_mode_runs_and_inflates_less(self):
         """Independent per-repetition pump noise averages out within a round,
         so it inflates the MSE far less than a shared per-round drift."""
