@@ -23,10 +23,9 @@ its CSV and JSON writers live in `subshot.output`.
 (an int for a count) and every grid a sequence, checks the run-level rules,
 and builds the channels, the fluctuation config and the untuned networks
 (`Multiplexed` at pump 0) the run builds, whose constructors own the ranges
-of their fields; it checks the networks' reach with the rule the pump
-tuning applies (`check_reach`), at the means the run tunes (`_tuned_means`),
-and the pairs per window at the sample that a weak herald makes them need
-(`check_burst`), both without tuning a pump.
+of their fields; one call of the rule the pump tuning applies
+(`check_reach`), without tuning a pump, checks that the networks reach the
+means the run tunes (`_tuned_means`) within the run's pair limits.
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ from subshot.sources import (
     Fock,
     Multiplexed,
     Source,
-    check_burst,
     check_count,
     check_reach,
     make_multiplexed,
@@ -103,11 +101,14 @@ MIN_THRESHOLD_REFERENCE = 1e-153
 # mode.  A weak herald needs rare bursts of many pairs, and the count rows
 # span the burst.  At each limit, with the other fields at their defaults
 # (one process on 2 vCPUs): `mc-validate` takes 25 s and 47 MB (herald
-# 7e-11), most of it the nu-fold power of the rows, which grows with nu
-# too (54 s at nu = 1000 and herald 1e-10), and runs past 60 s at herald
-# 1e-11; `fluctuations` takes 2.7 s and 97 MB (herald 8.3e-13) per
+# 7e-11), most of it the nu-fold power of the rows, and runs past 60 s at
+# herald 1e-11; `fluctuations` takes 4.8 s and 54 MB (herald 8.4e-13) per
 # round, and 1.4 s and 166 MB (herald 8.3e-11) per repetition, whose rows at
 # all the pump nodes of a fraction are held at once (1.2 GB at herald 1e-12).
+# The power grows with nu too (54 s at herald 1e-10 and nu = 1000), so above
+# the default nu the `mc-validate` limit shrinks like 1/sqrt(nu), which holds
+# the time at the limit (21, 7 and 6 s at nu = 1e3, 1e4 and 1e5), but never
+# below the 2 * mean pairs of a strong herald (`--mean-n 1e4 --nu 1e4`: 10 s).
 MAX_SAMPLED_PAIRS = {"mc-validate": 5e4, "per-round": 1.5e6, "per-repetition": 1.5e5}
 
 # The experiments that report with threshold detectors only.
@@ -211,7 +212,6 @@ class SweepConfig:
         self._validate_reference()
         if self.experiment == "mc-validate":
             networks = [Multiplexed(m, 0.0, *calibration) for m in _MC_VALIDATE_STAGES]
-        check_reach(networks, _tuned_means(self))
         self._validate_pairs(networks)
 
     def _validate_reference(self) -> None:
@@ -228,11 +228,10 @@ class SweepConfig:
             )
 
     def _validate_pairs(self, networks) -> None:
-        """The pairs per window at the sample that the tuned `networks`
-        need must stay below what the run's closed forms and count rows
-        take (`sources.check_burst`), at the largest pump the run evaluates:
-        above the top pump node of a fluctuation study, else the tuned
-        pump."""
+        """The `networks` must reach the means the run tunes with pairs per
+        window at the sample that the run's closed forms and count rows take
+        (`sources.check_reach`), at the largest pump the run evaluates: the
+        top pump node of a fluctuation study, else the tuned pump."""
         top = 1.0 + PUMP_Z_MAX * max(self.a_grid) if self.experiment == "fluctuations" else 1.0
         means = np.array(_tuned_means(self))
         limits = {}
@@ -251,7 +250,10 @@ class SweepConfig:
         if cap is not None:
             limits[f"below which the count rows that {self.experiment} samples stay short "
                    f"enough to build"] = cap / top
-        check_burst(networks, means, limits)
+        if self.experiment == "mc-validate" and self.nu > SweepConfig.nu:  # MAX_SAMPLED_PAIRS
+            limits[f"below which the total count over nu = {self.nu} repetitions forms in "
+                   f"seconds"] = np.maximum(cap * (SweepConfig.nu / self.nu) ** 0.5, 2 * means)
+        check_reach(networks, means, limits)
 
     def canonical(self) -> str:
         pairs = []

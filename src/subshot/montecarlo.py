@@ -32,11 +32,11 @@ detector) pairs.  The rounds go in blocks under a fixed memory budget
 (`_BLOCK_FLOATS`), whose streams are drawn once for every pair, and one
 chunk loop counts a block's rounds in both modes, as many at a time as
 their rows fit in the same budget: per round, the rows at the chunk's
-pumps, built in one call; per repetition, the rows every round shares,
-built once per run at the pump nodes of the fluctuation fractions in
-groups under the budget too.  Each pair has one row plan per study, which
-sizes the chunks without building a row, walks each Poisson support once
-and keeps one log-factorial table for all of them.
+pumps, built in one call (split by fraction where one round's pass it);
+per repetition, the rows every round shares, built once per run at the
+pump nodes of the fluctuation fractions in groups under the budget too.
+Each pair's one row plan per study sizes the chunks without building a
+row, walks each Poisson support once and keeps one log-factorial table.
 Both modes keep one uniform per draw, not a histogram, so that every
 fluctuation fraction shares them (common random numbers, below).
 Negative draws clamp to zero by default or are resampled; both modes are the
@@ -411,30 +411,35 @@ def _study_totals(
     whose streams are drawn once for every pair.  One chunk loop counts a
     pair's rounds of a block in both modes, as many at a time as their rows
     fit in `_BLOCK_FLOATS` at the block's row length, and per round builds a
-    chunk's rows in one `plan.rows` call.  Shared rows longer than the
+    chunk's rows in one `plan.rows` call, or, where one round's rows pass
+    the budget, its fractions in calls padded with the round's top pump,
+    which keeps the round's row length.  Shared rows longer than the
     uniforms take the whole block: `_round_totals` then searches by uniform.
     """
     n_a = len(cfg.a_grid)
     totals = np.empty((len(pairs), n_a, cfg.rounds))
     plans = [detected_row_plan(*pair, survival) for pair in pairs]
     pumps = [source_pump(source) for source, _ in pairs]
-    if cfg.redraw == "per-round":
-        averaged = [None] * len(pairs)
-    else:
-        averaged = [_averaged_rows(plan, pump, nodes) for plan, pump in zip(plans, pumps)]
+    averaged = [None if cfg.redraw == "per-round" else _averaged_rows(plan, pump, nodes)
+                for plan, pump in zip(plans, pumps)]
     step = max(1, _BLOCK_FLOATS // cfg.nu)
     for start in range(0, cfg.rounds, step):
         x, u = _round_streams(cfg, seed, start, min(start + step, cfg.rounds))
         for out, plan, pump, shared in zip(totals, plans, pumps, averaged):
             length = plan.length(pump * x) if shared is None else shared.shape[-1]
             chunk = max(1, _BLOCK_FLOATS // (n_a * length))
+            width = n_a if shared is not None else max(1, _BLOCK_FLOATS // length)
             if shared is not None and length > cfg.nu + 1:
                 chunk = len(x)
             for lo in range(0, len(x), chunk):
                 hi = min(lo + chunk, len(x))
-                rows = plan.rows(pump * x[lo:hi].ravel()) if shared is None else shared
-                rows = rows.reshape(-1, n_a, rows.shape[-1])
-                out[:, start + lo : start + hi] = _round_totals(rows, u[lo:hi]).T
+                for f in range(0, n_a, width):
+                    xs, rows = x[lo:hi, f : f + width], shared
+                    if shared is None:  # a split round's calls take its top pump: its row length
+                        top = [pump * x[lo:hi].max()] if width < n_a else []
+                        rows = plan.rows(np.append(pump * xs, top))[: xs.size]
+                    rows = rows.reshape(-1, xs.shape[1], rows.shape[-1])
+                    out[f : f + width, start + lo : start + hi] = _round_totals(rows, u[lo:hi]).T
     return totals
 
 

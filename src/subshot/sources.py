@@ -12,7 +12,7 @@ the herald rate but also the multi-photon contamination, so the pump strength
 that realizes a wanted mean photon number at the sample is found numerically
 (`tune_pair_mean`, safeguarded Newton steps on the closed-form mean, in one
 array iteration for every stage count and target), once `check_reach`, the
-one rule on whether a target can be reached at all, has passed.
+one rule on whether a target can be reached, within pair limits too, passes.
 
 No other module knows how a source kind is evaluated.  The mean, variance
 and click probabilities at the sample plane (`source_moments`,
@@ -193,22 +193,27 @@ def _herald(constants: tuple, mu) -> tuple:
     return neg_p_w, np.exp(exponent), neg_sync, neg_sync / (neg_p_w - (neg_p_w == 0.0))
 
 
-def _mux_factorial_moments(constants: tuple, mu, orders: int = 2) -> tuple:
-    """The first `orders` (1 or 2) factorial moments of the output at a pump
-    array `mu`, from `_mux_constants`: derivatives at s = 1 of the output
-    generating function
+def _mux_mean(constants: tuple, mu) -> tuple:
+    """The output mean g (mu Q) c, c = h e^{-mu h} + p_w, at a pump array `mu`
+    (`_mux_constants`), and c and the `_herald` terms; finite to 2 * MAX_PUMP."""
+    h, _, _, network, optics = constants
+    terms = _herald(constants, mu)
+    neg_p_w, no_click, _, gain = terms
+    c = h * no_click - neg_p_w
+    return gain * (mu * network * optics) * c, c, terms
+
+
+def _mux_factorial_moments(constants: tuple, mu) -> tuple:
+    """The first two factorial moments of the output at a pump array `mu`,
+    from `_mux_constants`: derivatives at s = 1 of its generating function
     G(s) = 1 - P_sync + (P_sync/p_w) [e^{mu Q (s-1)} - e^{mu ((1-h)(1-Q+Qs) - 1)}]
     with h the herald efficiency and Q the network times optics transmission.
     The brackets 1 - (1-h)^k e^{-mu h} are expanded as p_w + (1 - (1-h)^k) e^{-mu h}
-    so that no cancellation occurs at weak pump.  Tuning and the reach check
-    take the first alone, finite up to twice MAX_PUMP, where the second is not.
+    so that no cancellation occurs at weak pump; the first is `_mux_mean`.
     """
     h, _, _, network, optics = constants
-    neg_p_w, no_click, _, gain = _herald(constants, mu)
+    first, _, (neg_p_w, no_click, _, gain) = _mux_mean(constants, mu)
     mq = mu * network * optics
-    first = gain * mq * (h * no_click - neg_p_w)
-    if orders == 1:
-        return (first,)
     return first, gain * mq * mq * (h * (2.0 - h) * no_click - neg_p_w)
 
 
@@ -262,47 +267,36 @@ def _mux_output_rows(constants: tuple, mu, survival: float, n_max: int, log_fact
     return rows
 
 
-def check_reach(sources, target_mean) -> None:
+def check_reach(sources, target_mean, limits: dict | None = None) -> None:
     """ConfigError unless every network of `sources`, a list of `Multiplexed`
-    sources whose pumps it ignores, reaches the largest of `target_mean` at
-    a pump up to MAX_PUMP.
+    sources whose pumps it ignores, reaches each target of `target_mean` at
+    a pump up to MAX_PUMP whose pairs per window at the sample (pump Q)
+    stay within every limit of `limits`, if given: each maps what a larger
+    value breaks to a float, or an array with one entry per network and
+    target of a 1-d `target_mean`.
 
-    The output mean grows with the pump, so checking that one pump suffices;
-    it stays 0 where a calibration field is 0.  The error names the field
-    that loses the most light, the network transmission standing for the
-    stage transmission, so a zero field is the one named.
-    """
-    top = float(np.max(target_mean))
-    constants = _mux_constants(sources)
-    short = np.flatnonzero(_mux_factorial_moments(constants, MAX_PUMP, 1)[0] < top)
-    if short.size:
-        i, source = short[0], sources[short[0]]
-        h, _, _, network, optics = constants
-        field = _CALIBRATION[int(np.argmin((h[i], network[i], optics[i])))]
-        raise ConfigError(field, f"{getattr(source, field)} is too small: a {source.stages}-stage "
-                                 f"source needs a pump above {MAX_PUMP:g} to reach mean {top}")
-
-
-def check_burst(sources, target_mean, limits: dict) -> None:
-    """ConfigError naming `herald_eff` unless every network of `sources`, a
-    list of `Multiplexed` sources that `check_reach` has passed, reaches
-    each target of `target_mean` (a 1-d array) at a pump whose pairs per
-    window at the sample, pump * network * optics transmission, stay within
-    every limit of `limits`: each maps what a larger value breaks to a
-    float, or an array with one entry per network and target.
-
-    The output mean grows with the pump, so one evaluation at the smallest
-    limit suffices.  A weak herald is what makes those pairs many: a
-    heralded window's pairs then come in rare bursts of about
-    sqrt(target Q / (2**stages h)) at the sample.
+    The mean grows with the pump, so one evaluation, at the smallest limit
+    or MAX_PUMP, decides; it stays 0 where a calibration field is 0.  Only
+    a refusal evaluates again, at MAX_PUMP, to name the field that loses
+    the most light (the network transmission standing for the stage's) if
+    no pump reaches the target, else `herald_eff`: a weak herald makes rare
+    bursts of about sqrt(target Q / (2**stages h)) pairs at the sample.
     """
     target = np.asarray(target_mean, dtype=np.float64)
     constants = _mux_constants(sources, 1)
-    limit = functools.reduce(np.minimum, limits.values())
-    with np.errstate(over="ignore"):
-        pump = np.minimum(limit / (constants[3] * constants[4]), MAX_PUMP)
-    short = _mux_factorial_moments(constants, pump, 1)[0] < target
-    if short.any():
+    if limits:
+        limit = functools.reduce(np.minimum, limits.values())
+        with np.errstate(divide="ignore", over="ignore"):  # Q may be 0 or tiny
+            pump = np.minimum(limit / (constants[3] * constants[4]), MAX_PUMP)
+        if not (short := _mux_mean(constants, pump)[0] < target).any():
+            return
+    top = float(np.max(target))
+    if (weak := np.flatnonzero(_mux_mean(constants, MAX_PUMP)[0] < top)).size:
+        i, source = weak[0], sources[weak[0]]
+        field = _CALIBRATION[int(np.argmin([constants[k][i] for k in (0, 3, 4)]))]
+        raise ConfigError(field, f"{getattr(source, field)} is too small: a {source.stages}-stage "
+                                 f"source needs a pump above {MAX_PUMP:g} to reach mean {top}")
+    if limits:
         i, j = np.argwhere(short)[0]
         source, shape = sources[i], short.shape
         at = [np.broadcast_to(value, shape)[i, j] for value in limits.values()]
@@ -346,7 +340,7 @@ def tune_pair_mean(source, target_mean):
     # Above `floor` is above -stop, or at least 0 where `stop` underflows to 0.
     floor = -np.maximum(stop, math.ulp(0.0))
     lo, hi = np.zeros(target.shape), np.array(np.maximum(1.0, target))
-    while (short := _mux_factorial_moments(constants, hi, 1)[0] < target).any():
+    while (short := _mux_mean(constants, hi)[0] < target).any():
         # A guard only: `check_reach` has refused every target above the ceiling.
         if (ceiling := short & (hi > MAX_PUMP)).any():
             raise ValueError(f"target mean {target[ceiling][0]} needs a pump above {MAX_PUMP:g}")
@@ -357,10 +351,8 @@ def tune_pair_mean(source, target_mean):
         mu = np.array(np.clip(target / (network * optics * -neg_rate), lo, hi))
     previous = np.full(target.shape, np.nan)
     while True:
-        # The mean as `_mux_factorial_moments` spells it, and its slope.
-        neg_p_w, no_click, neg_sync, gain = _herald(constants, mu)
-        c = h * no_click - neg_p_w
-        residual = gain * (mu * network * optics) * c - target
+        mean, c, (neg_p_w, no_click, neg_sync, gain) = _mux_mean(constants, mu)
+        residual = mean - target
         # Within `stop` of the target, both ends move to mu.
         np.copyto(lo, mu, where=residual < stop)
         np.copyto(hi, mu, where=residual > floor)

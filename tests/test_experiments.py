@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from _oracles import rows_csv, rows_json
 from subshot import output
+from subshot import sources as source_models
 from subshot.cli import PER_EXPERIMENT_DEFAULTS
 from subshot.detection import Channel
 from subshot.estimators import (
@@ -49,7 +50,6 @@ from subshot.sources import (
     MAX_STAGES,
     Fock,
     Multiplexed,
-    check_burst,
     check_reach,
     make_multiplexed,
     source_moments,
@@ -581,6 +581,8 @@ class TestPairLimits:
             ("intensity-sweep", {"herald_eff": 1e-307}),
             ("asymptotic", {"herald_eff": 2.2250738585072014e-308}),
             *(("mc-validate", {"herald_eff": h}) for h in (1e-11, 1e-13, 1e-15, 1e-16, 1e-300)),
+            # Accepted at the default nu = 200; the limit shrinks like 1/sqrt(nu).
+            ("mc-validate", {"herald_eff": 1e-10, "nu": 1000}),
             *(("fluctuations", {"herald_eff": h}) for h in (1e-13, 1e-16, 1e-300)),
             ("fluctuations", {"herald_eff": 1e-11, "redraw": "per-repetition"}),
         ],
@@ -606,10 +608,24 @@ class TestPairLimits:
             ("fluctuations", {"herald_eff": 1e-10, "redraw": "per-repetition"}),  # 1.2 s
             ("mc-validate", {"mean_photons": MAX_MEAN}),  # 0.5 s
             ("fluctuations", {"mean_photons": MAX_MEAN, "redraw": "per-repetition"}),  # 1.2 s
+            ("mc-validate", {"herald_eff": 3.5e-10, "nu": 1000}),  # 21 s
+            ("mc-validate", {"mean_photons": MAX_MEAN, "nu": 10_000}),  # 10 s
         ],
     )
     def test_what_ran_before_is_accepted(self, experiment, overrides):
         command_line_config(experiment, overrides).validate()
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_validate_evaluates_the_closed_forms_once(self, experiment, monkeypatch):
+        """At its defaults, an experiment's reach and pair limits are
+        decided by one closed-form evaluation of the mean, counted as in
+        `test_default_targets_take_at_most_twelve_evaluations`."""
+        calls = []
+        herald = source_models._herald
+        monkeypatch.setattr(source_models, "_herald",
+                            lambda *args: calls.append(args) or herald(*args))
+        command_line_config(experiment, {}).validate()
+        assert len(calls) == 1
 
     @settings(CHECKS, max_examples=100)
     @given(
@@ -618,7 +634,7 @@ class TestPairLimits:
         means=st.lists(st.floats(-99.0, 4.0).map(lambda e: 10.0**e), min_size=1, max_size=3),
         limit=st.floats(-2.0, 170.0).map(lambda e: 10.0**e),
     )
-    def test_check_burst_refuses_where_the_tuned_pump_passes_the_limit(
+    def test_check_reach_refuses_where_the_tuned_pump_passes_the_limit(
         self, herald_eff, stages, means, limit
     ):
         """The one closed-form evaluation at the limit refuses exactly the
@@ -631,7 +647,7 @@ class TestPairLimits:
             return
         pairs = tuned_pairs(networks, means)
         try:
-            check_burst(networks, means, {"reason": limit})
+            check_reach(networks, means, {"reason": limit})
         except ConfigError as err:
             assert err.field == "herald_eff"
             assert pairs.max() > limit * (1 - 1e-8)

@@ -816,6 +816,51 @@ class TestFluctuationStudy:
                 lo += n
             assert lo == cfg.rounds
 
+    @pytest.mark.parametrize("negatives", NEGATIVES)
+    def test_split_rounds_give_the_unsplit_totals(self, negatives, monkeypatch):
+        """Where one round's rows pass `_BLOCK_FLOATS`, the round's
+        fractions split across `plan.rows` calls, in order, each padded with
+        the round's top pump, and the totals equal those of the unsplit run,
+        whose one call takes every round."""
+        sources_at_mean = (Coherent(200.0), make_multiplexed(3, 100.0))
+        pairs = [(source, Detector.NUMBER_RESOLVING) for source in sources_at_mean]
+        cfg = FluctuationConfig(a_grid=(0.0, 0.1, 0.3, 0.5, 0.6), rounds=12, nu=300,
+                                negatives=negatives)
+        nodes = pump_nodes(cfg.a_grid, cfg.negatives)
+        unsplit = montecarlo._study_totals(cfg, pairs, CH.survival, 5, nodes)
+        calls = []
+
+        def recorded_plan(*args):
+            plan, pumps = detected_row_plan(*args), []
+            calls.append(pumps)
+
+            def rows(mu):
+                pumps.append(np.array(mu))
+                return plan.rows(mu)
+
+            return SimpleNamespace(length=plan.length, rows=rows)
+
+        monkeypatch.setattr(montecarlo, "detected_row_plan", recorded_plan)
+        # Against rows of ~170-450 counts, 600 floats hold 1-3 of them: fewer
+        # than a round's 5 fractions.
+        monkeypatch.setattr(montecarlo, "_BLOCK_FLOATS", 600)
+        split = montecarlo._study_totals(cfg, pairs, CH.survival, 5, nodes)
+        assert split.tolist() == unsplit.tolist()
+
+        n_a = len(cfg.a_grid)
+        x = _round_streams(cfg, 5, 0, cfg.rounds)[0]
+        for (source, _), pumps in zip(pairs, calls):
+            pump = source_pump(source)
+            assert len(pumps) > cfg.rounds
+            lo = 0
+            for mu in pumps:
+                r = lo // n_a
+                assert mu[-1] == pump * x[r].max()
+                assert (lo + mu.size - 2) // n_a == r
+                lo += mu.size - 1
+            assert lo == x.size
+            assert np.concatenate([mu[:-1] for mu in pumps]).tolist() == (pump * x.ravel()).tolist()
+
     @pytest.mark.parametrize("redraw", REDRAWS)
     def test_per_round_memory_is_blocked(self, redraw):
         """At nu = 1e5 a block holds one round's uniforms (0.8 MB); 300 rounds
