@@ -78,7 +78,7 @@ def detected_moments(source: Source | list[Multiplexed], detector: Detector, sur
 
 class _ClickRows(NamedTuple):
     """A threshold detector's click rows [1 - p, p] behind the interface of
-    `sources.CountRows`."""
+    `sources.CountRows`; every length is 2, so `rows` ignores `length`."""
 
     source: Source
     survival: float
@@ -86,7 +86,7 @@ class _ClickRows(NamedTuple):
     def length(self, mu=None) -> int:
         return 2
 
-    def rows(self, mu=None) -> np.ndarray:
+    def rows(self, mu=None, length: int | None = None) -> np.ndarray:
         return np.stack(source_click_probabilities(self.source, self.survival, mu), axis=-1)
 
 
@@ -96,9 +96,9 @@ def detected_row_plan(source: Source, detector: Detector, survival: float):
     of a `sources.CountRows` plan, or the click row [1 - p, p] of a
     `_ClickRows` plan, which takes the same arguments.
 
-    The plan's `rows(mu)` gives the rows at `mu`, as for
+    The plan's `rows(mu, length)` gives the rows at `mu`, as for
     `sources.source_click_probabilities`, with shape
     `np.shape(mu) + (count length,)`; its `length(mu)` gives the count length
-    without building them.
+    without building them, which `rows` builds at unless given a `length`.
     """
     return (_ClickRows if detector is Detector.THRESHOLD else CountRows)(source, survival)

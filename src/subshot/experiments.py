@@ -70,11 +70,10 @@ from subshot.sources import (
 
 # Largest accepted mean photon number per repetition.  The sources studied
 # deliver about one photon.  The Monte Carlo count rows grow with the mean:
-# at this cap the default fluctuations run takes ~0.55 s and ~39 MB, at 1e5
+# at this cap the default fluctuations run takes ~0.5 s and ~40 MB, at 1e5
 # it takes ~2.5 s and ~67 MB (one process on 2 vCPUs).  Per repetition it
-# takes ~1.0-1.15 s and ~101 MB at this cap, most of it the count rows at
-# the pump nodes.  The exact reports square the reference mean, which
-# overflows a float beyond ~1e154.
+# takes ~0.9 s and ~49 MB at this cap.  The exact reports square the
+# reference mean, which overflows a float beyond ~1e154.
 MAX_MEAN = 1e4
 
 # Smallest accepted detector efficiency times mean photon number.  The exact
@@ -102,9 +101,8 @@ MIN_THRESHOLD_REFERENCE = 1e-153
 # span the burst.  At each limit, with the other fields at their defaults
 # (one process on 2 vCPUs): `mc-validate` takes 25 s and 47 MB (herald
 # 7e-11), most of it the nu-fold power of the rows, and runs past 60 s at
-# herald 1e-11; `fluctuations` takes 4.8 s and 54 MB (herald 8.4e-13) per
-# round, and 1.4 s and 166 MB (herald 8.3e-11) per repetition, whose rows at
-# all the pump nodes of a fraction are held at once (1.2 GB at herald 1e-12).
+# herald 1e-11; `fluctuations` takes 3.4 s and 54 MB (herald 8.4e-13) per
+# round, and 1.1 s and 52 MB (herald 8.4e-11) per repetition.
 # The power grows with nu too (54 s at herald 1e-10 and nu = 1000), so above
 # the default nu the `mc-validate` limit shrinks like 1/sqrt(nu), which holds
 # the time at the limit (21, 7 and 6 s at nu = 1e3, 1e4 and 1e5), but never

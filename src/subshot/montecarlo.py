@@ -33,10 +33,10 @@ detector) pairs.  The rounds go in blocks under a fixed memory budget
 chunk loop counts a block's rounds in both modes, as many at a time as
 their rows fit in the same budget: per round, the rows at the chunk's
 pumps, built in one call (split by fraction where one round's pass it);
-per repetition, the rows every round shares, built once per run at the
-pump nodes of the fluctuation fractions in groups under the budget too.
-Each pair's one row plan per study sizes the chunks without building a
-row, walks each Poisson support once and keeps one log-factorial table.
+per repetition, the rows every round shares, built once per run from the
+rows at the pump nodes, in chunks of nodes under the budget too.  Each
+row is built at one length per block (per repetition, per study), which
+the pair's one row plan per study gives without building a row.
 Both modes keep one uniform per draw, not a histogram, so that every
 fluctuation fraction shares them (common random numbers, below).
 Negative draws clamp to zero by default or are resampled; both modes are the
@@ -375,26 +375,23 @@ def _round_streams(
 
 
 def _averaged_rows(plan, pump: float, nodes: tuple) -> np.ndarray:
-    """Pump-averaged count row of each fluctuation fraction, shape (a, counts),
-    zero past each row's own length; `nodes` holds the `pump_nodes` layout
-    of the fractions, relative to `pump`.  `plan`'s rows at its pumps come
-    from one `plan.rows` call per group of whole fractions, a slice of the
-    layout that grows while its rows fit in `_BLOCK_FLOATS` at the length
-    `plan.length` gives (building no row); one group's rows are held at a time."""
+    """Pump-averaged count row of each fluctuation fraction, shape (a, counts);
+    `nodes` holds the `pump_nodes` layout of the fractions, relative to `pump`.
+    Every row is built at the one length `plan.length` gives at all the
+    nodes (building no row), in consecutive chunks of the layout of at most
+    max(1, _BLOCK_FLOATS // length) nodes, each chunk's weighted rows added
+    into every fraction it overlaps; at most two chunks' rows are held."""
     x, w, ends = nodes
     length = plan.length(pump * x)
     averaged = np.zeros((len(ends) - 1, length))
-    start = 0
-    while start < len(averaged):
-        stop = start + 1
-        while stop < len(averaged) and (ends[stop + 1] - ends[start]) * length <= _BLOCK_FLOATS:
-            stop += 1
-        rows = plan.rows(pump * x[ends[start] : ends[stop]])
-        for i in range(start, stop):
-            lo, hi = ends[i] - ends[start], ends[i + 1] - ends[start]
-            averaged[i, : rows.shape[-1]] = w[ends[i] : ends[i + 1]] @ rows[lo:hi]
-        del rows
-        start = stop
+    step = max(1, _BLOCK_FLOATS // length)
+    for lo in range(0, x.size, step):
+        hi = min(lo + step, x.size)
+        rows = plan.rows(pump * x[lo:hi], length)
+        for row, first, last in zip(averaged, ends, ends[1:]):
+            first, last = max(first, lo), min(last, hi)
+            if first < last:
+                row += w[first:last] @ rows[first - lo : last - lo]
     return averaged
 
 
@@ -411,10 +408,10 @@ def _study_totals(
     whose streams are drawn once for every pair.  One chunk loop counts a
     pair's rounds of a block in both modes, as many at a time as their rows
     fit in `_BLOCK_FLOATS` at the block's row length, and per round builds a
-    chunk's rows in one `plan.rows` call, or, where one round's rows pass
-    the budget, its fractions in calls padded with the round's top pump,
-    which keeps the round's row length.  Shared rows longer than the
-    uniforms take the whole block: `_round_totals` then searches by uniform.
+    chunk's rows in one `plan.rows` call at that length, or, where one
+    round's rows pass the budget, its fractions in calls of as many rows as
+    fit.  Shared rows longer than the uniforms take the whole block:
+    `_round_totals` then searches by uniform.
     """
     n_a = len(cfg.a_grid)
     totals = np.empty((len(pairs), n_a, cfg.rounds))
@@ -434,10 +431,11 @@ def _study_totals(
             for lo in range(0, len(x), chunk):
                 hi = min(lo + chunk, len(x))
                 for f in range(0, n_a, width):
-                    xs, rows = x[lo:hi, f : f + width], shared
-                    if shared is None:  # a split round's calls take its top pump: its row length
-                        top = [pump * x[lo:hi].max()] if width < n_a else []
-                        rows = plan.rows(np.append(pump * xs, top))[: xs.size]
+                    xs = x[lo:hi, f : f + width]
+                    # The last call's rows are freed only once the next are
+                    # built: freed before, they let the allocator hand the
+                    # heap top back, and each call faulted it in again.
+                    rows = shared if shared is not None else plan.rows(pump * xs, length)
                     rows = rows.reshape(-1, xs.shape[1], rows.shape[-1])
                     out[f : f + width, start + lo : start + hi] = _round_totals(rows, u[lo:hi]).T
     return totals

@@ -490,48 +490,43 @@ class CountRows:
     """Detected-count distribution of `source` after per-photon survival
     `survival`, in closed form, at any number of pump arrays: `length(mu)`
     gives the length of the rows at `mu` without building them, and
-    `rows(mu)` builds them, `mu` as for `source_click_probabilities`.
+    `rows(mu, length)` builds them at `length` counts, by default
+    `length(mu)`, `mu` as for `source_click_probabilities`.
 
-    The rows have the pumps' shape + (n_max + 1,), with one n_max for all of
-    them chosen so that no row discards more than `ROW_TAIL` beyond it: the
-    `poisson_support` of the largest pump's Poisson mean, or the photon
-    number of a Fock state.  A plan walks each support once, keyed by its
-    arguments, and keeps one log-factorial table as long as the longest
-    support it has met, whose prefix every row reads, so the rows it builds
-    have the bits that a fresh plan gives at the same pumps.  A caller that
-    builds rows at many pump arrays keeps one plan while it does.
+    `length(mu)` is n_max + 1 for one n_max chosen so that no row at `mu`
+    discards more than `ROW_TAIL` beyond it: the `poisson_support` of the
+    largest pump's Poisson mean, or the photon number of a Fock state, whose
+    one row keeps that length.  Rows built longer hold the rows of their own
+    length as a prefix, bit for bit, so a caller may build rows at many pump
+    arrays at one length.  A plan keeps one log-factorial table as long as
+    the longest row it has built, whose prefix every row reads, so the rows
+    it builds have the bits that a fresh plan gives at the same pumps and
+    length.  A caller that builds rows at many pump arrays keeps one plan
+    while it does.
     """
 
     def __init__(self, source: Source, survival: float):
         self.source, self.survival = source, survival
-        self._supports: dict[tuple[float, float], int] = {}
         self._table = np.empty(0)
 
-    def _n_max(self, mu) -> int:
+    def length(self, mu=None) -> int:
         source = self.source
         if isinstance(source, Fock) and mu is None:
-            return source.photons
+            return source.photons + 1
         top = float(np.max(_pumps(source, mu)))
         if isinstance(source, Coherent):
-            args = (float(self.survival * top), ROW_TAIL)
-        else:
-            _, _, _, network, optics = _mux_constants(source)
-            # A row's tail is g <= 2**stages times the Poisson(mu q) tail.
-            args = (float(top * (network * optics * self.survival)),
-                    max(ROW_TAIL / 2**source.stages, 1e-300))
-        if args not in self._supports:
-            self._supports[args] = poisson_support(*args)
-        return self._supports[args]
+            return poisson_support(float(self.survival * top), ROW_TAIL) + 1
+        _, _, _, network, optics = _mux_constants(source)
+        # A row's tail is g <= 2**stages times the Poisson(mu q) tail.
+        return poisson_support(float(top * (network * optics * self.survival)),
+                               max(ROW_TAIL / 2**source.stages, 1e-300)) + 1
 
-    def length(self, mu=None) -> int:
-        return self._n_max(mu) + 1
-
-    def rows(self, mu=None) -> np.ndarray:
-        n_max = self._n_max(mu)
+    def rows(self, mu=None, length: int | None = None) -> np.ndarray:
         if isinstance(self.source, Fock) and mu is None:
             return binomial_row(self.source.photons, self.survival)
+        n_max = (self.length(mu) if length is None else length) - 1
         if self._table.size <= n_max:
-            self._table = log_factorials(max(self._supports.values()))
+            self._table = log_factorials(n_max)
         pumps = _pumps(self.source, mu)
         if isinstance(self.source, Coherent):
             return poisson_rows(self.survival * pumps, n_max, self._table)

@@ -599,18 +599,24 @@ class TestBatchBuilders:
             min_size=1,
             max_size=5,
         ),
+        extra=st.integers(1, 300),
     )
-    def test_plan_rows_are_the_rows_built_alone(self, source, survival, pump_arrays):
+    def test_plan_rows_are_the_rows_built_alone(self, source, survival, pump_arrays, extra):
         """Rows a `CountRows` plan builds after others, reading a prefix of
-        its log-factorial table and its kept supports, have the bits that a
-        fresh plan gives."""
+        its log-factorial table, have the bits that a fresh plan gives.
+        Built `extra` counts longer, they hold those rows as a prefix, bit
+        for bit, and at most `ROW_TAIL` past it."""
         plan = CountRows(source, survival)
         for pumps in pump_arrays:
             mu = np.array(pumps)
-            assert plan.length(mu * 0.5) <= plan.length(mu)
-            np.testing.assert_array_equal(
-                plan.rows(mu), CountRows(source, survival).rows(mu)
-            )
+            length = plan.length(mu)
+            assert plan.length(mu * 0.5) <= length
+            rows = plan.rows(mu)
+            np.testing.assert_array_equal(rows, CountRows(source, survival).rows(mu))
+            longer = plan.rows(mu, length + extra)
+            assert longer.shape == mu.shape + (length + extra,)
+            np.testing.assert_array_equal(longer[..., :length], rows)
+            assert (longer[..., length:].sum(axis=-1) <= ROW_TAIL * (1 + 1e-12)).all()
 
     def test_fock_source_takes_no_pump(self):
         with pytest.raises(TypeError):
@@ -755,9 +761,10 @@ class TestFluctuationStudy:
         each pair builds at most one log-factorial table per block (per
         repetition, one per study).  Per round, each `plan.rows` call takes
         the pumps of consecutive rounds of one block, in order, at most
-        max(1, _BLOCK_FLOATS // (a x row length)) of them at the block's row
-        length; per repetition, the calls take the pump nodes of whole
-        fractions, in order."""
+        max(1, _BLOCK_FLOATS // (a x length)) of them at the block's row
+        length; per repetition, the calls take the pump nodes in order, once
+        each, at most max(1, _BLOCK_FLOATS // length) of them at the one
+        length of all of them."""
         supports, tables, calls = [], [], []
 
         def walk(*args):
@@ -769,12 +776,12 @@ class TestFluctuationStudy:
             return pmf.log_factorials(n_max)
 
         def recorded_plan(*args):
-            plan, pumps = detected_row_plan(*args), []
-            calls.append(pumps)
+            plan, built = detected_row_plan(*args), []
+            calls.append(built)
 
-            def rows(mu):
-                pumps.append(np.array(mu))
-                return plan.rows(mu)
+            def rows(mu, length=None):
+                built.append((np.array(mu), length))
+                return plan.rows(mu, length)
 
             return SimpleNamespace(length=plan.length, rows=rows)
 
@@ -783,8 +790,8 @@ class TestFluctuationStudy:
         monkeypatch.setattr(montecarlo, "detected_row_plan", recorded_plan)
         # 3 rounds of 400 uniforms per block, and a block budget of 1200
         # floats against two fractions' rows of 169-453 counts: 4 blocks of
-        # chunks of 1 to 3 rounds per pair per round, and 2 row calls per
-        # pair per repetition.
+        # chunks of 1 to 3 rounds per pair per round, and chunks of 2 nodes
+        # per repetition.
         budget = 1200
         monkeypatch.setattr(montecarlo, "_BLOCK_FLOATS", budget)
         sources_at_mean = (Coherent(200.0), make_multiplexed(3, 100.0))
@@ -797,31 +804,35 @@ class TestFluctuationStudy:
         assert 0 < len(tables) <= blocks * len(pairs)
 
         n_a, step = len(cfg.a_grid), budget // cfg.nu
-        nodes_x, _, ends = pump_nodes(cfg.a_grid, cfg.negatives)
+        nodes_x, _, _ = pump_nodes(cfg.a_grid, cfg.negatives)
         x = _round_streams(cfg, 3, 0, cfg.rounds)[0]
-        for (source, detector), pumps in zip(pairs, calls):
+        for (source, detector), built in zip(pairs, calls):
             pump = source_pump(source)
-            if redraw == "per-repetition":
-                assert set(np.cumsum([mu.size for mu in pumps]).tolist()) <= set(ends)
-                assert np.concatenate(pumps).tolist() == (pump * nodes_x).tolist()
-                continue
             plan = detected_row_plan(source, detector, CH.survival)
+            if redraw == "per-repetition":
+                length = plan.length(pump * nodes_x)
+                assert {n for _, n in built} == {length}
+                assert all(1 <= mu.size <= max(1, budget // length) for mu, _ in built)
+                assert np.concatenate([mu for mu, _ in built]).tolist() == (pump * nodes_x).tolist()
+                continue
             lo = 0
-            for mu in pumps:
+            for mu, length in built:
                 n = mu.size // n_a
                 block = x[lo // step * step : (lo // step + 1) * step]
-                assert 1 <= n <= max(1, budget // (n_a * plan.length(pump * block)))
+                assert length == plan.length(pump * block)
+                assert 1 <= n <= max(1, budget // (n_a * length))
                 assert lo // step == (lo + n - 1) // step
-                assert mu.tolist() == (pump * x[lo : lo + n].ravel()).tolist()
+                assert mu.tolist() == (pump * x[lo : lo + n]).tolist()
                 lo += n
             assert lo == cfg.rounds
 
     @pytest.mark.parametrize("negatives", NEGATIVES)
     def test_split_rounds_give_the_unsplit_totals(self, negatives, monkeypatch):
         """Where one round's rows pass `_BLOCK_FLOATS`, the round's
-        fractions split across `plan.rows` calls, in order, each padded with
-        the round's top pump, and the totals equal those of the unsplit run,
-        whose one call takes every round."""
+        fractions split across `plan.rows` calls, in order, of as many rows
+        as fit at the block's row length, which every call takes, and the
+        totals equal those of the unsplit run, whose one call takes every
+        round."""
         sources_at_mean = (Coherent(200.0), make_multiplexed(3, 100.0))
         pairs = [(source, Detector.NUMBER_RESOLVING) for source in sources_at_mean]
         cfg = FluctuationConfig(a_grid=(0.0, 0.1, 0.3, 0.5, 0.6), rounds=12, nu=300,
@@ -831,35 +842,40 @@ class TestFluctuationStudy:
         calls = []
 
         def recorded_plan(*args):
-            plan, pumps = detected_row_plan(*args), []
-            calls.append(pumps)
+            plan, built = detected_row_plan(*args), []
+            calls.append(built)
 
-            def rows(mu):
-                pumps.append(np.array(mu))
-                return plan.rows(mu)
+            def rows(mu, length=None):
+                built.append((np.array(mu), length))
+                return plan.rows(mu, length)
 
             return SimpleNamespace(length=plan.length, rows=rows)
 
         monkeypatch.setattr(montecarlo, "detected_row_plan", recorded_plan)
         # Against rows of ~170-450 counts, 600 floats hold 1-3 of them: fewer
-        # than a round's 5 fractions.
-        monkeypatch.setattr(montecarlo, "_BLOCK_FLOATS", 600)
+        # than a round's 5 fractions.  The blocks hold 2 rounds of uniforms.
+        budget = 600
+        monkeypatch.setattr(montecarlo, "_BLOCK_FLOATS", budget)
         split = montecarlo._study_totals(cfg, pairs, CH.survival, 5, nodes)
         assert split.tolist() == unsplit.tolist()
 
-        n_a = len(cfg.a_grid)
+        n_a, step = len(cfg.a_grid), budget // cfg.nu
         x = _round_streams(cfg, 5, 0, cfg.rounds)[0]
-        for (source, _), pumps in zip(pairs, calls):
+        for (source, detector), built in zip(pairs, calls):
             pump = source_pump(source)
-            assert len(pumps) > cfg.rounds
+            plan = detected_row_plan(source, detector, CH.survival)
+            assert len(built) > cfg.rounds
             lo = 0
-            for mu in pumps:
+            for mu, length in built:
                 r = lo // n_a
-                assert mu[-1] == pump * x[r].max()
-                assert (lo + mu.size - 2) // n_a == r
-                lo += mu.size - 1
+                assert length == plan.length(pump * x[r // step * step : (r // step + 1) * step])
+                assert mu.size <= max(1, budget // length)
+                assert (lo + mu.size - 1) // n_a == r
+                lo += mu.size
             assert lo == x.size
-            assert np.concatenate([mu[:-1] for mu in pumps]).tolist() == (pump * x.ravel()).tolist()
+            assert np.concatenate([mu.ravel() for mu, _ in built]).tolist() == (
+                pump * x.ravel()
+            ).tolist()
 
     @pytest.mark.parametrize("redraw", REDRAWS)
     def test_per_round_memory_is_blocked(self, redraw):
@@ -876,8 +892,8 @@ class TestFluctuationStudy:
 
     def test_per_repetition_row_builds_are_blocked(self):
         """At mean 1000 the rows at one fraction's 49 pump nodes (~2 MB)
-        already pass the block budget, so each fraction gets a call of its
-        own; one call at all 295 nodes of a study peaks at ~39 MiB."""
+        already pass the block budget; one call at all 295 nodes of a study
+        peaks at ~39 MiB."""
         cfg = FluctuationConfig(rounds=2, nu=10, redraw="per-repetition")
         tracemalloc.start()
         try:
@@ -886,6 +902,21 @@ class TestFluctuationStudy:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2**20
+
+    def test_per_repetition_memory_does_not_grow_with_a_fraction_s_rows(self):
+        """At mean 3000 the rows at one fraction's 49 pump nodes, 16 230
+        counts each (6.1 MiB), pass the block budget six times over, yet
+        the study holds one chunk of nodes' rows at a time: it peaks at
+        5.4 MiB, and at 19.7 MiB where each fraction's rows were built in
+        one call."""
+        cfg = FluctuationConfig(rounds=2, nu=10, redraw="per-repetition")
+        tracemalloc.start()
+        try:
+            _study(cfg, make_multiplexed(3, 3000.0), Detector.NUMBER_RESOLVING, CH, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_modes_agree_at_a_fixed_pump(self):
         """At a = 0 the pump is fixed, and both redraw modes count the same
