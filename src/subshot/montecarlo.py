@@ -47,12 +47,12 @@ a slice of it; the same nodes give `fluctuation_mse`, the exact MSE the
 study samples, in every mode and for both detectors.  The squared errors of
 all pairs are summarized in one pass.
 
-Reproducibility: every round derives its generator stream from (seed, round
-index), so results are independent of execution schedule, of the block size
-and of which pairs share a study.  The stream is drawn once per round and
-shared by every fluctuation fraction and every pair (common random
-numbers), which makes the MSE-versus-fluctuation curves smooth rather than
-noisy.
+Reproducibility: round r draws from the stream `PCG64(seed).jumped(r)`,
+which depends on the seed and the round index only, so results are
+independent of execution schedule, of the block size and of which pairs
+share a study.  The stream is drawn once per round and shared by every
+fluctuation fraction and every pair (common random numbers), which makes
+the MSE-versus-fluctuation curves smooth rather than noisy.
 """
 
 from __future__ import annotations
@@ -113,6 +113,12 @@ _LEGENDRE_WEIGHTS = np.array([
 # The pump quadrature integrates the standard normal z of the relative pump
 # 1 + a*z over |z| <= this (`pump_nodes`).
 PUMP_Z_MAX = 10.0
+
+# The step between the streams of consecutive fluctuation rounds, in draws:
+# numpy's `PCG64.jumped` step, (phi - 1) * 2**128 rounded up to odd, so that
+# round r's stream is `PCG64(seed).jumped(r)`, spaced as numpy spaces
+# streams that must not overlap.
+_ROUND_STEP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 
 # How often the fluctuating pump is redrawn, and what becomes of Gaussian
 # pump draws below zero; the first of each is the default.
@@ -355,15 +361,20 @@ def _round_streams(
     cfg: FluctuationConfig, seed: int, start: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Relative pumps 1 + a*z (rounds x a), truncated at zero, and sorted
-    uniforms (rounds x nu) of rounds start..stop-1, each from its
-    (seed, round) stream: one normal z, then nu uniforms, then any
-    replacement normals."""
+    uniforms (rounds x nu) of rounds start..stop-1, each from its stream
+    `PCG64(seed).jumped(round)`: one normal z, then nu uniforms, then any
+    replacement normals.  One bit generator serves the block, reset to the
+    seed's state and advanced to each round: a quarter of the cost of
+    seeding a generator per round."""
     a_grid = np.asarray(cfg.a_grid, dtype=np.float64)
     z = np.empty((stop - start, 1))
     x = np.empty((stop - start, a_grid.size))
     u = np.empty((stop - start, cfg.nu))
+    bits = np.random.PCG64(seed)
+    origin, rng = bits.state, np.random.Generator(bits)
     for i, r in enumerate(range(start, stop)):
-        rng = np.random.default_rng([seed, r])
+        bits.state = origin
+        bits.advance(r * _ROUND_STEP % 2**128)
         z[i] = rng.standard_normal()
         rng.random(out=u[i])
         if cfg.negatives == "resample":
@@ -467,10 +478,10 @@ def fluctuation_study(
     The nominal pump is the one the source carries (the coherent mean or the
     multiplexed pair mean).  Runs cfg.rounds rounds; each draws its round
     total of counts or clicks for every pair and fluctuation fraction `a`
-    from one (seed, round) stream, forms the transmission estimate with the
-    fluctuation-free reference, and records its squared error against the
-    true transmission.  Each summary carries the exact MSE the rounds sample
-    (`fluctuation_mse`).
+    from its one stream (`_round_streams`), forms the transmission estimate
+    with the fluctuation-free reference, and records its squared error
+    against the true transmission.  Each summary carries the exact MSE the
+    rounds sample (`fluctuation_mse`).
     """
     pairs = list(pairs)
     refs = [reference_mean(source, detector, channel.detector_eff) for source, detector in pairs]

@@ -12,7 +12,8 @@ with.
 `poisson_support_walk` is the count-by-count Poisson truncation search.
 `total_count_law` is the plain nu-fold convolution power of a count row,
 the reference for the law the Monte Carlo validation samples its totals
-from.
+from; `round_total_law` builds from it the law of a fluctuation round's
+total in each redraw and negatives mode.
 `per_round_totals` and `per_repetition_totals` are the references for the
 batched fluctuation rounds: they take the count rows as a function and
 check only how the rounds draw and count, one at a time.  `rows_csv` and
@@ -298,22 +299,76 @@ def total_count_law(row, nu: int) -> np.ndarray:
     return law
 
 
+def thinned_probs(probs, survival: float) -> list[float]:
+    """Law of the count left by binomial thinning: each of the n photons
+    (probability probs[n]) survives independently with probability
+    `survival`."""
+    out = [0.0] * len(probs)
+    for n, p in enumerate(probs):
+        for k in range(n + 1):
+            out[k] += p * math.comb(n, k) * survival**k * (1.0 - survival) ** (n - k)
+    return out
+
+
+def round_total_law(
+    output_probs, survival: float, detector: str, nu: int, a: float, redraw: str, negatives: str
+) -> np.ndarray:
+    """Law of one round's total over nu repetitions in a pump-fluctuation
+    study, P(total = k) at k = 0 ..
+
+    `output_probs(x)` gives the photon-number distribution at the sample at
+    relative pump x, and x follows `gaussian_pump_nodes(a, negatives)`.  A
+    repetition's count is the photon number thinned at `survival`
+    (`detector` "nr") or a click, with probability
+    `enumerate_click_probability` ("threshold").  "per-round": the nu counts
+    share one pump, so the law is the pump mixture of the nu-fold powers
+    (`total_count_law`) of the rows at each node.  "per-repetition": each
+    count draws its own pump, so the law is the nu-fold power of the
+    pump-averaged row.
+    """
+
+    def row(x):
+        probs = output_probs(x)
+        if detector == "threshold":
+            return np.array([
+                enumerate_no_click_probability(probs, survival),
+                enumerate_click_probability(probs, survival),
+            ])
+        if detector == "nr":
+            return np.array(thinned_probs(probs, survival))
+        raise ValueError(f"unknown detector {detector!r}")
+
+    def mixture(weighted):
+        out = np.zeros(max(r.size for _, r in weighted))
+        for w, r in weighted:
+            out[: r.size] += w * r
+        return out
+
+    nodes = gaussian_pump_nodes(a, negatives)
+    if redraw == "per-round":
+        return mixture([(w, total_count_law(row(x), nu)) for x, w in nodes])
+    if redraw == "per-repetition":
+        return total_count_law(mixture([(w, row(x)) for x, w in nodes]), nu)
+    raise ValueError(f"unknown redraw mode {redraw!r}")
+
+
 def per_round_totals(rows, pump: float, a_grid, rounds: int, nu: int, negatives: str, seed: int):
     """Round totals (a, rounds) of a per-round pump-fluctuation study, formed
     one round at a time with each repetition's count drawn explicitly.
 
-    Each round builds its own (seed, round) generator and draws one normal z,
-    then nu uniforms.  The round's pump at fluctuation fraction a is
-    pump * (1 + a z), clamped at zero, or resampled from the generator state
-    after the uniforms (every a restarting from that state).  Each
-    repetition's count is the inverse-CDF draw of its uniform from the
-    round's count row at that pump, capped at the last count, and the round
-    total sums them.  `rows(mu)` gives the count rows at a pump array.
+    Round r builds its own generator on numpy's jumped stream
+    `PCG64(seed).jumped(r)` and draws one normal z, then nu uniforms.  The
+    round's pump at fluctuation fraction a is pump * (1 + a z), clamped at
+    zero, or resampled from the generator state after the uniforms (every a
+    restarting from that state).  Each repetition's count is the inverse-CDF
+    draw of its uniform from the round's count row at that pump, capped at
+    the last count, and the round total sums them.  `rows(mu)` gives the
+    count rows at a pump array.
     """
     a = np.asarray(a_grid, dtype=np.float64)
     totals = np.empty((a.size, rounds))
     for r in range(rounds):
-        rng = np.random.default_rng([seed, r])
+        rng = np.random.Generator(np.random.PCG64(seed).jumped(r))
         z = rng.standard_normal()
         u = rng.random(nu)
         mu = pump * (1.0 + a * z)
@@ -334,19 +389,20 @@ def per_repetition_totals(rows, pump: float, nodes, rounds: int, nu: int, seed: 
     """Round totals (a, rounds) of a per-repetition pump-fluctuation study,
     formed one round at a time with each repetition's count drawn explicitly.
 
-    Each round builds its own (seed, round) generator and draws one normal,
-    which a per-repetition round leaves unused, then nu uniforms.  `nodes`
-    holds the pump quadrature (x, w, ends) of the fluctuation fractions, and
-    a repetition's count follows the fraction's pump-averaged row
-    w_i @ rows(pump * x_i), with x_i and w_i its slices of x and w.  Each
-    count is the inverse-CDF draw of its uniform from that row, capped at the
-    last count, and the round total sums them.
+    Round r builds its own generator on numpy's jumped stream
+    `PCG64(seed).jumped(r)` and draws one normal, which a per-repetition
+    round leaves unused, then nu uniforms.  `nodes` holds the pump
+    quadrature (x, w, ends) of the fluctuation fractions, and a repetition's
+    count follows the fraction's pump-averaged row w_i @ rows(pump * x_i),
+    with x_i and w_i its slices of x and w.  Each count is the inverse-CDF
+    draw of its uniform from that row, capped at the last count, and the
+    round total sums them.
     """
     x, w, ends = nodes
     averaged = [w[lo:hi] @ rows(pump * x[lo:hi]) for lo, hi in zip(ends, ends[1:])]
     totals = np.empty((len(averaged), rounds))
     for r in range(rounds):
-        rng = np.random.default_rng([seed, r])
+        rng = np.random.Generator(np.random.PCG64(seed).jumped(r))
         rng.standard_normal()
         u = rng.random(nu)
         for i, row in enumerate(averaged):

@@ -891,8 +891,9 @@ class TestSerialization:
 
     # sha256 of the CSV of each experiment at a small config (nr-ratio at
     # its defaults, 808 rows), and of the default nr-ratio JSON, as written
-    # since the pump tuning takes Newton steps (the commit after caec2fb).
-    # Any change to the output bytes fails here.
+    # since the pump tuning takes Newton steps (the commit after caec2fb);
+    # the fluctuations CSV as written since round r draws from
+    # `PCG64(seed).jumped(r)`.  Any change to the output bytes fails here.
     PINNED = {
         "nr-ratio": ({}, "90e296ad82b05fb88d6f4c36201e75029849964d31cb526e34d3199a59e61646"),
         "threshold-bias": (
@@ -914,7 +915,7 @@ class TestSerialization:
         "fluctuations": (
             {"a_grid": (0.0, 0.3), "stage_counts": (3,), "mean_photons": 0.5, "rounds": 5,
              "nu": 50, "seed": 9},
-            "a2939befc16ce3209924daad839e6e79b8d1afd15c55efb089567d58c46f980c",
+            "ecaae6dc0a9148aadcf459abe3af16dae05054924be7ebfeedfbffdd5b0c3cc1",
         ),
         "mc-validate": (
             {"trials": 200, "nu": 20, "seed": 7},
@@ -923,26 +924,26 @@ class TestSerialization:
     }
     PINNED_NR_RATIO_JSON = "deedaa44842be78478816830cabef64f6aab3039f04e5acf79f2cf6dd51480b3"
     # The fluctuation modes the pins above leave out: per-repetition pump
-    # redraws, and resampled negative pumps (the normal of round 2 sends
+    # redraws, and resampled negative pumps (the normal of round 10 sends
     # the pump at a = 0.6 below zero), and both redraw modes at mean 1e4,
     # whose count rows are longer than nu (~1e4 counts against 50 uniforms),
-    # as written since the pump tuning takes Newton steps.
+    # as written since round r draws from `PCG64(seed).jumped(r)`.
     PINNED_FLUCTUATION_MODES = {
         "per-repetition": (
             {"a_grid": (0.0, 0.3), "rounds": 5, "redraw": "per-repetition"},
-            "81033e0125c27f1e79d9579019aaa329fb840117f79436159e85b335f4882b3f",
+            "42dc3afef641334db0fee998a22fc179f952088a05f6e9560bb0e4d6809d5a8f",
         ),
         "resample": (
             {"a_grid": (0.0, 0.6), "rounds": 12, "negatives": "resample"},
-            "5af5835d7ee24e2035cff09c6919995a7e5782952db06d2ac0e79a269257cd68",
+            "2cb73ce5765292f6602da11450eacfdc65b54581c3c46045b325257161930584",
         ),
         "per-round-mean-1e4": (
             {"mean_photons": 1e4, "a_grid": (0.0, 0.6), "rounds": 4},
-            "8909e24ee14b18601cbb4e0d7eed46514ba764d44fb6b8202ef4e2e7d497add2",
+            "bfb9d03732ea0c830222c5ab082cb4cbbfcb9dfd6bc563f1ed731ff871caff49",
         ),
         "per-repetition-mean-1e4": (
             {"mean_photons": 1e4, "a_grid": (0.0, 0.6), "rounds": 4, "redraw": "per-repetition"},
-            "ebb3cbe31ca95de89dbc220d7aef70d8756731595ea6ddec153ae7ae3012c3d9",
+            "92430ac8525ee58327f29d5491cf7cf42bbd2b89a2ea611eaaed1e6b04dc8ba5",
         ),
     }
 

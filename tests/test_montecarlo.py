@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from _oracles import (
     _invert_cdf,
@@ -26,6 +27,7 @@ from _oracles import (
     per_repetition_totals,
     per_round_totals,
     poisson_probs,
+    round_total_law,
     thinned_count_moments,
     threshold_mse_fluctuating_pump,
     total_count_law,
@@ -360,14 +362,15 @@ def test_round_totals_search_from_either_side(data, rounds, n_a, length, nu, sha
 
 @pytest.mark.parametrize("redraw", REDRAWS)
 @settings(CHECKS, max_examples=15)
-# Rows of ~120-170 counts against 5 uniforms, and of 2 clicks against 40.
+# Rows of ~120-170 counts against 5 uniforms, and of 2 clicks against 40,
+# where round 0 resamples its pump.
 @example(
     source=Coherent(150.0), detector=Detector.NUMBER_RESOLVING, a_grid=(0.0, 0.3), rounds=3,
     nu=5, negatives="clamp", seed=4,
 )
 @example(
     source=make_multiplexed(2, 1.5), detector=Detector.THRESHOLD, a_grid=(0.6,), rounds=2,
-    nu=40, negatives="resample", seed=1,
+    nu=40, negatives="resample", seed=8,
 )
 @given(
     source=sources(kinds=("coherent", "multiplexed"), mean_max=150.0),
@@ -400,11 +403,11 @@ def test_round_totals_match_the_round_by_round_references(
 
 @pytest.mark.parametrize("redraw", REDRAWS)
 @settings(CHECKS, max_examples=40)
-# Two rounds of 30 resample at a = 0.6 and one at a = 0.5; the last of 8
-# blocks is short.
+# Rounds 19 and 24 of 30 resample at a = 0.6, and round 19 at a = 0.5; the
+# last of 8 blocks is short.
 @example(
     pairs=STUDY_PAIRS, survival=0.72, a_grid=(0.0, 0.5, 0.6), rounds=30, nu=7,
-    negatives="resample", seed=3, block=4,
+    negatives="resample", seed=1, block=4,
 )
 # Per repetition, the coherent number-resolving rows at the nodes of a = 0,
 # 0.2 and 0.4 share one call, longer than the rows of a = 0 and 0.2 alone,
@@ -458,6 +461,79 @@ def test_batched_rounds_equal_the_round_by_round_reference(
         else:
             want = per_repetition_totals(rows, pump, nodes, rounds, nu, seed)
         assert totals.tolist() == want.tolist()
+
+
+def _pooled_chi_square(observed, expected, least=5.0) -> tuple[float, int]:
+    """Pearson's chi-square of `observed` counts against `expected` ones and
+    its degrees of freedom, adjacent bins pooled from the left until each
+    expects at least `least` (the remainder joins the last bin)."""
+    size = max(len(observed), len(expected))
+    observed = np.pad(observed, (0, size - len(observed)))
+    expected = np.pad(expected, (0, size - len(expected)))
+    pooled, o, e = [], 0.0, 0.0
+    for o_k, e_k in zip(observed, expected):
+        o, e = o + o_k, e + e_k
+        if e >= least:
+            pooled.append([o, e])
+            o, e = 0.0, 0.0
+    pooled[-1][0] += o
+    pooled[-1][1] += e
+    o, e = np.array(pooled).T
+    return float(((o - e) ** 2 / e).sum()), len(pooled) - 1
+
+
+# The round-total law check: coherent light and a 5-stage multiplexed source
+# at mean 0.5, both detectors of the multiplexed one, one seeded study per
+# redraw x negatives mode.  Photon numbers are cut at 16: the largest pump
+# node is 7x the tuned pump (3.5 coherent photons, 0.94 mux pairs), and no
+# law loses more than 2.6e-13 of its mass to the cut.
+LAW_PAIRS = [
+    (Coherent(0.5), Detector.NUMBER_RESOLVING),
+    (make_multiplexed(5, 0.5), Detector.NUMBER_RESOLVING),
+    (make_multiplexed(5, 0.5), Detector.THRESHOLD),
+]
+LAW_A_GRID = (0.0, 0.3, 0.6)
+LAW_CFG = {"a_grid": LAW_A_GRID, "rounds": 2000, "nu": 50}
+# One chi-square statistic per (mode, pair, fraction); Bonferroni over all
+# 4 x 3 x 3 = 36 of them keeps the family-wise false alarm rate at most 1e-3
+# under any dependence between them (they share streams).
+LAW_STATISTICS = len(REDRAWS) * len(NEGATIVES) * len(LAW_PAIRS) * len(LAW_A_GRID)
+LAW_FAMILY_ALPHA = 1e-3
+
+
+@functools.cache
+def _law_output_probs(source):
+    """Photon-number distribution of `source` at the sample at relative pump
+    x, from the oracles, cut at 16 photons."""
+    if isinstance(source, Coherent):
+        return functools.cache(lambda x: poisson_probs(source.mean * x, 16))
+    calibration = (source.herald_eff, source.stage_transmission, source.optics_transmission)
+    return functools.cache(
+        lambda x: enumerate_mux_output(source.stages, source.pair_mean * x, *calibration, 16)
+    )
+
+
+@pytest.mark.parametrize("redraw, negatives", [(r, n) for r in REDRAWS for n in NEGATIVES])
+def test_round_totals_follow_the_exact_round_law(redraw, negatives):
+    """Each fraction's round totals pass a pooled chi-square test against
+    `round_total_law`, the oracle's exact law of a round's total: the whole
+    law, not only the MSE, that the streams, pumps and rows of the engine
+    give.  Each statistic must stay below the chi-square quantile at
+    1 - LAW_FAMILY_ALPHA / LAW_STATISTICS of its degrees of freedom."""
+    cfg = FluctuationConfig(**LAW_CFG, redraw=redraw, negatives=negatives)
+    nodes = pump_nodes(cfg.a_grid, negatives)
+    totals = montecarlo._study_totals(cfg, LAW_PAIRS, CH.survival, 2024, nodes)
+    failed = []
+    for pair_totals, (source, detector) in zip(totals, LAW_PAIRS):
+        for a, round_totals in zip(cfg.a_grid, pair_totals):
+            law = round_total_law(
+                _law_output_probs(source), CH.survival, detector.value, cfg.nu, a, redraw, negatives
+            )
+            observed = np.bincount(round_totals.astype(np.int64))
+            chi2, dof = _pooled_chi_square(observed, cfg.rounds * law)
+            if chi2 > stats.chi2.isf(LAW_FAMILY_ALPHA / LAW_STATISTICS, dof):
+                failed.append(f"{source}, {detector.value}, a = {a}: chi2 {chi2:.1f}, dof {dof}")
+    assert not failed
 
 
 # Examples per (source kind, detector) pair of the randomized Monte Carlo check.
@@ -728,10 +804,11 @@ class TestFluctuationStudy:
         ]
 
     @pytest.mark.parametrize("redraw", REDRAWS)
-    def test_one_stream_per_round_and_one_quadrature_per_study(self, redraw, monkeypatch):
-        """A study of four pairs builds each (seed, round) generator once and
-        the pump nodes of its fluctuation fractions once.  Each pair's count
-        rows come from one call of its plan's `rows`, at all pumps of the
+    def test_one_bit_generator_per_block_and_one_quadrature_per_study(self, redraw, monkeypatch):
+        """A study of four pairs builds one `PCG64` per block of rounds,
+        which it jumps to each round, seeds no generator with `default_rng`,
+        and builds the pump nodes of its fluctuation fractions once.  Each
+        pair's count rows come from one call of its plan's `rows`, at all pumps of the
         one block of rounds or, per repetition, at every pump node; the row
         length comes from `length`, and no row is built to learn it."""
         calls = collections.Counter()
@@ -747,12 +824,19 @@ class TestFluctuationStudy:
             plan = detected_row_plan(*args)
             return SimpleNamespace(length=plan.length, rows=counted("rows", plan.rows))
 
-        monkeypatch.setattr(np.random, "default_rng", counted("streams", np.random.default_rng))
+        monkeypatch.setattr(np.random, "default_rng", counted("seeded", np.random.default_rng))
+        monkeypatch.setattr(np.random, "PCG64", counted("bit generators", np.random.PCG64))
         monkeypatch.setattr(montecarlo, "pump_nodes", counted("grids", montecarlo.pump_nodes))
         monkeypatch.setattr(montecarlo, "detected_row_plan", counted_plan)
         cfg = FluctuationConfig(rounds=20, redraw=redraw)
         fluctuation_study(cfg, STUDY_PAIRS, CH, 0)
-        assert calls == {"streams": cfg.rounds, "grids": 1, "rows": len(STUDY_PAIRS)}
+        assert calls == {"bit generators": 1, "grids": 1, "rows": len(STUDY_PAIRS)}
+        # Three blocks of 8, 8 and 4 rounds: one bit generator each.
+        calls.clear()
+        monkeypatch.setattr(montecarlo, "_BLOCK_FLOATS", 8 * cfg.nu)
+        nodes = pump_nodes(cfg.a_grid, cfg.negatives)
+        montecarlo._study_totals(cfg, STUDY_PAIRS[:1], CH.survival, 0, nodes)
+        assert calls["bit generators"] == 3 and calls["seeded"] == 0
 
     @pytest.mark.parametrize("redraw", REDRAWS)
     def test_count_rows_share_supports_and_log_factorials(self, redraw, monkeypatch):
