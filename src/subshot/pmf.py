@@ -1,10 +1,10 @@
 """Photon-number distributions as rows of probabilities.
 
-Poisson and binomial weights are evaluated in log space from a table of
-log-factorials; `poisson_support` picks a truncation point for a wanted tail
-mass.  `Moments` is the summary every closed-form source model returns:
-a mean and a variance, floats or arrays over pumps, and nothing derived
-from them.
+Poisson and binomial weights are evaluated in log space from one table of
+log-factorials, which every row reads; `poisson_support` picks a truncation
+point for a wanted tail mass.  `Moments` is the summary every closed-form
+source model returns: a mean and a variance, floats or arrays over pumps,
+and nothing derived from them.
 """
 
 from __future__ import annotations
@@ -62,28 +62,33 @@ def poisson_support(mu: float, tail_target: float) -> int:
             raise RuntimeError("Poisson support search did not terminate")
 
 
+_log_factorial_table = np.empty(0)  # log(n!) for n = 0..size - 1, read-only once grown
+
+
 def log_factorials(n_max: int) -> np.ndarray:
-    """log(n!) for n = 0..n_max, entry by entry, so that a table's prefix is
-    the shorter table bit for bit."""
-    return np.fromiter(map(math.lgamma, map(float, range(1, n_max + 2))), np.float64, n_max + 1)
+    """log(n!) for n = 0..n_max: a read-only prefix of the module's one
+    table, first grown entry by entry with `math.lgamma` where shorter, so
+    that every prefix has the bits of a table built on its own."""
+    global _log_factorial_table
+    if (size := _log_factorial_table.size) <= n_max:
+        grown = map(math.lgamma, map(float, range(size + 1, n_max + 2)))
+        _log_factorial_table = np.append(_log_factorial_table, np.fromiter(grown, np.float64))
+        _log_factorial_table.flags.writeable = False
+    return _log_factorial_table[: n_max + 1]
 
 
-def poisson_rows(mu, n_max: int, log_factorial_table=None) -> np.ndarray:
-    """Poisson probabilities P(n; mu) for n = 0..n_max, one row per mean.
+def poisson_rows(mu, n_max: int) -> np.ndarray:
+    """Poisson probabilities P(n; mu) for n = 0..n_max from `log_factorials`, one row per mean.
 
     `mu` is a float or an array of means >= 0; the result has shape
     `np.shape(mu) + (n_max + 1,)`.  A zero mean gives the vacuum row.
-    `log_factorial_table`, if given, is a `log_factorials` table of at least
-    n_max + 1 entries, whose prefix the rows read.
     """
-    if log_factorial_table is None:
-        log_factorial_table = log_factorials(n_max)
     mu = np.asarray(mu, dtype=np.float64)[..., None]
     ns = np.arange(n_max + 1)
     live = mu > 0.0
     rows = ns * np.log(np.where(live, mu, 1.0))
     rows -= mu
-    rows -= log_factorial_table[: n_max + 1]
+    rows -= log_factorials(n_max)
     np.exp(rows, out=rows)
     return rows if live.all() else np.where(live, rows, ns == 0)
 

@@ -44,10 +44,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from subshot.pmf import Moments, binomial_row, log_factorials, poisson_rows, poisson_support
+from subshot.pmf import Moments, binomial_row, poisson_rows, poisson_support
 
 # Calibrated defaults: herald-arm detection probability per idler photon and
 # signal transmission per delay stage.  Both are plain configuration values;
@@ -235,7 +236,7 @@ def _mux_clicks(constants: tuple, mu, survival):
     return miss, gain * (neg_p_w * np.expm1(-y) - np.exp(-y) * np.expm1(-h * x))
 
 
-def _mux_output_rows(constants: tuple, mu, survival: float, n_max: int, log_factorial_table):
+def _mux_output_rows(constants: tuple, mu, survival: float, n_max: int):
     """Output photon-number distribution after a further thinning by `survival`.
 
     With q = network * optics * survival, h the herald efficiency and
@@ -246,7 +247,7 @@ def _mux_output_rows(constants: tuple, mu, survival: float, n_max: int, log_fact
 
     `mu` is an array of pump values and `constants` is `_mux_constants` of
     one network; the result has shape `mu.shape + (n_max + 1,)`, its Poisson
-    rows read from `log_factorial_table` (`pmf.poisson_rows`).
+    rows `pmf.poisson_rows`, which read the one log-factorial table.
     """
     h, _, _, network, optics = constants
     q = network * optics * survival
@@ -259,7 +260,7 @@ def _mux_output_rows(constants: tuple, mu, survival: float, n_max: int, log_fact
     # -(1 - (1-h)^n e^{-mu h (1-q)}) without cancellation: <= 0 and finite at h = 1.
     neg_herald = log_miss - (mu * (h * (1.0 - q)))[..., None]
     np.expm1(neg_herald, out=neg_herald)
-    rows = poisson_rows(mu * q, n_max, log_factorial_table)
+    rows = poisson_rows(mu * q, n_max)
     rows *= gain[..., None]
     rows *= neg_herald
     np.negative(rows, out=rows)
@@ -486,7 +487,7 @@ def source_click_probabilities(source: Source | list[Multiplexed], survival, mu=
     return _scalar(miss), _scalar(p)
 
 
-class CountRows:
+class CountRows(NamedTuple):
     """Detected-count distribution of `source` after per-photon survival
     `survival`, in closed form, at any number of pump arrays: `length(mu)`
     gives the length of the rows at `mu` without building them, and
@@ -498,16 +499,12 @@ class CountRows:
     largest pump's Poisson mean, or the photon number of a Fock state, whose
     one row keeps that length.  Rows built longer hold the rows of their own
     length as a prefix, bit for bit, so a caller may build rows at many pump
-    arrays at one length.  A plan keeps one log-factorial table as long as
-    the longest row it has built, whose prefix every row reads, so the rows
-    it builds have the bits that a fresh plan gives at the same pumps and
-    length.  A caller that builds rows at many pump arrays keeps one plan
-    while it does.
+    arrays at one length.  The rows read the one log-factorial table of
+    `pmf.log_factorials`, so a plan holds no state.
     """
 
-    def __init__(self, source: Source, survival: float):
-        self.source, self.survival = source, survival
-        self._table = np.empty(0)
+    source: Source
+    survival: float
 
     def length(self, mu=None) -> int:
         source = self.source
@@ -525,10 +522,7 @@ class CountRows:
         if isinstance(self.source, Fock) and mu is None:
             return binomial_row(self.source.photons, self.survival)
         n_max = (self.length(mu) if length is None else length) - 1
-        if self._table.size <= n_max:
-            self._table = log_factorials(n_max)
         pumps = _pumps(self.source, mu)
         if isinstance(self.source, Coherent):
-            return poisson_rows(self.survival * pumps, n_max, self._table)
-        return _mux_output_rows(_mux_constants(self.source), pumps, self.survival, n_max,
-                                self._table)
+            return poisson_rows(self.survival * pumps, n_max)
+        return _mux_output_rows(_mux_constants(self.source), pumps, self.survival, n_max)

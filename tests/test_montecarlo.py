@@ -107,6 +107,12 @@ def _study(cfg, source, detector, channel, seed):
     return fluctuation_study(cfg, [(source, detector)], channel, seed)[0]
 
 
+def reset_log_factorials():
+    """Start the process's one log-factorial table afresh, as a new process
+    starts it."""
+    pmf._log_factorial_table = np.empty(0)
+
+
 def row_moments(offset, row):
     counts = offset + np.arange(row.size)
     mean = float((counts * row).sum() / row.sum())
@@ -679,20 +685,44 @@ class TestBatchBuilders:
     )
     def test_plan_rows_are_the_rows_built_alone(self, source, survival, pump_arrays, extra):
         """Rows a `CountRows` plan builds after others, reading a prefix of
-        its log-factorial table, have the bits that a fresh plan gives.
-        Built `extra` counts longer, they hold those rows as a prefix, bit
-        for bit, and at most `ROW_TAIL` past it."""
+        the log-factorial table they grew, have the bits that a fresh plan
+        gives from a fresh table.  Built `extra` counts longer, they hold
+        those rows as a prefix, bit for bit, and at most `ROW_TAIL` past it."""
+        reset_log_factorials()
         plan = CountRows(source, survival)
         for pumps in pump_arrays:
             mu = np.array(pumps)
             length = plan.length(mu)
             assert plan.length(mu * 0.5) <= length
             rows = plan.rows(mu)
+            table = pmf._log_factorial_table
+            reset_log_factorials()
             np.testing.assert_array_equal(rows, CountRows(source, survival).rows(mu))
+            pmf._log_factorial_table = table
             longer = plan.rows(mu, length + extra)
             assert longer.shape == mu.shape + (length + extra,)
             np.testing.assert_array_equal(longer[..., :length], rows)
             assert (longer[..., length:].sum(axis=-1) <= ROW_TAIL * (1 + 1e-12)).all()
+
+    @CHECKS
+    @given(
+        source=sources(mean_max=60.0),
+        survival=st.floats(0.0, 1.0),
+        pumps=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 200.0)), min_size=1, max_size=4),
+        extra=st.integers(1, 3000),
+    )
+    def test_rows_after_the_table_grew_are_the_rows_of_a_reset_table(
+        self, source, survival, pumps, extra
+    ):
+        """Rows built once the one log-factorial table has grown to any
+        longer length have the bits of the rows built from a reset table,
+        for coherent, multiplexed and Fock sources and zero pumps."""
+        mu = None if isinstance(source, Fock) else np.array(pumps)
+        plan = CountRows(source, survival)
+        reset_log_factorials()
+        fresh = plan.rows(mu)
+        pmf.log_factorials(fresh.shape[-1] + extra)
+        np.testing.assert_array_equal(plan.rows(mu), fresh)
 
     def test_fock_source_takes_no_pump(self):
         with pytest.raises(TypeError):
@@ -842,22 +872,23 @@ class TestFluctuationStudy:
     def test_count_rows_share_supports_and_log_factorials(self, redraw, monkeypatch):
         """Over a study of several blocks, each holding several chunks of
         rounds per pair, no `poisson_support` walk repeats its arguments and
-        each pair builds at most one log-factorial table per block (per
-        repetition, one per study).  Per round, each `plan.rows` call takes
-        the pumps of consecutive rounds of one block, in order, at most
-        max(1, _BLOCK_FLOATS // (a x length)) of them at the block's row
-        length; per repetition, the calls take the pump nodes in order, once
-        each, at most max(1, _BLOCK_FLOATS // length) of them at the one
-        length of all of them."""
-        supports, tables, calls = [], [], []
+        no entry of the one log-factorial table is computed twice: from a
+        reset table, each entry is one `math.lgamma` call.  Per round, each
+        `plan.rows` call takes the pumps of consecutive rounds of one block,
+        in order, at most max(1, _BLOCK_FLOATS // (a x length)) of them at
+        the block's row length; per repetition, the calls take the pump
+        nodes in order, once each, at most max(1, _BLOCK_FLOATS // length)
+        of them at the one length of all of them."""
+        supports, entries, calls = [], [], []
+        exact_lgamma = math.lgamma
 
         def walk(*args):
             supports.append(args)
             return pmf.poisson_support(*args)
 
-        def table(n_max):
-            tables.append(n_max)
-            return pmf.log_factorials(n_max)
+        def lgamma(x):
+            entries.append(x)
+            return exact_lgamma(x)
 
         def recorded_plan(*args):
             plan, built = detected_row_plan(*args), []
@@ -870,7 +901,8 @@ class TestFluctuationStudy:
             return SimpleNamespace(length=plan.length, rows=rows)
 
         monkeypatch.setattr(source_models, "poisson_support", walk)
-        monkeypatch.setattr(source_models, "log_factorials", table)
+        monkeypatch.setattr(pmf, "_log_factorial_table", np.empty(0))
+        monkeypatch.setattr(math, "lgamma", lgamma)
         monkeypatch.setattr(montecarlo, "detected_row_plan", recorded_plan)
         # 3 rounds of 400 uniforms per block, and a block budget of 1200
         # floats against two fractions' rows of 169-453 counts: 4 blocks of
@@ -885,7 +917,7 @@ class TestFluctuationStudy:
         blocks = 1 if redraw == "per-repetition" else 4
         assert sum(map(len, calls)) > blocks * len(pairs)
         assert len(set(supports)) == len(supports)
-        assert 0 < len(tables) <= blocks * len(pairs)
+        assert 0 < len(entries) == len(set(entries)) == pmf._log_factorial_table.size
 
         n_a, step = len(cfg.a_grid), budget // cfg.nu
         nodes_x, _, _ = pump_nodes(cfg.a_grid, cfg.negatives)

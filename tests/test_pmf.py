@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from _oracles import poisson_probs, poisson_support_walk, thinned_count_moments
+from subshot import pmf
 from subshot.pmf import binomial_row, log_factorials, poisson_rows, poisson_support
 from subshot.sources import Coherent, Fock, source_moments
 
@@ -109,11 +110,27 @@ class TestPoissonRows:
         table = log_factorials(2000)
         assert table.tolist() == [math.lgamma(n + 1.0) for n in range(2001)]
 
-    def test_longer_table_gives_the_same_rows(self):
+    def test_longer_table_gives_the_same_rows(self, monkeypatch):
+        monkeypatch.setattr(pmf, "_log_factorial_table", np.empty(0))
         means = np.array(self.MEANS)
-        np.testing.assert_array_equal(
-            poisson_rows(means, 150, log_factorials(400)), poisson_rows(means, 150)
-        )
+        rows = poisson_rows(means, 150)
+        log_factorials(400)
+        np.testing.assert_array_equal(poisson_rows(means, 150), rows)
+
+    def test_table_entries_are_lgamma_across_two_growths(self, monkeypatch):
+        monkeypatch.setattr(pmf, "_log_factorial_table", np.empty(0))
+        assert log_factorials(60).tolist() == [math.lgamma(n + 1.0) for n in range(61)]
+        table = log_factorials(2000)
+        assert table.tolist() == [math.lgamma(n + 1.0) for n in range(2001)]
+        assert pmf._log_factorial_table.size == 2001
+
+    def test_table_is_read_only(self):
+        short = log_factorials(10)
+        longer = log_factorials(pmf._log_factorial_table.size + 5)
+        for table in (short, longer):
+            with pytest.raises(ValueError, match="read-only"):
+                table[3] = 0.0
+        assert short[3] == math.lgamma(4.0)
 
     @pytest.mark.parametrize("mu", MEANS)
     def test_matches_textbook_formula(self, mu):
