@@ -109,6 +109,33 @@ MIN_THRESHOLD_REFERENCE = 1e-153
 # below the 2 * mean pairs of a strong herald (`--mean-n 1e4 --nu 1e4`: 10 s).
 MAX_SAMPLED_PAIRS = {"mc-validate": 5e4, "per-round": 1.5e6, "per-repetition": 1.5e5}
 
+# Caps on what a Monte Carlo run's cost grows with, each measured fresh
+# under `python -W error` on 2 vCPUs, the other fields at their defaults.
+# A fluctuation round holds its nu sorted uniforms and their int64 search
+# results (`montecarlo._round_streams`, `_round_totals`): 2 rounds at this
+# nu take 0.8 s and 189 MB, where nu = 2e9 would hold 16 GB of uniforms.
+MAX_STUDY_NU = 10**7
+
+# A fluctuation study draws and sorts rounds x nu uniforms: 100 rounds at
+# nu = 1e7 take 13.5 s and 189 MB at this cap, 50 rounds at nu = 1e6 0.9 s.
+MAX_STUDY_DRAWS = 10**9
+
+# A fluctuation study holds its round totals, squared errors and their sort
+# (`montecarlo.fluctuation_study`): three floats per (pair, fraction, round),
+# its count here.  At this cap, 2.5e6 rounds of 4 pairs (`--m 1`) at one
+# fraction take 30 s and 342 MB; 1e5 rounds of the command line's default 6
+# pairs x 7 fractions take 4.6 s and 168 MB, and 1e8 would hold 34 GB in
+# each of the three.
+MAX_STUDY_CELLS = 10**7
+
+# `mc-validate` convolves the nu-fold total count rows, which span a few
+# standard deviations of a total of variance up to about nu x max(1, mean)
+# (`montecarlo._total_count_row`), at a cost that grows like that product.
+# At this cap it takes 16.4 s and 43 MB at nu = 1e8, 9.8 s at nu = 1e6 and
+# mean 100, and 9.1 s at nu = 1e4 and mean 1e4; the coherent pair has no
+# pair limit, so nothing else bounds it.
+MAX_VALIDATE_SPREAD = 1e8
+
 # The experiments that report with threshold detectors only.
 _THRESHOLD_ONLY = ("threshold-bias", "threshold-ratio", "asymptotic")
 
@@ -207,10 +234,34 @@ class SweepConfig:
             raise ConfigError(field, err.reason) from None
         Channel(self.transmission, self.detector_eff)
         FluctuationConfig(self.a_grid, self.rounds, self.nu, self.redraw, self.negatives)
+        self._validate_sampling()
         self._validate_reference()
         if self.experiment == "mc-validate":
             networks = [Multiplexed(m, 0.0, *calibration) for m in _MC_VALIDATE_STAGES]
         self._validate_pairs(networks)
+
+    def _validate_sampling(self) -> None:
+        """A Monte Carlo run must stay within the caps on what its cost
+        grows with: `MAX_STUDY_NU`, `MAX_STUDY_DRAWS` and `MAX_STUDY_CELLS`
+        for a fluctuation study, `MAX_VALIDATE_SPREAD` for `mc-validate`."""
+        nu, rounds, mean = self.nu, self.rounds, self.mean_photons
+        if self.experiment == "mc-validate" and nu * max(1, mean) > MAX_VALIDATE_SPREAD:
+            raise ConfigError("nu", f"{nu} repetitions at mean {mean} give total count rows "
+                                    f"too long to convolve in seconds: nu x max(1, mean) "
+                                    f"must be at most {MAX_VALIDATE_SPREAD:g}")
+        if self.experiment != "fluctuations":
+            return
+        if nu > MAX_STUDY_NU:
+            raise ConfigError("nu", f"{nu} repetitions per round hold more uniforms than the "
+                                    f"{MAX_STUDY_NU:g} a round holds in bounded memory")
+        if rounds * nu > MAX_STUDY_DRAWS:
+            raise ConfigError("rounds", f"{rounds} rounds of nu = {nu} draw more uniforms than "
+                                        f"the {MAX_STUDY_DRAWS:g} a study draws in seconds")
+        cells = rounds * len(self.a_grid) * 2 * (1 + len(self.stage_counts))  # pairs: 2 detectors
+        if cells > MAX_STUDY_CELLS:
+            raise ConfigError("rounds", f"{rounds} rounds of every (pair, fraction) make {cells} "
+                                        f"round totals, more than the {MAX_STUDY_CELLS:g} a "
+                                        f"study holds in bounded memory")
 
     def _validate_reference(self) -> None:
         """The detector efficiency times the smallest mean the run tunes must

@@ -14,6 +14,9 @@ repetition, 24.84x / 9.46x per round) and are reproduced by neither; see
 README "Known residuals".
 """
 
+import math
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 
@@ -25,8 +28,9 @@ from _oracles import (
     tune_pump,
 )
 from subshot.detection import Channel
-from subshot.estimators import Detector, exact_report, snl_ratio, snl_report
-from subshot.montecarlo import FluctuationConfig, fluctuation_study, mc_estimate
+from subshot import montecarlo
+from subshot.estimators import Detector, exact_report, reference_mean, snl_ratio, snl_report
+from subshot.montecarlo import FluctuationConfig, fluctuation_study, mc_estimate, pump_nodes
 from subshot.sources import (
     Coherent,
     CountRows,
@@ -73,6 +77,26 @@ def flux_studies():
     keys = [(name, det) for det in Detector for name in sources]
     pairs = [(sources[name], det) for name, det in keys]
     return dict(zip(keys, fluctuation_study(cfg, pairs, ch, seed=20240)))
+
+
+@pytest.fixture(scope="module")
+def flux_round_errors(flux_studies):
+    """Each round's squared error, shape (a, rounds), for each pair of
+    `flux_studies`: the same config, pairs and seed, from the engine's round
+    totals, with the bits `fluctuation_study` forms them with."""
+    ch = Channel(0.8, ETA)
+    cfg = FluctuationConfig(rounds=1500, nu=NU)
+    sources = {
+        "coherent": Coherent(0.5),
+        "mux3": make_multiplexed(3, 0.5),
+        "mux5": make_multiplexed(5, 0.5),
+    }
+    pairs = [(sources[name], det) for name, det in flux_studies]
+    nodes = pump_nodes(cfg.a_grid, cfg.negatives)
+    totals = montecarlo._study_totals(cfg, pairs, ch.survival, 20240, nodes)
+    scales = [cfg.nu * reference_mean(source, det, ETA) for source, det in pairs]
+    return {key: (pair_totals / scale - ch.transmission) ** 2
+            for key, pair_totals, scale in zip(flux_studies, totals, scales)}
 
 
 def test_c01_nr_unbiasedness(mux_mean1):
@@ -290,6 +314,38 @@ def test_c11_fluctuation_study_consistency(flux_studies):
         "fluctuation study at a=0 matches exact MSE; mean MSE non-decreasing in a",
         ok_zero and ok_monotone,
         "; ".join(details),
+    )
+
+
+# C11b: each sampled step of the mean MSE between adjacent fractions, in
+# units of its own standard error, against the exact step.  Bonferroni over
+# the 6 pairs x 6 steps keeps the family-wise false alarm rate at 1e-3
+# (normal approximation of a mean over 1500 rounds).
+C11B_STEPS = 6 * 6
+C11B_Z_MAX = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * C11B_STEPS))
+
+
+def test_c11b_fluctuation_steps_match_the_exact_steps(flux_studies, flux_round_errors):
+    """The seed-independent companion of C11's monotone clause.  The
+    fractions share each round's stream (common random numbers), so a
+    step's standard error is that of the per-round difference of squared
+    errors, not a difference of the two means' errors."""
+    worst, details = 0.0, []
+    for (name, det), summaries in flux_studies.items():
+        sq_err = flux_round_errors[name, det]
+        assert sq_err.mean(axis=-1).tolist() == [s.mean_mse for s in summaries]
+        steps = np.diff(sq_err, axis=0)
+        se = steps.std(ddof=1, axis=-1) / math.sqrt(steps.shape[-1])
+        exact = np.diff([s.mse_exact for s in summaries])
+        z = np.abs(steps.mean(axis=-1) - exact) / se
+        worst = max(worst, float(z.max()))
+        details.append(f"{name}/{det.value}: {z.max():.2f}")
+    assert sum(map(len, flux_studies.values())) - len(flux_studies) == C11B_STEPS
+    check(
+        "C11b",
+        f"each sampled step of mean MSE in a is its exact step within {C11B_Z_MAX:.2f} SE",
+        worst <= C11B_Z_MAX,
+        "max |z| " + "; ".join(details),
     )
 
 

@@ -238,6 +238,23 @@ class TestMain:
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize(
+        "args, field",
+        [
+            (["fluctuations", "--nu", "2000000000", "--rounds", "100000000"], "nu"),
+            (["fluctuations", "--rounds", "100000000"], "rounds"),
+            (["fluctuations", "--nu", "10000000", "--rounds", "101"], "rounds"),
+            (["mc-validate", "--nu", "1000000000000000"], "nu"),
+        ],
+    )
+    def test_runs_that_cannot_finish_are_refused_by_name(self, capsys, args, field):
+        """show-config refuses a Monte Carlo run past a sampling cap by name,
+        without a traceback, and prints no configuration."""
+        assert main(["show-config", *args]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith(f"configuration error: {field}: ")
+        assert "Traceback" not in err and out == ""
+
+    @pytest.mark.parametrize(
         "args",
         [
             ["nr-ratio", "--mean-n", "0.5", "--mean-grid", "2", "--t-grid", "0.5"],

@@ -32,6 +32,10 @@ from subshot.experiments import (
     EXPERIMENTS,
     MAX_MEAN,
     MAX_SAMPLED_PAIRS,
+    MAX_STUDY_CELLS,
+    MAX_STUDY_DRAWS,
+    MAX_STUDY_NU,
+    MAX_VALIDATE_SPREAD,
     MIN_THRESHOLD_REFERENCE,
     _MC_VALIDATE_STAGES,
     _THRESHOLD_ONLY,
@@ -699,6 +703,63 @@ class TestPairLimits:
         cap = MAX_SAMPLED_PAIRS.get(redraw if experiment == "fluctuations" else experiment)
         if cap is not None:
             assert tuned_pairs(networks, _tuned_means(cfg)).max() * top <= cap * (1 + 1e-8)
+
+
+class TestSamplingCaps:
+    """Monte Carlo runs whose arrays or convolutions would outgrow any
+    machine are refused by name through `validate`
+    (`SweepConfig._validate_sampling`); no config here is run."""
+
+    # The command line's fluctuation pairs, 3 sources (coherent, m = 3 and 5)
+    # x 2 detectors, at 7 fractions.
+    DEFAULT_CELLS_PER_ROUND = 6 * 7
+
+    @pytest.mark.parametrize(
+        "experiment, overrides, field",
+        [
+            ("fluctuations", {"nu": MAX_STUDY_NU + 1, "rounds": 2}, "nu"),
+            ("fluctuations", {"nu": 2_000_000_000, "rounds": 100_000_000}, "nu"),
+            ("fluctuations", {"nu": 2_000_000_000, "redraw": "per-repetition"}, "nu"),
+            ("fluctuations", {"nu": MAX_STUDY_NU, "rounds": MAX_STUDY_DRAWS // MAX_STUDY_NU + 1},
+             "rounds"),
+            ("fluctuations", {"rounds": 100_000_000}, "rounds"),
+            ("fluctuations", {"stage_counts": (1,), "a_grid": (0.0,),
+                              "rounds": MAX_STUDY_CELLS // 4 + 1}, "rounds"),
+            ("fluctuations", {"redraw": "per-repetition",
+                              "rounds": MAX_STUDY_CELLS // DEFAULT_CELLS_PER_ROUND + 1}, "rounds"),
+            ("mc-validate", {"nu": 10**15}, "nu"),
+            ("mc-validate", {"nu": int(MAX_VALIDATE_SPREAD) + 1}, "nu"),
+            ("mc-validate", {"nu": 10**6, "mean_photons": 100.5}, "nu"),
+        ],
+    )
+    def test_past_a_cap_named(self, experiment, overrides, field):
+        with pytest.raises(ConfigError) as err:
+            command_line_config(experiment, overrides).validate()
+        assert err.value.field == field
+
+    @pytest.mark.parametrize(
+        "experiment, overrides",
+        [
+            # At each cap.
+            ("fluctuations", {"nu": MAX_STUDY_NU, "rounds": 2}),
+            ("fluctuations", {"nu": MAX_STUDY_NU, "rounds": MAX_STUDY_DRAWS // MAX_STUDY_NU}),
+            ("fluctuations", {"stage_counts": (1,), "a_grid": (0.0,),
+                              "rounds": MAX_STUDY_CELLS // 4}),
+            ("mc-validate", {"nu": int(MAX_VALIDATE_SPREAD)}),
+            ("mc-validate", {"nu": 10**6, "mean_photons": 100.0}),
+            ("mc-validate", {"nu": 10**4, "mean_photons": MAX_MEAN}),
+            # The runs the CI steps, the README and the ROADMAP name.
+            ("fluctuations", {"redraw": "per-repetition", "nu": 10**6}),
+            ("fluctuations", {"rounds": 20_000}),
+            ("fluctuations", {"nu": 100_000, "rounds": 300}),
+            ("mc-validate", {"nu": 10**6, "mean_photons": 30.0}),
+            ("mc-validate", {"trials": 10**7}),
+            # The exact reports take any nu and ignore rounds.
+            ("nr-ratio", {"nu": 10**15, "rounds": 10**9}),
+        ],
+    )
+    def test_at_a_cap_accepted(self, experiment, overrides):
+        command_line_config(experiment, overrides).validate()
 
 
 class TestNrRatio:

@@ -542,6 +542,54 @@ def test_round_totals_follow_the_exact_round_law(redraw, negatives):
     assert not failed
 
 
+# The exact-percentile band check: the round-law pairs, fractions and
+# rounds, clamped pumps, one study per redraw mode.  Two one-sided binomial
+# z-scores per band edge; Bonferroni over all 2 x 3 x 3 x 2 x 2 = 72 of them
+# keeps the family-wise false alarm rate at most 1e-3 (normal approximation
+# of binomial counts of 2000 rounds at probabilities 0.16 and 0.84).
+BAND_Z_MAX = NormalDist().inv_cdf(
+    1.0 - LAW_FAMILY_ALPHA / (len(REDRAWS) * len(LAW_PAIRS) * len(LAW_A_GRID) * 2 * 2)
+)
+
+
+def _binomial_z(count: int, trials: int, p: float) -> float:
+    """(count - trials p) / sqrt(trials p (1 - p)); where p is 0 or 1 the
+    count is certain, and any other count is infinitely far."""
+    spread = math.sqrt(trials * p * (1.0 - p))
+    if spread == 0.0:
+        return 0.0 if count == trials * p else math.copysign(math.inf, count - trials * p)
+    return (count - trials * p) / spread
+
+
+@pytest.mark.parametrize("redraw", REDRAWS)
+def test_bands_sit_at_the_exact_percentiles(redraw):
+    """`ci_low` and `ci_high` estimate the 16th and 84th percentiles of the
+    exact law of a round's squared error, (k / (nu ref) - t)^2 with k a
+    round total of law `round_total_law`.  An edge c at percentile q lies
+    between the order statistics of ranks i + 1 and i + 2 of the rounds,
+    i = floor((rounds - 1) q), so at least i + 1 rounds fall at or below c
+    and at most i + 1 strictly below it.  Each count is binomial, its
+    probability P(sq_err <= c) or P(sq_err < c) taken from the discrete law,
+    not q: an edge too low makes the first count improbably large, one too
+    high the second improbably small.  Each z must stay within BAND_Z_MAX."""
+    cfg = FluctuationConfig(**LAW_CFG, redraw=redraw)
+    failed = []
+    for (source, detector), summaries in zip(LAW_PAIRS, fluctuation_study(cfg, LAW_PAIRS, CH, 2024)):
+        scale = cfg.nu * reference_mean(source, detector, CH.detector_eff)
+        for s in summaries:
+            law = round_total_law(_law_output_probs(source), CH.survival, detector.value, cfg.nu,
+                                  s.fluctuation, redraw, cfg.negatives)
+            sq_err = (np.arange(law.size) / scale - CH.transmission) ** 2  # the engine's bits
+            for q, edge in ((0.16, s.ci_low), (0.84, s.ci_high)):
+                rank = math.floor((cfg.rounds - 1) * q) + 1
+                too_low = _binomial_z(rank, cfg.rounds, law[sq_err <= edge].sum())
+                too_high = -_binomial_z(rank, cfg.rounds, law[sq_err < edge].sum())
+                if max(too_low, too_high) > BAND_Z_MAX:
+                    failed.append(f"{source}, {detector.value}, a = {s.fluctuation}, q = {q}: "
+                                  f"z {too_low:.2f} below, {too_high:.2f} above")
+    assert not failed
+
+
 # Examples per (source kind, detector) pair of the randomized Monte Carlo check.
 MC_EXAMPLES = 10
 # Two z-scores per example, Bonferroni-corrected to a family-wise error of
