@@ -124,8 +124,8 @@ MAX_STUDY_DRAWS = 10**9
 # (`montecarlo.fluctuation_study`): three floats per (pair, fraction, round),
 # its count here.  At this cap, 2.5e6 rounds of 4 pairs (`--m 1`) at one
 # fraction take 30 s and 342 MB; 1e5 rounds of the command line's default 6
-# pairs x 7 fractions take 4.6 s and 168 MB, and 1e8 would hold 34 GB in
-# each of the three.
+# pairs x 7 fractions take 4.6 s and 168 MB, and 1e8 rounds of them would
+# hold 34 GB in each of the three.
 MAX_STUDY_CELLS = 10**7
 
 # `mc-validate` convolves the nu-fold total count rows, which span a few
@@ -257,7 +257,8 @@ class SweepConfig:
         if rounds * nu > MAX_STUDY_DRAWS:
             raise ConfigError("rounds", f"{rounds} rounds of nu = {nu} draw more uniforms than "
                                         f"the {MAX_STUDY_DRAWS:g} a study draws in seconds")
-        cells = rounds * len(self.a_grid) * 2 * (1 + len(self.stage_counts))  # pairs: 2 detectors
+        # The pairs: the coherent source and each network, with both detectors.
+        cells = rounds * len(self.a_grid) * 2 * (1 + len(self.stage_counts))
         if cells > MAX_STUDY_CELLS:
             raise ConfigError("rounds", f"{rounds} rounds of every (pair, fraction) make {cells} "
                                         f"round totals, more than the {MAX_STUDY_CELLS:g} a "

@@ -573,13 +573,15 @@ def test_bands_sit_at_the_exact_percentiles(redraw):
     not q: an edge too low makes the first count improbably large, one too
     high the second improbably small.  Each z must stay within BAND_Z_MAX."""
     cfg = FluctuationConfig(**LAW_CFG, redraw=redraw)
+    studies = fluctuation_study(cfg, LAW_PAIRS, CH, 2024)
     failed = []
-    for (source, detector), summaries in zip(LAW_PAIRS, fluctuation_study(cfg, LAW_PAIRS, CH, 2024)):
+    for (source, detector), summaries in zip(LAW_PAIRS, studies):
         scale = cfg.nu * reference_mean(source, detector, CH.detector_eff)
         for s in summaries:
             law = round_total_law(_law_output_probs(source), CH.survival, detector.value, cfg.nu,
                                   s.fluctuation, redraw, cfg.negatives)
-            sq_err = (np.arange(law.size) / scale - CH.transmission) ** 2  # the engine's bits
+            # With the bits `fluctuation_study` forms a round's error with.
+            sq_err = (np.arange(law.size) / scale - CH.transmission) ** 2
             for q, edge in ((0.16, s.ci_low), (0.84, s.ci_high)):
                 rank = math.floor((cfg.rounds - 1) * q) + 1
                 too_low = _binomial_z(rank, cfg.rounds, law[sq_err <= edge].sum())
