@@ -9,8 +9,9 @@ photons of one repetition into its count: `detected_moments` gives the count's
 mean and variance and `detected_row_plan` its distribution (rows at any
 number of pump arrays, sized without building them), both from the closed
 forms of `sources` and both for a pump array as well as the source's own
-pump, so the exact reports and the Monte Carlo engine never branch on the
-detector.  `detected_moments` also takes an array of survivals, which a
+pump, and `detected_log_pgf` the log of its generating function, so the
+exact reports and the Monte Carlo engine never branch on the detector.
+`detected_moments` also takes an array of survivals, which a
 `Channel` carrying a whole transmission grid gives, as it takes a pump array,
 and a list of multiplexed sources, the networks of a run, which it evaluates
 at once on a leading network axis.
@@ -24,9 +25,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from subshot.pmf import Moments
+from subshot.pmf import Moments, log1p
 from subshot.sources import CountRows, Multiplexed, Source, check_range
-from subshot.sources import source_click_probabilities, source_moments
+from subshot.sources import source_click_probabilities, source_log_pgf, source_moments
 
 
 class Detector(enum.Enum):
@@ -74,6 +75,17 @@ def detected_moments(source: Source | list[Multiplexed], detector: Detector, sur
     n = source_moments(source, mu, np.ndim(survival))
     s = survival
     return Moments(mean=s * n.mean, variance=s * s * n.variance + s * (1.0 - s) * n.mean)
+
+
+def detected_log_pgf(source: Source, detector: Detector, survival: float, d) -> np.ndarray:
+    """log E[(1 + d)^K] of one repetition's count K after per-photon
+    survival `survival`, at a real or complex array `d`, for a source whose
+    pump is a float.  Number-resolving: the thinning maps 1 + d to 1 + s d
+    in the photon number's generating function (`sources.source_log_pgf`).
+    Threshold: log1p(p d), p the click probability."""
+    if detector is Detector.THRESHOLD:
+        return log1p(source_click_probabilities(source, survival)[1] * d)
+    return source_log_pgf(source, survival * d)
 
 
 class _ClickRows(NamedTuple):

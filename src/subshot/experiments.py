@@ -99,14 +99,18 @@ MIN_THRESHOLD_REFERENCE = 1e-153
 # run samples, keyed by experiment and the fluctuation study by its redraw
 # mode.  A weak herald needs rare bursts of many pairs, and the count rows
 # span the burst.  At each limit, with the other fields at their defaults
-# (one process on 2 vCPUs): `mc-validate` takes 25 s and 47 MB (herald
-# 7e-11), most of it the nu-fold power of the rows, and runs past 60 s at
-# herald 1e-11; `fluctuations` takes 3.4 s and 54 MB (herald 8.4e-13) per
-# round, and 1.1 s and 52 MB (herald 8.4e-11) per repetition.
-# The power grows with nu too (54 s at herald 1e-10 and nu = 1000), so above
-# the default nu the `mc-validate` limit shrinks like 1/sqrt(nu), which holds
-# the time at the limit (21, 7 and 6 s at nu = 1e3, 1e4 and 1e5), but never
-# below the 2 * mean pairs of a strong herald (`--mean-n 1e4 --nu 1e4`: 10 s).
+# (one process on 2 vCPUs): `fluctuations` takes 3.4 s and 54 MB (herald
+# 8.4e-13) per round, and 1.1 s and 52 MB (herald 8.4e-11) per repetition.
+# `mc-validate` builds no count rows: its totals come from the generating
+# function (`montecarlo._total_count_pmf`), whose window spans the total's
+# standard deviation.  At its limit it takes 0.26 s and 56 MB (herald
+# 7e-11), and past it, in-process, 0.29 s and 112 MB at herald 1e-11 and
+# 0.52 s and 189 MB at 1e-12.  Above the default nu its limit shrinks like
+# 1/sqrt(nu), but never below the 2 * mean pairs of a strong herald; at
+# that limit it takes 0.23, 0.30, 0.25, 0.43 and 0.75 s at nu = 1e3, 1e4,
+# 1e5, 1e6 and 1e8 (190 MB at 1e8).  Its values date from the convolution
+# power these totals replaced, which took 25 s at herald 7e-11; loosening
+# them is a change of its own.
 MAX_SAMPLED_PAIRS = {"mc-validate": 5e4, "per-round": 1.5e6, "per-repetition": 1.5e5}
 
 # Caps on what a Monte Carlo run's cost grows with, each measured fresh
@@ -128,12 +132,14 @@ MAX_STUDY_DRAWS = 10**9
 # hold 34 GB in each of the three.
 MAX_STUDY_CELLS = 10**7
 
-# `mc-validate` convolves the nu-fold total count rows, which span a few
-# standard deviations of a total of variance up to about nu x max(1, mean)
-# (`montecarlo._total_count_row`), at a cost that grows like that product.
-# At this cap it takes 16.4 s and 43 MB at nu = 1e8, 9.8 s at nu = 1e6 and
-# mean 100, and 9.1 s at nu = 1e4 and mean 1e4; the coherent pair has no
-# pair limit, so nothing else bounds it.
+# `mc-validate` forms the law of a total of variance up to about
+# nu x max(1, mean) times the pairs per window of a burst, on a window that
+# spans its standard deviation (`montecarlo._total_count_pmf`).  At this
+# cap it takes 0.33 s and 56 MB at nu = 1e8, 0.29 s at nu = 1e6 and mean
+# 100, and 0.36 s at nu = 1e4 and mean 1e4.  The pair limit's 2 * mean
+# floor lets a weak herald spread the total further: 5.1 s and 1.2 GB at
+# nu = 1e4, mean 1e4 and herald 6.1e-6, a window of 2**24 counts.  The
+# coherent pair has no pair limit, so nothing else bounds it.
 MAX_VALIDATE_SPREAD = 1e8
 
 # The experiments that report with threshold detectors only.
@@ -246,8 +252,8 @@ class SweepConfig:
         for a fluctuation study, `MAX_VALIDATE_SPREAD` for `mc-validate`."""
         nu, rounds, mean = self.nu, self.rounds, self.mean_photons
         if self.experiment == "mc-validate" and nu * max(1, mean) > MAX_VALIDATE_SPREAD:
-            raise ConfigError("nu", f"{nu} repetitions at mean {mean} give total count rows "
-                                    f"too long to convolve in seconds: nu x max(1, mean) "
+            raise ConfigError("nu", f"{nu} repetitions at mean {mean} give total count laws "
+                                    f"too wide to form in seconds: nu x max(1, mean) "
                                     f"must be at most {MAX_VALIDATE_SPREAD:g}")
         if self.experiment != "fluctuations":
             return
@@ -298,7 +304,7 @@ class SweepConfig:
         cap = MAX_SAMPLED_PAIRS.get(self.redraw if self.experiment == "fluctuations"
                                     else self.experiment)
         if cap is not None:
-            limits[f"below which the count rows that {self.experiment} samples stay short "
+            limits[f"below which the count laws that {self.experiment} samples stay short "
                    f"enough to build"] = cap / top
         if self.experiment == "mc-validate" and self.nu > SweepConfig.nu:  # MAX_SAMPLED_PAIRS
             limits[f"below which the total count over nu = {self.nu} repetitions forms in "

@@ -3,16 +3,19 @@
 Two jobs: validate the exact estimator reports by sampling full experiments,
 and study what pump-power fluctuations do to the measurement error.
 
-Both take the distribution and moments of one repetition's count from
-`detection.detected_row_plan` and `detection.detected_moments`, which build
-them from the closed forms of `sources`; this module knows no source kind
-and no detector, and hands the `detector` argument through unread.
+Both take what they need of one repetition's count from `detection`
+(`detected_row_plan`, `detected_moments`, `detected_log_pgf`), which builds
+it from the closed forms of `sources`; this module knows no source kind and
+no detector, and hands the `detector` argument through unread.
 `mc_estimate` takes `exact_report`'s arguments plus a trial count and a seed.
 It reads only the total count over the nu repetitions, as the estimators do,
 and only how many trials reach each total: one multinomial draw over the
-nu-fold convolution power of the detected-count row (`_total_count_row`,
-trimmed to `sources.ROW_TAIL` as the rows are) gives that histogram at a
-cost that does not grow with the trial count.
+law of the total gives that histogram at a cost that does not grow with the
+trial count.  That law comes from the closed-form generating function of
+one count raised to the nu-th power, inverted by one FFT on a window that
+Chernoff bounds size to hold all but `sources.ROW_TAIL` of each tail
+(`_total_count_pmf`), at a cost that grows like the total's standard
+deviation, not like nu.
 
 In the fluctuation study the pump strength becomes a Gaussian random variable
 (sigma = a * mean around the source's own pump, truncated at zero) and the
@@ -62,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from subshot.detection import Channel, detected_moments, detected_row_plan
+from subshot.detection import Channel, detected_log_pgf, detected_moments, detected_row_plan
 from subshot.estimators import reference_mean
 from subshot.sources import ROW_TAIL, ConfigError, Source, check_count, source_pump
 
@@ -120,6 +123,35 @@ PUMP_Z_MAX = 10.0
 # streams that must not overlap.
 _ROUND_STEP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 
+# The Chernoff exponents t over which `_total_count_pmf` minimizes its tail
+# bounds.  A near-Gaussian total of variance V has its best t near
+# sqrt(2 log(1 / ROW_TAIL) / V), so 1e-8 serves V up to 1e17; t = 30 puts
+# the edges of a point mass within log(1 / ROW_TAIL) / 30 = 1.4 counts, and
+# from t = 37 on e^{-t} - 1 rounds to -1.  Neighbours differ by a factor
+# 1.41, which widens a Gaussian window by at most 1.5%.  A window sized
+# from the mean and variance instead misses mass: under a weak herald
+# (7e-11, mean 1, nu = 200) the totals of two and three bursts, 8e-6 and
+# 1e-8 of the law, lie 31 and 47 standard deviations up.  (Not
+# `np.geomspace`, whose first call adds 0.3 ms to the import.)
+_CHERNOFF_T = 1e-8 * (30.0 / 1e-8) ** (np.arange(64) / 63)
+
+# The smallest log G(e^-t) of one count that `_total_count_pmf`'s lower bound
+# takes.  The generating functions are formed as 1 + (G - 1), so G carries an
+# absolute rounding error of a few eps, and log G one of a few eps / G: below
+# e^-14, 1e-9.  A multiplexed source at mean 1e4 has G(e^-t) near e^-54 at
+# the best t for nu = 200, where 1 + (G - 1) rounds to 0.
+_CHERNOFF_MIN_LOG = -14.0
+
+# `_total_count_pmf` zeroes the entries up to the larger of these multiples
+# of its most negative entry and of its largest.  Over 1500 random totals
+# (the three sources, both detectors, nu < 1e5), entries where the direct
+# convolution power is below 1e-25 of its peak passed this floor in 1 total
+# (11 at 1 * 2**-52, none at 16 * 2**-52).  A higher floor zeroes real
+# mass: under a weak herald (7e-11, nu = 200) 16 * 2**-52 loses 2.5e-12 of
+# it, 2e-9 of the mean, and this one 5e-13.
+_NOISE_FLOOR = 4.0
+_PEAK_FLOOR = 4 * 2.0**-52
+
 # How often the fluctuating pump is redrawn, and what becomes of Gaussian
 # pump draws below zero; the first of each is the default.
 REDRAWS = ("per-round", "per-repetition")
@@ -132,34 +164,47 @@ def _check_mode(field: str, value: str, allowed: tuple[str, ...]) -> None:
         raise ConfigError(field, f"must be one of {', '.join(allowed)}, got {value!r}")
 
 
-def _trim_tails(offset: int, row: np.ndarray) -> tuple[int, np.ndarray]:
-    """Drop the entries at each end of `row` holding at most `ROW_TAIL` in
-    total, and normalize the rest; `offset` is the count of the first entry."""
-    lo = int(np.searchsorted(np.cumsum(row), ROW_TAIL, side="right"))
-    hi = row.size - int(np.searchsorted(np.cumsum(row[::-1]), ROW_TAIL, side="right"))
-    kept = row[lo:hi]
-    return offset + lo, kept / kept.sum()
+def _total_count_pmf(source: Source, detector, survival: float, nu: int) -> tuple[int, np.ndarray]:
+    """Distribution of the sum K of `nu` independent counts of one
+    repetition of `source` and `detector` after per-photon survival
+    `survival`: `(offset, probs)` with P(K = offset + i) = probs[i].
 
-
-def _total_count_row(row: np.ndarray, nu: int) -> tuple[int, np.ndarray]:
-    """Distribution of the sum of `nu` independent counts distributed as `row`.
-
-    Returns `(offset, probs)` with P(K = offset + i) = probs[i].  The power is
-    formed by repeated squaring with direct convolution, which keeps every
-    entry non-negative.  Both tails are trimmed after each product, so the
-    row spans a few standard deviations of K and grows like sqrt(nu).  Each
-    product is renormalized, since the power would otherwise raise the
-    rounding error in the row's sum to the nu-th power.
+    K has the generating function G^nu, G that of one count
+    (`detected_log_pgf`).  Its values at e^{-i theta} on the L-th roots of
+    unity, times e^{i theta k0}, are the discrete Fourier transform of the
+    law of K - k0 wrapped modulo L, so one inverse real FFT of them on
+    theta in [0, pi] gives that law (Abate and Whitt, "Numerical inversion
+    of probability generating functions", Oper. Res. Lett. 12, 1992).  The
+    window [k0, k0 + L) spans the Chernoff bounds P(K >= k) <=
+    G(e^t)^nu e^{-t k} and P(K <= k) <= G(e^{-t})^nu e^{t k} at
+    `ROW_TAIL`, each minimized over `_CHERNOFF_T`, so what wraps into it is
+    below `ROW_TAIL` too.  The rounding of the inversion spreads over every
+    entry with either sign: entries up to `_NOISE_FLOOR` times the most
+    negative one, or up to `_PEAK_FLOOR` times the largest, are zeroed, and
+    the rest is trimmed of zero ends and normalized.
     """
-    offset, total = 0, np.ones(1)
-    base_offset, base = _trim_tails(0, row)
-    while True:
-        if nu & 1:
-            offset, total = _trim_tails(offset + base_offset, np.convolve(total, base))
-        nu >>= 1
-        if not nu:
-            return offset, total
-        base_offset, base = _trim_tails(2 * base_offset, np.convolve(base, base))
+    x = np.expm1(_CHERNOFF_T)
+    x = np.concatenate([x, -x / (x + 1.0)])  # e^t - 1 and e^-t - 1
+    # A G(e^t) past the float range bounds nothing, nor does a G(e^-t) that
+    # 1 + (G - 1) no longer carries (`_CHERNOFF_MIN_LOG`).
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        logs = detected_log_pgf(source, detector, survival, x)
+    logs[logs < _CHERNOFF_MIN_LOG] = np.nan
+    # The exponent of each point as evaluated, so that its bound holds.
+    edges = (nu * logs - math.log(ROW_TAIL)) / np.log1p(x)
+    # fmin and fmax pass over NaN.
+    top = math.ceil(np.fmin.reduce(edges[: x.size // 2]))
+    k0 = max(0, math.floor(np.fmax.reduce(edges[x.size // 2 :])))
+    size = 1 << (top - k0).bit_length()
+    theta = np.arange(size // 2 + 1) * (2.0 * math.pi / size)
+    # numpy's complex expm1 forms cos - 1 as -2 sin^2(theta / 2).
+    log_g = detected_log_pgf(source, detector, survival, np.expm1(-1j * theta))
+    probs = np.fft.irfft(np.exp(nu * log_g + 1j * (k0 * theta)), size)
+    floor = max(-_NOISE_FLOOR * probs.min(), _PEAK_FLOOR * probs.max())
+    kept = np.flatnonzero(probs > floor)
+    probs = probs[kept[0] : kept[-1] + 1]
+    probs[probs <= floor] = 0.0
+    return k0 + int(kept[0]), probs / probs.sum()
 
 
 @dataclass(frozen=True)
@@ -188,18 +233,18 @@ def mc_estimate(
     `exact_report` evaluates at the same arguments.
 
     Each experiment's total count over the nu repetitions, divided by nu
-    times `reference_mean`, is its estimate of the true transmission.  One
-    multinomial draw gives how many experiments reach each possible total,
-    which is the same joint law as drawing the totals one by one; numpy walks
-    the categories with conditional binomials, so the cost grows with the
-    number of totals, not with `trials`.  Deterministic per seed.
+    times `reference_mean`, is its estimate of the true transmission.  The
+    totals follow `_total_count_pmf`; one multinomial draw gives how many
+    experiments reach each possible total, which is the same joint law as
+    drawing the totals one by one; numpy walks the categories with
+    conditional binomials, so the cost grows with the number of totals, not
+    with `trials`.  Deterministic per seed.
     """
     nu = check_count("nu", nu, 1)
     trials = check_count("trials", trials, 1, MAX_TRIALS)
     ref = reference_mean(source, detector, channel.detector_eff)
     rng = np.random.default_rng(seed)
-    row = detected_row_plan(source, detector, channel.survival).rows()
-    offset, probs = _total_count_row(row, nu)
+    offset, probs = _total_count_pmf(source, detector, channel.survival, nu)
     counts = rng.multinomial(trials, probs)
 
     estimates = (offset + np.arange(probs.size)) / (nu * ref)

@@ -4,7 +4,9 @@ Poisson and binomial weights are evaluated in log space from one table of
 log-factorials, which every row reads; `poisson_support` picks a truncation
 point for a wanted tail mass.  `Moments` is the summary every closed-form
 source model returns: a mean and a variance, floats or arrays over pumps,
-and nothing derived from them.
+and nothing derived from them.  `log1p` is the one log(1 + w) the
+generating functions of the sources and detectors take, complex `w`
+included.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ import numpy as np
 
 # Largest support `poisson_support` searches.
 _MAX_SUPPORT = 10_000_000
+
+# The smallest normal float64 (`np.finfo` would add 0.1 ms to the import).
+_TINY = 2.2250738585072014e-308
 
 
 @dataclass(frozen=True)
@@ -102,3 +107,26 @@ def binomial_row(n: int, p: float) -> np.ndarray:
         return (ks == n * p).astype(np.float64)
     lf = log_factorials(n)
     return np.exp(lf[n] - lf[ks] - lf[n - ks] + ks * math.log(p) + (n - ks) * math.log1p(-p))
+
+
+def log1p(w) -> np.ndarray:
+    """log(1 + w) of a real or complex array, precise where w is near 0.
+
+    numpy's complex `log1p` is not (8e-8 relative at w = 1e-10 + 1e-12j),
+    so the complex case is formed from real functions: the argument by
+    `arctan2`, the log-modulus as log1p(|1 + w|^2 - 1) / 2 with
+    |1 + w|^2 - 1 = a (2 + a) + b^2, or, where |1 + w|^2 < 1/2, as the log
+    of |1 + w|, which keeps the absolute precision of 1 + w near 0 (a zero
+    gives the log of the smallest normal float, not -inf, whose product
+    with a complex number is NaN).  numpy's complex `expm1` keeps its
+    precision (within 4.4e-16 relative over 20000 points near 0), so it has
+    no counterpart here.
+    """
+    if not np.iscomplexobj(w):
+        return np.log1p(w)
+    a, b = w.real, w.imag
+    excess = a * (2.0 + a) + b * b
+    modulus = 0.5 * np.log1p(np.fmax(excess, -0.5))
+    if (far := excess < -0.5).any():
+        modulus[far] = np.log(np.fmax(np.hypot(1.0 + a[far], b[far]), _TINY))
+    return modulus + 1j * np.arctan2(b, 1.0 + a)

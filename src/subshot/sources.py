@@ -14,9 +14,10 @@ that realizes a wanted mean photon number at the sample is found numerically
 array iteration for every stage count and target), once `check_reach`, the
 one rule on whether a target can be reached, within pair limits too, passes.
 
-No other module knows how a source kind is evaluated.  The mean, variance
-and click probabilities at the sample plane (`source_moments`,
-`source_click_probabilities`) and the detected-count distribution (a
+No other module knows how a source kind is evaluated.  The mean, variance,
+click probabilities and log generating function at the sample plane
+(`source_moments`, `source_click_probabilities`, `source_log_pgf`) and the
+detected-count distribution (a
 `CountRows` plan, which sizes and builds the rows at any number of pump
 arrays: Poisson, Binomial, or a vacuum term plus two Poissons) are closed
 forms, evaluated entry by entry over arrays: of pumps, which a coherent
@@ -48,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from subshot.pmf import Moments, binomial_row, poisson_rows, poisson_support
+from subshot.pmf import Moments, binomial_row, log1p, poisson_rows, poisson_support
 
 # Calibrated defaults: herald-arm detection probability per idler photon and
 # signal transmission per delay stage.  Both are plain configuration values;
@@ -449,6 +450,37 @@ def source_moments(source: Source | list[Multiplexed], mu=None, ndim: int = 0) -
         return Moments(mean=_scalar(pump), variance=_scalar(pump))
     mean, pairs = _mux_factorial_moments(*_mux_pumps(source, mu, ndim))
     return Moments(mean=_scalar(mean), variance=_scalar(pairs + mean - mean * mean))
+
+
+def source_log_pgf(source: Source, x) -> np.ndarray:
+    """log G(1 + x), G the probability generating function of the photon
+    number at the sample plane, at a real or complex array `x`, for a
+    source whose pump is a float.
+
+    Coherent: lambda x.  Fock: N log1p(x).  Multiplexed, with y = mu Q x
+    and G as in `_mux_factorial_moments`: log1p(g [expm1(y) - e^{-mu h}
+    expm1((1 - h) y)]).  Under a weak herald the two terms agree but for a
+    part of relative size about mu h + h, so their difference keeps the
+    rounding of phases of y up to ~1e2 radians: at herald 7e-11 the total
+    of 200 repetitions had its mean 1.3e-8 and its variance 4.7e-8 low.
+    So where mu h < 1 the bracket is formed as p_w expm1((1 - h) y) -
+    e^y expm1(-h y), whose terms share no part (4e-10 and 1.5e-9 there);
+    where mu h >= 1, e^{-h y} could overflow, and the first form does not
+    cancel.
+    """
+    if isinstance(source, Coherent):
+        return source.mean * x
+    if isinstance(source, Fock):
+        return source.photons * log1p(x)
+    h, _, _, network, optics = constants = _mux_constants(source)
+    mu = source.pair_mean
+    neg_p_w, no_click, _, gain = _herald(constants, mu)
+    y = (mu * network * optics) * x
+    if mu * h < 1.0:
+        bracket = -neg_p_w * np.expm1((1.0 - h) * y) - np.exp(y) * np.expm1(-h * y)
+    else:
+        bracket = np.expm1(y) - no_click * np.expm1((1.0 - h) * y)
+    return log1p(gain * bracket)
 
 
 def _fock_clicks(photons: int, survival) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,9 @@ with.
 `poisson_support_walk` is the count-by-count Poisson truncation search.
 `total_count_law` is the plain nu-fold convolution power of a count row,
 the reference for the law the Monte Carlo validation samples its totals
-from; `round_total_law` builds from it the law of a fluctuation round's
+from, and `_total_count_row` the same power by repeated squaring with both
+tails trimmed, fast enough to check that law at large nu;
+`round_total_law` builds from the first the law of a fluctuation round's
 total in each redraw and negatives mode.
 `per_round_totals` and `per_repetition_totals` are the references for the
 batched fluctuation rounds: they take the count rows as a function and
@@ -297,6 +299,40 @@ def total_count_law(row, nu: int) -> np.ndarray:
     for _ in range(nu):
         law = np.convolve(law, row)
     return law
+
+
+# The mass `_trim_tails` drops per tail: `sources.ROW_TAIL`.
+ROW_TAIL = 1e-18
+
+
+def _trim_tails(offset: int, row: np.ndarray) -> tuple[int, np.ndarray]:
+    """Drop the entries at each end of `row` holding at most `ROW_TAIL` in
+    total, and normalize the rest; `offset` is the count of the first entry."""
+    lo = int(np.searchsorted(np.cumsum(row), ROW_TAIL, side="right"))
+    hi = row.size - int(np.searchsorted(np.cumsum(row[::-1]), ROW_TAIL, side="right"))
+    kept = row[lo:hi]
+    return offset + lo, kept / kept.sum()
+
+
+def _total_count_row(row: np.ndarray, nu: int) -> tuple[int, np.ndarray]:
+    """Distribution of the sum of `nu` independent counts distributed as `row`.
+
+    Returns `(offset, probs)` with P(K = offset + i) = probs[i].  The power is
+    formed by repeated squaring with direct convolution, which keeps every
+    entry non-negative.  Both tails are trimmed after each product, so the
+    row spans a few standard deviations of K and grows like sqrt(nu).  Each
+    product is renormalized, since the power would otherwise raise the
+    rounding error in the row's sum to the nu-th power.
+    """
+    offset, total = 0, np.ones(1)
+    base_offset, base = _trim_tails(0, row)
+    while True:
+        if nu & 1:
+            offset, total = _trim_tails(offset + base_offset, np.convolve(total, base))
+        nu >>= 1
+        if not nu:
+            return offset, total
+        base_offset, base = _trim_tails(2 * base_offset, np.convolve(base, base))
 
 
 def thinned_probs(probs, survival: float) -> list[float]:

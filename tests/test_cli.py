@@ -16,7 +16,7 @@ import pytest
 
 from subshot import cli, output
 from subshot.cli import build_parser, main, parse_float_grid, parse_int_list, resolve_config
-from subshot.experiments import EXPERIMENTS, SweepConfig
+from subshot.experiments import EXPERIMENTS, ConfigError, SweepConfig
 
 
 class TestGridParsing:
@@ -33,6 +33,27 @@ class TestGridParsing:
     def test_malformed_grid(self):
         with pytest.raises(ValueError):
             parse_float_grid("0:1")
+
+    @pytest.mark.parametrize("flag, field", [("t-grid", "t_grid"), ("mean-grid", "mean_grid"),
+                                             ("a-grid", "a_grid")])
+    @pytest.mark.parametrize("points", [10**12, 10**9, 100 * cli.MAX_GRID_POINTS])
+    def test_oversized_grid_is_refused_before_it_is_built(self, flag, field, points, capsys):
+        """A grid of more than `MAX_GRID_POINTS` points is refused by name
+        through `resolve_config` and `show-config`, without a traceback,
+        before `np.linspace` allocates it (nothing here builds such a grid)."""
+        args = build_parser().parse_args(["nr-ratio", f"--{flag}", f"0:1:{points}"])
+        with pytest.raises(ConfigError) as err:
+            resolve_config("nr-ratio", args)
+        assert err.value.field == field
+        assert main(["show-config", "nr-ratio", f"--{flag}", f"0:1:{points}"]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith(f"configuration error: {field}: ") and "Traceback" not in err
+        assert out == ""
+
+    def test_literal_grid_past_the_cap_is_refused(self):
+        assert len(parse_float_grid("0.5," * cli.MAX_GRID_POINTS)) == cli.MAX_GRID_POINTS
+        with pytest.raises(ValueError, match="at most"):
+            parse_float_grid("0.5," * (cli.MAX_GRID_POINTS + 1))
 
 
 class TestMain:

@@ -19,6 +19,7 @@ from scipy import stats
 
 from _oracles import (
     _invert_cdf,
+    _total_count_row,
     enumerate_click_probability,
     enumerate_mux_output,
     gaussian_pump_nodes,
@@ -34,7 +35,7 @@ from _oracles import (
 )
 from subshot import montecarlo, pmf
 from subshot import sources as source_models
-from subshot.detection import Channel, detected_row_plan
+from subshot.detection import Channel, detected_moments, detected_row_plan
 from subshot.estimators import Detector, exact_report, reference_mean
 from subshot.montecarlo import (
     MAX_TRIALS,
@@ -48,7 +49,7 @@ from subshot.montecarlo import (
     _round_streams,
     _round_totals,
     _sample_moments,
-    _total_count_row,
+    _total_count_pmf,
     fluctuation_mse,
     fluctuation_study,
     mc_estimate,
@@ -169,8 +170,7 @@ class TestMcEstimate:
     def test_histogram_counts_sum_to_trials(self, source, detector, survival, nu, trials, seed):
         """Every total-count row is a valid multinomial distribution: the
         histogram `mc_estimate` draws from it places each trial once."""
-        row = detected_row_plan(source, detector, survival).rows()
-        _, probs = _total_count_row(row, nu)
+        _, probs = _total_count_pmf(source, detector, survival, nu)
         counts = np.random.default_rng(seed).multinomial(trials, probs)
         assert counts.shape == probs.shape
         assert (counts >= 0).all()
@@ -242,8 +242,9 @@ def test_sample_moments_match_the_expanded_sample(pairs):
 
 
 class TestTotalCountRow:
-    """`mc_estimate` samples the total count over nu repetitions from the
-    nu-fold convolution power of the detected-count row."""
+    """The reference for the law of the total count over nu repetitions:
+    `_total_count_row` (tests/_oracles.py), the nu-fold convolution power of
+    the detected-count row by repeated squaring with trimmed tails."""
 
     @CHECKS
     @given(
@@ -302,17 +303,150 @@ class TestTotalCountRow:
         offset, total = _total_count_row(CountRows(Fock(3), 1.0).rows(), 200)
         assert (offset, total.tolist()) == (600, [1.0])
 
+
+def aligned(*laws):
+    """Laws given as (offset, probs), as arrays on one count axis."""
+    start = min(offset for offset, _ in laws)
+    stop = max(offset + probs.size for offset, probs in laws)
+    out = np.zeros((len(laws), stop - start))
+    for row, (offset, probs) in zip(out, laws):
+        row[offset - start : offset - start + probs.size] = probs
+    return out
+
+
+class TestTotalCountPmf:
+    """`mc_estimate` samples the total count over nu repetitions from
+    `_total_count_pmf`, the inverse FFT of the closed-form generating
+    function, checked against the direct power `_total_count_row`, the
+    plain power `total_count_law` and nu times `detected_moments`."""
+
+    # Measured over 10000 random totals against `_total_count_row`: the
+    # three sources, both detectors, survivals 0, 1, uniform, and
+    # log-uniform down to 2**-60 from 0 and 2**-52 from 1, nu <= 1e4.  The inversion rounds at about eps of
+    # the peak.  Where the total is nearly a point mass (a click, or every
+    # photon of a Fock state, all but certain to be counted), |G^nu| stays
+    # near 1 all round the circle, and the rounding of its phase nu arg G,
+    # of order theta times the total's mean times eps, reaches every entry.
+    # So each bound has a term in eps * max(nu, mean), the `scale` below.
+    # The largest errors were |dCDF| = 1e-14 + 1.9 scale, |dmean| = 1e-12
+    # mean + 11 scale and |dV| = 1e-9 V + 53 scale.
+    CDF_ATOL, CDF_SCALES = 1e-14, 8.0
+    MEAN_RTOL, MEAN_SCALES = 1e-12, 32.0
+    VAR_RTOL, VAR_SCALES = 1e-9, 256.0
+
+    @CHECKS
+    @given(
+        source=sources(),
+        detector=st.sampled_from(list(Detector)),
+        survival=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+        nu=st.integers(1, 10**4),
+    )
+    @example(source=Coherent(30.0), detector=Detector.THRESHOLD, survival=0.72, nu=200)
+    def test_law_matches_the_direct_power_and_the_moments(self, source, detector, survival, nu):
+        offset, total = _total_count_pmf(source, detector, survival, nu)
+        row = detected_row_plan(source, detector, survival).rows()
+        got, want = aligned((offset, total), _total_count_row(row, nu))
+        exact = detected_moments(source, detector, survival)
+        mean, variance = nu * exact.mean, nu * exact.variance
+        scale = np.finfo(np.float64).eps * max(nu, mean)
+        assert (total >= 0.0).all() and total[0] > 0.0 and total[-1] > 0.0
+        assert total.sum() == pytest.approx(1.0, abs=4 * np.finfo(np.float64).eps)
+        cdf_error = np.abs(np.cumsum(got) - np.cumsum(want)).max()
+        assert cdf_error <= self.CDF_ATOL + self.CDF_SCALES * scale
+        got_mean, got_variance = row_moments(offset, total)
+        assert abs(got_mean - mean) <= self.MEAN_RTOL * mean + self.MEAN_SCALES * scale
+        assert abs(got_variance - variance) <= self.VAR_RTOL * variance + self.VAR_SCALES * scale
+
+    # The largest |dP| against the plain power over these cases is 6.9e-16.
+    LAW_ATOL = 2e-15
+
+    @pytest.mark.parametrize("nu", [1, 2, 3, 7, 20])
+    @pytest.mark.parametrize("survival", [0.3, 0.72])
+    @pytest.mark.parametrize(
+        "source, detector",
+        [
+            (Coherent(1.0), Detector.NUMBER_RESOLVING),
+            (Fock(1), Detector.NUMBER_RESOLVING),
+            (make_multiplexed(3, 1.0), Detector.NUMBER_RESOLVING),
+            (make_multiplexed(3, 1.0), Detector.THRESHOLD),
+        ],
+        ids=["coherent", "fock-1", "multiplexed", "multiplexed-clicks"],
+    )
+    def test_law_is_the_plain_convolution_power(self, source, detector, survival, nu):
+        law = total_count_law(detected_row_plan(source, detector, survival).rows(), nu)
+        got, want = aligned(_total_count_pmf(source, detector, survival, nu), (0, law))
+        assert np.abs(got - want).max() <= self.LAW_ATOL
+
+    @pytest.mark.parametrize(
+        "source, detector, survival, point",
+        [
+            (Fock(3), Detector.NUMBER_RESOLVING, 1.0, 600),
+            (Fock(3), Detector.THRESHOLD, 1.0, 200),
+            (Coherent(800.0), Detector.THRESHOLD, 1.0, 200),  # e^-800 rounds to 0: p = 1
+            (Coherent(1.0), Detector.THRESHOLD, 0.0, 0),  # p = 0
+            (make_multiplexed(2, 1.0), Detector.NUMBER_RESOLVING, 0.0, 0),
+        ],
+        ids=["fock-all-detected", "fock-clicks", "certain-click", "no-click", "all-lost"],
+    )
+    def test_degenerate_total_stays_a_point(self, source, detector, survival, point):
+        offset, total = _total_count_pmf(source, detector, survival, 200)
+        assert (offset, total.tolist()) == (point, [1.0])
+
+    # Where a click is all but certain (p = 1 - 4.2e-10 here), |G^nu| stays
+    # near 1 round the whole circle, so the rounding of the phase nu arg G
+    # puts noise of 2e-14 (nu = 200) to 1e-10 (nu = 1e6) in every entry,
+    # which entries far from the mean weigh by (k - mean)^2.  On a window of
+    # 64 counts with a floor of 1e-15 of the peak, the variance came out
+    # 3.7e-4 to 4.6e-4 off; on the Chernoff window (4 to 16 counts) with
+    # that floor, up to 1.6e-5 off.  With the floor at 4 times the most
+    # negative entry, up to 1.1e-6, the rounding of 1 - p in p.
+    NEAR_CERTAIN_RTOL = 4e-6
+
+    @pytest.mark.parametrize("nu", [200, 10**4, 10**6])
+    @pytest.mark.parametrize("source", [Coherent(30.0), make_multiplexed(5, 30.0)],
+                             ids=["coherent", "multiplexed"])
+    def test_near_certain_clicks_keep_their_variance(self, source, nu):
+        exact = detected_moments(source, Detector.THRESHOLD, 0.72)
+        mean, variance = row_moments(*_total_count_pmf(source, Detector.THRESHOLD, 0.72, nu))
+        assert variance == pytest.approx(nu * exact.variance, rel=self.NEAR_CERTAIN_RTOL)
+
     @pytest.mark.parametrize("source", [Coherent(1.0), make_multiplexed(2, 1.0)])
     def test_million_repetitions_build_quickly(self, source):
-        """Both tails are trimmed, so the row spans ~sqrt(nu) counts, not
-        nu * mean, and its cost does not grow like nu^2."""
-        row = CountRows(source, 0.72).rows()
+        """The window spans the Chernoff bounds, ~sqrt(nu) counts, not
+        nu * mean."""
         start = time.perf_counter()
-        offset, total = _total_count_row(row, 10**6)
+        offset, total = _total_count_pmf(source, Detector.NUMBER_RESOLVING, 0.72, 10**6)
         assert time.perf_counter() - start < 2.0
-        mean, variance = row_moments(0, row)
-        assert total.size < 20 * math.sqrt(10**6 * variance)
-        assert row_moments(offset, total)[0] == pytest.approx(10**6 * mean, rel=1e-12)
+        exact = detected_moments(source, Detector.NUMBER_RESOLVING, 0.72)
+        assert total.size < 20 * math.sqrt(10**6 * exact.variance)
+        assert row_moments(offset, total)[0] == pytest.approx(10**6 * exact.mean, rel=1e-12)
+
+    # At nu = 1e8 the sums were within 2.2e-16 of 1, the means within 4.4e-16
+    # and the variances within 2.1e-11 (relative).
+    @pytest.mark.parametrize("detector", list(Detector))
+    @pytest.mark.parametrize("source", [Coherent(1.0), make_multiplexed(2, 1.0)])
+    def test_hundred_million_repetitions(self, source, detector):
+        offset, total = _total_count_pmf(source, detector, 0.72, 10**8)
+        exact = detected_moments(source, detector, 0.72)
+        mean, variance = row_moments(offset, total)
+        assert total.sum() == pytest.approx(1.0, abs=1e-15)
+        assert mean == pytest.approx(10**8 * exact.mean, rel=1e-14)
+        assert variance == pytest.approx(10**8 * exact.variance, rel=1e-10)
+
+    # The weakest herald `mc-validate` accepts at nu = 200 (6.5e-11 is
+    # refused), whose rows span bursts of ~3.6e4 (m = 2) and ~1e4 (m = 5)
+    # counts: the totals of two and three bursts lie 31 and 47 standard
+    # deviations up, where a window sized from the variance would wrap them
+    # in.  The mass that the peak floor zeroes in the far bursts leaves the
+    # mean 4.1e-10 and the variance 1.5e-9 low (relative).
+    @pytest.mark.parametrize("stages", [2, 5])  # the canned mc-validate networks
+    def test_weak_herald_bursts_are_not_wrapped(self, stages):
+        source = make_multiplexed(stages, 1.0, herald_eff=7e-11)
+        exact = detected_moments(source, Detector.NUMBER_RESOLVING, 0.72)
+        total = _total_count_pmf(source, Detector.NUMBER_RESOLVING, 0.72, 200)
+        mean, variance = row_moments(*total)
+        assert mean == pytest.approx(200 * exact.mean, rel=2e-9)
+        assert variance == pytest.approx(200 * exact.variance, rel=6e-9)
 
 
 @CHECKS
