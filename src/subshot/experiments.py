@@ -72,7 +72,7 @@ from subshot.sources import (
 # deliver about one photon.  The Monte Carlo count rows grow with the mean:
 # at this cap the default fluctuations run takes ~0.5 s and ~40 MB, at 1e5
 # it takes ~2.5 s and ~67 MB (one process on 2 vCPUs).  Per repetition it
-# takes ~0.9 s and ~49 MB at this cap.  The exact reports square the
+# takes ~0.9 s and ~48 MB at this cap.  The exact reports square the
 # reference mean, which overflows a float beyond ~1e154.
 MAX_MEAN = 1e4
 
@@ -141,6 +141,12 @@ MAX_STUDY_CELLS = 10**7
 # nu = 1e4, mean 1e4 and herald 6.1e-6, a window of 2**24 counts.  The
 # coherent pair has no pair limit, so nothing else bounds it.
 MAX_VALIDATE_SPREAD = 1e8
+
+# Largest (mean x transmission) grid of `asymptotic`, one array per source.
+# At this cap, the default three means x 1e5 transmissions, it takes
+# 1.9-2.1 s and 131 MB fresh under `python -W error` on 2 vCPUs; 1e5 x 1e5
+# would ask for arrays of 1e10 entries (80 GB each).
+MAX_GRID_CELLS = 3 * 10**5
 
 # The experiments that report with threshold detectors only.
 _THRESHOLD_ONLY = ("threshold-bias", "threshold-ratio", "asymptotic")
@@ -227,6 +233,10 @@ class SweepConfig:
                 raise ConfigError("mean_grid", f"mean photon number {n} outside (0, {MAX_MEAN:g}]")
         if not 0 < self.mean_photons <= MAX_MEAN:
             raise ConfigError("mean_photons", f"{self.mean_photons} outside (0, {MAX_MEAN:g}]")
+        means = len(_tuned_means(self))
+        if self.experiment == "asymptotic" and len(self.t_grid) * means > MAX_GRID_CELLS:
+            raise ConfigError("t_grid", f"{len(self.t_grid)} transmissions x {means} means "
+                                        f"must be at most {MAX_GRID_CELLS:g}")
         check_count("trials", self.trials, 1, MAX_TRIALS)
         check_count("seed", self.seed, 0)
         # Check what the run builds: the grid channel's transmission and the

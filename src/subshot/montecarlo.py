@@ -13,9 +13,10 @@ and only how many trials reach each total: one multinomial draw over the
 law of the total gives that histogram at a cost that does not grow with the
 trial count.  That law comes from the closed-form generating function of
 one count raised to the nu-th power, inverted by one FFT on a window that
-Chernoff bounds size to hold all but `sources.ROW_TAIL` of each tail
-(`_total_count_pmf`), at a cost that grows like the total's standard
-deviation, not like nu.
+holds all but `sources.ROW_TAIL` of each tail (`_total_count_pmf`), at a
+cost that grows like the total's standard deviation, not like nu: its
+Chernoff edges, from `sources.count_window`, the rule that sizes every
+count row too.
 
 In the fluctuation study the pump strength becomes a Gaussian random variable
 (sigma = a * mean around the source's own pump, truncated at zero) and the
@@ -67,7 +68,7 @@ import numpy as np
 
 from subshot.detection import Channel, detected_log_pgf, detected_moments, detected_row_plan
 from subshot.estimators import reference_mean
-from subshot.sources import ROW_TAIL, ConfigError, Source, check_count, source_pump
+from subshot.sources import CHERNOFF_POINTS, ConfigError, Source, check_count, count_window, source_pump
 
 # The largest trial count numpy's multinomial takes (a 64-bit integer).
 MAX_TRIALS = 2**63 - 1
@@ -123,25 +124,6 @@ PUMP_Z_MAX = 10.0
 # streams that must not overlap.
 _ROUND_STEP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 
-# The Chernoff exponents t over which `_total_count_pmf` minimizes its tail
-# bounds.  A near-Gaussian total of variance V has its best t near
-# sqrt(2 log(1 / ROW_TAIL) / V), so 1e-8 serves V up to 1e17; t = 30 puts
-# the edges of a point mass within log(1 / ROW_TAIL) / 30 = 1.4 counts, and
-# from t = 37 on e^{-t} - 1 rounds to -1.  Neighbours differ by a factor
-# 1.41, which widens a Gaussian window by at most 1.5%.  A window sized
-# from the mean and variance instead misses mass: under a weak herald
-# (7e-11, mean 1, nu = 200) the totals of two and three bursts, 8e-6 and
-# 1e-8 of the law, lie 31 and 47 standard deviations up.  (Not
-# `np.geomspace`, whose first call adds 0.3 ms to the import.)
-_CHERNOFF_T = 1e-8 * (30.0 / 1e-8) ** (np.arange(64) / 63)
-
-# The smallest log G(e^-t) of one count that `_total_count_pmf`'s lower bound
-# takes.  The generating functions are formed as 1 + (G - 1), so G carries an
-# absolute rounding error of a few eps, and log G one of a few eps / G: below
-# e^-14, 1e-9.  A multiplexed source at mean 1e4 has G(e^-t) near e^-54 at
-# the best t for nu = 200, where 1 + (G - 1) rounds to 0.
-_CHERNOFF_MIN_LOG = -14.0
-
 # `_total_count_pmf` zeroes the entries up to the larger of these multiples
 # of its most negative entry and of its largest.  Over 1500 random totals
 # (the three sources, both detectors, nu < 1e5), entries where the direct
@@ -175,26 +157,14 @@ def _total_count_pmf(source: Source, detector, survival: float, nu: int) -> tupl
     law of K - k0 wrapped modulo L, so one inverse real FFT of them on
     theta in [0, pi] gives that law (Abate and Whitt, "Numerical inversion
     of probability generating functions", Oper. Res. Lett. 12, 1992).  The
-    window [k0, k0 + L) spans the Chernoff bounds P(K >= k) <=
-    G(e^t)^nu e^{-t k} and P(K <= k) <= G(e^{-t})^nu e^{t k} at
-    `ROW_TAIL`, each minimized over `_CHERNOFF_T`, so what wraps into it is
-    below `ROW_TAIL` too.  The rounding of the inversion spreads over every
-    entry with either sign: entries up to `_NOISE_FLOOR` times the most
-    negative one, or up to `_PEAK_FLOOR` times the largest, are zeroed, and
-    the rest is trimmed of zero ends and normalized.
+    window [k0, k0 + L) spans `sources.count_window`, the Chernoff edges of
+    K at `ROW_TAIL`, so what wraps into it is below `ROW_TAIL` too.  The
+    rounding of the inversion spreads over every entry with either sign:
+    entries up to `_NOISE_FLOOR` times the most negative one, or up to
+    `_PEAK_FLOOR` times the largest, are zeroed, and the rest is trimmed of
+    zero ends and normalized.
     """
-    x = np.expm1(_CHERNOFF_T)
-    x = np.concatenate([x, -x / (x + 1.0)])  # e^t - 1 and e^-t - 1
-    # A G(e^t) past the float range bounds nothing, nor does a G(e^-t) that
-    # 1 + (G - 1) no longer carries (`_CHERNOFF_MIN_LOG`).
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        logs = detected_log_pgf(source, detector, survival, x)
-    logs[logs < _CHERNOFF_MIN_LOG] = np.nan
-    # The exponent of each point as evaluated, so that its bound holds.
-    edges = (nu * logs - math.log(ROW_TAIL)) / np.log1p(x)
-    # fmin and fmax pass over NaN.
-    top = math.ceil(np.fmin.reduce(edges[: x.size // 2]))
-    k0 = max(0, math.floor(np.fmax.reduce(edges[x.size // 2 :])))
+    k0, top = count_window(detected_log_pgf(source, detector, survival, CHERNOFF_POINTS), nu)
     size = 1 << (top - k0).bit_length()
     theta = np.arange(size // 2 + 1) * (2.0 * math.pi / size)
     # numpy's complex expm1 forms cos - 1 as -2 sin^2(theta / 2).

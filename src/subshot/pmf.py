@@ -1,26 +1,21 @@
 """Photon-number distributions as rows of probabilities.
 
 Poisson and binomial weights are evaluated in log space from one table of
-log-factorials, which every row reads; `poisson_support` picks a truncation
-point for a wanted tail mass.  `Moments` is the summary every closed-form
-source model returns: a mean and a variance, floats or arrays over pumps,
-and nothing derived from them.  `log1p` is the one log(1 + w) the
-generating functions of the sources and detectors take, complex `w`
-included.
+log-factorials, which every row reads, at the length the caller gives
+(`sources.CountRows` takes it from `sources.count_window`).  `Moments` is
+the summary every closed-form source model returns: a mean and a variance,
+floats or arrays over pumps, and nothing derived from them.  `log1p` is the
+one log(1 + w) the generating functions of the sources and detectors take,
+complex `w` included.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-
-# Largest support `poisson_support` searches.
-_MAX_SUPPORT = 10_000_000
 
 # The smallest normal float64 (`np.finfo` would add 0.1 ms to the import).
 _TINY = 2.2250738585072014e-308
@@ -32,39 +27,6 @@ class Moments:
 
     mean: float
     variance: float
-
-
-def poisson_support(mu: float, tail_target: float) -> int:
-    """Smallest n with P(Poisson(mu) > n) <= tail_target.
-
-    Works in log space on the term recurrence with a geometric tail bound, so
-    it stays exact for tail targets far below float epsilon (where inverting a
-    survival function in floating point degenerates).  The bound holds only
-    from n + 2 > mu on; the terms before that are summed in one pass, in the
-    same order and with the same rounding as the walk after it.
-    """
-    if mu < 0:
-        raise ValueError(f"mean must be >= 0, got {mu}")
-    if not 0.0 < tail_target < 1.0:
-        raise ValueError(f"tail target must lie in (0, 1), got {tail_target}")
-    if mu == 0.0:
-        return 0
-    if not mu < _MAX_SUPPORT:
-        raise RuntimeError("Poisson support search did not terminate")
-    mu = float(mu)
-    log_target = math.log(tail_target)
-    n = max(0, math.floor(mu) - 1)  # the first n with n + 2 > mu
-    logs = map(math.log, map(mu.__truediv__, range(1, n + 1)))
-    log_term = functools.reduce(operator.add, logs, -mu)  # log pmf(n) from log pmf(0)
-    while True:
-        log_term_next = log_term + math.log(mu / (n + 1))
-        # tail(n) <= pmf(n+1) / (1 - mu/(n+2)) once the terms decay geometrically
-        if log_term_next - math.log1p(-mu / (n + 2)) <= log_target:
-            return n
-        n += 1
-        log_term = log_term_next
-        if n > _MAX_SUPPORT:
-            raise RuntimeError("Poisson support search did not terminate")
 
 
 _log_factorial_table = np.empty(0)  # log(n!) for n = 0..size - 1, read-only once grown

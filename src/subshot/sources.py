@@ -38,6 +38,11 @@ defined here, naming the field; `check_count` and `check_range` are the
 count and range rules they share.  A network not yet tuned is a
 `Multiplexed` at pump 0, whose `pair_mean` `check_reach` and
 `tune_pair_mean` ignore.
+
+Every Monte Carlo count law is cut by one rule, `count_window`, the
+Chernoff edges at `ROW_TAIL` from the log generating function: a count row
+ends at the upper edge of one count, a total of nu counts
+(`montecarlo._total_count_pmf`) lies between its two edges.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from subshot.pmf import Moments, binomial_row, log1p, poisson_rows, poisson_support
+from subshot.pmf import Moments, binomial_row, log1p, poisson_rows
 
 # Calibrated defaults: herald-arm detection probability per idler photon and
 # signal transmission per delay stage.  Both are plain configuration values;
@@ -75,10 +80,34 @@ MAX_PUMP = 1e250
 # min(1, target) of its target: relative below one photon, absolute above.
 TUNING_TOL = 1e-10
 
-# Count rows discard less than this mass per trimmed tail: far below the
-# spacing of the uniforms the fluctuation rounds sample them with, and a bias
-# far below the standard error of `mc_estimate` at any trial count.
+# Count rows and totals discard at most this mass per tail (`count_window`):
+# far below the spacing of the uniforms the fluctuation rounds sample them
+# with, and a bias far below the standard error of `mc_estimate` at any
+# trial count.
 ROW_TAIL = 1e-18
+
+# The Chernoff exponents t over which `count_window` minimizes its tail
+# bounds.  A near-Gaussian total of variance V has its best t near
+# sqrt(2 log(1 / ROW_TAIL) / V), so 1e-8 serves V up to 1e17; t = 30 puts
+# the edges of a point mass within log(1 / ROW_TAIL) / 30 = 1.4 counts, and
+# from t = 37 on e^{-t} - 1 rounds to -1.  Neighbours differ by a factor
+# 1.41, which widens a Gaussian window by at most 1.5%.  A window sized
+# from the mean and variance instead misses mass: under a weak herald
+# (7e-11, mean 1, nu = 200) the totals of two and three bursts, 8e-6 and
+# 1e-8 of the law, lie 31 and 47 standard deviations up.  (Not
+# `np.geomspace`, whose first call adds 0.3 ms to the import.)  The points
+# e^t - 1 and e^-t - 1, and the exponents log1p of them as evaluated.
+_CHERNOFF_T = 1e-8 * (30.0 / 1e-8) ** (np.arange(64) / 63)
+_CHERNOFF_UP = np.expm1(_CHERNOFF_T)
+CHERNOFF_POINTS = np.concatenate([_CHERNOFF_UP, -_CHERNOFF_UP / (_CHERNOFF_UP + 1.0)])
+CHERNOFF_POINTS.flags.writeable = False
+_CHERNOFF_EXPONENTS = np.log1p(CHERNOFF_POINTS)
+
+# The smallest log G(e^-t) of one count that `count_window`'s lower bound
+# takes.  A G formed as 1 + (G - 1), as a click's and a Fock state's are,
+# carries an absolute rounding error of a few eps, and log G one of a few
+# eps / G: below e^-14, 1e-9.
+_CHERNOFF_MIN_LOG = -14.0
 
 # The fields of a multiplexed source beside its stage count and pump.
 _CALIBRATION = ("herald_eff", "stage_transmission", "optics_transmission")
@@ -452,13 +481,20 @@ def source_moments(source: Source | list[Multiplexed], mu=None, ndim: int = 0) -
     return Moments(mean=_scalar(mean), variance=_scalar(pairs + mean - mean * mean))
 
 
-def source_log_pgf(source: Source, x) -> np.ndarray:
+def source_log_pgf(source: Source, x, mu=None) -> np.ndarray:
     """log G(1 + x), G the probability generating function of the photon
-    number at the sample plane, at a real or complex array `x`, for a
-    source whose pump is a float.
+    number at the sample plane, at a real or complex array `x`, at the
+    source's own pump or the float pump `mu`; a Fock state given a pump
+    raises TypeError.
 
     Coherent: lambda x.  Fock: N log1p(x).  Multiplexed, with y = mu Q x
-    and G as in `_mux_factorial_moments`: log1p(g [expm1(y) - e^{-mu h}
+    and G as in `_mux_factorial_moments`: at a real x (`CHERNOFF_POINTS`),
+    the logs of the two positive terms of G = 1 - P_sync + g e^y (1 -
+    e^{-h (mu + y)}) are summed, which neither overflows nor cancels (the
+    bracket form below overflows e^y past y ~ 709, and a row at mean 1e4
+    then ends 2%, not 0.1%, past the Poisson walk at `ROW_TAIL` /
+    2**stages).  At a complex x (the Fourier points of
+    `montecarlo._total_count_pmf`) it is log1p(g [expm1(y) - e^{-mu h}
     expm1((1 - h) y)]).  Under a weak herald the two terms agree but for a
     part of relative size about mu h + h, so their difference keeps the
     rounding of phases of y up to ~1e2 radians: at herald 7e-11 the total
@@ -468,14 +504,18 @@ def source_log_pgf(source: Source, x) -> np.ndarray:
     where mu h >= 1, e^{-h y} could overflow, and the first form does not
     cancel.
     """
-    if isinstance(source, Coherent):
-        return source.mean * x
-    if isinstance(source, Fock):
+    if isinstance(source, Fock) and mu is None:
         return source.photons * log1p(x)
+    mu = float(_pumps(source, mu))
+    if isinstance(source, Coherent):
+        return mu * x
     h, _, _, network, optics = constants = _mux_constants(source)
-    mu = source.pair_mean
     neg_p_w, no_click, _, gain = _herald(constants, mu)
     y = (mu * network * optics) * x
+    if not np.iscomplexobj(y):
+        # log(1 - P_sync) = -2**stages h mu; log 0 where no window heralds.
+        with np.errstate(divide="ignore"):
+            return np.logaddexp(constants[2] * mu, y + np.log(np.expm1(-h * (mu + y)) * -gain))
     if mu * h < 1.0:
         bracket = -neg_p_w * np.expm1((1.0 - h) * y) - np.exp(y) * np.expm1(-h * y)
     else:
@@ -519,6 +559,25 @@ def source_click_probabilities(source: Source | list[Multiplexed], survival, mu=
     return _scalar(miss), _scalar(p)
 
 
+def count_window(logs: np.ndarray, nu: int) -> tuple[int, int]:
+    """Counts (k0, top) with P(K < k0) and P(K >= top) each at most
+    `ROW_TAIL`, K the sum of `nu` independent counts whose log E[(1 + d)^c]
+    `logs` holds at the `CHERNOFF_POINTS` d, or at their first half only,
+    which gives top alone and k0 = 0, where every count row starts.  The
+    edges are the tightest Chernoff bounds P(K >= k) <= G(e^t)^nu e^{-t k}
+    and P(K <= k) <= G(e^{-t})^nu e^{t k} over the points; a G(e^-t) that
+    1 + (G - 1) no longer carries (`_CHERNOFF_MIN_LOG`) bounds nothing."""
+    half = _CHERNOFF_UP.size
+    edges = (nu * logs - math.log(ROW_TAIL)) / _CHERNOFF_EXPONENTS[: logs.size]
+    # fmin and fmax pass over NaN.
+    top = math.ceil(np.fmin.reduce(edges[:half]))
+    if logs.size == half:
+        return 0, top
+    lower = edges[half:]
+    lower[logs[half:] < _CHERNOFF_MIN_LOG] = np.nan
+    return max(0, math.floor(np.fmax.reduce(lower))), top
+
+
 class CountRows(NamedTuple):
     """Detected-count distribution of `source` after per-photon survival
     `survival`, in closed form, at any number of pump arrays: `length(mu)`
@@ -526,13 +585,14 @@ class CountRows(NamedTuple):
     `rows(mu, length)` builds them at `length` counts, by default
     `length(mu)`, `mu` as for `source_click_probabilities`.
 
-    `length(mu)` is n_max + 1 for one n_max chosen so that no row at `mu`
-    discards more than `ROW_TAIL` beyond it: the `poisson_support` of the
-    largest pump's Poisson mean, or the photon number of a Fock state, whose
-    one row keeps that length.  Rows built longer hold the rows of their own
-    length as a prefix, bit for bit, so a caller may build rows at many pump
-    arrays at one length.  The rows read the one log-factorial table of
-    `pmf.log_factorials`, so a plan holds no state.
+    `length(mu)` is the upper edge `count_window` gives the count at the
+    largest pump of `mu` (nu = 1), so that no row at `mu` discards more than
+    `ROW_TAIL` beyond it, as the Monte Carlo totals' windows do; a Fock
+    state keeps photons + 1, the length of its one row.  Rows built longer
+    hold the rows of their own length as a prefix, bit for bit, so a caller
+    may build rows at many pump arrays at one length.  The rows read the
+    one log-factorial table of `pmf.log_factorials`, so a plan holds no
+    state.
     """
 
     source: Source
@@ -542,13 +602,8 @@ class CountRows(NamedTuple):
         source = self.source
         if isinstance(source, Fock) and mu is None:
             return source.photons + 1
-        top = float(np.max(_pumps(source, mu)))
-        if isinstance(source, Coherent):
-            return poisson_support(float(self.survival * top), ROW_TAIL) + 1
-        _, _, _, network, optics = _mux_constants(source)
-        # A row's tail is g <= 2**stages times the Poisson(mu q) tail.
-        return poisson_support(float(top * (network * optics * self.survival)),
-                               max(ROW_TAIL / 2**source.stages, 1e-300)) + 1
+        logs = source_log_pgf(source, self.survival * _CHERNOFF_UP, _pumps(source, mu).max())
+        return count_window(logs, 1)[1]
 
     def rows(self, mu=None, length: int | None = None) -> np.ndarray:
         if isinstance(self.source, Fock) and mu is None:

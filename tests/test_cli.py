@@ -265,6 +265,7 @@ class TestMain:
             (["fluctuations", "--rounds", "100000000"], "rounds"),
             (["fluctuations", "--nu", "10000000", "--rounds", "101"], "rounds"),
             (["mc-validate", "--nu", "1000000000000000"], "nu"),
+            (["asymptotic", "--mean-grid", "0.01:1:100000", "--t-grid", "0:1:100000"], "t_grid"),
         ],
     )
     def test_runs_that_cannot_finish_are_refused_by_name(self, capsys, args, field):

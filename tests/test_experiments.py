@@ -30,6 +30,7 @@ from subshot.estimators import (
 )
 from subshot.experiments import (
     EXPERIMENTS,
+    MAX_GRID_CELLS,
     MAX_MEAN,
     MAX_SAMPLED_PAIRS,
     MAX_STUDY_CELLS,
@@ -708,11 +709,14 @@ class TestPairLimits:
 class TestSamplingCaps:
     """Monte Carlo runs whose arrays or total count laws would outgrow any
     machine are refused by name through `validate`
-    (`SweepConfig._validate_sampling`); no config here is run."""
+    (`SweepConfig._validate_sampling`), and so is an `asymptotic` grid past
+    `MAX_GRID_CELLS`; no config here is run."""
 
     # The command line's fluctuation pairs, 3 sources (coherent, m = 3 and 5)
     # x 2 detectors, at 7 fractions.
     DEFAULT_CELLS_PER_ROUND = 6 * 7
+    # A grid of the largest size the grid parser gives.
+    GRID_1E5 = tuple(np.linspace(0.01, 1.0, 10**5).tolist())
 
     @pytest.mark.parametrize(
         "experiment, overrides, field",
@@ -730,6 +734,10 @@ class TestSamplingCaps:
             ("mc-validate", {"nu": 10**15}, "nu"),
             ("mc-validate", {"nu": int(MAX_VALIDATE_SPREAD) + 1}, "nu"),
             ("mc-validate", {"nu": 10**6, "mean_photons": 100.5}, "nu"),
+            # The (mean x transmission) grid of `asymptotic`.
+            ("asymptotic", {"mean_grid": GRID_1E5, "t_grid": GRID_1E5}, "t_grid"),
+            ("asymptotic", {"mean_grid": (0.2, 0.5, 1.0, 2.0), "t_grid": GRID_1E5}, "t_grid"),
+            ("asymptotic", {"t_grid": (0.5,) * (MAX_GRID_CELLS // 3 + 1)}, "t_grid"),
         ],
     )
     def test_past_a_cap_named(self, experiment, overrides, field):
@@ -748,6 +756,9 @@ class TestSamplingCaps:
             ("mc-validate", {"nu": int(MAX_VALIDATE_SPREAD)}),
             ("mc-validate", {"nu": 10**6, "mean_photons": 100.0}),
             ("mc-validate", {"nu": 10**4, "mean_photons": MAX_MEAN}),
+            ("asymptotic", {"t_grid": (0.5,) * (MAX_GRID_CELLS // 3)}),
+            # Only `asymptotic` evaluates the product of its grids.
+            ("intensity-sweep", {"mean_grid": GRID_1E5, "t_grid": GRID_1E5}),
             # The runs the CI steps, the README and the ROADMAP name.
             ("fluctuations", {"redraw": "per-repetition", "nu": 10**6}),
             ("fluctuations", {"rounds": 20_000}),

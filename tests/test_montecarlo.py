@@ -28,14 +28,17 @@ from _oracles import (
     per_repetition_totals,
     per_round_totals,
     poisson_probs,
+    poisson_support_walk,
     round_total_law,
+    sync_probability,
     thinned_count_moments,
+    thinned_probs,
     threshold_mse_fluctuating_pump,
     total_count_law,
 )
 from subshot import montecarlo, pmf
 from subshot import sources as source_models
-from subshot.detection import Channel, detected_moments, detected_row_plan
+from subshot.detection import Channel, detected_log_pgf, detected_moments, detected_row_plan
 from subshot.estimators import Detector, exact_report, reference_mean
 from subshot.montecarlo import (
     MAX_TRIALS,
@@ -56,14 +59,17 @@ from subshot.montecarlo import (
     pump_nodes,
 )
 from subshot.sources import (
+    CHERNOFF_POINTS,
     ROW_TAIL,
     Coherent,
     ConfigError,
     CountRows,
     Fock,
     Multiplexed,
+    count_window,
     make_multiplexed,
     source_click_probabilities,
+    source_log_pgf,
     source_moments,
     source_pump,
 )
@@ -294,10 +300,13 @@ class TestTotalCountRow:
         assert np.abs(got - law).max() <= self.LAW_ATOL
 
     def test_single_repetition_is_the_row(self):
+        """One repetition's total is the row less the tail `_trim_tails`
+        drops, at most `ROW_TAIL`, renormalized."""
         row = CountRows(Coherent(1.0), 0.72).rows()
         offset, total = _total_count_row(row, 1)
-        assert offset == 0
-        np.testing.assert_allclose(total, row / row.sum(), rtol=1e-15, atol=0.0)
+        assert offset == 0 and 0.0 < row[total.size :].sum() <= ROW_TAIL
+        kept = row[: total.size]
+        np.testing.assert_allclose(total, kept / kept.sum(), rtol=1e-15, atol=0.0)
 
     def test_degenerate_row_stays_a_point(self):
         offset, total = _total_count_row(CountRows(Fock(3), 1.0).rows(), 200)
@@ -915,6 +924,171 @@ class TestBatchBuilders:
             source_click_probabilities(Fock(1), 0.5, np.array([0.3]))[1]
         with pytest.raises(TypeError):
             CountRows(Fock(1), 0.5).rows(0.3)
+        with pytest.raises(TypeError):
+            source_log_pgf(Fock(1), CHERNOFF_POINTS, 0.3)
+
+
+class TestOneTailRule:
+    """Every Monte Carlo count law is cut by one rule, `count_window`: its
+    Chernoff edges at `ROW_TAIL`.  The rows of a `CountRows` plan end at the
+    upper edge of one count (nu = 1), and the totals of `_total_count_pmf`
+    lie between the edges of nu counts."""
+
+    # Heralds at the pair limits of `experiments.MAX_SAMPLED_PAIRS` (per
+    # round, per repetition, `mc-validate`) at the default mean, and a
+    # stronger one.
+    WEAK_HERALDS = (8.4e-13, 8.4e-11, 7e-11, 1e-9)
+
+    @staticmethod
+    def window(source, detector, survival, nu):
+        """The window of `_total_count_pmf`."""
+        return count_window(detected_log_pgf(source, detector, survival, CHERNOFF_POINTS), nu)
+
+    @CHECKS
+    @given(
+        kind=st.sampled_from(SOURCE_KINDS),
+        detector=st.sampled_from(list(Detector)),
+        survival=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+        pump=st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
+        stages=st.integers(1, 4),
+        herald=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+        photons=st.integers(0, 25),
+        nu=st.integers(1, 1000),
+    )
+    def test_tails_past_the_window_are_at_most_row_tail(
+        self, kind, detector, survival, pump, stages, herald, photons, nu
+    ):
+        """Below k0 and from top on, the oracle law of one count (Poisson,
+        the window-by-window enumeration, Binomial), or of nu of them (its
+        convolution power; Binomial(nu, p) for clicks), holds at most
+        `ROW_TAIL`; at nu = 1, top is the plan's row length."""
+        if kind == "coherent":
+            source = Coherent(pump)
+        elif kind == "fock":
+            source = Fock(photons)
+        else:
+            source = Multiplexed(stages, pump / 10.0, herald_eff=herald)
+        if detector is Detector.NUMBER_RESOLVING:
+            nu = 1 + nu % 4
+        k0, top = self.window(source, detector, survival, nu)
+        if detector is Detector.THRESHOLD:
+            p = source_click_probabilities(source, survival)[1]
+            below, past = stats.binom.cdf(k0 - 1, nu, p), stats.binom.sf(top - 1, nu, p)
+        else:
+            if nu == 1:
+                assert detected_row_plan(source, detector, survival).length() == (
+                    photons + 1 if kind == "fock" else top
+                )
+            n_cut = top // nu + 60
+            if kind == "coherent":
+                row = poisson_probs(survival * pump, n_cut)
+            elif kind == "fock":
+                row = thinned_probs([0.0] * photons + [1.0], survival)
+            else:
+                row = enumerate_mux_output(stages, pump / 10.0, herald, source.stage_transmission,
+                                           source.optics_transmission * survival, n_cut)
+            law = total_count_law(np.array(row), nu)
+            below, past = law[:k0].sum(), law[top:].sum()
+        assert below <= ROW_TAIL and past <= ROW_TAIL
+
+    @CHECKS
+    @given(
+        stages=st.sampled_from([3, 5]),
+        herald=st.sampled_from(WEAK_HERALDS),
+        relative_pump=st.one_of(st.just(0.0), st.floats(0.0, 7.0)),
+        survival=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+    )
+    def test_weak_herald_rows_discard_at_most_row_tail(
+        self, stages, herald, relative_pump, survival
+    ):
+        """Under a weak herald a row spans bursts of many pairs.  Past its
+        length L the law holds g sum_{n >= L} Pois(n; lam) [1 - (1-h)^n
+        e^{-a}], lam = mu q and a = mu h (1 - q), at most g [c lam P(N >= L
+        - 1) + a P(N >= L)] with c = -log1p(-h), as 1 - e^{-x} <= x; that
+        bound, from scipy's Poisson tail and the oracle `sync_probability`,
+        is at most `ROW_TAIL`, and the plan's row at L sums to 1."""
+        source = make_multiplexed(stages, 1.0, herald_eff=herald)
+        mu = source.pair_mean * relative_pump
+        length = CountRows(source, survival).length(np.array([mu]))
+        q = source.stage_transmission**stages * source.optics_transmission * survival
+        p_w = -math.expm1(-mu * herald)
+        gain = sync_probability(stages, mu, herald) / p_w if p_w else 0.0
+        lam, a = mu * q, mu * herald * (1.0 - q)
+        bound = gain * (-math.log1p(-herald) * lam * stats.poisson.sf(length - 2, lam)
+                        + a * stats.poisson.sf(length - 1, lam))
+        assert bound <= ROW_TAIL
+        row = CountRows(source, survival).rows(np.array([mu]))[0]
+        assert row.size == length and math.fsum(row) == pytest.approx(1.0, abs=1e-12)
+
+    @CHECKS
+    @given(mean=st.one_of(st.just(0.0), st.floats(0.0, 20.0), st.floats(0.0, 7e4)),
+           survival=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+    def test_coherent_rows_are_the_walk_plus_a_measured_slack(self, mean, survival):
+        """A coherent row ends at most 2 max(1, sd) counts past the count
+        by count Poisson walk at `ROW_TAIL` (`poisson_support_walk`), never
+        before it: over 33 000 means up to 3000 the largest excess was 2.0
+        max(1, sd), at means below 1 (13 counts against 11 at 0.111)."""
+        lam = survival * mean
+        length = CountRows(Coherent(mean), survival).length()
+        walked = poisson_support_walk(lam, ROW_TAIL) + 1
+        assert walked <= length <= walked + 2.0 * max(1.0, math.sqrt(lam))
+
+    @CHECKS
+    @given(
+        source=st.one_of(
+            sources(),
+            st.builds(make_multiplexed, st.sampled_from([3, 5]), st.just(1.0),
+                      herald_eff=st.sampled_from(WEAK_HERALDS[1:])),
+        ),
+        survival=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+        relative_pumps=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 7.0)),
+                                min_size=1, max_size=4),
+    )
+    def test_rows_at_either_rule_share_their_prefix(self, source, survival, relative_pumps):
+        """Rows built at the Chernoff length and at the walk's length (its
+        multiplexed tail at `ROW_TAIL` / 2**stages) agree bit for bit on
+        the shorter of the two."""
+        plan = CountRows(source, survival)
+        if isinstance(source, Fock):
+            mu, walked = None, source.photons + 1
+        else:
+            mu = source_pump(source) * np.array(relative_pumps)
+            top = float(mu.max()) * survival
+            if isinstance(source, Multiplexed):
+                top *= source.stage_transmission**source.stages * source.optics_transmission
+                walked = poisson_support_walk(top, max(ROW_TAIL / 2**source.stages, 1e-300)) + 1
+            else:
+                walked = poisson_support_walk(top, ROW_TAIL) + 1
+        short, long = sorted((plan.length(mu), walked))
+        np.testing.assert_array_equal(plan.rows(mu, long)[..., :short], plan.rows(mu, short))
+
+    @settings(CHECKS, max_examples=40)
+    @given(
+        stages=st.integers(1, 3),
+        pump=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+        herald=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+        x=st.floats(-1.0, 3.0, exclude_min=True),
+    )
+    def test_real_log_pgf_is_the_oracle_law(self, stages, pump, herald, x):
+        """At a real x the multiplexed log G(1 + x), summed from the logs of
+        its two terms, is the log of sum_n P(n) (1 + x)^n over the window by
+        window enumeration, as the bracket form at x + 0j is."""
+        source = Multiplexed(stages, pump, herald_eff=herald)
+        law = enumerate_mux_output(stages, pump, herald, source.stage_transmission,
+                                   source.optics_transmission, 60)
+        got = source_log_pgf(source, np.array([x]))[0]
+        assert math.exp(got) == pytest.approx(
+            math.fsum(p * (1.0 + x) ** n for n, p in enumerate(law)), rel=1e-12)
+        bracket_form = source_log_pgf(source, np.array([complex(x)]))[0]
+        assert got == pytest.approx(bracket_form.real, rel=1e-9, abs=1e-15)
+
+    def test_log_pgf_at_a_pump_is_the_source_running_there(self):
+        x = CHERNOFF_POINTS[::9] * 0.7
+        for source, pump in ((Coherent(1.0), 2.5), (make_multiplexed(3, 1.0), 0.3),
+                             (make_multiplexed(5, 1.0, herald_eff=7e-11), 4e4)):
+            at_pump = (Coherent(pump) if isinstance(source, Coherent)
+                       else replace(source, pair_mean=pump))
+            np.testing.assert_array_equal(source_log_pgf(source, x, pump), source_log_pgf(at_pump, x))
 
 
 class TestFluctuationStudy:
@@ -1053,22 +1227,23 @@ class TestFluctuationStudy:
         assert calls["bit generators"] == 3 and calls["seeded"] == 0
 
     @pytest.mark.parametrize("redraw", REDRAWS)
-    def test_count_rows_share_supports_and_log_factorials(self, redraw, monkeypatch):
+    def test_count_rows_share_windows_and_log_factorials(self, redraw, monkeypatch):
         """Over a study of several blocks, each holding several chunks of
-        rounds per pair, no `poisson_support` walk repeats its arguments and
-        no entry of the one log-factorial table is computed twice: from a
-        reset table, each entry is one `math.lgamma` call.  Per round, each
+        rounds per pair, the row length takes one `count_window` per pair
+        and block per round, one per pair per repetition, and no entry of
+        the one log-factorial table is computed twice: from a reset table,
+        each entry is one `math.lgamma` call.  Per round, each
         `plan.rows` call takes the pumps of consecutive rounds of one block,
         in order, at most max(1, _BLOCK_FLOATS // (a x length)) of them at
         the block's row length; per repetition, the calls take the pump
         nodes in order, once each, at most max(1, _BLOCK_FLOATS // length)
         of them at the one length of all of them."""
-        supports, entries, calls = [], [], []
-        exact_lgamma = math.lgamma
+        windows, entries, calls = [], [], []
+        exact_lgamma, count_window = math.lgamma, source_models.count_window
 
-        def walk(*args):
-            supports.append(args)
-            return pmf.poisson_support(*args)
+        def window(logs, nu):
+            windows.append(nu)
+            return count_window(logs, nu)
 
         def lgamma(x):
             entries.append(x)
@@ -1084,12 +1259,12 @@ class TestFluctuationStudy:
 
             return SimpleNamespace(length=plan.length, rows=rows)
 
-        monkeypatch.setattr(source_models, "poisson_support", walk)
+        monkeypatch.setattr(source_models, "count_window", window)
         monkeypatch.setattr(pmf, "_log_factorial_table", np.empty(0))
         monkeypatch.setattr(math, "lgamma", lgamma)
         monkeypatch.setattr(montecarlo, "detected_row_plan", recorded_plan)
         # 3 rounds of 400 uniforms per block, and a block budget of 1200
-        # floats against two fractions' rows of 169-453 counts: 4 blocks of
+        # floats against two fractions' rows of 188-460 counts: 4 blocks of
         # chunks of 1 to 3 rounds per pair per round, and chunks of 2 nodes
         # per repetition.
         budget = 1200
@@ -1100,7 +1275,7 @@ class TestFluctuationStudy:
         fluctuation_study(cfg, pairs, CH, 3)
         blocks = 1 if redraw == "per-repetition" else 4
         assert sum(map(len, calls)) > blocks * len(pairs)
-        assert len(set(supports)) == len(supports)
+        assert windows == [1] * (blocks * len(pairs))
         assert 0 < len(entries) == len(set(entries)) == pmf._log_factorial_table.size
 
         n_a, step = len(cfg.a_grid), budget // cfg.nu
@@ -1152,7 +1327,7 @@ class TestFluctuationStudy:
             return SimpleNamespace(length=plan.length, rows=rows)
 
         monkeypatch.setattr(montecarlo, "detected_row_plan", recorded_plan)
-        # Against rows of ~170-450 counts, 600 floats hold 1-3 of them: fewer
+        # Against rows of ~160-560 counts, 600 floats hold 1-3 of them: fewer
         # than a round's 5 fractions.  The blocks hold 2 rounds of uniforms.
         budget = 600
         monkeypatch.setattr(montecarlo, "_BLOCK_FLOATS", budget)

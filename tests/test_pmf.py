@@ -1,17 +1,15 @@
-"""Photon-number rows: Poisson and binomial weights and Poisson truncation,
-each checked against independent closed forms (textbook formulas and scipy)."""
+"""Photon-number rows: Poisson and binomial weights, each checked against
+independent closed forms (textbook formulas and scipy)."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 from scipy import stats
 
 from _oracles import poisson_probs, poisson_support_walk, thinned_count_moments
 from subshot import pmf
-from subshot.pmf import binomial_row, log_factorials, poisson_rows, poisson_support
+from subshot.pmf import binomial_row, log_factorials, poisson_rows
 from subshot.sources import Coherent, Fock, source_moments
 
 
@@ -37,7 +35,6 @@ def moments_of(probs):
 
 class TestPoisson:
     def test_vacuum_at_zero_mean(self):
-        assert poisson_support(0.0, 1e-16) == 0
         np.testing.assert_array_equal(poisson_rows(0.0, 0), [1.0])
 
     def test_closed_form_entries(self):
@@ -49,58 +46,17 @@ class TestPoisson:
             assert row[n] == pytest.approx(expected, abs=1e-15)
 
     def test_poisson_identities(self):
-        mean, variance = moments_of(poisson_rows(1.0, poisson_support(1.0, 1e-16)))
+        mean, variance = moments_of(poisson_rows(1.0, poisson_support_walk(1.0, 1e-16)))
         assert mean == pytest.approx(1.0, abs=1e-9)
         assert variance / mean == pytest.approx(1.0, abs=1e-9)
 
-    def test_negative_mean_rejected(self):
-        with pytest.raises(ValueError):
-            poisson_support(-0.1, 1e-16)
-
-    def test_eps_bounds(self):
-        with pytest.raises(ValueError):
-            poisson_support(1.0, 1.0)
-        with pytest.raises(ValueError):
-            poisson_support(1.0, 0.0)
-
     @pytest.mark.parametrize("mu", [1e-6, 0.3, 1.0, 7.5, 40.0, 180.0])
     def test_truncation_below_tolerance(self, mu):
-        n_max = poisson_support(mu, 1e-16)
+        n_max = poisson_support_walk(mu, 1e-16)
         cutoff = 1.0 - float(poisson_rows(mu, n_max).sum())
         assert cutoff <= 1e-12
         # the discarded mass agrees with the scipy survival function
         assert cutoff == pytest.approx(stats.poisson.sf(n_max, mu), abs=1e-13)
-
-    @pytest.mark.parametrize("mu", [0.05, 1.0, 12.0])
-    def test_support_bound_is_tight_enough(self, mu):
-        n = poisson_support(mu, 1e-20)
-        assert stats.poisson.sf(n, mu) <= 1e-20 * 1.01
-
-
-    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
-    # Means at and beside the integers, where the search starts bounding.
-    @example(mu=2.0, tail=1e-18)
-    @example(mu=math.nextafter(2.0, 0.0), tail=1e-18)
-    @example(mu=math.nextafter(2.0, 3.0), tail=1e-18)
-    @example(mu=1e4, tail=1e-18 / 8)
-    @given(
-        mu=st.one_of(
-            st.floats(0.0, 50.0),
-            st.floats(0.0, 2e4),
-            st.integers(1, 3000).map(float),
-            st.floats(1e-300, 1e-3),
-        ),
-        tail=st.one_of(st.just(1e-18), st.just(1e-300), st.floats(1e-300, 0.99)),
-    )
-    def test_support_is_the_count_by_count_walk(self, mu, tail):
-        """Summing the terms below the first bounded count in one pass gives
-        the support of the walk that adds them one count at a time."""
-        assert poisson_support(mu, tail) == poisson_support_walk(mu, tail)
-
-    @pytest.mark.parametrize("mu", [math.inf, math.nan, 2e7])
-    def test_unbounded_search_named(self, mu):
-        with pytest.raises(RuntimeError):
-            poisson_support(mu, 1e-18)
 
 
 class TestPoissonRows:
@@ -236,7 +192,7 @@ class TestMoments:
 
 class TestInvariants:
     def test_constructors_keep_mass(self):
-        rows = [poisson_rows(mu, poisson_support(mu, 1e-16)) for mu in (0.3, 5.0, 0.0)]
+        rows = [poisson_rows(mu, poisson_support_walk(mu, 1e-16)) for mu in (0.3, 5.0, 0.0)]
         for row in rows + [binomial_row(4, 1.0), binomial_row(4, 0.3)]:
             assert 1.0 - 1e-12 <= row.sum() <= 1.0 + 1e-13
 

@@ -109,8 +109,8 @@ class TestHeraldModel:
 
 class TestMuxOutput:
     def test_no_pump_gives_vacuum(self):
-        out = output_row(params(mu=0.0))
-        assert out.size == 1 and out[0] == 1.0
+        # The Chernoff edge of a point mass at 0 is 2 counts (t = 30).
+        np.testing.assert_array_equal(output_row(params(mu=0.0)), [1.0, 0.0])
 
     def test_no_heralds_gives_vacuum(self):
         out = output_row(params(herald=0.0))
