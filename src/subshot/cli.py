@@ -164,23 +164,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _show_config(args: argparse.Namespace) -> int:
+    """Print each resolved config as the INI section that `load_config_file`
+    reads back to it: every `_KEY_MAP` key, a tuple comma-joined and any
+    other value spelled by `str` (a float's shortest round-trip text)."""
     names = [args.experiment] if args.experiment else list(EXPERIMENTS)
     configs = [resolve_config(name, args) for name in names]
     for cfg in configs:
         cfg.validate()
     for cfg in configs:
         print(f"[{cfg.experiment}]")
-        print(f"  eta={cfg.detector_eff} optics={cfg.optics_transmission} "
-              f"eta-stage={cfg.stage_transmission} eta-herald={cfg.herald_eff}")
-        print(f"  nu={cfg.nu} seed={cfg.seed} mean-n={cfg.mean_photons} t={cfg.transmission}")
-        print(f"  t-grid: {len(cfg.t_grid)} points in "
-              f"[{cfg.t_grid[0]:g}, {cfg.t_grid[-1]:g}]  m={list(cfg.stage_counts)}")
-        if cfg.experiment == "fluctuations":
-            print(f"  a-grid={list(cfg.a_grid)} rounds={cfg.rounds} "
-                  f"redraw={cfg.redraw} negatives={cfg.negatives}")
-        if cfg.experiment == "mc-validate":
-            print(f"  trials={cfg.trials}")
-        print(f"  config-hash={cfg.digest()}")
+        for key, (field, _) in _KEY_MAP.items():
+            value = getattr(cfg, field)
+            print(f"{key}={','.join(map(str, value)) if isinstance(value, tuple) else value}")
+        print(f"# config-hash={cfg.digest()}")
     return 0
 
 

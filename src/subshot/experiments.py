@@ -142,14 +142,22 @@ MAX_STUDY_CELLS = 10**7
 # coherent pair has no pair limit, so nothing else bounds it.
 MAX_VALIDATE_SPREAD = 1e8
 
-# Largest (mean x transmission) grid of `asymptotic`, one array per source.
-# At this cap, the default three means x 1e5 transmissions, it takes
-# 1.9-2.1 s and 131 MB fresh under `python -W error` on 2 vCPUs; 1e5 x 1e5
-# would ask for arrays of 1e10 entries (80 GB each).
-MAX_GRID_CELLS = 3 * 10**5
+# Largest networks x transmissions x means of a run, the entries of each
+# array its exact reports evaluate on a leading network axis (the networks'
+# reach, in `validate`, on networks x means).  At this cap, fresh under
+# `python -W error` on 2 vCPUs: `threshold-ratio` over 1e5 transmissions at
+# the default six networks takes 4.2-5.3 s and 329 MB, `intensity-sweep`
+# over 1e5 means 7.9 s and 531 MB, and `asymptotic` over 1e5 transmissions
+# 2.1 s and 164 MB at two networks x three means (3.2 s and 220 MB at one
+# network x six means).  The arrays grow with the product: 1e4 networks x
+# 1e5 transmissions would ask for 8 GB each.
+MAX_GRID_CELLS = 6 * 10**5
 
 # The experiments that report with threshold detectors only.
 _THRESHOLD_ONLY = ("threshold-bias", "threshold-ratio", "asymptotic")
+
+# The experiments whose reports span the transmission grid.
+_T_GRID_SWEEPS = ("nr-ratio", "threshold-bias", "threshold-ratio", "asymptotic")
 
 # Stage counts of the canned mc-validate configurations.
 _MC_VALIDATE_STAGES = (2, 5)
@@ -233,10 +241,14 @@ class SweepConfig:
                 raise ConfigError("mean_grid", f"mean photon number {n} outside (0, {MAX_MEAN:g}]")
         if not 0 < self.mean_photons <= MAX_MEAN:
             raise ConfigError("mean_photons", f"{self.mean_photons} outside (0, {MAX_MEAN:g}]")
-        means = len(_tuned_means(self))
-        if self.experiment == "asymptotic" and len(self.t_grid) * means > MAX_GRID_CELLS:
-            raise ConfigError("t_grid", f"{len(self.t_grid)} transmissions x {means} means "
-                                        f"must be at most {MAX_GRID_CELLS:g}")
+        transmissions = len(self.t_grid) if self.experiment in _T_GRID_SWEEPS else 1
+        grid = transmissions * len(_tuned_means(self))
+        if len(self.stage_counts) * grid > MAX_GRID_CELLS:
+            # The stage list is what grows where the grid alone fits.
+            field = ("stage_counts" if grid <= MAX_GRID_CELLS
+                     else "t_grid" if transmissions > 1 else "mean_grid")
+            raise ConfigError(field, f"{len(self.stage_counts)} networks x {grid} grid points "
+                                     f"must be at most {MAX_GRID_CELLS:g}")
         check_count("trials", self.trials, 1, MAX_TRIALS)
         check_count("seed", self.seed, 0)
         # Check what the run builds: the grid channel's transmission and the

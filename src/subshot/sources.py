@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -226,12 +227,18 @@ def _herald(constants: tuple, mu) -> tuple:
 
 def _mux_mean(constants: tuple, mu) -> tuple:
     """The output mean g (mu Q) c, c = h e^{-mu h} + p_w, at a pump array `mu`
-    (`_mux_constants`), and c and the `_herald` terms; finite to 2 * MAX_PUMP."""
+    (`_mux_constants`), and c and the `_herald` terms; finite to 2 * MAX_PUMP.
+    Where mu Q is subnormal, and so has lost bits, the mean is formed as
+    (g mu) Q c instead: the gain, up to 2**stages, lifts the pump first."""
     h, _, _, network, optics = constants
     terms = _herald(constants, mu)
     neg_p_w, no_click, _, gain = terms
     c = h * no_click - neg_p_w
-    return gain * (mu * network * optics) * c, c, terms
+    mq = mu * network * optics
+    if mq.min(initial=math.inf) < sys.float_info.min:
+        mean = np.where(mq < sys.float_info.min, gain * mu * network * optics * c, gain * mq * c)
+        return mean, c, terms
+    return gain * mq * c, c, terms
 
 
 def _mux_factorial_moments(constants: tuple, mu) -> tuple:

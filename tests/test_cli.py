@@ -13,8 +13,10 @@ import textwrap
 from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from subshot import cli, output
+from subshot import cli, experiments, output
 from subshot.cli import build_parser, main, parse_float_grid, parse_int_list, resolve_config
 from subshot.experiments import EXPERIMENTS, ConfigError, SweepConfig
 
@@ -368,6 +370,98 @@ class TestConfigFile:
         code = main(["nr-ratio", "--config", str(tmp_path / "nope.ini")])
         assert code == 1
         assert "config" in capsys.readouterr().err
+
+
+def number_text(values):
+    """A number drawn from `values` as Python spells it or, when it is an
+    integral float, also as an int."""
+    return values.flatmap(
+        lambda x: st.sampled_from([repr(x), str(int(x))] if x.is_integer() else [repr(x)]))
+
+
+def grid_text(low: float, high: float):
+    """Tiny grids in [low, high]: comma literals and `start:stop:num`."""
+    value = st.floats(low, high)
+    literal = st.lists(number_text(value), min_size=1, max_size=3).map(",".join)
+    uniform = st.tuples(value, value, st.integers(1, 4)).map(
+        lambda grid: f"{grid[0]!r}:{grid[1]!r}:{grid[2]}")
+    return literal | uniform
+
+
+# A strategy for each flag, drawing only settings that every experiment
+# accepts.
+FLAG_TEXT = {
+    "t-grid": grid_text(0.0, 1.0),
+    "m": st.lists(st.integers(1, 8), min_size=1, max_size=3).map(
+        lambda stages: ",".join(map(str, stages))),
+    "mean-n": number_text(st.floats(0.05, 3.0)),
+    "mean-grid": st.just("") | grid_text(0.05, 3.0),
+    "a-grid": grid_text(0.0, 0.6),
+    "t": number_text(st.floats(0.0, 1.0)),
+    "nu": st.integers(1, 1000).map(str),
+    "eta": number_text(st.floats(0.5, 1.0)),
+    "eta-stage": number_text(st.floats(0.5, 1.0)),
+    "eta-herald": number_text(st.floats(0.5, 1.0)),
+    "optics": number_text(st.floats(0.5, 1.0)),
+    "rounds": st.integers(2, 100).map(str),
+    "trials": st.integers(1, 10**6).map(str),
+    "redraw": st.sampled_from(["per-round", "per-repetition"]),
+    "negatives": st.sampled_from(["clamp", "resample"]),
+    "seed": st.integers(0, 2**64).map(str),
+}
+
+
+class TestShowConfig:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(experiment=st.sampled_from(EXPERIMENTS),
+           flags=st.fixed_dictionaries({}, optional=FLAG_TEXT))
+    def test_printed_config_is_the_ini_file_of_the_run(self, tmp_path, capsys, experiment, flags):
+        """`show-config` prints, per experiment, every `_KEY_MAP` key once
+        and the config hash: an INI file that resolves to the config of the
+        same flags, and whose own `show-config` prints the same text."""
+        argv = [experiment, *(arg for key, text in flags.items() for arg in (f"--{key}", text))]
+        capsys.readouterr()
+        assert main(["show-config", *argv]) == 0
+        text = capsys.readouterr().out
+        ini = tmp_path / "run.ini"
+        ini.write_text(text)
+        cfg = resolve_config(experiment, build_parser().parse_args(argv))
+        ini_cfg = resolve_config(experiment, build_parser().parse_args(
+            [experiment, "--config", str(ini)]))
+        assert ini_cfg == cfg and ini_cfg.digest() == cfg.digest()
+        header, *lines, footer = text.splitlines()
+        assert (header, footer) == (f"[{experiment}]", f"# config-hash={cfg.digest()}")
+        assert [line.split("=", 1)[0] for line in lines] == list(cli._KEY_MAP)
+        assert main(["show-config", experiment, "--config", str(ini)]) == 0
+        assert capsys.readouterr().out == text
+
+    def test_every_experiment_prints_every_key(self, capsys):
+        assert main(["show-config"]) == 0
+        sections = capsys.readouterr().out.split("[")[1:]
+        assert [section.split("]")[0] for section in sections] == list(EXPERIMENTS)
+        for section in sections:
+            keys = [line.split("=", 1)[0] for line in section.splitlines()[1:-1]]
+            assert keys == list(cli._KEY_MAP)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["nr-ratio", "--m", ",".join(["3"] * 10**4), "--t-grid", "0:1:100000"],
+            ["intensity-sweep", "--m", ",".join(["3"] * 10**4), "--mean-grid", "0.01:1:100000"],
+            ["asymptotic", "--m", "1,2,3,4,5,6", "--t-grid", "0:1:100000"],
+        ],
+    )
+    def test_networks_past_the_cap_are_refused_before_their_reach(self, capsys, args):
+        """Networks x grid points past `MAX_GRID_CELLS` are refused naming
+        the stage list before `check_reach` forms networks x means arrays."""
+        reach = mock.Mock(side_effect=AssertionError("check_reach called"))
+        with mock.patch.object(experiments, "check_reach", reach):
+            assert main(["show-config", *args]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("configuration error: stage_counts: ") and "Traceback" not in err
+        assert out == ""
+        reach.assert_not_called()
 
 
 def reference_parser() -> argparse.ArgumentParser:

@@ -709,8 +709,8 @@ class TestPairLimits:
 class TestSamplingCaps:
     """Monte Carlo runs whose arrays or total count laws would outgrow any
     machine are refused by name through `validate`
-    (`SweepConfig._validate_sampling`), and so is an `asymptotic` grid past
-    `MAX_GRID_CELLS`; no config here is run."""
+    (`SweepConfig._validate_sampling`), and so are networks x grid arrays
+    past `MAX_GRID_CELLS`; no config here is run."""
 
     # The command line's fluctuation pairs, 3 sources (coherent, m = 3 and 5)
     # x 2 detectors, at 7 fractions.
@@ -734,10 +734,18 @@ class TestSamplingCaps:
             ("mc-validate", {"nu": 10**15}, "nu"),
             ("mc-validate", {"nu": int(MAX_VALIDATE_SPREAD) + 1}, "nu"),
             ("mc-validate", {"nu": 10**6, "mean_photons": 100.5}, "nu"),
-            # The (mean x transmission) grid of `asymptotic`.
+            # Networks x transmissions x means, the grid named where it alone
+            # is past the cap, else the stage list.
             ("asymptotic", {"mean_grid": GRID_1E5, "t_grid": GRID_1E5}, "t_grid"),
-            ("asymptotic", {"mean_grid": (0.2, 0.5, 1.0, 2.0), "t_grid": GRID_1E5}, "t_grid"),
+            ("asymptotic", {"mean_grid": (0.5,) * (MAX_GRID_CELLS // 10**5 + 1),
+                            "t_grid": GRID_1E5}, "t_grid"),
             ("asymptotic", {"t_grid": (0.5,) * (MAX_GRID_CELLS // 3 + 1)}, "t_grid"),
+            ("nr-ratio", {"stage_counts": (3,) * (MAX_GRID_CELLS // 101 + 1)}, "stage_counts"),
+            ("threshold-ratio", {"stage_counts": (1, 2, 3, 4, 5, 6, 7), "t_grid": GRID_1E5},
+             "stage_counts"),
+            ("intensity-sweep", {"mean_grid": GRID_1E5 * 7}, "mean_grid"),
+            ("fluctuations", {"stage_counts": (3,) * (MAX_GRID_CELLS + 1), "rounds": 1},
+             "stage_counts"),
         ],
     )
     def test_past_a_cap_named(self, experiment, overrides, field):
@@ -767,10 +775,39 @@ class TestSamplingCaps:
             ("mc-validate", {"trials": 10**7}),
             # The exact reports take any nu and ignore rounds.
             ("nr-ratio", {"nu": 10**15, "rounds": 10**9}),
+            # Networks x grid points at `MAX_GRID_CELLS`, 1e5-point grids at
+            # the default six networks, and the CI steps' networks and grids.
+            ("asymptotic", {"stage_counts": (3, 5), "t_grid": GRID_1E5}),
+            ("nr-ratio", {"stage_counts": (3,) * (MAX_GRID_CELLS // 101)}),
+            ("threshold-ratio", {"t_grid": GRID_1E5}),
+            ("intensity-sweep", {"mean_grid": GRID_1E5}),
+            ("nr-ratio", {"stage_counts": tuple(range(1, 13))}),
+            ("intensity-sweep", {"stage_counts": tuple(range(1, 13)),
+                                 "mean_grid": tuple(np.linspace(0.01, 1.0, 50).tolist())}),
+            ("threshold-ratio", {"t_grid": tuple(np.linspace(0.0, 1.0, 10001).tolist())}),
         ],
     )
     def test_at_a_cap_accepted(self, experiment, overrides):
         command_line_config(experiment, overrides).validate()
+
+    @pytest.mark.parametrize(
+        "experiment, overrides",
+        [
+            ("nr-ratio", {"stage_counts": (3,) * 10**4, "t_grid": GRID_1E5}),
+            ("intensity-sweep", {"stage_counts": (3,) * 10**4, "mean_grid": GRID_1E5}),
+            ("asymptotic", {"stage_counts": (1, 2, 3, 4, 5, 6), "t_grid": GRID_1E5}),
+        ],
+    )
+    def test_networks_past_the_cap_are_refused_before_their_reach(self, experiment, overrides):
+        """The networks x grid cap is checked before `check_reach` forms
+        networks x means arrays or a network is built."""
+        built = mock.Mock(side_effect=AssertionError("built before the cap"))
+        with mock.patch("subshot.experiments.check_reach", built), \
+                mock.patch("subshot.experiments.Multiplexed", built):
+            with pytest.raises(ConfigError) as err:
+                command_line_config(experiment, overrides).validate()
+        assert err.value.field == "stage_counts"
+        built.assert_not_called()
 
 
 class TestNrRatio:

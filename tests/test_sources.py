@@ -11,6 +11,7 @@ from _oracles import enumerate_mux_output, poisson_probs, sync_probability, thin
 from subshot.pmf import Moments, poisson_rows
 from subshot.sources import (
     MAX_STAGES,
+    TUNING_TOL,
     Coherent,
     ConfigError,
     CountRows,
@@ -225,6 +226,26 @@ class TestTunePairMean:
         mu = tune_pair_mean(p, target)
         achieved = source_moments(replace(p, pair_mean=mu)).mean
         assert abs(achieved - target) <= 1e-13 * target
+
+    def test_subnormal_pump_times_network_keeps_its_bits(self):
+        """Mean 1e-323 at 64 stages through stages of 0.5, optics of 0.05 and
+        a herald of 1e-3 needs a pump whose product with Q is subnormal.
+        Formed gain first, its mean lands the pump within a factor 2 of the
+        weak-pump root target / (Q 2**64 h), between adjacent floats whose
+        means bracket the target (or within the stop rule)."""
+        h, network, optics, target = 1e-3, 0.5**64, 0.05, 1e-323
+        mu = tune_pair_mean(params(m=64, herald=h, stage=0.5, optics=optics), target)
+        assert 0.5 < mu / (target / (network * optics * 2.0**64 * h)) < 2.0
+
+        def gain_first_mean(pump):
+            p_w = -math.expm1(-pump * h)
+            gain = -math.expm1(-(2.0**64) * h * pump) / p_w
+            return gain * pump * network * optics * (h * math.exp(-pump * h) + p_w)
+
+        mean = gain_first_mean(mu)
+        neighbours = (math.nextafter(mu, 0.0), math.nextafter(mu, math.inf))
+        assert abs(mean - target) < TUNING_TOL * min(1.0, target) or any(
+            (gain_first_mean(x) < target) != (mean < target) for x in neighbours)
 
     def test_lossy_network_reached(self):
         p = params(m=40, herald=0.9, stage=0.01)
