@@ -13,8 +13,10 @@ import argparse
 import contextlib
 import functools
 import os
+import stat
 import sys
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -180,18 +182,63 @@ def _show_config(args: argparse.Namespace) -> int:
     return 0
 
 
+def _regular_target(path: Path) -> Path | None:
+    """The file `path` names, through it if it is a symlink, when that is a
+    regular file or nothing yet; None for anything else (a device, a FIFO,
+    /dev/stdout on a pipe or a terminal).  `resolve` stats every component
+    of a path (~30 µs for four on ext4), so only a link is resolved."""
+    target = path.resolve() if path.is_symlink() else path
+    if not path.exists():
+        return target
+    # /dev/stdout on a deleted file resolves to a name that is not the file.
+    return target if path.is_file() and target.exists() and target.samefile(path) else None
+
+
+def _open_output(path: Path, stack: contextlib.ExitStack, replacements: list) -> TextIO:
+    """Open the file that takes `path`'s new text: for a regular target, a
+    hidden sibling with its permission bits, listed in `replacements` with
+    the target it replaces (a target `open("w")` refuses is refused); for
+    anything else, or where no sibling can be made, `path` itself."""
+    target = _regular_target(path)
+    if target is None:
+        return stack.enter_context(path.open("w"))
+    temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        file = stack.enter_context(temp.open("w"))
+    except PermissionError:  # a directory that takes no new file
+        return stack.enter_context(path.open("w"))
+    replacements.append((temp, target))
+    if target.exists():
+        target.open("a").close()
+        os.fchmod(file.fileno(), stat.S_IMODE(target.stat().st_mode))
+    return file
+
+
 def _write_outputs(rows, experiment: str, out: str | None, fmt: str) -> list[str]:
     base = Path(out) if out else Path(f"{experiment}.{'csv' if fmt != 'json' else 'json'}")
+    if base.is_symlink():  # name the JSON of --format both after the linked file
+        base = _regular_target(base) or base
     paths = {}
     if fmt in ("csv", "both"):
         paths["csv"] = base if base.suffix == ".csv" or fmt == "csv" else base.with_suffix(".csv")
     if fmt in ("json", "both"):
         paths["json"] = base.with_suffix(".json") if base.suffix != ".json" else base
-    with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(path.open("w")) for path in paths.values()]
-        for pieces in text_pieces(rows, list(paths)):
-            for file, piece in zip(files, pieces):
-                file.write(piece)
+    # Each regular output is written whole to a hidden sibling, which then
+    # replaces it: a failed run leaves every earlier output's bytes and no
+    # temporary file, and a symlinked --out stays a link.
+    replacements = []
+    try:
+        with contextlib.ExitStack() as stack:
+            files = [_open_output(path, stack, replacements) for path in paths.values()]
+            for pieces in text_pieces(rows, list(paths)):
+                for file, piece in zip(files, pieces):
+                    file.write(piece)
+        for temp, target in replacements:
+            os.replace(temp, target)
+    except BaseException:
+        for temp, _ in replacements:
+            temp.unlink(missing_ok=True)
+        raise
     return list(map(str, paths.values()))
 
 

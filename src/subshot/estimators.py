@@ -29,7 +29,7 @@ plus a trial count and a seed; both normalize by `reference_mean`.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,8 +77,7 @@ def reference_mean(source: Source | list[Multiplexed], detector: Detector, detec
     return ref
 
 
-@dataclass(frozen=True)
-class EstimatorReport:
+class EstimatorReport(NamedTuple):
     """Exact performance of an estimator at one operating point, or at each
     point of a transmission or mean grid (every field but `nu` and, for a
     mean grid, `transmission` then an array)."""

@@ -340,11 +340,6 @@ class SweepConfig:
         return "\n".join(pairs)
 
     def digest(self) -> str:
-        return self._digest
-
-    @functools.cached_property
-    def _digest(self) -> str:
-        # Every output row carries the digest; hash the (immutable) config once.
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:12]
 
 
@@ -491,6 +486,12 @@ def _z_score(sampled: float, exact: float, se: float) -> float:
     return (sampled - exact) / se if se > 0 else 0.0
 
 
+def _columns(records: list) -> dict[str, list]:
+    """Result records (NamedTuples of one type) transposed: one list of
+    cells per field name."""
+    return dict(zip(records[0]._fields, map(list, zip(*records))))
+
+
 def _run_fluctuations(cfg: SweepConfig):
     """Seeded pump-fluctuation study over the a-grid, each row with the
     exact MSE it samples and its deviation in standard errors.  The deviation
@@ -500,15 +501,12 @@ def _run_fluctuations(cfg: SweepConfig):
     sources = _sources(cfg, mean)
     pairs = [(source, detector) for detector in Detector for source in sources]
     studies = fluctuation_study(mc_cfg, pairs, Channel(t, cfg.detector_eff), cfg.seed)
-    summaries = [s for pair_summaries in studies for s in pair_summaries]
+    s = _columns([summary for pair_summaries in studies for summary in pair_summaries])
     return _rows(
         cfg, pairs, [i for i, pair_summaries in enumerate(studies) for _ in pair_summaries],
-        t, mean, fluctuation=[s.fluctuation for s in summaries],
-        mse=[s.mean_mse for s in summaries],
-        ci_low=[s.ci_low for s in summaries],
-        ci_high=[s.ci_high for s in summaries],
-        mse_exact=[s.mse_exact for s in summaries],
-        z_mse=[_z_score(s.mean_mse, s.mse_exact, s.mse_se) for s in summaries],
+        t, mean, fluctuation=s["fluctuation"], mse=s["mean_mse"], ci_low=s["ci_low"],
+        ci_high=s["ci_high"], mse_exact=s["mse_exact"],
+        z_mse=list(map(_z_score, s["mean_mse"], s["mse_exact"], s["mse_se"])),
     )
 
 
@@ -529,19 +527,15 @@ def _run_mc_validate(cfg: SweepConfig):
     ]
     index = list(range(len(canned)))
     seeds = [cfg.seed + i for i in index]
-    exact = [exact_report(source, detector, ch, cfg.nu) for source, detector in canned]
-    mc = [
-        mc_estimate(source, detector, ch, cfg.nu, cfg.trials, seed=seed)
-        for (source, detector), seed in zip(canned, seeds)
-    ]
+    exact = _columns([exact_report(source, detector, ch, cfg.nu) for source, detector in canned])
+    mc = _columns([mc_estimate(source, detector, ch, cfg.nu, cfg.trials, seed=seed)
+                   for (source, detector), seed in zip(canned, seeds)])
     return _rows(
-        cfg, canned, index, t, mean, seed=seeds,
-        expectation=[m.expectation for m in mc],
-        mse=[m.mse for m in mc],
-        mse_exact=[e.mse for e in exact],
-        z_expectation=[_z_score(m.expectation, e.expectation, m.expectation_se)
-                       for m, e in zip(mc, exact)],
-        z_mse=[_z_score(m.mse, e.mse, m.mse_se) for m, e in zip(mc, exact)],
+        cfg, canned, index, t, mean, seed=seeds, expectation=mc["expectation"], mse=mc["mse"],
+        mse_exact=exact["mse"],
+        z_expectation=list(map(_z_score, mc["expectation"], exact["expectation"],
+                               mc["expectation_se"])),
+        z_mse=list(map(_z_score, mc["mse"], exact["mse"], mc["mse_se"])),
     )
 
 

@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -177,8 +178,7 @@ def _total_count_pmf(source: Source, detector, survival: float, nu: int) -> tupl
     return k0 + int(kept[0]), probs / probs.sum()
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(NamedTuple):
     """Empirical estimator moments with standard errors."""
 
     expectation: float
@@ -251,8 +251,7 @@ class FluctuationConfig:
         _check_mode("negatives", self.negatives, NEGATIVES)
 
 
-@dataclass(frozen=True)
-class McSummary:
+class McSummary(NamedTuple):
     """Per-grid-point summary: mean MSE, its standard error across rounds
     (std(ddof=1) / sqrt(rounds)), the 68% band of the rounds and the exact
     MSE they sample (`fluctuation_mse`)."""

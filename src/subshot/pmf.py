@@ -12,7 +12,7 @@ complex `w` included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +21,7 @@ import numpy as np
 _TINY = 2.2250738585072014e-308
 
 
-@dataclass(frozen=True)
-class Moments:
+class Moments(NamedTuple):
     """Mean and variance of a photon-number distribution."""
 
     mean: float

@@ -7,9 +7,11 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import textwrap
+import threading
 from unittest import mock
 
 import pytest
@@ -314,6 +316,91 @@ class TestMain:
         code = main(["nr-ratio", "--m", "2", "--t-grid", "0.5", "--out", "/nonexistent/dir/x.csv"])
         assert code == 1
         assert "cannot write" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["csv", "both"])
+    def test_a_failed_write_keeps_the_previous_outputs(self, tmp_path, capsys, monkeypatch, fmt):
+        """A write that fails after its first block exits 1, leaves every
+        earlier output byte for byte and no temporary file; a rerun through
+        a symlinked --out replaces the bytes behind the link, the JSON of
+        `--format both` named after the linked file, and keeps the link."""
+        argv = ["nr-ratio", "--format", fmt]
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--seed", "1", "--out", str(out)]) == 0
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert len(before) == (2 if fmt == "both" else 1)
+        written = output.text_pieces
+
+        def fail_after_first_block(rows, formats):
+            pieces = written(rows, formats)
+            yield next(pieces)
+            raise OSError(28, "No space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "text_pieces", fail_after_first_block)
+            assert main([*argv, "--out", str(out)]) == 1
+        assert "cannot write output" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+        link = tmp_path / "link.csv"
+        link.symlink_to("out.csv")
+        assert main([*argv, "--out", str(link)]) == 0
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        assert main([*argv, "--out", str(fresh / "out.csv")]) == 0
+        assert link.is_symlink() and os.readlink(link) == "out.csv"
+        assert out.read_bytes() == (fresh / "out.csv").read_bytes() != before["out.csv"]
+        names = {"out.csv", "link.csv", "fresh"}
+        if fmt == "both":
+            assert (tmp_path / "out.json").read_bytes() == (fresh / "out.json").read_bytes()
+            names.add("out.json")
+        assert {path.name for path in tmp_path.iterdir()} == names
+
+    def test_a_device_output_is_written_in_place(self, capsys):
+        """Only a regular file is replaced: a device keeps its node."""
+        assert main(["nr-ratio", "--out", os.devnull]) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        assert "rows -> " in capsys.readouterr().out
+
+    def test_a_symlink_to_a_fifo_is_written_through(self, tmp_path):
+        fifo, link = tmp_path / "fifo", tmp_path / "link.csv"
+        os.mkfifo(fifo)
+        link.symlink_to(fifo)
+        read = []  # a daemon reader, so a run that never opens the FIFO fails, not hangs
+        reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main(["nr-ratio", "--out", str(link)]) == 0
+        reader.join(timeout=60)
+        assert main(["nr-ratio", "--out", str(tmp_path / "fresh.csv")]) == 0
+        assert read == [(tmp_path / "fresh.csv").read_bytes()]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode) and link.is_symlink()
+        assert {path.name for path in tmp_path.iterdir()} == {"fifo", "link.csv", "fresh.csv"}
+
+    def test_dev_stdout_on_a_pipe_is_written(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-m", "subshot", "nr-ratio", "--out", "/dev/stdout"],
+                              env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert main(["nr-ratio", "--out", str(tmp_path / "fresh.csv")]) == 0
+        fresh = (tmp_path / "fresh.csv").read_bytes()
+        assert proc.stdout == fresh + b"nr-ratio: 808 rows -> /dev/stdout\n"
+
+    def test_a_rerun_keeps_the_permission_bits_and_refuses_what_open_refuses(self, tmp_path):
+        """The replacing file takes the old one's mode, and a read-only
+        output is refused exactly when `open("w")` would refuse it (never
+        for root)."""
+        private, readonly = tmp_path / "private.csv", tmp_path / "readonly.csv"
+        for path in (private, readonly):
+            assert main(["nr-ratio", "--seed", "1", "--out", str(path)]) == 0
+        private.chmod(0o600)
+        readonly.chmod(0o444)
+        before = readonly.read_bytes()
+        assert main(["nr-ratio", "--out", str(private)]) == 0
+        assert stat.S_IMODE(private.stat().st_mode) == 0o600
+        writable = os.access(readonly, os.W_OK)
+        assert main(["nr-ratio", "--out", str(readonly)]) == (0 if writable else 1)
+        assert (readonly.read_bytes() == before) != writable
+        assert stat.S_IMODE(readonly.stat().st_mode) == 0o444
+        assert {path.name for path in tmp_path.iterdir()} == {"private.csv", "readonly.csv"}
 
 
 class TestConfigFile:

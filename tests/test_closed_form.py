@@ -17,7 +17,7 @@ results bit for bit.
 
 import math
 import struct
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -549,12 +549,12 @@ class TestNetworkAxis:
             return
         reports, ratios, floor = batched
         for k, report in enumerate(reports):
-            for f in fields(report):
-                field = getattr(report, f.name)
-                if f.name in ("transmission", "nu"):
-                    assert all(bits(field) == bits(getattr(a[0][k], f.name)) for a in alone)
+            for name in report._fields:
+                field = getattr(report, name)
+                if name in ("transmission", "nu"):
+                    assert all(bits(field) == bits(getattr(a[0][k], name)) for a in alone)
                 else:
-                    self.assert_per_network(field, [getattr(a[0][k], f.name) for a in alone])
+                    self.assert_per_network(field, [getattr(a[0][k], name) for a in alone])
             self.assert_per_network(ratios[k], [a[1][k] for a in alone])
         self.assert_per_network(floor, [a[2] for a in alone])
 

@@ -1,5 +1,6 @@
 """Package-level properties that no single module test covers."""
 
+import dataclasses
 import os
 import pkgutil
 import re
@@ -8,6 +9,7 @@ import sys
 from pathlib import Path
 
 import subshot
+import subshot.experiments
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -42,3 +44,27 @@ def test_every_package_module_is_loaded():
     draws its examples from the same constants whichever tests run."""
     names = {f"subshot.{m.name}" for m in pkgutil.iter_modules(subshot.__path__)}
     assert names - {"subshot.__main__"} <= sys.modules.keys()
+
+
+def test_result_records_are_named_tuples_with_pinned_fields():
+    """Result records unpack by position and the runners read their columns
+    by field name (`experiments._columns`), so each record's fields are
+    pinned in order; the validated inputs stay frozen dataclasses, which
+    never compare equal across kinds."""
+    records = {
+        subshot.Moments: ("mean", "variance"),
+        subshot.EstimatorReport: (
+            "transmission", "nu", "expectation", "bias", "variance", "mse",
+            "relative_mse_percent",
+        ),
+        subshot.McEstimate: ("expectation", "expectation_se", "mse", "mse_se"),
+        subshot.McSummary: ("fluctuation", "mean_mse", "mse_se", "ci_low", "ci_high", "mse_exact"),
+    }
+    for record, fields in records.items():
+        assert issubclass(record, tuple) and record._fields == fields
+    inputs = (subshot.Coherent, subshot.Fock, subshot.Multiplexed, subshot.Channel,
+              subshot.FluctuationConfig, subshot.experiments.SweepConfig)
+    for kind in inputs:
+        assert dataclasses.is_dataclass(kind) and kind.__dataclass_params__.frozen
+        assert not issubclass(kind, tuple)
+    assert subshot.Coherent(1.0) != subshot.Fock(1)
