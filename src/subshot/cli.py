@@ -261,7 +261,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         print(f"cannot write output: {err}", file=sys.stderr)
         return 1
-    print(f"{cfg.experiment}: {len(rows)} rows -> {', '.join(written)}")
+    print(f"{cfg.experiment}: {len(rows)} rows -> {', '.join(written)}", file=sys.stderr)
     return 0
 
 

@@ -26,19 +26,19 @@ by their mean, its standard error and the 16th/84th percentiles.  By default
 the pump is redrawn once per round (slow drift relative to a round): the
 source is re-evaluated at the round's pump, and the round total of the
 repetitions' inverse-CDF draws from that row is counted against the round's
-sorted uniforms (`_round_totals`, searching the shorter of the two).
-Redrawn per repetition, the counts are independent and follow the pump
-average of the row, built once per run; a round reads the same stream and
-counts its draws from that row the same way, and their sum has the law of
-one draw from the row's nu-fold power.
+sorted uniforms (`_round_totals`).  Redrawn per repetition, the counts are
+independent and follow the pump average of the row, whose CDF is formed
+once per run; a round counts its draws from it the same way, and their sum
+has the law of one draw from the row's nu-fold power.
 One engine (`_study_totals`) runs both modes on the run's (source,
 detector) pairs.  The rounds go in blocks under a fixed memory budget
-(`_BLOCK_FLOATS`), whose streams are drawn once for every pair, and one
-chunk loop counts a block's rounds in both modes, as many at a time as
-their rows fit in the same budget: per round, the rows at the chunk's
-pumps, built in one call (split by fraction where one round's pass it);
-per repetition, the rows every round shares, built once per run from the
-rows at the pump nodes, in chunks of nodes under the budget too.  Each
+(`_BLOCK_FLOATS`), whose streams are drawn once for every pair.  In a
+block, consecutive pairs whose rows for all its rounds fit in the budget
+form a group, whose CDFs one search per round counts; any other pair is a
+group of its own, counted as many rounds at a time as its rows fit: per
+round, the rows at the chunk's pumps, built in one call (split by fraction
+where one round's pass it); per repetition, its shared CDFs, from the rows
+at the pump nodes, built in chunks of nodes under the budget too.  Each
 row is built at one length per block (per repetition, per study), which
 the pair's one row plan per study gives without building a row.
 Both modes keep one uniform per draw, not a histogram, so that every
@@ -298,7 +298,7 @@ def pump_nodes(a_grid, negatives: str) -> tuple[np.ndarray, np.ndarray, list[int
 
 
 def fluctuation_mse(
-    cfg: FluctuationConfig, source: Source, detector, channel: Channel, nodes=None
+    cfg: FluctuationConfig, source: Source, detector, channel: Channel, nodes=None, ref=None
 ) -> list[float]:
     """Exact MSE of `fluctuation_study`'s estimate at each fluctuation
     fraction of `cfg`, by quadrature over `pump_nodes`.
@@ -309,10 +309,11 @@ def fluctuation_mse(
     repetition they are independent with the pump-averaged mean E_mu k and
     variance E_mu v + Var_mu k, which enter the same expression once.  Every
     term is a square or a variance, so nothing cancels.  `nodes`, if given,
-    holds `pump_nodes(cfg.a_grid, cfg.negatives)`; one `detected_moments`
-    call gives the moments at all their pumps, and each fraction its slice.
+    holds `pump_nodes(cfg.a_grid, cfg.negatives)`, and `ref` the reference;
+    one `detected_moments` call gives the moments at all the nodes' pumps,
+    and each fraction its slice.
     """
-    ref = reference_mean(source, detector, channel.detector_eff)
+    ref = reference_mean(source, detector, channel.detector_eff) if ref is None else ref
     t, scale = channel.transmission, cfg.nu * ref * ref
     x, w, ends = pump_nodes(cfg.a_grid, cfg.negatives) if nodes is None else nodes
     k = detected_moments(source, detector, channel.survival, source_pump(source) * x)
@@ -329,27 +330,44 @@ def fluctuation_mse(
     return mses
 
 
-def _round_totals(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Sum of the inverse-CDF draws of each round's uniforms from each of its
-    rows, without forming the draws.
+def _cdf(rows: np.ndarray) -> np.ndarray:
+    """`np.cumsum(rows[..., :-1], axis=-1)`, formed in place in `rows`."""
+    cdf = rows[..., :-1]
+    return np.cumsum(cdf, axis=-1, out=cdf)
 
-    `rows` has the rounds on its first axis, or one entry there that every
-    round shares, and the counts (offset 0) on its last; `u` holds one
-    sorted row of uniforms per round.  A draw, capped at the last count,
-    exceeds count k exactly when its uniform is >= cdf[k], so a total counts
-    the (uniform, k) pairs with uniform >= cdf[k] below the last k.  Each
-    round's CDF entries are searched in its own uniforms or, where a CDF is
-    longer than the uniforms, the uniforms in it; both make the same exact
-    comparisons.
+
+def _round_totals(cdfs: list, u: np.ndarray) -> np.ndarray:
+    """Sum of the inverse-CDF draws of each round's uniforms from each row
+    of `cdfs`, without forming the draws: shape (rounds, rows of `cdfs` in
+    order).
+
+    Each of `cdfs` has the rounds on its first axis, or one entry there that
+    every round shares, its rows on the second and a row's `_cdf` (counts
+    from 0) on its last; `u` holds one sorted row of uniforms per round.  A
+    draw, capped at the last count, exceeds count k exactly when its uniform
+    is >= cdf[k], so a total counts the (uniform, k) pairs with uniform >=
+    cdf[k].  One call per round searches the CDF entries of all `cdfs` in
+    its uniforms, or, for a lone CDF longer than the uniforms, one per row
+    the uniforms in it; both make the same exact comparisons.
     """
-    cdf = np.cumsum(rows[..., :-1], axis=-1)
-    cdf = np.broadcast_to(cdf, (len(u),) + cdf.shape[1:])
-    if cdf.shape[-1] > u.shape[-1]:
+    rounds, nu = u.shape
+    if len(cdfs) == 1 and cdfs[0].shape[-1] > nu:
+        cdf = np.broadcast_to(cdfs[0], (rounds,) + cdfs[0].shape[1:])
         return np.array(
             [[c.searchsorted(u_r, side="right").sum() for c in cdf_r] for u_r, cdf_r in zip(u, cdf)]
         )
-    below = np.array([u_r.searchsorted(cdf_r, side="left") for u_r, cdf_r in zip(u, cdf)])
-    return u.shape[-1] * cdf.shape[-1] - below.reshape(cdf.shape).sum(axis=-1)
+    flat = [cdf.reshape(len(cdf), -1) for cdf in cdfs]
+    flat = flat[0] if len(flat) == 1 else np.concatenate(flat, axis=-1)
+    below = np.empty((rounds, flat.shape[-1]), dtype=np.intp)
+    for below_r, u_r, cdf_r in zip(below, u, np.broadcast_to(flat, below.shape)):
+        below_r[:] = u_r.searchsorted(cdf_r, side="left")
+    # Each row sums its slice of `below`; a row of one count has none and 0.
+    widths = np.repeat([cdf.shape[-1] for cdf in cdfs], [cdf.shape[1] for cdf in cdfs])
+    live = widths > 0
+    totals = np.zeros((rounds, widths.size), dtype=np.intp)
+    starts = (np.cumsum(widths) - widths)[live]
+    totals[:, live] = nu * widths[live] - np.add.reduceat(below, starts, axis=-1)
+    return totals
 
 
 def _resample_negatives(rng: np.random.Generator, a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -429,40 +447,57 @@ def _study_totals(
     A round's total counts the draws of its nu sorted uniforms from its count
     rows: per round, the rows at the round's pumps; per repetition, each
     fraction's pump-averaged row (`_averaged_rows`), which every round
-    shares.  The rounds go in blocks of at most `_BLOCK_FLOATS` uniforms,
-    whose streams are drawn once for every pair.  One chunk loop counts a
-    pair's rounds of a block in both modes, as many at a time as their rows
-    fit in `_BLOCK_FLOATS` at the block's row length, and per round builds a
-    chunk's rows in one `plan.rows` call at that length, or, where one
-    round's rows pass the budget, its fractions in calls of as many rows as
-    fit.  Shared rows longer than the uniforms take the whole block:
+    shares, kept as its CDF.  The rounds go in blocks of at most
+    `_BLOCK_FLOATS` uniforms, whose streams are drawn once for every pair.
+    In a block the pairs go in groups, and one chunk loop counts a group's
+    rounds in both modes, as many at a time as their rows fit in
+    `_BLOCK_FLOATS` at the pairs' row lengths for the block, and per round
+    builds each pair's rows of a chunk in one `plan.rows` call at its
+    length, or, where one round's rows of a lone pair pass the budget, its
+    fractions in calls of as many rows as fit.  A group of several pairs
+    fits the whole block, and `_round_totals` searches all its CDFs at once.
+    Shared rows longer than the uniforms take the whole block:
     `_round_totals` then searches by uniform.
     """
     n_a = len(cfg.a_grid)
     totals = np.empty((len(pairs), n_a, cfg.rounds))
     plans = [detected_row_plan(*pair, survival) for pair in pairs]
     pumps = [source_pump(source) for source, _ in pairs]
-    averaged = [None if cfg.redraw == "per-round" else _averaged_rows(plan, pump, nodes)
-                for plan, pump in zip(plans, pumps)]
+    shared = [None if cfg.redraw == "per-round" else _cdf(_averaged_rows(plan, pump, nodes)[None])
+              for plan, pump in zip(plans, pumps)]
     step = max(1, _BLOCK_FLOATS // cfg.nu)
     for start in range(0, cfg.rounds, step):
         x, u = _round_streams(cfg, seed, start, min(start + step, cfg.rounds))
-        for out, plan, pump, shared in zip(totals, plans, pumps, averaged):
-            length = plan.length(pump * x) if shared is None else shared.shape[-1]
+        lengths = [plan.length(pump * x) if cdf is None else cdf.shape[-1] + 1
+                   for plan, pump, cdf in zip(plans, pumps, shared)]
+        # A pair joins the group before it while the rows of the block of
+        # every pair of the group fit in the budget, and none is longer
+        # than the uniforms.
+        groups = []
+        for p, length in enumerate(lengths):
+            if (groups and max(lengths[groups[-1][0]], length) <= cfg.nu + 1
+                    and len(x) * n_a * sum(lengths[groups[-1][0] : p + 1]) <= _BLOCK_FLOATS):
+                groups[-1][1] = p + 1
+            else:
+                groups.append([p, p + 1])
+        for first, last in groups:
+            length = sum(lengths[first:last])
             chunk = max(1, _BLOCK_FLOATS // (n_a * length))
-            width = n_a if shared is not None else max(1, _BLOCK_FLOATS // length)
-            if shared is not None and length > cfg.nu + 1:
+            width = n_a if cfg.redraw == "per-repetition" else max(1, _BLOCK_FLOATS // length)
+            if cfg.redraw == "per-repetition" and length > cfg.nu + 1:
                 chunk = len(x)
             for lo in range(0, len(x), chunk):
                 hi = min(lo + chunk, len(x))
                 for f in range(0, n_a, width):
                     xs = x[lo:hi, f : f + width]
-                    # The last call's rows are freed only once the next are
-                    # built: freed before, they let the allocator hand the
-                    # heap top back, and each call faulted it in again.
-                    rows = shared if shared is not None else plan.rows(pump * xs, length)
-                    rows = rows.reshape(-1, xs.shape[1], rows.shape[-1])
-                    out[f : f + width, start + lo : start + hi] = _round_totals(rows, u[lo:hi]).T
+                    # The last call's rows (and CDFs, formed in them) are
+                    # freed only once the next are built: freed before, they
+                    # let the allocator hand the heap top back, and each
+                    # call faulted it in again.
+                    cdfs = shared[first:last] if cfg.redraw == "per-repetition" else [
+                        _cdf(plans[p].rows(pumps[p] * xs, lengths[p])) for p in range(first, last)]
+                    counted = _round_totals(cdfs, u[lo:hi]).T.reshape(last - first, -1, hi - lo)
+                    totals[first:last, f : f + width, start + lo : start + hi] = counted
     return totals
 
 
@@ -508,8 +543,8 @@ def fluctuation_study(
     means = sq_err.mean(axis=-1).tolist()
     ses = (sq_err.std(ddof=1, axis=-1) / math.sqrt(cfg.rounds)).tolist()
     summaries = []
-    for (source, detector), mean, se, low, high in zip(pairs, means, ses, lows, highs):
-        exact = fluctuation_mse(cfg, source, detector, channel, nodes)
+    for (source, detector), ref, mean, se, low, high in zip(pairs, refs, means, ses, lows, highs):
+        exact = fluctuation_mse(cfg, source, detector, channel, nodes, ref)
         summaries.append(
             [McSummary(*cells) for cells in zip(cfg.a_grid, mean, se, low, high, exact)]
         )

@@ -68,7 +68,7 @@ class TestMain:
         lines = out.read_text().strip().split("\n")
         # header + 101 t-points x (coherent, multiplexed, fock)
         assert len(lines) == 1 + 101 * 3
-        assert "rows ->" in capsys.readouterr().out
+        assert "rows ->" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -359,7 +359,7 @@ class TestMain:
         """Only a regular file is replaced: a device keeps its node."""
         assert main(["nr-ratio", "--out", os.devnull]) == 0
         assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
-        assert "rows -> " in capsys.readouterr().out
+        assert "rows -> " in capsys.readouterr().err
 
     def test_a_symlink_to_a_fifo_is_written_through(self, tmp_path):
         fifo, link = tmp_path / "fifo", tmp_path / "link.csv"
@@ -382,7 +382,8 @@ class TestMain:
         assert proc.returncode == 0, proc.stderr
         assert main(["nr-ratio", "--out", str(tmp_path / "fresh.csv")]) == 0
         fresh = (tmp_path / "fresh.csv").read_bytes()
-        assert proc.stdout == fresh + b"nr-ratio: 808 rows -> /dev/stdout\n"
+        assert proc.stdout == fresh
+        assert proc.stderr == b"nr-ratio: 808 rows -> /dev/stdout\n"
 
     def test_a_rerun_keeps_the_permission_bits_and_refuses_what_open_refuses(self, tmp_path):
         """The replacing file takes the old one's mode, and a read-only

@@ -109,6 +109,12 @@ def sources(draw, kinds=SOURCE_KINDS, fock_max=25, mean_max=5.0):
 STUDY_PAIRS = [(src, det) for det in Detector for src in (Coherent(0.5), make_multiplexed(3, 0.5))]
 
 
+def _cdfs(rows):
+    """The CDFs `_round_totals` searches: each row's cumulative sums but
+    the last."""
+    return np.cumsum(rows[..., :-1], axis=-1)
+
+
 def _study(cfg, source, detector, channel, seed):
     """`fluctuation_study` of the one pair (source, detector)."""
     return fluctuation_study(cfg, [(source, detector)], channel, seed)[0]
@@ -475,7 +481,7 @@ def test_round_totals_sum_the_inverse_cdf_draws(data, shape, mass):
     uniforms = st.one_of(st.floats(0.0, 1.0, exclude_max=True), on_cdf)
     u = np.array(data.draw(st.lists(uniforms, min_size=1, max_size=60)))
     want = [int(_invert_cdf(0, row, u).sum()) for row in rows]
-    assert _round_totals(rows[None], np.sort(u)[None])[0].tolist() == want
+    assert _round_totals([_cdfs(rows[None])], np.sort(u)[None])[0].tolist() == want
 
 
 @settings(CHECKS, max_examples=40)
@@ -506,7 +512,7 @@ def test_round_totals_search_from_either_side(data, rounds, n_a, length, nu, sha
         [int(_invert_cdf(0, row, u_r).sum()) for row in rows[0 if shared else r]]
         for r, u_r in enumerate(u)
     ]
-    assert _round_totals(rows, u).tolist() == want
+    assert _round_totals([_cdfs(rows)], u).tolist() == want
 
 
 @pytest.mark.parametrize("redraw", REDRAWS)
@@ -541,11 +547,12 @@ def test_round_totals_match_the_round_by_round_references(
     x, u = _round_streams(cfg, seed, 0, rounds)
     plan = detected_row_plan(source, detector, survival)
     if redraw == "per-round":
-        got = [_round_totals(plan.rows(pump * x_r)[None], u_r[None])[0] for x_r, u_r in zip(x, u)]
+        got = [_round_totals([_cdfs(plan.rows(pump * x_r)[None])], u_r[None])[0]
+               for x_r, u_r in zip(x, u)]
         want = per_round_totals(plan.rows, pump, a_grid, rounds, nu, negatives, seed)
     else:
         nodes = pump_nodes(a_grid, negatives)
-        got = _round_totals(_averaged_rows(plan, pump, nodes)[None], u)
+        got = _round_totals([_cdfs(_averaged_rows(plan, pump, nodes)[None])], u)
         want = per_repetition_totals(plan.rows, pump, nodes, rounds, nu, seed)
     assert np.array(got).T.tolist() == want.tolist()
 
@@ -1181,15 +1188,56 @@ class TestFluctuationStudy:
                 assert grid == alone
 
     @pytest.mark.parametrize("redraw", REDRAWS)
-    def test_pairs_equal_single_pair_studies(self, redraw):
+    @settings(CHECKS, max_examples=40)
+    @example(pairs=STUDY_PAIRS, a_grid=(0.0, 0.3, 0.6), rounds=30, nu=50, negatives="resample",
+             seed=9, budget=montecarlo._BLOCK_FLOATS)
+    # One block of 5 rounds against a budget of 200 floats: the coherent
+    # rows of 91-277 counts are longer than the 20 uniforms and pass the
+    # budget in one round, so per round each round's two fractions split
+    # across calls; the rows of 17-29 counts take a group of their own,
+    # and the two multiplexed pairs one group, one search per round.
+    @example(
+        pairs=[
+            (Coherent(30.0), Detector.NUMBER_RESOLVING),
+            (Coherent(0.5), Detector.NUMBER_RESOLVING),
+            (make_multiplexed(3, 0.5), Detector.THRESHOLD),
+            (make_multiplexed(3, 0.5), Detector.NUMBER_RESOLVING),
+        ],
+        a_grid=(0.0, 0.6), rounds=5, nu=20, negatives="clamp", seed=3, budget=200,
+    )
+    @given(
+        pairs=st.lists(
+            st.tuples(sources(mean_max=10.0), st.sampled_from(list(Detector))),
+            min_size=1,
+            max_size=4,
+        ),
+        a_grid=st.lists(st.floats(0.0, 0.6), min_size=1, max_size=3).map(tuple),
+        rounds=st.integers(2, 6),
+        nu=st.integers(1, 300),
+        negatives=st.sampled_from(NEGATIVES),
+        seed=st.integers(0, 2**32 - 1),
+        budget=st.integers(1, 3000),
+    )
+    def test_pairs_equal_single_pair_studies(
+        self, redraw, pairs, a_grid, rounds, nu, negatives, seed, budget
+    ):
         """The pairs of one study share its round streams, and each gets the
-        summaries it gets alone."""
-        cfg = FluctuationConfig(
-            a_grid=(0.0, 0.3, 0.6), rounds=30, nu=50, redraw=redraw, negatives="resample"
-        )
-        assert fluctuation_study(cfg, STUDY_PAIRS, CH, 9) == [
-            _study(cfg, src, det, CH, 9) for src, det in STUDY_PAIRS
-        ]
+        summaries it gets alone, whether its CDFs are searched with those of
+        the pairs beside it or alone: the block budget `budget` leaves some
+        rows within it and some past it, and some shared rows longer than
+        nu.  A Fock state has no pump to fluctuate, so each drawn Fock pair
+        is refused, beside the other pairs, and they are studied without it."""
+        cfg = FluctuationConfig(a_grid, rounds, nu, redraw, negatives)
+        fock = [pair for pair in pairs if isinstance(pair[0], Fock)]
+        pairs = [pair for pair in pairs if pair not in fock]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "_BLOCK_FLOATS", budget)
+            for pair in fock:
+                with pytest.raises(TypeError, match="not a pump-driven source"):
+                    fluctuation_study(cfg, [*pairs, pair], CH, seed)
+            assert fluctuation_study(cfg, pairs, CH, seed) == [
+                _study(cfg, src, det, CH, seed) for src, det in pairs
+            ]
 
     @pytest.mark.parametrize("redraw", REDRAWS)
     def test_one_bit_generator_per_block_and_one_quadrature_per_study(self, redraw, monkeypatch):
