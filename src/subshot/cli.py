@@ -216,13 +216,12 @@ def _open_output(path: Path, stack: contextlib.ExitStack, replacements: list) ->
 
 def _write_outputs(rows, experiment: str, out: str | None, fmt: str) -> list[str]:
     base = Path(out) if out else Path(f"{experiment}.{'csv' if fmt != 'json' else 'json'}")
-    if base.is_symlink():  # name the JSON of --format both after the linked file
-        base = _regular_target(base) or base
-    paths = {}
-    if fmt in ("csv", "both"):
-        paths["csv"] = base if base.suffix == ".csv" or fmt == "csv" else base.with_suffix(".csv")
-    if fmt in ("json", "both"):
-        paths["json"] = base.with_suffix(".json") if base.suffix != ".json" else base
+    paths = {fmt: base}
+    if fmt == "both":
+        if (target := _regular_target(base)) is None:
+            raise OSError(f"--out {out} is not a regular file, beside which --format both "
+                          f"writes its .csv and .json files")
+        paths = {"csv": target.with_suffix(".csv"), "json": target.with_suffix(".json")}
     # Each regular output is written whole to a hidden sibling, which then
     # replaces it: a failed run leaves every earlier output's bytes and no
     # temporary file, and a symlinked --out stays a link.

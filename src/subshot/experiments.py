@@ -21,11 +21,10 @@ by `==`, since 0.0 == -0.0 and 1 == 1.0 spell apart.  The row format and
 its CSV and JSON writers live in `subshot.output`.
 `SweepConfig.validate` checks that every number is a Python int or float
 (an int for a count) and every grid a sequence, checks the run-level rules,
-and builds the channels, the fluctuation config and the untuned networks
-(`Multiplexed` at pump 0) the run builds, whose constructors own the ranges
-of their fields; one call of the rule the pump tuning applies
-(`check_reach`), without tuning a pump, checks that the networks reach the
-means the run tunes (`_tuned_means`) within the run's pair limits.
+builds the channels, the fluctuation config and the untuned networks, whose
+constructors own the ranges of their fields, then the run's sources once:
+their tuned pumps meet the pair limits, and they predict the footprint a
+Monte Carlo run must keep within its budgets.  The run uses those sources.
 """
 
 from __future__ import annotations
@@ -50,6 +49,8 @@ from subshot.montecarlo import (
     FluctuationConfig,
     fluctuation_study,
     mc_estimate,
+    study_footprint,
+    total_footprint,
 )
 from subshot.output import ROW_COLUMNS, Indexed, RowTable
 # Bound here too: bench/make_reference.py imports it from this module.
@@ -64,16 +65,13 @@ from subshot.sources import (
     Multiplexed,
     Source,
     check_count,
-    check_reach,
     make_multiplexed,
 )
 
 # Largest accepted mean photon number per repetition.  The sources studied
-# deliver about one photon.  The Monte Carlo count rows grow with the mean:
-# at this cap the default fluctuations run takes ~0.5 s and ~40 MB, at 1e5
-# it takes ~2.5 s and ~67 MB (one process on 2 vCPUs).  Per repetition it
-# takes ~0.9 s and ~48 MB at this cap.  The exact reports square the
-# reference mean, which overflows a float beyond ~1e154.
+# deliver about one photon; the exact reports square the reference mean,
+# which overflows a float beyond ~1e154.  The default fluctuations run takes
+# ~0.5 s and ~40 MB at this cap (0.7 s and 47 MB per repetition).
 MAX_MEAN = 1e4
 
 # Smallest accepted detector efficiency times mean photon number.  The exact
@@ -94,53 +92,19 @@ MIN_REFERENCE = 1e-100
 # runs at herald 1e-300 (b = 6.3e149) and is refused at 1e-306.
 MIN_THRESHOLD_REFERENCE = 1e-153
 
-# Largest pairs per window at the sample, at the largest pump of the
-# pump-node layout, of a multiplexed source whose count rows a Monte Carlo
-# run samples, keyed by experiment and the fluctuation study by its redraw
-# mode.  A weak herald needs rare bursts of many pairs, and the count rows
-# span the burst.  At each limit, with the other fields at their defaults
-# (one process on 2 vCPUs): `fluctuations` takes 3.4 s and 54 MB (herald
-# 8.4e-13) per round, and 1.1 s and 52 MB (herald 8.4e-11) per repetition.
-# `mc-validate` builds no count rows: its totals come from the generating
-# function (`montecarlo._total_count_pmf`), whose window spans the total's
-# standard deviation.  At its limit it takes 0.26 s and 56 MB (herald
-# 7e-11), and past it, in-process, 0.29 s and 112 MB at herald 1e-11 and
-# 0.52 s and 189 MB at 1e-12.  Above the default nu its limit shrinks like
-# 1/sqrt(nu), but never below the 2 * mean pairs of a strong herald; at
-# that limit it takes 0.23, 0.30, 0.25, 0.43 and 0.75 s at nu = 1e3, 1e4,
-# 1e5, 1e6 and 1e8 (190 MB at 1e8).  Its values date from the convolution
-# power these totals replaced, which took 25 s at herald 7e-11; loosening
-# them is a change of its own.
-MAX_SAMPLED_PAIRS = {"mc-validate": 5e4, "per-round": 1.5e6, "per-repetition": 1.5e5}
+# Budgets of a Monte Carlo run on what its tuned sources predict it builds
+# (`montecarlo.total_footprint`, `study_footprint`), fresh under `python -W
+# error` on 2 vCPUs.  Floats held at the peak, found by tracemalloc within 20%
+# of the prediction: 4.2e6 (4.2e6 predicted) at `mc-validate --nu 1000
+# --eta-herald 1e-10`, 4.8e6 (4.5e6) per repetition at herald 1e-11, 3.4e6
+# (3.4e6) at `fluctuations --rounds 20000`.  Runs just inside peak at 54-70
+# MB; `mc-validate --nu 10000 --mean-n 10000 --eta-herald 6.1e-6` took 1.2 GB.
+MAX_HELD_FLOATS = 4 * 10**6
 
-# Caps on what a Monte Carlo run's cost grows with, each measured fresh
-# under `python -W error` on 2 vCPUs, the other fields at their defaults.
-# A fluctuation round holds its nu sorted uniforms and their int64 search
-# results (`montecarlo._round_streams`, `_round_totals`): 2 rounds at this
-# nu take 0.8 s and 189 MB, where nu = 2e9 would hold 16 GB of uniforms.
-MAX_STUDY_NU = 10**7
-
-# A fluctuation study draws and sorts rounds x nu uniforms: 100 rounds at
-# nu = 1e7 take 13.5 s and 189 MB at this cap, 50 rounds at nu = 1e6 0.9 s.
-MAX_STUDY_DRAWS = 10**9
-
-# A fluctuation study holds its round totals, squared errors and their sort
-# (`montecarlo.fluctuation_study`): three floats per (pair, fraction, round),
-# its count here.  At this cap, 2.5e6 rounds of 4 pairs (`--m 1`) at one
-# fraction take 30 s and 342 MB; 1e5 rounds of the command line's default 6
-# pairs x 7 fractions take 4.6 s and 168 MB, and 1e8 rounds of them would
-# hold 34 GB in each of the three.
-MAX_STUDY_CELLS = 10**7
-
-# `mc-validate` forms the law of a total of variance up to about
-# nu x max(1, mean) times the pairs per window of a burst, on a window that
-# spans its standard deviation (`montecarlo._total_count_pmf`).  At this
-# cap it takes 0.33 s and 56 MB at nu = 1e8, 0.29 s at nu = 1e6 and mean
-# 100, and 0.36 s at nu = 1e4 and mean 1e4.  The pair limit's 2 * mean
-# floor lets a weak herald spread the total further: 5.1 s and 1.2 GB at
-# nu = 1e4, mean 1e4 and herald 6.1e-6, a window of 2**24 counts.  The
-# coherent pair has no pair limit, so nothing else bounds it.
-MAX_VALIDATE_SPREAD = 1e8
+# Count-row entries and uniforms formed, which a run's time grows with: at
+# 2e9 uniforms `fluctuations --nu 1000000 --rounds 1999` takes 23 s, and
+# `--eta-herald 1e-12 --a-grid 0:0.6:25` forms 1.8e9 in 8-11 s.
+MAX_FORMED_ENTRIES = 2 * 10**9
 
 # Largest networks x transmissions x means of a run, the entries of each
 # array its exact reports evaluate on a leading network axis (the networks'
@@ -222,7 +186,8 @@ class SweepConfig:
                     value = tuple(_plain_number(kind, v) for v in value)
                 object.__setattr__(self, f.name, value)
 
-    def validate(self) -> None:
+    def validate(self) -> list[Source]:
+        """Check every field; return the run's sources, tuned once here."""
         if self.experiment not in EXPERIMENTS:
             raise ConfigError("experiment", f"unknown experiment {self.experiment!r}")
         # `__post_init__` made every integer-valued number an int, every other
@@ -256,62 +221,35 @@ class SweepConfig:
         calibration = (self.herald_eff, self.stage_transmission, self.optics_transmission)
         try:
             Channel(np.array(self.t_grid), self.detector_eff)
-            networks = [Multiplexed(m, 0.0, *calibration) for m in self.stage_counts]
+            [Multiplexed(m, 0.0, *calibration) for m in self.stage_counts]
         except ConfigError as err:
             field = {"transmission": "t_grid", "stages": "stage_counts"}.get(err.field, err.field)
             raise ConfigError(field, err.reason) from None
         Channel(self.transmission, self.detector_eff)
-        FluctuationConfig(self.a_grid, self.rounds, self.nu, self.redraw, self.negatives)
-        self._validate_sampling()
-        self._validate_reference()
-        if self.experiment == "mc-validate":
-            networks = [Multiplexed(m, 0.0, *calibration) for m in _MC_VALIDATE_STAGES]
-        self._validate_pairs(networks)
-
-    def _validate_sampling(self) -> None:
-        """A Monte Carlo run must stay within the caps on what its cost
-        grows with: `MAX_STUDY_NU`, `MAX_STUDY_DRAWS` and `MAX_STUDY_CELLS`
-        for a fluctuation study, `MAX_VALIDATE_SPREAD` for `mc-validate`."""
-        nu, rounds, mean = self.nu, self.rounds, self.mean_photons
-        if self.experiment == "mc-validate" and nu * max(1, mean) > MAX_VALIDATE_SPREAD:
-            raise ConfigError("nu", f"{nu} repetitions at mean {mean} give total count laws "
-                                    f"too wide to form in seconds: nu x max(1, mean) "
-                                    f"must be at most {MAX_VALIDATE_SPREAD:g}")
-        if self.experiment != "fluctuations":
-            return
-        if nu > MAX_STUDY_NU:
-            raise ConfigError("nu", f"{nu} repetitions per round hold more uniforms than the "
-                                    f"{MAX_STUDY_NU:g} a round holds in bounded memory")
-        if rounds * nu > MAX_STUDY_DRAWS:
-            raise ConfigError("rounds", f"{rounds} rounds of nu = {nu} draw more uniforms than "
-                                        f"the {MAX_STUDY_DRAWS:g} a study draws in seconds")
-        # The pairs: the coherent source and each network, with both detectors.
-        cells = rounds * len(self.a_grid) * 2 * (1 + len(self.stage_counts))
-        if cells > MAX_STUDY_CELLS:
-            raise ConfigError("rounds", f"{rounds} rounds of every (pair, fraction) make {cells} "
-                                        f"round totals, more than the {MAX_STUDY_CELLS:g} a "
-                                        f"study holds in bounded memory")
-
-    def _validate_reference(self) -> None:
-        """The detector efficiency times the smallest mean the run tunes must
-        reach MIN_REFERENCE; name the smaller factor, as `check_reach` names
-        the weakest loss."""
-        mean = min(_tuned_means(self))
-        if self.detector_eff * mean < MIN_REFERENCE:
+        study = FluctuationConfig(self.a_grid, self.rounds, self.nu, self.redraw, self.negatives)
+        # The estimator reference would vanish; the smaller factor is named.
+        if self.detector_eff * (mean := min(_tuned_means(self))) < MIN_REFERENCE:
             field = "mean_grid" if self.experiment in _DEFAULT_MEAN_GRIDS else "mean_photons"
-            raise ConfigError(
-                "detector_eff" if self.detector_eff <= mean else field,
-                f"detector efficiency {self.detector_eff} times mean {mean} is below "
-                f"{MIN_REFERENCE:g}: the estimator reference would vanish",
-            )
+            raise ConfigError("detector_eff" if self.detector_eff <= mean else field,
+                              f"detector efficiency {self.detector_eff} times mean {mean} is "
+                              f"below {MIN_REFERENCE:g}: the estimator reference would vanish")
+        sources = _sources(self)
+        self._validate_pairs(sources[1:])
+        if self.experiment in ("mc-validate", "fluctuations"):
+            check_count("nu", self.nu, 1, MAX_TRIALS)  # drawn and counted in int64
+            check_count("rounds", self.rounds, 2, MAX_TRIALS)
+            self._validate_footprint(sources, study)
+        return sources
 
     def _validate_pairs(self, networks) -> None:
-        """The `networks` must reach the means the run tunes with pairs per
-        window at the sample that the run's closed forms and count rows take
-        (`sources.check_reach`), at the largest pump the run evaluates: the
-        top pump node of a fluctuation study, else the tuned pump."""
+        """The tuned `networks` must reach the means with pairs per window at
+        the sample (pump Q) that keep the run's closed forms in the float
+        range, at the largest pump the run evaluates: the top pump node of a
+        fluctuation study, else the tuned pump."""
         top = 1.0 + PUMP_Z_MAX * max(self.a_grid) if self.experiment == "fluctuations" else 1.0
         means = np.array(_tuned_means(self))
+        pairs = np.array([np.ravel(n.pair_mean) * n.stage_transmission**n.stages
+                          * n.optics_transmission for n in networks])
         limits = {}
         if self.experiment != "nr-ratio":  # forms a threshold reference
             limits[f"below which the threshold reference stays above "
@@ -323,15 +261,39 @@ class SweepConfig:
             windows = np.array([2.0**network.stages for network in networks])[:, None]
             limits["below which its number-resolving second moment stays finite"] = (
                 1e154 / np.sqrt(windows) / top)
-        cap = MAX_SAMPLED_PAIRS.get(self.redraw if self.experiment == "fluctuations"
-                                    else self.experiment)
-        if cap is not None:
-            limits[f"below which the count laws that {self.experiment} samples stay short "
-                   f"enough to build"] = cap / top
-        if self.experiment == "mc-validate" and self.nu > SweepConfig.nu:  # MAX_SAMPLED_PAIRS
-            limits[f"below which the total count over nu = {self.nu} repetitions forms in "
-                   f"seconds"] = np.maximum(cap * (SweepConfig.nu / self.nu) ** 0.5, 2 * means)
-        check_reach(networks, means, limits)
+        for reason, limit in limits.items():
+            if (past := pairs > limit).any():
+                i, j = np.argwhere(past)[0]
+                raise ConfigError("herald_eff", f"{self.herald_eff} is too small: a "
+                                                f"{networks[i].stages}-stage source needs "
+                                                f"{pairs[i, j]:.3g} pairs per window at the "
+                                                f"sample to reach mean {means[j]}, {reason}")
+
+    def _validate_footprint(self, sources, study: FluctuationConfig) -> None:
+        """Refuse a Monte Carlo run whose tuned `sources` predict it holds
+        more than MAX_HELD_FLOATS or forms more than MAX_FORMED_ENTRIES.  The
+        first names the first part of the held floats past it alone, a round's
+        uniforms (`nu`) before the round totals (`rounds`), else the largest;
+        the pairs' rows or windows name `herald_eff` if the widest is a
+        multiplexed pair's (its bursts), else `nu`, or `mean_photons` in a
+        study.  The second names `rounds`."""
+        validating = self.experiment == "mc-validate"
+        survival = self.transmission * self.detector_eff
+        pairs = _canned(sources) if validating else _study_pairs(sources)
+        held, formed, parts, sizes = (total_footprint(pairs, survival, self.nu) if validating
+                                      else study_footprint(study, pairs, survival))
+        if held > MAX_HELD_FLOATS:
+            grows = next((part for part, size in parts.items() if size > MAX_HELD_FLOATS),
+                         max(parts, key=parts.get))
+            if grows is None:  # the pairs' rows or windows
+                widest = pairs[sizes.index(max(sizes))][0]
+                grows = ("herald_eff" if isinstance(widest, Multiplexed)
+                         else "nu" if validating else "mean_photons")
+            raise ConfigError(grows, f"the run would hold {held:.3g} floats at its peak, more "
+                                     f"than the {MAX_HELD_FLOATS:g} it may")
+        if formed > MAX_FORMED_ENTRIES:
+            raise ConfigError("rounds", f"the run would form {formed:.3g} count-row entries and "
+                                        f"uniforms, more than the {MAX_FORMED_ENTRIES:g} it may")
 
     def canonical(self) -> str:
         pairs = []
@@ -409,14 +371,32 @@ def _tuned_means(cfg: SweepConfig) -> tuple[float, ...]:
     return (cfg.mean_photons,)
 
 
-def _sources(cfg: SweepConfig, mean, stages=None) -> list[Source]:
-    """The coherent source and one multiplexed source per stage count of
-    `stages` (default `cfg.stage_counts`), each delivering `mean` photons to
-    the sample: a float, or an array of means that the sources' pumps then
-    follow.  Every multiplexed pump of the run is tuned in one
-    `tune_pair_mean` call."""
+def _sources(cfg: SweepConfig) -> list[Source]:
+    """The run's coherent source and one multiplexed source per stage count
+    (`_MC_VALIDATE_STAGES` for `mc-validate`), each delivering the run's mean
+    photons to the sample: `mean_photons`, or the mean grid of a mean sweep,
+    which the sources' pumps then follow (on an axis ahead of the t-grid's
+    for `asymptotic`).  Every pump is tuned in one `tune_pair_mean` call."""
+    means = np.array(_tuned_means(cfg))
+    mean = {"intensity-sweep": means, "asymptotic": means[:, None]}.get(cfg.experiment,
+                                                                         cfg.mean_photons)
+    stages = _MC_VALIDATE_STAGES if cfg.experiment == "mc-validate" else cfg.stage_counts
     calibration = (cfg.herald_eff, cfg.stage_transmission, cfg.optics_transmission)
-    return [Coherent(mean)] + make_multiplexed(stages or cfg.stage_counts, mean, *calibration)
+    return [Coherent(mean)] + make_multiplexed(stages, mean, *calibration)
+
+
+def _study_pairs(sources: list[Source]) -> list:
+    """The (source, detector) pairs of a fluctuation study of `sources`."""
+    return [(source, detector) for detector in Detector for source in sources]
+
+
+def _canned(sources: list[Source]) -> list:
+    """The canned (source, detector) pairs of `mc-validate`, spanning both
+    detectors and all three sources, from its three `sources`."""
+    coherent, mux2, mux5 = sources
+    nr, threshold = Detector
+    return [(coherent, nr), (coherent, threshold), (Fock(1), nr), (Fock(1), threshold),
+            (mux2, nr), (mux5, threshold)]
 
 
 def _exact_rows(cfg: SweepConfig, groups: list, detectors, channel: Channel, mean):
@@ -447,37 +427,34 @@ def _exact_rows(cfg: SweepConfig, groups: list, detectors, channel: Channel, mea
     return _grid_rows(cfg, pairs, channel, mean, **outputs)
 
 
-def _ratio_sweep(cfg: SweepConfig, detector: Detector):
+def _ratio_sweep(cfg: SweepConfig, sources: list[Source], detector: Detector):
     """Exact reports over the t-grid for coherent, multiplexed and Fock
     sources.  Threshold rows carry both the bias and the MSE ratio, so
     `threshold-bias` and `threshold-ratio` share this sweep."""
-    (mean,) = _tuned_means(cfg)
-    coherent, *networks = _sources(cfg, mean)
+    coherent, *networks = sources
     channel = Channel(np.array(cfg.t_grid), cfg.detector_eff)
-    return _exact_rows(cfg, [coherent, networks, Fock(1)], (detector,), channel, mean)
+    return _exact_rows(cfg, [coherent, networks, Fock(1)], (detector,), channel, coherent.mean)
 
 
-def _run_intensity_sweep(cfg: SweepConfig):
+def _run_intensity_sweep(cfg: SweepConfig, sources: list[Source]):
     """Ratio versus input mean photon number at fixed sample transmission,
     one report per detector for the coherent source and one for all the
     networks, each over the whole mean grid."""
-    means = np.array(_tuned_means(cfg))
+    coherent, *networks = sources
     ch = Channel(cfg.transmission, cfg.detector_eff)
-    coherent, *networks = _sources(cfg, means)
-    return _exact_rows(cfg, [coherent, networks], Detector, ch, means)
+    return _exact_rows(cfg, [coherent, networks], Detector, ch, coherent.mean)
 
 
-def _run_asymptotic(cfg: SweepConfig):
+def _run_asymptotic(cfg: SweepConfig, sources: list[Source]):
     """Infinite-repetition relative MSE floor of the threshold estimators,
     one closed-form call over the whole (mean x t) grid for the coherent
     source and one for all the networks."""
     ch = Channel(np.array(cfg.t_grid), cfg.detector_eff)
-    means = np.array(_tuned_means(cfg))[:, None]
-    coherent, *networks = sources = _sources(cfg, means)
+    coherent, *networks = sources
     floors = [asymptotic_relative_mse_floor(coherent, ch),
               *asymptotic_relative_mse_floor(networks, ch)]
     pairs = [(source, Detector.THRESHOLD) for source in sources]
-    return _grid_rows(cfg, pairs, ch, means, asymptotic_floor_percent=floors)
+    return _grid_rows(cfg, pairs, ch, coherent.mean, asymptotic_floor_percent=floors)
 
 
 def _z_score(sampled: float, exact: float, se: float) -> float:
@@ -492,47 +469,35 @@ def _columns(records: list) -> dict[str, list]:
     return dict(zip(records[0]._fields, map(list, zip(*records))))
 
 
-def _run_fluctuations(cfg: SweepConfig):
+def _run_fluctuations(cfg: SweepConfig, sources: list[Source]):
     """Seeded pump-fluctuation study over the a-grid, each row with the
     exact MSE it samples and its deviation in standard errors.  The deviation
     is skewed under per-round pump noise, so it is recorded, not bounded."""
     mc_cfg = FluctuationConfig(cfg.a_grid, cfg.rounds, cfg.nu, cfg.redraw, cfg.negatives)
-    t, (mean,) = cfg.transmission, _tuned_means(cfg)
-    sources = _sources(cfg, mean)
-    pairs = [(source, detector) for detector in Detector for source in sources]
+    t, pairs = cfg.transmission, _study_pairs(sources)
     studies = fluctuation_study(mc_cfg, pairs, Channel(t, cfg.detector_eff), cfg.seed)
     s = _columns([summary for pair_summaries in studies for summary in pair_summaries])
     return _rows(
         cfg, pairs, [i for i, pair_summaries in enumerate(studies) for _ in pair_summaries],
-        t, mean, fluctuation=s["fluctuation"], mse=s["mean_mse"], ci_low=s["ci_low"],
-        ci_high=s["ci_high"], mse_exact=s["mse_exact"],
+        t, cfg.mean_photons, fluctuation=s["fluctuation"], mse=s["mean_mse"],
+        ci_low=s["ci_low"], ci_high=s["ci_high"], mse_exact=s["mse_exact"],
         z_mse=list(map(_z_score, s["mean_mse"], s["mse_exact"], s["mse_se"])),
     )
 
 
-def _run_mc_validate(cfg: SweepConfig):
-    """Monte Carlo versus exact reports for a canned configuration set
-    spanning both detectors and all three sources; configuration i is
-    sampled with seed + i."""
-    t, (mean,) = cfg.transmission, _tuned_means(cfg)
+def _run_mc_validate(cfg: SweepConfig, sources: list[Source]):
+    """Monte Carlo versus exact reports for the canned configuration set
+    (`_canned`); configuration i is sampled with seed + i."""
+    t, canned = cfg.transmission, _canned(sources)
     ch = Channel(t, cfg.detector_eff)
-    coherent, mux2, mux5 = _sources(cfg, mean, _MC_VALIDATE_STAGES)
-    canned: list[tuple[Source, Detector]] = [
-        (coherent, Detector.NUMBER_RESOLVING),
-        (coherent, Detector.THRESHOLD),
-        (Fock(1), Detector.NUMBER_RESOLVING),
-        (Fock(1), Detector.THRESHOLD),
-        (mux2, Detector.NUMBER_RESOLVING),
-        (mux5, Detector.THRESHOLD),
-    ]
     index = list(range(len(canned)))
     seeds = [cfg.seed + i for i in index]
     exact = _columns([exact_report(source, detector, ch, cfg.nu) for source, detector in canned])
     mc = _columns([mc_estimate(source, detector, ch, cfg.nu, cfg.trials, seed=seed)
                    for (source, detector), seed in zip(canned, seeds)])
     return _rows(
-        cfg, canned, index, t, mean, seed=seeds, expectation=mc["expectation"], mse=mc["mse"],
-        mse_exact=exact["mse"],
+        cfg, canned, index, t, cfg.mean_photons, seed=seeds, expectation=mc["expectation"],
+        mse=mc["mse"], mse_exact=exact["mse"],
         z_expectation=list(map(_z_score, mc["expectation"], exact["expectation"],
                                mc["expectation_se"])),
         z_mse=list(map(_z_score, mc["mse"], exact["mse"], mc["mse_se"])),
@@ -553,6 +518,7 @@ EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run_experiment(cfg: SweepConfig) -> RowTable:
-    """Evaluate the full grid of `cfg` in deterministic grid order."""
-    cfg.validate()
-    return _RUNNERS[cfg.experiment](cfg)
+    """Evaluate the full grid of `cfg` in deterministic grid order, on the
+    sources its `validate` tunes."""
+    sources = cfg.validate()
+    return _RUNNERS[cfg.experiment](cfg, sources)

@@ -16,7 +16,7 @@ one count raised to the nu-th power, inverted by one FFT on a window that
 holds all but `sources.ROW_TAIL` of each tail (`_total_count_pmf`), at a
 cost that grows like the total's standard deviation, not like nu: its
 Chernoff edges, from `sources.count_window`, the rule that sizes every
-count row too.
+count row too (`_total_window`).
 
 In the fluctuation study the pump strength becomes a Gaussian random variable
 (sigma = a * mean around the source's own pump, truncated at zero) and the
@@ -39,8 +39,10 @@ group of its own, counted as many rounds at a time as its rows fit: per
 round, the rows at the chunk's pumps, built in one call (split by fraction
 where one round's pass it); per repetition, its shared CDFs, from the rows
 at the pump nodes, built in chunks of nodes under the budget too.  Each
-row is built at one length per block (per repetition, per study), which
-the pair's one row plan per study gives without building a row.
+row is built at one length per block (per repetition, per study, the
+`_row_lengths`), which its row plan gives without building a row.  By the
+same rules `total_footprint` and `study_footprint` predict what a run
+holds and forms, before it builds anything.
 Both modes keep one uniform per draw, not a histogram, so that every
 fluctuation fraction shares them (common random numbers, below).
 Negative draws clamp to zero by default or are resampled; both modes are the
@@ -135,6 +137,10 @@ _ROUND_STEP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 _NOISE_FLOOR = 4.0
 _PEAK_FLOOR = 4 * 2.0**-52
 
+# Floats `_total_count_pmf` holds per count of its window at its peak, in
+# complex temporaries (tracemalloc: 8.1 at windows of 2**17 to 2**20 counts).
+_FFT_FLOATS = 8
+
 # How often the fluctuating pump is redrawn, and what becomes of Gaussian
 # pump draws below zero; the first of each is the default.
 REDRAWS = ("per-round", "per-repetition")
@@ -145,6 +151,13 @@ def _check_mode(field: str, value: str, allowed: tuple[str, ...]) -> None:
     """ConfigError naming `field` unless `value` is one of `allowed`."""
     if value not in allowed:
         raise ConfigError(field, f"must be one of {', '.join(allowed)}, got {value!r}")
+
+
+def _total_window(source: Source, detector, survival: float, nu: int) -> tuple[int, int]:
+    """First count k0 and FFT size of `_total_count_pmf`'s window: the
+    power of two above the span of `sources.count_window`'s edges."""
+    k0, top = count_window(detected_log_pgf(source, detector, survival, CHERNOFF_POINTS), nu)
+    return k0, 1 << (top - k0).bit_length()
 
 
 def _total_count_pmf(source: Source, detector, survival: float, nu: int) -> tuple[int, np.ndarray]:
@@ -165,8 +178,7 @@ def _total_count_pmf(source: Source, detector, survival: float, nu: int) -> tupl
     `_PEAK_FLOOR` times the largest, are zeroed, and the rest is trimmed of
     zero ends and normalized.
     """
-    k0, top = count_window(detected_log_pgf(source, detector, survival, CHERNOFF_POINTS), nu)
-    size = 1 << (top - k0).bit_length()
+    k0, size = _total_window(source, detector, survival, nu)
     theta = np.arange(size // 2 + 1) * (2.0 * math.pi / size)
     # numpy's complex expm1 forms cos - 1 as -2 sin^2(theta / 2).
     log_g = detected_log_pgf(source, detector, survival, np.expm1(-1j * theta))
@@ -417,15 +429,23 @@ def _round_streams(
     return x, u
 
 
-def _averaged_rows(plan, pump: float, nodes: tuple) -> np.ndarray:
+def _row_lengths(cfg: FluctuationConfig, plans: list, pumps: list, nodes: tuple) -> list[int]:
+    """The longest count row each plan's pair builds in a study, building
+    none: per repetition, `plan.length` at the pump nodes `nodes`, the length
+    of every averaged row; per round, at the top node 1 + PUMP_Z_MAX * max(a),
+    which no round's pump passes but with probability below 1e-23."""
+    x = nodes[0] if cfg.redraw == "per-repetition" else 1.0 + PUMP_Z_MAX * max(cfg.a_grid)
+    return [plan.length(pump * x) for plan, pump in zip(plans, pumps)]
+
+
+def _averaged_rows(plan, pump: float, nodes: tuple, length: int) -> np.ndarray:
     """Pump-averaged count row of each fluctuation fraction, shape (a, counts);
     `nodes` holds the `pump_nodes` layout of the fractions, relative to `pump`.
-    Every row is built at the one length `plan.length` gives at all the
-    nodes (building no row), in consecutive chunks of the layout of at most
-    max(1, _BLOCK_FLOATS // length) nodes, each chunk's weighted rows added
-    into every fraction it overlaps; at most two chunks' rows are held."""
+    Every row is built at `length` (`_row_lengths`), in consecutive chunks of
+    the layout of at most max(1, _BLOCK_FLOATS // length) nodes, each chunk's
+    weighted rows added into every fraction it overlaps; at most two chunks'
+    rows are held."""
     x, w, ends = nodes
-    length = plan.length(pump * x)
     averaged = np.zeros((len(ends) - 1, length))
     step = max(1, _BLOCK_FLOATS // length)
     for lo in range(0, x.size, step):
@@ -463,8 +483,9 @@ def _study_totals(
     totals = np.empty((len(pairs), n_a, cfg.rounds))
     plans = [detected_row_plan(*pair, survival) for pair in pairs]
     pumps = [source_pump(source) for source, _ in pairs]
-    shared = [None if cfg.redraw == "per-round" else _cdf(_averaged_rows(plan, pump, nodes)[None])
-              for plan, pump in zip(plans, pumps)]
+    shared = [None] * len(pairs) if cfg.redraw == "per-round" else [
+        _cdf(_averaged_rows(plan, pump, nodes, length)[None])
+        for plan, pump, length in zip(plans, pumps, _row_lengths(cfg, plans, pumps, nodes))]
     step = max(1, _BLOCK_FLOATS // cfg.nu)
     for start in range(0, cfg.rounds, step):
         x, u = _round_streams(cfg, seed, start, min(start + step, cfg.rounds))
@@ -499,6 +520,39 @@ def _study_totals(
                     counted = _round_totals(cdfs, u[lo:hi]).T.reshape(last - first, -1, hi - lo)
                     totals[first:last, f : f + width, start + lo : start + hi] = counted
     return totals
+
+
+def total_footprint(pairs: list, survival: float, nu: int) -> tuple:
+    """What `mc_estimate` builds over the (source, detector) `pairs`, not
+    building it: the floats held at the peak, the entries formed, the held
+    floats by what grows them ("nu", "rounds" or None for the pairs' rows or
+    windows) and each pair's window (or longest row): one window per pair,
+    each held alone with `_FFT_FLOATS` floats per count."""
+    sizes = [_total_window(source, detector, survival, nu)[1] for source, detector in pairs]
+    return _FFT_FLOATS * max(sizes), sum(sizes), {None: _FFT_FLOATS * max(sizes)}, sizes
+
+
+def study_footprint(cfg: FluctuationConfig, pairs: list, survival: float) -> tuple:
+    """What `fluctuation_study` builds over the (source, detector) `pairs`,
+    as `total_footprint` gives it, by the rules of `_study_totals` at the
+    `_row_lengths`.  Held while the blocks run: the round totals, a block's
+    uniforms with their search results, and rows of calls of at most
+    max(_BLOCK_FLOATS, row length) each: per repetition, four (the call, the
+    one before and the build's temporaries: 4-4.5 by tracemalloc) beside
+    every pair's CDFs; per round, two, at top-node lengths 2-3x those of the
+    pumps drawn.  At the end, four floats per round total (the totals, the
+    squared errors, their sort and their spread's temporary).  Formed: the
+    uniforms, and the rows of every round, or per repetition of every node."""
+    nodes = pump_nodes(cfg.a_grid, cfg.negatives) if cfg.redraw == "per-repetition" else None
+    plans = [detected_row_plan(*pair, survival) for pair in pairs]
+    lengths = _row_lengths(cfg, plans, [source_pump(source) for source, _ in pairs], nodes)
+    cells = len(pairs) * len(cfg.a_grid) * cfg.rounds
+    rows, built = 2 * max(_BLOCK_FLOATS, *lengths), cfg.rounds * len(cfg.a_grid) * sum(lengths)
+    if cfg.redraw == "per-repetition":
+        rows, built = 2 * rows + len(cfg.a_grid) * sum(lengths), nodes[0].size * sum(lengths)
+    parts = {"nu": 2 * min(cfg.rounds, max(1, _BLOCK_FLOATS // cfg.nu)) * cfg.nu, None: rows}
+    held = max(cells + sum(parts.values()), 4 * cells)
+    return held, cfg.rounds * cfg.nu + built, {**parts, "rounds": 4 * cells}, lengths
 
 
 def _band_edge(sorted_values: np.ndarray, q: float) -> np.ndarray:

@@ -12,7 +12,7 @@ the herald rate but also the multi-photon contamination, so the pump strength
 that realizes a wanted mean photon number at the sample is found numerically
 (`tune_pair_mean`, safeguarded Newton steps on the closed-form mean, in one
 array iteration for every stage count and target), once `check_reach`, the
-one rule on whether a target can be reached, within pair limits too, passes.
+one rule on whether a target can be reached, passes.
 
 No other module knows how a source kind is evaluated.  The mean, variance,
 click probabilities and log generating function at the sample plane
@@ -47,7 +47,6 @@ ends at the upper edge of one count, a total of nu counts
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -305,43 +304,22 @@ def _mux_output_rows(constants: tuple, mu, survival: float, n_max: int):
     return rows
 
 
-def check_reach(sources, target_mean, limits: dict | None = None) -> None:
+def check_reach(sources, target_mean) -> None:
     """ConfigError unless every network of `sources`, a list of `Multiplexed`
     sources whose pumps it ignores, reaches each target of `target_mean` at
-    a pump up to MAX_PUMP whose pairs per window at the sample (pump Q)
-    stay within every limit of `limits`, if given: each maps what a larger
-    value breaks to a float, or an array with one entry per network and
-    target of a 1-d `target_mean`.
+    a pump up to MAX_PUMP.
 
-    The mean grows with the pump, so one evaluation, at the smallest limit
-    or MAX_PUMP, decides; it stays 0 where a calibration field is 0.  Only
-    a refusal evaluates again, at MAX_PUMP, to name the field that loses
-    the most light (the network transmission standing for the stage's) if
-    no pump reaches the target, else `herald_eff`: a weak herald makes rare
-    bursts of about sqrt(target Q / (2**stages h)) pairs at the sample.
+    The mean grows with the pump, so one evaluation at MAX_PUMP decides; it
+    stays 0 where a calibration field is 0.  A refusal names the field that
+    loses the most light, the network transmission standing for the stage's.
     """
-    target = np.asarray(target_mean, dtype=np.float64)
+    top = float(np.max(target_mean))
     constants = _mux_constants(sources, 1)
-    if limits:
-        limit = functools.reduce(np.minimum, limits.values())
-        with np.errstate(divide="ignore", over="ignore"):  # Q may be 0 or tiny
-            pump = np.minimum(limit / (constants[3] * constants[4]), MAX_PUMP)
-        if not (short := _mux_mean(constants, pump)[0] < target).any():
-            return
-    top = float(np.max(target))
     if (weak := np.flatnonzero(_mux_mean(constants, MAX_PUMP)[0] < top)).size:
         i, source = weak[0], sources[weak[0]]
         field = _CALIBRATION[int(np.argmin([constants[k][i] for k in (0, 3, 4)]))]
         raise ConfigError(field, f"{getattr(source, field)} is too small: a {source.stages}-stage "
                                  f"source needs a pump above {MAX_PUMP:g} to reach mean {top}")
-    if limits:
-        i, j = np.argwhere(short)[0]
-        source, shape = sources[i], short.shape
-        at = [np.broadcast_to(value, shape)[i, j] for value in limits.values()]
-        raise ConfigError("herald_eff", f"{source.herald_eff} is too small: a {source.stages}-stage "
-                                        f"source needs more than {min(at):.3g} pairs per window "
-                                        f"at the sample to reach mean {target[j]}, "
-                                        f"{list(limits)[int(np.argmin(at))]}")
 
 
 def tune_pair_mean(source, target_mean):

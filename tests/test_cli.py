@@ -267,13 +267,17 @@ class TestMain:
         [
             (["fluctuations", "--nu", "2000000000", "--rounds", "100000000"], "nu"),
             (["fluctuations", "--rounds", "100000000"], "rounds"),
-            (["fluctuations", "--nu", "10000000", "--rounds", "101"], "rounds"),
+            # One round of 1e7 uniforms is past the held budget alone.
+            (["fluctuations", "--nu", "10000000", "--rounds", "101"], "nu"),
+            (["fluctuations", "--nu", "1000000", "--rounds", "3000"], "rounds"),
+            (["mc-validate", "--nu", "10000", "--mean-n", "10000", "--eta-herald", "6.1e-6"],
+             "herald_eff"),
             (["mc-validate", "--nu", "1000000000000000"], "nu"),
             (["asymptotic", "--mean-grid", "0.01:1:100000", "--t-grid", "0:1:100000"], "t_grid"),
         ],
     )
     def test_runs_that_cannot_finish_are_refused_by_name(self, capsys, args, field):
-        """show-config refuses a Monte Carlo run past a sampling cap by name,
+        """show-config refuses a Monte Carlo run past a budget by name,
         without a traceback, and prints no configuration."""
         assert main(["show-config", *args]) == 1
         out, err = capsys.readouterr()
@@ -384,6 +388,39 @@ class TestMain:
         fresh = (tmp_path / "fresh.csv").read_bytes()
         assert proc.stdout == fresh
         assert proc.stderr == b"nr-ratio: 808 rows -> /dev/stdout\n"
+
+    def test_json_to_stdout_on_a_pipe_is_the_json_alone(self, tmp_path):
+        """`--format json` writes to `--out` as given: through a link to
+        /dev/stdout on a pipe, stdout carries the JSON bytes of a file run
+        and nothing is written beside the link."""
+        link = tmp_path / "stdout"
+        link.symlink_to("/dev/stdout")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        argv = ["nr-ratio", "--t-grid", "0:1:5", "--format", "json"]
+        proc = subprocess.run([sys.executable, "-m", "subshot", *argv, "--out", str(link)],
+                              env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert main([*argv, "--out", str(tmp_path / "fresh.json")]) == 0
+        assert proc.stdout == (tmp_path / "fresh.json").read_bytes()
+        assert {path.name for path in tmp_path.iterdir()} == {"stdout", "fresh.json"}
+
+    def test_json_takes_the_out_name_as_given(self, tmp_path):
+        argv = ["nr-ratio", "--m", "2", "--t-grid", "0.5,0.9", "--format", "json"]
+        assert main([*argv, "--out", str(tmp_path / "r.txt")]) == 0
+        assert len(json.loads((tmp_path / "r.txt").read_text())) == 6
+        assert [path.name for path in tmp_path.iterdir()] == ["r.txt"]
+
+    def test_both_formats_to_a_fifo_are_refused(self, tmp_path, capsys):
+        """`--format both` writes two files beside a regular file: an `--out`
+        that is a FIFO is refused by name, and no file is made."""
+        fifo = tmp_path / "out.csv"
+        os.mkfifo(fifo)
+        # A daemon reader, so a run that opens the FIFO fails, not hangs.
+        threading.Thread(target=fifo.read_bytes, daemon=True).start()
+        assert main(["nr-ratio", "--t-grid", "0.5", "--format", "both", "--out", str(fifo)]) == 1
+        assert capsys.readouterr().err.startswith(f"cannot write output: --out {fifo} ")
+        assert [path.name for path in tmp_path.iterdir()] == ["out.csv"]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
     def test_a_rerun_keeps_the_permission_bits_and_refuses_what_open_refuses(self, tmp_path):
         """The replacing file takes the old one's mode, and a read-only
@@ -542,9 +579,9 @@ class TestShowConfig:
     )
     def test_networks_past_the_cap_are_refused_before_their_reach(self, capsys, args):
         """Networks x grid points past `MAX_GRID_CELLS` are refused naming
-        the stage list before `check_reach` forms networks x means arrays."""
-        reach = mock.Mock(side_effect=AssertionError("check_reach called"))
-        with mock.patch.object(experiments, "check_reach", reach):
+        the stage list before the pumps are tuned on networks x means arrays."""
+        reach = mock.Mock(side_effect=AssertionError("make_multiplexed called"))
+        with mock.patch.object(experiments, "make_multiplexed", reach):
             assert main(["show-config", *args]) == 1
         out, err = capsys.readouterr()
         assert err.startswith("configuration error: stage_counts: ") and "Traceback" not in err

@@ -16,9 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import rows_csv, rows_json
-from subshot import output
+from subshot import experiments, output
 from subshot import sources as source_models
-from subshot.cli import PER_EXPERIMENT_DEFAULTS
+from subshot.cli import PER_EXPERIMENT_DEFAULTS, main
 from subshot.detection import Channel
 from subshot.estimators import (
     Detector,
@@ -32,11 +32,7 @@ from subshot.experiments import (
     EXPERIMENTS,
     MAX_GRID_CELLS,
     MAX_MEAN,
-    MAX_SAMPLED_PAIRS,
-    MAX_STUDY_CELLS,
-    MAX_STUDY_DRAWS,
-    MAX_STUDY_NU,
-    MAX_VALIDATE_SPREAD,
+    MAX_HELD_FLOATS,
     MIN_THRESHOLD_REFERENCE,
     _MC_VALIDATE_STAGES,
     _THRESHOLD_ONLY,
@@ -55,7 +51,6 @@ from subshot.sources import (
     MAX_STAGES,
     Fock,
     Multiplexed,
-    check_reach,
     make_multiplexed,
     source_moments,
     tune_pair_mean,
@@ -149,18 +144,18 @@ def _naive_exact_rows(cfg):
     if cfg.experiment == "intensity-sweep":
         detectors, means = tuple(Detector), np.array(cfg.mean_grid)
         channel = Channel(cfg.transmission, eta)
-        sources = _sources(cfg, means)
+        sources = _sources(cfg)
         points = [(cfg.transmission, m) for m in cfg.mean_grid]
     elif cfg.experiment == "asymptotic":
         detectors, means = (Detector.THRESHOLD,), np.array(cfg.mean_grid)[:, None]
         channel = Channel(np.array(cfg.t_grid), eta)
-        sources = _sources(cfg, means)
+        sources = _sources(cfg)
         points = [(t, m) for m in cfg.mean_grid for t in cfg.t_grid]
     else:
         nr = cfg.experiment == "nr-ratio"
         detectors = (Detector.NUMBER_RESOLVING if nr else Detector.THRESHOLD,)
         means, channel = cfg.mean_photons, Channel(np.array(cfg.t_grid), eta)
-        sources = _sources(cfg, means) + [Fock(1)]
+        sources = _sources(cfg) + [Fock(1)]
         points = [(t, cfg.mean_photons) for t in cfg.t_grid]
     pairs = [(source, detector) for detector in detectors for source in sources]
     if cfg.experiment == "asymptotic":
@@ -224,7 +219,7 @@ class TestRowOrder:
         )
         mc_cfg = FluctuationConfig(cfg.a_grid, cfg.rounds, cfg.nu, cfg.redraw, cfg.negatives)
         t, mean = cfg.transmission, cfg.mean_photons
-        pairs = [(source, detector) for detector in Detector for source in _sources(cfg, mean)]
+        pairs = [(source, detector) for detector in Detector for source in _sources(cfg)]
         studies = fluctuation_study(mc_cfg, pairs, Channel(t, cfg.detector_eff), cfg.seed)
         naive = [
             _naive_row(cfg, source, detector, t, mean, fluctuation=s.fluctuation, mse=s.mean_mse,
@@ -240,7 +235,7 @@ class TestRowOrder:
         cfg = SweepConfig(experiment="mc-validate", trials=100, nu=20, seed=40)
         t, mean = cfg.transmission, cfg.mean_photons
         ch = Channel(t, cfg.detector_eff)
-        coherent, mux2, mux5 = _sources(replace(cfg, stage_counts=(2, 5)), mean)
+        coherent, mux2, mux5 = _sources(cfg)
         nr, threshold = Detector.NUMBER_RESOLVING, Detector.THRESHOLD
         canned = [(coherent, nr), (coherent, threshold), (Fock(1), nr), (Fock(1), threshold),
                   (mux2, nr), (mux5, threshold)]
@@ -426,11 +421,10 @@ class TestConfigValidation:
             optics_transmission=optics_transmission,
         )
         try:
-            cfg.validate()
+            sources = cfg.validate()
         except ConfigError as err:
             assert err.field in {f.name for f in fields(SweepConfig)}
             return
-        sources = _sources(cfg, mean)
         for source in sources:
             assert abs(source_moments(source).mean - mean) <= 1e-9 * mean
         channel = Channel(transmission, detector_eff)
@@ -559,13 +553,6 @@ class TestConfigValidation:
 weak_herald = st.floats(-323.0, 0.0).map(lambda e: 10.0**e)
 
 
-def tuned_pairs(networks, means) -> np.ndarray:
-    """Pairs per window at the sample, shape (networks, means), of `networks`
-    tuned to each of `means`."""
-    transmissions = [n.stage_transmission**n.stages * n.optics_transmission for n in networks]
-    return tune_pair_mean(networks, np.asarray(means)) * np.array(transmissions)[:, None]
-
-
 def command_line_config(experiment, overrides) -> SweepConfig:
     """The config the command line runs for `experiment` with `overrides`
     as flags."""
@@ -574,8 +561,9 @@ def command_line_config(experiment, overrides) -> SweepConfig:
 
 class TestPairLimits:
     """A weak herald needs rare bursts of many pairs, which `validate`
-    bounds (`SweepConfig._validate_pairs`).  Checked through `validate` and
-    the closed forms only: no config here builds its count rows."""
+    bounds where they would leave the float range of the closed forms
+    (`SweepConfig._validate_pairs`).  Checked through `validate` and the
+    closed forms only: no config here builds its count rows."""
 
     @pytest.mark.parametrize(
         "experiment, overrides",
@@ -585,11 +573,6 @@ class TestPairLimits:
             ("threshold-ratio", {"herald_eff": 1e-306, "stage_counts": (1,)}),
             ("intensity-sweep", {"herald_eff": 1e-307}),
             ("asymptotic", {"herald_eff": 2.2250738585072014e-308}),
-            *(("mc-validate", {"herald_eff": h}) for h in (1e-11, 1e-13, 1e-15, 1e-16, 1e-300)),
-            # Accepted at the default nu = 200; the limit shrinks like 1/sqrt(nu).
-            ("mc-validate", {"herald_eff": 1e-10, "nu": 1000}),
-            *(("fluctuations", {"herald_eff": h}) for h in (1e-13, 1e-16, 1e-300)),
-            ("fluctuations", {"herald_eff": 1e-11, "redraw": "per-repetition"}),
         ],
     )
     def test_weak_herald_named(self, experiment, overrides):
@@ -621,43 +604,24 @@ class TestPairLimits:
         command_line_config(experiment, overrides).validate()
 
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
-    def test_validate_evaluates_the_closed_forms_once(self, experiment, monkeypatch):
-        """At its defaults, an experiment's reach and pair limits are
-        decided by one closed-form evaluation of the mean, counted as in
-        `test_default_targets_take_at_most_twelve_evaluations`."""
-        calls = []
-        herald = source_models._herald
+    def test_validate_evaluates_the_reach_once(self, experiment, monkeypatch):
+        """At its defaults, an experiment's reach is decided by one
+        closed-form evaluation of the mean in one `check_reach` call, counted
+        as in `test_default_targets_take_at_most_twelve_evaluations`; the
+        pair limits read the tuned pumps."""
+        calls, counts = [], []
+        herald, reach = source_models._herald, source_models.check_reach
         monkeypatch.setattr(source_models, "_herald",
                             lambda *args: calls.append(args) or herald(*args))
-        command_line_config(experiment, {}).validate()
-        assert len(calls) == 1
 
-    @settings(CHECKS, max_examples=100)
-    @given(
-        herald_eff=weak_herald,
-        stages=st.lists(st.integers(1, MAX_STAGES), min_size=1, max_size=3),
-        means=st.lists(st.floats(-99.0, 4.0).map(lambda e: 10.0**e), min_size=1, max_size=3),
-        limit=st.floats(-2.0, 170.0).map(lambda e: 10.0**e),
-    )
-    def test_check_reach_refuses_where_the_tuned_pump_passes_the_limit(
-        self, herald_eff, stages, means, limit
-    ):
-        """The one closed-form evaluation at the limit refuses exactly the
-        targets whose tuned pump puts more pairs per window at the sample
-        than the limit, up to the tuning's tolerance."""
-        networks = [Multiplexed(m, 0.0, herald_eff) for m in stages]
-        try:
-            check_reach(networks, means)
-        except ConfigError:
-            return
-        pairs = tuned_pairs(networks, means)
-        try:
-            check_reach(networks, means, {"reason": limit})
-        except ConfigError as err:
-            assert err.field == "herald_eff"
-            assert pairs.max() > limit * (1 - 1e-8)
-        else:
-            assert pairs.max() <= limit * (1 + 1e-8)
+        def counted(*args):
+            before = len(calls)
+            reach(*args)
+            counts.append(len(calls) - before)
+
+        monkeypatch.setattr(source_models, "check_reach", counted)
+        command_line_config(experiment, {}).validate()
+        assert counts == [1]
 
     @settings(CHECKS, max_examples=150)
     @given(
@@ -681,7 +645,7 @@ class TestPairLimits:
         """At the pumps a validated run tunes: the threshold reference stays
         above MIN_THRESHOLD_REFERENCE, the number-resolving moments at the
         largest pump evaluated are finite without a RuntimeWarning (an error
-        here), and the sampled pairs stay within MAX_SAMPLED_PAIRS."""
+        here)."""
         sweeps = experiment in ("intensity-sweep", "asymptotic")
         cfg = SweepConfig(experiment=experiment, redraw=redraw, herald_eff=herald_eff,
                           stage_counts=tuple(stages), mean_photons=mean,
@@ -701,39 +665,136 @@ class TestPairLimits:
             pumps = np.array([n.pair_mean for n in networks])
             moments = source_moments(networks, top * pumps)
             assert np.isfinite(moments.variance).all()
-        cap = MAX_SAMPLED_PAIRS.get(redraw if experiment == "fluctuations" else experiment)
-        if cap is not None:
-            assert tuned_pairs(networks, _tuned_means(cfg)).max() * top <= cap * (1 + 1e-8)
 
 
-class TestSamplingCaps:
-    """Monte Carlo runs whose arrays or total count laws would outgrow any
-    machine are refused by name through `validate`
-    (`SweepConfig._validate_sampling`), and so are networks x grid arrays
-    past `MAX_GRID_CELLS`; no config here is run."""
+class TestMonteCarloBudgets:
+    """A Monte Carlo run is admitted by what its tuned sources predict it
+    builds (`montecarlo.total_footprint`, `study_footprint`): at most
+    MAX_HELD_FLOATS held and MAX_FORMED_ENTRIES formed.  Checked through
+    `validate` and `show-config` only: no config here past a budget is run."""
 
     # The command line's fluctuation pairs, 3 sources (coherent, m = 3 and 5)
     # x 2 detectors, at 7 fractions.
     DEFAULT_CELLS_PER_ROUND = 6 * 7
+    # The widest mc-validate window, 2**24 counts, at a weak herald (5.1 s and
+    # 1.2 GB when it was admitted).
+    WIDE_TOTALS = [{"nu": 10**4, "mean_photons": 1e4, "herald_eff": h} for h in (6.1e-6, 1e-5)]
+
+    @pytest.mark.parametrize(
+        "experiment, overrides, field",
+        [
+            *(("mc-validate", overrides, "herald_eff") for overrides in WIDE_TOTALS),
+            *(("mc-validate", {"herald_eff": h}, "herald_eff")
+              for h in (1e-11, 1e-13, 1e-15, 1e-16, 1e-300)),
+            ("mc-validate", {"herald_eff": 1e-10, "nu": 1000}, "herald_eff"),
+            *(("fluctuations", {"herald_eff": h}, "herald_eff") for h in (1e-13, 1e-16, 1e-300)),
+            ("fluctuations", {"herald_eff": 1e-11, "redraw": "per-repetition"}, "herald_eff"),
+            ("fluctuations", {"redraw": "per-repetition", "mean_photons": MAX_MEAN,
+                              "a_grid": tuple(np.linspace(0.0, 0.6, 25).tolist())},
+             "mean_photons"),
+            # A round's uniforms are named before the round totals.
+            ("fluctuations", {"nu": 10**7 + 1, "rounds": 2}, "nu"),
+            ("fluctuations", {"nu": 10**7, "rounds": 101}, "nu"),
+            ("fluctuations", {"nu": 2_000_000_000, "rounds": 100_000_000}, "nu"),
+            ("fluctuations", {"nu": 2_000_000_000, "redraw": "per-repetition"}, "nu"),
+            ("fluctuations", {"rounds": 100_000_000}, "rounds"),
+            ("fluctuations", {"stage_counts": (1,), "a_grid": (0.0,),
+                              "rounds": MAX_HELD_FLOATS // 16 + 1}, "rounds"),
+            ("fluctuations", {"redraw": "per-repetition", "rounds":
+                              MAX_HELD_FLOATS // (4 * DEFAULT_CELLS_PER_ROUND) + 1}, "rounds"),
+            # Past the formed budget only.
+            ("fluctuations", {"nu": 10**6, "rounds": 3000}, "rounds"),
+            ("fluctuations", {"herald_eff": 1e-12, "rounds": 500}, "rounds"),
+            ("mc-validate", {"nu": 10**15}, "nu"),
+            ("mc-validate", {"nu": 10**9}, "nu"),
+            # Counted in int64.
+            ("mc-validate", {"nu": 2**63}, "nu"),
+            ("fluctuations", {"rounds": 10**400}, "rounds"),
+        ],
+    )
+    def test_past_a_budget_named(self, experiment, overrides, field):
+        with pytest.raises(ConfigError) as err:
+            command_line_config(experiment, overrides).validate()
+        assert err.value.field == field
+
+    @pytest.mark.parametrize(
+        "experiment, overrides",
+        [
+            # The runs the CI steps, the README and the ROADMAP name.
+            ("fluctuations", {"herald_eff": 1e-12,
+                              "a_grid": tuple(np.linspace(0.0, 0.6, 25).tolist())}),
+            ("fluctuations", {"redraw": "per-repetition", "nu": 10**6}),
+            ("fluctuations", {"rounds": 20_000}),
+            ("fluctuations", {"rounds": 20_000, "redraw": "per-repetition"}),
+            ("fluctuations", {"nu": 100_000, "rounds": 300}),
+            ("fluctuations", {"redraw": "per-repetition", "mean_photons": 100.0, "nu": 100_000}),
+            ("mc-validate", {"nu": 10**6, "mean_photons": 30.0}),
+            ("mc-validate", {"trials": 10**7}),
+            # Cheap runs the old proxies refused: 0.3 s and 0.1 s.
+            ("mc-validate", {"nu": 10**6, "mean_photons": 100.5}),
+            ("mc-validate", {"nu": 10**8}),
+            # The exact reports take any nu and ignore rounds.
+            ("nr-ratio", {"nu": 10**15, "rounds": 10**9}),
+        ],
+    )
+    def test_within_the_budgets_accepted(self, experiment, overrides):
+        command_line_config(experiment, overrides).validate()
+
+    @pytest.mark.parametrize("overrides", WIDE_TOTALS)
+    def test_the_widest_totals_are_refused_before_any_window(self, overrides, capsys):
+        """The 2**24-count totals are refused by name through `validate` and
+        `show-config`, holding far less than one window of them."""
+        argv = [f"--{key}={value}" for key, value in (
+            ("nu", overrides["nu"]), ("mean-n", overrides["mean_photons"]),
+            ("eta-herald", overrides["herald_eff"]))]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError) as err:
+                command_line_config("mc-validate", overrides).validate()
+            assert main(["show-config", "mc-validate", *argv]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.field == "herald_eff"
+        assert capsys.readouterr().err.startswith("configuration error: herald_eff: ")
+        assert peak < 16 * 2**20
+
+    def test_show_config_refuses_what_validate_refuses(self, capsys):
+        """A refusal past a budget is the same through `show-config`."""
+        cfg = command_line_config("fluctuations", {"herald_eff": 1e-13})
+        with pytest.raises(ConfigError) as err:
+            cfg.validate()
+        assert main(["show-config", "fluctuations", "--eta-herald", "1e-13"]) == 1
+        assert capsys.readouterr().err == f"configuration error: {err.value}\n"
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_a_run_tunes_once(self, experiment, monkeypatch):
+        """`validate` tunes the run's pumps, and the run uses its sources:
+        one `tune_pair_mean` call per run, and one `check_reach`, in the
+        tuning, at the defaults."""
+        calls = {"tune_pair_mean": 0, "check_reach": 0}
+        for name in calls:
+            original = getattr(source_models, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(source_models, name, counted)
+        run_experiment(command_line_config(experiment, {}))
+        assert calls == {"tune_pair_mean": 1, "check_reach": 1}
+
+
+class TestGridCaps:
+    """Networks x grid arrays past `MAX_GRID_CELLS` are refused by name
+    through `validate`; no config here is run."""
+
     # A grid of the largest size the grid parser gives.
     GRID_1E5 = tuple(np.linspace(0.01, 1.0, 10**5).tolist())
 
     @pytest.mark.parametrize(
         "experiment, overrides, field",
         [
-            ("fluctuations", {"nu": MAX_STUDY_NU + 1, "rounds": 2}, "nu"),
-            ("fluctuations", {"nu": 2_000_000_000, "rounds": 100_000_000}, "nu"),
-            ("fluctuations", {"nu": 2_000_000_000, "redraw": "per-repetition"}, "nu"),
-            ("fluctuations", {"nu": MAX_STUDY_NU, "rounds": MAX_STUDY_DRAWS // MAX_STUDY_NU + 1},
-             "rounds"),
-            ("fluctuations", {"rounds": 100_000_000}, "rounds"),
-            ("fluctuations", {"stage_counts": (1,), "a_grid": (0.0,),
-                              "rounds": MAX_STUDY_CELLS // 4 + 1}, "rounds"),
-            ("fluctuations", {"redraw": "per-repetition",
-                              "rounds": MAX_STUDY_CELLS // DEFAULT_CELLS_PER_ROUND + 1}, "rounds"),
-            ("mc-validate", {"nu": 10**15}, "nu"),
-            ("mc-validate", {"nu": int(MAX_VALIDATE_SPREAD) + 1}, "nu"),
-            ("mc-validate", {"nu": 10**6, "mean_photons": 100.5}, "nu"),
             # Networks x transmissions x means, the grid named where it alone
             # is past the cap, else the stage list.
             ("asymptotic", {"mean_grid": GRID_1E5, "t_grid": GRID_1E5}, "t_grid"),
@@ -756,25 +817,9 @@ class TestSamplingCaps:
     @pytest.mark.parametrize(
         "experiment, overrides",
         [
-            # At each cap.
-            ("fluctuations", {"nu": MAX_STUDY_NU, "rounds": 2}),
-            ("fluctuations", {"nu": MAX_STUDY_NU, "rounds": MAX_STUDY_DRAWS // MAX_STUDY_NU}),
-            ("fluctuations", {"stage_counts": (1,), "a_grid": (0.0,),
-                              "rounds": MAX_STUDY_CELLS // 4}),
-            ("mc-validate", {"nu": int(MAX_VALIDATE_SPREAD)}),
-            ("mc-validate", {"nu": 10**6, "mean_photons": 100.0}),
-            ("mc-validate", {"nu": 10**4, "mean_photons": MAX_MEAN}),
             ("asymptotic", {"t_grid": (0.5,) * (MAX_GRID_CELLS // 3)}),
             # Only `asymptotic` evaluates the product of its grids.
             ("intensity-sweep", {"mean_grid": GRID_1E5, "t_grid": GRID_1E5}),
-            # The runs the CI steps, the README and the ROADMAP name.
-            ("fluctuations", {"redraw": "per-repetition", "nu": 10**6}),
-            ("fluctuations", {"rounds": 20_000}),
-            ("fluctuations", {"nu": 100_000, "rounds": 300}),
-            ("mc-validate", {"nu": 10**6, "mean_photons": 30.0}),
-            ("mc-validate", {"trials": 10**7}),
-            # The exact reports take any nu and ignore rounds.
-            ("nr-ratio", {"nu": 10**15, "rounds": 10**9}),
             # Networks x grid points at `MAX_GRID_CELLS`, 1e5-point grids at
             # the default six networks, and the CI steps' networks and grids.
             ("asymptotic", {"stage_counts": (3, 5), "t_grid": GRID_1E5}),
@@ -799,10 +844,10 @@ class TestSamplingCaps:
         ],
     )
     def test_networks_past_the_cap_are_refused_before_their_reach(self, experiment, overrides):
-        """The networks x grid cap is checked before `check_reach` forms
+        """The networks x grid cap is checked before the pumps are tuned on
         networks x means arrays or a network is built."""
         built = mock.Mock(side_effect=AssertionError("built before the cap"))
-        with mock.patch("subshot.experiments.check_reach", built), \
+        with mock.patch("subshot.experiments.make_multiplexed", built), \
                 mock.patch("subshot.experiments.Multiplexed", built):
             with pytest.raises(ConfigError) as err:
                 command_line_config(experiment, overrides).validate()
@@ -1222,7 +1267,7 @@ class TestWriters:
         assert column["mse"] is column["variance"]
         assert column["bias"] is not column["variance"]
         cfg = SweepConfig(experiment="nr-ratio", t_grid=(0.0, 0.5), stage_counts=(1,))
-        pairs = [(source, Detector.NUMBER_RESOLVING) for source in _sources(cfg, 1.0)]
+        pairs = [(source, Detector.NUMBER_RESOLVING) for source in _sources(cfg)]
         fields = {  # each a field per pair over the t-grid
             "expectation": [np.array([0, 1])] * 2,
             "bias": [np.array([0.0, 1.0])] * 2,

@@ -10,6 +10,7 @@ import tracemalloc
 from dataclasses import replace
 from statistics import NormalDist
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from subshot import montecarlo, pmf
 from subshot import sources as source_models
 from subshot.detection import Channel, detected_log_pgf, detected_moments, detected_row_plan
 from subshot.estimators import Detector, exact_report, reference_mean
+from subshot.experiments import MAX_FORMED_ENTRIES, MAX_HELD_FLOATS
 from subshot.montecarlo import (
     MAX_TRIALS,
     NEGATIVES,
@@ -49,6 +51,7 @@ from subshot.montecarlo import (
     _LEGENDRE_NODES,
     _LEGENDRE_WEIGHTS,
     _averaged_rows,
+    _row_lengths,
     _round_streams,
     _round_totals,
     _sample_moments,
@@ -57,6 +60,8 @@ from subshot.montecarlo import (
     fluctuation_study,
     mc_estimate,
     pump_nodes,
+    study_footprint,
+    total_footprint,
 )
 from subshot.sources import (
     CHERNOFF_POINTS,
@@ -552,7 +557,8 @@ def test_round_totals_match_the_round_by_round_references(
         want = per_round_totals(plan.rows, pump, a_grid, rounds, nu, negatives, seed)
     else:
         nodes = pump_nodes(a_grid, negatives)
-        got = _round_totals([_cdfs(_averaged_rows(plan, pump, nodes)[None])], u)
+        (length,) = _row_lengths(cfg, [plan], [pump], nodes)
+        got = _round_totals([_cdfs(_averaged_rows(plan, pump, nodes, length)[None])], u)
         want = per_repetition_totals(plan.rows, pump, nodes, rounds, nu, seed)
     assert np.array(got).T.tolist() == want.tolist()
 
@@ -941,8 +947,8 @@ class TestOneTailRule:
     upper edge of one count (nu = 1), and the totals of `_total_count_pmf`
     lie between the edges of nu counts."""
 
-    # Heralds at the pair limits of `experiments.MAX_SAMPLED_PAIRS` (per
-    # round, per repetition, `mc-validate`) at the default mean, and a
+    # Weak heralds that the command line runs at the default mean within the
+    # Monte Carlo budgets (per round, per repetition, `mc-validate`), and a
     # stronger one.
     WEAK_HERALDS = (8.4e-13, 8.4e-11, 7e-11, 1e-9)
 
@@ -1096,6 +1102,94 @@ class TestOneTailRule:
             at_pump = (Coherent(pump) if isinstance(source, Coherent)
                        else replace(source, pair_mean=pump))
             np.testing.assert_array_equal(source_log_pgf(source, x, pump), source_log_pgf(at_pump, x))
+
+
+class TestFootprint:
+    """The sizes `total_footprint` and `study_footprint` predict are the
+    ones the engine builds, over tiny configs of every source kind, both
+    detectors and both redraw modes, with heralds out to the budgets' edge.
+    A config the prediction puts past a budget is never run."""
+
+    @staticmethod
+    def within_budgets(footprint) -> bool:
+        held, formed, _, _ = footprint
+        return held <= MAX_HELD_FLOATS and formed <= MAX_FORMED_ENTRIES
+
+    @settings(CHECKS, max_examples=40)
+    @given(
+        kind=st.sampled_from(SOURCE_KINDS),
+        detector=st.sampled_from(list(Detector)),
+        mean=st.floats(0.1, 30.0),
+        stages=st.integers(1, 5),
+        herald=st.floats(-12.0, 0.0).map(lambda e: 10.0**e),
+        photons=st.integers(0, 5),
+        survival=st.floats(0.0, 1.0),
+        nu=st.integers(1, 2000),
+    )
+    @example(kind="multiplexed", detector=Detector.NUMBER_RESOLVING, mean=1.0, stages=2,
+             herald=1e-10, photons=1, survival=0.72, nu=200)
+    def test_total_windows_are_the_windows_transformed(
+        self, kind, detector, mean, stages, herald, photons, survival, nu
+    ):
+        """`_total_count_pmf` inverts one FFT of exactly the predicted size."""
+        source = (Fock(photons) if kind == "fock" else Coherent(mean) if kind == "coherent"
+                  else make_multiplexed(stages, mean, herald))
+        footprint = total_footprint([(source, detector)], survival, nu)
+        if not self.within_budgets(footprint):
+            return
+        with mock.patch.object(np.fft, "irfft", wraps=np.fft.irfft) as irfft:
+            _total_count_pmf(source, detector, survival, nu)
+        assert [call.args[1] for call in irfft.call_args_list] == footprint[3]
+
+    @settings(CHECKS, max_examples=30)
+    @given(
+        specs=st.lists(st.tuples(st.sampled_from(("coherent", "multiplexed")),
+                                 st.sampled_from(list(Detector)), st.floats(0.1, 5.0),
+                                 st.integers(1, 5), st.floats(-13.0, 0.0)),
+                       min_size=1, max_size=3),
+        a_grid=st.lists(st.floats(0.0, 0.6), min_size=1, max_size=3),
+        rounds=st.integers(2, 4),
+        nu=st.integers(1, 50),
+        redraw=st.sampled_from(REDRAWS),
+        negatives=st.sampled_from(NEGATIVES),
+        survival=st.floats(0.05, 1.0),
+    )
+    # Just inside the held budget in each mode.
+    @example(specs=[("multiplexed", Detector.NUMBER_RESOLVING, 0.5, 3, -12.6)], a_grid=[0.6],
+             rounds=2, nu=20, redraw="per-round", negatives="clamp", survival=0.72)
+    @example(specs=[("multiplexed", Detector.NUMBER_RESOLVING, 0.5, 3, -11.3)], a_grid=[0.6],
+             rounds=2, nu=20, redraw="per-repetition", negatives="clamp", survival=0.72)
+    def test_study_rows_are_at_most_the_predicted_lengths(
+        self, specs, a_grid, rounds, nu, redraw, negatives, survival
+    ):
+        """Every row `_study_totals` builds for a pair is at most its
+        predicted length: per repetition every one is exactly it."""
+        pairs = [(Coherent(mean) if kind == "coherent"
+                  else make_multiplexed(stages, mean, 10.0**herald), detector)
+                 for kind, detector, mean, stages, herald in specs]
+        cfg = FluctuationConfig(tuple(a_grid), rounds, nu, redraw, negatives)
+        footprint = study_footprint(cfg, pairs, survival)
+        if not self.within_budgets(footprint):
+            return
+        built = []
+
+        def recorded(*args):
+            plan, lengths = detected_row_plan(*args), []
+            built.append(lengths)
+
+            def rows(mu=None, length=None):
+                made = plan.rows(mu, length)
+                lengths.append(made.shape[-1])
+                return made
+
+            return SimpleNamespace(length=plan.length, rows=rows)
+
+        with mock.patch.object(montecarlo, "detected_row_plan", recorded):
+            fluctuation_study(cfg, pairs, Channel(1.0, survival), seed=3)
+        for lengths, predicted in zip(built, footprint[3]):
+            assert lengths and max(lengths) <= predicted
+            if redraw == "per-repetition":
+                assert set(lengths) == {predicted}
 
 
 class TestFluctuationStudy:
