@@ -214,14 +214,20 @@ def _open_output(path: Path, stack: contextlib.ExitStack, replacements: list) ->
     return file
 
 
-def _write_outputs(rows, experiment: str, out: str | None, fmt: str) -> list[str]:
+def _output_paths(experiment: str, out: str | None, fmt: str) -> dict[str, Path]:
+    """The file each format is written to: `--out` as given (by default the
+    experiment's name), or for `--format both` the .csv and .json siblings of
+    the regular file it names; OSError for any other `--out`."""
     base = Path(out) if out else Path(f"{experiment}.{'csv' if fmt != 'json' else 'json'}")
-    paths = {fmt: base}
-    if fmt == "both":
-        if (target := _regular_target(base)) is None:
-            raise OSError(f"--out {out} is not a regular file, beside which --format both "
-                          f"writes its .csv and .json files")
-        paths = {"csv": target.with_suffix(".csv"), "json": target.with_suffix(".json")}
+    if fmt != "both":
+        return {fmt: base}
+    if (target := _regular_target(base)) is None:
+        raise OSError(f"--out {out} is not a regular file, beside which --format both "
+                      f"writes its .csv and .json files")
+    return {"csv": target.with_suffix(".csv"), "json": target.with_suffix(".json")}
+
+
+def _write_outputs(rows, paths: dict[str, Path]) -> list[str]:
     # Each regular output is written whole to a hidden sibling, which then
     # replaces it: a failed run leaves every earlier output's bytes and no
     # temporary file, and a symlinked --out stays a link.
@@ -248,6 +254,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "show-config":
             return _show_config(args)
         cfg = resolve_config(args.command, args)
+        # Checked before the run, which may take long.
+        paths = _output_paths(cfg.experiment, args.out, args.format)
         rows = run_experiment(cfg)
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
@@ -255,8 +263,11 @@ def main(argv: list[str] | None = None) -> int:
     except (RuntimeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except OSError as err:  # from `_output_paths`: a run opens no file
+        print(f"cannot write output: {err}", file=sys.stderr)
+        return 1
     try:
-        written = _write_outputs(rows, cfg.experiment, args.out, args.format)
+        written = _write_outputs(rows, paths)
     except OSError as err:
         print(f"cannot write output: {err}", file=sys.stderr)
         return 1

@@ -23,8 +23,9 @@ its CSV and JSON writers live in `subshot.output`.
 (an int for a count) and every grid a sequence, checks the run-level rules,
 builds the channels, the fluctuation config and the untuned networks, whose
 constructors own the ranges of their fields, then the run's sources once:
-their tuned pumps meet the pair limits, and they predict the footprint a
-Monte Carlo run must keep within its budgets.  The run uses those sources.
+their tuned pumps meet the pair limits, and for a Monte Carlo run they
+predict the windows or rows it builds, which its budgets bound.  The run
+takes those sources and sizes.
 """
 
 from __future__ import annotations
@@ -92,19 +93,33 @@ MIN_REFERENCE = 1e-100
 # runs at herald 1e-300 (b = 6.3e149) and is refused at 1e-306.
 MIN_THRESHOLD_REFERENCE = 1e-153
 
-# Budgets of a Monte Carlo run on what its tuned sources predict it builds
-# (`montecarlo.total_footprint`, `study_footprint`), fresh under `python -W
-# error` on 2 vCPUs.  Floats held at the peak, found by tracemalloc within 20%
-# of the prediction: 4.2e6 (4.2e6 predicted) at `mc-validate --nu 1000
-# --eta-herald 1e-10`, 4.8e6 (4.5e6) per repetition at herald 1e-11, 3.4e6
-# (3.4e6) at `fluctuations --rounds 20000`.  Runs just inside peak at 54-70
-# MB; `mc-validate --nu 10000 --mean-n 10000 --eta-herald 6.1e-6` took 1.2 GB.
+# Caps on what a study's count rows do not grow, fresh under `python -W
+# error` on 2 vCPUs: the nu sorted uniforms a round holds with their int64
+# search results (2 rounds at the cap: 0.8 s, 189 MB), the rounds x nu
+# uniforms a study draws (100 rounds at nu = 1e7: 13.5 s) and its round
+# totals, one per (pair, fraction, round), with their squared errors and
+# sort (2.5e6 rounds of 4 pairs at one fraction: 30 s, 342 MB).
+MAX_STUDY_NU, MAX_STUDY_DRAWS, MAX_STUDY_CELLS = 10**7, 10**9, 10**7
+
+# `mc-validate` refuses nu x max(1, mean) past this: the spread it capped
+# its totals by before the held budget bounded their windows.  A proxy: at
+# nu = 1e6 it refuses mean 100.5, whose windows are those of mean 100.
+MAX_VALIDATE_SPREAD = 1e8
+
+# Budgets on what a Monte Carlo run's tuned sources predict its count rows
+# and FFT windows build (`montecarlo.total_footprint`, `study_footprint`).
+# Floats held at the peak (32 MB), by tracemalloc at most the prediction:
+# `mc-validate --eta-herald 1e-10` holds 2.2e6 (predicted 2.4e6, a window of
+# 2**18 counts) and runs; at `--nu 1000`, 2**19 counts, 4.3e6 (4.7e6) is
+# refused, and `--nu 10000 --mean-n 10000 --eta-herald 6.1e-6`, 2**24
+# counts, took 5.1 s and 1.2 GB.
 MAX_HELD_FLOATS = 4 * 10**6
 
-# Count-row entries and uniforms formed, which a run's time grows with: at
-# 2e9 uniforms `fluctuations --nu 1000000 --rounds 1999` takes 23 s, and
-# `--eta-herald 1e-12 --a-grid 0:0.6:25` forms 1.8e9 in 8-11 s.
-MAX_FORMED_ENTRIES = 2 * 10**9
+# Count-row entries a study forms, which its time grows with, per round at
+# the rows' predicted lengths: `fluctuations --mean-n 1e4 --rounds 500` forms
+# 5.5e8 at the top pump node in 4.8 s, so a run at this budget takes about
+# 90 s; `--eta-herald 1e-12` forms 1.4e8 at the pumps it draws in 2.8 s.
+MAX_FORMED_ENTRIES = 10**10
 
 # Largest networks x transmissions x means of a run, the entries of each
 # array its exact reports evaluate on a leading network axis (the networks'
@@ -186,8 +201,9 @@ class SweepConfig:
                     value = tuple(_plain_number(kind, v) for v in value)
                 object.__setattr__(self, f.name, value)
 
-    def validate(self) -> list[Source]:
-        """Check every field; return the run's sources, tuned once here."""
+    def validate(self) -> tuple[list[Source], tuple | None]:
+        """Check every field; return the run's sources, tuned once here, and
+        what a Monte Carlo run builds at (`_validate_footprint`), else None."""
         if self.experiment not in EXPERIMENTS:
             raise ConfigError("experiment", f"unknown experiment {self.experiment!r}")
         # `__post_init__` made every integer-valued number an int, every other
@@ -227,6 +243,7 @@ class SweepConfig:
             raise ConfigError(field, err.reason) from None
         Channel(self.transmission, self.detector_eff)
         study = FluctuationConfig(self.a_grid, self.rounds, self.nu, self.redraw, self.negatives)
+        self._validate_sampling()
         # The estimator reference would vanish; the smaller factor is named.
         if self.detector_eff * (mean := min(_tuned_means(self))) < MIN_REFERENCE:
             field = "mean_grid" if self.experiment in _DEFAULT_MEAN_GRIDS else "mean_photons"
@@ -235,11 +252,24 @@ class SweepConfig:
                               f"below {MIN_REFERENCE:g}: the estimator reference would vanish")
         sources = _sources(self)
         self._validate_pairs(sources[1:])
-        if self.experiment in ("mc-validate", "fluctuations"):
-            check_count("nu", self.nu, 1, MAX_TRIALS)  # drawn and counted in int64
-            check_count("rounds", self.rounds, 2, MAX_TRIALS)
-            self._validate_footprint(sources, study)
-        return sources
+        if self.experiment not in ("mc-validate", "fluctuations"):
+            return sources, None
+        return sources, self._validate_footprint(sources, study)
+
+    def _validate_sampling(self) -> None:
+        """A Monte Carlo run must stay within the caps on what its count rows
+        do not grow: `MAX_STUDY_*` for a study, `MAX_VALIDATE_SPREAD`."""
+        nu, rounds = self.nu, self.rounds
+        # The pairs: the coherent source and each network, with both detectors.
+        cells = rounds * len(self.a_grid) * 2 * (1 + len(self.stage_counts))
+        caps = {"mc-validate": [("nu", nu * max(1, self.mean_photons), MAX_VALIDATE_SPREAD,
+                                 "as nu x max(1, mean), the spread of the totals")],
+                "fluctuations": [("nu", nu, MAX_STUDY_NU, "uniforms held per round"),
+                                 ("rounds", rounds * nu, MAX_STUDY_DRAWS, "uniforms drawn"),
+                                 ("rounds", cells, MAX_STUDY_CELLS, "round totals held")]}
+        for field, size, cap, what in caps.get(self.experiment, ()):
+            if size > cap:
+                raise ConfigError(field, f"{size} {what}, past the cap of {cap:g}")
 
     def _validate_pairs(self, networks) -> None:
         """The tuned `networks` must reach the means with pairs per window at
@@ -269,31 +299,38 @@ class SweepConfig:
                                                 f"{pairs[i, j]:.3g} pairs per window at the "
                                                 f"sample to reach mean {means[j]}, {reason}")
 
-    def _validate_footprint(self, sources, study: FluctuationConfig) -> None:
-        """Refuse a Monte Carlo run whose tuned `sources` predict it holds
-        more than MAX_HELD_FLOATS or forms more than MAX_FORMED_ENTRIES.  The
-        first names the first part of the held floats past it alone, a round's
-        uniforms (`nu`) before the round totals (`rounds`), else the largest;
-        the pairs' rows or windows name `herald_eff` if the widest is a
-        multiplexed pair's (its bursts), else `nu`, or `mean_photons` in a
-        study.  The second names `rounds`."""
-        validating = self.experiment == "mc-validate"
-        survival = self.transmission * self.detector_eff
-        pairs = _canned(sources) if validating else _study_pairs(sources)
-        held, formed, parts, sizes = (total_footprint(pairs, survival, self.nu) if validating
-                                      else study_footprint(study, pairs, survival))
+    def _validate_footprint(self, sources, study: FluctuationConfig):
+        """Refuse a Monte Carlo run whose tuned `sources` predict that its
+        count rows or FFT windows hold more than MAX_HELD_FLOATS, naming
+        `herald_eff` where the widest is a multiplexed pair's (its bursts),
+        else `nu` (`mc-validate`) or `mean_photons`, or that a study forms
+        more than MAX_FORMED_ENTRIES, naming `rounds` per round.  Return the
+        windows, or the pump nodes and row lengths, that the run takes."""
+        survival = Channel(self.transmission, self.detector_eff).survival
+        if self.experiment == "mc-validate":
+            pairs = _canned(sources)
+            held, taken = total_footprint(pairs, survival, self.nu)
+            formed, sizes = 0, [size for _, size in taken]
+        else:
+            pairs = _study_pairs(sources)
+            held, formed, nodes, sizes = study_footprint(study, pairs, survival)
+            if self.redraw == "per-round" and held > MAX_HELD_FLOATS:
+                # The top pump node sizes the rows 2-3x over the pumps the
+                # rounds draw, drawn here as the run draws them.
+                held, formed, nodes, sizes = study_footprint(study, pairs, survival, self.seed,
+                                                             MAX_FORMED_ENTRIES)
+            taken = nodes, sizes
+        widest = pairs[sizes.index(max(sizes))][0]
+        grows = ("herald_eff" if isinstance(widest, Multiplexed)
+                 else "nu" if self.experiment == "mc-validate" else "mean_photons")
         if held > MAX_HELD_FLOATS:
-            grows = next((part for part, size in parts.items() if size > MAX_HELD_FLOATS),
-                         max(parts, key=parts.get))
-            if grows is None:  # the pairs' rows or windows
-                widest = pairs[sizes.index(max(sizes))][0]
-                grows = ("herald_eff" if isinstance(widest, Multiplexed)
-                         else "nu" if validating else "mean_photons")
-            raise ConfigError(grows, f"the run would hold {held:.3g} floats at its peak, more "
-                                     f"than the {MAX_HELD_FLOATS:g} it may")
+            raise ConfigError(grows, f"the run's count rows or FFT windows would hold "
+                                     f"{held:.3g} floats, past the budget of {MAX_HELD_FLOATS:g}")
         if formed > MAX_FORMED_ENTRIES:
-            raise ConfigError("rounds", f"the run would form {formed:.3g} count-row entries and "
-                                        f"uniforms, more than the {MAX_FORMED_ENTRIES:g} it may")
+            raise ConfigError("rounds" if self.redraw == "per-round" else grows,
+                              f"the run would form {formed:.3g} count-row entries, past the "
+                              f"budget of {MAX_FORMED_ENTRIES:g}")
+        return taken
 
     def canonical(self) -> str:
         pairs = []
@@ -469,13 +506,14 @@ def _columns(records: list) -> dict[str, list]:
     return dict(zip(records[0]._fields, map(list, zip(*records))))
 
 
-def _run_fluctuations(cfg: SweepConfig, sources: list[Source]):
-    """Seeded pump-fluctuation study over the a-grid, each row with the
-    exact MSE it samples and its deviation in standard errors.  The deviation
-    is skewed under per-round pump noise, so it is recorded, not bounded."""
+def _run_fluctuations(cfg: SweepConfig, sources: list[Source], sizes: tuple):
+    """Seeded pump-fluctuation study over the a-grid, at the pump nodes and
+    row lengths `sizes` of `validate`, each row with the exact MSE it
+    samples and its deviation in standard errors.  The deviation is skewed
+    under per-round pump noise, so it is recorded, not bounded."""
     mc_cfg = FluctuationConfig(cfg.a_grid, cfg.rounds, cfg.nu, cfg.redraw, cfg.negatives)
     t, pairs = cfg.transmission, _study_pairs(sources)
-    studies = fluctuation_study(mc_cfg, pairs, Channel(t, cfg.detector_eff), cfg.seed)
+    studies = fluctuation_study(mc_cfg, pairs, Channel(t, cfg.detector_eff), cfg.seed, *sizes)
     s = _columns([summary for pair_summaries in studies for summary in pair_summaries])
     return _rows(
         cfg, pairs, [i for i, pair_summaries in enumerate(studies) for _ in pair_summaries],
@@ -485,16 +523,17 @@ def _run_fluctuations(cfg: SweepConfig, sources: list[Source]):
     )
 
 
-def _run_mc_validate(cfg: SweepConfig, sources: list[Source]):
+def _run_mc_validate(cfg: SweepConfig, sources: list[Source], windows: list):
     """Monte Carlo versus exact reports for the canned configuration set
-    (`_canned`); configuration i is sampled with seed + i."""
+    (`_canned`), on the total windows of `validate`; configuration i is
+    sampled with seed + i."""
     t, canned = cfg.transmission, _canned(sources)
     ch = Channel(t, cfg.detector_eff)
     index = list(range(len(canned)))
     seeds = [cfg.seed + i for i in index]
     exact = _columns([exact_report(source, detector, ch, cfg.nu) for source, detector in canned])
-    mc = _columns([mc_estimate(source, detector, ch, cfg.nu, cfg.trials, seed=seed)
-                   for (source, detector), seed in zip(canned, seeds)])
+    mc = _columns([mc_estimate(source, detector, ch, cfg.nu, cfg.trials, seed, window)
+                   for (source, detector), seed, window in zip(canned, seeds, windows)])
     return _rows(
         cfg, canned, index, t, cfg.mean_photons, seed=seeds, expectation=mc["expectation"],
         mse=mc["mse"], mse_exact=exact["mse"],
@@ -520,5 +559,6 @@ EXPERIMENTS = tuple(_RUNNERS)
 def run_experiment(cfg: SweepConfig) -> RowTable:
     """Evaluate the full grid of `cfg` in deterministic grid order, on the
     sources its `validate` tunes."""
-    sources = cfg.validate()
-    return _RUNNERS[cfg.experiment](cfg, sources)
+    sources, sizes = cfg.validate()
+    runner = _RUNNERS[cfg.experiment]
+    return runner(cfg, sources) if sizes is None else runner(cfg, sources, sizes)

@@ -31,18 +31,13 @@ independent and follow the pump average of the row, whose CDF is formed
 once per run; a round counts its draws from it the same way, and their sum
 has the law of one draw from the row's nu-fold power.
 One engine (`_study_totals`) runs both modes on the run's (source,
-detector) pairs.  The rounds go in blocks under a fixed memory budget
-(`_BLOCK_FLOATS`), whose streams are drawn once for every pair.  In a
-block, consecutive pairs whose rows for all its rounds fit in the budget
-form a group, whose CDFs one search per round counts; any other pair is a
-group of its own, counted as many rounds at a time as its rows fit: per
-round, the rows at the chunk's pumps, built in one call (split by fraction
-where one round's pass it); per repetition, its shared CDFs, from the rows
-at the pump nodes, built in chunks of nodes under the budget too.  Each
-row is built at one length per block (per repetition, per study, the
-`_row_lengths`), which its row plan gives without building a row.  By the
-same rules `total_footprint` and `study_footprint` predict what a run
-holds and forms, before it builds anything.
+detector) pairs, in blocks of rounds under a fixed memory budget
+(`_BLOCK_FLOATS`), each row at one length per block (per repetition, per
+study: the `_row_lengths`), which its row plan gives without building a
+row.  By the same rules `total_footprint` and `study_footprint` predict
+what a run's rows and windows hold and form before any is built, and hand
+the windows, nodes and lengths they form to `mc_estimate` and
+`fluctuation_study`.
 Both modes keep one uniform per draw, not a histogram, so that every
 fluctuation fraction shares them (common random numbers, below).
 Negative draws clamp to zero by default or are resampled; both modes are the
@@ -137,9 +132,17 @@ _ROUND_STEP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 _NOISE_FLOOR = 4.0
 _PEAK_FLOOR = 4 * 2.0**-52
 
-# Floats `_total_count_pmf` holds per count of its window at its peak, in
-# complex temporaries (tracemalloc: 8.1 at windows of 2**17 to 2**20 counts).
-_FFT_FLOATS = 8
+# Floats `mc_estimate` holds per count of its FFT window at its peak, in
+# `_total_count_pmf`'s complex temporaries (tracemalloc: 8.2-8.9 for a
+# multiplexed total at windows of 2**17 to 2**20 counts, 4.5-4.9 coherent).
+_FFT_FLOATS = 9
+
+# Floats `_study_totals` holds per float of its largest call's rows, at most
+# max(_BLOCK_FLOATS, row length): the call's rows, the call's before, the
+# row builders' row-sized temporaries (`sources._mux_output_rows`,
+# `pmf.poisson_rows`) and the growth of the log-factorial table
+# (tracemalloc: 7.2-7.7 at one fraction a = 0 per round, fresh).
+_CALL_FLOATS = 8
 
 # How often the fluctuating pump is redrawn, and what becomes of Gaussian
 # pump draws below zero; the first of each is the default.
@@ -160,10 +163,13 @@ def _total_window(source: Source, detector, survival: float, nu: int) -> tuple[i
     return k0, 1 << (top - k0).bit_length()
 
 
-def _total_count_pmf(source: Source, detector, survival: float, nu: int) -> tuple[int, np.ndarray]:
+def _total_count_pmf(
+    source: Source, detector, survival: float, nu: int, window: tuple | None = None
+) -> tuple[int, np.ndarray]:
     """Distribution of the sum K of `nu` independent counts of one
     repetition of `source` and `detector` after per-photon survival
-    `survival`: `(offset, probs)` with P(K = offset + i) = probs[i].
+    `survival`: `(offset, probs)` with P(K = offset + i) = probs[i], on the
+    `window` (`_total_window`) where the caller has it.
 
     K has the generating function G^nu, G that of one count
     (`detected_log_pgf`).  Its values at e^{-i theta} on the L-th roots of
@@ -178,7 +184,7 @@ def _total_count_pmf(source: Source, detector, survival: float, nu: int) -> tupl
     `_PEAK_FLOOR` times the largest, are zeroed, and the rest is trimmed of
     zero ends and normalized.
     """
-    k0, size = _total_window(source, detector, survival, nu)
+    k0, size = window or _total_window(source, detector, survival, nu)
     theta = np.arange(size // 2 + 1) * (2.0 * math.pi / size)
     # numpy's complex expm1 forms cos - 1 as -2 sin^2(theta / 2).
     log_g = detected_log_pgf(source, detector, survival, np.expm1(-1j * theta))
@@ -209,7 +215,8 @@ def _sample_moments(values: np.ndarray, counts: np.ndarray) -> tuple[float, floa
 
 
 def mc_estimate(
-    source: Source, detector, channel: Channel, nu: int, trials: int, seed: int
+    source: Source, detector, channel: Channel, nu: int, trials: int, seed: int,
+    window: tuple | None = None,
 ) -> McEstimate:
     """Sample `trials` independent nu-repetition experiments of the estimator
     `exact_report` evaluates at the same arguments.
@@ -220,13 +227,14 @@ def mc_estimate(
     experiments reach each possible total, which is the same joint law as
     drawing the totals one by one; numpy walks the categories with
     conditional binomials, so the cost grows with the number of totals, not
-    with `trials`.  Deterministic per seed.
+    with `trials`.  Deterministic per seed.  `window`, where given, is the
+    totals' `_total_window`.
     """
     nu = check_count("nu", nu, 1)
     trials = check_count("trials", trials, 1, MAX_TRIALS)
     ref = reference_mean(source, detector, channel.detector_eff)
     rng = np.random.default_rng(seed)
-    offset, probs = _total_count_pmf(source, detector, channel.survival, nu)
+    offset, probs = _total_count_pmf(source, detector, channel.survival, nu, window)
     counts = rng.multinomial(trials, probs)
 
     estimates = (offset + np.arange(probs.size)) / (nu * ref)
@@ -402,25 +410,29 @@ def _resample_negatives(rng: np.random.Generator, a: np.ndarray, x: np.ndarray) 
 
 
 def _round_streams(
-    cfg: FluctuationConfig, seed: int, start: int, stop: int
+    cfg: FluctuationConfig, seed: int, start: int, stop: int, uniforms: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
     """Relative pumps 1 + a*z (rounds x a), truncated at zero, and sorted
     uniforms (rounds x nu) of rounds start..stop-1, each from its stream
     `PCG64(seed).jumped(round)`: one normal z, then nu uniforms, then any
     replacement normals.  One bit generator serves the block, reset to the
     seed's state and advanced to each round: a quarter of the cost of
-    seeding a generator per round."""
+    seeding a generator per round.  Without `uniforms`, the stream is
+    advanced past them (one 64-bit draw each) and none is held."""
     a_grid = np.asarray(cfg.a_grid, dtype=np.float64)
     z = np.empty((stop - start, 1))
     x = np.empty((stop - start, a_grid.size))
-    u = np.empty((stop - start, cfg.nu))
+    u = np.empty((stop - start, cfg.nu if uniforms else 0))
     bits = np.random.PCG64(seed)
     origin, rng = bits.state, np.random.Generator(bits)
     for i, r in enumerate(range(start, stop)):
         bits.state = origin
         bits.advance(r * _ROUND_STEP % 2**128)
         z[i] = rng.standard_normal()
-        rng.random(out=u[i])
+        if uniforms:
+            rng.random(out=u[i])
+        elif cfg.negatives == "resample":
+            bits.advance(cfg.nu)
         if cfg.negatives == "resample":
             x[i] = _resample_negatives(rng, a_grid, 1.0 + a_grid * z[i])
     if cfg.negatives == "clamp":
@@ -429,13 +441,28 @@ def _round_streams(
     return x, u
 
 
-def _row_lengths(cfg: FluctuationConfig, plans: list, pumps: list, nodes: tuple) -> list[int]:
+def _row_lengths(
+    cfg: FluctuationConfig, plans: list, pumps: list, nodes: tuple, seed: int | None = None,
+    limit: float = math.inf,
+) -> list[int]:
     """The longest count row each plan's pair builds in a study, building
     none: per repetition, `plan.length` at the pump nodes `nodes`, the length
-    of every averaged row; per round, at the top node 1 + PUMP_Z_MAX * max(a),
-    which no round's pump passes but with probability below 1e-23."""
-    x = nodes[0] if cfg.redraw == "per-repetition" else 1.0 + PUMP_Z_MAX * max(cfg.a_grid)
-    return [plan.length(pump * x) for plan, pump in zip(plans, pumps)]
+    of every averaged row; per round, without a seed, at the top node
+    1 + PUMP_Z_MAX * max(a), which a round's pump passes with probability
+    below 1e-23, else at the largest pump the rounds draw from `seed`, the
+    length of a block's rows in `_study_totals` (pumps only, 1024 rounds at a
+    time, until the rows of every round at the lengths so far pass `limit`
+    entries)."""
+    if cfg.redraw == "per-repetition" or seed is None:
+        x = nodes[0] if cfg.redraw == "per-repetition" else 1.0 + PUMP_Z_MAX * max(cfg.a_grid)
+        return [plan.length(pump * x) for plan, pump in zip(plans, pumps)]
+    lengths = [0] * len(plans)
+    for start in range(0, cfg.rounds, 1024):
+        x, _ = _round_streams(cfg, seed, start, min(start + 1024, cfg.rounds), uniforms=False)
+        lengths = [max(n, plan.length(pump * x)) for n, plan, pump in zip(lengths, plans, pumps)]
+        if cfg.rounds * len(cfg.a_grid) * sum(lengths) > limit:
+            break
+    return lengths
 
 
 def _averaged_rows(plan, pump: float, nodes: tuple, length: int) -> np.ndarray:
@@ -459,10 +486,13 @@ def _averaged_rows(plan, pump: float, nodes: tuple, length: int) -> np.ndarray:
 
 
 def _study_totals(
-    cfg: FluctuationConfig, pairs: list, survival: float, seed: int, nodes: tuple
+    cfg: FluctuationConfig, pairs: list, survival: float, seed: int, nodes: tuple,
+    row_lengths: list | None = None,
 ) -> np.ndarray:
     """Round totals, shape (pair, a, rounds), of the (source, detector)
-    `pairs`; `nodes` holds `pump_nodes` of the fluctuation fractions.
+    `pairs`; `nodes` holds `pump_nodes` of the fluctuation fractions, and
+    `row_lengths`, where given, the pairs' `_row_lengths`, which a study per
+    repetition builds its rows at (per round, each block sizes its own).
 
     A round's total counts the draws of its nu sorted uniforms from its count
     rows: per round, the rows at the round's pumps; per repetition, each
@@ -485,7 +515,8 @@ def _study_totals(
     pumps = [source_pump(source) for source, _ in pairs]
     shared = [None] * len(pairs) if cfg.redraw == "per-round" else [
         _cdf(_averaged_rows(plan, pump, nodes, length)[None])
-        for plan, pump, length in zip(plans, pumps, _row_lengths(cfg, plans, pumps, nodes))]
+        for plan, pump, length in zip(plans, pumps,
+                                      row_lengths or _row_lengths(cfg, plans, pumps, nodes))]
     step = max(1, _BLOCK_FLOATS // cfg.nu)
     for start in range(0, cfg.rounds, step):
         x, u = _round_streams(cfg, seed, start, min(start + step, cfg.rounds))
@@ -522,37 +553,36 @@ def _study_totals(
     return totals
 
 
-def total_footprint(pairs: list, survival: float, nu: int) -> tuple:
-    """What `mc_estimate` builds over the (source, detector) `pairs`, not
-    building it: the floats held at the peak, the entries formed, the held
-    floats by what grows them ("nu", "rounds" or None for the pairs' rows or
-    windows) and each pair's window (or longest row): one window per pair,
-    each held alone with `_FFT_FLOATS` floats per count."""
-    sizes = [_total_window(source, detector, survival, nu)[1] for source, detector in pairs]
-    return _FFT_FLOATS * max(sizes), sum(sizes), {None: _FFT_FLOATS * max(sizes)}, sizes
+def total_footprint(pairs: list, survival: float, nu: int) -> tuple[int, list]:
+    """What `mc_estimate` holds over the (source, detector) `pairs`, building
+    nothing: the floats at its peak, `_FFT_FLOATS` per count of the widest
+    FFT window (each pair's total is formed alone), and each pair's
+    `_total_window`, for `mc_estimate` to take."""
+    windows = [_total_window(source, detector, survival, nu) for source, detector in pairs]
+    return _FFT_FLOATS * max(size for _, size in windows), windows
 
 
-def study_footprint(cfg: FluctuationConfig, pairs: list, survival: float) -> tuple:
+def study_footprint(
+    cfg: FluctuationConfig, pairs: list, survival: float, seed: int | None = None,
+    limit: float = math.inf,
+) -> tuple[int, int, tuple, list[int]]:
     """What `fluctuation_study` builds over the (source, detector) `pairs`,
-    as `total_footprint` gives it, by the rules of `_study_totals` at the
-    `_row_lengths`.  Held while the blocks run: the round totals, a block's
-    uniforms with their search results, and rows of calls of at most
-    max(_BLOCK_FLOATS, row length) each: per repetition, four (the call, the
-    one before and the build's temporaries: 4-4.5 by tracemalloc) beside
-    every pair's CDFs; per round, two, at top-node lengths 2-3x those of the
-    pumps drawn.  At the end, four floats per round total (the totals, the
-    squared errors, their sort and their spread's temporary).  Formed: the
-    uniforms, and the rows of every round, or per repetition of every node."""
-    nodes = pump_nodes(cfg.a_grid, cfg.negatives) if cfg.redraw == "per-repetition" else None
+    building no row: the floats its rows and CDFs hold at the peak, the
+    count-row entries it forms, its `pump_nodes` and each pair's
+    `_row_lengths` (per round at the top node, or at the rounds' own pumps
+    drawn from `seed` until they form more than `limit` entries).  Held: `_CALL_FLOATS` per float of the largest call,
+    at most max(_BLOCK_FLOATS, row length), and per repetition every pair's
+    CDFs beside it.  Formed: per round every round's rows, per repetition
+    the rows at every node.  The uniforms and the round totals are not
+    counted."""
+    nodes = pump_nodes(cfg.a_grid, cfg.negatives)
     plans = [detected_row_plan(*pair, survival) for pair in pairs]
-    lengths = _row_lengths(cfg, plans, [source_pump(source) for source, _ in pairs], nodes)
-    cells = len(pairs) * len(cfg.a_grid) * cfg.rounds
-    rows, built = 2 * max(_BLOCK_FLOATS, *lengths), cfg.rounds * len(cfg.a_grid) * sum(lengths)
+    pumps = [source_pump(source) for source, _ in pairs]
+    lengths = _row_lengths(cfg, plans, pumps, nodes, seed, limit)
+    held, n_a = _CALL_FLOATS * max(_BLOCK_FLOATS, *lengths), len(cfg.a_grid)
     if cfg.redraw == "per-repetition":
-        rows, built = 2 * rows + len(cfg.a_grid) * sum(lengths), nodes[0].size * sum(lengths)
-    parts = {"nu": 2 * min(cfg.rounds, max(1, _BLOCK_FLOATS // cfg.nu)) * cfg.nu, None: rows}
-    held = max(cells + sum(parts.values()), 4 * cells)
-    return held, cfg.rounds * cfg.nu + built, {**parts, "rounds": 4 * cells}, lengths
+        return held + n_a * sum(lengths), nodes[0].size * sum(lengths), nodes, lengths
+    return held, cfg.rounds * n_a * sum(lengths), nodes, lengths
 
 
 def _band_edge(sorted_values: np.ndarray, q: float) -> np.ndarray:
@@ -572,7 +602,8 @@ def _band_edge(sorted_values: np.ndarray, q: float) -> np.ndarray:
 
 
 def fluctuation_study(
-    cfg: FluctuationConfig, pairs, channel: Channel, seed: int
+    cfg: FluctuationConfig, pairs, channel: Channel, seed: int, nodes: tuple | None = None,
+    lengths: list | None = None,
 ) -> list[list[McSummary]]:
     """MSE versus pump-fluctuation size for each (source, detector) pair of
     `pairs`, one summary list per pair; `fluctuation_study(cfg, [(source,
@@ -584,12 +615,13 @@ def fluctuation_study(
     from its one stream (`_round_streams`), forms the transmission estimate
     with the fluctuation-free reference, and records its squared error
     against the true transmission.  Each summary carries the exact MSE the
-    rounds sample (`fluctuation_mse`).
+    rounds sample (`fluctuation_mse`).  `nodes` and `lengths`, where given,
+    are the `pump_nodes` and `_row_lengths` of `study_footprint`.
     """
     pairs = list(pairs)
     refs = [reference_mean(source, detector, channel.detector_eff) for source, detector in pairs]
-    nodes = pump_nodes(cfg.a_grid, cfg.negatives)
-    totals = _study_totals(cfg, pairs, channel.survival, seed, nodes)
+    nodes = nodes or pump_nodes(cfg.a_grid, cfg.negatives)
+    totals = _study_totals(cfg, pairs, channel.survival, seed, nodes, lengths)
     scale = cfg.nu * np.array(refs)[:, None, None]
     sq_err = (totals / scale - channel.transmission) ** 2
     sorted_err = np.sort(sq_err, axis=-1)

@@ -267,8 +267,7 @@ class TestMain:
         [
             (["fluctuations", "--nu", "2000000000", "--rounds", "100000000"], "nu"),
             (["fluctuations", "--rounds", "100000000"], "rounds"),
-            # One round of 1e7 uniforms is past the held budget alone.
-            (["fluctuations", "--nu", "10000000", "--rounds", "101"], "nu"),
+            (["fluctuations", "--nu", "10000000", "--rounds", "101"], "rounds"),
             (["fluctuations", "--nu", "1000000", "--rounds", "3000"], "rounds"),
             (["mc-validate", "--nu", "10000", "--mean-n", "10000", "--eta-herald", "6.1e-6"],
              "herald_eff"),
@@ -277,7 +276,7 @@ class TestMain:
         ],
     )
     def test_runs_that_cannot_finish_are_refused_by_name(self, capsys, args, field):
-        """show-config refuses a Monte Carlo run past a budget by name,
+        """show-config refuses a Monte Carlo run past a budget or a cap by name,
         without a traceback, and prints no configuration."""
         assert main(["show-config", *args]) == 1
         out, err = capsys.readouterr()
@@ -421,6 +420,17 @@ class TestMain:
         assert capsys.readouterr().err.startswith(f"cannot write output: --out {fifo} ")
         assert [path.name for path in tmp_path.iterdir()] == ["out.csv"]
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+    def test_both_formats_to_a_fifo_are_refused_before_the_run(self, tmp_path, capsys):
+        """The `--out` of `--format both` is checked before the run, which
+        may take long, is computed."""
+        fifo = tmp_path / "out.csv"
+        os.mkfifo(fifo)
+        run = mock.Mock(side_effect=AssertionError("ran before --out was checked"))
+        with mock.patch.object(cli, "run_experiment", run):
+            assert main(["fluctuations", "--format", "both", "--out", str(fifo)]) == 1
+        assert capsys.readouterr().err.startswith(f"cannot write output: --out {fifo} ")
+        run.assert_not_called()
 
     def test_a_rerun_keeps_the_permission_bits_and_refuses_what_open_refuses(self, tmp_path):
         """The replacing file takes the old one's mode, and a read-only

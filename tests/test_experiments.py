@@ -1,6 +1,7 @@
 """Sweep harness: grid shapes, determinism, self-description and the
 experiment-level physics checks."""
 
+import collections
 import hashlib
 import itertools
 import math
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import rows_csv, rows_json
-from subshot import experiments, output
+from subshot import experiments, montecarlo, output
 from subshot import sources as source_models
 from subshot.cli import PER_EXPERIMENT_DEFAULTS, main
 from subshot.detection import Channel
@@ -32,7 +33,10 @@ from subshot.experiments import (
     EXPERIMENTS,
     MAX_GRID_CELLS,
     MAX_MEAN,
-    MAX_HELD_FLOATS,
+    MAX_STUDY_CELLS,
+    MAX_STUDY_DRAWS,
+    MAX_STUDY_NU,
+    MAX_VALIDATE_SPREAD,
     MIN_THRESHOLD_REFERENCE,
     _MC_VALIDATE_STAGES,
     _THRESHOLD_ONLY,
@@ -421,7 +425,7 @@ class TestConfigValidation:
             optics_transmission=optics_transmission,
         )
         try:
-            sources = cfg.validate()
+            sources, _ = cfg.validate()
         except ConfigError as err:
             assert err.field in {f.name for f in fields(SweepConfig)}
             return
@@ -668,10 +672,12 @@ class TestPairLimits:
 
 
 class TestMonteCarloBudgets:
-    """A Monte Carlo run is admitted by what its tuned sources predict it
-    builds (`montecarlo.total_footprint`, `study_footprint`): at most
-    MAX_HELD_FLOATS held and MAX_FORMED_ENTRIES formed.  Checked through
-    `validate` and `show-config` only: no config here past a budget is run."""
+    """A Monte Carlo run is admitted by what its tuned sources predict its
+    count rows and windows build (`montecarlo.total_footprint`,
+    `study_footprint`): at most MAX_HELD_FLOATS held and MAX_FORMED_ENTRIES
+    formed; and by the caps on what they do not grow (`MAX_STUDY_*`,
+    `MAX_VALIDATE_SPREAD`).  Checked through `validate` and `show-config`
+    only: no config here past a budget or a cap is run."""
 
     # The command line's fluctuation pairs, 3 sources (coherent, m = 3 and 5)
     # x 2 detectors, at 7 fractions.
@@ -679,6 +685,7 @@ class TestMonteCarloBudgets:
     # The widest mc-validate window, 2**24 counts, at a weak herald (5.1 s and
     # 1.2 GB when it was admitted).
     WIDE_TOTALS = [{"nu": 10**4, "mean_photons": 1e4, "herald_eff": h} for h in (6.1e-6, 1e-5)]
+    A_GRID_25 = tuple(np.linspace(0.0, 0.6, 25).tolist())
 
     @pytest.mark.parametrize(
         "experiment, overrides, field",
@@ -686,30 +693,31 @@ class TestMonteCarloBudgets:
             *(("mc-validate", overrides, "herald_eff") for overrides in WIDE_TOTALS),
             *(("mc-validate", {"herald_eff": h}, "herald_eff")
               for h in (1e-11, 1e-13, 1e-15, 1e-16, 1e-300)),
+            # Accepted at the default nu = 200: a window of 2**18 counts, 2**19 here.
             ("mc-validate", {"herald_eff": 1e-10, "nu": 1000}, "herald_eff"),
             *(("fluctuations", {"herald_eff": h}, "herald_eff") for h in (1e-13, 1e-16, 1e-300)),
             ("fluctuations", {"herald_eff": 1e-11, "redraw": "per-repetition"}, "herald_eff"),
             ("fluctuations", {"redraw": "per-repetition", "mean_photons": MAX_MEAN,
-                              "a_grid": tuple(np.linspace(0.0, 0.6, 25).tolist())},
-             "mean_photons"),
-            # A round's uniforms are named before the round totals.
-            ("fluctuations", {"nu": 10**7 + 1, "rounds": 2}, "nu"),
-            ("fluctuations", {"nu": 10**7, "rounds": 101}, "nu"),
+                              "a_grid": A_GRID_25}, "mean_photons"),
+            # Past the formed budget only: 1.1e10 entries.
+            ("fluctuations", {"mean_photons": MAX_MEAN, "rounds": 10_000}, "rounds"),
+            # Past a cap.
+            ("fluctuations", {"nu": MAX_STUDY_NU + 1, "rounds": 2}, "nu"),
             ("fluctuations", {"nu": 2_000_000_000, "rounds": 100_000_000}, "nu"),
             ("fluctuations", {"nu": 2_000_000_000, "redraw": "per-repetition"}, "nu"),
-            ("fluctuations", {"rounds": 100_000_000}, "rounds"),
-            ("fluctuations", {"stage_counts": (1,), "a_grid": (0.0,),
-                              "rounds": MAX_HELD_FLOATS // 16 + 1}, "rounds"),
-            ("fluctuations", {"redraw": "per-repetition", "rounds":
-                              MAX_HELD_FLOATS // (4 * DEFAULT_CELLS_PER_ROUND) + 1}, "rounds"),
-            # Past the formed budget only.
+            ("fluctuations", {"nu": MAX_STUDY_NU, "rounds": MAX_STUDY_DRAWS // MAX_STUDY_NU + 1},
+             "rounds"),
             ("fluctuations", {"nu": 10**6, "rounds": 3000}, "rounds"),
-            ("fluctuations", {"herald_eff": 1e-12, "rounds": 500}, "rounds"),
-            ("mc-validate", {"nu": 10**15}, "nu"),
-            ("mc-validate", {"nu": 10**9}, "nu"),
-            # Counted in int64.
-            ("mc-validate", {"nu": 2**63}, "nu"),
+            ("fluctuations", {"rounds": 100_000_000}, "rounds"),
             ("fluctuations", {"rounds": 10**400}, "rounds"),
+            ("fluctuations", {"stage_counts": (1,), "a_grid": (0.0,),
+                              "rounds": MAX_STUDY_CELLS // 4 + 1}, "rounds"),
+            ("fluctuations", {"redraw": "per-repetition",
+                              "rounds": MAX_STUDY_CELLS // DEFAULT_CELLS_PER_ROUND + 1}, "rounds"),
+            ("mc-validate", {"nu": 10**15}, "nu"),
+            ("mc-validate", {"nu": 2**63}, "nu"),
+            ("mc-validate", {"nu": int(MAX_VALIDATE_SPREAD) + 1}, "nu"),
+            ("mc-validate", {"nu": 10**6, "mean_photons": 100.5}, "nu"),
         ],
     )
     def test_past_a_budget_named(self, experiment, overrides, field):
@@ -720,9 +728,22 @@ class TestMonteCarloBudgets:
     @pytest.mark.parametrize(
         "experiment, overrides",
         [
+            # At each cap.
+            ("fluctuations", {"nu": MAX_STUDY_NU, "rounds": 2}),
+            ("fluctuations", {"nu": MAX_STUDY_NU, "rounds": MAX_STUDY_DRAWS // MAX_STUDY_NU}),
+            ("fluctuations", {"stage_counts": (1,), "a_grid": (0.0,),
+                              "rounds": MAX_STUDY_CELLS // 4}),
+            ("mc-validate", {"nu": int(MAX_VALIDATE_SPREAD)}),
+            ("mc-validate", {"nu": 10**6, "mean_photons": 100.0}),
+            ("mc-validate", {"nu": 10**4, "mean_photons": MAX_MEAN}),
+            # Within the formed budget: 9.9e9 entries at the top pump node;
+            # 1.9e9 and 8.6e9 at the pumps the rounds draw, where alone the
+            # rows fit the held budget.
+            ("fluctuations", {"mean_photons": MAX_MEAN, "rounds": 9000}),
+            ("fluctuations", {"herald_eff": 1e-12, "rounds": 500}),
+            ("fluctuations", {"herald_eff": 1e-12, "rounds": 2000}),
             # The runs the CI steps, the README and the ROADMAP name.
-            ("fluctuations", {"herald_eff": 1e-12,
-                              "a_grid": tuple(np.linspace(0.0, 0.6, 25).tolist())}),
+            ("fluctuations", {"herald_eff": 1e-12, "a_grid": A_GRID_25}),
             ("fluctuations", {"redraw": "per-repetition", "nu": 10**6}),
             ("fluctuations", {"rounds": 20_000}),
             ("fluctuations", {"rounds": 20_000, "redraw": "per-repetition"}),
@@ -730,9 +751,6 @@ class TestMonteCarloBudgets:
             ("fluctuations", {"redraw": "per-repetition", "mean_photons": 100.0, "nu": 100_000}),
             ("mc-validate", {"nu": 10**6, "mean_photons": 30.0}),
             ("mc-validate", {"trials": 10**7}),
-            # Cheap runs the old proxies refused: 0.3 s and 0.1 s.
-            ("mc-validate", {"nu": 10**6, "mean_photons": 100.5}),
-            ("mc-validate", {"nu": 10**8}),
             # The exact reports take any nu and ignore rounds.
             ("nr-ratio", {"nu": 10**15, "rounds": 10**9}),
         ],
@@ -783,6 +801,27 @@ class TestMonteCarloBudgets:
             monkeypatch.setattr(source_models, name, counted)
         run_experiment(command_line_config(experiment, {}))
         assert calls == {"tune_pair_mean": 1, "check_reach": 1}
+
+    @pytest.mark.parametrize(
+        "experiment, overrides, formed",
+        [
+            ("mc-validate", {}, {"_total_window": 6}),
+            *(("fluctuations", {"redraw": redraw}, {"pump_nodes": 1, "_row_lengths": 1})
+              for redraw in ("per-round", "per-repetition")),
+        ],
+    )
+    def test_a_run_forms_each_predicted_size_once(self, experiment, overrides, formed,
+                                                  monkeypatch):
+        """The windows, pump nodes and row lengths that `validate` predicts
+        a run's footprint from are the ones the run builds at: none is formed
+        again."""
+        counts = collections.Counter()
+        for name in ("_total_window", "pump_nodes", "_row_lengths"):
+            original = getattr(montecarlo, name)
+            monkeypatch.setattr(montecarlo, name, lambda *args, _original=original, _name=name:
+                                counts.update([_name]) or _original(*args))
+        run_experiment(command_line_config(experiment, overrides))
+        assert counts == formed
 
 
 class TestGridCaps:

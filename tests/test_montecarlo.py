@@ -48,6 +48,7 @@ from subshot.montecarlo import (
     REDRAWS,
     FluctuationConfig,
     McEstimate,
+    _BLOCK_FLOATS,
     _LEGENDRE_NODES,
     _LEGENDRE_WEIGHTS,
     _averaged_rows,
@@ -1107,13 +1108,9 @@ class TestOneTailRule:
 class TestFootprint:
     """The sizes `total_footprint` and `study_footprint` predict are the
     ones the engine builds, over tiny configs of every source kind, both
-    detectors and both redraw modes, with heralds out to the budgets' edge.
-    A config the prediction puts past a budget is never run."""
-
-    @staticmethod
-    def within_budgets(footprint) -> bool:
-        held, formed, _, _ = footprint
-        return held <= MAX_HELD_FLOATS and formed <= MAX_FORMED_ENTRIES
+    detectors and both redraw modes, with heralds out to the budgets' edge,
+    and the floats they predict held bound what tracemalloc finds.  A config
+    the prediction puts past a budget is never run."""
 
     @settings(CHECKS, max_examples=40)
     @given(
@@ -1131,15 +1128,18 @@ class TestFootprint:
     def test_total_windows_are_the_windows_transformed(
         self, kind, detector, mean, stages, herald, photons, survival, nu
     ):
-        """`_total_count_pmf` inverts one FFT of exactly the predicted size."""
+        """`_total_count_pmf` inverts one FFT of exactly the predicted size,
+        and the predicted window gives the law it forms on its own."""
         source = (Fock(photons) if kind == "fock" else Coherent(mean) if kind == "coherent"
                   else make_multiplexed(stages, mean, herald))
-        footprint = total_footprint([(source, detector)], survival, nu)
-        if not self.within_budgets(footprint):
+        held, windows = total_footprint([(source, detector)], survival, nu)
+        if held > MAX_HELD_FLOATS:
             return
         with mock.patch.object(np.fft, "irfft", wraps=np.fft.irfft) as irfft:
-            _total_count_pmf(source, detector, survival, nu)
-        assert [call.args[1] for call in irfft.call_args_list] == footprint[3]
+            offset, probs = _total_count_pmf(source, detector, survival, nu)
+        assert [call.args[1] for call in irfft.call_args_list] == [windows[0][1]]
+        given_offset, given_probs = _total_count_pmf(source, detector, survival, nu, windows[0])
+        assert given_offset == offset and given_probs.tobytes() == probs.tobytes()
 
     @settings(CHECKS, max_examples=30)
     @given(
@@ -1155,22 +1155,30 @@ class TestFootprint:
         survival=st.floats(0.05, 1.0),
     )
     # Just inside the held budget in each mode.
-    @example(specs=[("multiplexed", Detector.NUMBER_RESOLVING, 0.5, 3, -12.6)], a_grid=[0.6],
-             rounds=2, nu=20, redraw="per-round", negatives="clamp", survival=0.72)
-    @example(specs=[("multiplexed", Detector.NUMBER_RESOLVING, 0.5, 3, -11.3)], a_grid=[0.6],
+    @example(specs=[("multiplexed", Detector.NUMBER_RESOLVING, 0.5, 3, -12.3)], a_grid=[0.6],
+             rounds=2, nu=20, redraw="per-round", negatives="resample", survival=0.72)
+    @example(specs=[("multiplexed", Detector.NUMBER_RESOLVING, 0.5, 3, -11.28)], a_grid=[0.6],
              rounds=2, nu=20, redraw="per-repetition", negatives="clamp", survival=0.72)
+    # Blocks of 1310 rounds in the run, drawn 1024 at a time for the prediction.
+    @example(specs=[("coherent", Detector.NUMBER_RESOLVING, 2.0, 1, 0.0)], a_grid=[0.6],
+             rounds=3000, nu=100, redraw="per-round", negatives="resample", survival=0.72)
     def test_study_rows_are_at_most_the_predicted_lengths(
         self, specs, a_grid, rounds, nu, redraw, negatives, survival
     ):
-        """Every row `_study_totals` builds for a pair is at most its
-        predicted length: per repetition every one is exactly it."""
+        """Every row `_study_totals` builds for a pair is at most its length
+        at the top pump node: per repetition every one is exactly it, and per
+        round the longest is the one the rounds' own pumps give, which the
+        pumps alone, drawn past the uniforms, reproduce bit for bit."""
         pairs = [(Coherent(mean) if kind == "coherent"
                   else make_multiplexed(stages, mean, 10.0**herald), detector)
                  for kind, detector, mean, stages, herald in specs]
         cfg = FluctuationConfig(tuple(a_grid), rounds, nu, redraw, negatives)
-        footprint = study_footprint(cfg, pairs, survival)
-        if not self.within_budgets(footprint):
+        held, formed, _, top = study_footprint(cfg, pairs, survival)
+        drawn = study_footprint(cfg, pairs, survival, seed=3)
+        if min(held, drawn[0]) > MAX_HELD_FLOATS or formed > MAX_FORMED_ENTRIES:
             return
+        np.testing.assert_array_equal(_round_streams(cfg, 3, 0, rounds, uniforms=False)[0],
+                                      _round_streams(cfg, 3, 0, rounds)[0])
         built = []
 
         def recorded(*args):
@@ -1186,10 +1194,39 @@ class TestFootprint:
 
         with mock.patch.object(montecarlo, "detected_row_plan", recorded):
             fluctuation_study(cfg, pairs, Channel(1.0, survival), seed=3)
-        for lengths, predicted in zip(built, footprint[3]):
-            assert lengths and max(lengths) <= predicted
+        for lengths, at_top, at_pumps in zip(built, top, drawn[3]):
+            assert lengths and max(lengths) <= at_top
             if redraw == "per-repetition":
-                assert set(lengths) == {predicted}
+                assert set(lengths) == {at_top} and at_pumps == at_top
+            else:
+                assert max(lengths) == at_pumps
+
+    @pytest.mark.parametrize("redraw", REDRAWS)
+    @pytest.mark.parametrize(
+        "herald, a_grid",
+        [(1.0, (0.0,)), (1.0, (0.0, 0.3, 0.6)), (1e-12, (0.0,)), (1e-11, (0.0, 0.6)),
+         (3e-12, (0.3,))],
+    )
+    def test_the_floats_held_are_at_most_the_prediction(self, herald, a_grid, redraw):
+        """tracemalloc's peak over a study is at most `study_footprint`'s
+        held floats plus its uniforms and round totals; where one row passes
+        `_BLOCK_FLOATS` (the weak heralds), the prediction is within 2x."""
+        pairs = [(source, detector) for detector in Detector
+                 for source in (Coherent(0.5), *make_multiplexed([3, 5], 0.5, herald))]
+        cfg = FluctuationConfig(a_grid, rounds=3, nu=20, redraw=redraw,
+                                negatives="resample" if max(a_grid) > 0.5 else "clamp")
+        held, _, _, lengths = study_footprint(cfg, pairs, 0.72, seed=5)
+        assert held <= MAX_HELD_FLOATS
+        others = 3 * cfg.rounds * cfg.nu + 4 * len(pairs) * len(a_grid) * cfg.rounds
+        tracemalloc.start()
+        try:
+            fluctuation_study(cfg, pairs, Channel(0.8, 0.9), seed=5)
+            peak = tracemalloc.get_traced_memory()[1] / 8
+        finally:
+            tracemalloc.stop()
+        assert peak <= held + others
+        if max(lengths) > _BLOCK_FLOATS:
+            assert held <= 2 * peak
 
 
 class TestFluctuationStudy:
